@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipu_sim::poplib::{reduce_to_scalar, ReduceOp};
 use ipu_sim::{DType, Graph, IpuConfig, Program};
-use linalg::{jacobi_eigen, DenseMatrix};
+use linalg::{symmetric_eigen, DenseMatrix};
 use std::hint::black_box;
 
 fn ipu_reduce(c: &mut Criterion) {
@@ -55,8 +55,8 @@ fn eigensolver(c: &mut Criterion) {
                 ((j * 31 + i * 17) % 101) as f64 / 10.0
             }
         });
-        group.bench_with_input(BenchmarkId::new("jacobi_eigen", n), &a, |b, a| {
-            b.iter(|| jacobi_eigen(black_box(a), 1e-10, 30).values[0])
+        group.bench_with_input(BenchmarkId::new("symmetric_eigen", n), &a, |b, a| {
+            b.iter(|| symmetric_eigen(black_box(a)).values[0])
         });
     }
     group.finish();

@@ -63,9 +63,10 @@ pub(crate) struct TensorInfo {
 impl TensorInfo {
     /// The tile owning flat element `idx`, if mapped.
     pub(crate) fn tile_of(&self, idx: usize) -> Option<usize> {
+        let i = self.mapping.partition_point(|&(_, e, _)| e <= idx);
         self.mapping
-            .iter()
-            .find(|&&(s, e, _)| s <= idx && idx < e)
+            .get(i)
+            .filter(|&&(s, _, _)| s <= idx)
             .map(|&(_, _, t)| t)
     }
 
@@ -81,10 +82,8 @@ impl TensorInfo {
     /// Whether `start..end` is mapped entirely to `tile`.
     fn fully_on_tile(&self, start: usize, end: usize, tile: usize) -> bool {
         let mut covered = start;
-        for &(s, e, t) in &self.mapping {
-            if e <= covered {
-                continue;
-            }
+        let first = self.mapping.partition_point(|&(_, e, _)| e <= start);
+        for &(s, e, t) in &self.mapping[first..] {
             if s > covered {
                 return false; // gap
             }
@@ -254,16 +253,18 @@ impl Graph {
         if slice.is_empty() {
             return Ok(());
         }
-        for &(s, e, _) in &info.mapping {
-            if slice.start < e && s < slice.end {
+        // Intervals are sorted and disjoint, so only the first one ending
+        // after `slice.start` can overlap, and the new one goes before it.
+        let at = info.mapping.partition_point(|&(_, e, _)| e <= slice.start);
+        if let Some(&(s, _, _)) = info.mapping.get(at) {
+            if s < slice.end {
                 return Err(GraphError::AlreadyMapped {
                     tensor: info.name.clone(),
                     element: slice.start.max(s),
                 });
             }
         }
-        info.mapping.push((slice.start, slice.end, tile));
-        info.mapping.sort_unstable_by_key(|&(s, _, _)| s);
+        info.mapping.insert(at, (slice.start, slice.end, tile));
         Ok(())
     }
 
@@ -770,6 +771,48 @@ mod tests {
         g.map_slice(t.slice(0..6), 0).unwrap();
         let err = g.map_slice(t.slice(4..8), 1).unwrap_err();
         assert!(matches!(err, GraphError::AlreadyMapped { element: 4, .. }));
+    }
+
+    #[test]
+    fn out_of_order_overlaps_rejected_on_both_sides() {
+        let mut g = tiny_graph();
+        let t = g.add_tensor("t", DType::F32, 40);
+        g.map_slice(t.slice(30..40), 2).unwrap();
+        g.map_slice(t.slice(10..20), 1).unwrap();
+        g.map_slice(t.slice(0..5), 0).unwrap();
+        // Overlaps the neighbour that starts before it (10..20).
+        let err = g.map_slice(t.slice(15..25), 3).unwrap_err();
+        assert!(matches!(err, GraphError::AlreadyMapped { element: 15, .. }));
+        // Overlaps the neighbour that starts after it (30..40).
+        let err = g.map_slice(t.slice(25..35), 3).unwrap_err();
+        assert!(matches!(err, GraphError::AlreadyMapped { element: 30, .. }));
+        // Swallows a whole interval (10..20).
+        let err = g.map_slice(t.slice(5..30), 3).unwrap_err();
+        assert!(matches!(err, GraphError::AlreadyMapped { element: 10, .. }));
+        // The gaps still fill, in any order, and the tensor compiles.
+        g.map_slice(t.slice(20..30), 0).unwrap();
+        g.map_slice(t.slice(5..10), 3).unwrap();
+        assert_eq!(g.tile_of(t, 4), Some(0));
+        assert_eq!(g.tile_of(t, 5), Some(3));
+        assert_eq!(g.tile_of(t, 29), Some(0));
+        assert_eq!(g.tile_of(t, 39), Some(2));
+        assert!(g.compile(Program::seq(vec![])).is_ok());
+    }
+
+    #[test]
+    fn fully_on_tile_spans_adjacent_intervals() {
+        let mut g = tiny_graph();
+        let t = g.add_tensor("t", DType::F32, 12);
+        g.map_slice(t.slice(0..4), 1).unwrap();
+        g.map_slice(t.slice(4..8), 1).unwrap();
+        g.map_slice(t.slice(8..12), 2).unwrap();
+        let info = &g.tensors[t.id];
+        // 2..6 spans 0..4 and 4..8, both on tile 1.
+        assert!(info.fully_on_tile(2, 6, 1));
+        // 6..10 spans 4..8 on tile 1 and 8..12 on tile 2.
+        assert!(!info.fully_on_tile(6, 10, 1));
+        assert!(!info.fully_on_tile(6, 10, 2));
+        assert!(info.fully_on_tile(8, 12, 2));
     }
 
     #[test]

@@ -3,13 +3,19 @@
 //! GRAMPA (Fan et al. 2019), the alignment algorithm the paper uses in
 //! §V-C, needs the full eigendecomposition of two symmetric adjacency
 //! matrices plus a handful of dense products. This crate supplies exactly
-//! that — a dense matrix type, a cyclic Jacobi eigensolver, and the
+//! that — a dense matrix type, a symmetric eigensolver, and the
 //! products — with no external BLAS.
 //!
-//! Jacobi was chosen over Householder+QL because it is simple to verify
-//! (every rotation preserves the Frobenius norm and symmetry), fully
-//! deterministic, and fast enough for the paper's graph sizes
-//! (n ≤ 1 004 on MultiMagna).
+//! The eigensolver is Householder tridiagonalisation followed by implicit
+//! QL (EISPACK's `tred2`/`tql2`). It needs no tolerance or sweep count
+//! and is deterministic. One reduction plus a couple of QL iterations
+//! per eigenvalue cost about as much as a single sweep of cyclic Jacobi,
+//! which needs several sweeps; on the HighSchool graph (n = 327) one
+//! decomposition takes 84–95 ms on a 2-vCPU Xeon against about 2 s for
+//! the Jacobi solver it replaced, and reconstructs the input to 3e-14
+//! instead of 3e-11. Correctness is checked the same way for any solver:
+//! `V·diag(λ)·Vᵀ` must reconstruct the input and `VᵀV` must be the
+//! identity.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -17,5 +23,5 @@
 mod eigen;
 mod matrix;
 
-pub use eigen::{jacobi_eigen, EigenDecomposition};
+pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use matrix::DenseMatrix;
