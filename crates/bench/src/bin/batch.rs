@@ -17,23 +17,42 @@
 //!   instances are farmed across host threads for wall-clock throughput
 //!   (informational, never gated — wall time is machine-dependent).
 //!
-//! Modes:
-//! - default: print the table, write `target/experiments/batch.json`;
-//! - `--write-baseline`: also regenerate `BENCH_batch.json` (repo root);
-//! - `--check`: compare against the checked-in baseline and exit nonzero
-//!   on >10% regression of a gated metric (the CI perf gate — flake-free
-//!   because gated metrics are deterministic modeled costs).
+//! Prints the table and writes `target/experiments/batch.json`;
+//! `--write-baseline` also records `BENCH_batch.json` (or `--baseline
+//! PATH`). `bench gate --only batch` checks a fresh recording against
+//! the committed file (rules in `bench::gates`).
 //!
 //! Grid: `--sizes N` (first entry; default 64), `--batch B` (default 16,
 //! 32 under `--full`), `--ks K` (first entry; default 10), `--seed S`.
 
-use bench::{Args, BaselineEntry, BatchBaseline, ExperimentRecord, Measurement, CYCLE_TOLERANCE};
+use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use cpu_hungarian::{CpuBatch, JonkerVolgenant};
 use datasets::gaussian_cost_matrix;
 use fastha::{BatchFastHa, FastHa};
 use hunipu::{BatchHunIpu, BatchStrategy, HunIpu};
 use lsap::{BatchLsapSolver, BatchReport, CostMatrix, SequentialBatch};
-use std::path::Path;
+use serde::Serialize;
+
+/// `BENCH_batch.json`: the grid plus one row per batch engine.
+#[derive(Serialize)]
+struct Baseline {
+    n: usize,
+    batch: usize,
+    seed: u64,
+    entries: Vec<BaselineEntry>,
+}
+
+/// One engine's per-instance cost, sequential (`single`) vs amortized
+/// (`batched`), in `metric` units; wall numbers are context only.
+#[derive(Serialize)]
+struct BaselineEntry {
+    engine: String,
+    metric: String,
+    single: f64,
+    batched: f64,
+    wall_seconds: f64,
+    instances_per_sec: f64,
+}
 
 fn main() {
     let args = Args::parse();
@@ -71,68 +90,13 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = BatchBaseline {
+    let current = Baseline {
         n,
         batch: b,
         seed,
         entries,
     };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_batch.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match BatchBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin batch -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        for base_entry in &base.entries {
-            if let Some(cur) = current
-                .entries
-                .iter()
-                .find(|e| e.engine == base_entry.engine)
-            {
-                let delta = (cur.batched / base_entry.batched - 1.0) * 100.0;
-                println!(
-                    "gate {}: baseline {:.2} run {:.2} {} ({delta:+.2}%)",
-                    base_entry.engine, base_entry.batched, cur.batched, base_entry.metric
-                );
-                if delta < -CYCLE_TOLERANCE * 100.0 {
-                    println!(
-                        "  note: >{:.0}% faster than baseline — consider refreshing \
-                         BENCH_batch.json so the gate tracks the improvement",
-                        CYCLE_TOLERANCE * 100.0
-                    );
-                }
-            }
-        }
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED (tolerance {:.0}%)",
-                CYCLE_TOLERANCE * 100.0
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    write_baseline(&args, "BENCH_batch.json", &current);
 }
 
 struct Row {

@@ -30,7 +30,7 @@
 //! - with `--emit-rust`: the fitted table as a Rust literal to paste
 //!   into `PortfolioTable::calibrated` in `crates/lsap/src/portfolio.rs`
 //!   — the committed constants *are* this binary's output, and
-//!   `bench portfolio --check` gates that they still dispatch within
+//!   `bench gate --only portfolio` checks that they still dispatch within
 //!   10% regret of oracle-best.
 //!
 //! Grid: `--sizes` overrides the size sweep (default 16,32,64,128,256 —

@@ -6,14 +6,14 @@
 //! cargo run --release -p bench --bin gate -- --all --drift   # weekly drift job
 //! ```
 //!
-//! `--all` (or `--only NAME`) runs each gate from [`bench::GATES`] in
-//! check mode — the gate binary's own `--check` plus a record-exists
-//! assertion — and prints one pass/fail summary table; output of passing
-//! gates is swallowed, failing gates replay theirs. `--drift` instead
-//! re-records every baseline to a scratch file and diffs it against the
-//! committed one (volatile wall-clock keys ignored), catching modeled
-//! costs that moved *within* the gate tolerance. Exit code = number of
-//! failed gates.
+//! `--all` (or `--only NAME`) runs each gate from [`bench::GATES`]: the
+//! gate binary records a fresh baseline under `target/experiments/`, and
+//! the gate's spec is applied to the committed `BENCH_*.json` and the
+//! fresh file; every violation is printed, then one pass/fail summary
+//! table. `--drift` instead diffs the fresh recording against the
+//! committed file by JSON path (volatile wall-clock keys ignored),
+//! catching modeled costs that moved *within* the gate tolerance. Exit
+//! code = number of failed gates.
 
 use bench::{run_gates, Args};
 

@@ -12,27 +12,43 @@
 //! bit-identity contract (chip-aware == flat, cycle for cycle); the
 //! 4-chip rows carry the headline claim (≥20% fewer modeled cycles).
 //!
-//! Modes:
-//! - default: print the table, write `target/experiments/multi_ipu.json`;
-//! - `--write-baseline`: also regenerate `BENCH_multi_ipu.json`;
-//! - `--check`: compare against the checked-in baseline and exit nonzero
-//!   on regression (flake-free: gated metrics are deterministic modeled
-//!   cycles).
+//! Prints the table and writes `target/experiments/multi_ipu.json`;
+//! `--write-baseline` also records `BENCH_multi_ipu.json` (or
+//! `--baseline PATH`). `bench gate --only multi_ipu` checks a fresh
+//! recording against the committed file.
 //!
 //! Overrides: `--sizes T,M` sets the tiny-device n (first entry) and the
 //! Mk2-device n (second entry, or the first if only one is given);
 //! `--seed S` changes the dataset; `--full` enlarges both sizes.
 
-use bench::{
-    Args, ExperimentRecord, Measurement, MultiIpuBaseline, MultiIpuEntry, CYCLE_TOLERANCE,
-    MULTI_IPU_MIN_IMPROVEMENT,
-};
+use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;
 use hunipu::{HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
 use lsap::{CostMatrix, SolveReport};
-use std::path::Path;
+use serde::Serialize;
 use std::time::Instant;
+
+/// `BENCH_multi_ipu.json`: one row per (device, topology, n) cell.
+#[derive(Serialize)]
+struct Baseline {
+    seed: u64,
+    entries: Vec<MultiIpuEntry>,
+}
+
+/// Modeled solve cycles under both layouts; `improvement` is
+/// `1 − chip_aware/flat`, wall seconds are context only.
+#[derive(Serialize)]
+struct MultiIpuEntry {
+    device: String,
+    chips: usize,
+    tiles_per_chip: usize,
+    n: usize,
+    flat_cycles: f64,
+    chip_aware_cycles: f64,
+    improvement: f64,
+    wall_seconds: f64,
+}
 
 fn main() {
     let args = Args::parse();
@@ -81,68 +97,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = MultiIpuBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_multi_ipu.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match MultiIpuBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin multi_ipu -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        for be in &base.entries {
-            if let Some(cur) = current.entries.iter().find(|e| {
-                (e.device.as_str(), e.chips, e.tiles_per_chip, e.n)
-                    == (be.device.as_str(), be.chips, be.tiles_per_chip, be.n)
-            }) {
-                let delta = (cur.chip_aware_cycles / be.chip_aware_cycles - 1.0) * 100.0;
-                println!(
-                    "gate {} {}x{} n={}: baseline {:.0} run {:.0} cycles ({delta:+.2}%)",
-                    be.device,
-                    be.chips,
-                    be.tiles_per_chip,
-                    be.n,
-                    be.chip_aware_cycles,
-                    cur.chip_aware_cycles
-                );
-                if delta < -CYCLE_TOLERANCE * 100.0 {
-                    println!(
-                        "  note: >{:.0}% faster than baseline — consider refreshing \
-                         BENCH_multi_ipu.json so the gate tracks the improvement",
-                        CYCLE_TOLERANCE * 100.0
-                    );
-                }
-            }
-        }
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED (tolerance {:.0}%, >=4-chip floor {:.0}%)",
-                CYCLE_TOLERANCE * 100.0,
-                MULTI_IPU_MIN_IMPROVEMENT * 100.0
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    write_baseline(&args, "BENCH_multi_ipu.json", &Baseline { seed, entries });
 }
 
 /// Solves one grid cell under both layouts and records the cycle counts.

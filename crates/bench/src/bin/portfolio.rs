@@ -22,24 +22,19 @@
 //! once a batch amortizes its lockstep launch latency, and extra chips
 //! make the IPU *slower* at these sizes. If any engine change moves a
 //! cell's oracle away from the model's pick by more than
-//! [`PORTFOLIO_MAX_REGRET`], the gate fails and the committed constants
+//! [`bench::gates::PORTFOLIO_MAX_REGRET`], the gate fails and the committed constants
 //! in `PortfolioTable::calibrated` must be refitted with
 //! `bench calibrate --emit-rust`.
 //!
-//! Modes (the standard baseline-gate trio):
-//! - default: print the per-cell table, write
-//!   `target/experiments/portfolio.json`;
-//! - `--write-baseline`: regenerate `BENCH_portfolio.json` (repo root);
-//! - `--check`: compare against the checked-in baseline and exit
-//!   nonzero on any regret-gate or drift violation.
+//! Prints the per-cell table and writes
+//! `target/experiments/portfolio.json`; `--write-baseline` also records
+//! `BENCH_portfolio.json` (or `--baseline PATH`). `bench gate --only
+//! portfolio` checks a fresh recording against the committed file.
 //!
 //! Grid: `--sizes` (default 32,128,512), `--ks` (default 1,100),
 //! batches 1 and 8, chips 1 and 4, `--seed` (default 1).
 
-use bench::{
-    Args, ExperimentRecord, MeasuredCost, Measurement, PortfolioBaseline, PortfolioEntry,
-    CYCLE_TOLERANCE, PORTFOLIO_MAX_REGRET,
-};
+use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use cpu_hungarian::{Auction, JonkerVolgenant, Munkres};
 use datasets::gaussian_cost_matrix;
 use fastha::BatchFastHa;
@@ -47,8 +42,39 @@ use hunipu::{BatchHunIpu, HunIpu};
 use ipu_sim::IpuConfig;
 use lsap::portfolio::{InstanceShape, PortfolioTable};
 use lsap::{BatchLsapSolver, CostMatrix, LsapSolver, COST_EPS};
-use std::path::Path;
+use serde::Serialize;
 use std::time::Instant;
+
+/// `BENCH_portfolio.json`: one row per `(n, k, batch, chips)` cell.
+#[derive(Serialize)]
+struct Baseline {
+    seed: u64,
+    entries: Vec<PortfolioEntry>,
+}
+
+/// One engine's measured amortized modeled seconds per instance.
+#[derive(Serialize, Clone)]
+struct MeasuredCost {
+    engine: String,
+    seconds_per_instance: f64,
+}
+
+/// The calibrated pick vs the measured oracle in one cell; `regret` is
+/// `picked/oracle − 1`, wall seconds are context only.
+#[derive(Serialize)]
+struct PortfolioEntry {
+    n: usize,
+    k: u64,
+    batch: usize,
+    chips: usize,
+    picked: String,
+    oracle: String,
+    picked_seconds: f64,
+    oracle_seconds: f64,
+    regret: f64,
+    measured: Vec<MeasuredCost>,
+    wall_seconds: f64,
+}
 
 /// Batch sizes of the grid (1 = no amortization; 8 = serving batches).
 const BATCHES: [usize; 2] = [1, 8];
@@ -127,50 +153,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = PortfolioBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_portfolio.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match PortfolioBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin portfolio -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "portfolio gate PASSED ({} cells, max regret {:.2}%, gate {:.0}%)",
-                current.entries.len(),
-                current
-                    .entries
-                    .iter()
-                    .map(|e| e.regret)
-                    .fold(0.0f64, f64::max)
-                    * 100.0,
-                PORTFOLIO_MAX_REGRET * 100.0
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    write_baseline(&args, "BENCH_portfolio.json", &Baseline { seed, entries });
 }
 
 /// Measures every engine once per (n, k); the batch/chips sub-grid is

@@ -23,25 +23,44 @@
 //! Mk2-scale device. All gated quantities are modeled cycles or counts,
 //! so runs agree bit-for-bit at any `SIM_THREADS`.
 //!
-//! Modes:
-//! - default: print the table, write `target/experiments/resolve.json`;
-//! - `--write-baseline`: also regenerate `BENCH_resolve.json`;
-//! - `--check`: compare against the checked-in baseline and exit nonzero
-//!   on regression (see `ResolveBaseline::compare`): any ground-truth
-//!   mismatch, warm-cycle drift beyond tolerance, a small-perturbation
-//!   cell (`k <= n/8`) dropping below the 2x speedup floor, or the
-//!   seeded program silently never being taken.
+//! Prints the table and writes `target/experiments/resolve.json`;
+//! `--write-baseline` also records `BENCH_resolve.json` (or `--baseline
+//! PATH`). `bench gate --only resolve` checks a fresh recording against
+//! the committed file: any ground-truth mismatch, warm-cycle drift
+//! beyond tolerance, a small-perturbation cell (`k <= n/8`) below the
+//! 2x speedup floor, or the seeded program silently never being taken.
 
-use bench::{
-    Args, ExperimentRecord, Measurement, ResolveBaseline, ResolveEntry, CYCLE_TOLERANCE,
-    RESOLVE_MIN_SPEEDUP,
-};
+use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;
 use hunipu::{HunIpu, StreamingHunIpu};
 use ipu_sim::IpuConfig;
 use lsap::{DeltaUpdate, IncrementalSolver};
-use std::path::Path;
+use serde::Serialize;
 use std::time::Instant;
+
+/// `BENCH_resolve.json`: one row per `(n, k)` cell.
+#[derive(Serialize)]
+struct Baseline {
+    seed: u64,
+    entries: Vec<ResolveEntry>,
+}
+
+/// Mean modeled cycles of the cold and warm solves over `ticks`
+/// perturbations, with the seeded/fallback/mismatch counts; `speedup`
+/// is `cold/warm`, wall seconds are context only.
+#[derive(Serialize)]
+struct ResolveEntry {
+    n: usize,
+    k: usize,
+    ticks: usize,
+    cold_cycles: f64,
+    warm_cycles: f64,
+    speedup: f64,
+    seeded: u64,
+    fallbacks: u64,
+    mismatches: u64,
+    wall_seconds: f64,
+}
 
 /// Re-solves measured per cell (after the initial cold solve).
 const TICKS: usize = 4;
@@ -72,44 +91,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = ResolveBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_resolve.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match ResolveBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin resolve -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "re-solve gate PASSED (tolerance {:.0}%, k<=n/8 floor {:.1}x)",
-                CYCLE_TOLERANCE * 100.0,
-                RESOLVE_MIN_SPEEDUP
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    write_baseline(&args, "BENCH_resolve.json", &Baseline { seed, entries });
 }
 
 /// Runs one `(n, k)` cell: a stream of `TICKS` k-row perturbations, each

@@ -23,31 +23,48 @@
 //! costs, known optimum n) so every row is certificate-checked against
 //! an exactly representable optimum.
 //!
-//! Modes mirror the other gate binaries: default prints the table and
-//! writes `target/experiments/scale.json`; `--write-baseline`
-//! regenerates `BENCH_scale.json`; `--check` compares against the
-//! committed baseline and exits nonzero on regression.
+//! Prints the table and writes `target/experiments/scale.json`;
+//! `--write-baseline` also records `BENCH_scale.json` (or `--baseline
+//! PATH`). `bench gate --only scale` checks a fresh recording against
+//! the committed file.
 
-use bench::{
-    Args, ExperimentRecord, Measurement, ScaleBaseline, ScaleEntry, CYCLE_TOLERANCE,
-    SCALE_SPARSE_MIN_SPEEDUP,
-};
+use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use datasets::{diag_dominant, prune_topk};
 use hunipu::{HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
 use lsap::{CostMatrix, SolveReport};
-use std::path::Path;
+use serde::Serialize;
 use std::time::Instant;
 
 const TILES: usize = 64;
 const SPARSE_K: usize = 8;
 
+/// `BENCH_scale.json`: one row per (representation, n) cell.
+#[derive(Serialize)]
+struct Baseline {
+    seed: u64,
+    entries: Vec<ScaleEntry>,
+}
+
+/// One representation at one n: whether it compiles under the per-tile
+/// SRAM budget, and its modeled cycles, streamed host bytes, and peak
+/// resident bytes per tile (all zero when infeasible); wall seconds are
+/// context only.
+#[derive(Serialize)]
+struct ScaleEntry {
+    engine: String,
+    n: usize,
+    feasible: bool,
+    compute_cycles: f64,
+    total_cycles: f64,
+    host_bytes: f64,
+    resident_bytes_per_tile: f64,
+    wall_seconds: f64,
+}
+
 fn main() {
     let args = Args::parse();
-    let sizes: Vec<usize> = args
-        .sizes
-        .clone()
-        .unwrap_or_else(|| vec![256, 1024, 4096]);
+    let sizes: Vec<usize> = args.sizes.clone().unwrap_or_else(|| vec![256, 1024, 4096]);
     let seed = args.seed;
 
     println!(
@@ -65,92 +82,12 @@ fn main() {
 
     print_table(&entries);
 
-    // In-binary acceptance, independent of the committed baseline: the
-    // sweep itself must demonstrate both tentpole claims.
-    let dense_hit_ceiling = entries.iter().any(|e| e.engine == "dense" && !e.feasible);
-    let tiled_at_ceiling = entries
-        .iter()
-        .any(|e| e.engine == "tiled" && e.feasible && {
-            let blocked = entries
-                .iter()
-                .any(|d| d.engine == "dense" && d.n == e.n && !d.feasible);
-            blocked
-        });
-    if !dense_hit_ceiling || !tiled_at_ceiling {
-        eprintln!(
-            "FAIL: the sweep must include a size where dense exceeds the SRAM budget \
-             and tiled still solves (got dense-infeasible={dense_hit_ceiling}, \
-             tiled-there={tiled_at_ceiling})"
-        );
-        std::process::exit(1);
-    }
-    for sparse in entries
-        .iter()
-        .filter(|e| e.engine == "sparse_k8" && e.n >= bench::SCALE_SPARSE_FLOOR_MIN_N)
-    {
-        if let Some(dense) = entries
-            .iter()
-            .find(|d| d.engine == "dense" && d.n == sparse.n && d.feasible)
-        {
-            let speedup = dense.compute_cycles / sparse.compute_cycles.max(1.0);
-            println!(
-                "sparse k={SPARSE_K} n={}: {speedup:.1}x fewer compute cycles than dense",
-                sparse.n
-            );
-            if speedup < SCALE_SPARSE_MIN_SPEEDUP {
-                eprintln!(
-                    "FAIL: n={}: sparse compute advantage {speedup:.2}x below the \
-                     {SCALE_SPARSE_MIN_SPEEDUP:.0}x floor",
-                    sparse.n
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
     match record.save() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = ScaleBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_scale.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match ScaleBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin scale -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED (tolerance {:.0}%, sparse floor {:.0}x)",
-                CYCLE_TOLERANCE * 100.0,
-                SCALE_SPARSE_MIN_SPEEDUP
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    write_baseline(&args, "BENCH_scale.json", &Baseline { seed, entries });
 }
 
 /// Runs the three representations for one instance size.

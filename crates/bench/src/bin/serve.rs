@@ -13,24 +13,47 @@
 //!    fingerprints (every outcome + the serialized metrics) must be
 //!    identical, or the binary exits nonzero.
 //!
-//! Modes:
-//! - default: print the summary, write `target/experiments/serve.json`;
-//! - `--write-baseline`: also regenerate `BENCH_serve.json` (repo root);
-//! - `--check`: compare against the checked-in baseline and exit
-//!   nonzero on any violation (see `ServeBaseline::compare`): incorrect
-//!   answers, an unbounded queue, broken request accounting, a scenario
-//!   that stopped shedding, or >10% drift of service time / latency /
-//!   the exact-answer quality floor.
+//! Prints the summary and writes `target/experiments/serve.json`;
+//! `--write-baseline` also records `BENCH_serve.json` (or `--baseline
+//! PATH`). `bench gate --only serve` checks a fresh recording against
+//! the committed file: incorrect answers, an unbounded queue, broken
+//! request accounting, a scenario that stopped shedding or degrading,
+//! or >10% drift of service time / latency / the exact-answer floor.
 //!
 //! Grid: `--sizes N` (first entry; default 24), `--batch R` (requests;
 //! default 48, 96 under `--full`), `--seed S`.
 
 use bench::{
-    calibrate_service_cycles, run_open_loop, Args, ExperimentRecord, LoadSpec, Measurement,
-    ServeBaseline, CYCLE_TOLERANCE,
+    calibrate_service_cycles, run_open_loop, write_baseline, Args, ExperimentRecord, LoadSpec,
+    Measurement,
 };
-use std::path::Path;
+use serde::Serialize;
 use std::time::Instant;
+
+/// `BENCH_serve.json`: the scenario, its calibrated service time, and
+/// the overload run's outcome counts and latencies (virtual cycles);
+/// wall seconds are context only.
+#[derive(Serialize)]
+struct Baseline {
+    n: usize,
+    requests: usize,
+    offered: u64,
+    seed: u64,
+    queue_capacity: usize,
+    service_cycles_per_request: f64,
+    inter_arrival_cycles: u64,
+    exact: u64,
+    degraded: u64,
+    shed: u64,
+    deadline_exceeded: u64,
+    rerouted: u64,
+    breaker_trips: u64,
+    incorrect: u64,
+    queue_high_water: usize,
+    p50_latency_cycles: u64,
+    p99_latency_cycles: u64,
+    wall_seconds: f64,
+}
 
 fn main() {
     let args = Args::parse();
@@ -136,7 +159,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = ServeBaseline {
+    let current = Baseline {
         n,
         requests,
         offered: summary.offered,
@@ -156,43 +179,5 @@ fn main() {
         p99_latency_cycles: summary.p99_latency_cycles,
         wall_seconds: wall,
     };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match ServeBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin serve -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "serve gate PASSED (tolerance {:.0}%): deterministic, zero incorrect, \
-                 queue bounded at {}/{}",
-                CYCLE_TOLERANCE * 100.0,
-                current.queue_high_water,
-                current.queue_capacity
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    write_baseline(&args, "BENCH_serve.json", &current);
 }

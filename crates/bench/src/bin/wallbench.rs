@@ -13,24 +13,46 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin wallbench
-//! cargo run --release -p bench --bin wallbench -- --check            # CI perf gate
+//! cargo run --release -p bench --bin gate -- --only wallbench        # CI perf gate
 //! cargo run --release -p bench --bin wallbench -- --write-baseline   # refresh BENCH_wallbench.json
 //! cargo run --release -p bench --bin wallbench -- --sizes 512,1024 --threads 1,8
 //! ```
 //!
-//! `--check` compares against `BENCH_wallbench.json` (repo root): the
-//! per-thread-count suite aggregate `interp wall / plan wall` must stay
-//! at or above [`WALLBENCH_MIN_SPEEDUP`], and every cell must stay
-//! bit-identical. Any divergence also fails the plain (gate-less) run.
+//! The gate checks a fresh recording against `BENCH_wallbench.json`
+//! (repo root): the per-thread-count suite aggregate `interp wall /
+//! plan wall` must stay at or above
+//! [`bench::gates::WALLBENCH_MIN_SPEEDUP`], and every cell must stay
+//! bit-identical. Any divergence also fails the binary itself.
 
-use bench::{
-    Args, ExperimentRecord, Measurement, WallbenchBaseline, WallbenchEntry, WALLBENCH_MIN_SPEEDUP,
-};
+use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;
 use hunipu::HunIpu;
 use ipu_sim::{ExecMode, IpuConfig};
 use lsap::{CostMatrix, SolveReport};
-use std::path::Path;
+use serde::Serialize;
+
+/// `BENCH_wallbench.json`: the suite grid plus one row per
+/// `(n, threads)` cell.
+#[derive(Serialize)]
+struct Baseline {
+    sizes: Vec<usize>,
+    threads: Vec<usize>,
+    k: u64,
+    seed: u64,
+    entries: Vec<WallbenchEntry>,
+}
+
+/// Best-of-reps wall seconds of both modes, their ratio, and whether
+/// they produced bit-identical results.
+#[derive(Serialize)]
+struct WallbenchEntry {
+    n: usize,
+    threads: usize,
+    interp_wall: f64,
+    plan_wall: f64,
+    speedup: f64,
+    identical: bool,
+}
 
 /// What must match bit-for-bit across execution modes and thread
 /// counts: objective bits, assignment pairs, total cycles, supersteps.
@@ -165,7 +187,7 @@ fn main() {
         );
     }
 
-    let current = WallbenchBaseline {
+    let current = Baseline {
         sizes: sizes.clone(),
         threads: threads.clone(),
         k,
@@ -178,50 +200,10 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_wallbench.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match WallbenchBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin wallbench -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED: plan >= {WALLBENCH_MIN_SPEEDUP:.1}x over the interpreter \
-                 at every covered thread count, all cells bit-identical"
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    } else if divergences > 0 {
+    write_baseline(&args, "BENCH_wallbench.json", &current);
+    if divergences > 0 {
         eprintln!("wallbench: {divergences} cell(s) diverged between interpreter and plan");
         std::process::exit(1);
-    } else {
-        println!("all cells bit-identical between interpreter and plan");
     }
-    if args.check && divergences > 0 {
-        // compare() already reported these, but belt-and-braces: a
-        // divergence must fail even if the baseline file was stale.
-        std::process::exit(1);
-    }
+    println!("all cells bit-identical between interpreter and plan");
 }

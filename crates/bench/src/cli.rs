@@ -38,13 +38,11 @@ pub struct Args {
     pub out: Option<String>,
     /// `--batch B`: instances per batch for the batch harness.
     pub batch: Option<usize>,
-    /// `--check`: compare results against the checked-in baseline and
-    /// exit nonzero on regression (the CI perf gate).
-    pub check: bool,
-    /// `--write-baseline`: regenerate the checked-in baseline file.
+    /// `--write-baseline`: record the gate binary's baseline-shaped
+    /// JSON (by default over the committed file at the repo root).
     pub write_baseline: bool,
-    /// `--baseline PATH`: baseline file override (default
-    /// `BENCH_batch.json` at the repo root).
+    /// `--baseline PATH`: where `--write-baseline` records (`bench gate`
+    /// points it under `target/experiments/`).
     pub baseline: Option<String>,
     /// `--emit-rust`: print fitted cost models as a Rust literal
     /// (`bench calibrate`).
@@ -140,7 +138,6 @@ impl Args {
                     assert!(b >= 1, "--batch must be >= 1");
                     out.batch = Some(b);
                 }
-                "--check" => out.check = true,
                 "--write-baseline" => out.write_baseline = true,
                 "--baseline" => {
                     out.baseline = Some(it.next().expect("--baseline needs a path"));
@@ -155,7 +152,7 @@ impl Args {
                     panic!(
                         "unknown flag {other}; supported: \
                          --full --uniform --sizes --ks --threads --seed \
-                         --tile-sample --max-events --out --batch --check \
+                         --tile-sample --max-events --out --batch \
                          --write-baseline --baseline --emit-rust --all \
                          --drift --only"
                     )
@@ -229,13 +226,12 @@ mod tests {
 
     #[test]
     fn batch_and_gate_flags_parse() {
-        let a = parse("--batch 32 --check --baseline /tmp/b.json");
+        let a = parse("--batch 32 --baseline /tmp/b.json");
         assert_eq!(a.batch, Some(32));
-        assert!(a.check);
         assert!(!a.write_baseline);
         assert_eq!(a.baseline.as_deref(), Some("/tmp/b.json"));
         let b = parse("--write-baseline");
-        assert!(b.write_baseline && !b.check);
+        assert!(b.write_baseline);
         assert_eq!(b.batch, None);
     }
 
@@ -250,7 +246,7 @@ mod tests {
         let a = parse("--all --drift --only portfolio --emit-rust");
         assert!(a.all && a.drift && a.emit_rust);
         assert_eq!(a.only.as_deref(), Some("portfolio"));
-        let b = parse("--check");
+        let b = parse("--seed 2");
         assert!(!b.all && !b.drift && !b.emit_rust && b.only.is_none());
     }
 }

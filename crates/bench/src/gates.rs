@@ -1,47 +1,458 @@
-//! The unified baseline-gate registry and runner behind `bench gate`.
+//! The baseline-gate registry, its declarative specs, and the runner
+//! behind `bench gate`.
 //!
-//! CI used to invoke five gate binaries (batch, multi_ipu, wallbench ×2
-//! thread counts, serve, resolve) as separate workflow steps, each with
-//! its own record-exists follow-up. Every new gate meant editing the
-//! workflow in three places, and a local "run what CI runs" required
-//! copying commands out of YAML. This module makes the registry a Rust
-//! table: [`GATES`] lists every gate with its binary, arguments,
-//! committed baseline, and expected experiment record, and
-//! [`run_gates`] executes them with one pass/fail summary — the
-//! `bench gate --all` CI step and the local pre-push check are now the
-//! same command.
+//! Every gate binary (batch, multi_ipu, wallbench, serve, resolve,
+//! portfolio, scale) only measures: with `--write-baseline --baseline
+//! PATH` it records its fresh baseline-shaped JSON. All judgement lives
+//! here. [`GATES`] lists every gate with its binary, its committed
+//! `BENCH_*.json`, and a [`Spec`] that says what must hold between the
+//! committed file and a fresh recording; [`Spec::evaluate`] is the one
+//! interpreter for all of them. Both files are read as `serde::Value`
+//! trees, so the committed baselines need no schema of their own.
 //!
-//! Two modes:
-//! - **check** (default): run each gate binary with its `--check`
-//!   arguments, then assert its experiment record exists and is
-//!   non-empty. Output of passing gates is swallowed; failing gates
-//!   replay their full output.
-//! - **drift** (`--drift`, the weekly scheduled job): re-record each
-//!   gate's baseline into a scratch directory and diff it line-by-line
-//!   against the committed file, ignoring the gate's volatile
-//!   (machine-dependent wall-clock) keys. This catches *silent* baseline
-//!   drift — modeled costs that moved within the ±10% gate tolerance and
-//!   would otherwise compound unnoticed across PRs.
+//! `bench gate` runs each selected binary once into
+//! `target/experiments/`, then either
+//! - **checks** (default): applies the gate's spec to the committed and
+//!   fresh files and reports every [`Violation`], or
+//! - **diffs** (`--drift`, the weekly scheduled job): reports every
+//!   value that differs between the two trees by JSON path, ignoring
+//!   the gate's volatile (machine-dependent wall-clock) keys. This
+//!   catches modeled costs that moved *within* the gate tolerance.
+//!
+//! Gated quantities are modeled device costs and counts, which are
+//! deterministic functions of the grid, except wallbench, which gates
+//! a wall-clock *ratio* measured within one process.
 
-use std::path::PathBuf;
+use crate::Args;
+use serde::{Serialize, Value};
+use std::fmt;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
+/// Relative regression tolerance on gated modeled costs (10%). Modeled
+/// costs are deterministic, so any drift at all is a real change; the
+/// slack only exists so deliberate small costs (an extra superstep, a
+/// new counter) don't force a baseline refresh with every PR.
+pub const CYCLE_TOLERANCE: f64 = 0.10;
+
+/// Maximum dispatch regret the calibrated portfolio may leave per grid
+/// cell: `measured(picked) ≤ (1 + 10%) · measured(oracle-best)`. A
+/// breach means the committed `PortfolioTable::calibrated` constants
+/// are stale; refit them with `bench calibrate --emit-rust`.
+pub const PORTFOLIO_MAX_REGRET: f64 = 0.10;
+
+/// Slack on "the oracle column is the measured minimum" (float noise
+/// from summing and dividing the measured costs).
+pub const ORACLE_SLACK: f64 = 1e-9;
+
+/// Minimum per-thread-count suite speedup (Σ interp wall / Σ plan wall)
+/// of the lowered execution plan over the interpreter.
+pub const WALLBENCH_MIN_SPEEDUP: f64 = 2.0;
+
+/// Minimum modeled-cycle cut the chip-aware layout must keep on
+/// ≥4-chip configurations.
+pub const MULTI_IPU_MIN_IMPROVEMENT: f64 = 0.20;
+
+/// Minimum cold/warm modeled-cycle speedup of a warm re-solve at small
+/// perturbations (`k * 8 <= n` rows touched).
+pub const RESOLVE_MIN_SPEEDUP: f64 = 2.0;
+
+/// Minimum dense/sparse-k8 compute-cycle ratio, enforced from
+/// [`SCALE_SPARSE_FLOOR_MIN_N`] up (below it, fixed per-sweep overheads
+/// dominate and the k/n advantage has not opened yet).
+pub const SCALE_SPARSE_MIN_SPEEDUP: f64 = 5.0;
+
+/// Smallest n at which [`SCALE_SPARSE_MIN_SPEEDUP`] is enforced.
+pub const SCALE_SPARSE_FLOOR_MIN_N: f64 = 1024.0;
+
 /// One registered baseline gate.
-pub struct GateSpec {
+pub struct Gate {
     /// Display name (also the `--only` match target).
     pub name: &'static str,
-    /// The `bench` binary that implements the gate.
+    /// The `bench` binary that records the fresh baseline.
     pub bin: &'static str,
-    /// Arguments for check mode (always include `--check`).
+    /// Extra arguments for check mode (drift mode records the default
+    /// grid, which is what the committed file holds).
     pub args: &'static [&'static str],
     /// Committed baseline file at the repo root.
     pub baseline: &'static str,
-    /// Experiment record the binary must leave behind.
-    pub record: &'static str,
-    /// JSON keys whose values are machine-dependent (wall clocks and
-    /// derived rates) — ignored by the drift diff.
+    /// Keys whose values are machine-dependent (wall clocks and derived
+    /// rates), ignored by the drift diff.
     pub volatile: &'static [&'static str],
+    /// What must hold between the committed and the fresh file.
+    pub spec: Spec,
+}
+
+/// The declarative content of one gate.
+///
+/// A baseline file is a header (top-level scalars describing the grid)
+/// plus rows: the objects of its `entries` array, or the whole file
+/// when [`Spec::key`] is empty. Every committed row must reappear in the
+/// fresh file, paired by its key fields, and every [`Check`] whose guard
+/// holds is applied to the pair.
+pub struct Spec {
+    /// Header keys that must match exactly (seed, grid).
+    pub header: &'static [&'static str],
+    /// Row fields that pair committed rows with fresh rows.
+    pub key: &'static [&'static str],
+    /// `Some(field)`: a run may cover a subset of the committed rows,
+    /// namely those whose `field` is listed in the fresh header's
+    /// `field` array (wallbench runs one thread count per CI gate).
+    pub covered_by: Option<&'static str>,
+    /// Per-column rules.
+    pub checks: &'static [Check],
+    /// Named rules that span rows or columns.
+    pub predicates: &'static [Predicate],
+}
+
+/// One gated column and its rule.
+pub struct Check {
+    /// The gated column.
+    pub col: &'static str,
+    /// What the fresh value must satisfy.
+    pub rule: Rule,
+    /// Rows the rule applies to (`None` = every row), judged on the
+    /// fresh row; header keys are visible through the row.
+    pub when: Option<fn(&Row) -> bool>,
+}
+
+/// How a gated value is judged. `committed` is the same cell in the
+/// committed file; column names refer to the same fresh row.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Rule {
+    /// Equal to the committed value.
+    Exact,
+    /// At most `committed · (1 + CYCLE_TOLERANCE)`.
+    NoWorse,
+    /// At least `⌊committed · (1 − CYCLE_TOLERANCE)⌋`.
+    Floor,
+    /// Nonzero whenever the committed value is nonzero.
+    KeepNonzero,
+    /// At most a constant.
+    AtMost(f64),
+    /// At least a constant.
+    AtLeast(f64),
+    /// At most `column · (1 + slack)`.
+    AtMostCol(&'static str, f64),
+    /// Strictly below another column.
+    BelowCol(&'static str),
+    /// Equal to another column.
+    EqualsCol(&'static str),
+    /// `column / value` at least a factor (a speedup over `column`).
+    SpeedupOver(&'static str, f64),
+    /// `1 − value / column` at least a fraction (a cut relative to
+    /// `column`).
+    CutVs(&'static str, f64),
+}
+
+impl Rule {
+    /// The other column of the same row this rule reads, if any.
+    fn reference(&self) -> Option<&'static str> {
+        match *self {
+            Rule::AtMostCol(c, _)
+            | Rule::BelowCol(c)
+            | Rule::EqualsCol(c)
+            | Rule::SpeedupOver(c, _)
+            | Rule::CutVs(c, _) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn holds(&self, value: f64, committed: f64, other: f64) -> bool {
+        match *self {
+            Rule::Exact => value == committed,
+            Rule::NoWorse => value <= committed * (1.0 + CYCLE_TOLERANCE),
+            Rule::Floor => value >= (committed * (1.0 - CYCLE_TOLERANCE)).floor(),
+            Rule::KeepNonzero => committed == 0.0 || value != 0.0,
+            Rule::AtMost(x) => value <= x,
+            Rule::AtLeast(x) => value >= x,
+            Rule::AtMostCol(_, slack) => value <= other * (1.0 + slack),
+            Rule::BelowCol(_) => value < other,
+            Rule::EqualsCol(_) => value == other,
+            Rule::SpeedupOver(_, min) => other / value >= min,
+            Rule::CutVs(_, min) => 1.0 - value / other >= min,
+        }
+    }
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = self.col;
+        let pct = |x: f64| x * 100.0;
+        match self.rule {
+            Rule::Exact => write!(f, "{c} == committed"),
+            Rule::NoWorse => write!(f, "{c} <= committed +{:.0}%", pct(CYCLE_TOLERANCE)),
+            Rule::Floor => write!(f, "{c} >= floor(committed -{:.0}%)", pct(CYCLE_TOLERANCE)),
+            Rule::KeepNonzero => write!(f, "{c} nonzero while committed is"),
+            Rule::AtMost(x) => write!(f, "{c} <= {x}"),
+            Rule::AtLeast(x) => write!(f, "{c} >= {x}"),
+            Rule::AtMostCol(o, 0.0) => write!(f, "{c} <= {o}"),
+            Rule::AtMostCol(o, s) => write!(f, "{c} <= {o} +{:.0}%", pct(s)),
+            Rule::BelowCol(o) => write!(f, "{c} < {o}"),
+            Rule::EqualsCol(o) => write!(f, "{c} == {o}"),
+            Rule::SpeedupOver(o, m) => write!(f, "{o} / {c} >= {m}x"),
+            Rule::CutVs(o, m) => write!(f, "1 - {c} / {o} >= {:.0}%", pct(m)),
+        }
+    }
+}
+
+/// A named rule over whole files (committed, fresh), for the few gates
+/// whose contract is not per-column.
+pub struct Predicate {
+    /// Name, reported as the violated rule.
+    pub name: &'static str,
+    /// Columns the predicate gates (a null or missing one is a
+    /// violation of the predicate).
+    pub columns: &'static [&'static str],
+    /// Returns every violation.
+    pub check: fn(&Value, &Value) -> Vec<Violation>,
+}
+
+/// One broken rule.
+#[derive(Debug)]
+pub struct Violation {
+    /// The row (`engine=hunipu-batch`), or `header` / `run`.
+    pub cell: String,
+    /// The rule: a [`Check`]'s display form or a [`Predicate`] name.
+    pub rule: String,
+    /// What was found.
+    pub detail: String,
+}
+
+impl Violation {
+    fn new(cell: impl Into<String>, rule: impl Into<String>, detail: impl Into<String>) -> Self {
+        Violation {
+            cell: cell.into(),
+            rule: rule.into(),
+            detail: detail.into(),
+        }
+    }
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {} [{}]", self.cell, self.detail, self.rule)
+    }
+}
+
+/// One row of a baseline file; header keys are visible through it.
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    fields: &'a Value,
+    root: &'a Value,
+}
+
+impl<'a> Row<'a> {
+    /// The whole file as one row.
+    fn root(doc: &'a Value) -> Self {
+        Row {
+            fields: doc,
+            root: doc,
+        }
+    }
+
+    /// The rows of a keyed file (its `entries` array).
+    fn entries(doc: &'a Value) -> Vec<Self> {
+        match field(doc, "entries") {
+            Some(Value::Arr(rows)) => rows
+                .iter()
+                .map(|fields| Row { fields, root: doc })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Raw field lookup (row first, then header).
+    fn get(&self, key: &str) -> Option<&'a Value> {
+        field(self.fields, key).or_else(|| field(self.root, key))
+    }
+
+    /// The field as a number, NaN when missing or not numeric (so guard
+    /// comparisons on it are false).
+    fn num(&self, key: &str) -> f64 {
+        self.get(key).and_then(number).unwrap_or(f64::NAN)
+    }
+
+    /// The field as a finite number, or why it is not one.
+    fn finite(&self, key: &str) -> Result<f64, String> {
+        match self.get(key) {
+            None => Err(format!("{key} is missing")),
+            Some(Value::Null) => Err(format!("{key} is null")),
+            Some(v) => number(v).ok_or_else(|| format!("{key} = {} is not finite", show(Some(v)))),
+        }
+    }
+
+    /// The field's text (empty when missing or not a string).
+    fn text(&self, key: &str) -> &'a str {
+        match self.get(key) {
+            Some(Value::Str(s)) => s,
+            _ => "",
+        }
+    }
+
+    fn label(&self, key: &[&str]) -> String {
+        let fields = key.iter().map(|k| format!("{k}={}", show(self.get(k))));
+        let label = fields.collect::<Vec<_>>().join(" ");
+        if label.is_empty() {
+            "run".into()
+        } else {
+            label
+        }
+    }
+}
+
+/// A finite number, with booleans as 1/0; `None` for anything else.
+fn number(v: &Value) -> Option<f64> {
+    match *v {
+        Value::F64(x) if x.is_finite() => Some(x),
+        Value::I64(n) => Some(n as f64),
+        Value::U64(n) => Some(n as f64),
+        Value::Bool(b) => Some(f64::from(u8::from(b))),
+        _ => None,
+    }
+}
+
+/// Looks up `key` on an object value.
+fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    match v {
+        Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// A value as reports print it (strings unquoted).
+fn show(v: Option<&Value>) -> String {
+    match v {
+        None => "missing".into(),
+        Some(Value::F64(x)) => x.to_string(),
+        Some(Value::Str(s)) => s.clone(),
+        Some(v) => serde_json::to_string(v).unwrap_or_default(),
+    }
+}
+
+impl Spec {
+    fn rows<'a>(&self, doc: &'a Value) -> Vec<Row<'a>> {
+        if self.key.is_empty() {
+            vec![Row::root(doc)]
+        } else {
+            Row::entries(doc)
+        }
+    }
+
+    /// Applies the spec to a committed baseline and a fresh recording,
+    /// returning every violation (empty = the gate passes). A header
+    /// mismatch is reported alone: comparing rows across different
+    /// grids would be meaningless.
+    pub fn evaluate(&self, committed: &Value, fresh: &Value) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for &key in self.header {
+            let (a, b) = (field(committed, key), field(fresh, key));
+            if a.is_none() || a != b {
+                out.push(Violation::new(
+                    "header",
+                    format!("{key} matches"),
+                    format!(
+                        "{key} = {} in this run, {} committed — regenerate with --write-baseline",
+                        show(b),
+                        show(a)
+                    ),
+                ));
+            }
+        }
+        if !out.is_empty() {
+            return out;
+        }
+
+        let fresh_rows = self.rows(fresh);
+        let same = |a: Option<&Value>, b: Option<&Value>| match (a, b) {
+            (Some(a), Some(b)) => match (number(a), number(b)) {
+                (Some(x), Some(y)) => x == y,
+                _ => a == b,
+            },
+            _ => false,
+        };
+        let covered = |base: &Row| {
+            self.covered_by.is_none_or(|f| match field(fresh, f) {
+                Some(Value::Arr(list)) => list.iter().any(|v| same(Some(v), base.get(f))),
+                _ => false,
+            })
+        };
+        for base in self.rows(committed).iter().filter(|b| covered(b)) {
+            let cell = base.label(self.key);
+            let paired = fresh_rows
+                .iter()
+                .find(|f| self.key.iter().all(|k| same(base.get(k), f.get(k))));
+            let Some(cur) = paired else {
+                out.push(Violation::new(
+                    cell,
+                    "every committed row is re-measured",
+                    "row missing from this run",
+                ));
+                continue;
+            };
+            for check in self.checks {
+                if check.when.is_none_or(|applies| applies(cur)) {
+                    if let Err(detail) = check.apply(base, cur) {
+                        out.push(Violation::new(&cell, check.to_string(), detail));
+                    }
+                }
+            }
+        }
+        for p in self.predicates {
+            out.extend((p.check)(committed, fresh));
+        }
+        out
+    }
+}
+
+impl Check {
+    fn apply(&self, base: &Row, cur: &Row) -> Result<(), String> {
+        let value = cur.finite(self.col)?;
+        let committed = base
+            .finite(self.col)
+            .map_err(|e| format!("committed {e}"))?;
+        let other = match self.rule.reference() {
+            Some(col) => cur.finite(col)?,
+            None => f64::NAN,
+        };
+        if self.rule.holds(value, committed, other) {
+            return Ok(());
+        }
+        let (col, shown) = (self.col, show(cur.get(self.col)));
+        Err(match self.rule.reference() {
+            Some(other) => format!("{col} = {shown}, {other} = {}", show(cur.get(other))),
+            None => format!("{col} = {shown}, committed {}", show(base.get(col))),
+        })
+    }
+}
+
+const fn check(col: &'static str, rule: Rule) -> Check {
+    Check {
+        col,
+        rule,
+        when: None,
+    }
+}
+
+const fn when(col: &'static str, rule: Rule, applies: fn(&Row) -> bool) -> Check {
+    Check {
+        col,
+        rule,
+        when: Some(applies),
+    }
+}
+
+/// A modeled-cost gate: binary named like the gate, wall keys volatile.
+const fn gate(name: &'static str, baseline: &'static str, spec: Spec) -> Gate {
+    Gate {
+        name,
+        bin: name,
+        args: &[],
+        baseline,
+        volatile: WALL_KEYS,
+        spec,
+    }
 }
 
 /// Volatile keys shared by the modeled-cost baselines: the gated
@@ -49,90 +460,352 @@ pub struct GateSpec {
 /// the host wall spent producing it for context.
 const WALL_KEYS: &[&str] = &["wall_seconds", "instances_per_sec"];
 
+/// Defaults for the fields most specs leave empty.
+const SPEC: Spec = Spec {
+    header: &["seed"],
+    key: &[],
+    covered_by: None,
+    checks: &[],
+    predicates: &[],
+};
+
+const PORTFOLIO_KEY: &[&str] = &["n", "k", "batch", "chips"];
+
+/// Wallbench: plan and interpreter stay bit-identical, and the plan
+/// keeps its suite-aggregate wall-clock win at every covered thread
+/// count. The recorded walls are context; the ratio is gated fresh.
+const WALLBENCH: Spec = Spec {
+    header: &["sizes", "k", "seed"],
+    key: &["n", "threads"],
+    covered_by: Some("threads"),
+    checks: &[check("identical", Rule::AtLeast(1.0))],
+    predicates: &[Predicate {
+        name: "suite_speedup",
+        columns: &["interp_wall", "plan_wall"],
+        check: suite_speedup,
+    }],
+};
+
+const fn wallbench(name: &'static str, args: &'static [&'static str]) -> Gate {
+    Gate {
+        name,
+        bin: "wallbench",
+        args,
+        baseline: "BENCH_wallbench.json",
+        volatile: &["interp_wall", "plan_wall", "speedup"],
+        spec: WALLBENCH,
+    }
+}
+
 /// Every baseline gate CI runs, in execution order.
-pub const GATES: &[GateSpec] = &[
-    GateSpec {
-        name: "batch",
-        bin: "batch",
-        args: &["--check"],
-        baseline: "BENCH_batch.json",
-        record: "target/experiments/batch.json",
-        volatile: WALL_KEYS,
-    },
-    GateSpec {
-        name: "multi_ipu",
-        bin: "multi_ipu",
-        args: &["--check"],
-        baseline: "BENCH_multi_ipu.json",
-        record: "target/experiments/multi_ipu.json",
-        volatile: WALL_KEYS,
-    },
-    GateSpec {
-        name: "wallbench-t1",
-        bin: "wallbench",
-        args: &["--check", "--threads", "1"],
-        baseline: "BENCH_wallbench.json",
-        record: "target/experiments/wallbench.json",
-        // The whole point of wallbench is wall clocks; the gate re-derives
-        // the machine-portable speedup ratio fresh, so every recorded wall
-        // (and the ratio computed from it) is context, not contract.
-        volatile: &["interp_wall", "plan_wall", "speedup"],
-    },
-    GateSpec {
-        name: "wallbench-t8",
-        bin: "wallbench",
-        args: &["--check", "--threads", "8"],
-        baseline: "BENCH_wallbench.json",
-        record: "target/experiments/wallbench.json",
-        volatile: &["interp_wall", "plan_wall", "speedup"],
-    },
-    GateSpec {
-        name: "serve",
-        bin: "serve",
-        args: &["--check"],
-        baseline: "BENCH_serve.json",
-        record: "target/experiments/serve.json",
-        volatile: WALL_KEYS,
-    },
-    GateSpec {
-        name: "resolve",
-        bin: "resolve",
-        args: &["--check"],
-        baseline: "BENCH_resolve.json",
-        record: "target/experiments/resolve.json",
-        volatile: WALL_KEYS,
-    },
-    GateSpec {
-        name: "portfolio",
-        bin: "portfolio",
-        args: &["--check"],
-        baseline: "BENCH_portfolio.json",
-        record: "target/experiments/portfolio.json",
-        volatile: WALL_KEYS,
-    },
-    GateSpec {
-        name: "scale",
-        bin: "scale",
-        args: &["--check"],
-        baseline: "BENCH_scale.json",
-        record: "target/experiments/scale.json",
-        volatile: WALL_KEYS,
-    },
+pub const GATES: &[Gate] = &[
+    // Amortized per-instance cost holds, and batching still beats the
+    // sequential loop whenever there is something to amortize.
+    gate(
+        "batch",
+        "BENCH_batch.json",
+        Spec {
+            header: &["n", "batch", "seed"],
+            key: &["engine"],
+            checks: &[
+                check("batched", Rule::NoWorse),
+                when("batched", Rule::BelowCol("single"), |r| {
+                    r.num("batch") >= 2.0
+                }),
+            ],
+            ..SPEC
+        },
+    ),
+    // Single-chip cells compile the flat program cycle for cycle;
+    // multi-chip cells beat flat, and ≥4 chips keep the headline cut.
+    gate(
+        "multi_ipu",
+        "BENCH_multi_ipu.json",
+        Spec {
+            key: &["device", "chips", "tiles_per_chip", "n"],
+            checks: &[
+                check("chip_aware_cycles", Rule::NoWorse),
+                when("chip_aware_cycles", Rule::EqualsCol("flat_cycles"), |r| {
+                    r.num("chips") == 1.0
+                }),
+                when("chip_aware_cycles", Rule::BelowCol("flat_cycles"), |r| {
+                    r.num("chips") > 1.0
+                }),
+                when(
+                    "chip_aware_cycles",
+                    Rule::CutVs("flat_cycles", MULTI_IPU_MIN_IMPROVEMENT),
+                    |r| r.num("chips") >= 4.0,
+                ),
+            ],
+            ..SPEC
+        },
+    ),
+    wallbench("wallbench-t1", &["--threads", "1"]),
+    wallbench("wallbench-t8", &["--threads", "8"]),
+    // No wrong answers, a bounded queue, closed accounting, an overload
+    // that still sheds and degrades, and service time, latency and the
+    // exact-answer count within tolerance.
+    gate(
+        "serve",
+        "BENCH_serve.json",
+        Spec {
+            header: &["n", "requests", "seed", "queue_capacity"],
+            checks: &[
+                check("incorrect", Rule::AtMost(0.0)),
+                check("queue_high_water", Rule::AtMostCol("queue_capacity", 0.0)),
+                check("shed", Rule::KeepNonzero),
+                check("degraded", Rule::KeepNonzero),
+                check("service_cycles_per_request", Rule::NoWorse),
+                check("p50_latency_cycles", Rule::NoWorse),
+                check("p99_latency_cycles", Rule::NoWorse),
+                check("exact", Rule::Floor),
+            ],
+            predicates: &[Predicate {
+                name: "accounting",
+                columns: &["offered", "exact", "degraded", "deadline_exceeded", "shed"],
+                check: serve_accounting,
+            }],
+            ..SPEC
+        },
+    ),
+    // Warm answers equal the ground truth, warm cycles hold, small
+    // perturbations keep the speedup, and the seeded program is still
+    // taken wherever it was.
+    gate(
+        "resolve",
+        "BENCH_resolve.json",
+        Spec {
+            key: &["n", "k", "ticks"],
+            checks: &[
+                check("mismatches", Rule::AtMost(0.0)),
+                check("warm_cycles", Rule::NoWorse),
+                when(
+                    "warm_cycles",
+                    Rule::SpeedupOver("cold_cycles", RESOLVE_MIN_SPEEDUP),
+                    |r| r.num("k") * 8.0 <= r.num("n"),
+                ),
+                check("seeded", Rule::KeepNonzero),
+            ],
+            ..SPEC
+        },
+    ),
+    // The calibrated pick stays within the regret bound of the measured
+    // oracle, which is really the measured minimum, and the oracle-best
+    // cost itself holds.
+    gate(
+        "portfolio",
+        "BENCH_portfolio.json",
+        Spec {
+            key: PORTFOLIO_KEY,
+            checks: &[
+                check(
+                    "picked_seconds",
+                    Rule::AtMostCol("oracle_seconds", PORTFOLIO_MAX_REGRET),
+                ),
+                check("oracle_seconds", Rule::NoWorse),
+            ],
+            predicates: &[Predicate {
+                name: "oracle_is_min",
+                columns: &["oracle_seconds", "measured"],
+                check: oracle_is_min,
+            }],
+            ..SPEC
+        },
+    ),
+    // Feasibility never flips (dense n=4096 must stay over the SRAM
+    // budget), feasible cells hold cycles and resident bytes, and sparse
+    // k=8 keeps its compute advantage over dense.
+    gate(
+        "scale",
+        "BENCH_scale.json",
+        Spec {
+            key: &["engine", "n"],
+            checks: &[
+                check("feasible", Rule::Exact),
+                when("compute_cycles", Rule::NoWorse, |r| {
+                    r.num("feasible") == 1.0
+                }),
+                when("resident_bytes_per_tile", Rule::NoWorse, |r| {
+                    r.num("feasible") == 1.0
+                }),
+            ],
+            predicates: &[Predicate {
+                name: "sparse_advantage",
+                columns: &["compute_cycles"],
+                check: sparse_advantage,
+            }],
+            ..SPEC
+        },
+    ),
 ];
 
-/// Outcome of one gate run, for the summary table.
-struct GateResult {
-    name: &'static str,
-    passed: bool,
-    detail: String,
-    seconds: f64,
+/// Numbers of a header array (`threads`, `sizes`).
+fn numbers(doc: &Value, key: &str) -> Vec<f64> {
+    match field(doc, key) {
+        Some(Value::Arr(items)) => items.iter().filter_map(number).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Wallbench: the fresh run's thread counts are a non-empty subset of
+/// the committed grid, and each keeps Σ interp / Σ plan over all sizes
+/// at or above [`WALLBENCH_MIN_SPEEDUP`].
+fn suite_speedup(committed: &Value, fresh: &Value) -> Vec<Violation> {
+    let v = |cell: String, detail: String| Violation::new(cell, "suite_speedup", detail);
+    let mut out = Vec::new();
+    let grid = numbers(committed, "threads");
+    let threads = numbers(fresh, "threads");
+    if threads.is_empty() {
+        out.push(v("run".into(), "covered no thread counts".into()));
+    }
+    let sizes = numbers(committed, "sizes");
+    let rows = Row::entries(fresh);
+    for t in threads {
+        if !grid.contains(&t) {
+            out.push(v(
+                format!("threads={t}"),
+                format!("not in the committed grid {grid:?} — regenerate with --write-baseline"),
+            ));
+            continue;
+        }
+        // A missing cell is reported as a missing row; the aggregate
+        // needs every size.
+        let (mut interp, mut plan, mut cells) = (0.0, 0.0, 0);
+        let suite = |r: &&Row| r.num("threads") == t && sizes.contains(&r.num("n"));
+        for row in rows.iter().filter(suite) {
+            match (row.finite("interp_wall"), row.finite("plan_wall")) {
+                (Ok(i), Ok(p)) => {
+                    interp += i;
+                    plan += p;
+                    cells += 1;
+                }
+                (Err(e), _) | (_, Err(e)) => out.push(v(row.label(WALLBENCH.key), e)),
+            }
+        }
+        let speedup = interp / plan;
+        if cells == sizes.len() && (speedup.is_nan() || speedup < WALLBENCH_MIN_SPEEDUP) {
+            out.push(v(
+                format!("threads={t}"),
+                format!(
+                    "suite speedup {speedup:.3}x below {WALLBENCH_MIN_SPEEDUP}x \
+                     (interp {interp:.3}s / plan {plan:.3}s)"
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// Serve: every offered request is accounted for exactly once.
+fn serve_accounting(_: &Value, fresh: &Value) -> Vec<Violation> {
+    let row = Row::root(fresh);
+    let parts = ["exact", "degraded", "deadline_exceeded", "shed"];
+    let counts: Result<Vec<f64>, String> = parts.iter().map(|k| row.finite(k)).collect();
+    let detail = match (counts, row.finite("offered")) {
+        (Err(e), _) | (_, Err(e)) => e,
+        (Ok(c), Ok(offered)) if c.iter().sum::<f64>() != offered => format!(
+            "exact {} + degraded {} + deadline {} + shed {} != offered {offered}",
+            c[0], c[1], c[2], c[3]
+        ),
+        _ => return Vec::new(),
+    };
+    vec![Violation::new("run", "accounting", detail)]
+}
+
+/// Portfolio: each cell's oracle column is the minimum of its measured
+/// costs (a mislabeled oracle would hide regret).
+fn oracle_is_min(_: &Value, fresh: &Value) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for row in Row::entries(fresh) {
+        let measured = match row.get("measured") {
+            Some(Value::Arr(items)) => items
+                .iter()
+                .map(|m| Row::root(m).finite("seconds_per_instance"))
+                .collect::<Result<Vec<f64>, String>>()
+                .map_err(|e| format!("measured {e}")),
+            _ => Err("measured is missing".to_string()),
+        };
+        let detail = match (row.finite("oracle_seconds"), measured) {
+            (Err(e), _) | (_, Err(e)) => e,
+            (Ok(oracle), Ok(m)) => {
+                let min = m.into_iter().fold(f64::INFINITY, f64::min);
+                if oracle <= min * (1.0 + ORACLE_SLACK) {
+                    continue;
+                }
+                format!("oracle_seconds = {oracle:e} is not the measured minimum {min:e}")
+            }
+        };
+        out.push(Violation::new(
+            row.label(PORTFOLIO_KEY),
+            "oracle_is_min",
+            detail,
+        ));
+    }
+    out
+}
+
+/// Scale: from [`SCALE_SPARSE_FLOOR_MIN_N`] up, wherever dense is
+/// feasible, sparse k=8 needs ≥ [`SCALE_SPARSE_MIN_SPEEDUP`]× fewer
+/// compute cycles.
+fn sparse_advantage(_: &Value, fresh: &Value) -> Vec<Violation> {
+    let rows = Row::entries(fresh);
+    let mut out = Vec::new();
+    for sparse in rows
+        .iter()
+        .filter(|r| r.text("engine") == "sparse_k8" && r.num("n") >= SCALE_SPARSE_FLOOR_MIN_N)
+    {
+        let n = sparse.num("n");
+        let Some(dense) = rows
+            .iter()
+            .find(|r| r.text("engine") == "dense" && r.num("n") == n && r.num("feasible") == 1.0)
+        else {
+            continue;
+        };
+        let detail = match (
+            dense.finite("compute_cycles"),
+            sparse.finite("compute_cycles"),
+        ) {
+            (Err(e), _) => format!("dense {e}"),
+            (_, Err(e)) => format!("sparse {e}"),
+            (Ok(d), Ok(s)) => {
+                let speedup = d / s.max(1.0);
+                if speedup >= SCALE_SPARSE_MIN_SPEEDUP {
+                    continue;
+                }
+                format!("dense/sparse compute {speedup:.3}x (dense {d} vs sparse {s})")
+            }
+        };
+        let detail = format!("{detail}, floor {SCALE_SPARSE_MIN_SPEEDUP}x");
+        out.push(Violation::new(format!("n={n}"), "sparse_advantage", detail));
+    }
+    out
+}
+
+/// Reads a baseline file as a `serde::Value` tree.
+pub fn load_baseline(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Called by every gate binary after measuring: with `--write-baseline`,
+/// pretty-prints `current` to `--baseline PATH` (default `committed`,
+/// the repo-root file).
+pub fn write_baseline<T: Serialize>(args: &Args, committed: &str, current: &T) {
+    if !args.write_baseline {
+        return;
+    }
+    let path = args.baseline.as_deref().unwrap_or(committed);
+    let mut text = serde_json::to_string_pretty(current).expect("baselines serialize");
+    text.push('\n');
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write baseline {path}: {e}"));
+    println!("wrote baseline {path}");
 }
 
 /// Runs the registered gates (filtered by `only` as a substring match),
 /// prints a summary table, and returns the number of failures (the
 /// binary's exit code).
 pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
-    let selected: Vec<&GateSpec> = GATES
+    let selected: Vec<&Gate> = GATES
         .iter()
         .filter(|g| only.is_none_or(|o| g.name.contains(o)))
         .collect();
@@ -146,173 +819,92 @@ pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
     }
 
     let mut results = Vec::new();
-    if drift {
-        // One drift re-record per unique baseline file (the two
-        // wallbench thread gates share one).
-        let mut seen: Vec<&str> = Vec::new();
-        for g in &selected {
-            if seen.contains(&g.baseline) {
-                continue;
-            }
-            seen.push(g.baseline);
-            results.push(run_drift(g));
+    let mut seen: Vec<&str> = Vec::new();
+    for g in selected {
+        // Drift re-records each baseline file once, on its default grid
+        // (the two wallbench gates share one file).
+        if drift && seen.contains(&g.baseline) {
+            continue;
         }
-    } else {
-        for g in &selected {
-            results.push(run_check(g));
-        }
+        seen.push(g.baseline);
+        let start = Instant::now();
+        let outcome = run_gate(g, drift);
+        results.push((g.name, outcome, start.elapsed().as_secs_f64()));
     }
 
     let mode = if drift { "drift" } else { "gate" };
     println!("\n{:<14} {:>8} {:>9}  detail", mode, "status", "seconds");
-    let mut failures = 0usize;
-    for r in &results {
-        let status = if r.passed { "PASS" } else { "FAIL" };
-        println!(
-            "{:<14} {:>8} {:>9.1}  {}",
-            r.name, status, r.seconds, r.detail
-        );
-        failures += usize::from(!r.passed);
+    for (name, outcome, seconds) in &results {
+        let (status, detail) = match outcome {
+            Ok(d) => ("PASS", d),
+            Err(d) => ("FAIL", d),
+        };
+        println!("{name:<14} {status:>8} {seconds:>9.1}  {detail}");
     }
-    let total: f64 = results.iter().map(|r| r.seconds).sum();
+    let failures = results.iter().filter(|r| r.1.is_err()).count();
+    let total: f64 = results.iter().map(|r| r.2).sum();
     if failures == 0 {
         println!("\nall {} {mode}s PASSED in {total:.1}s", results.len());
     } else {
         eprintln!(
-            "\n{failures} of {} {mode}s FAILED (see replayed output above)",
+            "\n{failures} of {} {mode}s FAILED (see output above)",
             results.len()
         );
     }
     failures
 }
 
-/// Check mode for one gate: run the binary with its `--check` args,
-/// replay output on failure, then require a non-empty experiment record.
-fn run_check(g: &GateSpec) -> GateResult {
-    let start = Instant::now();
-    println!("running gate {} ({} {})", g.name, g.bin, g.args.join(" "));
-    let output = gate_command(g.bin).args(g.args).output();
-    let seconds = start.elapsed().as_secs_f64();
-    let output = match output {
-        Ok(o) => o,
-        Err(e) => {
-            return GateResult {
-                name: g.name,
-                passed: false,
-                detail: format!("could not launch {}: {e}", g.bin),
-                seconds,
-            }
-        }
+/// Records a fresh baseline with the gate's binary, then checks it
+/// against the committed file (or, in drift mode, diffs the two).
+/// Returns the summary detail: `Ok` if the gate passes.
+fn run_gate(g: &Gate, drift: bool) -> Result<String, String> {
+    let (fresh, args) = if drift {
+        (format!("drift_{}", g.baseline), &[][..])
+    } else {
+        (format!("gate_{}.json", g.name), g.args)
     };
-    if !output.status.success() {
-        replay(g.name, &output);
-        return GateResult {
-            name: g.name,
-            passed: false,
-            detail: format!("exit {}", output.status.code().unwrap_or(-1)),
-            seconds,
-        };
+    let fresh = PathBuf::from("target/experiments").join(fresh);
+    let command = [&[g.bin], args].concat().join(" ");
+    println!("running {} ({command})", g.name);
+    record(g.bin, args, &fresh)?;
+    let committed = load_baseline(Path::new(g.baseline))?;
+    let fresh = load_baseline(&fresh)?;
+    let problems: Vec<String> = if drift {
+        diff_values(&committed, &fresh, g.volatile)
+    } else {
+        let violations = g.spec.evaluate(&committed, &fresh);
+        violations.iter().map(ToString::to_string).collect()
+    };
+    if problems.is_empty() {
+        return Ok(format!("{} holds", g.baseline));
     }
-    match std::fs::metadata(g.record) {
-        Ok(m) if m.len() > 0 => GateResult {
-            name: g.name,
-            passed: true,
-            detail: format!("baseline {} ok", g.baseline),
-            seconds,
-        },
-        _ => GateResult {
-            name: g.name,
-            passed: false,
-            detail: format!("record {} missing or empty", g.record),
-            seconds,
-        },
+    eprintln!("--- {} against {} ---", g.name, g.baseline);
+    for line in &problems {
+        eprintln!("  {line}");
     }
+    let what = if drift { "drifted value" } else { "violation" };
+    Err(format!("{} {what}(s)", problems.len()))
 }
 
-/// Drift mode for one gate: re-record the baseline into a scratch file
-/// and diff against the committed one, skipping volatile keys.
-fn run_drift(g: &GateSpec) -> GateResult {
-    let start = Instant::now();
-    println!("re-recording {} for drift check", g.baseline);
-    let scratch = PathBuf::from("target/experiments").join(format!("drift_{}", g.baseline));
-    if let Err(e) = std::fs::create_dir_all("target/experiments") {
-        return GateResult {
-            name: g.name,
-            passed: false,
-            detail: format!("cannot create scratch dir: {e}"),
-            seconds: start.elapsed().as_secs_f64(),
-        };
-    }
-    let output = gate_command(g.bin)
+/// Runs a gate binary so that it writes its fresh baseline to `fresh`;
+/// replays its output if it fails.
+fn record(bin: &str, args: &[&str], fresh: &Path) -> Result<(), String> {
+    std::fs::create_dir_all("target/experiments").map_err(|e| format!("scratch dir: {e}"))?;
+    let _ = std::fs::remove_file(fresh);
+    let output = gate_command(bin)
+        .args(args)
         .args(["--write-baseline", "--baseline"])
-        .arg(&scratch)
-        .output();
-    let seconds = start.elapsed().as_secs_f64();
-    let output = match output {
-        Ok(o) => o,
-        Err(e) => {
-            return GateResult {
-                name: g.name,
-                passed: false,
-                detail: format!("could not launch {}: {e}", g.bin),
-                seconds,
-            }
-        }
-    };
-    if !output.status.success() {
-        replay(g.name, &output);
-        return GateResult {
-            name: g.name,
-            passed: false,
-            detail: format!(
-                "re-record failed: exit {}",
-                output.status.code().unwrap_or(-1)
-            ),
-            seconds,
-        };
+        .arg(fresh)
+        .output()
+        .map_err(|e| format!("could not launch {bin}: {e}"))?;
+    if output.status.success() {
+        return Ok(());
     }
-    let committed = match std::fs::read_to_string(g.baseline) {
-        Ok(t) => t,
-        Err(e) => {
-            return GateResult {
-                name: g.name,
-                passed: false,
-                detail: format!("cannot read committed {}: {e}", g.baseline),
-                seconds,
-            }
-        }
-    };
-    let fresh = match std::fs::read_to_string(&scratch) {
-        Ok(t) => t,
-        Err(e) => {
-            return GateResult {
-                name: g.name,
-                passed: false,
-                detail: format!("cannot read re-recorded {}: {e}", scratch.display()),
-                seconds,
-            }
-        }
-    };
-    let diffs = diff_baselines(&committed, &fresh, g.volatile);
-    if diffs.is_empty() {
-        GateResult {
-            name: g.name,
-            passed: true,
-            detail: format!("{} matches a fresh recording", g.baseline),
-            seconds,
-        }
-    } else {
-        eprintln!("--- drift in {} ---", g.baseline);
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        GateResult {
-            name: g.name,
-            passed: false,
-            detail: format!("{} drifted line(s)", diffs.len()),
-            seconds,
-        }
-    }
+    eprintln!("--- {bin} stdout ---");
+    eprintln!("{}", String::from_utf8_lossy(&output.stdout));
+    eprintln!("--- {bin} stderr ---");
+    eprintln!("{}", String::from_utf8_lossy(&output.stderr));
+    Err(format!("{bin} exit {}", output.status.code().unwrap_or(-1)))
 }
 
 /// Builds the command for a sibling gate binary. The gate runner and the
@@ -335,129 +927,492 @@ fn gate_command(bin: &str) -> Command {
     }
 }
 
-/// Replays a failed gate's captured output so CI logs show the cause.
-fn replay(name: &str, output: &std::process::Output) {
-    eprintln!("--- {name} stdout ---");
-    eprintln!("{}", String::from_utf8_lossy(&output.stdout));
-    eprintln!("--- {name} stderr ---");
-    eprintln!("{}", String::from_utf8_lossy(&output.stderr));
-}
-
-/// Line-based baseline diff that ignores volatile keys.
-///
-/// The vendored JSON crate has no dynamic `Value` type, so structural
-/// comparison is out; instead both files are compared line-by-line after
-/// dropping every line whose key is in `volatile`. This is sound because
-/// all baselines are written by the same pretty-printer (one key per
-/// line, stable field order from the struct definitions). Returns a
-/// bounded list of human-readable mismatches (empty = no drift).
-pub fn diff_baselines(committed: &str, fresh: &str, volatile: &[&str]) -> Vec<String> {
-    let keep = |line: &&str| {
-        let t = line.trim_start();
-        !volatile.iter().any(|k| t.starts_with(&format!("\"{k}\":")))
-    };
-    let a: Vec<&str> = committed.lines().filter(keep).collect();
-    let b: Vec<&str> = fresh.lines().filter(keep).collect();
-
-    const MAX_REPORTED: usize = 20;
+/// Structural diff of two baseline trees: every value that differs,
+/// by JSON path (`entries[3].compute_cycles: 618468 vs 618470`), plus
+/// added and removed keys. Keys in `volatile` are skipped by exact
+/// name at any depth. The report is bounded (empty = no drift).
+pub fn diff_values(committed: &Value, fresh: &Value, volatile: &[&str]) -> Vec<String> {
     let mut out = Vec::new();
-    for (i, (la, lb)) in a.iter().zip(&b).enumerate() {
-        if la != lb {
-            out.push(format!(
-                "line {}: committed `{}` vs fresh `{}`",
-                i + 1,
-                la.trim(),
-                lb.trim()
-            ));
-            if out.len() >= MAX_REPORTED {
-                out.push("… further diffs suppressed".to_string());
-                return out;
-            }
-        }
-    }
-    if a.len() != b.len() {
-        out.push(format!(
-            "line count changed: committed {} vs fresh {} (after dropping volatile keys)",
-            a.len(),
-            b.len()
-        ));
+    diff_into("", committed, fresh, volatile, &mut out);
+    if out.len() > MAX_REPORTED {
+        out.truncate(MAX_REPORTED);
+        out.push("… further diffs suppressed".to_string());
     }
     out
+}
+
+const MAX_REPORTED: usize = 20;
+
+fn diff_into(path: &str, a: &Value, b: &Value, volatile: &[&str], out: &mut Vec<String>) {
+    if out.len() > MAX_REPORTED {
+        return;
+    }
+    let join = |k: &str| {
+        if path.is_empty() {
+            k.to_string()
+        } else {
+            format!("{path}.{k}")
+        }
+    };
+    match (a, b) {
+        (Value::Obj(pa), Value::Obj(pb)) => {
+            for (k, va) in pa.iter().filter(|(k, _)| !volatile.contains(&k.as_str())) {
+                match field(b, k) {
+                    Some(vb) => diff_into(&join(k), va, vb, volatile, out),
+                    None => out.push(format!("{}: removed (was {})", join(k), show(Some(va)))),
+                }
+            }
+            for (k, vb) in pb.iter().filter(|(k, _)| !volatile.contains(&k.as_str())) {
+                if field(a, k).is_none() {
+                    out.push(format!("{}: added ({})", join(k), show(Some(vb))));
+                }
+            }
+        }
+        (Value::Arr(xa), Value::Arr(xb)) => {
+            for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
+                diff_into(&format!("{path}[{i}]"), va, vb, volatile, out);
+            }
+            if xa.len() != xb.len() {
+                out.push(format!("{path}: {} vs {} elements", xa.len(), xb.len()));
+            }
+        }
+        _ if a != b => out.push(format!("{path}: {} vs {}", show(Some(a)), show(Some(b)))),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn registry_covers_every_committed_baseline() {
-        // Every gate's baseline and record paths are well-formed, names
-        // are unique, and check args always include --check.
-        let mut names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), GATES.len(), "duplicate gate names");
-        for g in GATES {
-            assert!(g.args.contains(&"--check"), "{}: no --check", g.name);
-            assert!(g.baseline.starts_with("BENCH_"), "{}", g.name);
-            assert!(g.record.starts_with("target/experiments/"), "{}", g.name);
-            assert!(g.record.ends_with(".json"), "{}", g.name);
+    fn repo_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    fn gate(name: &str) -> &'static Gate {
+        GATES.iter().find(|g| g.name == name).unwrap()
+    }
+
+    fn committed(g: &Gate) -> Value {
+        load_baseline(&repo_root().join(g.baseline)).unwrap()
+    }
+
+    /// One gate per committed file (wallbench-t8 shares t1's).
+    fn gates() -> impl Iterator<Item = &'static Gate> {
+        GATES.iter().filter(|g| g.name != "wallbench-t8")
+    }
+
+    fn row_mut<'a>(doc: &'a mut Value, spec: &Spec, i: usize) -> &'a mut Value {
+        if spec.key.is_empty() {
+            return doc;
+        }
+        match field_mut(doc, "entries") {
+            Some(Value::Arr(rows)) => &mut rows[i],
+            _ => panic!("no entries"),
+        }
+    }
+
+    fn field_mut<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+        match v {
+            Value::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn set(row: &mut Value, key: &str, value: Value) {
+        *field_mut(row, key).unwrap_or_else(|| panic!("no field {key}")) = value;
+    }
+
+    fn remove(row: &mut Value, key: &str) {
+        if let Value::Obj(pairs) = row {
+            pairs.retain(|(k, _)| k != key);
+        }
+    }
+
+    const EPS: f64 = 1e-9;
+
+    /// For one check on one committed row: the column its mutation
+    /// moves, and the values just inside and just past the bound, from
+    /// the threshold the spec states. Two-column rules move their
+    /// reference column, so the gated column's own tolerance rule does
+    /// not fire as well. Integer columns step by one.
+    fn nudges(check: &Check, row: &Row) -> (&'static str, Value, Value) {
+        let v = row.num(check.col);
+        let t = CYCLE_TOLERANCE;
+        // (moved column, bound, whether values above the bound are bad)
+        let (col, bound, bad_above) = match check.rule {
+            Rule::Exact => (check.col, v, true),
+            Rule::NoWorse => (check.col, v * (1.0 + t), true),
+            Rule::Floor => (check.col, (v * (1.0 - t)).floor(), false),
+            Rule::KeepNonzero => (check.col, 0.5, false),
+            Rule::AtMost(x) => (check.col, x, true),
+            Rule::AtLeast(x) => (check.col, x, false),
+            Rule::AtMostCol(o, s) => (check.col, row.num(o) * (1.0 + s), true),
+            Rule::BelowCol(o) => (o, v, false),
+            Rule::EqualsCol(o) => (o, v, true),
+            Rule::SpeedupOver(o, m) => (o, m * v, false),
+            Rule::CutVs(o, m) => (o, v / (1.0 - m), false),
+        };
+        match row.get(col) {
+            Some(Value::Bool(b)) => (col, Value::Bool(*b), Value::Bool(!b)),
+            Some(Value::U64(_) | Value::I64(_)) => {
+                let (inside, step) = match bad_above {
+                    true => (bound.floor() as i64, 1),
+                    false => (bound.ceil() as i64, -1),
+                };
+                (col, Value::I64(inside), Value::I64(inside + step))
+            }
+            _ if check.rule == Rule::KeepNonzero => (col, Value::F64(v), Value::F64(0.0)),
+            _ if matches!(check.rule, Rule::Exact | Rule::EqualsCol(_)) => {
+                (col, Value::F64(bound), Value::F64(bound * (1.0 + EPS)))
+            }
+            _ => {
+                let s = if bad_above { 1.0 } else { -1.0 };
+                let (inside, past) = (bound * (1.0 - s * EPS), bound * (1.0 + s * EPS));
+                (col, Value::F64(inside), Value::F64(past))
+            }
+        }
+    }
+
+    /// Keeps derived columns consistent with a moved one, so a mutation
+    /// describes a possible run: serve's outcome counts must still sum
+    /// to `offered` (the difference goes to `deadline_exceeded`), and a
+    /// portfolio oracle cost is its engine's measured cost.
+    fn keep_consistent(gate: &str, row: &mut Value, col: &str, old: f64, new: f64) {
+        match (gate, col) {
+            ("serve", "exact" | "degraded" | "shed") => {
+                let d = Row::root(row).num("deadline_exceeded") - (new - old);
+                set(row, "deadline_exceeded", Value::I64(d as i64));
+            }
+            ("portfolio", "oracle_seconds") => {
+                let oracle = Row::root(row).text("oracle").to_string();
+                if let Some(Value::Arr(ms)) = field_mut(row, "measured") {
+                    for m in ms
+                        .iter_mut()
+                        .filter(|m| Row::root(m).text("engine") == oracle)
+                    {
+                        set(m, "seconds_per_instance", Value::F64(new));
+                    }
+                }
+            }
+            _ => {}
         }
     }
 
     #[test]
-    fn identical_files_do_not_drift() {
-        let text = "{\n  \"a\": 1,\n  \"wall_seconds\": 0.5\n}\n";
-        assert!(diff_baselines(text, text, WALL_KEYS).is_empty());
+    fn every_rule_bites_just_past_its_bound_and_not_inside() {
+        for g in gates() {
+            let base = committed(g);
+            let rows = g.spec.rows(&base);
+            for check in g.spec.checks {
+                let rule = check.to_string();
+                let (mut applied, mut isolated) = (0, false);
+                for (i, row) in rows.iter().enumerate() {
+                    let applies = check.when.is_none_or(|w| w(row))
+                        && (check.rule != Rule::KeepNonzero || row.num(check.col) != 0.0);
+                    if !applies {
+                        continue;
+                    }
+                    applied += 1;
+                    let cell = row.label(g.spec.key);
+                    let (col, inside, past) = nudges(check, row);
+                    let run = |value: &Value| {
+                        let mut fresh = base.clone();
+                        let r = row_mut(&mut fresh, &g.spec, i);
+                        let old = Row::root(r).num(col);
+                        set(r, col, value.clone());
+                        keep_consistent(g.name, r, col, old, number(value).unwrap());
+                        g.spec.evaluate(&base, &fresh)
+                    };
+                    let bad = run(&past);
+                    let ours = bad.iter().filter(|v| v.cell == cell && v.rule == rule);
+                    assert_eq!(
+                        ours.count(),
+                        1,
+                        "{}: `{rule}` on {cell} with {col} = {past:?}: {bad:#?}",
+                        g.name
+                    );
+                    let good = run(&inside);
+                    assert!(
+                        !good.iter().any(|v| v.cell == cell && v.rule == rule),
+                        "{}: `{rule}` on {cell} with {col} = {inside:?}: {good:#?}",
+                        g.name
+                    );
+                    isolated |= bad.len() == 1 && good.is_empty();
+                }
+                assert!(applied > 0, "{}: `{rule}` applies to no row", g.name);
+                assert!(isolated, "{}: no committed row isolates `{rule}`", g.name);
+            }
+        }
+    }
+
+    /// One mutation per predicate: `sign` +1 moves just past the bound,
+    /// −1 just inside it.
+    fn break_predicate(name: &str, fresh: &mut Value, sign: f64) {
+        let rows = || Row::entries(fresh).into_iter();
+        match name {
+            "suite_speedup" => {
+                // Σ interp / Σ plan at threads=1 just around 2x, by
+                // slowing the plan on the largest cell.
+                let (i, p) = rows()
+                    .filter(|r| r.num("threads") == 1.0)
+                    .fold((0.0, 0.0), |(i, p), r| {
+                        (i + r.num("interp_wall"), p + r.num("plan_wall"))
+                    });
+                let target = i / WALLBENCH_MIN_SPEEDUP * (1.0 + sign * EPS);
+                let last = rows().rposition(|r| r.num("threads") == 1.0).unwrap();
+                let r = row_mut(fresh, &WALLBENCH, last);
+                let plan = Row::root(r).num("plan_wall");
+                set(r, "plan_wall", Value::F64(plan + target - p));
+            }
+            "accounting" if sign > 0.0 => {
+                let offered = Row::root(fresh).num("offered");
+                set(fresh, "offered", Value::I64(offered as i64 + 1));
+            }
+            "accounting" => {}
+            "oracle_is_min" => {
+                // Another engine measured just around the oracle's cost.
+                let row = row_mut(fresh, &gate("portfolio").spec, 0);
+                let oracle = Row::root(row).text("oracle").to_string();
+                let cost = Row::root(row).num("oracle_seconds");
+                let Some(Value::Arr(ms)) = field_mut(row, "measured") else {
+                    unreachable!()
+                };
+                let m = ms
+                    .iter_mut()
+                    .find(|m| Row::root(m).text("engine") != oracle)
+                    .unwrap();
+                let slack = ORACLE_SLACK * if sign > 0.0 { 2.0 } else { 0.5 };
+                set(m, "seconds_per_instance", Value::F64(cost / (1.0 + slack)));
+            }
+            "sparse_advantage" => {
+                // Dense n=1024 compute just around 5x the sparse one.
+                let at = |engine| {
+                    rows()
+                        .position(|r| r.text("engine") == engine && r.num("n") == 1024.0)
+                        .unwrap()
+                };
+                let (d, s) = (at("dense"), at("sparse_k8"));
+                let sparse = Row::entries(fresh)[s].num("compute_cycles");
+                let dense = SCALE_SPARSE_MIN_SPEEDUP * sparse * (1.0 - sign * EPS);
+                let row = row_mut(fresh, &gate("scale").spec, d);
+                set(row, "compute_cycles", Value::F64(dense));
+            }
+            other => panic!("no mutation for predicate {other}"),
+        }
     }
 
     #[test]
-    fn volatile_key_changes_are_ignored() {
-        let committed =
-            "{\n  \"cycles\": 100,\n  \"wall_seconds\": 0.5,\n  \"instances_per_sec\": 10.0\n}\n";
-        let fresh =
-            "{\n  \"cycles\": 100,\n  \"wall_seconds\": 0.9,\n  \"instances_per_sec\": 4.4\n}\n";
-        assert!(diff_baselines(committed, fresh, WALL_KEYS).is_empty());
+    fn every_predicate_bites_just_past_its_bound_and_not_inside() {
+        for g in gates() {
+            let base = committed(g);
+            for p in g.spec.predicates {
+                let mut fresh = base.clone();
+                break_predicate(p.name, &mut fresh, 1.0);
+                let bad = g.spec.evaluate(&base, &fresh);
+                assert_eq!(bad.len(), 1, "{}: {}: {bad:#?}", g.name, p.name);
+                assert_eq!(bad[0].rule, p.name);
+                let mut fresh = base.clone();
+                break_predicate(p.name, &mut fresh, -1.0);
+                let good = g.spec.evaluate(&base, &fresh);
+                assert!(good.is_empty(), "{}: {}: {good:#?}", g.name, p.name);
+            }
+        }
     }
 
     #[test]
-    fn gated_value_changes_are_reported() {
-        let committed = "{\n  \"cycles\": 100,\n  \"wall_seconds\": 0.5\n}\n";
-        let fresh = "{\n  \"cycles\": 140,\n  \"wall_seconds\": 0.5\n}\n";
-        let diffs = diff_baselines(committed, fresh, WALL_KEYS);
-        assert_eq!(diffs.len(), 1);
-        assert!(diffs[0].contains("\"cycles\": 100"), "{diffs:?}");
-        assert!(diffs[0].contains("\"cycles\": 140"), "{diffs:?}");
+    fn null_missing_or_non_finite_gated_values_fail() {
+        type Break = fn(&mut Value, &str);
+        let breaks: [(&str, Break); 3] = [
+            ("null", |r, c| set(r, c, Value::Null)),
+            ("missing", remove),
+            ("NaN", |r, c| set(r, c, Value::F64(f64::NAN))),
+        ];
+        for g in gates() {
+            let base = committed(g);
+            let rows = g.spec.rows(&base);
+            for (what, mutate) in breaks {
+                for check in g.spec.checks {
+                    let rule = check.to_string();
+                    for (i, row) in rows.iter().enumerate() {
+                        if !check.when.is_none_or(|w| w(row)) {
+                            continue;
+                        }
+                        let cell = row.label(g.spec.key);
+                        let mut cases = vec![("fresh", check.col)];
+                        cases.extend(check.rule.reference().map(|c| ("fresh", c)));
+                        cases.push(("committed", check.col));
+                        for (side, col) in cases {
+                            let (mut old, mut fresh) = (base.clone(), base.clone());
+                            let doc = if side == "fresh" {
+                                &mut fresh
+                            } else {
+                                &mut old
+                            };
+                            mutate(row_mut(doc, &g.spec, i), col);
+                            let v = g.spec.evaluate(&old, &fresh);
+                            // A header key (serve's queue_capacity) is
+                            // reported as a header mismatch.
+                            let header = g.spec.header.contains(&col);
+                            assert!(
+                                v.iter().any(|v| v.cell == cell && v.rule == rule
+                                    || header && v.cell == "header"),
+                                "{}: {side} {col} {what} on {cell} passed `{rule}`: {v:#?}",
+                                g.name
+                            );
+                        }
+                    }
+                }
+                for p in g.spec.predicates {
+                    for &col in p.columns {
+                        let caught = (0..rows.len()).any(|i| {
+                            let mut fresh = base.clone();
+                            mutate(row_mut(&mut fresh, &g.spec, i), col);
+                            g.spec
+                                .evaluate(&base, &fresh)
+                                .iter()
+                                .any(|v| v.rule == p.name)
+                        });
+                        assert!(caught, "{}: {col} {what} never trips {}", g.name, p.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn added_or_removed_lines_are_reported() {
-        let committed = "{\n  \"cycles\": 100\n}\n";
-        let fresh = "{\n  \"cycles\": 100,\n  \"extra\": 1\n}\n";
-        let diffs = diff_baselines(committed, fresh, WALL_KEYS);
-        assert!(!diffs.is_empty());
+    fn a_missing_row_or_a_changed_header_is_reported() {
+        for g in gates() {
+            let base = committed(g);
+            for i in 0..Row::entries(&base).len() {
+                let mut fresh = base.clone();
+                let cell = g.spec.rows(&base)[i].label(g.spec.key);
+                if let Some(Value::Arr(rows)) = field_mut(&mut fresh, "entries") {
+                    rows.remove(i);
+                }
+                let v = g.spec.evaluate(&base, &fresh);
+                assert_eq!(v.len(), 1, "{}: dropping {cell}: {v:#?}", g.name);
+                assert_eq!(v[0].cell, cell);
+                assert!(v[0].detail.contains("missing"), "{}", v[0]);
+            }
+            for &key in g.spec.header {
+                let mut fresh = base.clone();
+                match field_mut(&mut fresh, key).unwrap() {
+                    Value::Arr(items) => items.push(Value::U64(7)),
+                    v => *v = Value::F64(Row::root(&base).num(key) + 1.0),
+                }
+                let v = g.spec.evaluate(&base, &fresh);
+                assert_eq!(v.len(), 1, "{}: changing {key}: {v:#?}", g.name);
+                assert_eq!(
+                    (v[0].cell.as_str(), v[0].rule.clone()),
+                    ("header", format!("{key} matches"))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wallbench_runs_may_cover_a_subset_of_thread_counts() {
+        let g = gate("wallbench-t8");
+        let base = committed(g);
+        let only = |threads: &[u64]| {
+            let mut fresh = base.clone();
+            set(
+                &mut fresh,
+                "threads",
+                Value::Arr(threads.iter().map(|&t| Value::U64(t)).collect()),
+            );
+            if let Some(Value::Arr(rows)) = field_mut(&mut fresh, "entries") {
+                rows.retain(|r| threads.contains(&(Row::root(r).num("threads") as u64)));
+            }
+            g.spec.evaluate(&base, &fresh)
+        };
+        assert!(only(&[8]).is_empty());
+        assert!(only(&[1]).is_empty());
+        let v = only(&[]);
+        assert_eq!(v.len(), 1, "{v:#?}");
+        assert!(v[0].detail.contains("no thread counts"));
+        let mut fresh = base.clone();
+        set(&mut fresh, "threads", Value::Arr(vec![Value::U64(4)]));
+        let v = g.spec.evaluate(&base, &fresh);
+        assert_eq!(v.len(), 1, "{v:#?}");
         assert!(
-            diffs.iter().any(|d| d.contains("line count changed")),
-            "{diffs:?}"
+            v[0].detail.contains("not in the committed grid"),
+            "{}",
+            v[0]
         );
     }
 
     #[test]
-    fn volatile_prefix_does_not_overmatch() {
+    fn registry_covers_every_committed_baseline() {
+        let mut names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), GATES.len(), "duplicate gate names");
+        let on_disk: Vec<String> = std::fs::read_dir(repo_root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+            .collect();
+        assert_eq!(on_disk.len(), gates().count(), "{on_disk:?}");
+        for f in &on_disk {
+            assert!(GATES.iter().any(|g| g.baseline == f), "{f} has no gate");
+        }
+        for g in GATES {
+            let doc = committed(g);
+            assert!(!g.spec.rows(&doc).is_empty(), "{}: no rows", g.name);
+            let v = g.spec.evaluate(&doc, &doc);
+            assert!(v.is_empty(), "{} fails its own spec: {v:#?}", g.baseline);
+            assert!(diff_values(&doc, &doc, g.volatile).is_empty());
+        }
+    }
+
+    fn json(text: &str) -> Value {
+        serde_json::from_str(text).unwrap()
+    }
+
+    #[test]
+    fn changed_values_are_reported_by_path_and_volatile_keys_ignored() {
+        let committed =
+            json(r#"{"entries": [{"n": 1}, {"compute_cycles": 618468.0, "wall_seconds": 0.5}]}"#);
+        let fresh =
+            json(r#"{"entries": [{"n": 1}, {"compute_cycles": 618470.0, "wall_seconds": 0.9}]}"#);
+        let diffs = diff_values(&committed, &fresh, WALL_KEYS);
+        assert_eq!(diffs, ["entries[1].compute_cycles: 618468 vs 618470"]);
+    }
+
+    #[test]
+    fn added_or_removed_keys_and_rows_are_reported() {
+        let committed = json(r#"{"entries": [{"cycles": 100, "gone": 1}]}"#);
+        let fresh = json(r#"{"entries": [{"cycles": 100, "extra": 2}, {"cycles": 5}]}"#);
+        let diffs = diff_values(&committed, &fresh, WALL_KEYS);
+        assert_eq!(
+            diffs,
+            [
+                "entries[0].gone: removed (was 1)",
+                "entries[0].extra: added (2)",
+                "entries: 1 vs 2 elements"
+            ]
+        );
+    }
+
+    #[test]
+    fn volatile_keys_match_exactly() {
         // "speedup" volatile must not hide a "speedup_floor" change.
-        let committed = "  \"speedup_floor\": 2.0\n  \"speedup\": 6.7\n";
-        let fresh = "  \"speedup_floor\": 3.0\n  \"speedup\": 9.9\n";
-        let diffs = diff_baselines(committed, fresh, &["speedup"]);
-        assert_eq!(diffs.len(), 1, "{diffs:?}");
-        assert!(diffs[0].contains("speedup_floor"), "{diffs:?}");
+        let committed = json(r#"{"speedup_floor": 2.0, "speedup": 6.7}"#);
+        let fresh = json(r#"{"speedup_floor": 3.0, "speedup": 9.9}"#);
+        let diffs = diff_values(&committed, &fresh, &["speedup"]);
+        assert_eq!(diffs, ["speedup_floor: 2 vs 3"]);
     }
 
     #[test]
     fn diff_report_is_bounded() {
-        let committed: String = (0..100).map(|i| format!("  \"c\": {i}\n")).collect();
-        let fresh: String = (0..100).map(|i| format!("  \"c\": {}\n", i + 1)).collect();
-        let diffs = diff_baselines(&committed, &fresh, &[]);
-        assert!(diffs.len() <= 21, "{}", diffs.len());
+        let rows = |d: usize| {
+            let items: Vec<Value> = (0..100).map(|i| Value::U64(i + d as u64)).collect();
+            Value::Obj(vec![("c".into(), Value::Arr(items))])
+        };
+        let diffs = diff_values(&rows(0), &rows(1), &[]);
+        assert_eq!(diffs.len(), MAX_REPORTED + 1);
         assert!(diffs.last().unwrap().contains("suppressed"));
     }
 }

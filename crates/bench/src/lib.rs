@@ -11,22 +11,14 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod baseline;
 pub mod cli;
 pub mod gates;
 pub mod record;
 pub mod runners;
 pub mod serve_load;
 
-pub use baseline::{
-    BaselineEntry, BatchBaseline, MeasuredCost, MultiIpuBaseline, MultiIpuEntry, PortfolioBaseline,
-    PortfolioEntry, ResolveBaseline, ResolveEntry, ScaleBaseline, ScaleEntry, ServeBaseline,
-    WallbenchBaseline, WallbenchEntry, CYCLE_TOLERANCE, MULTI_IPU_MIN_IMPROVEMENT,
-    PORTFOLIO_MAX_REGRET, RESOLVE_MIN_SPEEDUP, SCALE_SPARSE_FLOOR_MIN_N, SCALE_SPARSE_MIN_SPEEDUP,
-    WALLBENCH_MIN_SPEEDUP,
-};
 pub use cli::Args;
-pub use gates::{diff_baselines, run_gates, GateSpec, GATES};
+pub use gates::{run_gates, write_baseline, GATES};
 pub use record::{ExperimentRecord, Measurement};
 pub use runners::{fmt_time, run_cpu, run_fastha, run_hunipu, CpuExtrapolator};
 pub use serve_load::{calibrate_service_cycles, run_open_loop, LoadSpec, LoadSummary};

@@ -13,17 +13,56 @@
 //!    fails here before the slow bench gate even runs,
 //! 2. the committed `oracle` is genuinely the measured argmin of its
 //!    cell (the file can't claim a regret the data doesn't support),
-//! 3. the pick's *measured* cost is within [`PORTFOLIO_MAX_REGRET`] of
-//!    the measured oracle in every cell — the same bound `bench
-//!    portfolio --check` enforces, evaluated from the committed data.
+//! 3. the pick's *measured* cost is within the portfolio gate's regret
+//!    bound of the measured oracle in every cell — the same rule `bench
+//!    gate --only portfolio` applies, evaluated from the committed data.
+//!
+//! The file is read through the gate's loader and the bound is read from
+//! the gate's spec, so every threshold has one source.
 
-use bench::{PortfolioBaseline, PORTFOLIO_MAX_REGRET};
+use bench::gates::{load_baseline, Rule, GATES};
 use lsap::portfolio::{InstanceShape, PortfolioTable};
+use serde::Deserialize;
 use std::path::Path;
 
-fn committed() -> PortfolioBaseline {
+/// The columns of one committed cell this test reads.
+#[derive(Deserialize)]
+struct Cell {
+    n: usize,
+    k: u64,
+    batch: usize,
+    chips: usize,
+    picked: String,
+    oracle: String,
+    oracle_seconds: f64,
+    measured: Vec<MeasuredCost>,
+}
+
+#[derive(Deserialize)]
+struct MeasuredCost {
+    engine: String,
+    seconds_per_instance: f64,
+}
+
+#[derive(Deserialize)]
+struct Committed {
+    entries: Vec<Cell>,
+}
+
+fn committed() -> Committed {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_portfolio.json");
-    PortfolioBaseline::load(&path).expect("BENCH_portfolio.json is committed at the repo root")
+    let doc = load_baseline(&path).expect("BENCH_portfolio.json is committed at the repo root");
+    Committed::from_value(&doc).expect("the committed cells parse")
+}
+
+/// The regret bound the portfolio gate applies to `picked_seconds`.
+fn max_regret() -> f64 {
+    let gate = GATES.iter().find(|g| g.name == "portfolio").unwrap();
+    let bound = gate.spec.checks.iter().find_map(|c| match c.rule {
+        Rule::AtMostCol("oracle_seconds", slack) if c.col == "picked_seconds" => Some(slack),
+        _ => None,
+    });
+    bound.expect("the portfolio gate bounds picked_seconds by oracle_seconds")
 }
 
 #[test]
@@ -79,6 +118,8 @@ fn calibrated_pick_matches_the_committed_decision_in_every_cell() {
 #[test]
 fn committed_oracle_is_the_measured_argmin_and_regret_holds() {
     let base = committed();
+    let max_regret = max_regret();
+    assert_eq!(max_regret, 0.10);
     for e in &base.entries {
         let best = e
             .measured
@@ -101,7 +142,7 @@ fn committed_oracle_is_the_measured_argmin_and_regret_holds() {
             .find(|m| m.engine == e.picked)
             .expect("the picked engine is measured in its own cell");
         assert!(
-            picked.seconds_per_instance <= e.oracle_seconds * (1.0 + PORTFOLIO_MAX_REGRET),
+            picked.seconds_per_instance <= e.oracle_seconds * (1.0 + max_regret),
             "cell n={} k={} batch={} chips={}: picked {} costs {} vs oracle {} {} — \
              regret exceeds the {}% bound",
             e.n,
@@ -112,7 +153,7 @@ fn committed_oracle_is_the_measured_argmin_and_regret_holds() {
             picked.seconds_per_instance,
             e.oracle,
             e.oracle_seconds,
-            PORTFOLIO_MAX_REGRET * 100.0
+            max_regret * 100.0
         );
     }
 }
