@@ -45,7 +45,6 @@ fn main() {
         .unwrap_or(10);
     let m = gaussian_cost_matrix(n, k, args.seed);
     let mut record = ExperimentRecord::new("ablation", format!("n={n} k={k}"), args.seed);
-    let ipu_threads = ipu_sim::IpuConfig::mk2().resolved_host_threads();
 
     for name in &which {
         match name.as_str() {
@@ -68,7 +67,6 @@ fn main() {
                         wall_seconds: 0.0,
                         objective: obj as f64,
                         extrapolated: false,
-                        host_threads: ipu_threads,
                         device_steps: 0,
                         profile_events: 0,
                     });
@@ -88,7 +86,6 @@ fn main() {
                         wall_seconds: 0.0,
                         objective: obj as f64,
                         extrapolated: false,
-                        host_threads: ipu_threads,
                         device_steps: 0,
                         profile_events: 0,
                     });
@@ -115,7 +112,6 @@ fn main() {
                         wall_seconds: 0.0,
                         objective: obj as f64,
                         extrapolated: false,
-                        host_threads: ipu_threads,
                         device_steps: 0,
                         profile_events: 0,
                     });

@@ -254,7 +254,6 @@ fn run_cpu(
         wall_seconds: farmed.stats.wall_seconds,
         objective: farmed.total_objective(),
         extrapolated: false,
-        host_threads: 0,
         device_steps: 0,
         profile_events: 0,
     });
@@ -318,7 +317,6 @@ fn push_measurements(
         wall_seconds: seq.stats.wall_seconds,
         objective: seq.total_objective(),
         extrapolated: false,
-        host_threads: 0,
         device_steps: steps(seq),
         profile_events: 0,
     });
@@ -331,7 +329,6 @@ fn push_measurements(
         wall_seconds: batched.stats.wall_seconds,
         objective: batched.total_objective(),
         extrapolated: false,
-        host_threads: 0,
         device_steps: steps(batched),
         profile_events: 0,
     });

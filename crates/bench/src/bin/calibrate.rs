@@ -161,7 +161,6 @@ fn push(record: &mut ExperimentRecord, engine: &str, n: usize, k: u64, label: &s
         wall_seconds: 0.0,
         objective: 0.0,
         extrapolated: false,
-        host_threads: 1,
         device_steps: 0,
         profile_events: 0,
     });

@@ -26,7 +26,6 @@ fn main() {
     let ks: Vec<u64> = args.ks.clone().unwrap_or_else(|| FIG5_KS.to_vec());
 
     let mut record = ExperimentRecord::new("fig5", format!("sizes={sizes:?} ks={ks:?}"), args.seed);
-    let ipu_threads = ipu_sim::IpuConfig::mk2().resolved_host_threads();
 
     let dist = if args.uniform { "uniform" } else { "Gaussian" };
     println!("Figure 5: runtime (ms, modeled) of FastHA vs HunIPU, {dist} data");
@@ -75,8 +74,6 @@ fn main() {
                     wall_seconds: rep.stats.wall_seconds,
                     objective: rep.objective,
                     extrapolated: false,
-                    // The GPU simulator runs the host loop sequentially.
-                    host_threads: if engine == "hunipu" { ipu_threads } else { 1 },
                     device_steps: rep.stats.device_steps,
                     profile_events: rep.stats.profile_events,
                 });

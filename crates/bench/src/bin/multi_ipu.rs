@@ -140,7 +140,6 @@ fn run_cell(
             wall_seconds: rep.stats.wall_seconds,
             objective: rep.objective,
             extrapolated: false,
-            host_threads: 0,
             device_steps: rep.stats.device_steps,
             profile_events: 0,
         });

@@ -268,11 +268,7 @@ fn main() {
         format!("n={n} k={k} tile_sample={}", args.tile_sample.unwrap_or(1)),
         args.seed,
     );
-    for (engine_name, rep, threads) in [
-        ("hunipu", &hun, engine.host_threads()),
-        ("fastha", &fast, 1),
-        ("cpu", &cpu, 1),
-    ] {
+    for (engine_name, rep) in [("hunipu", &hun), ("fastha", &fast), ("cpu", &cpu)] {
         record.push(Measurement {
             engine: engine_name.into(),
             n,
@@ -282,7 +278,6 @@ fn main() {
             wall_seconds: rep.stats.wall_seconds,
             objective: rep.objective,
             extrapolated: false,
-            host_threads: threads,
             device_steps: rep.stats.device_steps,
             profile_events: rep.stats.profile_events,
         });

@@ -21,7 +21,7 @@
 //! Grid: n ∈ {128, 256} × k ∈ {1, n/8, n/2, n} perturbed rows per tick
 //! (overridable with `--sizes`), `ticks = 4` re-solves per cell, on the
 //! Mk2-scale device. All gated quantities are modeled cycles or counts,
-//! so runs agree bit-for-bit at any `SIM_THREADS`.
+//! so runs agree bit-for-bit.
 //!
 //! Prints the table and writes `target/experiments/resolve.json`;
 //! `--write-baseline` also records `BENCH_resolve.json` (or `--baseline
@@ -170,7 +170,6 @@ fn run_cell(
             wall_seconds,
             objective: 0.0,
             extrapolated: false,
-            host_threads: 0,
             device_steps: 0,
             profile_events: 0,
         });

@@ -150,7 +150,6 @@ fn main() {
         wall_seconds: wall,
         objective: 0.0,
         extrapolated: false,
-        host_threads: 0,
         device_steps: 0,
         profile_events: 0,
     });

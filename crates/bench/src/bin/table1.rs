@@ -39,7 +39,6 @@ fn main() {
             wall_seconds: 0.0,
             objective: g.m() as f64,
             extrapolated: false,
-            host_threads: 1,
             device_steps: 0,
             profile_events: 0,
         });

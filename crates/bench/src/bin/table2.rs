@@ -38,7 +38,6 @@ fn main() {
         format!("sizes={sizes:?} ks={ks:?} cpu_cutoff={cpu_cutoff}"),
         args.seed,
     );
-    let ipu_threads = ipu_sim::IpuConfig::mk2().resolved_host_threads();
 
     let dist = if args.uniform { "uniform" } else { "Gaussian" };
     println!("Table II: runtime gain of HunIPU vs CPU Hungarian ({dist} data)");
@@ -75,7 +74,6 @@ fn main() {
                 wall_seconds: hun.stats.wall_seconds,
                 objective: hun.objective,
                 extrapolated: false,
-                host_threads: ipu_threads,
                 device_steps: hun.stats.device_steps,
                 profile_events: hun.stats.profile_events,
             });
@@ -110,7 +108,6 @@ fn main() {
                 wall_seconds: 0.0,
                 objective: cpu_obj.unwrap_or(f64::NAN),
                 extrapolated,
-                host_threads: 1,
                 device_steps: 0,
                 profile_events: 0,
             });

@@ -27,7 +27,6 @@ fn main() {
     };
 
     let mut record = ExperimentRecord::new("table3", format!("datasets={datasets:?}"), args.seed);
-    let ipu_threads = ipu_sim::IpuConfig::mk2().resolved_host_threads();
 
     println!("Table III: alignment runtime (ms, modeled) — HunIPU vs FastHA");
     for name in &datasets {
@@ -103,8 +102,6 @@ fn main() {
                     wall_seconds: rep.stats.wall_seconds,
                     objective: rep.objective,
                     extrapolated: false,
-                    // The GPU simulator runs the host loop sequentially.
-                    host_threads: if engine == "hunipu" { ipu_threads } else { 1 },
                     device_steps: rep.stats.device_steps,
                     profile_events: rep.stats.profile_events,
                 });

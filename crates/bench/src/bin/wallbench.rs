@@ -2,12 +2,12 @@
 //! plan: interpreter vs plan, same instances, same machine, same
 //! process.
 //!
-//! For every (size, host-thread-count) cell the harness compiles two
-//! warm engines — one pinned to [`ExecMode::Interpreted`], one to
-//! [`ExecMode::Plan`] — streams the same Gaussian instance through both
-//! (best-of-reps wall), and verifies the results are **bit-identical**
-//! (objective bits, assignment, cycle counts, supersteps — the engine's
-//! determinism contract). Warm engines exclude graph compilation from
+//! For every size the harness compiles two warm engines — one pinned to
+//! [`ExecMode::Interpreted`], one to [`ExecMode::Plan`] — streams the
+//! same Gaussian instance through both (best-of-reps wall), and
+//! verifies the results are **bit-identical** (objective bits,
+//! assignment, cycle counts, supersteps — the engine's determinism
+//! contract). Warm engines exclude graph compilation from
 //! the timed region, exactly like the batch/serving pools the wall
 //! numbers are meant to predict.
 //!
@@ -15,14 +15,13 @@
 //! cargo run --release -p bench --bin wallbench
 //! cargo run --release -p bench --bin gate -- --only wallbench        # CI perf gate
 //! cargo run --release -p bench --bin wallbench -- --write-baseline   # refresh BENCH_wallbench.json
-//! cargo run --release -p bench --bin wallbench -- --sizes 512,1024 --threads 1,8
+//! cargo run --release -p bench --bin wallbench -- --sizes 512,1024
 //! ```
 //!
 //! The gate checks a fresh recording against `BENCH_wallbench.json`
-//! (repo root): the per-thread-count suite aggregate `interp wall /
-//! plan wall` must stay at or above
-//! [`bench::gates::WALLBENCH_MIN_SPEEDUP`], and every cell must stay
-//! bit-identical. Any divergence also fails the binary itself.
+//! (repo root): the suite aggregate `interp wall / plan wall` must stay
+//! at or above [`bench::gates::WALLBENCH_MIN_SPEEDUP`], and every cell
+//! must stay bit-identical. Any divergence also fails the binary itself.
 
 use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;
@@ -31,12 +30,10 @@ use ipu_sim::{ExecMode, IpuConfig};
 use lsap::{CostMatrix, SolveReport};
 use serde::Serialize;
 
-/// `BENCH_wallbench.json`: the suite grid plus one row per
-/// `(n, threads)` cell.
+/// `BENCH_wallbench.json`: the suite grid plus one row per size.
 #[derive(Serialize)]
 struct Baseline {
     sizes: Vec<usize>,
-    threads: Vec<usize>,
     k: u64,
     seed: u64,
     entries: Vec<WallbenchEntry>,
@@ -47,22 +44,20 @@ struct Baseline {
 #[derive(Serialize)]
 struct WallbenchEntry {
     n: usize,
-    threads: usize,
     interp_wall: f64,
     plan_wall: f64,
     speedup: f64,
     identical: bool,
 }
 
-/// What must match bit-for-bit across execution modes and thread
-/// counts: objective bits, assignment pairs, total cycles, supersteps.
+/// What must match bit-for-bit across execution modes: objective bits,
+/// assignment pairs, total cycles, supersteps.
 type Fingerprint = (u64, Vec<(usize, usize)>, u64, u64);
 
 /// Streams `m` through a warm engine `reps` times, returning the best
 /// wall and the (rep-invariant) fingerprint.
-fn measure(mode: ExecMode, threads: usize, m: &CostMatrix, reps: usize) -> (f64, Fingerprint) {
+fn measure(mode: ExecMode, m: &CostMatrix, reps: usize) -> (f64, Fingerprint) {
     let solver = HunIpu::with_config(IpuConfig {
-        host_threads: threads,
         exec_mode: mode,
         ..IpuConfig::mk2()
     });
@@ -99,11 +94,6 @@ fn main() {
             vec![128, 256, 512]
         }
     });
-    let threads: Vec<usize> = args.threads.clone().unwrap_or_else(|| vec![1, 8]);
-    assert!(
-        !threads.is_empty(),
-        "--threads must name at least one count"
-    );
     let k = args
         .ks
         .as_ref()
@@ -114,82 +104,75 @@ fn main() {
 
     let mut record = ExperimentRecord::new(
         "wallbench",
-        format!("sizes={sizes:?} threads={threads:?} k={k} exec=interp-vs-plan"),
+        format!("sizes={sizes:?} k={k} exec=interp-vs-plan"),
         seed,
     );
 
     println!("wallbench: interpreter vs lowered execution plan, host wall seconds");
     println!(
-        "{:>6} {:>8} | {:>10} {:>10} {:>9} {:>12}",
-        "n", "threads", "interp", "plan", "speedup", "identical?"
+        "{:>6} | {:>10} {:>10} {:>9} {:>12}",
+        "n", "interp", "plan", "speedup", "identical?"
     );
-    println!("{}", "-".repeat(64));
+    println!("{}", "-".repeat(55));
 
     let mut entries: Vec<WallbenchEntry> = Vec::new();
     let mut divergences = 0usize;
-    for &t in &threads {
-        let mut agg_interp = 0.0f64;
-        let mut agg_plan = 0.0f64;
-        for &n in &sizes {
-            let m = gaussian_cost_matrix(n, k, seed);
-            // Small cells are noisy and cheap — take the best of more
-            // repetitions; big cells are stable and expensive.
-            let reps = if n <= 256 { 3 } else { 2 };
-            let (interp_wall, interp_fp) = measure(ExecMode::Interpreted, t, &m, reps);
-            let (plan_wall, plan_fp) = measure(ExecMode::Plan, t, &m, reps);
-            let identical = interp_fp == plan_fp;
-            if !identical {
-                divergences += 1;
-            }
-            let speedup = interp_wall / plan_wall;
-            agg_interp += interp_wall;
-            agg_plan += plan_wall;
-            println!(
-                "{:>6} {:>8} | {:>9.3}s {:>9.3}s {:>8.2}x {:>12}",
+    let mut agg_interp = 0.0f64;
+    let mut agg_plan = 0.0f64;
+    for &n in &sizes {
+        let m = gaussian_cost_matrix(n, k, seed);
+        // Small cells are noisy and cheap — take the best of more
+        // repetitions; big cells are stable and expensive.
+        let reps = if n <= 256 { 3 } else { 2 };
+        let (interp_wall, interp_fp) = measure(ExecMode::Interpreted, &m, reps);
+        let (plan_wall, plan_fp) = measure(ExecMode::Plan, &m, reps);
+        let identical = interp_fp == plan_fp;
+        if !identical {
+            divergences += 1;
+        }
+        let speedup = interp_wall / plan_wall;
+        agg_interp += interp_wall;
+        agg_plan += plan_wall;
+        println!(
+            "{:>6} | {:>9.3}s {:>9.3}s {:>8.2}x {:>12}",
+            n,
+            interp_wall,
+            plan_wall,
+            speedup,
+            if identical { "yes" } else { "DIVERGED" }
+        );
+        for (label, wall) in [("interp", interp_wall), ("plan", plan_wall)] {
+            record.push(Measurement {
+                engine: "hunipu".into(),
                 n,
-                t,
-                interp_wall,
-                plan_wall,
-                speedup,
-                if identical { "yes" } else { "DIVERGED" }
-            );
-            for (label, wall) in [("interp", interp_wall), ("plan", plan_wall)] {
-                record.push(Measurement {
-                    engine: "hunipu".into(),
-                    n,
-                    k,
-                    label: format!("{label}/t{t}"),
-                    modeled_seconds: 0.0,
-                    wall_seconds: wall,
-                    objective: f64::from_bits(interp_fp.0),
-                    extrapolated: false,
-                    host_threads: t,
-                    device_steps: interp_fp.3,
-                    profile_events: 0,
-                });
-            }
-            entries.push(WallbenchEntry {
-                n,
-                threads: t,
-                interp_wall,
-                plan_wall,
-                speedup,
-                identical,
+                k,
+                label: label.into(),
+                modeled_seconds: 0.0,
+                wall_seconds: wall,
+                objective: f64::from_bits(interp_fp.0),
+                extrapolated: false,
+                device_steps: interp_fp.3,
+                profile_events: 0,
             });
         }
-        println!(
-            "{:>6} {:>8} | {:>9.3}s {:>9.3}s {:>8.2}x   (suite aggregate)",
-            "all",
-            t,
-            agg_interp,
-            agg_plan,
-            agg_interp / agg_plan
-        );
+        entries.push(WallbenchEntry {
+            n,
+            interp_wall,
+            plan_wall,
+            speedup,
+            identical,
+        });
     }
+    println!(
+        "{:>6} | {:>9.3}s {:>9.3}s {:>8.2}x   (suite aggregate)",
+        "all",
+        agg_interp,
+        agg_plan,
+        agg_interp / agg_plan
+    );
 
     let current = Baseline {
         sizes: sizes.clone(),
-        threads: threads.clone(),
         k,
         seed,
         entries,

@@ -22,10 +22,6 @@ pub struct Args {
     pub sizes: Option<Vec<usize>>,
     /// Override for the k (value-range) sweep.
     pub ks: Option<Vec<u64>>,
-    /// `--threads 1,4,0`: host worker-thread counts to sweep (0 = auto).
-    /// Only wall-clock changes with the thread count — modeled results
-    /// are bit-identical — so only wall-benchmarking binaries consume it.
-    pub threads: Option<Vec<usize>>,
     /// Dataset seed.
     pub seed: u64,
     /// `--tile-sample N`: per-tile detail stride for the IPU profiler
@@ -94,14 +90,6 @@ impl Args {
                             .collect(),
                     );
                 }
-                "--threads" => {
-                    let v = it.next().expect("--threads needs a comma-separated list");
-                    out.threads = Some(
-                        v.split(',')
-                            .map(|x| x.trim().parse().expect("bad thread count"))
-                            .collect(),
-                    );
-                }
                 "--seed" => {
                     out.seed = it
                         .next()
@@ -151,7 +139,7 @@ impl Args {
                 other if other.starts_with("--") => {
                     panic!(
                         "unknown flag {other}; supported: \
-                         --full --uniform --sizes --ks --threads --seed \
+                         --full --uniform --sizes --ks --seed \
                          --tile-sample --max-events --out --batch \
                          --write-baseline --baseline --emit-rust --all \
                          --drift --only"
@@ -188,12 +176,6 @@ mod tests {
         assert_eq!(a.ks.as_deref(), Some(&[10, 500][..]));
         assert_eq!(a.seed, 7);
         assert_eq!(a.positional, vec!["highschool"]);
-    }
-
-    #[test]
-    fn threads_sweep_parses_with_auto_sentinel() {
-        let a = parse("--threads 1,4,0");
-        assert_eq!(a.threads.as_deref(), Some(&[1, 4, 0][..]));
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub const PORTFOLIO_MAX_REGRET: f64 = 0.10;
 /// from summing and dividing the measured costs).
 pub const ORACLE_SLACK: f64 = 1e-9;
 
-/// Minimum per-thread-count suite speedup (Σ interp wall / Σ plan wall)
-/// of the lowered execution plan over the interpreter.
+/// Minimum suite speedup (Σ interp wall / Σ plan wall) of the lowered
+/// execution plan over the interpreter.
 pub const WALLBENCH_MIN_SPEEDUP: f64 = 2.0;
 
 /// Minimum modeled-cycle cut the chip-aware layout must keep on
@@ -96,10 +96,6 @@ pub struct Spec {
     pub header: &'static [&'static str],
     /// Row fields that pair committed rows with fresh rows.
     pub key: &'static [&'static str],
-    /// `Some(field)`: a run may cover a subset of the committed rows,
-    /// namely those whose `field` is listed in the fresh header's
-    /// `field` array (wallbench runs one thread count per CI gate).
-    pub covered_by: Option<&'static str>,
     /// Per-column rules.
     pub checks: &'static [Check],
     /// Named rules that span rows or columns.
@@ -372,13 +368,7 @@ impl Spec {
             },
             _ => false,
         };
-        let covered = |base: &Row| {
-            self.covered_by.is_none_or(|f| match field(fresh, f) {
-                Some(Value::Arr(list)) => list.iter().any(|v| same(Some(v), base.get(f))),
-                _ => false,
-            })
-        };
-        for base in self.rows(committed).iter().filter(|b| covered(b)) {
+        for base in &self.rows(committed) {
             let cell = base.label(self.key);
             let paired = fresh_rows
                 .iter()
@@ -464,7 +454,6 @@ const WALL_KEYS: &[&str] = &["wall_seconds", "instances_per_sec"];
 const SPEC: Spec = Spec {
     header: &["seed"],
     key: &[],
-    covered_by: None,
     checks: &[],
     predicates: &[],
 };
@@ -472,12 +461,11 @@ const SPEC: Spec = Spec {
 const PORTFOLIO_KEY: &[&str] = &["n", "k", "batch", "chips"];
 
 /// Wallbench: plan and interpreter stay bit-identical, and the plan
-/// keeps its suite-aggregate wall-clock win at every covered thread
-/// count. The recorded walls are context; the ratio is gated fresh.
+/// keeps its suite-aggregate wall-clock win. The recorded walls are
+/// context; the ratio is gated fresh.
 const WALLBENCH: Spec = Spec {
     header: &["sizes", "k", "seed"],
-    key: &["n", "threads"],
-    covered_by: Some("threads"),
+    key: &["n"],
     checks: &[check("identical", Rule::AtLeast(1.0))],
     predicates: &[Predicate {
         name: "suite_speedup",
@@ -485,17 +473,6 @@ const WALLBENCH: Spec = Spec {
         check: suite_speedup,
     }],
 };
-
-const fn wallbench(name: &'static str, args: &'static [&'static str]) -> Gate {
-    Gate {
-        name,
-        bin: "wallbench",
-        args,
-        baseline: "BENCH_wallbench.json",
-        volatile: &["interp_wall", "plan_wall", "speedup"],
-        spec: WALLBENCH,
-    }
-}
 
 /// Every baseline gate CI runs, in execution order.
 pub const GATES: &[Gate] = &[
@@ -540,8 +517,14 @@ pub const GATES: &[Gate] = &[
             ..SPEC
         },
     ),
-    wallbench("wallbench-t1", &["--threads", "1"]),
-    wallbench("wallbench-t8", &["--threads", "8"]),
+    Gate {
+        name: "wallbench",
+        bin: "wallbench",
+        args: &[],
+        baseline: "BENCH_wallbench.json",
+        volatile: &["interp_wall", "plan_wall", "speedup"],
+        spec: WALLBENCH,
+    },
     // No wrong answers, a bounded queue, closed accounting, an overload
     // that still sheds and degrades, and service time, latency and the
     // exact-answer count within tolerance.
@@ -639,7 +622,7 @@ pub const GATES: &[Gate] = &[
     ),
 ];
 
-/// Numbers of a header array (`threads`, `sizes`).
+/// Numbers of a header array (`sizes`).
 fn numbers(doc: &Value, key: &str) -> Vec<f64> {
     match field(doc, key) {
         Some(Value::Arr(items)) => items.iter().filter_map(number).collect(),
@@ -647,51 +630,37 @@ fn numbers(doc: &Value, key: &str) -> Vec<f64> {
     }
 }
 
-/// Wallbench: the fresh run's thread counts are a non-empty subset of
-/// the committed grid, and each keeps Σ interp / Σ plan over all sizes
-/// at or above [`WALLBENCH_MIN_SPEEDUP`].
+/// Wallbench: Σ interp / Σ plan over every committed size stays at or
+/// above [`WALLBENCH_MIN_SPEEDUP`].
 fn suite_speedup(committed: &Value, fresh: &Value) -> Vec<Violation> {
     let v = |cell: String, detail: String| Violation::new(cell, "suite_speedup", detail);
     let mut out = Vec::new();
-    let grid = numbers(committed, "threads");
-    let threads = numbers(fresh, "threads");
-    if threads.is_empty() {
-        out.push(v("run".into(), "covered no thread counts".into()));
-    }
     let sizes = numbers(committed, "sizes");
-    let rows = Row::entries(fresh);
-    for t in threads {
-        if !grid.contains(&t) {
-            out.push(v(
-                format!("threads={t}"),
-                format!("not in the committed grid {grid:?} — regenerate with --write-baseline"),
-            ));
-            continue;
-        }
-        // A missing cell is reported as a missing row; the aggregate
-        // needs every size.
-        let (mut interp, mut plan, mut cells) = (0.0, 0.0, 0);
-        let suite = |r: &&Row| r.num("threads") == t && sizes.contains(&r.num("n"));
-        for row in rows.iter().filter(suite) {
-            match (row.finite("interp_wall"), row.finite("plan_wall")) {
-                (Ok(i), Ok(p)) => {
-                    interp += i;
-                    plan += p;
-                    cells += 1;
-                }
-                (Err(e), _) | (_, Err(e)) => out.push(v(row.label(WALLBENCH.key), e)),
+    // A missing cell is reported as a missing row; the aggregate needs
+    // every size.
+    let (mut interp, mut plan, mut cells) = (0.0, 0.0, 0);
+    for row in Row::entries(fresh)
+        .iter()
+        .filter(|r| sizes.contains(&r.num("n")))
+    {
+        match (row.finite("interp_wall"), row.finite("plan_wall")) {
+            (Ok(i), Ok(p)) => {
+                interp += i;
+                plan += p;
+                cells += 1;
             }
+            (Err(e), _) | (_, Err(e)) => out.push(v(row.label(WALLBENCH.key), e)),
         }
-        let speedup = interp / plan;
-        if cells == sizes.len() && (speedup.is_nan() || speedup < WALLBENCH_MIN_SPEEDUP) {
-            out.push(v(
-                format!("threads={t}"),
-                format!(
-                    "suite speedup {speedup:.3}x below {WALLBENCH_MIN_SPEEDUP}x \
-                     (interp {interp:.3}s / plan {plan:.3}s)"
-                ),
-            ));
-        }
+    }
+    let speedup = interp / plan;
+    if cells == sizes.len() && (speedup.is_nan() || speedup < WALLBENCH_MIN_SPEEDUP) {
+        out.push(v(
+            "suite".into(),
+            format!(
+                "suite speedup {speedup:.3}x below {WALLBENCH_MIN_SPEEDUP}x \
+                 (interp {interp:.3}s / plan {plan:.3}s)"
+            ),
+        ));
     }
     out
 }
@@ -819,14 +788,7 @@ pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
     }
 
     let mut results = Vec::new();
-    let mut seen: Vec<&str> = Vec::new();
     for g in selected {
-        // Drift re-records each baseline file once, on its default grid
-        // (the two wallbench gates share one file).
-        if drift && seen.contains(&g.baseline) {
-            continue;
-        }
-        seen.push(g.baseline);
         let start = Instant::now();
         let outcome = run_gate(g, drift);
         results.push((g.name, outcome, start.elapsed().as_secs_f64()));
@@ -997,11 +959,6 @@ mod tests {
         load_baseline(&repo_root().join(g.baseline)).unwrap()
     }
 
-    /// One gate per committed file (wallbench-t8 shares t1's).
-    fn gates() -> impl Iterator<Item = &'static Gate> {
-        GATES.iter().filter(|g| g.name != "wallbench-t8")
-    }
-
     fn row_mut<'a>(doc: &'a mut Value, spec: &Spec, i: usize) -> &'a mut Value {
         if spec.key.is_empty() {
             return doc;
@@ -1101,7 +1058,7 @@ mod tests {
 
     #[test]
     fn every_rule_bites_just_past_its_bound_and_not_inside() {
-        for g in gates() {
+        for g in GATES {
             let base = committed(g);
             let rows = g.spec.rows(&base);
             for check in g.spec.checks {
@@ -1152,15 +1109,13 @@ mod tests {
         let rows = || Row::entries(fresh).into_iter();
         match name {
             "suite_speedup" => {
-                // Σ interp / Σ plan at threads=1 just around 2x, by
-                // slowing the plan on the largest cell.
-                let (i, p) = rows()
-                    .filter(|r| r.num("threads") == 1.0)
-                    .fold((0.0, 0.0), |(i, p), r| {
-                        (i + r.num("interp_wall"), p + r.num("plan_wall"))
-                    });
+                // Σ interp / Σ plan just around 2x, by slowing the plan
+                // on the largest cell.
+                let (i, p) = rows().fold((0.0, 0.0), |(i, p), r| {
+                    (i + r.num("interp_wall"), p + r.num("plan_wall"))
+                });
                 let target = i / WALLBENCH_MIN_SPEEDUP * (1.0 + sign * EPS);
-                let last = rows().rposition(|r| r.num("threads") == 1.0).unwrap();
+                let last = rows().count() - 1;
                 let r = row_mut(fresh, &WALLBENCH, last);
                 let plan = Row::root(r).num("plan_wall");
                 set(r, "plan_wall", Value::F64(plan + target - p));
@@ -1204,7 +1159,7 @@ mod tests {
 
     #[test]
     fn every_predicate_bites_just_past_its_bound_and_not_inside() {
-        for g in gates() {
+        for g in GATES {
             let base = committed(g);
             for p in g.spec.predicates {
                 let mut fresh = base.clone();
@@ -1228,7 +1183,7 @@ mod tests {
             ("missing", remove),
             ("NaN", |r, c| set(r, c, Value::F64(f64::NAN))),
         ];
-        for g in gates() {
+        for g in GATES {
             let base = committed(g);
             let rows = g.spec.rows(&base);
             for (what, mutate) in breaks {
@@ -1282,7 +1237,7 @@ mod tests {
 
     #[test]
     fn a_missing_row_or_a_changed_header_is_reported() {
-        for g in gates() {
+        for g in GATES {
             let base = committed(g);
             for i in 0..Row::entries(&base).len() {
                 let mut fresh = base.clone();
@@ -1312,38 +1267,6 @@ mod tests {
     }
 
     #[test]
-    fn wallbench_runs_may_cover_a_subset_of_thread_counts() {
-        let g = gate("wallbench-t8");
-        let base = committed(g);
-        let only = |threads: &[u64]| {
-            let mut fresh = base.clone();
-            set(
-                &mut fresh,
-                "threads",
-                Value::Arr(threads.iter().map(|&t| Value::U64(t)).collect()),
-            );
-            if let Some(Value::Arr(rows)) = field_mut(&mut fresh, "entries") {
-                rows.retain(|r| threads.contains(&(Row::root(r).num("threads") as u64)));
-            }
-            g.spec.evaluate(&base, &fresh)
-        };
-        assert!(only(&[8]).is_empty());
-        assert!(only(&[1]).is_empty());
-        let v = only(&[]);
-        assert_eq!(v.len(), 1, "{v:#?}");
-        assert!(v[0].detail.contains("no thread counts"));
-        let mut fresh = base.clone();
-        set(&mut fresh, "threads", Value::Arr(vec![Value::U64(4)]));
-        let v = g.spec.evaluate(&base, &fresh);
-        assert_eq!(v.len(), 1, "{v:#?}");
-        assert!(
-            v[0].detail.contains("not in the committed grid"),
-            "{}",
-            v[0]
-        );
-    }
-
-    #[test]
     fn registry_covers_every_committed_baseline() {
         let mut names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
         names.sort_unstable();
@@ -1354,7 +1277,7 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
             .collect();
-        assert_eq!(on_disk.len(), gates().count(), "{on_disk:?}");
+        assert_eq!(on_disk.len(), GATES.len(), "{on_disk:?}");
         for f in &on_disk {
             assert!(GATES.iter().any(|g| g.baseline == f), "{f} has no gate");
         }

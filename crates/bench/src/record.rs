@@ -22,12 +22,6 @@ pub struct Measurement {
     pub objective: f64,
     /// Whether the value was extrapolated rather than executed.
     pub extrapolated: bool,
-    /// Host worker threads the simulator used for this measurement.
-    /// Affects `wall_seconds` only — modeled results are bit-identical
-    /// at every thread count. Records written before this field existed
-    /// deserialize as 1 (the simulator was sequential then).
-    #[serde(default = "default_host_threads")]
-    pub host_threads: usize,
     /// Device steps behind the measurement (BSP supersteps on the IPU,
     /// kernel launches on the GPU; 0 when not applicable). Older records
     /// deserialize as 0.
@@ -37,10 +31,6 @@ pub struct Measurement {
     /// profiling was off). Older records deserialize as 0.
     #[serde(default)]
     pub profile_events: u64,
-}
-
-fn default_host_threads() -> usize {
-    1
 }
 
 /// A whole experiment's record.
@@ -99,7 +89,6 @@ mod tests {
             wall_seconds: 3.0,
             objective: 42.0,
             extrapolated: false,
-            host_threads: 4,
             device_steps: 120,
             profile_events: 37,
         });
@@ -107,20 +96,16 @@ mod tests {
         let back: ExperimentRecord = serde_json::from_str(&s).unwrap();
         assert_eq!(back.measurements.len(), 1);
         assert_eq!(back.measurements[0].n, 512);
-        assert_eq!(back.measurements[0].host_threads, 4);
         assert_eq!(back.measurements[0].device_steps, 120);
         assert_eq!(back.measurements[0].profile_events, 37);
     }
 
     #[test]
-    fn records_without_host_threads_deserialize_as_sequential() {
-        // A record written before `host_threads` existed: the simulator
-        // was sequential, so the field must default to 1.
+    fn records_without_newer_fields_deserialize_with_defaults() {
         let s = r#"{"engine":"hunipu","n":64,"k":10,"label":"",
                     "modeled_seconds":0.1,"wall_seconds":0.2,
                     "objective":7.0,"extrapolated":false}"#;
         let m: Measurement = serde_json::from_str(s).unwrap();
-        assert_eq!(m.host_threads, 1);
         assert_eq!(m.device_steps, 0);
         assert_eq!(m.profile_events, 0);
     }

@@ -3,11 +3,9 @@
 //! The CPU baseline has no program to compile and no kernels to launch,
 //! so there is nothing to amortize in the modeled-cost sense — what a
 //! batch buys here is *wall-clock* throughput: instances are independent,
-//! so [`CpuBatch`] farms them across a scoped thread pool (sized like the
-//! IPU simulator's host pool: an explicit count wins, then the
-//! `SIM_THREADS` environment variable, then auto-detection). Results are
-//! collected by instance index, so the output is bit-identical at any
-//! thread count — the same determinism contract the simulators obey.
+//! so [`CpuBatch`] farms them across scoped threads (an explicit count
+//! wins, else one per available core). Results are collected by instance
+//! index, so the output is bit-identical at any thread count.
 
 use crate::{JonkerVolgenant, Munkres};
 use lsap::{
@@ -29,7 +27,7 @@ pub enum CpuAlgo {
 #[derive(Debug, Clone, Default)]
 pub struct CpuBatch {
     algo: CpuAlgo,
-    /// Worker threads; 0 = resolve from `SIM_THREADS`, then the machine.
+    /// Worker threads; 0 = one per available core.
     threads: usize,
 }
 
@@ -45,8 +43,7 @@ impl CpuBatch {
         self
     }
 
-    /// Overrides the worker-thread count (0 = auto; see crate docs for
-    /// the resolution order).
+    /// Overrides the worker-thread count (0 = one per available core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -56,15 +53,9 @@ impl CpuBatch {
         let requested = if self.threads > 0 {
             self.threads
         } else {
-            std::env::var("SIM_THREADS")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1)
-                })
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
         };
         requested.clamp(1, 256)
     }

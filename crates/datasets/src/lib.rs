@@ -198,7 +198,10 @@ mod tests {
         }
         // Conflict rows carry a second 1 at the next shifted column.
         assert_eq!(m.get(0, 4), 1.0);
-        assert_eq!(m.get(5, (5 + 4) % n), 10.0 + ((5 * 31 + ((5 + 4) % n) * 7) % 7) as f64);
+        assert_eq!(
+            m.get(5, (5 + 4) % n),
+            10.0 + ((5 * 31 + ((5 + 4) % n) * 7) % 7) as f64
+        );
         let (lo, hi) = m.min_max();
         assert_eq!(lo, 1.0);
         assert!(hi <= 16.0);

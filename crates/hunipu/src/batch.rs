@@ -11,7 +11,7 @@
 //!   the pristine snapshot makes the engine bit-identical to a freshly
 //!   compiled one, every per-instance [`SolveReport`] — assignment,
 //!   duals, cycle statistics — is *exactly* what the single-instance
-//!   [`HunIpu`] would produce for that matrix, at any `SIM_THREADS`.
+//!   [`HunIpu`] would produce for that matrix.
 //! - **Packing** ([`BatchStrategy::Pack`], opt-in): fuses groups of `g`
 //!   same-size instances into one `g·n × g·n` block-diagonal matrix with
 //!   a prohibitive off-block penalty, spreading the group across more of

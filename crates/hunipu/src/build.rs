@@ -662,7 +662,7 @@ impl Builder {
         cs: ComputeSetId,
         name: &str,
         fields: Vec<(TensorSlice, Access)>,
-        f: impl Fn(&VertexCtx) -> u64 + Send + Sync + 'static,
+        f: impl Fn(&VertexCtx) -> u64 + 'static,
     ) -> Result<(), GraphError> {
         let vtx = self.g.add_vertex(cs, self.l.collector_tile, name, f)?;
         for (slice, access) in fields {

@@ -1398,11 +1398,7 @@ impl Builder {
     /// A row with more than `zcap` zeros gets a truncated list — Step 2
     /// then stars a subset, which only costs extra search iterations;
     /// the search loop itself rescans streamed blocks, never the lists.
-    fn frag_tiled_setup(
-        &mut self,
-        block_cols: usize,
-        zcap: usize,
-    ) -> Result<Program, GraphError> {
+    fn frag_tiled_setup(&mut self, block_cols: usize, zcap: usize) -> Result<Program, GraphError> {
         let (l, n, th) = (self.l.clone(), self.l.n, self.l.threads);
         let (t_slack, t_u) = (self.t.slack, self.t.u);
         let (t_comp, t_zc) = (self.t.compress, self.t.zero_count);
@@ -1564,8 +1560,11 @@ impl Builder {
                 t_comp.slice(chunk.start * zcap..chunk.end * zcap),
                 Access::Write,
             )?;
-            self.g
-                .connect(v, t_zc.slice(chunk.start * th..chunk.end * th), Access::Write)?;
+            self.g.connect(
+                v,
+                t_zc.slice(chunk.start * th..chunk.end * th),
+                Access::Write,
+            )?;
         }
         prog.push(Program::execute(cs_zinit));
         for (b, cols) in blocks.iter().enumerate() {

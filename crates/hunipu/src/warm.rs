@@ -9,7 +9,7 @@
 //! (zeroed buffers, zeroed cycle statistics), so every solve streamed
 //! through a warm engine produces *exactly* the report a cold
 //! single-instance [`HunIpu::solve`] would — assignment, duals, and
-//! cycle statistics — at any `SIM_THREADS`.
+//! cycle statistics.
 //!
 //! [`crate::BatchHunIpu`] builds its per-call shape cache out of warm
 //! engines; the `serve` crate's LRU engine pool keeps them alive across

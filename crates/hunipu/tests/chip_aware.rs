@@ -6,7 +6,7 @@
 //! injection.
 
 use hunipu::{BatchHunIpu, HunIpu, LayoutMode, F32_VERIFY_EPS};
-use ipu_sim::{FaultPlan, IpuConfig};
+use ipu_sim::{ExecMode, FaultPlan, IpuConfig};
 use lsap::{BatchLsapSolver, CostMatrix, LsapSolver};
 
 fn instance(n: usize, seed: u64) -> CostMatrix {
@@ -149,26 +149,27 @@ fn four_chip_layout_cuts_modeled_cycles_by_20_percent() {
 }
 
 #[test]
-fn multi_chip_solves_are_bit_identical_across_host_threads() {
+fn multi_chip_solves_are_bit_identical_interpreted_vs_plan() {
     let m = instance(24, 23);
-    let run = |threads: usize| {
+    let run = |exec_mode: ExecMode| {
         fingerprint(
             HunIpu::with_config(IpuConfig {
-                host_threads: threads,
+                exec_mode,
                 ..IpuConfig::tiny_multi(4, 4)
             }),
             &m,
         )
     };
-    let sequential = run(1);
-    for threads in [2, 8] {
-        assert_eq!(sequential, run(threads), "{threads}-thread run diverged");
-    }
+    assert_eq!(
+        run(ExecMode::Interpreted),
+        run(ExecMode::Plan),
+        "plan run diverged from the interpreter"
+    );
 }
 
 #[test]
 fn multi_chip_faulty_batch_produces_certified_optima() {
-    // host_parallel.rs-style fault plan on a 4-chip device: the
+    // A mild fault plan on a 4-chip device: the
     // verify-and-retry loop must still deliver certified optima from
     // the chip-aware program.
     let batch: Vec<CostMatrix> = (0..4).map(|i| instance(16, 31 + i)).collect();

@@ -15,14 +15,7 @@ use std::cell::{Ref, RefCell, RefMut};
 
 /// The signature every codelet implements: inspect/mutate connected
 /// fields, return instructions executed.
-///
-/// Codelets must be `Send + Sync`: the host engine may execute a compute
-/// set's vertices on several host threads at once (each codelet still
-/// runs on exactly one thread per superstep, and the compile-time race
-/// validation guarantees concurrently running codelets touch disjoint
-/// memory). In practice this costs nothing — codelets capture plain
-/// copied data (indices, lengths, constants), never shared mutable state.
-pub type Codelet = dyn Fn(&VertexCtx) -> u64 + Send + Sync;
+pub type Codelet = dyn Fn(&VertexCtx) -> u64;
 
 /// Typed views of the tensor regions connected to a vertex, in connection
 /// order.

@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 /// Which host execution strategy an engine uses for compiled programs.
 ///
 /// Both strategies honor the same contract: buffers, [`crate::CycleStats`],
-/// [`crate::FaultStats`], and profiles are bit-identical between them and
-/// at every host thread count — the mode affects **host wall-clock only**.
+/// [`crate::FaultStats`], and profiles are bit-identical between them —
+/// the mode affects **host wall-clock only**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Use the `SIM_EXEC` environment variable if set
@@ -14,8 +14,8 @@ pub enum ExecMode {
     #[default]
     Auto,
     /// Pre-resolved straight-line execution plan: monomorphized vertex
-    /// tables, pre-sliced buffer views, flattened exchange copy lists,
-    /// fused multi-superstep worker dispatch (the fast path).
+    /// tables, pre-sliced buffer views, flattened exchange copy lists
+    /// (the fast path).
     Plan,
     /// Walk the lowered program tree and re-derive vertex state each
     /// superstep (the reference path the plan is differentially tested
@@ -64,13 +64,6 @@ pub struct IpuConfig {
     /// instances stay far below it); tests and resilience supervisors
     /// lower it to fail fast.
     pub max_while_iterations: u64,
-    /// Host worker threads for superstep execution. `0` (the default)
-    /// means: use the `SIM_THREADS` environment variable if set, else
-    /// auto-detect from the machine. Any nonzero value wins over both.
-    /// This affects **wall-clock only** — buffers, `CycleStats`, and
-    /// fault behaviour are bit-identical at every thread count.
-    #[serde(default)]
-    pub host_threads: usize,
     /// Fixed cycles to attach and launch a compiled program (device
     /// attach + per-tile code distribution). Reported as a static engine
     /// property ([`crate::Engine::program_load_cycles`]), never charged
@@ -86,14 +79,6 @@ pub struct IpuConfig {
     /// results are bit-identical between modes.
     #[serde(default)]
     pub exec_mode: ExecMode,
-    /// Minimum vertex count at which a superstep (or fused run of
-    /// supersteps) is dispatched to the worker pool instead of executed on
-    /// the main thread. `0` (the default) means: use the
-    /// `SIM_PARALLEL_THRESHOLD` environment variable if set, else the
-    /// tuned built-in default. Wall-clock only — dispatch choice never
-    /// affects results.
-    #[serde(default)]
-    pub parallel_threshold: usize,
 }
 
 fn default_program_load_base_cycles() -> u64 {
@@ -120,11 +105,9 @@ impl IpuConfig {
             tiles_per_ipu: calibration_tiles(),
             inter_ipu_bytes_per_cycle: crate::calibration::INTER_IPU_BYTES_PER_CYCLE,
             max_while_iterations: 100_000_000,
-            host_threads: 0,
             program_load_base_cycles: crate::calibration::PROGRAM_LOAD_BASE_CYCLES,
             host_io_bytes_per_cycle: crate::calibration::HOST_IO_BYTES_PER_CYCLE,
             exec_mode: ExecMode::Auto,
-            parallel_threshold: 0,
         }
     }
 
@@ -227,20 +210,17 @@ impl IpuConfig {
         cycles as f64 / self.clock_hz
     }
 
-    /// The host worker-thread count an engine built from this config will
-    /// use: [`host_threads`](Self::host_threads) if nonzero, else the
-    /// `SIM_THREADS` environment variable, else auto-detection (clamped).
-    /// Useful for recording provenance next to wall-clock measurements.
+    /// Host threads an engine runs supersteps on: always 1. The
+    /// benchmark's provenance record is its only caller.
     pub fn resolved_host_threads(&self) -> usize {
-        crate::engine::resolve_host_threads(self)
+        1
     }
 
-    /// The pool-dispatch vertex threshold an engine built from this config
-    /// will use: [`parallel_threshold`](Self::parallel_threshold) if
-    /// nonzero, else the `SIM_PARALLEL_THRESHOLD` environment variable,
-    /// else the tuned built-in default.
+    /// Vertices a superstep needs before it leaves the calling thread:
+    /// never, so `usize::MAX`. The benchmark's provenance record is its
+    /// only caller.
     pub fn resolved_parallel_threshold(&self) -> usize {
-        crate::engine::resolve_parallel_threshold(self)
+        usize::MAX
     }
 
     /// The execution mode an engine built from this config will start in:

@@ -1,17 +1,10 @@
 //! The execution engine: interprets a compiled program against tensor
 //! buffers, enforcing BSP semantics and charging the cycle model.
 //!
-//! Supersteps are executed **tile-parallel on the host** when the engine
-//! resolves more than one host thread (see [`Engine::host_threads`]): each
-//! compute set's vertices are partitioned by tile into contiguous shards
-//! (precomputed once at construction), shards run on a persistent scoped
-//! worker pool, and per-worker partial results are merged on the main
-//! thread. Results are **bit-identical** to sequential execution at any
-//! thread count: vertices within a compute set touch pairwise-disjoint
-//! write regions (proved by `Graph::validate_races` at compile), per-slot
-//! instruction loads are u64 sums (commutative and associative — exact in
-//! any order), the superstep cost is a max-reduction over those sums, and
-//! fault draws stay on the serial post-join path in program order.
+//! Every superstep executes on the calling thread, one vertex at a time.
+//! Per-slot instruction loads are u64 sums and the superstep cost is a
+//! max-reduction over them, so the modeled cost does not depend on the
+//! order vertices run in.
 
 use crate::calibration::{self, VERTEX_OVERHEAD};
 use crate::codelet::{FieldBuf, VertexCtx};
@@ -20,33 +13,13 @@ use crate::error::GraphError;
 use crate::exec::{self, ExecNode};
 use crate::fault::{FaultPlan, FaultState};
 use crate::graph::{Graph, VertexInfo};
-use crate::plan::{self, CopySeg, ExecPlan, PlanOp, PlanShared, PlanVertex};
-use crate::pool::{PoolSync, ShutdownGuard};
+use crate::plan::{self, CopySeg, ExecPlan, PlanOp, PlanVertex};
 use crate::profile::{ProfileConfig, ProfileReport, Profiler, BROADCAST_TILE, HOST_TILE};
 use crate::program::Program;
 use crate::stats::{CycleStats, StepBreakdown};
 use crate::tensor::{DType, Tensor, TensorSlice};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-
-/// Default minimum vertices in a compute set (or fused plan run) before
-/// a superstep is worth dispatching to the worker pool — below this,
-/// pool handoff latency beats the win. Re-tuned for the lowered
-/// execution plan: with per-vertex setup gone, a vertex costs tens of
-/// nanoseconds, so dispatch only pays once a run carries thousands of
-/// them (measured on the wallbench suite: 128 made 8 host threads
-/// *slower* than one; 8192 is the crossover neighbourhood). Override
-/// with `IpuConfig::parallel_threshold` or `SIM_PARALLEL_THRESHOLD`.
-const PARALLEL_THRESHOLD: usize = 8192;
-
-/// Hard cap on host worker lanes (shard bookkeeping stays negligible).
-const MAX_HOST_THREADS: usize = 64;
-
-/// Cap applied when the thread count is auto-detected — beyond this the
-/// merge path dominates and extra lanes stop paying for themselves.
-const AUTO_THREAD_CAP: usize = 16;
 
 /// Typed storage for one tensor.
 #[derive(Clone)]
@@ -82,16 +55,6 @@ enum RawBuf {
 /// writes, exchanges, bit flips, vertex fields) goes through this view, so
 /// the pointers stay valid for the engine's whole lifetime.
 pub(crate) struct RawBufs(Vec<RawBuf>);
-
-// SAFETY: the pointers target heap allocations owned by the engine's
-// `buffers`, which outlive every view and are not reallocated while views
-// exist. Sharing across worker threads during a superstep is race-free
-// because `Graph::validate_races` proved, at compile time, that within a
-// compute set every write-connected region is disjoint from every other
-// field region — so any partition of a compute set's vertices over
-// threads touches pairwise-disjoint memory through this view.
-unsafe impl Send for RawBufs {}
-unsafe impl Sync for RawBufs {}
 
 impl RawBufs {
     fn of(buffers: &mut [Buffer]) -> Self {
@@ -195,35 +158,16 @@ impl RawBufs {
     }
 }
 
-/// One compute set's host-parallel decomposition: vertices stably sorted
-/// by tile, plus per-lane cut points. Precomputed at [`Engine::new`] and
-/// recut (bounds only) when the lane count changes.
-struct CsShards {
-    /// Vertex ids of the compute set, stably sorted by tile.
-    order: Vec<u32>,
-    /// `workers + 1` monotone cut indices into `order`; lane `w` executes
-    /// `order[bounds[w]..bounds[w + 1]]`. Cuts fall on tile boundaries so
-    /// one tile's vertices never split across lanes.
-    bounds: Vec<u32>,
-}
-
-/// The parts of the engine shared read-only with worker threads during a
-/// superstep.
+/// The engine's static half: read-only during a run, borrowed alongside
+/// the mutable [`RunState`].
 struct Shared {
     graph: Graph,
     /// Round-robin-resolved hardware thread of each vertex.
     vertex_thread: Vec<usize>,
-    /// Per-compute-set shard decomposition (parallel to
-    /// `graph.compute_sets`).
-    shards: Vec<CsShards>,
-    /// Resolved host worker lanes (1 = sequential).
-    workers: usize,
-    /// Minimum vertices before a superstep is dispatched to the pool.
-    parallel_threshold: usize,
 }
 
-/// The mutable run state, kept separate from [`Shared`] so the main
-/// thread can update accounting while workers hold `&Shared`.
+/// The mutable run state, kept separate from [`Shared`] so accounting
+/// can be updated while the graph is borrowed.
 struct RunState {
     stats: CycleStats,
     /// Scratch: instruction load per (tile, thread) during a superstep.
@@ -242,9 +186,7 @@ struct RunState {
     scratch_i32: Vec<i32>,
     /// Installed fault-injection state, if any.
     faults: Option<FaultState>,
-    /// Installed profiler, if any. Recording happens exclusively on the
-    /// serial path (after worker lanes join), so profiles are
-    /// bit-identical at any host thread count.
+    /// Installed profiler, if any.
     profiler: Option<Profiler>,
 }
 
@@ -253,27 +195,6 @@ struct RunState {
 struct InjectedFaults {
     straggler_extra: u64,
     bit_flips: u64,
-}
-
-/// One worker lane's result slot for the current job.
-#[derive(Default)]
-struct ShardSlot {
-    /// `(slot, instructions)` per executed vertex, in shard order.
-    loads: Vec<(u32, u64)>,
-    /// End offsets into `loads` per superstep of a fused run (plan
-    /// execution only; the interpreted path dispatches one step per job
-    /// and ignores this).
-    groups: Vec<u32>,
-    /// Payload of a codelet panic, re-raised by the main thread.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// Handle to the live worker pool, present only inside `run` when the
-/// engine decided to parallelize.
-#[derive(Clone, Copy)]
-struct Pool<'a> {
-    sync: &'a PoolSync,
-    slots: &'a [Mutex<ShardSlot>],
 }
 
 /// A compiled, runnable IPU program with its device state.
@@ -306,72 +227,9 @@ impl std::fmt::Debug for Engine {
             .field("tensors", &self.sh.graph.tensors.len())
             .field("compute_sets", &self.sh.graph.compute_sets.len())
             .field("vertices", &self.sh.graph.vertices.len())
-            .field("host_threads", &self.sh.workers)
             .field("stats", &self.st.stats)
             .finish_non_exhaustive()
     }
-}
-
-/// The host thread count when none was requested explicitly.
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(AUTO_THREAD_CAP)
-}
-
-/// Resolves the host lane count: an explicit `config.host_threads` wins,
-/// then the `SIM_THREADS` environment variable, then auto-detection.
-pub(crate) fn resolve_host_threads(config: &IpuConfig) -> usize {
-    let requested = if config.host_threads > 0 {
-        config.host_threads
-    } else {
-        std::env::var("SIM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0)
-    };
-    let n = if requested > 0 {
-        requested
-    } else {
-        auto_threads()
-    };
-    n.clamp(1, MAX_HOST_THREADS)
-}
-
-fn build_shards(graph: &Graph, workers: usize) -> Vec<CsShards> {
-    graph
-        .compute_sets
-        .iter()
-        .map(|cs| {
-            let mut order: Vec<u32> = cs.vertices.iter().map(|&v| v as u32).collect();
-            // Stable: within a tile, program order is preserved (loads
-            // sum per slot, so any order is bit-identical anyway).
-            order.sort_by_key(|&v| graph.vertices[v as usize].tile);
-            let bounds = shard_bounds(&order, &graph.vertices, workers);
-            CsShards { order, bounds }
-        })
-        .collect()
-}
-
-/// Cuts `order` into `workers` near-even contiguous shards, each cut
-/// advanced to the next tile boundary.
-fn shard_bounds(order: &[u32], vertices: &[VertexInfo], workers: usize) -> Vec<u32> {
-    let n = order.len();
-    let mut bounds = Vec::with_capacity(workers + 1);
-    bounds.push(0u32);
-    for w in 1..workers {
-        let mut cut = (n * w / workers).max(*bounds.last().unwrap() as usize);
-        while cut > 0
-            && cut < n
-            && vertices[order[cut] as usize].tile == vertices[order[cut - 1] as usize].tile
-        {
-            cut += 1;
-        }
-        bounds.push(cut as u32);
-    }
-    bounds.push(n as u32);
-    bounds
 }
 
 /// Executes one vertex against the raw buffer views, returning the thread
@@ -382,12 +240,10 @@ fn shard_bounds(order: &[u32], vertices: &[VertexInfo], workers: usize) -> Vec<u
 /// tensor, and (b) within the vertex's compute set, any region connected
 /// with a write access overlaps no other connected region. The derived
 /// references are dropped (with `ctx`) before this returns, so the only
-/// simultaneous references *on this thread* are the fields of one vertex —
-/// disjoint whenever one of them is mutable, shared otherwise. Across
-/// threads, (b) guarantees any two concurrently executing vertices of one
-/// compute set touch disjoint memory whenever either writes. The caller
-/// must ensure `raw` is current (no buffer reallocation since it was
-/// built) and that no other code holds views of these regions.
+/// simultaneous references are the fields of one vertex — disjoint
+/// whenever one of them is mutable, shared otherwise. The caller must
+/// ensure `raw` is current (no buffer reallocation since it was built)
+/// and that no other code holds views of these regions.
 unsafe fn exec_vertex(v: &VertexInfo, raw: &RawBufs) -> u64 {
     let mut fields = Vec::with_capacity(v.fields.len());
     for (slice, access) in &v.fields {
@@ -428,7 +284,7 @@ unsafe fn exec_vertex(v: &VertexInfo, raw: &RawBufs) -> u64 {
 }
 
 /// Executes one plan vertex against its slice of the pre-built cell
-/// arena (see [`PlanShared::cell_arena`]) — no per-vertex setup at all,
+/// arena (see `ExecPlan::cell_arena`) — no per-vertex setup at all,
 /// just an index into the arena and the codelet call.
 ///
 /// # Safety
@@ -445,109 +301,12 @@ unsafe fn exec_plan_vertex(graph: &Graph, pv: &PlanVertex, cells: &[RefCell<Fiel
     (graph.vertices[pv.vid as usize].codelet)(&ctx) + VERTEX_OVERHEAD
 }
 
-/// Executes lane `lane` of compute set `cs`, appending `(slot, load)`
-/// pairs to `out`.
-fn run_shard(sh: &Shared, raw: &RawBufs, cs: usize, lane: usize, out: &mut Vec<(u32, u64)>) {
-    let shard = &sh.shards[cs];
-    let lo = shard.bounds[lane] as usize;
-    let hi = shard.bounds[lane + 1] as usize;
-    let tpt = sh.graph.config.threads_per_tile;
-    for &vid in &shard.order[lo..hi] {
-        let vid = vid as usize;
-        let v = &sh.graph.vertices[vid];
-        // SAFETY: see `exec_vertex` — cross-thread disjointness comes from
-        // `validate_races`, and the main thread only merges after all
-        // lanes finished.
-        let instructions = unsafe { exec_vertex(v, raw) };
-        out.push(((v.tile * tpt + sh.vertex_thread[vid]) as u32, instructions));
-    }
-}
-
-/// One pool worker: waits for superstep jobs, runs its shard, publishes
-/// the per-slot loads (or a panic payload) and signals completion.
-fn worker_loop(sh: &Shared, raw: &RawBufs, sync: &PoolSync, slot: &Mutex<ShardSlot>, lane: usize) {
-    let mut seen = 0u64;
-    let mut out: Vec<(u32, u64)> = Vec::new();
-    while let Some((cs, _)) = sync.next_job(&mut seen) {
-        out.clear();
-        let result = catch_unwind(AssertUnwindSafe(|| run_shard(sh, raw, cs, lane, &mut out)));
-        {
-            let mut s = slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match result {
-                // Swap, not copy: the allocations ping-pong between the
-                // worker and its slot across supersteps.
-                Ok(()) => std::mem::swap(&mut s.loads, &mut out),
-                Err(payload) => s.panic = Some(payload),
-            }
-        }
-        sync.finish_job();
-    }
-}
-
-/// One plan-execution pool worker: waits for fused-run jobs
-/// (`(first step, step count)` into the plan's step sequence), executes
-/// its tile shard of **every** step of the run back-to-back with no
-/// intermediate barrier (Parendi-style partition persistence — the lane
-/// owns its tiles for the whole run), then publishes per-step load groups.
-fn plan_worker_loop(
-    graph: &Graph,
-    plan: &PlanShared,
-    sync: &PoolSync,
-    slot: &Mutex<ShardSlot>,
-    lane: usize,
-) {
-    let mut seen = 0u64;
-    let mut out: Vec<(u32, u64)> = Vec::new();
-    let mut groups: Vec<u32> = Vec::new();
-    // Lane-local cell arena, built once for the pool's lifetime: the pool
-    // is scoped to a single `run`, and field pointers can only be rebound
-    // (`Engine::restore`) between runs.
-    let cells = plan.cell_arena();
-    while let Some((first, count)) = sync.next_job(&mut seen) {
-        out.clear();
-        groups.clear();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            for j in 0..count {
-                let step = &plan.steps[plan.step_seq[first + j] as usize];
-                let lo = step.bounds[lane] as usize;
-                let hi = step.bounds[lane + 1] as usize;
-                for pv in &step.verts[lo..hi] {
-                    // SAFETY: see `exec_plan_vertex` and the fused-run
-                    // race argument in `plan.rs` — the tile→lane
-                    // partition is global, so across the whole run this
-                    // lane only touches memory owned by its tiles (plus
-                    // replicated read-only data no step of a run writes).
-                    let load = unsafe { exec_plan_vertex(graph, pv, &cells) };
-                    out.push((pv.slot, load));
-                }
-                groups.push(out.len() as u32);
-            }
-        }));
-        {
-            let mut s = slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match result {
-                Ok(()) => {
-                    std::mem::swap(&mut s.loads, &mut out);
-                    std::mem::swap(&mut s.groups, &mut groups);
-                }
-                Err(payload) => s.panic = Some(payload),
-            }
-        }
-        sync.finish_job();
-    }
-}
-
-/// Per-run execution context: disjoint borrows of the engine's shared and
-/// mutable halves, plus the worker pool when one is live.
+/// Per-run execution context: disjoint borrows of the engine's static and
+/// mutable halves.
 struct ExecCtx<'a> {
     sh: &'a Shared,
     raw: &'a RawBufs,
     st: &'a mut RunState,
-    pool: Option<Pool<'a>>,
     max_while_iterations: u64,
 }
 
@@ -666,56 +425,20 @@ impl ExecCtx<'_> {
     }
 
     /// Executes one compute set as a BSP superstep.
-    ///
-    /// The parallel and sequential paths differ only in *who* runs the
-    /// codelets; the per-slot load sums, the max-reduction, and the fault
-    /// hook below are identical, which is what makes the two paths
-    /// bit-identical.
     fn exec_compute_set(&mut self, cs: usize) {
         let tpt = self.sh.graph.config.threads_per_tile;
         debug_assert!(self.st.thread_load.iter().all(|&x| x == 0));
         self.st.touched_slots.clear();
-        let vertices = &self.sh.graph.compute_sets[cs].vertices;
-
-        let mut dispatched = false;
-        if let Some(pool) = self.pool {
-            if vertices.len() >= self.sh.parallel_threshold {
-                pool.sync.run_job((cs, 0), self.sh.workers);
-                // Merge in lane order. Order is irrelevant to the result
-                // (per-slot u64 sums commute; the reduction below is a
-                // max), but a fixed order keeps panic propagation
-                // deterministic: the lowest panicking lane wins.
-                for slot in pool.slots {
-                    let mut s = slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(payload) = s.panic.take() {
-                        drop(s);
-                        resume_unwind(payload);
-                    }
-                    for &(si, load) in &s.loads {
-                        let si = si as usize;
-                        if self.st.thread_load[si] == 0 {
-                            self.st.touched_slots.push(si as u32);
-                        }
-                        self.st.thread_load[si] += load;
-                    }
-                }
-                dispatched = true;
+        for &vid in &self.sh.graph.compute_sets[cs].vertices {
+            let v = &self.sh.graph.vertices[vid];
+            // SAFETY: see `exec_vertex`; vertices run one at a time and
+            // no other views are alive.
+            let instructions = unsafe { exec_vertex(v, self.raw) };
+            let slot = v.tile * tpt + self.sh.vertex_thread[vid];
+            if self.st.thread_load[slot] == 0 {
+                self.st.touched_slots.push(slot as u32);
             }
-        }
-        if !dispatched {
-            for &vid in vertices {
-                let v = &self.sh.graph.vertices[vid];
-                // SAFETY: see `exec_vertex`; vertices run one at a time
-                // on this thread and no other views are alive.
-                let instructions = unsafe { exec_vertex(v, self.raw) };
-                let slot = v.tile * tpt + self.sh.vertex_thread[vid];
-                if self.st.thread_load[slot] == 0 {
-                    self.st.touched_slots.push(slot as u32);
-                }
-                self.st.thread_load[slot] += instructions;
-            }
+            self.st.thread_load[slot] += instructions;
         }
         finish_superstep(self.sh, self.raw, self.st, cs);
     }
@@ -795,10 +518,8 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
     }
 
     // Profiling first, while loads are still live: per-tile barrel
-    // cost and thread occupancy. `touched_slots` arrives in a
-    // thread-count-dependent order (lane merge vs. program order), so
-    // sort — the reduction below is order-independent either way, but
-    // the recorded detail must be bit-identical at any thread count.
+    // cost and thread occupancy. `touched_slots` arrives in vertex
+    // order; sort it so the detail groups each tile's slots together.
     let tile_detail: Option<Vec<(u32, u64, u32)>> = st.profiler.is_some().then(|| {
         st.touched_slots.sort_unstable();
         let mut detail: Vec<(u32, u64, u32)> = Vec::new();
@@ -855,9 +576,7 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
 }
 
 /// Fault hook run after each superstep: straggler inflation and SRAM
-/// bit flips (see [`FaultPlan`]). Always on the serial post-join path,
-/// so the draw sequence is independent of the host thread count.
-/// Returns what landed, for the profiler.
+/// bit flips (see [`FaultPlan`]). Returns what landed, for the profiler.
 fn inject_superstep_faults(
     raw: &RawBufs,
     st: &mut RunState,
@@ -1167,27 +886,23 @@ struct PlanExec<'a> {
     raw: &'a RawBufs,
     st: &'a mut RunState,
     plan: &'a ExecPlan,
-    pool: Option<Pool<'a>>,
     /// Runtime slots: repeat counters and while watchdogs.
     counters: Vec<u64>,
-    /// Pre-built cell arena for the serial vertex path (pool lanes build
-    /// their own — the borrow flags are not thread-safe).
+    /// Pre-built cell arena, reused by every superstep of the run.
     cells: Vec<RefCell<FieldBuf>>,
     max_while_iterations: u64,
 }
 
-impl<'a> PlanExec<'a> {
+impl PlanExec<'_> {
     fn exec(&mut self) -> Result<(), GraphError> {
         let plan = self.plan;
         let mut ip = 0usize;
         while let Some(op) = plan.ops.get(ip) {
             match op {
-                PlanOp::Run {
-                    first,
-                    count,
-                    verts,
-                } => {
-                    self.exec_run(*first as usize, *count as usize, *verts as usize);
+                PlanOp::Run { first, count } => {
+                    for seq in *first..*first + *count {
+                        self.exec_step(seq as usize);
+                    }
                     ip += 1;
                 }
                 PlanOp::Copy(id) => {
@@ -1288,117 +1003,24 @@ impl<'a> PlanExec<'a> {
         Ok(())
     }
 
-    /// Executes a fused run of `count` consecutive supersteps.
-    fn exec_run(&mut self, first: usize, count: usize, verts: usize) {
-        // Bit flips mutate buffers *between* supersteps and fault draws
-        // consume the superstep counter, so fused execution is unsound
-        // under faults; degrade to step-at-a-time with a per-step pool
-        // decision, which matches the interpreter exactly.
-        if self.st.faults.is_none() {
-            if let Some(pool) = self.pool {
-                if verts >= self.sh.parallel_threshold {
-                    self.exec_steps_pooled(pool, first, count);
-                    return;
-                }
-            }
-        }
-        for j in 0..count {
-            self.exec_step(first + j);
-        }
-    }
-
     /// Executes one superstep (step `seq` of the flattened sequence),
     /// mirroring the interpreter's `exec_compute_set`.
     fn exec_step(&mut self, seq: usize) {
         let plan = self.plan;
-        let cs = plan.shared.step_seq[seq] as usize;
-        let step = &plan.shared.steps[cs];
+        let cs = plan.step_seq[seq] as usize;
         debug_assert!(self.st.thread_load.iter().all(|&x| x == 0));
         self.st.touched_slots.clear();
-
-        let mut dispatched = false;
-        if let Some(pool) = self.pool {
-            if step.verts.len() >= self.sh.parallel_threshold {
-                pool.sync.run_job((seq, 1), self.sh.workers);
-                for slot in pool.slots {
-                    let mut s = slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(payload) = s.panic.take() {
-                        drop(s);
-                        resume_unwind(payload);
-                    }
-                    for &(si, load) in &s.loads {
-                        let si = si as usize;
-                        if self.st.thread_load[si] == 0 {
-                            self.st.touched_slots.push(si as u32);
-                        }
-                        self.st.thread_load[si] += load;
-                    }
-                }
-                dispatched = true;
+        for pv in &plan.steps[cs] {
+            // SAFETY: see `exec_plan_vertex`; vertices run one at a time
+            // and no other views are alive.
+            let load = unsafe { exec_plan_vertex(&self.sh.graph, pv, &self.cells) };
+            let si = pv.slot as usize;
+            if self.st.thread_load[si] == 0 {
+                self.st.touched_slots.push(pv.slot);
             }
-        }
-        if !dispatched {
-            for pv in &step.verts {
-                // SAFETY: see `exec_plan_vertex`; vertices run one at a
-                // time on this thread and no other views are alive.
-                let load = unsafe { exec_plan_vertex(&self.sh.graph, pv, &self.cells) };
-                let si = pv.slot as usize;
-                if self.st.thread_load[si] == 0 {
-                    self.st.touched_slots.push(pv.slot);
-                }
-                self.st.thread_load[si] += load;
-            }
+            self.st.thread_load[si] += load;
         }
         finish_superstep(self.sh, self.raw, self.st, cs);
-    }
-
-    /// Dispatches a whole fused run as ONE pool job: each lane executes
-    /// its tile shard of every step back-to-back (no intra-run barrier),
-    /// then the per-step load groups are merged and charged here, in
-    /// program order, on the serial path.
-    fn exec_steps_pooled(&mut self, pool: Pool<'a>, first: usize, count: usize) {
-        let plan = self.plan;
-        pool.sync.run_job((first, count), self.sh.workers);
-        let mut guards: Vec<_> = pool
-            .slots
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-            .collect();
-        // Deterministic panic propagation: the lowest panicking lane wins.
-        let mut panic = None;
-        for g in guards.iter_mut() {
-            if panic.is_none() {
-                panic = g.panic.take();
-            }
-        }
-        if let Some(payload) = panic {
-            drop(guards);
-            resume_unwind(payload);
-        }
-        let mut cursor = [0usize; MAX_HOST_THREADS];
-        for j in 0..count {
-            debug_assert!(self.st.thread_load.iter().all(|&x| x == 0));
-            self.st.touched_slots.clear();
-            for (lane, g) in guards.iter().enumerate() {
-                let end = g.groups[j] as usize;
-                for &(si, load) in &g.loads[cursor[lane]..end] {
-                    let si = si as usize;
-                    if self.st.thread_load[si] == 0 {
-                        self.st.touched_slots.push(si as u32);
-                    }
-                    self.st.thread_load[si] += load;
-                }
-                cursor[lane] = end;
-            }
-            finish_superstep(
-                self.sh,
-                self.raw,
-                self.st,
-                plan.shared.step_seq[first + j] as usize,
-            );
-        }
     }
 
     /// Executes one flattened exchange phase: run the copy list, charge
@@ -1436,26 +1058,6 @@ impl<'a> PlanExec<'a> {
             let dsts: Vec<TensorSlice> = copy.segs.iter().map(|s| s.dst).collect();
             inject_exchange_fault(self.raw, self.st, &dsts);
         }
-    }
-}
-
-/// Resolves the pool-dispatch threshold (minimum vertices in a superstep
-/// or fused run before it is worth a pool handoff): an explicit
-/// `config.parallel_threshold` wins, then the `SIM_PARALLEL_THRESHOLD`
-/// environment variable, then the tuned default.
-pub(crate) fn resolve_parallel_threshold(config: &IpuConfig) -> usize {
-    let requested = if config.parallel_threshold > 0 {
-        config.parallel_threshold
-    } else {
-        std::env::var("SIM_PARALLEL_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0)
-    };
-    if requested > 0 {
-        requested
-    } else {
-        PARALLEL_THRESHOLD
     }
 }
 
@@ -1528,18 +1130,12 @@ impl Engine {
             + program.node_count() * calibration::IMAGE_BYTES_PER_NODE;
         let program_load_cycles = graph.config.program_load_base_cycles
             + (image_bytes as f64 / graph.config.host_io_bytes_per_cycle).ceil() as u64;
-        let workers = resolve_host_threads(&graph.config);
-        let shards = build_shards(&graph, workers);
-        let parallel_threshold = resolve_parallel_threshold(&graph.config);
         let exec_mode = resolve_exec_mode(&graph.config);
-        let plan = plan::build(&graph, &program, &vertex_thread, &raw, workers);
+        let plan = plan::build(&graph, &program, &vertex_thread, &raw);
         Self {
             sh: Shared {
                 graph,
                 vertex_thread,
-                shards,
-                workers,
-                parallel_threshold,
             },
             buffers,
             raw,
@@ -1627,38 +1223,6 @@ impl Engine {
         &self.sh.graph.config
     }
 
-    /// The resolved host worker lane count (see
-    /// [`crate::IpuConfig::host_threads`] for the resolution order). The
-    /// thread count affects wall-clock only; modeled results are
-    /// bit-identical at any value.
-    pub fn host_threads(&self) -> usize {
-        self.sh.workers
-    }
-
-    /// Overrides the host worker lane count for subsequent runs; `0`
-    /// re-resolves automatically from the machine. Values are clamped to
-    /// a sane range. Shard cuts are recomputed to match.
-    pub fn set_host_threads(&mut self, threads: usize) {
-        let workers = if threads == 0 {
-            auto_threads()
-        } else {
-            threads.clamp(1, MAX_HOST_THREADS)
-        };
-        self.sh.workers = workers;
-        let Shared { graph, shards, .. } = &mut self.sh;
-        for shard in shards.iter_mut() {
-            shard.bounds = shard_bounds(&shard.order, &graph.vertices, workers);
-        }
-        self.plan.shared.recut(&self.sh.graph, workers);
-    }
-
-    /// Overrides the minimum vertex count before a superstep is
-    /// dispatched to the worker pool (default tuned for real programs;
-    /// tests lower it to force parallel execution on tiny graphs).
-    pub fn set_parallel_threshold(&mut self, min_vertices: usize) {
-        self.sh.parallel_threshold = min_vertices.max(1);
-    }
-
     /// The resolved execution path for subsequent runs (never
     /// [`ExecMode::Auto`]).
     pub fn exec_mode(&self) -> ExecMode {
@@ -1682,9 +1246,7 @@ impl Engine {
     /// previously installed profiler and its recordings.
     ///
     /// With no profiler installed the engine takes none of the recording
-    /// paths — `CycleStats` and solve results are identical either way,
-    /// and a profile recorded at any host thread count is bit-identical
-    /// to a sequential one.
+    /// paths — `CycleStats` and solve results are identical either way.
     pub fn enable_profiling(&mut self, config: ProfileConfig) {
         let c = &self.sh.graph.config;
         self.st.profiler = Some(Profiler::new(
@@ -1795,7 +1357,7 @@ impl Engine {
         // snapshots, but rebuild the raw views regardless — this is the
         // only point (besides construction) where they may be refreshed.
         self.raw = RawBufs::of(&mut self.buffers);
-        self.plan.shared.rebind_fields(&self.raw);
+        self.plan.rebind_fields(&self.raw);
     }
 
     /// Host → device write of a whole f32 tensor (not charged to device
@@ -1871,10 +1433,7 @@ impl Engine {
     ///
     /// Execution takes the pre-resolved plan path by default (see
     /// [`ExecMode`] and `plan.rs`); `ExecMode::Interpreted` walks the
-    /// lowered tree instead. With more than one host thread resolved (and
-    /// enough vertices to parallelize), a scoped worker pool is spawned
-    /// for the duration of the run and supersteps execute tile-parallel;
-    /// results are bit-identical across modes and thread counts.
+    /// lowered tree instead. Results are bit-identical across modes.
     ///
     /// # Errors
     /// [`GraphError::Divergence`] if a `RepeatWhileTrue` exceeds
@@ -1888,108 +1447,28 @@ impl Engine {
 
     /// Runs via the straight-line execution plan (the default path).
     fn run_plan(&mut self) -> Result<(), GraphError> {
-        let sh = &self.sh;
-        let raw = &self.raw;
-        let st = &mut self.st;
-        let plan = &self.plan;
-        let max_while_iterations = self.max_while_iterations;
-        let pooled = sh.workers > 1 && plan.max_run_verts >= sh.parallel_threshold;
-        if !pooled {
-            PlanExec {
-                sh,
-                raw,
-                st,
-                plan,
-                pool: None,
-                counters: vec![0; plan.n_slots],
-                cells: plan.shared.cell_arena(),
-                max_while_iterations,
-            }
-            .exec()
-        } else {
-            let sync = PoolSync::new();
-            let slots: Vec<Mutex<ShardSlot>> = (0..sh.workers)
-                .map(|_| Mutex::new(ShardSlot::default()))
-                .collect();
-            std::thread::scope(|scope| {
-                for (lane, slot) in slots.iter().enumerate() {
-                    let sync = &sync;
-                    let graph = &sh.graph;
-                    let shared = &plan.shared;
-                    scope.spawn(move || plan_worker_loop(graph, shared, sync, slot, lane));
-                }
-                // Shut the pool down even if a re-raised codelet panic
-                // unwinds out of `exec`, so the scope can join.
-                let _guard = ShutdownGuard(&sync);
-                PlanExec {
-                    sh,
-                    raw,
-                    st,
-                    plan,
-                    pool: Some(Pool {
-                        sync: &sync,
-                        slots: &slots,
-                    }),
-                    counters: vec![0; plan.n_slots],
-                    cells: plan.shared.cell_arena(),
-                    max_while_iterations,
-                }
-                .exec()
-            })
+        PlanExec {
+            sh: &self.sh,
+            raw: &self.raw,
+            st: &mut self.st,
+            plan: &self.plan,
+            counters: vec![0; self.plan.n_slots],
+            cells: self.plan.cell_arena(),
+            max_while_iterations: self.max_while_iterations,
         }
+        .exec()
     }
 
     /// Runs via the tree-walking interpreter (the reference path the
     /// differential tests compare the plan against).
     fn run_interpreted(&mut self) -> Result<(), GraphError> {
-        let program = std::mem::replace(&mut self.program, ExecNode::Seq(Vec::new()));
-        let sh = &self.sh;
-        let raw = &self.raw;
-        let st = &mut self.st;
-        let max_while_iterations = self.max_while_iterations;
-        let pooled = sh.workers > 1
-            && sh
-                .graph
-                .compute_sets
-                .iter()
-                .any(|cs| cs.vertices.len() >= sh.parallel_threshold);
-        let result = if !pooled {
-            ExecCtx {
-                sh,
-                raw,
-                st,
-                pool: None,
-                max_while_iterations,
-            }
-            .exec(&program)
-        } else {
-            let sync = PoolSync::new();
-            let slots: Vec<Mutex<ShardSlot>> = (0..sh.workers)
-                .map(|_| Mutex::new(ShardSlot::default()))
-                .collect();
-            std::thread::scope(|scope| {
-                for (lane, slot) in slots.iter().enumerate() {
-                    let sync = &sync;
-                    scope.spawn(move || worker_loop(sh, raw, sync, slot, lane));
-                }
-                // Shut the pool down even if a re-raised codelet panic
-                // unwinds out of `exec`, so the scope can join.
-                let _guard = ShutdownGuard(&sync);
-                ExecCtx {
-                    sh,
-                    raw,
-                    st,
-                    pool: Some(Pool {
-                        sync: &sync,
-                        slots: &slots,
-                    }),
-                    max_while_iterations,
-                }
-                .exec(&program)
-            })
-        };
-        self.program = program;
-        result
+        ExecCtx {
+            sh: &self.sh,
+            raw: &self.raw,
+            st: &mut self.st,
+            max_while_iterations: self.max_while_iterations,
+        }
+        .exec(&self.program)
     }
 
     /// Direct (host-side) peek at an f32 region — intended for tests and
@@ -2013,7 +1492,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cost, Access, DType, FaultPlan, Graph, IpuConfig, Program};
+    use crate::{cost, Access, ComputeSetId, DType, FaultPlan, Graph, IpuConfig, Program};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn simple_compute_runs_and_charges_cycles() {
@@ -2400,8 +1880,7 @@ mod tests {
         assert!(e.write_f32(x, &[0.0; 4]).is_ok());
     }
 
-    /// A multi-tile graph with enough per-tile state to make parallel
-    /// execution meaningful: each of `tiles` tiles owns a slice of `x`
+    /// A multi-tile graph: each of `tiles` tiles owns a slice of `x`
     /// updated by `verts_per_tile` vertices.
     fn sharded_increment_graph(tiles: usize, verts_per_tile: usize) -> (Graph, Tensor) {
         let mut g = Graph::new(IpuConfig::tiny(tiles));
@@ -2427,120 +1906,50 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_bit_identical_to_sequential() {
-        let run_with = |threads: usize| {
-            let (g, x) = sharded_increment_graph(4, 16);
-            let mut e = g
-                .compile(Program::repeat(3, Program::execute(ComputeSetId(0))))
+    fn codelet_panic_reaches_the_caller_in_both_exec_modes() {
+        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
+            let mut g = Graph::new(IpuConfig::tiny(2));
+            let cs = g.add_compute_set("boom");
+            for t in 0..2 {
+                g.add_vertex(cs, t, "v", move |_| {
+                    if t == 1 {
+                        panic!("codelet exploded");
+                    }
+                    1
+                })
                 .unwrap();
-            e.set_host_threads(threads);
-            e.set_parallel_threshold(1);
-            e.write_f32(x, &[0.25; 64]).unwrap();
-            e.run().unwrap();
-            (e.read_f32(x), e.stats().clone())
-        };
-        let (seq_buf, seq_stats) = run_with(1);
-        for threads in [2, 3, 8] {
-            let (buf, stats) = run_with(threads);
-            let seq_bits: Vec<u32> = seq_buf.iter().map(|v| v.to_bits()).collect();
-            let bits: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits, seq_bits, "buffers diverged at {threads} threads");
-            assert_eq!(stats, seq_stats, "stats diverged at {threads} threads");
-        }
-    }
-
-    use crate::ComputeSetId;
-
-    #[test]
-    fn shard_bounds_are_monotone_tile_aligned_and_cover() {
-        let (g, _) = sharded_increment_graph(5, 7);
-        // 5 tiles * 7 vertices, cut for 3 lanes.
-        let order: Vec<u32> = g.compute_sets[0]
-            .vertices
-            .iter()
-            .map(|&v| v as u32)
-            .collect();
-        let bounds = shard_bounds(&order, &g.vertices, 3);
-        assert_eq!(bounds.first(), Some(&0));
-        assert_eq!(bounds.last(), Some(&(order.len() as u32)));
-        for w in bounds.windows(2) {
-            assert!(w[0] <= w[1]);
-            let cut = w[1] as usize;
-            if cut > 0 && cut < order.len() {
-                assert_ne!(
-                    g.vertices[order[cut] as usize].tile,
-                    g.vertices[order[cut - 1] as usize].tile,
-                    "cut at {cut} splits a tile"
-                );
             }
+            let mut e = g.compile(Program::execute(cs)).unwrap();
+            e.set_exec_mode(mode);
+            let err = catch_unwind(AssertUnwindSafe(|| e.run())).unwrap_err();
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .map(str::to_owned)
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("codelet exploded"),
+                "{mode:?}: got panic payload {msg:?}"
+            );
         }
-    }
-
-    #[test]
-    fn more_lanes_than_vertices_is_harmless() {
-        let (g, x) = sharded_increment_graph(2, 2);
-        let mut e = g.compile(Program::execute(ComputeSetId(0))).unwrap();
-        e.set_host_threads(16);
-        e.set_parallel_threshold(1);
-        e.write_f32(x, &[0.0; 4]).unwrap();
-        e.run().unwrap();
-        assert_eq!(e.host_threads(), 16);
-        assert!(e.read_f32(x).iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn auto_thread_resolution_is_positive_and_clamped() {
-        let (g, _) = sharded_increment_graph(2, 2);
-        let mut e = g.compile(Program::execute(ComputeSetId(0))).unwrap();
-        e.set_host_threads(0);
-        assert!((1..=AUTO_THREAD_CAP).contains(&e.host_threads()));
-        e.set_host_threads(10_000);
-        assert_eq!(e.host_threads(), MAX_HOST_THREADS);
-    }
-
-    #[test]
-    fn worker_panic_propagates_and_pool_shuts_down() {
-        let mut g = Graph::new(IpuConfig::tiny(2));
-        let cs = g.add_compute_set("boom");
-        for t in 0..2 {
-            g.add_vertex(cs, t, "v", move |_| {
-                if t == 1 {
-                    panic!("codelet exploded");
-                }
-                1
-            })
-            .unwrap();
-        }
-        let mut e = g.compile(Program::execute(cs)).unwrap();
-        e.set_host_threads(2);
-        e.set_parallel_threshold(1);
-        let err = catch_unwind(AssertUnwindSafe(|| e.run())).unwrap_err();
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("codelet exploded"),
-            "got panic payload {msg:?}"
-        );
     }
 
     #[test]
     fn restore_rebuilds_raw_views() {
-        let (g, x) = sharded_increment_graph(2, 4);
-        let mut e = g.compile(Program::execute(ComputeSetId(0))).unwrap();
-        e.set_host_threads(2);
-        e.set_parallel_threshold(1);
-        e.write_f32(x, &[1.0; 8]).unwrap();
-        let snap = e.snapshot();
-        e.run().unwrap();
-        let after_first = e.read_f32(x);
-        e.restore(&snap);
-        assert_eq!(e.read_f32(x), vec![1.0; 8]);
-        e.run().unwrap();
-        assert_eq!(e.read_f32(x), after_first);
+        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
+            let (g, x) = sharded_increment_graph(2, 4);
+            let mut e = g.compile(Program::execute(ComputeSetId(0))).unwrap();
+            e.set_exec_mode(mode);
+            e.write_f32(x, &[1.0; 8]).unwrap();
+            let snap = e.snapshot();
+            e.run().unwrap();
+            let after_first = e.read_f32(x);
+            e.restore(&snap);
+            assert_eq!(e.read_f32(x), vec![1.0; 8]);
+            e.run().unwrap();
+            assert_eq!(e.read_f32(x), after_first, "{mode:?}");
+        }
     }
 
     /// A program touching every profiled path: uneven compute, a
@@ -2610,31 +2019,6 @@ mod tests {
         let (stats_on, buf_on) = run(true);
         assert_eq!(stats_off, stats_on);
         assert_eq!(buf_off, buf_on);
-    }
-
-    #[test]
-    fn profile_bit_identical_across_thread_counts() {
-        let run_with = |threads: usize| {
-            let (g, x, program) = profiled_program(4, 16);
-            let mut e = g.compile(program).unwrap();
-            e.set_host_threads(threads);
-            e.set_parallel_threshold(1);
-            e.enable_profiling(ProfileConfig::default());
-            e.write_f32(x, &[0.0; 64]).unwrap();
-            e.run().unwrap();
-            (
-                e.profile().unwrap().clone(),
-                e.profile_report().unwrap(),
-                e.chrome_trace(1, "ipu-sim").unwrap().to_json(),
-            )
-        };
-        let base = run_with(1);
-        for threads in [2, 3, 8] {
-            let other = run_with(threads);
-            assert_eq!(base.0, other.0, "raw profile diverged at {threads} threads");
-            assert_eq!(base.1, other.1, "report diverged at {threads} threads");
-            assert_eq!(base.2, other.2, "trace diverged at {threads} threads");
-        }
     }
 
     #[test]

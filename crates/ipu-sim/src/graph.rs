@@ -125,7 +125,7 @@ pub(crate) struct VertexInfo {
     /// compile time.
     pub(crate) thread: Option<usize>,
     pub(crate) name: String,
-    pub(crate) codelet: Box<dyn Fn(&VertexCtx) -> u64 + Send + Sync>,
+    pub(crate) codelet: Box<dyn Fn(&VertexCtx) -> u64>,
     pub(crate) fields: Vec<(TensorSlice, Access)>,
 }
 
@@ -239,7 +239,10 @@ impl Graph {
         }
         if info.host {
             return Err(GraphError::BadSlice {
-                detail: format!("tensor '{}' lives on the host and takes no tile mapping", info.name),
+                detail: format!(
+                    "tensor '{}' lives on the host and takes no tile mapping",
+                    info.name
+                ),
             });
         }
         if slice.end > info.len || slice.start > slice.end {
@@ -337,7 +340,7 @@ impl Graph {
         cs: ComputeSetId,
         tile: usize,
         name: &str,
-        codelet: impl Fn(&VertexCtx) -> u64 + Send + Sync + 'static,
+        codelet: impl Fn(&VertexCtx) -> u64 + 'static,
     ) -> Result<VertexId, GraphError> {
         self.add_vertex_inner(cs, tile, None, name, Box::new(codelet))
     }
@@ -351,7 +354,7 @@ impl Graph {
         tile: usize,
         thread: usize,
         name: &str,
-        codelet: impl Fn(&VertexCtx) -> u64 + Send + Sync + 'static,
+        codelet: impl Fn(&VertexCtx) -> u64 + 'static,
     ) -> Result<VertexId, GraphError> {
         if thread >= self.config.threads_per_tile {
             return Err(GraphError::Invalid {
@@ -370,7 +373,7 @@ impl Graph {
         tile: usize,
         thread: Option<usize>,
         name: &str,
-        codelet: Box<dyn Fn(&VertexCtx) -> u64 + Send + Sync>,
+        codelet: Box<dyn Fn(&VertexCtx) -> u64>,
     ) -> Result<VertexId, GraphError> {
         if tile >= self.config.tiles {
             return Err(GraphError::BadTile {

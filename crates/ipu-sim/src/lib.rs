@@ -28,17 +28,10 @@
 //! hardware threads per tile, 624 KiB SRAM per tile, 1.325 GHz clock (see
 //! [`calibration`] for every constant and its rationale).
 //!
-//! Execution on the host is **tile-parallel and bit-deterministic**: when
-//! more than one host thread is available (see
-//! [`IpuConfig::host_threads`] and the `SIM_THREADS` environment
-//! variable), each superstep's vertices are sharded by tile over a scoped
-//! worker pool. Vertices within a compute set are independent by
-//! construction (the compile-time race validation proves write-connected
-//! regions disjoint), per-slot instruction loads are order-independent
-//! u64 sums, the superstep cost is a max-reduction over them, and fault
-//! injection runs serially after workers join — so buffers, cycle
-//! statistics, and fault behaviour are bit-identical at any thread count,
-//! including fully sequential execution.
+//! The host executes every superstep on the calling thread. Two paths
+//! run a compiled program — a tree-walking interpreter and a lowered
+//! straight-line plan (see [`ExecMode`]) — and buffers, cycle statistics,
+//! fault behaviour and profiles are bit-identical between them.
 //!
 //! # Quick example
 //!
@@ -74,7 +67,6 @@ mod fault;
 mod graph;
 pub mod kernels;
 mod plan;
-mod pool;
 pub mod poplib;
 pub mod profile;
 mod program;

@@ -3,18 +3,16 @@
 //!
 //! The interpreted engine (`ExecCtx` in `engine.rs`) walks the
 //! [`ExecNode`] tree every run, re-deriving per-vertex field views from
-//! `RawBufs` each superstep and re-deciding shard cuts and exchange costs
-//! as it goes. For large instances that interpretive overhead — enum
-//! dispatch per node, a `Vec` of field views allocated per vertex per
-//! superstep, cost memo lookups per exchange — dominates the host
-//! wall-clock. This module flattens the whole program once, at
+//! `RawBufs` each superstep and exchange costs as it goes. For large
+//! instances that interpretive overhead — enum dispatch per node, a `Vec`
+//! of field views allocated per vertex per superstep, cost memo lookups
+//! per exchange — dominates the host wall-clock. This module flattens the whole program once, at
 //! [`crate::Graph::compile`], into:
 //!
 //! - a flat op list ([`PlanOp`]) executed with an instruction pointer —
 //!   loops become `LoopInit`/`LoopBack` over runtime counter slots,
-//!   while-loops become `WhileEnter`/`WhileHead`/`Jump`, and **maximal
-//!   runs of consecutive compute sets become a single [`PlanOp::Run`]**
-//!   that a worker pool executes with no intra-run barriers;
+//!   while-loops become `WhileEnter`/`WhileHead`/`Jump`, and maximal
+//!   runs of consecutive compute sets become a single [`PlanOp::Run`];
 //! - per-vertex field views resolved to raw pointers once ([`PlanField`]),
 //!   so executing a vertex is "wrap pointers, call closure" with zero
 //!   allocation;
@@ -24,14 +22,6 @@
 //!   compile, so staging through scratch is needed only for the one
 //!   overlap-capable case: a broadcast within one tensor).
 //!
-//! **Fused runs are race-free** because workers own *tiles*, not slices
-//! of a compute set: the tile→lane partition is global (consistent across
-//! every step of a run), `Graph::validate_locality` proved every
-//! non-replicated vertex field wholly tile-local, and replicated tensors
-//! are vertex-read-only and only written by exchanges — which always
-//! terminate a run. So a lane racing ahead to step *k+1* on its tiles
-//! can only touch memory no other lane reads or writes during the run.
-//!
 //! The plan executor itself lives in `engine.rs` (it shares `RunState`,
 //! the fault hooks, and the profiler epilogue with the interpreter — one
 //! epilogue, bit-identical results); this module owns the data layout and
@@ -40,7 +30,7 @@
 use crate::codelet::FieldBuf;
 use crate::engine::{exchange_cost, RawBufs};
 use crate::exec::ExecNode;
-use crate::graph::{Graph, VertexInfo};
+use crate::graph::Graph;
 use crate::tensor::{Tensor, TensorSlice};
 
 /// Dtype + access of one pre-resolved field view.
@@ -129,72 +119,10 @@ pub(crate) struct PlanVertex {
     pub(crate) vid: u32,
     /// `tile * threads_per_tile + thread` — the load-accounting slot.
     pub(crate) slot: u32,
-    /// First field in the [`PlanShared::fields`] arena.
+    /// First field in the field arena (`ExecPlan::fields`).
     pub(crate) field_start: u32,
     /// Number of fields.
     pub(crate) field_count: u32,
-}
-
-/// One compute set, pre-sharded: vertices stably sorted by tile, with
-/// lane bounds derived from the **global** tile→lane partition (the same
-/// partition for every step, which is what makes fused runs race-free).
-pub(crate) struct PlanStep {
-    pub(crate) verts: Vec<PlanVertex>,
-    /// `workers + 1` monotone cut indices into `verts`; lane `w` executes
-    /// `verts[bounds[w]..bounds[w + 1]]`.
-    pub(crate) bounds: Vec<u32>,
-}
-
-/// The plan data shared read-only with worker threads.
-pub(crate) struct PlanShared {
-    /// Field-view arena, indexed by [`PlanVertex::field_start`].
-    pub(crate) fields: Vec<PlanField>,
-    /// Per-compute-set pre-sharded steps (parallel to
-    /// `graph.compute_sets`).
-    pub(crate) steps: Vec<PlanStep>,
-    /// Compute-set id of every `Execute` occurrence, in flattened program
-    /// order; [`PlanOp::Run`] indexes a contiguous range of this.
-    pub(crate) step_seq: Vec<u32>,
-}
-
-// SAFETY: `PlanField` pointers target the same heap allocations as
-// `RawBufs` (see its Send/Sync justification in `engine.rs`): owned by
-// the engine's buffers, never reallocated while views exist, and proved
-// race-free across any tile-aligned partition by the compile-time
-// validation. Workers only read the plan tables themselves.
-unsafe impl Send for PlanShared {}
-unsafe impl Sync for PlanShared {}
-
-impl PlanShared {
-    /// Recomputes every step's lane bounds for a new worker count.
-    pub(crate) fn recut(&mut self, graph: &Graph, workers: usize) {
-        let cuts = tile_cuts(graph, workers);
-        for step in &mut self.steps {
-            step.bounds = step_bounds(&step.verts, &graph.vertices, &cuts);
-        }
-    }
-
-    /// Re-derives every field pointer after the raw buffer views were
-    /// rebuilt (the `Engine::restore` path).
-    pub(crate) fn rebind_fields(&mut self, raw: &RawBufs) {
-        for f in &mut self.fields {
-            f.rebind(raw);
-        }
-    }
-
-    /// Builds the per-run cell arena: one `RefCell<FieldBuf>` per plan
-    /// field, indexed exactly like [`PlanShared::fields`]. Executing a
-    /// vertex is then just slicing `arena[field_start..field_start +
-    /// field_count]` — zero per-vertex setup. Each execution lane builds
-    /// its own arena (the borrow flags are not thread-safe); the flags
-    /// always return to "unborrowed" when a codelet returns or unwinds,
-    /// so one arena serves every superstep of a run.
-    pub(crate) fn cell_arena(&self) -> Vec<std::cell::RefCell<FieldBuf>> {
-        self.fields
-            .iter()
-            .map(|f| std::cell::RefCell::new(f.buf()))
-            .collect()
-    }
 }
 
 /// One copy of a flattened exchange phase.
@@ -233,9 +161,8 @@ pub(crate) struct PlanCopy {
 /// One instruction of the flattened program.
 pub(crate) enum PlanOp {
     /// Execute `count` consecutive supersteps
-    /// (`step_seq[first..first + count]`), fused into one pool dispatch
-    /// when parallel; `verts` is the total vertex count across them.
-    Run { first: u32, count: u32, verts: u32 },
+    /// (`step_seq[first..first + count]`).
+    Run { first: u32, count: u32 },
     /// Execute one exchange phase (index into [`ExecPlan::copies`]).
     Copy(u32),
     /// Enter a counted loop: set counter `slot` to `count`, or jump to
@@ -270,55 +197,50 @@ pub(crate) enum PlanOp {
 pub(crate) struct ExecPlan {
     pub(crate) ops: Vec<PlanOp>,
     pub(crate) copies: Vec<PlanCopy>,
-    pub(crate) shared: PlanShared,
+    /// Field-view arena, indexed by [`PlanVertex::field_start`].
+    fields: Vec<PlanField>,
+    /// Each compute set's vertices in program order (parallel to
+    /// `graph.compute_sets`).
+    pub(crate) steps: Vec<Vec<PlanVertex>>,
+    /// Compute-set id of every `Execute` occurrence, in flattened program
+    /// order; [`PlanOp::Run`] indexes a contiguous range of this.
+    pub(crate) step_seq: Vec<u32>,
     /// Divergence-diagnostic labels, indexed by `WhileEnter`/`WhileHead`.
     pub(crate) contexts: Vec<String>,
     /// Runtime counter slots needed (loop counters + while watchdogs).
     pub(crate) n_slots: usize,
-    /// Largest `verts` of any [`PlanOp::Run`] — the pool-spawn gate.
-    pub(crate) max_run_verts: usize,
 }
 
-/// Cuts tiles into `workers` contiguous ranges balanced by total vertex
-/// count across all compute sets. Returns `workers + 1` monotone tile
-/// ids starting at 0 and ending at `tiles`.
-fn tile_cuts(graph: &Graph, workers: usize) -> Vec<u32> {
-    let tiles = graph.config.tiles;
-    let mut weight = vec![0u64; tiles];
-    for v in &graph.vertices {
-        weight[v.tile] += 1;
-    }
-    let total: u64 = weight.iter().sum();
-    let mut cuts = Vec::with_capacity(workers + 1);
-    cuts.push(0u32);
-    let mut acc = 0u64;
-    let mut tile = 0usize;
-    for w in 1..workers {
-        let target = total * w as u64 / workers as u64;
-        while tile < tiles && acc < target {
-            acc += weight[tile];
-            tile += 1;
+impl ExecPlan {
+    /// Re-derives every field pointer after the raw buffer views were
+    /// rebuilt (the `Engine::restore` path).
+    pub(crate) fn rebind_fields(&mut self, raw: &RawBufs) {
+        for f in &mut self.fields {
+            f.rebind(raw);
         }
-        cuts.push(tile as u32);
     }
-    cuts.push(tiles as u32);
-    cuts
+
+    /// Builds the per-run cell arena: one `RefCell<FieldBuf>` per plan
+    /// field, indexed exactly like the field arena. Executing a vertex is
+    /// then just slicing `arena[field_start..field_start + field_count]`
+    /// — zero per-vertex setup. The borrow flags always return to
+    /// "unborrowed" when a codelet returns or unwinds, so one arena
+    /// serves every superstep of a run.
+    pub(crate) fn cell_arena(&self) -> Vec<std::cell::RefCell<FieldBuf>> {
+        self.fields
+            .iter()
+            .map(|f| std::cell::RefCell::new(f.buf()))
+            .collect()
+    }
 }
 
-/// Translates tile cuts into index bounds over one step's tile-sorted
-/// vertex list.
-fn step_bounds(verts: &[PlanVertex], vertices: &[VertexInfo], cuts: &[u32]) -> Vec<u32> {
-    cuts.iter()
-        .map(|&c| verts.partition_point(|pv| (vertices[pv.vid as usize].tile as u32) < c) as u32)
-        .collect()
-}
-
-fn build_shared(
+/// Resolves every vertex's fields into the arena and each compute set
+/// into its list of plan vertices.
+fn build_steps(
     graph: &Graph,
     vertex_thread: &[usize],
     raw: &RawBufs,
-    workers: usize,
-) -> PlanShared {
+) -> (Vec<PlanField>, Vec<Vec<PlanVertex>>) {
     let tpt = graph.config.threads_per_tile;
     let mut fields = Vec::new();
     let mut vert_fields = Vec::with_capacity(graph.vertices.len());
@@ -329,13 +251,11 @@ fn build_shared(
         }
         vert_fields.push((start, v.fields.len() as u32));
     }
-    let cuts = tile_cuts(graph, workers);
     let steps = graph
         .compute_sets
         .iter()
         .map(|cs| {
-            let mut verts: Vec<PlanVertex> = cs
-                .vertices
+            cs.vertices
                 .iter()
                 .map(|&vid| {
                     let v = &graph.vertices[vid];
@@ -346,19 +266,10 @@ fn build_shared(
                         field_count: vert_fields[vid].1,
                     }
                 })
-                .collect();
-            // Stable: within a tile, program order is preserved (loads
-            // sum per slot, so any order is bit-identical anyway).
-            verts.sort_by_key(|pv| graph.vertices[pv.vid as usize].tile);
-            let bounds = step_bounds(&verts, &graph.vertices, &cuts);
-            PlanStep { verts, bounds }
+                .collect()
         })
         .collect();
-    PlanShared {
-        fields,
-        steps,
-        step_seq: Vec::new(),
-    }
+    (fields, steps)
 }
 
 fn seg_overlaps(src: &TensorSlice, dst: &TensorSlice) -> bool {
@@ -421,9 +332,8 @@ struct Builder<'g> {
     step_seq: Vec<u32>,
     contexts: Vec<String>,
     n_slots: u32,
-    /// Accumulating run of consecutive `Execute`s: (first, count, verts).
-    pending: Option<(u32, u32, u32)>,
-    max_run_verts: usize,
+    /// Accumulating run of consecutive `Execute`s: (first, count).
+    pending: Option<(u32, u32)>,
 }
 
 impl Builder<'_> {
@@ -437,13 +347,8 @@ impl Builder<'_> {
     /// `Execute` op so runs never cross a control-flow or exchange
     /// boundary.
     fn flush(&mut self) {
-        if let Some((first, count, verts)) = self.pending.take() {
-            self.max_run_verts = self.max_run_verts.max(verts as usize);
-            self.ops.push(PlanOp::Run {
-                first,
-                count,
-                verts,
-            });
+        if let Some((first, count)) = self.pending.take() {
+            self.ops.push(PlanOp::Run { first, count });
         }
     }
 
@@ -471,13 +376,9 @@ impl Builder<'_> {
             ExecNode::Execute(cs) => {
                 let idx = self.step_seq.len() as u32;
                 self.step_seq.push(*cs as u32);
-                let nv = self.graph.compute_sets[*cs].vertices.len() as u32;
                 match &mut self.pending {
-                    Some((_, count, verts)) => {
-                        *count += 1;
-                        *verts += nv;
-                    }
-                    None => self.pending = Some((idx, 1, nv)),
+                    Some((_, count)) => *count += 1,
+                    None => self.pending = Some((idx, 1)),
                 }
             }
             ExecNode::Copy { src, dst, reps, .. } => {
@@ -580,9 +481,8 @@ pub(crate) fn build(
     root: &ExecNode,
     vertex_thread: &[usize],
     raw: &RawBufs,
-    workers: usize,
 ) -> ExecPlan {
-    let mut shared = build_shared(graph, vertex_thread, raw, workers);
+    let (fields, steps) = build_steps(graph, vertex_thread, raw);
     let mut b = Builder {
         graph,
         ops: Vec::new(),
@@ -591,17 +491,16 @@ pub(crate) fn build(
         contexts: Vec::new(),
         n_slots: 0,
         pending: None,
-        max_run_verts: 0,
     };
     b.emit(root);
     b.flush();
-    shared.step_seq = b.step_seq;
     ExecPlan {
         ops: b.ops,
         copies: b.copies,
-        shared,
+        fields,
+        steps,
+        step_seq: b.step_seq,
         contexts: b.contexts,
         n_slots: b.n_slots as usize,
-        max_run_verts: b.max_run_verts,
     }
 }

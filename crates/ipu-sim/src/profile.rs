@@ -22,10 +22,9 @@
 //! - sum over the exchange heatmap `== CycleStats::exchange_bytes`
 //! - sum over the occupancy histogram `== tile_supersteps`
 //!
-//! All recording happens on the engine's serial path, after worker
-//! lanes join and after per-tile loads are reduced in sorted tile
-//! order — a profile is **bit-identical at any host thread count**,
-//! the same contract the engine's stats obey.
+//! All recording happens after per-tile loads are reduced in sorted tile
+//! order, so a profile is **bit-identical between the interpreter and
+//! the lowered plan**, the same contract the engine's stats obey.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -213,7 +212,7 @@ pub struct PairBytes {
 /// thread-occupancy histogram, and the tile-pair exchange heatmap.
 ///
 /// `PartialEq` is the bit-identity contract: two reports from the same
-/// program at different host thread counts compare equal.
+/// program in either execution mode compare equal.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileReport {
     /// Compute supersteps observed.

@@ -1,11 +1,8 @@
 //! Cycle accounting: what the modeled device spent its time on.
 //!
-//! Every count here is a function of the *modeled device* alone: host
-//! thread count (`IpuConfig::host_threads` / `SIM_THREADS`) never
-//! changes a single field. Per-slot loads are order-independent sums,
-//! superstep cost is a max-reduction over them, and fault injection
-//! runs serially after workers join — so a multi-threaded run's stats
-//! are bit-identical to a sequential run's.
+//! Every count here is a function of the *modeled device* alone: the
+//! host execution path ([`crate::ExecMode`]) never changes a single
+//! field.
 
 use serde::{Deserialize, Serialize};
 

@@ -22,8 +22,8 @@
 //! Determinism contract: a batch solve is a pure function of the input
 //! batch (plus the solver's own configuration). Engines built on the
 //! deterministic simulators produce bit-identical assignments, duals and
-//! modeled statistics at any `SIM_THREADS`, and instance `i` of a batch
-//! matches what the single-instance solver would produce for matrix `i`
+//! modeled statistics on every run, and instance `i` of a batch matches
+//! what the single-instance solver would produce for matrix `i`
 //! solved in the same sequence.
 
 use crate::matrix::CostMatrix;

@@ -210,7 +210,7 @@ impl Support {
         match self {
             Support::Any => n >= 1,
             Support::PowerOfTwo => n >= 1 && n.is_power_of_two(),
-            Support::UpToSramCeiling => n >= 1 && n <= SRAM_CEILING_N,
+            Support::UpToSramCeiling => (1..=SRAM_CEILING_N).contains(&n),
         }
     }
 }
@@ -961,7 +961,10 @@ mod tests {
         // Beyond the SRAM ceiling the dense IPU engine drops out and the
         // tiled out-of-core engine is the only IPU option left standing.
         let huge = InstanceShape::single(2 * SRAM_CEILING_N, K_REF);
-        assert!(!hunipu.supports_shape(huge), "dense IPU engine capped at SRAM ceiling");
+        assert!(
+            !hunipu.supports_shape(huge),
+            "dense IPU engine capped at SRAM ceiling"
+        );
         let tiled = t.get("hunipu_tiled").unwrap();
         assert!(tiled.supports_shape(huge));
         // ...but below the ceiling tiled never beats the resident path:

@@ -5,7 +5,9 @@
 //! make deadline-based rung skipping unsound (a bigger instance predicted
 //! cheaper than a smaller one) and the regret gate unstable.
 
-use lsap::portfolio::{EngineClass, EngineCostModel, InstanceShape, PortfolioTable, PowerLaw, Support, K_REF};
+use lsap::portfolio::{
+    EngineClass, EngineCostModel, InstanceShape, PortfolioTable, PowerLaw, Support, K_REF,
+};
 use proptest::prelude::*;
 
 proptest! {

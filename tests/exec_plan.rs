@@ -1,14 +1,12 @@
-//! Differential tests for the lowered execution plan: at every host
-//! thread count, the plan path must be **bit-identical** to the
-//! tree-walking interpreter — buffers, `CycleStats`, `FaultStats`, and
-//! recorded profiles. The plan is a wall-clock optimization only; if any
-//! of these tests can tell the two paths (or thread counts) apart, the
-//! determinism contract is broken.
+//! Differential tests for the lowered execution plan: the plan path must
+//! be **bit-identical** to the tree-walking interpreter — buffers,
+//! `CycleStats`, `FaultStats`, and recorded profiles. The plan is a
+//! wall-clock optimization only; if any of these tests can tell the two
+//! paths apart, the determinism contract is broken.
 //!
-//! Companion of `host_parallel.rs`, which pins sequential-vs-parallel
-//! identity; this suite pins interpreted-vs-plan identity across the
-//! same scenarios: plain solves, faulty solves, snapshot/restore, batch
-//! runs, and raw control-flow graphs.
+//! Scenarios: plain solves, faulty solves, snapshot/restore, batch runs
+//! (fault-free and under the verify-and-retry loop), raw control-flow
+//! graphs, and random graphs.
 
 use hunipu::{BatchHunIpu, HunIpu};
 use ipu_sim::{
@@ -16,18 +14,17 @@ use ipu_sim::{
     Tensor,
 };
 use lsap::{BatchLsapSolver, CostMatrix};
+use proptest::prelude::*;
 
 /// Big enough for a non-trivial solve, small enough to keep the suite
-/// fast. The pool threshold is forced to 1 in the threaded cases so
-/// multi-thread runs really exercise the pooled plan path despite the
-/// small instance.
+/// fast.
 const N: usize = 96;
 
-fn mk2(mode: ExecMode, threads: usize) -> IpuConfig {
+const MODES: [ExecMode; 2] = [ExecMode::Interpreted, ExecMode::Plan];
+
+fn mk2(mode: ExecMode) -> IpuConfig {
     IpuConfig {
-        host_threads: threads,
         exec_mode: mode,
-        parallel_threshold: if threads > 1 { 1 } else { 0 },
         ..IpuConfig::mk2()
     }
 }
@@ -35,9 +32,9 @@ fn mk2(mode: ExecMode, threads: usize) -> IpuConfig {
 /// Everything a solve can produce, stringified for exact comparison:
 /// objective bits, assignment, dual bits, and the full cycle statistics
 /// (which include per-compute-set breakdowns and fault counters).
-fn solve_fingerprint(mode: ExecMode, threads: usize, seed: u64) -> String {
+fn solve_fingerprint(mode: ExecMode, seed: u64) -> String {
     let m = datasets::gaussian_cost_matrix(N, 100, seed);
-    let (rep, engine) = HunIpu::with_config(mk2(mode, threads))
+    let (rep, engine) = HunIpu::with_config(mk2(mode))
         .solve_with_engine(&m)
         .unwrap();
     let duals: Vec<u64> = rep
@@ -56,39 +53,29 @@ fn solve_fingerprint(mode: ExecMode, threads: usize, seed: u64) -> String {
 }
 
 #[test]
-fn solves_are_bit_identical_interpreted_vs_plan_at_every_thread_count() {
-    let reference = solve_fingerprint(ExecMode::Interpreted, 1, 11);
-    for threads in [1, 2, 8] {
-        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
-            assert_eq!(
-                reference,
-                solve_fingerprint(mode, threads, 11),
-                "{mode:?} at {threads} thread(s) diverged from the sequential interpreter"
-            );
-        }
-    }
+fn solves_are_bit_identical_interpreted_vs_plan() {
+    assert_eq!(
+        solve_fingerprint(ExecMode::Interpreted, 11),
+        solve_fingerprint(ExecMode::Plan, 11),
+        "plan solve diverged from the interpreter"
+    );
 }
 
 #[test]
 fn profiles_are_bit_identical_interpreted_vs_plan() {
-    let profile = |mode: ExecMode, threads: usize| {
+    let profile = |mode: ExecMode| {
         let m = datasets::gaussian_cost_matrix(N, 100, 13);
-        let (_, engine) = HunIpu::with_config(mk2(mode, threads))
+        let (_, engine) = HunIpu::with_config(mk2(mode))
             .with_profiling(ProfileConfig::default())
             .solve_with_engine(&m)
             .unwrap();
         engine.profile().cloned().expect("profiler installed")
     };
-    let reference = profile(ExecMode::Interpreted, 1);
-    for threads in [1, 8] {
-        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
-            assert_eq!(
-                reference,
-                profile(mode, threads),
-                "{mode:?} profile at {threads} thread(s) diverged"
-            );
-        }
-    }
+    assert_eq!(
+        profile(ExecMode::Interpreted),
+        profile(ExecMode::Plan),
+        "plan profile diverged from the interpreter"
+    );
 }
 
 #[test]
@@ -97,7 +84,7 @@ fn faulty_solves_are_bit_identical_interpreted_vs_plan() {
     // path must advance the stream exactly like the interpreter —
     // including the outcome (success, wrong result, or divergence) and
     // every `FaultStats` counter.
-    let run = |mode: ExecMode, threads: usize| {
+    let run = |mode: ExecMode| {
         let m = datasets::gaussian_cost_matrix(N, 100, 7);
         let plan = FaultPlan::new(42)
             .with_bit_flips(0.01)
@@ -106,7 +93,7 @@ fn faulty_solves_are_bit_identical_interpreted_vs_plan() {
             .after_supersteps(50);
         let solver = HunIpu::with_config(IpuConfig {
             max_while_iterations: 50_000,
-            ..mk2(mode, threads)
+            ..mk2(mode)
         })
         .with_fault_plan(plan);
         match solver.solve_with_engine(&m) {
@@ -119,16 +106,11 @@ fn faulty_solves_are_bit_identical_interpreted_vs_plan() {
             Err(e) => format!("err {e}"),
         }
     };
-    let reference = run(ExecMode::Interpreted, 1);
-    for threads in [1, 2, 8] {
-        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
-            assert_eq!(
-                reference,
-                run(mode, threads),
-                "faulty {mode:?} at {threads} thread(s) diverged"
-            );
-        }
-    }
+    assert_eq!(
+        run(ExecMode::Interpreted),
+        run(ExecMode::Plan),
+        "faulty plan solve diverged from the interpreter"
+    );
 }
 
 #[test]
@@ -138,7 +120,7 @@ fn warm_snapshot_restore_is_bit_identical_interpreted_vs_plan() {
     // pointers. Stream two different instances through one warm engine
     // per mode: both solves must match the interpreter's bit-for-bit.
     let run = |mode: ExecMode| {
-        let solver = HunIpu::with_config(mk2(mode, 1));
+        let solver = HunIpu::with_config(mk2(mode));
         let mut warm = solver.warm(N).unwrap();
         let mut out = Vec::new();
         for seed in [3u64, 4] {
@@ -160,39 +142,117 @@ fn warm_snapshot_restore_is_bit_identical_interpreted_vs_plan() {
     );
 }
 
+/// One line per instance capturing everything an instance solve can
+/// produce: objective bits, assignment, duals, and modeled statistics.
+fn report_fingerprint(r: &lsap::SolveReport) -> String {
+    format!(
+        "obj={:016x} pairs={:?} u0={:016x} cycles={:?} aug={} dual={} steps={}",
+        r.objective.to_bits(),
+        r.assignment.pairs().collect::<Vec<_>>(),
+        r.certificate.u[0].to_bits(),
+        r.stats.modeled_cycles,
+        r.stats.augmentations,
+        r.stats.dual_updates,
+        r.stats.device_steps,
+    )
+}
+
+fn gaussian_batch(count: u64, seed: u64) -> Vec<CostMatrix> {
+    (0..count)
+        .map(|i| datasets::gaussian_cost_matrix(N, 100, seed + i))
+        .collect()
+}
+
 #[test]
-fn batch_runs_are_bit_identical_interpreted_vs_plan() {
-    let batch: Vec<CostMatrix> = (0..3)
-        .map(|i| datasets::gaussian_cost_matrix(N, 100, 21 + i))
-        .collect();
-    let run = |mode: ExecMode, threads: usize| {
-        let solver = HunIpu::with_config(mk2(mode, threads));
+fn batch_runs_match_independent_singles_interpreted_vs_plan() {
+    let batch = gaussian_batch(3, 21);
+    let run = |mode: ExecMode| {
+        let solver = HunIpu::with_config(mk2(mode));
         let rep = BatchHunIpu::with_solver(solver)
             .solve_batch(&batch)
             .unwrap();
         rep.verify_all(&batch, hunipu::F32_VERIFY_EPS).unwrap();
+        assert_eq!(rep.stats.retries, 0, "fault-free batch must not retry");
         rep.reports
             .iter()
-            .map(|r| {
-                format!(
-                    "obj={:016x} pairs={:?} cycles={:?} steps={}",
-                    r.objective.to_bits(),
-                    r.assignment.pairs().collect::<Vec<_>>(),
-                    r.stats.modeled_cycles,
-                    r.stats.device_steps
-                )
-            })
+            .map(report_fingerprint)
             .collect::<Vec<_>>()
     };
-    let reference = run(ExecMode::Interpreted, 1);
-    for threads in [1, 8] {
-        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
+    let reference = run(ExecMode::Interpreted);
+    assert_eq!(reference, run(ExecMode::Plan), "plan batch diverged");
+    // The batch must equal B independent single-instance solves.
+    for mode in MODES {
+        for (m, fp) in batch.iter().zip(&reference) {
+            let (rep, _) = HunIpu::with_config(mk2(mode)).solve_with_engine(m).unwrap();
             assert_eq!(
-                reference,
-                run(mode, threads),
-                "batch {mode:?} at {threads} thread(s) diverged"
+                &report_fingerprint(&rep),
+                fp,
+                "{mode:?}: batch diverged from solo"
             );
         }
+    }
+}
+
+#[test]
+fn faulty_batch_matches_sequential_retry_loop_interpreted_vs_plan() {
+    // Mild fault plan: instances mostly succeed, some only after the
+    // verify-and-retry loop re-runs them under a decorrelated seed. The
+    // batch engine and the equivalent solo loop share the same
+    // fault-epoch counter, so outcome, retry count, and every statistic
+    // must match bit-for-bit — in either execution mode.
+    let batch = gaussian_batch(3, 23);
+    let plan = || {
+        FaultPlan::new(77)
+            .with_bit_flips(0.003)
+            .after_supersteps(100)
+    };
+    let solver = |mode: ExecMode| {
+        HunIpu::with_config(IpuConfig {
+            max_while_iterations: 50_000,
+            ..mk2(mode)
+        })
+        .with_fault_plan(plan())
+    };
+    let run_batched =
+        |mode: ExecMode| match BatchHunIpu::with_solver(solver(mode)).solve_batch(&batch) {
+            Ok(rep) => {
+                let fps: Vec<String> = rep.reports.iter().map(report_fingerprint).collect();
+                format!("ok retries={} {}", rep.stats.retries, fps.join(" | "))
+            }
+            Err(e) => format!("err {e}"),
+        };
+    // The solo equivalent: one solver instance (so the fault-epoch
+    // counter advances across instances exactly like the batch), each
+    // instance wrapped in the same shared verify-and-retry loop.
+    let run_solo = |mode: ExecMode| {
+        let solver = solver(mode);
+        let mut retries = 0;
+        let mut fps = Vec::new();
+        for m in &batch {
+            let attempt = |_k| solver.solve_with_engine(m).map(|(rep, _)| rep);
+            match lsap::solve_instance_verified(m, hunipu::F32_VERIFY_EPS, 3, attempt) {
+                Ok((rep, r)) => {
+                    retries += r;
+                    fps.push(report_fingerprint(&rep));
+                }
+                Err(e) => return format!("err {e}"),
+            }
+        }
+        format!("ok retries={retries} {}", fps.join(" | "))
+    };
+
+    let reference = run_batched(ExecMode::Interpreted);
+    for mode in MODES {
+        assert_eq!(
+            reference,
+            run_batched(mode),
+            "faulty {mode:?} batch diverged"
+        );
+        assert_eq!(
+            reference,
+            run_solo(mode),
+            "faulty {mode:?} batch diverged from the sequential retry loop"
+        );
     }
 }
 
@@ -237,7 +297,7 @@ fn control_flow_graph() -> (Graph, Tensor, Tensor, Tensor, ComputeSetId, Compute
 
 #[test]
 fn control_flow_buffers_are_bit_identical_interpreted_vs_plan() {
-    let run = |mode: ExecMode, threads: usize| {
+    let run = |mode: ExecMode| {
         let (g, x, flag, mirror, inc, dec) = control_flow_graph();
         let per = mirror.len();
         let program = Program::seq(vec![
@@ -252,8 +312,6 @@ fn control_flow_buffers_are_bit_identical_interpreted_vs_plan() {
         ]);
         let mut e = g.compile(program).unwrap();
         e.set_exec_mode(mode);
-        e.set_host_threads(threads);
-        e.set_parallel_threshold(1);
         e.write_f32(x, &vec![0.5; x.len()]).unwrap();
         e.write_i32(flag, &[6]).unwrap();
         e.run().unwrap();
@@ -265,14 +323,53 @@ fn control_flow_buffers_are_bit_identical_interpreted_vs_plan() {
             .collect();
         (xs, ms, e.read_i32(flag), e.stats().clone())
     };
-    let reference = run(ExecMode::Interpreted, 1);
-    for threads in [1, 2, 8] {
-        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
-            assert_eq!(
-                reference,
-                run(mode, threads),
-                "control-flow {mode:?} at {threads} thread(s) diverged"
-            );
-        }
+    assert_eq!(
+        run(ExecMode::Interpreted),
+        run(ExecMode::Plan),
+        "control-flow plan run diverged from the interpreter"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random shapes, loads, and data: the plan must match the
+    /// interpreter bit-for-bit on arbitrary graphs.
+    #[test]
+    fn random_graphs_are_bit_identical_interpreted_vs_plan(
+        tiles in 2usize..6,
+        per in 1usize..24,
+        seedling in 0u32..1000,
+        repeats in 1u64..4,
+    ) {
+        let run = |mode: ExecMode| {
+            let n = tiles * per;
+            let mut g = Graph::new(IpuConfig::tiny(tiles));
+            let x = g.add_tensor("x", DType::F32, n);
+            for t in 0..tiles {
+                g.map_slice(x.slice(t * per..(t + 1) * per), t).unwrap();
+            }
+            let cs = g.add_compute_set("mix");
+            for i in 0..n {
+                let v = g
+                    .add_vertex(cs, i / per, "mix", move |ctx| {
+                        let mut x = ctx.f32_mut(0);
+                        x[0] = (x[0] + (i as f32)).sin() * 100.0 + seedling as f32;
+                        1 + ((i as u64 * 2654435761) % 29)
+                    })
+                    .unwrap();
+                g.connect(v, x.element(i), Access::ReadWrite).unwrap();
+            }
+            let mut e = g
+                .compile(Program::repeat(repeats, Program::execute(cs)))
+                .unwrap();
+            e.set_exec_mode(mode);
+            let init: Vec<f32> = (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect();
+            e.write_f32(x, &init).unwrap();
+            e.run().unwrap();
+            let bits: Vec<u32> = e.read_f32(x).iter().map(|v| v.to_bits()).collect();
+            (bits, e.stats().clone())
+        };
+        prop_assert_eq!(run(ExecMode::Interpreted), run(ExecMode::Plan));
     }
 }

@@ -1,12 +1,12 @@
 //! Property tests for the execution profilers: on arbitrary instances,
 //! both simulators' timelines must reconcile *exactly* with their own
-//! cycle/time accounting, and the IPU profile must be bit-identical at
-//! every host thread count.
+//! cycle/time accounting, and the IPU profile must be bit-identical
+//! between the interpreter and the lowered plan.
 
 use fastha::FastHa;
 use gpu_sim::GpuProfileConfig;
 use hunipu::HunIpu;
-use ipu_sim::{Engine, IpuConfig, ProfileConfig, ProfileEvent};
+use ipu_sim::{Engine, ExecMode, IpuConfig, ProfileConfig, ProfileEvent};
 use lsap::CostMatrix;
 use proptest::prelude::*;
 
@@ -26,11 +26,11 @@ fn instance(n: usize, span: u64, seed: u64) -> CostMatrix {
 fn profiled_engine(
     m: &CostMatrix,
     tiles: usize,
-    host_threads: usize,
+    exec_mode: ExecMode,
     config: ProfileConfig,
 ) -> Engine {
     let cfg = IpuConfig {
-        host_threads,
+        exec_mode,
         ..IpuConfig::tiny(tiles)
     };
     let (_, engine) = HunIpu::with_config(cfg)
@@ -56,7 +56,7 @@ proptest! {
     ) {
         let m = instance(n, span, seed);
         // An effectively unbounded ring so the event sums are complete.
-        let engine = profiled_engine(&m, tiles, 1, ProfileConfig {
+        let engine = profiled_engine(&m, tiles, ExecMode::Auto, ProfileConfig {
             max_events: usize::MAX,
             ..Default::default()
         });
@@ -105,21 +105,21 @@ proptest! {
     }
 
     /// The full profile — raw event ring, summary report, and rendered
-    /// Chrome trace — is bit-identical at 1 and 8 host threads.
+    /// Chrome trace — is bit-identical between interpreter and plan.
     #[test]
-    fn ipu_profile_bit_identical_across_host_threads(
+    fn ipu_profile_bit_identical_interpreted_vs_plan(
         n in 4usize..11,
         tiles in 2usize..6,
         seed in 0u64..1000,
     ) {
         let m = instance(n, 40, seed);
-        let base = profiled_engine(&m, tiles, 1, ProfileConfig::default());
-        let par = profiled_engine(&m, tiles, 8, ProfileConfig::default());
-        prop_assert_eq!(base.profile(), par.profile());
-        prop_assert_eq!(base.profile_report(), par.profile_report());
+        let interp = profiled_engine(&m, tiles, ExecMode::Interpreted, ProfileConfig::default());
+        let plan = profiled_engine(&m, tiles, ExecMode::Plan, ProfileConfig::default());
+        prop_assert_eq!(interp.profile(), plan.profile());
+        prop_assert_eq!(interp.profile_report(), plan.profile_report());
         prop_assert_eq!(
-            base.chrome_trace(1, "ipu").unwrap().to_json(),
-            par.chrome_trace(1, "ipu").unwrap().to_json()
+            interp.chrome_trace(1, "ipu").unwrap().to_json(),
+            plan.chrome_trace(1, "ipu").unwrap().to_json()
         );
     }
 
@@ -134,8 +134,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let m = instance(n, 30, seed);
-        let full = profiled_engine(&m, tiles, 1, ProfileConfig::default());
-        let sampled = profiled_engine(&m, tiles, 1, ProfileConfig {
+        let full = profiled_engine(&m, tiles, ExecMode::Auto, ProfileConfig::default());
+        let sampled = profiled_engine(&m, tiles, ExecMode::Auto, ProfileConfig {
             tile_sample: stride,
             max_events: 64,
             ..Default::default()
@@ -194,10 +194,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let m = instance(n, 25, seed);
-        let cfg = IpuConfig {
-            host_threads: 1,
-            ..IpuConfig::tiny(tiles)
-        };
+        let cfg = IpuConfig::tiny(tiles);
         let (plain, plain_engine) =
             HunIpu::with_config(cfg.clone()).solve_with_engine(&m).unwrap();
         let (prof, prof_engine) = HunIpu::with_config(cfg)

@@ -19,9 +19,8 @@
 //! [`lsap::ResolveStats`], error surfaced when even the cold path cannot
 //! verify) — never a silent wrong answer.
 //!
-//! The suite is thread-count independent (CI runs it at `SIM_THREADS=1`
-//! and `8`); snapshot/restore replay is additionally pinned in both
-//! device execution modes (`Plan` and `Interpreted`).
+//! Snapshot/restore replay is pinned in both device execution modes
+//! (`Plan` and `Interpreted`).
 
 use cpu_hungarian::JonkerVolgenant;
 use datasets::uniform_cost_matrix;

@@ -25,11 +25,7 @@ fn fixed_trace() -> String {
         &[1.0, 6.0, 4.0, 2.0],
     ])
     .unwrap();
-    let cfg = IpuConfig {
-        host_threads: 1,
-        ..IpuConfig::tiny(4)
-    };
-    let (_, engine) = HunIpu::with_config(cfg)
+    let (_, engine) = HunIpu::with_config(IpuConfig::tiny(4))
         .with_profiling(ProfileConfig::default())
         .solve_with_engine(&m)
         .expect("solve failed");
