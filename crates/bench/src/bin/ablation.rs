@@ -1,12 +1,13 @@
 //! Ablation benches for the design choices DESIGN.md calls out
-//! (§IV-A/B/E/G of the paper).
+//! (§IV-A/B/E/F/G of the paper).
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation -- compression
 //! cargo run --release -p bench --bin ablation -- segment
 //! cargo run --release -p bench --bin ablation -- dynslice
 //! cargo run --release -p bench --bin ablation -- decomposition
-//! cargo run --release -p bench --bin ablation              # all four
+//! cargo run --release -p bench --bin ablation -- priming
+//! cargo run --release -p bench --bin ablation              # all five
 //! ```
 
 use bench::{Args, ExperimentRecord, Measurement};
@@ -14,22 +15,31 @@ use datasets::gaussian_cost_matrix;
 use hunipu::{ablation::two_d_exchange_bytes_per_scan, AblationConfig, DynSlice, HunIpu};
 use lsap::CostMatrix;
 
-fn solve(m: &CostMatrix, ab: AblationConfig, col_seg: usize) -> (f64, u64, u64) {
+/// Modeled seconds, exchange bytes, objective and supersteps of one
+/// full-Mk2 solve.
+fn solve(m: &CostMatrix, ab: AblationConfig, col_seg: usize) -> (f64, u64, u64, u64) {
     let solver = HunIpu::new().with_ablation(ab).with_col_seg(col_seg);
     let (rep, engine) = solver.solve_with_engine(m).expect("solve");
     (
         rep.stats.modeled_seconds.unwrap(),
         engine.stats().exchange_bytes,
         rep.objective as u64,
+        rep.stats.device_steps,
     )
 }
 
 fn main() {
     let args = Args::parse();
     let which: Vec<String> = if args.positional.is_empty() {
-        ["compression", "segment", "dynslice", "decomposition"]
-            .map(String::from)
-            .to_vec()
+        [
+            "compression",
+            "segment",
+            "dynslice",
+            "decomposition",
+            "priming",
+        ]
+        .map(String::from)
+        .to_vec()
     } else {
         args.positional.clone()
     };
@@ -56,7 +66,7 @@ fn main() {
                         compression,
                         ..Default::default()
                     };
-                    let (secs, bytes, obj) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
+                    let (secs, bytes, obj, _) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
                     println!("  {label:<18} {:.2}ms (exchange {bytes} B)", secs * 1e3);
                     record.push(Measurement {
                         engine: "hunipu".into(),
@@ -75,7 +85,7 @@ fn main() {
             "segment" => {
                 println!("\nA3 — col_cover segment size (§IV-E footnote), n={n}, k={k}:");
                 for seg in [8usize, 16, 32, 64, 128] {
-                    let (secs, _, obj) = solve(&m, AblationConfig::default(), seg);
+                    let (secs, _, obj, _) = solve(&m, AblationConfig::default(), seg);
                     println!("  segment {seg:<4} {:.2}ms", secs * 1e3);
                     record.push(Measurement {
                         engine: "hunipu".into(),
@@ -101,7 +111,7 @@ fn main() {
                         dyn_slice: strat,
                         ..Default::default()
                     };
-                    let (secs, bytes, obj) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
+                    let (secs, bytes, obj, _) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
                     println!("  {label:<22} {:.2}ms (exchange {bytes} B)", secs * 1e3);
                     record.push(Measurement {
                         engine: "hunipu".into(),
@@ -133,6 +143,29 @@ fn main() {
                      \x20                 (every row needs a sqrt(tiles)-way combine)"
                 );
                 println!("  -> the paper's 1D choice avoids per-scan cross-tile traffic entirely.");
+            }
+            "priming" => {
+                println!("\nA5 — priming granularity (§IV-F), n={n}, k={k}:");
+                for (label, layered_priming) in [("layered", true), ("one prime (paper)", false)] {
+                    let ab = AblationConfig {
+                        layered_priming,
+                        ..Default::default()
+                    };
+                    let (secs, _, obj, steps) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
+                    println!("  {label:<18} {:.2}ms ({steps} supersteps)", secs * 1e3);
+                    record.push(Measurement {
+                        engine: "hunipu".into(),
+                        n,
+                        k,
+                        label: format!("priming/{label}"),
+                        modeled_seconds: secs,
+                        wall_seconds: 0.0,
+                        objective: obj as f64,
+                        extrapolated: false,
+                        device_steps: steps,
+                        profile_events: 0,
+                    });
+                }
             }
             other => panic!("unknown ablation '{other}'"),
         }

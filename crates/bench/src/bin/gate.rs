@@ -6,14 +6,16 @@
 //! cargo run --release -p bench --bin gate -- --all --drift   # weekly drift job
 //! ```
 //!
-//! `--all` (or `--only NAME`) runs each gate from [`bench::GATES`]: the
-//! gate binary records a fresh baseline under `target/experiments/`, and
-//! the gate's spec is applied to the committed `BENCH_*.json` and the
-//! fresh file; every violation is printed, then one pass/fail summary
-//! table. `--drift` instead diffs the fresh recording against the
-//! committed file by JSON path (volatile wall-clock keys ignored),
-//! catching modeled costs that moved *within* the gate tolerance. Exit
-//! code = number of failed gates.
+//! `--all` (or `--only NAME`) first builds the selected gate binaries
+//! (`cargo run --bin gate` alone would rebuild only this one), then runs
+//! each gate from [`bench::GATES`]: the gate binary records a fresh
+//! baseline under `target/experiments/`, and the gate's spec is
+//! applied to the committed `BENCH_*.json` and the fresh file; every
+//! violation is printed, then one pass/fail summary table. `--drift`
+//! instead diffs the fresh recording against the committed file by JSON
+//! path (volatile wall-clock keys ignored), catching modeled costs that
+//! moved *within* the gate tolerance. Exit code = number of failed
+//! gates.
 
 use bench::{run_gates, Args};
 

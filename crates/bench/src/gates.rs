@@ -10,8 +10,9 @@
 //! interpreter for all of them. Both files are read as `serde::Value`
 //! trees, so the committed baselines need no schema of their own.
 //!
-//! `bench gate` runs each selected binary once into
-//! `target/experiments/`, then either
+//! `bench gate` first builds every selected binary in one release
+//! `cargo build`, so each gate measures the current sources, then runs
+//! each once into `target/experiments/`, then either
 //! - **checks** (default): applies the gate's spec to the committed and
 //!   fresh files and reports every [`Violation`], or
 //! - **diffs** (`--drift`, the weekly scheduled job): reports every
@@ -27,7 +28,7 @@ use crate::Args;
 use serde::{Serialize, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 /// Relative regression tolerance on gated modeled costs (10%). Modeled
@@ -787,10 +788,24 @@ pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
         return 1;
     }
 
+    let mut bins: Vec<&str> = selected.iter().map(|g| g.bin).collect();
+    bins.sort_unstable();
+    bins.dedup();
+    let exes = match build_gate_bins(&bins) {
+        Ok(exes) => exes,
+        Err(e) => {
+            eprintln!("{e}");
+            return selected.len();
+        }
+    };
+
     let mut results = Vec::new();
     for g in selected {
         let start = Instant::now();
-        let outcome = run_gate(g, drift);
+        let exe = exes.iter().find(|(name, _)| name == g.bin).map(|(_, p)| p);
+        let outcome = exe
+            .ok_or_else(|| format!("cargo built no executable for {}", g.bin))
+            .and_then(|exe| run_gate(g, exe, drift));
         results.push((g.name, outcome, start.elapsed().as_secs_f64()));
     }
 
@@ -819,7 +834,7 @@ pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
 /// Records a fresh baseline with the gate's binary, then checks it
 /// against the committed file (or, in drift mode, diffs the two).
 /// Returns the summary detail: `Ok` if the gate passes.
-fn run_gate(g: &Gate, drift: bool) -> Result<String, String> {
+fn run_gate(g: &Gate, exe: &Path, drift: bool) -> Result<String, String> {
     let (fresh, args) = if drift {
         (format!("drift_{}", g.baseline), &[][..])
     } else {
@@ -828,7 +843,7 @@ fn run_gate(g: &Gate, drift: bool) -> Result<String, String> {
     let fresh = PathBuf::from("target/experiments").join(fresh);
     let command = [&[g.bin], args].concat().join(" ");
     println!("running {} ({command})", g.name);
-    record(g.bin, args, &fresh)?;
+    record(g.bin, exe, args, &fresh)?;
     let committed = load_baseline(Path::new(g.baseline))?;
     let fresh = load_baseline(&fresh)?;
     let problems: Vec<String> = if drift {
@@ -848,12 +863,12 @@ fn run_gate(g: &Gate, drift: bool) -> Result<String, String> {
     Err(format!("{} {what}(s)", problems.len()))
 }
 
-/// Runs a gate binary so that it writes its fresh baseline to `fresh`;
-/// replays its output if it fails.
-fn record(bin: &str, args: &[&str], fresh: &Path) -> Result<(), String> {
+/// Runs a gate binary (`bin`, built at `exe`) so that it writes its
+/// fresh baseline to `fresh`; replays its output if it fails.
+fn record(bin: &str, exe: &Path, args: &[&str], fresh: &Path) -> Result<(), String> {
     std::fs::create_dir_all("target/experiments").map_err(|e| format!("scratch dir: {e}"))?;
     let _ = std::fs::remove_file(fresh);
-    let output = gate_command(bin)
+    let output = Command::new(exe)
         .args(args)
         .args(["--write-baseline", "--baseline"])
         .arg(fresh)
@@ -869,24 +884,61 @@ fn record(bin: &str, args: &[&str], fresh: &Path) -> Result<(), String> {
     Err(format!("{bin} exit {}", output.status.code().unwrap_or(-1)))
 }
 
-/// Builds the command for a sibling gate binary. The gate runner and the
-/// gate binaries are built into the same target directory, so the
-/// sibling path exists whenever `gate` itself was built; the cargo
-/// fallback covers running the runner from a source checkout without a
-/// prior full build.
-fn gate_command(bin: &str) -> Command {
-    let sibling = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join(bin)))
-        .filter(|p| p.is_file());
-    match sibling {
-        Some(path) => Command::new(path),
-        None => {
-            let mut c = Command::new("cargo");
-            c.args(["run", "--release", "-q", "-p", "bench", "--bin", bin, "--"]);
-            c
-        }
+/// Builds every gate binary in `bins` with one release `cargo build`
+/// and returns each one's executable. `cargo run --bin gate` rebuilds
+/// only `gate`, so a sibling executable found on disk may predate the
+/// sources it would be measuring.
+fn build_gate_bins(bins: &[&str]) -> Result<Vec<(String, PathBuf)>, String> {
+    let output = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
+        .args(build_args(bins))
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("could not launch cargo: {e}"))?;
+    if !output.status.success() {
+        return Err(format!(
+            "building the gate binaries failed: exit {}",
+            output.status.code().unwrap_or(-1)
+        ));
     }
+    Ok(artifact_executables(&String::from_utf8_lossy(
+        &output.stdout,
+    )))
+}
+
+/// The `cargo` arguments that build exactly `bins` from the `bench`
+/// package, reporting artifacts as JSON messages on stdout.
+fn build_args(bins: &[&str]) -> Vec<String> {
+    let mut args = [
+        "build",
+        "--release",
+        "-p",
+        "bench",
+        "--message-format=json-render-diagnostics",
+    ]
+    .map(String::from)
+    .to_vec();
+    for bin in bins {
+        args.extend(["--bin".to_string(), bin.to_string()]);
+    }
+    args
+}
+
+/// `(target name, executable)` of every executable artifact in cargo's
+/// JSON message stream; other lines and messages are skipped.
+fn artifact_executables(stream: &str) -> Vec<(String, PathBuf)> {
+    stream
+        .lines()
+        .filter_map(|line| {
+            let msg: Value = serde_json::from_str(line).ok()?;
+            let (Value::Str(exe), Value::Str(name)) = (
+                field(&msg, "executable")?,
+                field(field(&msg, "target")?, "name")?,
+            ) else {
+                return None;
+            };
+            Some((name.clone(), PathBuf::from(exe)))
+        })
+        .collect()
 }
 
 /// Structural diff of two baseline trees: every value that differs,
@@ -1264,6 +1316,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_build_names_every_gate_binary() {
+        let bins: Vec<&str> = GATES.iter().map(|g| g.bin).collect();
+        let args = build_args(&bins);
+        assert_eq!(&args[..4], ["build", "--release", "-p", "bench"]);
+        for bin in bins {
+            assert!(
+                args.windows(2).any(|w| w[0] == "--bin" && w[1] == bin),
+                "{bin} is not built before the gates run: {args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn executables_are_read_from_cargo_artifact_messages() {
+        let stream = concat!(
+            r#"{"reason":"compiler-artifact","target":{"name":"bench","kind":["lib"]},"executable":null}"#,
+            "\n",
+            r#"{"reason":"compiler-artifact","target":{"name":"scale","kind":["bin"]},"fresh":false,"executable":"/t/release/scale"}"#,
+            "\nnot json\n",
+            r#"{"reason":"compiler-artifact","target":{"name":"serve","kind":["bin"]},"fresh":true,"executable":"/t/release/serve"}"#,
+            "\n",
+            r#"{"reason":"build-finished","success":true}"#,
+        );
+        assert_eq!(
+            artifact_executables(stream),
+            [
+                ("scale".to_string(), PathBuf::from("/t/release/scale")),
+                ("serve".to_string(), PathBuf::from("/t/release/serve")),
+            ]
+        );
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   [`crate::HunIpu::with_col_seg`].
 //! - **A4 — dynamic-slice strategy (§IV-G).** Partition-and-distribute
 //!   (Fig. 4) versus shipping the whole tensor to one tile per read.
+//! - **A5 — priming granularity (§IV-F).** [`AblationConfig::layered_priming`]
+//!   switches Step 4 between priming every primable row in one pass
+//!   (the default) and the paper's one prime per search iteration.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +42,11 @@ pub struct AblationConfig {
     pub compression: bool,
     /// Dynamic-slice strategy (§IV-G).
     pub dyn_slice: DynSlice,
+    /// Prime every row whose status is 0 in one Step 4 pass, building
+    /// the alternating tree a layer at a time. When off, Step 4 primes
+    /// the arg-max row only, as the paper does (§IV-F): one dynamic read
+    /// of its zero column and of its star per prime.
+    pub layered_priming: bool,
 }
 
 impl Default for AblationConfig {
@@ -46,6 +54,7 @@ impl Default for AblationConfig {
         Self {
             compression: true,
             dyn_slice: DynSlice::PartitionDistribute,
+            layered_priming: true,
         }
     }
 }
@@ -72,9 +81,13 @@ mod tests {
 
     #[test]
     fn default_is_the_paper_design() {
+        // Compression and partition-and-distribute reads are the paper's
+        // choices; layered priming is not — A5 turns it off to recover
+        // the paper's one-prime Step 4.
         let c = AblationConfig::default();
         assert!(c.compression);
         assert_eq!(c.dyn_slice, DynSlice::PartitionDistribute);
+        assert!(c.layered_priming);
     }
 
     #[test]

@@ -781,10 +781,88 @@ impl Builder {
         Ok(Program::while_true(t_searching, body))
     }
 
-    /// Step 4's priming action (status 0): prime the zero, cover its row,
-    /// uncover its star's column (§IV-F). All writes at runtime-computed
-    /// indices use the partition-and-distribute pattern (§IV-G).
+    /// Step 4's priming action (status 0), one tree layer per pass:
+    /// every row whose status is 0 primes its uncovered zero and covers
+    /// itself, with no dynamic reads. Column covers are then re-derived
+    /// from the search-loop invariant "a column is covered iff it holds
+    /// a star whose row is uncovered", reading `row_cover` through the
+    /// `ma` mirror (idle during Step 4). Three supersteps per layer.
+    ///
+    /// Primes of one pass sit in distinct rows, and a prime's column was
+    /// uncovered when the pass started, so its star's row was primed in
+    /// an earlier pass: Step 5's walk visits strictly earlier passes and
+    /// terminates. Ablation A5 (`layered_priming: false`) keeps the
+    /// paper's one prime per iteration ([`Builder::frag_prime_one`]).
     fn frag_prime(
+        &mut self,
+        get_sel_col: &Program,
+        row_intervals: &[(std::ops::Range<usize>, usize)],
+    ) -> Result<Program, GraphError> {
+        if !self.ab.layered_priming {
+            return self.frag_prime_one(get_sel_col, row_intervals);
+        }
+        let l = self.l.clone();
+        let (t_zs, t_rzc) = (self.t.zero_status, self.t.row_zero_col);
+        let (t_prime, t_rcov) = (self.t.row_prime, self.t.row_cover);
+        let cs_prime = self.g.add_compute_set("step4.prime_layer");
+        for (tile, t, rows) in self.tile_thread_chunks() {
+            let v = self
+                .g
+                .add_vertex_on_thread(cs_prime, tile, t, "prime_layer", |ctx| {
+                    let status = ctx.i32(0);
+                    let zcol = ctx.i32(1);
+                    let mut prime = ctx.i32_mut(2);
+                    let mut cov = ctx.i32_mut(3);
+                    let mut primed = 0;
+                    for (r, &s) in status.iter().enumerate() {
+                        if s == 0 {
+                            prime[r] = zcol[r];
+                            cov[r] = 1;
+                            primed += 1;
+                        }
+                    }
+                    cost::i32_scan(status.len()) + cost::scalar(2 * primed)
+                })?;
+            self.g.connect(v, t_zs.slice(rows.clone()), Access::Read)?;
+            self.g.connect(v, t_rzc.slice(rows.clone()), Access::Read)?;
+            self.g
+                .connect(v, t_prime.slice(rows.clone()), Access::ReadWrite)?;
+            self.g.connect(v, t_rcov.slice(rows), Access::ReadWrite)?;
+        }
+
+        let (t_ma, t_cstar, t_ccov) = (self.t.ma, self.t.col_star, self.t.col_cover);
+        let cs_recover = self.g.add_compute_set("step4.recover");
+        for seg in 0..l.n_col_segs() {
+            let cols = l.col_seg_cols(seg);
+            let v = self
+                .g
+                .add_vertex(cs_recover, l.col_seg_tile(seg), "recover", |ctx| {
+                    let stars = ctx.i32(0);
+                    let rcov = ctx.i32(1);
+                    let mut cov = ctx.i32_mut(2);
+                    for (c, &s) in cov.iter_mut().zip(stars.iter()) {
+                        *c = i32::from(s >= 0 && rcov[s as usize] == 0);
+                    }
+                    cost::i32_scan(stars.len()) + cost::i32_update(stars.len())
+                })?;
+            self.g
+                .connect(v, t_cstar.slice(cols.clone()), Access::Read)?;
+            self.g.connect(v, t_ma.whole(), Access::Read)?;
+            self.g.connect(v, t_ccov.slice(cols), Access::Write)?;
+        }
+
+        Ok(Program::seq(vec![
+            Program::execute(cs_prime),
+            Program::broadcast(t_rcov.whole(), t_ma.whole()),
+            Program::execute(cs_recover),
+        ]))
+    }
+
+    /// The paper's priming action (§IV-F, ablation A5): prime the arg-max
+    /// row's zero, cover its row, uncover its star's column. All writes
+    /// at runtime-computed indices use the partition-and-distribute
+    /// pattern (§IV-G).
+    fn frag_prime_one(
         &mut self,
         get_sel_col: &Program,
         row_intervals: &[(std::ops::Range<usize>, usize)],
@@ -1334,7 +1412,8 @@ impl Builder {
     }
 
     /// Per-(tile, thread) partition of each owner tile's row block —
-    /// the work decomposition of every streamed-block sweep.
+    /// the work decomposition of every streamed-block sweep and of the
+    /// layered prime pass.
     fn tile_thread_chunks(&self) -> Vec<(usize, usize, std::ops::Range<usize>)> {
         let th = self.l.threads;
         let mut out = Vec::new();

@@ -2,9 +2,11 @@
 //! performance. Every variant must return the same optimal objective and
 //! a valid certificate.
 
-use hunipu::{AblationConfig, DynSlice, HunIpu, F32_VERIFY_EPS};
+use cpu_hungarian::JonkerVolgenant;
+use hunipu::{AblationConfig, DynSlice, HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
-use lsap::{CostMatrix, LsapSolver};
+use lsap::{CostMatrix, LsapSolver, SolveReport, WarmStart};
+use proptest::prelude::*;
 
 fn instance(n: usize, seed: u64) -> CostMatrix {
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -65,6 +67,7 @@ fn both_ablations_together_match_default() {
         AblationConfig {
             compression: false,
             dyn_slice: DynSlice::SingleTileGather,
+            ..Default::default()
         },
     );
     assert_eq!(base, both);
@@ -116,4 +119,98 @@ fn single_tile_dynslice_moves_more_bytes() {
         st > pd,
         "single-tile shipping ({st} B) must exceed partition-and-distribute ({pd} B)"
     );
+}
+
+/// Integer costs in `0..=3`: dense in ties, so the two priming modes may
+/// build different trees and pick different optimal assignments.
+fn tie_heavy(n: usize, seed: u64) -> CostMatrix {
+    let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    CostMatrix::from_fn(n, n, |_, _| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % 4) as f64
+    })
+    .unwrap()
+}
+
+/// Every path that runs the shared search loop, under one priming mode:
+/// dense, sparse-k with repair, a seeded warm re-solve of `next`, tiled,
+/// and a 2-chip chip-aware layout. Returns `(path, matrix, report)`.
+fn every_path<'m>(
+    m: &'m CostMatrix,
+    next: &'m CostMatrix,
+    layered_priming: bool,
+) -> Vec<(&'static str, &'m CostMatrix, SolveReport)> {
+    let ab = AblationConfig {
+        layered_priming,
+        ..Default::default()
+    };
+    let mut tiny = HunIpu::with_config(IpuConfig::tiny(8)).with_ablation(ab);
+    let mut warm = tiny.warm(m.rows()).unwrap();
+    let first = warm.solve(&tiny, m).unwrap();
+    let seeded = warm
+        .solve_seeded(&tiny, next, &WarmStart::from_report(&first))
+        .unwrap();
+    let mut two_chip = HunIpu::with_config(IpuConfig::tiny_multi(2, 6))
+        .with_layout_mode(LayoutMode::ChipAware)
+        .with_ablation(ab);
+    vec![
+        ("dense", m, tiny.solve(m).unwrap()),
+        ("sparse", m, tiny.solve_pruned(m, 4, 8).unwrap().report),
+        ("seeded", next, seeded),
+        ("tiled", m, tiny.solve_tiled(m).unwrap().0),
+        ("2-chip", m, two_chip.solve(m).unwrap()),
+    ]
+}
+
+#[test]
+fn layered_priming_cuts_supersteps() {
+    // On the paper's Fig. 5 data most search iterations only prime, and
+    // many rows are primable at once: one layer replaces a run of
+    // one-prime iterations.
+    let m = datasets::gaussian_cost_matrix(64, 10, 1);
+    let run = |layered_priming: bool| {
+        let solver = HunIpu::with_config(IpuConfig::tiny(8)).with_ablation(AblationConfig {
+            layered_priming,
+            ..Default::default()
+        });
+        let (rep, engine) = solver.solve_with_engine(&m).unwrap();
+        rep.verify(&m, F32_VERIFY_EPS).unwrap();
+        (rep.objective, engine.stats().supersteps)
+    };
+    let (obj_layered, steps_layered) = run(true);
+    let (obj_one, steps_one) = run(false);
+    assert_eq!(obj_layered, obj_one);
+    assert!(
+        2 * steps_layered < steps_one,
+        "layered priming ran {steps_layered} supersteps, one-prime {steps_one}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Layered priming and the paper's one prime per iteration (A5)
+    /// both reach JV's optimum with a valid certificate on every path;
+    /// assignments may differ only on ties.
+    fn layered_and_one_prime_priming_match_jv(n in 1usize..=48, seed in 0u64..1_000_000) {
+        let m = tie_heavy(n, seed);
+        // A warm re-solve target: the same instance with one row redrawn.
+        let fresh = tie_heavy(n, seed ^ 0x5EED);
+        let next = CostMatrix::from_fn(n, n, |r, c| {
+            if r == seed as usize % n { fresh.get(r, c) } else { m.get(r, c) }
+        })
+        .unwrap();
+        for layered in [true, false] {
+            for (path, matrix, report) in every_path(&m, &next, layered) {
+                let truth = JonkerVolgenant::default().solve(matrix).unwrap().objective;
+                prop_assert_eq!(report.objective, truth, "{} layered={} n={}", path, layered, n);
+                prop_assert!(
+                    report.verify(matrix, F32_VERIFY_EPS).is_ok(),
+                    "{} layered={} n={} certificate", path, layered, n
+                );
+            }
+        }
+    }
 }
