@@ -59,6 +59,8 @@
 pub mod ablation;
 mod batch;
 mod build;
+#[cfg(test)]
+mod fingerprints;
 mod layout;
 mod solver;
 mod steps;
