@@ -142,15 +142,7 @@ pub(crate) struct Builder {
 }
 
 impl Builder {
-    pub fn with_layout(
-        config: IpuConfig,
-        l: Layout,
-        ab: crate::ablation::AblationConfig,
-    ) -> Result<Self, GraphError> {
-        Self::with_layout_storage(config, l, ab, Storage::Dense)
-    }
-
-    pub fn with_layout_storage(
+    pub fn new(
         config: IpuConfig,
         l: Layout,
         ab: crate::ablation::AblationConfig,

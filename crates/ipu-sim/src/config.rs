@@ -9,13 +9,10 @@ use serde::{Deserialize, Serialize};
 /// the mode affects **host wall-clock only**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecMode {
-    /// Use the `SIM_EXEC` environment variable if set
-    /// (`plan`/`interp`/`interpreted`), else the lowered plan.
-    #[default]
-    Auto,
     /// Pre-resolved straight-line execution plan: monomorphized vertex
     /// tables, pre-sliced buffer views, flattened exchange copy lists
-    /// (the fast path).
+    /// (the fast path, and the default).
+    #[default]
     Plan,
     /// Walk the lowered program tree and re-derive vertex state each
     /// superstep (the reference path the plan is differentially tested
@@ -107,7 +104,7 @@ impl IpuConfig {
             max_while_iterations: 100_000_000,
             program_load_base_cycles: crate::calibration::PROGRAM_LOAD_BASE_CYCLES,
             host_io_bytes_per_cycle: crate::calibration::HOST_IO_BYTES_PER_CYCLE,
-            exec_mode: ExecMode::Auto,
+            exec_mode: ExecMode::Plan,
         }
     }
 
@@ -223,12 +220,11 @@ impl IpuConfig {
         usize::MAX
     }
 
-    /// The execution mode an engine built from this config will start in:
-    /// [`exec_mode`](Self::exec_mode) if not `Auto`, else the `SIM_EXEC`
-    /// environment variable (`interp`/`interpreted` select the tree
-    /// walker), else [`ExecMode::Plan`]. Never returns `Auto`.
+    /// The execution mode an engine built from this config will start
+    /// in: [`exec_mode`](Self::exec_mode). The benchmark's provenance
+    /// record is its only caller.
     pub fn resolved_exec_mode(&self) -> ExecMode {
-        crate::engine::resolve_exec_mode(self)
+        self.exec_mode
     }
 }
 

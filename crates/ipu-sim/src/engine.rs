@@ -8,7 +8,7 @@
 
 use crate::calibration::{self, VERTEX_OVERHEAD};
 use crate::codelet::{FieldBuf, VertexCtx};
-use crate::config::{ExecMode, IpuConfig};
+use crate::config::ExecMode;
 use crate::error::GraphError;
 use crate::exec::{self, ExecNode};
 use crate::fault::{FaultPlan, FaultState};
@@ -210,7 +210,7 @@ pub struct Engine {
     /// The straight-line lowering of `program`, built once at compile
     /// (see `plan.rs`); the default execution path.
     plan: ExecPlan,
-    /// Resolved execution path for subsequent runs (never `Auto`).
+    /// Execution path for subsequent runs.
     exec_mode: ExecMode,
     st: RunState,
     /// Modeled one-time cost of loading this program onto the device,
@@ -1061,24 +1061,6 @@ impl PlanExec<'_> {
     }
 }
 
-fn exec_mode_from_env() -> ExecMode {
-    match std::env::var("SIM_EXEC").as_deref() {
-        Ok("interp") | Ok("interpreted") => ExecMode::Interpreted,
-        _ => ExecMode::Plan,
-    }
-}
-
-/// Resolves the execution mode: an explicit config choice wins; `Auto`
-/// consults the `SIM_EXEC` environment variable (`interp`/`interpreted`
-/// selects the tree-walking interpreter) and otherwise picks the lowered
-/// execution plan. Modeled results are bit-identical either way.
-pub(crate) fn resolve_exec_mode(config: &IpuConfig) -> ExecMode {
-    match config.exec_mode {
-        ExecMode::Auto => exec_mode_from_env(),
-        m => m,
-    }
-}
-
 impl Engine {
     pub(crate) fn new(graph: Graph, program: Program) -> Self {
         let mut buffers: Vec<Buffer> = graph
@@ -1130,7 +1112,7 @@ impl Engine {
             + program.node_count() * calibration::IMAGE_BYTES_PER_NODE;
         let program_load_cycles = graph.config.program_load_base_cycles
             + (image_bytes as f64 / graph.config.host_io_bytes_per_cycle).ceil() as u64;
-        let exec_mode = resolve_exec_mode(&graph.config);
+        let exec_mode = graph.config.exec_mode;
         let plan = plan::build(&graph, &program, &vertex_thread, &raw);
         Self {
             sh: Shared {
@@ -1223,22 +1205,16 @@ impl Engine {
         &self.sh.graph.config
     }
 
-    /// The resolved execution path for subsequent runs (never
-    /// [`ExecMode::Auto`]).
+    /// The execution path for subsequent runs.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
     }
 
-    /// Overrides the execution path for subsequent runs;
-    /// [`ExecMode::Auto`] re-resolves from the `SIM_EXEC` environment
-    /// variable. Buffers, statistics, faults, and profiles are
-    /// bit-identical across modes — the choice affects host wall-clock
-    /// only.
+    /// Overrides the execution path for subsequent runs. Buffers,
+    /// statistics, faults, and profiles are bit-identical across modes —
+    /// the choice affects host wall-clock only.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = match mode {
-            ExecMode::Auto => exec_mode_from_env(),
-            m => m,
-        };
+        self.exec_mode = mode;
     }
 
     /// Installs a profiler: subsequent execution records a per-superstep
@@ -1441,7 +1417,7 @@ impl Engine {
     pub fn run(&mut self) -> Result<(), GraphError> {
         match self.exec_mode {
             ExecMode::Interpreted => self.run_interpreted(),
-            _ => self.run_plan(),
+            ExecMode::Plan => self.run_plan(),
         }
     }
 

@@ -29,9 +29,10 @@
 //! [`calibration`] for every constant and its rationale).
 //!
 //! The host executes every superstep on the calling thread. Two paths
-//! run a compiled program — a tree-walking interpreter and a lowered
-//! straight-line plan (see [`ExecMode`]) — and buffers, cycle statistics,
-//! fault behaviour and profiles are bit-identical between them.
+//! run a compiled program — the lowered straight-line plan (the default)
+//! and the tree-walking interpreter it is differentially tested against
+//! (see [`ExecMode`]) — and buffers, cycle statistics, fault behaviour
+//! and profiles are bit-identical between them.
 //!
 //! # Quick example
 //!

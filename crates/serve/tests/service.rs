@@ -539,6 +539,45 @@ fn same_tenant_same_shape_streams_hit_the_seeded_rung() {
     );
 }
 
+/// A shape that routes to the tiled program has no seeded re-solve: the
+/// seeded rung fails with a backend error, the service counts a seeded
+/// fallback, and the cold device rung answers exactly.
+#[test]
+fn seeded_rung_on_a_tiled_route_falls_back_to_a_cold_solve() {
+    const N: usize = 12;
+    let solver = HunIpu::with_config(device()).with_layout_mode(hunipu::LayoutMode::Tiled);
+    let mut svc = AssignmentService::new(
+        solver,
+        ServiceConfig {
+            queue_capacity: 8,
+            max_batch: 1,
+            batch_window_cycles: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let first = inst(N, 61);
+    let mut second = first.clone();
+    for j in 0..N {
+        second.set(3, j, second.get(3, j) + (j % 5) as f64 + 1.0);
+    }
+    for m in [&first, &second] {
+        let t = svc.now() + 1;
+        svc.submit_at(t, Request::new("tiled", m.clone())).unwrap();
+        svc.run_until_idle();
+    }
+    let done = svc.take_completed();
+    assert_eq!(done.len(), 2);
+    for (out, m) in done.iter().zip([&first, &second]) {
+        let r = out.response().expect("the cold rung answers");
+        assert_eq!(r.backend, "hunipu");
+        assert_sound(r, m);
+    }
+    let t = &svc.metrics().tenants["tiled"];
+    assert_eq!(t.exact, 2, "metrics: {t:?}");
+    assert_eq!(t.seeded, 0, "metrics: {t:?}");
+    assert_eq!(t.seeded_fallbacks, 1, "metrics: {t:?}");
+}
+
 /// With [`ServiceConfig::portfolio`] on, the calibrated cost models
 /// order the exact rungs: at the fitted grid sizes JV is predicted
 /// cheaper than the device for single instances, so requests answer on

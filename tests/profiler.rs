@@ -56,7 +56,7 @@ proptest! {
     ) {
         let m = instance(n, span, seed);
         // An effectively unbounded ring so the event sums are complete.
-        let engine = profiled_engine(&m, tiles, ExecMode::Auto, ProfileConfig {
+        let engine = profiled_engine(&m, tiles, ExecMode::Plan, ProfileConfig {
             max_events: usize::MAX,
             ..Default::default()
         });
@@ -134,8 +134,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let m = instance(n, 30, seed);
-        let full = profiled_engine(&m, tiles, ExecMode::Auto, ProfileConfig::default());
-        let sampled = profiled_engine(&m, tiles, ExecMode::Auto, ProfileConfig {
+        let full = profiled_engine(&m, tiles, ExecMode::Plan, ProfileConfig::default());
+        let sampled = profiled_engine(&m, tiles, ExecMode::Plan, ProfileConfig {
             tile_sample: stride,
             max_events: 64,
             ..Default::default()
