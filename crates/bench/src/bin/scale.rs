@@ -1,8 +1,9 @@
 //! `bench scale` — the beyond-SRAM scaling sweep and CI perf gate.
 //!
 //! Solves one structured instance per n under the three cost-matrix
-//! representations and reports modeled compute cycles, streamed host
-//! bytes, and peak resident SRAM bytes per tile:
+//! representations and reports modeled compute cycles, host bytes
+//! (uploads and read-backs, not the PCIe block streams, which the
+//! cycles carry), and peak resident SRAM bytes per tile:
 //!
 //! - **dense**: the resident n² layout, only where it fits under the
 //!   per-tile SRAM budget. At n=4096 on the 64-tile device it must NOT
@@ -14,8 +15,9 @@
 //!   edge cannot slip through. Headline: ≥5x fewer modeled compute
 //!   cycles than dense at n=1024.
 //! - **tiled**: the out-of-core block-streaming layout — duals,
-//!   matching, and one active block resident; cost blocks streamed
-//!   through the PCIe link each sweep. Headline: the dense-infeasible
+//!   matching, zero lists and one active block resident; cost blocks
+//!   streamed through the PCIe link in set-up and once per dual
+//!   update. Headline: the dense-infeasible
 //!   n=4096 instance solves, certificate-verified, with bounded
 //!   resident bytes per tile.
 //!
@@ -47,9 +49,9 @@ struct Baseline {
 }
 
 /// One representation at one n: whether it compiles under the per-tile
-/// SRAM budget, and its modeled cycles, streamed host bytes, and peak
-/// resident bytes per tile (all zero when infeasible); wall seconds are
-/// context only.
+/// SRAM budget, and its modeled cycles, uploaded and read-back host
+/// bytes, and peak resident bytes per tile (all zero when infeasible);
+/// wall seconds are context only.
 #[derive(Serialize)]
 struct ScaleEntry {
     engine: String,

@@ -41,13 +41,14 @@ pub enum LayoutMode {
     ChipAware,
     /// Force the out-of-core tiled layout: the cost matrix stays
     /// host-resident and streams through PCIe block by block, while
-    /// duals, matching state, and one active block live in SRAM. Breaks
-    /// the dense SRAM ceiling (per-tile memory `O(n·block_cols/tiles)`
-    /// instead of `O(n²/tiles)`) at the price of re-streaming the matrix
-    /// every search sweep. Requires integer costs below 2^24 (the
-    /// streamed slack is recomputed in f32 on the fly). Single-chip
-    /// structure; [`LayoutMode::Auto`] upgrades to this automatically
-    /// when the dense slack cannot fit the per-tile budget.
+    /// duals, matching state, per-row zero lists and one active block
+    /// live in SRAM. Breaks the dense SRAM ceiling (per-tile memory
+    /// `O(n·block_cols/tiles)` instead of `O(n²/tiles)`) at the price of
+    /// streaming the matrix three times in set-up and once per dual
+    /// update; the search reads the zero lists. Requires integer costs
+    /// below 2^24 (the streamed slack is recomputed in f32 on the fly).
+    /// Single-chip structure; [`LayoutMode::Auto`] upgrades to this
+    /// automatically when the dense slack cannot fit the per-tile budget.
     Tiled,
 }
 
@@ -79,9 +80,10 @@ pub struct HunIpu {
 pub const TILED_BLOCK_COLS: usize = 512;
 
 /// Default zero-list capacity per row for [`LayoutMode::Tiled`] — the
-/// bounded Step 2 warm-start lists (the search loop itself rescans
-/// streamed blocks, so truncation only costs iterations, never
-/// correctness).
+/// bounded resident zero lists that seed Step 2 and answer the search.
+/// A row with more zeros than fit never costs correctness: it costs a
+/// streamed pass whenever no list holds an uncovered zero, where a
+/// complete list would have let the iteration skip the stream.
 pub const TILED_ZCAP: usize = 8;
 
 impl Default for HunIpu {
@@ -116,9 +118,9 @@ impl HunIpu {
     }
 
     /// Overrides the column-segment size of §IV-E (default 32) — used by
-    /// the segment-size ablation.
+    /// the segment-size ablation. A size of 0 makes every solve return
+    /// [`LsapError::Backend`].
     pub fn with_col_seg(mut self, col_seg: usize) -> Self {
-        assert!(col_seg >= 1);
         self.col_seg = col_seg;
         self
     }
@@ -202,8 +204,9 @@ impl HunIpu {
 
     /// Overrides the tiled streaming parameters (block width and
     /// zero-list capacity; defaults [`TILED_BLOCK_COLS`], [`TILED_ZCAP`]).
+    /// Values above `n` clamp to `n`; a 0 makes every solve return
+    /// [`LsapError::Backend`].
     pub fn with_tiled_params(mut self, block_cols: usize, zcap: usize) -> Self {
-        assert!(block_cols >= 1 && zcap >= 1);
         self.tiled_block_cols = block_cols;
         self.tiled_zcap = zcap;
         self
@@ -264,7 +267,8 @@ impl HunIpu {
 
     /// The one routing decision (C4: one compiled program per shape):
     /// the storage, layout and driver an `n`-row request compiles to.
-    /// Also the one place that rejects shapes no program can represent.
+    /// Also the one place that rejects shapes and builder settings no
+    /// program can represent.
     fn route(&self, n: usize, ask: Ask) -> Result<Route, LsapError> {
         if n == 0 {
             return Err(LsapError::EmptyMatrix);
@@ -273,6 +277,17 @@ impl HunIpu {
             return Err(LsapError::Backend {
                 detail: format!("instance size {n} exceeds the 2^24 arg-max encoding limit"),
             });
+        }
+        for (param, value) in [
+            ("column-segment size", self.col_seg),
+            ("tiled block width", self.tiled_block_cols),
+            ("tiled zero-list capacity", self.tiled_zcap),
+        ] {
+            if value == 0 {
+                return Err(LsapError::Backend {
+                    detail: format!("the {param} must be at least 1"),
+                });
+            }
         }
         let tiled = Storage::Tiled {
             block_cols: self.tiled_block_cols.clamp(1, n),
@@ -497,7 +512,7 @@ impl HunIpu {
     /// slack would blow the per-tile budget still compile and solve.
     ///
     /// Costs must be integers with magnitude below 2^24: the streamed
-    /// slack `c − u − v` is recomputed in f32 every sweep, and integer
+    /// slack `c − u − v` is recomputed in f32 on every stream, and integer
     /// arithmetic is what keeps those recomputations exact (the same
     /// contract [`datasets::f32_exact`] documents for the dense path,
     /// hardened here into a precondition because zero-detection drives
@@ -586,7 +601,7 @@ fn backend(e: ipu_sim::GraphError) -> LsapError {
 }
 
 /// The tiled program's input contract: integer costs with |c| < 2^24,
-/// so the f32 slacks it recomputes every sweep stay exact.
+/// so the f32 slacks it recomputes on every stream stay exact.
 fn check_tiled_costs(matrix: &CostMatrix) -> Result<(), LsapError> {
     match matrix
         .as_slice()

@@ -4,7 +4,7 @@
 use crate::build::{Builder, Storage};
 use ipu_sim::kernels;
 use ipu_sim::poplib::{reduce_columns_mirrored, reduce_columns_mirrored_hier, ReduceOp};
-use ipu_sim::{cost, Access, ComputeSetId, DType, GraphError, Program, Tensor};
+use ipu_sim::{cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, TensorSlice};
 
 /// Bits of the row index inside the Step 4 arg-max encoding; supports
 /// n < 2^24 (the paper's largest instance is 2^13).
@@ -581,9 +581,12 @@ impl Builder {
     /// The Step 4/5/6 search loop (§IV-F to §IV-H): while `searching`,
     /// refresh the cover mirror, classify rows (−1/0/1), arg-max reduce,
     /// and dispatch to augmentation (1), priming (0), or the slack update
-    /// (−1). Tiled storage first re-streams the cost blocks
-    /// ([`Builder::frag_tiled_scan`]). `compress` is the re-compression
-    /// pass Step 6 re-runs over stored slack (`None` when tiled).
+    /// (−1). Tiled storage classifies rows from their resident zero
+    /// lists and streams the cost blocks ([`Builder::frag_tiled_scan`])
+    /// only when no list holds an uncovered zero, then classifies again:
+    /// the stream finds zeros an overflowed list lost, and Step 6's δ.
+    /// `compress` is the re-compression pass Step 6 re-runs over stored
+    /// slack (`None` when tiled).
     fn frag_search_loop(&mut self, compress: Option<&Program>) -> Result<Program, GraphError> {
         // --- cover-mirror refresh ---
         // Multi-chip: skip the collector gather and broadcast from the
@@ -600,14 +603,6 @@ impl Builder {
                 Program::broadcast(ccg.whole(), self.t.ccm.whole()),
             ])
         };
-        let mut body = vec![refresh_ccm];
-        if let Storage::Tiled { block_cols, .. } = self.storage {
-            // The column-potential mirror the on-the-fly slacks need.
-            let t_vm = self.t.vm.expect("tiled storage has v_m");
-            body.push(Program::broadcast(self.t.v.whole(), t_vm.whole()));
-            body.extend(self.frag_tiled_scan(block_cols)?);
-        }
-
         let cs_status = self.frag_row_status()?;
         let (enc_out, enc_prog) = self.reduce_scalar("step4.enc", self.t.enc, ReduceOp::Max)?;
 
@@ -632,6 +627,27 @@ impl Builder {
                 cost::scalar(5)
             },
         )?;
+        let classify = [
+            Program::execute(cs_status),
+            enc_prog,
+            Program::execute(cs_decode),
+        ];
+        let mut body = vec![refresh_ccm];
+        body.extend(classify.clone());
+        if let Storage::Tiled { block_cols, zcap } = self.storage {
+            // Every list came up empty: stream against the current duals
+            // (through the column-potential mirror), then classify again.
+            let t_vm = self.t.vm.expect("tiled storage has v_m");
+            let mut fallback = vec![Program::broadcast(self.t.v.whole(), t_vm.whole())];
+            fallback.extend(self.frag_tiled_scan(block_cols, zcap)?);
+            fallback.extend(classify);
+            let none = Program::seq(vec![]);
+            body.push(Program::if_else(
+                t_st1,
+                none.clone(),
+                Program::if_else(t_st0, none, Program::seq(fallback)),
+            ));
+        }
 
         // Shared fragment: resolve the selected row's uncovered-zero
         // column via a dynamic read, and mirror it.
@@ -652,22 +668,20 @@ impl Builder {
         let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
         let step6 = self.frag_step6(compress)?;
 
-        let dispatch = Program::if_else(t_st1, augment, Program::if_else(t_st0, prime, step6));
-        body.extend([
-            Program::execute(cs_status),
-            enc_prog,
-            Program::execute(cs_decode),
-            dispatch,
-        ]);
+        body.push(Program::if_else(
+            t_st1,
+            augment,
+            Program::if_else(t_st0, prime, step6),
+        ));
         Ok(Program::while_true(self.t.searching, Program::seq(body)))
     }
 
     /// Step 4's row status (§IV-F): every row publishes its state
-    /// ([`row_status`]), its first uncovered zero column, and the arg-max
-    /// key. Dense and sparse rows scan their compressed zeros (ablation
-    /// A2: the raw slack row); tiled rows take the zero column the
-    /// streamed scan found, which stays −1 on covered rows because the
-    /// scan skips them.
+    /// ([`row_status`]), its lowest uncovered zero column, and the
+    /// arg-max key. Dense and sparse rows scan their compressed zeros,
+    /// ascending per segment (ablation A2: the raw slack row); tiled rows
+    /// take the minimum uncovered column of their zero list, which Step 2
+    /// sorted descending and Step 6 appends to.
     fn frag_row_status(&mut self) -> Result<ComputeSetId, GraphError> {
         let l = self.l.clone();
         let th = l.threads;
@@ -678,25 +692,36 @@ impl Builder {
             self.t.enc,
             self.t.ccm,
         );
-        let t_slack = self.t.slack;
+        let (t_slack, t_zc) = (self.t.slack, self.t.zero_count);
         let cs_status = self.g.add_compute_set("step4.status");
         for row in 0..l.n {
             let tile = l.tile_of_row(row);
             let row_i = row as i32;
-            if let Storage::Tiled { .. } = self.storage {
+            let v = if let Storage::Tiled { .. } = self.storage {
                 let v = self.g.add_vertex(cs_status, tile, "status", move |ctx| {
-                    let (status, enc) = row_status(ctx.i32(1)[0], ctx.i32(0)[0], row_i);
-                    ctx.i32_mut(2)[0] = status;
-                    ctx.i32_mut(3)[0] = enc;
-                    cost::scalar(5)
+                    let covered = ctx.i32(0)[0] != 0;
+                    let star = ctx.i32(1)[0];
+                    let len = if covered { 0 } else { ctx.i32(3)[0] as usize };
+                    let ccm = ctx.i32(4);
+                    let zcol = ctx.i32(2)[..len]
+                        .iter()
+                        .copied()
+                        .filter(|&c| ccm[c as usize] == 0)
+                        .min()
+                        .unwrap_or(-1);
+                    let (status, enc) = row_status(zcol, star, row_i);
+                    ctx.i32_mut(5)[0] = status;
+                    ctx.i32_mut(6)[0] = zcol;
+                    ctx.i32_mut(7)[0] = enc;
+                    cost::i32_scan(len) + cost::scalar(6)
                 })?;
+                self.g.connect(v, t_rcov.element(row), Access::Read)?;
                 self.g.connect(v, t_rstar.element(row), Access::Read)?;
-                self.g.connect(v, t_rzc.element(row), Access::Read)?;
-                self.g.connect(v, t_zs.element(row), Access::Write)?;
-                self.g.connect(v, t_enc.element(row), Access::Write)?;
-                continue;
-            }
-            let v = if self.ab.compression {
+                self.g
+                    .connect(v, t_comp.slice(l.row_range(row)), Access::Read)?;
+                self.g.connect(v, t_zc.element(row * th), Access::Read)?;
+                v
+            } else if self.ab.compression {
                 let seg_bounds: Vec<(usize, usize)> = (0..th)
                     .map(|s| {
                         let c = l.seg_cols(s);
@@ -1115,9 +1140,9 @@ impl Builder {
     /// ([`Builder::step6_update`]), and re-compress. Dense and sparse
     /// runs take δ from per-thread segment minima; tiled runs have no
     /// stored slack, so δ is the minimum over the streamed scan's
-    /// per-row accumulators, and the next sweep recomputes `C − u − v`
-    /// against the shifted potentials. Sparse and tiled runs guard δ
-    /// before anything moves ([`Builder::step6_guard`]).
+    /// per-row accumulators, and the zero lists follow the shift without
+    /// another stream ([`Builder::step6_lists`]). Sparse and tiled runs
+    /// guard δ before anything moves ([`Builder::step6_guard`]).
     fn frag_step6(&mut self, compress: Option<&Program>) -> Result<Program, GraphError> {
         let mut prog = Vec::new();
         let minima = match self.storage {
@@ -1145,6 +1170,9 @@ impl Builder {
             } else {
                 Program::seq(vec![])
             });
+        }
+        if let Storage::Tiled { zcap, .. } = self.storage {
+            update.push(Program::execute(self.step6_lists(zcap)?));
         }
         match guard {
             None => prog.extend(update),
@@ -1371,6 +1399,65 @@ impl Builder {
         Ok(cs_upd)
     }
 
+    /// Step 6 on the tiled zero lists, after `u += δ` on uncovered rows
+    /// and `v −= δ` on covered columns. A covered row's zeros in covered
+    /// columns now have slack δ and leave its list; an uncovered row
+    /// whose uncovered minimum was δ gains the columns the streamed scan
+    /// recorded behind its list. Every other slack is unchanged, so the
+    /// lists stay exactly the zero set (up to overflow) without a stream.
+    fn step6_lists(&mut self, zcap: usize) -> Result<ComputeSetId, GraphError> {
+        let th = self.l.threads;
+        let t = self.t.clone();
+        let t_acc = t.rowacc.expect("tiled storage has rowacc");
+        let cs = self.g.add_compute_set("step6.lists");
+        for (tile, thread, chunk) in self.tile_thread_chunks() {
+            let rows_here = chunk.len();
+            let v = self
+                .g
+                .add_vertex_on_thread(cs, tile, thread, "lists", move |ctx| {
+                    let delta = ctx.f32(0)[0];
+                    let rcov = ctx.i32(1);
+                    let ccm = ctx.i32(2);
+                    let acc = ctx.f32(3);
+                    let mut comp = ctx.i32_mut(4);
+                    let mut zc = ctx.i32_mut(5);
+                    let mut touched = 0;
+                    for r in 0..rows_here {
+                        let list = &mut comp[r * zcap..(r + 1) * zcap];
+                        let len = zc[r * th] as usize;
+                        zc[r * th] = if rcov[r] != 0 {
+                            touched += len;
+                            let mut kept = 0;
+                            for p in 0..len {
+                                if ccm[list[p] as usize] == 0 {
+                                    list[kept] = list[p];
+                                    kept += 1;
+                                }
+                            }
+                            kept as i32
+                        } else if acc[r] == delta {
+                            let k = recorded(list, len);
+                            touched += k;
+                            (len + k) as i32
+                        } else {
+                            len as i32
+                        };
+                    }
+                    cost::i32_scan(touched) + cost::scalar(2 * rows_here)
+                })?;
+            self.g.connect(v, t.delta_m.whole(), Access::Read)?;
+            self.g
+                .connect(v, t.row_cover.slice(chunk.clone()), Access::Read)?;
+            self.g.connect(v, t.ccm.whole(), Access::Read)?;
+            self.g
+                .connect(v, t_acc.slice(chunk.clone()), Access::Read)?;
+            let (list, zc) = self.list_slices(&chunk, zcap);
+            self.g.connect(v, list, Access::ReadWrite)?;
+            self.g.connect(v, zc, Access::ReadWrite)?;
+        }
+        Ok(cs)
+    }
+
     /// Per-(tile, thread) partition of each owner tile's row block —
     /// the work decomposition of every streamed-block sweep and of the
     /// layered prime pass.
@@ -1393,6 +1480,20 @@ impl Builder {
             }
         }
         out
+    }
+
+    /// A row chunk's zero lists (`zcap` entries per row) and their
+    /// `zero_count` slots, whose slot 0 per row holds the list length.
+    fn list_slices(
+        &self,
+        chunk: &std::ops::Range<usize>,
+        zcap: usize,
+    ) -> (TensorSlice, TensorSlice) {
+        let th = self.l.threads;
+        (
+            self.t.compress.slice(chunk.start * zcap..chunk.end * zcap),
+            self.t.zero_count.slice(chunk.start * th..chunk.end * th),
+        )
     }
 
     /// Column ranges of the streamed blocks (`block_cols` wide, last may
@@ -1432,15 +1533,15 @@ impl Builder {
     /// 1. `u[r] = min_c C[r][c]` (row minima);
     /// 2. column minima of `C[r][c] − u[r]`, mirrored per owner, → `v`;
     /// 3. bounded zero lists: the first `zcap` columns per row with
-    ///    `C − u − v = 0`, feeding Step 2's proposal passes.
+    ///    `C − u − v = 0`, their length in the row's `zero_count` slot 0.
     ///
-    /// A row with more than `zcap` zeros gets a truncated list — Step 2
-    /// then stars a subset, which only costs extra search iterations;
-    /// the search loop itself rescans streamed blocks, never the lists.
+    /// The lists feed Step 2's proposal passes and stay resident as the
+    /// search loop's zero set. A row with more than `zcap` zeros gets a
+    /// truncated list: Step 2 stars a subset, and the search streams the
+    /// blocks again whenever no list holds an uncovered zero.
     fn frag_tiled_setup(&mut self, block_cols: usize, zcap: usize) -> Result<Program, GraphError> {
         let (l, n, th) = (self.l.clone(), self.l.n, self.l.threads);
         let (t_slack, t_u) = (self.t.slack, self.t.u);
-        let (t_comp, t_zc) = (self.t.compress, self.t.zero_count);
         let chunks = self.tile_thread_chunks();
         let blocks = self.block_ranges(block_cols);
         let bw = block_cols;
@@ -1576,16 +1677,9 @@ impl Builder {
                     }
                     cost::i32_update(comp.len() + zc.len())
                 })?;
-            self.g.connect(
-                v,
-                t_comp.slice(chunk.start * zcap..chunk.end * zcap),
-                Access::Write,
-            )?;
-            self.g.connect(
-                v,
-                t_zc.slice(chunk.start * th..chunk.end * th),
-                Access::Write,
-            )?;
+            let (list, zc) = self.list_slices(chunk, zcap);
+            self.g.connect(v, list, Access::Write)?;
+            self.g.connect(v, zc, Access::Write)?;
         }
         prog.push(Program::execute(cs_zinit));
         for (b, cols) in blocks.iter().enumerate() {
@@ -1629,16 +1723,9 @@ impl Builder {
                     colmirror.slice(blk * n + cols.start..blk * n + cols.end),
                     Access::Read,
                 )?;
-                self.g.connect(
-                    v,
-                    t_comp.slice(chunk.start * zcap..chunk.end * zcap),
-                    Access::ReadWrite,
-                )?;
-                self.g.connect(
-                    v,
-                    t_zc.slice(chunk.start * th..chunk.end * th),
-                    Access::ReadWrite,
-                )?;
+                let (list, zc) = self.list_slices(chunk, zcap);
+                self.g.connect(v, list, Access::ReadWrite)?;
+                self.g.connect(v, zc, Access::ReadWrite)?;
             }
             prog.push(self.stream_block(cols, bw));
             prog.push(Program::execute(cs));
@@ -1647,52 +1734,36 @@ impl Builder {
         Ok(Program::seq(prog))
     }
 
-    /// The tiled search loop's streamed scan: every iteration re-streams
-    /// the cost blocks and recomputes slacks `C − u − v` on the fly
-    /// (exact in f32 for integer costs), accumulating each row's first
-    /// uncovered zero and uncovered minimum. Steps 5 (augment) and 4's
-    /// priming are the standard fragments — they touch only matching
-    /// state — and Step 6 applies the dual form of the slack shift.
-    fn frag_tiled_scan(&mut self, bw: usize) -> Result<Vec<Program>, GraphError> {
+    /// The tiled search loop's streamed scan, run when no zero list holds
+    /// an uncovered zero: stream the cost blocks and recompute slacks
+    /// `C − u − v` on the fly (exact in f32 for integer costs). Per
+    /// uncovered row it accumulates the uncovered minimum (Step 6's δ
+    /// candidate) and records the uncovered columns attaining it behind
+    /// the list's `zero_count` length, as many as fit; a row with no
+    /// room evicts its last listed zero — a covered column, or the list
+    /// would have answered. A row whose minimum is 0 had a zero its
+    /// overflowed list lost, and the last block adopts the recorded
+    /// zeros so the repeated classification finds them; Step 6 adopts
+    /// the records of rows whose minimum is δ ([`Builder::step6_lists`]).
+    /// Steps 5 (augment) and 4's priming are the standard fragments —
+    /// they touch only matching state.
+    fn frag_tiled_scan(&mut self, bw: usize, zcap: usize) -> Result<Vec<Program>, GraphError> {
+        let th = self.l.threads;
         let (t_slack, t_u, t_ccm) = (self.t.slack, self.t.u, self.t.ccm);
-        let (t_vm, t_rcov, t_rzc) = (
-            self.t.vm.expect("tiled storage has v_m"),
-            self.t.row_cover,
-            self.t.row_zero_col,
-        );
+        let (t_vm, t_rcov) = (self.t.vm.expect("tiled storage has v_m"), self.t.row_cover);
         let t_acc = self.t.rowacc.expect("tiled storage has rowacc");
         let chunks = self.tile_thread_chunks();
         let blocks = self.block_ranges(bw);
 
-        // Reset the per-row sweep accumulators.
-        let cs_sweep = self.g.add_compute_set("step4.sweepinit");
-        for (tile, t, chunk) in &chunks {
-            let v = self
-                .g
-                .add_vertex_on_thread(cs_sweep, *tile, *t, "sweepinit", |ctx| {
-                    let mut rzc = ctx.i32_mut(0);
-                    for x in rzc.iter_mut() {
-                        *x = -1;
-                    }
-                    let mut acc = ctx.f32_mut(1);
-                    for x in acc.iter_mut() {
-                        *x = f32::INFINITY;
-                    }
-                    cost::i32_update(rzc.len()) + cost::f32_update(acc.len())
-                })?;
-            self.g
-                .connect(v, t_rzc.slice(chunk.clone()), Access::Write)?;
-            self.g
-                .connect(v, t_acc.slice(chunk.clone()), Access::Write)?;
-        }
-
-        // Streamed scan: first uncovered zero (ascending column order —
-        // the same deterministic choice as the dense compressed scan) and
-        // the uncovered minimum, per row.
-        let mut scan = vec![Program::execute(cs_sweep)];
+        // Blocks in column order; the first resets each row's minimum
+        // (∞ on covered rows, which Step 6's δ reduction also reads) and
+        // its record, the last adopts the recorded zeros.
+        let mut scan = Vec::new();
+        let last = blocks.len() - 1;
         for (b, cols) in blocks.iter().enumerate() {
             let bc = cols.len();
             let c0 = cols.start;
+            let (first, adopt_zeros) = (b == 0, b == last);
             let cs = self.g.add_compute_set(&format!("step4.scan[{b}]"));
             for (tile, t, chunk) in &chunks {
                 let rows_here = chunk.len();
@@ -1704,14 +1775,24 @@ impl Builder {
                         let u = ctx.f32(2);
                         let vm = ctx.f32(3);
                         let ccm = ctx.i32(4);
-                        let mut rzc = ctx.i32_mut(5);
-                        let mut acc = ctx.f32_mut(6);
+                        let mut comp = ctx.i32_mut(5);
+                        let mut zc = ctx.i32_mut(6);
+                        let mut acc = ctx.f32_mut(7);
                         let mut scanned = 0usize;
                         for r in 0..rows_here {
                             if rcov[r] != 0 {
+                                if first {
+                                    acc[r] = f32::INFINITY;
+                                }
                                 continue;
                             }
-                            let (mut z, mut m) = (rzc[r], acc[r]);
+                            let list = &mut comp[r * zcap..(r + 1) * zcap];
+                            let mut len = zc[r * th] as usize;
+                            let (mut m, mut k) = if first {
+                                (f32::INFINITY, 0)
+                            } else {
+                                (acc[r], recorded(list, len))
+                            };
                             for j in 0..bc {
                                 let c = c0 + j;
                                 if ccm[c] != 0 {
@@ -1719,12 +1800,28 @@ impl Builder {
                                 }
                                 scanned += 1;
                                 let s = work[r * bw + j] - u[r] - vm[c];
-                                if s == 0.0 && z < 0 {
-                                    z = c as i32;
+                                if s < m {
+                                    m = s;
+                                    k = 0;
                                 }
-                                m = m.min(s);
+                                if s == m {
+                                    if len + k == zcap {
+                                        if k > 0 {
+                                            continue;
+                                        }
+                                        len -= 1;
+                                    }
+                                    list[len + k] = c as i32;
+                                    k += 1;
+                                }
                             }
-                            rzc[r] = z;
+                            if len + k < zcap {
+                                list[len + k] = -1;
+                            }
+                            if adopt_zeros && m == 0.0 {
+                                len += k;
+                            }
+                            zc[r * th] = len as i32;
                             acc[r] = m;
                         }
                         cost::f32_scan(scanned) + cost::scalar(2 * rows_here)
@@ -1739,8 +1836,9 @@ impl Builder {
                 self.g.connect(v, t_u.slice(chunk.clone()), Access::Read)?;
                 self.g.connect(v, t_vm.whole(), Access::Read)?;
                 self.g.connect(v, t_ccm.whole(), Access::Read)?;
-                self.g
-                    .connect(v, t_rzc.slice(chunk.clone()), Access::ReadWrite)?;
+                let (list, zc) = self.list_slices(chunk, zcap);
+                self.g.connect(v, list, Access::ReadWrite)?;
+                self.g.connect(v, zc, Access::ReadWrite)?;
                 self.g
                     .connect(v, t_acc.slice(chunk.clone()), Access::ReadWrite)?;
             }
@@ -1812,4 +1910,10 @@ fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
         0
     };
     (status, ((status + 1) << ENC_SHIFT) | (ENC_MASK - row))
+}
+
+/// How many columns the streamed scan recorded behind a tiled zero list
+/// of length `len` (−1 ends the record when it does not fill the list).
+fn recorded(list: &[i32], len: usize) -> usize {
+    list[len..].iter().take_while(|&&c| c >= 0).count()
 }

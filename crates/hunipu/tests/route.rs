@@ -79,3 +79,28 @@ fn a_device_with_fewer_than_two_tiles_is_a_typed_error_at_every_entry_point() {
         }
     }
 }
+
+#[test]
+fn a_zero_builder_setting_is_a_typed_error_at_every_entry_point() {
+    let m = datasets::gaussian_cost_matrix(6, 10, 1);
+    let tiny = || HunIpu::with_config(IpuConfig::tiny(4));
+    for (setting, mut solver) in [
+        ("block width", tiny().with_tiled_params(0, 3)),
+        ("zero-list capacity", tiny().with_tiled_params(3, 0)),
+        ("column-segment size", tiny().with_col_seg(0)),
+    ] {
+        let results = [
+            ("solve", solver.solve(&m).map(|_| ())),
+            ("solve_tiled", solver.solve_tiled(&m).map(|_| ())),
+            ("warm", solver.warm(6).map(|_| ())),
+        ];
+        for (entry, result) in results {
+            match result {
+                Err(LsapError::Backend { detail }) => {
+                    assert!(detail.contains(setting), "{entry}: {detail}")
+                }
+                other => panic!("{setting}, {entry}: expected a backend error, got {other:?}"),
+            }
+        }
+    }
+}

@@ -85,6 +85,111 @@ fn tiled_matches_reference_on_small_instances() {
     }
 }
 
+/// Executions of the first streamed block's scan: one per streamed pass
+/// of the search loop (the set-up sweeps use their own compute sets).
+fn scan_passes(engine: &ipu_sim::Engine) -> u64 {
+    engine
+        .stats()
+        .per_compute_set
+        .iter()
+        .find(|s| s.name == "step4.scan[0]")
+        .map_or(0, |s| s.executions)
+}
+
+/// A planted instance: a cost-1 permutation plus about one extra 1 per
+/// 16 entries of each row, 2..=15 elsewhere. Step 1 leaves `u = 1`,
+/// `v = 0`, so the zeros are exactly the 1-entries, they hold a perfect
+/// matching, and the optimum is `n` with no dual update.
+fn planted(n: usize) -> CostMatrix {
+    let hash = |i: usize, j: usize| (i * 7919 + j * 104_729 + i * j * 31) % 1009;
+    CostMatrix::from_fn(n, n, |i, j| {
+        if (i * 37 + 11) % n == j || hash(i, j) % 16 == 0 {
+            1.0
+        } else {
+            (2 + hash(i, j) % 14) as f64
+        }
+    })
+    .unwrap()
+}
+
+/// `IpuConfig::tiny(tiles)` with a loop watchdog, so a search that stops
+/// making progress fails the test instead of hanging it.
+fn watched(tiles: usize) -> IpuConfig {
+    IpuConfig {
+        max_while_iterations: 100_000,
+        ..IpuConfig::tiny(tiles)
+    }
+}
+
+/// The tiled search classifies rows from their resident zero lists and
+/// streams the cost blocks only when no list holds an uncovered zero.
+/// With `zcap = n` no list can overflow, so the tiled program makes the
+/// dense program's decisions (same matching, duals and dual updates) and
+/// streams exactly once per dual update: never on a planted instance,
+/// and `dual_updates` times on Gaussian ones.
+#[test]
+fn tiled_search_streams_only_for_dual_updates() {
+    let cases = [
+        ("planted n=96", planted(96)),
+        ("gaussian n=64", datasets::gaussian_cost_matrix(64, 10, 1)),
+        ("gaussian n=128", datasets::gaussian_cost_matrix(128, 10, 2)),
+    ];
+    for (what, m) in cases {
+        let n = m.n();
+        let (report, engine) = HunIpu::with_config(watched(8))
+            .with_tiled_params(16, n)
+            .solve_tiled(&m)
+            .expect("tiled solve");
+        report.verify(&m, F32_VERIFY_EPS).unwrap();
+        let (dense, _) = HunIpu::with_config(IpuConfig::tiny(8))
+            .solve_with_engine(&m)
+            .expect("dense solve");
+        assert_eq!(report.objective, dense.objective, "{what}");
+        assert_eq!(report.assignment, dense.assignment, "{what}");
+        assert_eq!(report.certificate, dense.certificate, "{what}: duals");
+        let updates = report.stats.dual_updates;
+        assert_eq!(updates, dense.stats.dual_updates, "{what}");
+        if what.starts_with("planted") {
+            assert_eq!(updates, 0, "{what}: the planted zeros hold a matching");
+        } else {
+            assert!(updates > 0, "{what}: the instance must need Step 6");
+        }
+        assert_eq!(scan_passes(&engine), updates, "{what}: streamed passes");
+    }
+}
+
+/// Overflowing zero lists: with `zcap` of 1 or 2 on tie-heavy costs
+/// (1..=3) and on Gaussian ones, lists lose zeros at set-up, in Step 6's
+/// appends and to evictions in the streamed scan. The streamed pass must
+/// get every lost zero back into a list — a full list that cannot take
+/// one stalls the search in δ = 0 dual updates until the loop watchdog
+/// fires — so each run must terminate, certificate-verify and match the
+/// CPU optimum.
+#[test]
+fn tiled_overflowing_lists_stay_exact() {
+    for n in [16, 48, 96] {
+        let ties =
+            CostMatrix::from_fn(n, n, |i, j| (1 + (i * 13 + j * 7 + i * j) % 3) as f64).unwrap();
+        let gaussian = datasets::gaussian_cost_matrix(n, 10, n as u64);
+        for (kind, m) in [("ties", &ties), ("gaussian", &gaussian)] {
+            let truth = reference_optimum(m);
+            for zcap in [1, 2] {
+                for bc in [3, 16] {
+                    let what = format!("{kind} n={n} zcap={zcap} bc={bc}");
+                    let (report, _) = HunIpu::with_config(watched(7))
+                        .with_tiled_params(bc, zcap)
+                        .solve_tiled(m)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    report
+                        .verify(m, F32_VERIFY_EPS)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(report.objective, truth, "{what}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn tiled_matches_dense_device_path() {
     // Same instance through both representations: identical objectives

@@ -558,10 +558,12 @@ impl PortfolioTable {
             //   an order in n and the candidate multiplier carries the
             //   k-dependence (≈ linear). Anchor: n=1024, k=8 solves with
             //   ≥ 5× fewer compute cycles than dense (CI-gated).
-            // - `hunipu_tiled`: dense out-of-core streaming. Pays the
-            //   PCIe stream (n²·4 B / 24 B-per-cycle) every sweep on top
-            //   of dense-like compute, so it never wins below the SRAM
-            //   ceiling — it exists to take the sizes `hunipu` cannot.
+            // - `hunipu_tiled`: dense out-of-core streaming. Pays three
+            //   PCIe set-up streams (n²·4 B / 24 B-per-cycle each) and
+            //   one per dual update on top of dense-like compute; the
+            //   law below still charges one per sweep, an overestimate
+            //   where few duals move, until an n·k-aware refit. It
+            //   exists to take the sizes `hunipu` cannot.
             EngineCostModel {
                 engine: "hunipu_sparse".into(),
                 clock_hz: 1325000000.0,
@@ -968,8 +970,8 @@ mod tests {
         let tiled = t.get("hunipu_tiled").unwrap();
         assert!(tiled.supports_shape(huge));
         // ...but below the ceiling tiled never beats the resident path:
-        // streaming every cost block through PCIe each sweep is strictly
-        // worse when the whole matrix fits in SRAM.
+        // streaming the cost blocks through PCIe is strictly worse when
+        // the whole matrix fits in SRAM.
         for n in [256, 1024, 4096] {
             let s = InstanceShape::single(n, K_REF);
             assert!(
