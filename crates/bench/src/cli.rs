@@ -40,9 +40,6 @@ pub struct Args {
     /// `--baseline PATH`: where `--write-baseline` records (`bench gate`
     /// points it under `target/experiments/`).
     pub baseline: Option<String>,
-    /// `--emit-rust`: print fitted cost models as a Rust literal
-    /// (`bench calibrate`).
-    pub emit_rust: bool,
     /// `--all`: run every registered baseline gate (`bench gate`).
     pub all: bool,
     /// `--drift`: re-record every baseline to a scratch directory and
@@ -130,7 +127,6 @@ impl Args {
                 "--baseline" => {
                     out.baseline = Some(it.next().expect("--baseline needs a path"));
                 }
-                "--emit-rust" => out.emit_rust = true,
                 "--all" => out.all = true,
                 "--drift" => out.drift = true,
                 "--only" => {
@@ -141,8 +137,8 @@ impl Args {
                         "unknown flag {other}; supported: \
                          --full --uniform --sizes --ks --seed \
                          --tile-sample --max-events --out --batch \
-                         --write-baseline --baseline --emit-rust --all \
-                         --drift --only"
+                         --write-baseline --baseline --all --drift \
+                         --only"
                     )
                 }
                 other => out.positional.push(other.to_string()),
@@ -225,10 +221,10 @@ mod tests {
 
     #[test]
     fn gate_runner_flags_parse() {
-        let a = parse("--all --drift --only portfolio --emit-rust");
-        assert!(a.all && a.drift && a.emit_rust);
-        assert_eq!(a.only.as_deref(), Some("portfolio"));
+        let a = parse("--all --drift --only resolve");
+        assert!(a.all && a.drift);
+        assert_eq!(a.only.as_deref(), Some("resolve"));
         let b = parse("--seed 2");
-        assert!(!b.all && !b.drift && !b.emit_rust && b.only.is_none());
+        assert!(!b.all && !b.drift && b.only.is_none());
     }
 }

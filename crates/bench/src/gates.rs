@@ -2,9 +2,9 @@
 //! behind `bench gate`.
 //!
 //! Every gate binary (batch, multi_ipu, wallbench, serve, resolve,
-//! portfolio, scale) only measures: with `--write-baseline --baseline
-//! PATH` it records its fresh baseline-shaped JSON. All judgement lives
-//! here. [`GATES`] lists every gate with its binary, its committed
+//! scale) only measures: with `--write-baseline --baseline PATH` it
+//! records its fresh baseline-shaped JSON. All judgement lives here.
+//! [`GATES`] lists every gate with its binary, its committed
 //! `BENCH_*.json`, and a [`Spec`] that says what must hold between the
 //! committed file and a fresh recording; [`Spec::evaluate`] is the one
 //! interpreter for all of them. Both files are read as `serde::Value`
@@ -36,16 +36,6 @@ use std::time::Instant;
 /// slack only exists so deliberate small costs (an extra superstep, a
 /// new counter) don't force a baseline refresh with every PR.
 pub const CYCLE_TOLERANCE: f64 = 0.10;
-
-/// Maximum dispatch regret the calibrated portfolio may leave per grid
-/// cell: `measured(picked) ≤ (1 + 10%) · measured(oracle-best)`. A
-/// breach means the committed `PortfolioTable::calibrated` constants
-/// are stale; refit them with `bench calibrate --emit-rust`.
-pub const PORTFOLIO_MAX_REGRET: f64 = 0.10;
-
-/// Slack on "the oracle column is the measured minimum" (float noise
-/// from summing and dividing the measured costs).
-pub const ORACLE_SLACK: f64 = 1e-9;
 
 /// Minimum suite speedup (Σ interp wall / Σ plan wall) of the lowered
 /// execution plan over the interpreter.
@@ -459,8 +449,6 @@ const SPEC: Spec = Spec {
     predicates: &[],
 };
 
-const PORTFOLIO_KEY: &[&str] = &["n", "k", "batch", "chips"];
-
 /// Wallbench: plan and interpreter stay bit-identical, and the plan
 /// keeps its suite-aggregate wall-clock win. The recorded walls are
 /// context; the ratio is gated fresh.
@@ -573,29 +561,6 @@ pub const GATES: &[Gate] = &[
             ..SPEC
         },
     ),
-    // The calibrated pick stays within the regret bound of the measured
-    // oracle, which is really the measured minimum, and the oracle-best
-    // cost itself holds.
-    gate(
-        "portfolio",
-        "BENCH_portfolio.json",
-        Spec {
-            key: PORTFOLIO_KEY,
-            checks: &[
-                check(
-                    "picked_seconds",
-                    Rule::AtMostCol("oracle_seconds", PORTFOLIO_MAX_REGRET),
-                ),
-                check("oracle_seconds", Rule::NoWorse),
-            ],
-            predicates: &[Predicate {
-                name: "oracle_is_min",
-                columns: &["oracle_seconds", "measured"],
-                check: oracle_is_min,
-            }],
-            ..SPEC
-        },
-    ),
     // Feasibility never flips (dense n=4096 must stay over the SRAM
     // budget), feasible cells hold cycles and resident bytes, and sparse
     // k=8 keeps its compute advantage over dense.
@@ -680,38 +645,6 @@ fn serve_accounting(_: &Value, fresh: &Value) -> Vec<Violation> {
         _ => return Vec::new(),
     };
     vec![Violation::new("run", "accounting", detail)]
-}
-
-/// Portfolio: each cell's oracle column is the minimum of its measured
-/// costs (a mislabeled oracle would hide regret).
-fn oracle_is_min(_: &Value, fresh: &Value) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for row in Row::entries(fresh) {
-        let measured = match row.get("measured") {
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(|m| Row::root(m).finite("seconds_per_instance"))
-                .collect::<Result<Vec<f64>, String>>()
-                .map_err(|e| format!("measured {e}")),
-            _ => Err("measured is missing".to_string()),
-        };
-        let detail = match (row.finite("oracle_seconds"), measured) {
-            (Err(e), _) | (_, Err(e)) => e,
-            (Ok(oracle), Ok(m)) => {
-                let min = m.into_iter().fold(f64::INFINITY, f64::min);
-                if oracle <= min * (1.0 + ORACLE_SLACK) {
-                    continue;
-                }
-                format!("oracle_seconds = {oracle:e} is not the measured minimum {min:e}")
-            }
-        };
-        out.push(Violation::new(
-            row.label(PORTFOLIO_KEY),
-            "oracle_is_min",
-            detail,
-        ));
-    }
-    out
 }
 
 /// Scale: from [`SCALE_SPARSE_FLOOR_MIN_N`] up, wherever dense is
@@ -1085,26 +1018,11 @@ mod tests {
 
     /// Keeps derived columns consistent with a moved one, so a mutation
     /// describes a possible run: serve's outcome counts must still sum
-    /// to `offered` (the difference goes to `deadline_exceeded`), and a
-    /// portfolio oracle cost is its engine's measured cost.
+    /// to `offered` (the difference goes to `deadline_exceeded`).
     fn keep_consistent(gate: &str, row: &mut Value, col: &str, old: f64, new: f64) {
-        match (gate, col) {
-            ("serve", "exact" | "degraded" | "shed") => {
-                let d = Row::root(row).num("deadline_exceeded") - (new - old);
-                set(row, "deadline_exceeded", Value::I64(d as i64));
-            }
-            ("portfolio", "oracle_seconds") => {
-                let oracle = Row::root(row).text("oracle").to_string();
-                if let Some(Value::Arr(ms)) = field_mut(row, "measured") {
-                    for m in ms
-                        .iter_mut()
-                        .filter(|m| Row::root(m).text("engine") == oracle)
-                    {
-                        set(m, "seconds_per_instance", Value::F64(new));
-                    }
-                }
-            }
-            _ => {}
+        if gate == "serve" && matches!(col, "exact" | "degraded" | "shed") {
+            let d = Row::root(row).num("deadline_exceeded") - (new - old);
+            set(row, "deadline_exceeded", Value::I64(d as i64));
         }
     }
 
@@ -1177,21 +1095,6 @@ mod tests {
                 set(fresh, "offered", Value::I64(offered as i64 + 1));
             }
             "accounting" => {}
-            "oracle_is_min" => {
-                // Another engine measured just around the oracle's cost.
-                let row = row_mut(fresh, &gate("portfolio").spec, 0);
-                let oracle = Row::root(row).text("oracle").to_string();
-                let cost = Row::root(row).num("oracle_seconds");
-                let Some(Value::Arr(ms)) = field_mut(row, "measured") else {
-                    unreachable!()
-                };
-                let m = ms
-                    .iter_mut()
-                    .find(|m| Row::root(m).text("engine") != oracle)
-                    .unwrap();
-                let slack = ORACLE_SLACK * if sign > 0.0 { 2.0 } else { 0.5 };
-                set(m, "seconds_per_instance", Value::F64(cost / (1.0 + slack)));
-            }
             "sparse_advantage" => {
                 // Dense n=1024 compute just around 5x the sparse one.
                 let at = |engine| {

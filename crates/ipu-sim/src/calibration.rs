@@ -160,8 +160,8 @@ mod tests {
     fn inter_chip_fabric_is_an_order_slower_than_on_chip() {
         // Ten 32 GB/s IPU-Links spread over 1472 tiles: ~0.16 B/cycle,
         // ~25× below the on-chip 4 B/cycle — the reason chip-aware
-        // layouts keep hot state chip-local and the portfolio's chip
-        // multipliers exceed 1 at bench sizes.
+        // layouts keep hot state chip-local, and why extra chips make
+        // HunIPU slower at `bench engines` sizes.
         let links_b_per_cycle = 320e9 / MK2_CLOCK_HZ / MK2_TILES as f64;
         assert!((links_b_per_cycle - INTER_IPU_BYTES_PER_CYCLE).abs() < 0.01);
         let ratio = EXCHANGE_BYTES_PER_CYCLE / INTER_IPU_BYTES_PER_CYCLE;

@@ -13,10 +13,8 @@
 //!   IPU) implement, and [`SolveReport`] with modeled-runtime accounting,
 //! - [`BatchLsapSolver`] — the batched counterpart solving `B` instances
 //!   through one engine, with amortized accounting in [`BatchStats`],
-//! - [`portfolio`] — analytic per-engine cost models and the
-//!   [`PortfolioSolver`] that dispatches each instance to the predicted-
-//!   cheapest engine, with the [`ResilientSolver`] retry/fallback loop
-//!   run in predicted order,
+//! - [`ResilientSolver`] — a certificate-verified retry/fallback chain
+//!   over any solvers, under one [`RetryPolicy`],
 //! - [`sparse`] — pruned k-candidate instances ([`SparseCost`]) and the
 //!   certificate-gated repair loop ([`solve_pruned_with_repair`]) that
 //!   keeps pruned solves exactly optimal with respect to the dense
@@ -47,7 +45,6 @@ mod error;
 pub mod incremental;
 mod matrix;
 pub mod policy;
-pub mod portfolio;
 mod rectangular;
 mod resilient;
 mod solver;
@@ -65,9 +62,6 @@ pub use incremental::{
 };
 pub use matrix::CostMatrix;
 pub use policy::{checked_attempt, classify, Attempt, RetryClass};
-pub use portfolio::{
-    EngineCostModel, InstanceShape, PortfolioSolver, PortfolioTable, PowerLaw, Prediction,
-};
 pub use rectangular::solve_rectangular;
 pub use resilient::{AttemptRecord, ResilientSolver, RetryPolicy};
 pub use solver::{LsapSolver, SolveReport, SolverStats};

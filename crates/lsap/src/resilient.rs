@@ -205,72 +205,6 @@ impl ResilientSolver {
     }
 }
 
-/// What running one chain member left the chain with (see
-/// [`run_solver_with_retries`]).
-pub(crate) enum StepOutcome {
-    /// A verified answer: the chain is done.
-    Done(SolveReport),
-    /// This member is exhausted (retries spent or escalated); try the
-    /// next one.
-    Exhausted,
-    /// The whole chain must stop (deadline overrun — the caller's budget
-    /// is gone, so a fallback could only finish even later). The error is
-    /// returned as-is, not wrapped in `Exhausted`, so callers see the
-    /// budget numbers directly.
-    Abort(LsapError),
-}
-
-/// Runs one solver under the chain retry discipline, appending every
-/// attempt to `history`. Shared by [`ResilientSolver`] (hand-ordered
-/// chain) and [`crate::portfolio::PortfolioSolver`] (cost-model-ordered
-/// chain) so both degrade under one retry semantics.
-pub(crate) fn run_solver_with_retries(
-    solver: &mut dyn LsapSolver,
-    policy: &RetryPolicy,
-    eps: f64,
-    matrix: &CostMatrix,
-    history: &mut Vec<AttemptRecord>,
-) -> StepOutcome {
-    let mut pause = policy.backoff;
-    for attempt in 1..=policy.max_attempts {
-        let a =
-            policy::checked_attempt(matrix, eps, policy.attempt_deadline, solver.name(), || {
-                solver.solve(matrix)
-            });
-        match a.outcome {
-            Ok(report) => {
-                history.push(AttemptRecord {
-                    solver: solver.name().to_string(),
-                    attempt,
-                    wall_seconds: a.wall_seconds,
-                    error: None,
-                });
-                return StepOutcome::Done(report);
-            }
-            Err(e) => {
-                history.push(AttemptRecord {
-                    solver: solver.name().to_string(),
-                    attempt,
-                    wall_seconds: a.wall_seconds,
-                    error: Some(e.to_string()),
-                });
-                match policy::classify(&e) {
-                    // Shape errors are deterministic: retrying the same
-                    // solver cannot help, so escalate immediately.
-                    RetryClass::Escalate => return StepOutcome::Exhausted,
-                    RetryClass::Abort => return StepOutcome::Abort(e),
-                    RetryClass::Retry => {}
-                }
-            }
-        }
-        if attempt < policy.max_attempts && pause > Duration::ZERO {
-            std::thread::sleep(pause);
-            pause = pause.mul_f64(policy.backoff_multiplier);
-        }
-    }
-    StepOutcome::Exhausted
-}
-
 impl LsapSolver for ResilientSolver {
     fn name(&self) -> &'static str {
         "resilient"
@@ -278,17 +212,41 @@ impl LsapSolver for ResilientSolver {
 
     fn solve(&mut self, matrix: &CostMatrix) -> Result<SolveReport, LsapError> {
         self.history.clear();
-        for solver in &mut self.chain {
-            match run_solver_with_retries(
-                solver.as_mut(),
-                &self.policy,
-                self.eps,
-                matrix,
-                &mut self.history,
-            ) {
-                StepOutcome::Done(report) => return Ok(report),
-                StepOutcome::Abort(e) => return Err(e),
-                StepOutcome::Exhausted => {}
+        let policy = &self.policy;
+        'chain: for solver in &mut self.chain {
+            let mut pause = policy.backoff;
+            for attempt in 1..=policy.max_attempts {
+                let a = policy::checked_attempt(
+                    matrix,
+                    self.eps,
+                    policy.attempt_deadline,
+                    solver.name(),
+                    || solver.solve(matrix),
+                );
+                self.history.push(AttemptRecord {
+                    solver: solver.name().to_string(),
+                    attempt,
+                    wall_seconds: a.wall_seconds,
+                    error: a.outcome.as_ref().err().map(|e| e.to_string()),
+                });
+                match a.outcome {
+                    Ok(report) => return Ok(report),
+                    Err(e) => match policy::classify(&e) {
+                        // Shape errors are deterministic: retrying the same
+                        // solver cannot help, so escalate immediately.
+                        RetryClass::Escalate => continue 'chain,
+                        // A deadline overrun means the caller's budget is
+                        // gone, so a fallback could only finish even later.
+                        // The error is returned as-is, not wrapped in
+                        // `Exhausted`, so callers see the budget numbers.
+                        RetryClass::Abort => return Err(e),
+                        RetryClass::Retry => {}
+                    },
+                }
+                if attempt < policy.max_attempts && pause > Duration::ZERO {
+                    std::thread::sleep(pause);
+                    pause = pause.mul_f64(policy.backoff_multiplier);
+                }
             }
         }
         Err(LsapError::Exhausted {

@@ -40,7 +40,6 @@ use crate::pool::EnginePool;
 use cpu_hungarian::JonkerVolgenant;
 use hunipu::{HunIpu, F32_VERIFY_EPS};
 use lsap::policy::{self, RetryClass};
-use lsap::portfolio::{InstanceShape, PortfolioTable};
 use lsap::{Assignment, CostMatrix, DualCertificate, LsapError, LsapSolver, WarmStart};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -192,18 +191,6 @@ pub struct ServiceConfig {
     /// (the re-solve workload) get most of their work for free; unrelated
     /// instances still verify or fall back, never silently wrong.
     pub warm_start: bool,
-    /// Cost-model-driven dispatch: order the exact rungs (device vs CPU)
-    /// by [`lsap::portfolio::PortfolioTable::calibrated`] predictions for
-    /// each request's shape instead of always trying the device first,
-    /// and let deadline skip decisions fall back to the model's predicted
-    /// cycles for rungs with no learned estimate yet (so the *first*
-    /// request under a tight deadline can already skip a rung that
-    /// cannot fit, instead of paying once to learn that). The answer
-    /// path is unchanged — every exact rung stays certificate-gated —
-    /// so a wrong prediction costs latency, never correctness. Off by
-    /// default: the committed serving baseline records the
-    /// device-first ladder.
-    pub portfolio: bool,
 }
 
 impl Default for ServiceConfig {
@@ -219,7 +206,6 @@ impl Default for ServiceConfig {
             verify_eps: F32_VERIFY_EPS,
             default_budget_cycles: None,
             warm_start: true,
-            portfolio: false,
         }
     }
 }
@@ -302,8 +288,6 @@ pub struct AssignmentService {
     estimates: HashMap<(Rung, usize), u64>,
     /// Per-(tenant, shape) warm-start state for the seeded rung.
     warm_starts: WarmCache,
-    /// Calibrated cost models when [`ServiceConfig::portfolio`] is on.
-    portfolio_table: Option<PortfolioTable>,
     clock_hz: f64,
 }
 
@@ -314,7 +298,6 @@ impl AssignmentService {
         assert!(cfg.max_batch >= 1, "max batch must be >= 1");
         assert!(cfg.max_attempts >= 1, "need at least one attempt");
         let clock_hz = solver.config().clock_hz;
-        let portfolio_table = cfg.portfolio.then(PortfolioTable::calibrated);
         Self {
             pool: EnginePool::new(cfg.pool_capacity),
             ipu_breaker: CircuitBreaker::new(
@@ -338,7 +321,6 @@ impl AssignmentService {
             next_id: 0,
             estimates: HashMap::new(),
             warm_starts: WarmCache::default(),
-            portfolio_table,
             clock_hz,
         }
     }
@@ -564,7 +546,7 @@ impl AssignmentService {
                 if !admit {
                     break 'seeded;
                 }
-                let est = self.rung_estimate(Rung::IpuSeeded, &p.matrix);
+                let est = self.estimates.get(&(Rung::IpuSeeded, n)).copied();
                 if let (Some(d), Some(e)) = (p.deadline, est) {
                     if t_busy.saturating_add(e) > d {
                         break 'seeded;
@@ -611,24 +593,15 @@ impl AssignmentService {
             }
         }
 
-        // Rungs 1–2: the exact rungs. The classic ladder tries the
-        // device first and reroutes to the CPU; with
-        // [`ServiceConfig::portfolio`] on, the calibrated cost models
-        // pick the order per shape (at the sizes the models were fitted
-        // on, JV wins single instances, so the CPU becomes the first
-        // exact rung). Either order keeps both rungs certificate-gated.
-        for rung in self.exact_rung_order(&p.matrix) {
-            let (report, backend) = match rung {
-                Rung::Ipu => match self.attempt_ipu(&p, t_busy, &mut attempts) {
-                    Some(r) => (r, "hunipu"),
-                    None => continue,
-                },
-                Rung::Cpu => match self.attempt_cpu(&p, t_busy, &mut attempts) {
-                    Some(r) => (r, "cpu-jv"),
-                    None => continue,
-                },
-                Rung::IpuSeeded => unreachable!("the seeded rung runs above the ladder"),
-            };
+        // Rungs 1–2: the exact rungs, device first, then the CPU
+        // reroute. Both are certificate-gated.
+        let exact = match self.attempt_ipu(&p, t_busy, &mut attempts) {
+            Some(r) => Some((r, "hunipu")),
+            None => self
+                .attempt_cpu(&p, t_busy, &mut attempts)
+                .map(|r| (r, "cpu-jv")),
+        };
+        if let Some((report, backend)) = exact {
             if self.cfg.warm_start {
                 // CPU duals (f64) seed the device rung just as well as
                 // device duals: the repair casts them through f32.
@@ -701,7 +674,7 @@ impl AssignmentService {
             if !admit {
                 break;
             }
-            if let (Some(d), Some(est)) = (p.deadline, self.rung_estimate(Rung::Ipu, &p.matrix)) {
+            if let (Some(d), Some(&est)) = (p.deadline, self.estimates.get(&(Rung::Ipu, n))) {
                 if t_busy.saturating_add(est) > d {
                     break; // deadline pressure, not backend failure
                 }
@@ -719,11 +692,10 @@ impl AssignmentService {
                     warm.solve(&self.ipu, &p.matrix)
                 });
             // Fault-killed runs report no cycle count; charge the learned
-            // (or, with the portfolio on, predicted) estimate so failures
-            // are not modeled as free.
+            // estimate so failures are not modeled as free.
             let cycles = att
                 .modeled_cycles
-                .or_else(|| self.rung_estimate(Rung::Ipu, &p.matrix))
+                .or_else(|| self.estimates.get(&(Rung::Ipu, n)).copied())
                 .unwrap_or(0);
             *t_busy += cycles;
             match att.outcome {
@@ -762,7 +734,7 @@ impl AssignmentService {
         if !admit {
             return None;
         }
-        if let (Some(d), Some(est)) = (p.deadline, self.rung_estimate(Rung::Cpu, &p.matrix)) {
+        if let (Some(d), Some(&est)) = (p.deadline, self.estimates.get(&(Rung::Cpu, n))) {
             if t_busy.saturating_add(est) > d {
                 return None;
             }
@@ -779,7 +751,7 @@ impl AssignmentService {
                 .modeled_seconds
                 .map(|s| (s * self.clock_hz).ceil() as u64)
                 .unwrap_or(0),
-            Err(_) => self.rung_estimate(Rung::Cpu, &p.matrix).unwrap_or(0),
+            Err(_) => self.estimates.get(&(Rung::Cpu, n)).copied().unwrap_or(0),
         };
         *t_busy += cycles;
         match att.outcome {
@@ -798,66 +770,6 @@ impl AssignmentService {
                 None
             }
         }
-    }
-
-    /// The IPU cost model matching how the device rung would actually
-    /// run this shape: the dense-resident model while the matrix fits
-    /// under the SRAM ceiling, the tiled out-of-core model beyond it.
-    fn ipu_engine_for(table: &PortfolioTable, shape: InstanceShape) -> &'static str {
-        let dense_ok = table
-            .models
-            .iter()
-            .any(|m| m.engine == "hunipu" && m.supports_shape(shape));
-        if dense_ok {
-            "hunipu"
-        } else {
-            "hunipu_tiled"
-        }
-    }
-
-    /// Order of the exact rungs for this request. Device-first by
-    /// default; with the portfolio on, whichever engine the calibrated
-    /// models predict cheaper for the request's shape goes first.
-    fn exact_rung_order(&self, matrix: &CostMatrix) -> [Rung; 2] {
-        let Some(table) = &self.portfolio_table else {
-            return [Rung::Ipu, Rung::Cpu];
-        };
-        let shape = InstanceShape::from_matrix(matrix, 1, 1);
-        let predict = |engine: &str| {
-            table
-                .models
-                .iter()
-                .find(|m| m.engine == engine)
-                .map(|m| m.seconds_per_instance(shape))
-        };
-        match (predict(Self::ipu_engine_for(table, shape)), predict("jv")) {
-            (Some(ipu), Some(cpu)) if cpu < ipu => [Rung::Cpu, Rung::Ipu],
-            _ => [Rung::Ipu, Rung::Cpu],
-        }
-    }
-
-    /// A rung's cycle estimate for deadline skip decisions: the last
-    /// observed cycles for this (rung, shape) when one exists, else —
-    /// with the portfolio on — the calibrated model's prediction
-    /// converted onto the device clock. The seeded rung has no offline
-    /// model (its cost depends on seed quality, not shape alone), so it
-    /// stays learned-only.
-    fn rung_estimate(&self, rung: Rung, matrix: &CostMatrix) -> Option<u64> {
-        if let Some(&est) = self.estimates.get(&(rung, matrix.n())) {
-            return Some(est);
-        }
-        let table = self.portfolio_table.as_ref()?;
-        let shape = InstanceShape::from_matrix(matrix, 1, 1);
-        let engine = match rung {
-            Rung::Ipu => Self::ipu_engine_for(table, shape),
-            Rung::Cpu => "jv",
-            Rung::IpuSeeded => return None,
-        };
-        table
-            .models
-            .iter()
-            .find(|m| m.engine == engine)
-            .map(|m| (m.seconds_per_instance(shape) * self.clock_hz).ceil() as u64)
     }
 
     /// Wraps a verified exact report, enforcing the completion deadline:

@@ -578,123 +578,34 @@ fn seeded_rung_on_a_tiled_route_falls_back_to_a_cold_solve() {
     assert_eq!(t.seeded_fallbacks, 1, "metrics: {t:?}");
 }
 
-/// With [`ServiceConfig::portfolio`] on, the calibrated cost models
-/// order the exact rungs: at the fitted grid sizes JV is predicted
-/// cheaper than the device for single instances, so requests answer on
-/// the CPU rung first — certificate-verified exact, with the device
-/// never even compiled for the shape.
+/// Duals from a CPU-rung answer seed the device: a fault storm reroutes
+/// a tenant's first request to the CPU, and once the storm passes the
+/// same tenant's next same-shape request is answered on the device by
+/// the seeded rung, warm-started from the CPU's f64 duals.
 #[test]
-fn portfolio_orders_exact_rungs_by_predicted_cost() {
-    const N: usize = 16;
+fn cpu_answer_seeds_the_device_rung() {
+    const N: usize = 32;
     let mut svc = service(ServiceConfig {
         queue_capacity: 8,
         max_batch: 1,
         batch_window_cycles: 0,
-        portfolio: true,
+        breaker_threshold: 1000, // keep the IPU rung admitting after the storm
+        max_attempts: 1,
         ..ServiceConfig::default()
     });
-    let matrices: Vec<_> = (0..3).map(|s| inst(N, 90 + s)).collect();
-    for (i, m) in matrices.iter().enumerate() {
-        let t = svc.now() + 1;
-        // Distinct tenants: no warm-start stream, every request is a
-        // fresh dispatch decision.
-        svc.submit_at(t, Request::new(format!("t{i}"), m.clone()))
-            .unwrap();
-        svc.run_until_idle();
-    }
-    let done = svc.take_completed();
-    assert_eq!(done.len(), 3);
-    for (out, m) in done.iter().zip(&matrices) {
-        let r = out.response().expect("CPU rung answers");
-        assert_eq!(r.backend, "cpu-jv", "model predicts JV cheapest at n={N}");
-        assert_eq!(r.quality, Quality::Exact);
-        assert_sound(r, m);
-    }
-    assert_eq!(
-        svc.metrics().pool.misses,
-        0,
-        "the device must never compile when the CPU rung answers first"
-    );
-}
-
-/// Model-backed deadline skipping: with the portfolio on, the *first*
-/// request under a budget that fits only greedy skips both exact rungs
-/// on predicted cost alone — no learned estimates exist yet, and
-/// nothing exact is launched just to discover it would overshoot.
-#[test]
-fn portfolio_predictions_skip_unlearned_rungs_under_deadline() {
-    const N: usize = 16;
-    use lsap::portfolio::{InstanceShape, PortfolioTable};
-    let mut svc = service(ServiceConfig {
-        queue_capacity: 8,
-        max_batch: 1,
-        batch_window_cycles: 0,
-        portfolio: true,
-        ..ServiceConfig::default()
-    });
-    let m = inst(N, 95);
-    // The service's own skip inputs: model predictions on its clock.
-    let shape = InstanceShape::from_matrix(&m, 1, 1);
-    let predicted_min = PortfolioTable::calibrated()
-        .models
-        .iter()
-        .filter(|e| e.supports(N) && (e.engine == "jv" || e.engine == "hunipu"))
-        .map(|e| (e.seconds_per_instance(shape) * device().clock_hz).ceil() as u64)
-        .min()
-        .unwrap();
-    let greedy = greedy_modeled_cycles(N);
-    assert!(
-        greedy + 2 < predicted_min,
-        "test precondition: greedy must undercut every exact prediction \
-         (greedy {greedy}, cheapest exact {predicted_min})"
-    );
-    let budget = greedy + (predicted_min - greedy) / 2;
-    svc.submit_at(0, Request::new("hurried", m.clone()).with_budget(budget))
-        .unwrap();
-    svc.run_until_idle();
-    let out = svc.take_completed().pop().unwrap();
-    let r = out
-        .response()
-        .expect("greedy must answer inside the budget");
-    assert_eq!(r.backend, "greedy");
-    assert!(matches!(r.quality, Quality::Degraded { .. }));
-    assert!(r.completion - r.arrival <= budget);
-    assert_sound(r, &m);
-    let t = &svc.metrics().tenants["hurried"];
-    assert_eq!(
-        (t.rerouted, t.deadline_exceeded),
-        (0, 0),
-        "no exact rung may launch and overshoot: {t:?}"
-    );
-    assert_eq!(svc.metrics().pool.misses, 0, "nothing compiled on device");
-}
-
-/// The warm-seeded rung outranks the portfolio ordering: once a tenant
-/// streams a shape, repaired duals plus the Step-1-free device program
-/// beat any cold engine, so the seeded rung stays above the ladder even
-/// when the model would put the CPU first.
-#[test]
-fn portfolio_keeps_the_seeded_rung_on_top_of_the_ladder() {
-    const N: usize = 12;
-    let mut svc = service(ServiceConfig {
-        queue_capacity: 8,
-        max_batch: 1,
-        batch_window_cycles: 0,
-        portfolio: true,
-        ..ServiceConfig::default()
-    });
-    let m0 = inst(N, 97);
+    svc.set_fault_plan(Some(storm(42)));
+    let m0 = inst(N, 11);
     svc.submit_at(1, Request::new("streamer", m0.clone()))
         .unwrap();
     svc.run_until_idle();
     let first = svc.take_completed().pop().unwrap();
-    assert_eq!(
-        first.response().unwrap().backend,
-        "cpu-jv",
-        "cold request follows the model"
-    );
+    let r = first.response().expect("the CPU rung answers the storm");
+    assert_eq!(r.backend, "cpu-jv", "storm reroutes to the CPU");
+    assert_sound(r, &m0);
+
+    svc.set_fault_plan(None);
     // Same tenant, same shape, one perturbed row: the CPU answer's duals
-    // seed the device rung, which runs before any cold dispatch.
+    // seed the device rung.
     let mut m1 = m0.clone();
     for j in 0..N {
         m1.set(2, j, m1.get(2, j) + 3.0);
@@ -707,7 +618,9 @@ fn portfolio_keeps_the_seeded_rung_on_top_of_the_ladder() {
     let r = second.response().expect("seeded rung answers");
     assert_eq!(r.backend, "hunipu", "warm duals route back to the device");
     assert_sound(r, &m1);
-    assert_eq!(svc.metrics().tenants["streamer"].seeded, 1);
+    let t = &svc.metrics().tenants["streamer"];
+    assert_eq!((t.rerouted, t.seeded), (1, 1), "metrics: {t:?}");
+    assert_eq!(t.seeded_fallbacks, 0, "metrics: {t:?}");
 }
 
 /// Disabling warm starts in the config removes the seeded rung entirely.
