@@ -79,11 +79,7 @@ fn main() {
                             None => print!(" {:>10}", "-"),
                         }
                     }
-                    let fastest = costs
-                        .iter()
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("at least the CPU trio is measured");
-                    println!("  {}", fastest.0);
+                    println!("  {}", fastest(&costs));
                     for &(engine, seconds) in &costs {
                         record.push(Measurement {
                             engine: engine.into(),
@@ -191,4 +187,56 @@ fn cell(meas: &EngineMeasurements, batch: usize, chips: usize) -> Vec<(&'static 
         costs.push(("fastha", total / batch as f64));
     }
     costs
+}
+
+/// The engine with the least modeled seconds; on a tie, the first one
+/// in `costs` (the table's column order).
+fn fastest(costs: &[(&'static str, f64)]) -> &'static str {
+    costs
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("at least the CPU trio is measured")
+        .0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measurements() -> EngineMeasurements {
+        EngineMeasurements {
+            cpu: vec![("jv", 3e-3), ("munkres", 9e-3), ("auction", 5e-3)],
+            hunipu: vec![(1, 1000.0, 8000.0), (4, 600.0, 16000.0)],
+            clock_hz: 1e6,
+            fastha: vec![(1, 4e-3), (8, 8e-3)],
+        }
+    }
+
+    #[test]
+    fn the_ipu_load_is_amortized_over_the_batch() {
+        let meas = measurements();
+        assert_eq!(cell(&meas, 1, 1)[3], ("hunipu", 9e-3));
+        assert_eq!(cell(&meas, 8, 1)[3], ("hunipu", 2e-3));
+    }
+
+    #[test]
+    fn a_cell_takes_the_hunipu_run_of_its_chip_count() {
+        assert_eq!(cell(&measurements(), 8, 4)[3], ("hunipu", 2.6e-3));
+    }
+
+    #[test]
+    fn fastha_is_per_instance_and_absent_where_unmeasured() {
+        let mut meas = measurements();
+        assert_eq!(cell(&meas, 8, 1)[4], ("fastha", 1e-3));
+        meas.fastha.clear(); // a non-power-of-two n
+        assert_eq!(cell(&meas, 8, 1).len(), 4, "the CPU trio and HunIPU");
+    }
+
+    #[test]
+    fn the_fastest_engine_is_the_cheapest_and_ties_keep_column_order() {
+        let meas = measurements();
+        assert_eq!(fastest(&cell(&meas, 1, 1)), "jv");
+        assert_eq!(fastest(&cell(&meas, 8, 1)), "fastha");
+        assert_eq!(fastest(&[("jv", 1.0), ("hunipu", 1.0)]), "jv");
+    }
 }

@@ -121,6 +121,15 @@ mod tests {
     }
 
     #[test]
+    fn the_fit_runs_through_the_last_two_points() {
+        let mut e = CpuExtrapolator::new();
+        e.record(50, 7.0); // off the law; superseded by the later points
+        e.record(100, 1.0);
+        e.record(200, 4.0);
+        assert!((e.predict(400).unwrap() - 16.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn time_formatting() {
         assert_eq!(fmt_time(5e-7), "0.5µs");
         assert_eq!(fmt_time(2.5e-3), "2.50ms");

@@ -357,4 +357,14 @@ mod tests {
         assert_eq!(summary.incorrect, 0);
         assert!(summary.queue_high_water <= spec.queue_capacity);
     }
+
+    #[test]
+    fn percentile_is_nearest_rank_and_zero_without_samples() {
+        assert_eq!(percentile(&[], 0.5), 0);
+        let s = [10, 20, 30, 40];
+        assert_eq!(
+            [0.0, 0.25, 0.5, 0.51, 1.0].map(|q| percentile(&s, q)),
+            [10, 10, 20, 30, 40]
+        );
+    }
 }

@@ -222,6 +222,55 @@ fn tiled_rejects_fractional_costs() {
     assert!(detail.contains("integer costs"), "got: {detail}");
 }
 
+fn tiled(m: &CostMatrix) -> Result<lsap::SolveReport, LsapError> {
+    HunIpu::with_config(IpuConfig::tiny(4))
+        .solve_tiled(m)
+        .map(|r| r.0)
+}
+
+/// The tiled input contract at its edges: magnitudes at and past 2^24
+/// and infinities are typed errors, a cost just below 2^24 solves.
+#[test]
+fn tiled_rejects_costs_at_and_past_2_pow_24_and_infinities() {
+    let limit = (1u64 << 24) as f64;
+    for bad in [limit, -limit, 4.0 * limit, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut m = CostMatrix::from_fn(4, 4, |i, j| (i * j) as f64).unwrap();
+        m.set(2, 1, bad);
+        match tiled(&m) {
+            Err(LsapError::Backend { detail }) => assert!(detail.contains("2^24"), "{detail}"),
+            other => panic!("cost {bad} must be rejected, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn tiled_solves_a_cost_just_below_2_pow_24() {
+    let mut m = CostMatrix::from_fn(4, 4, |i, j| ((i + 1) * (j + 1)) as f64).unwrap();
+    m.set(0, 0, ((1u64 << 24) - 1) as f64);
+    let r = tiled(&m).unwrap();
+    r.verify(&m, F32_VERIFY_EPS).unwrap();
+    assert_eq!(r.objective, reference_optimum(&m));
+}
+
+#[test]
+fn tiled_rejects_a_rectangular_matrix() {
+    let m = CostMatrix::from_fn(3, 5, |i, j| (i + j) as f64).unwrap();
+    let err = tiled(&m).unwrap_err();
+    assert_eq!(err, LsapError::NotSquare { rows: 3, cols: 5 });
+}
+
+#[test]
+fn tiled_solves_one_and_two_row_instances() {
+    for m in [
+        CostMatrix::from_rows(&[&[7.0]]).unwrap(),
+        CostMatrix::from_rows(&[&[4.0, 1.0], &[2.0, 8.0]]).unwrap(),
+    ] {
+        let r = tiled(&m).unwrap();
+        r.verify(&m, F32_VERIFY_EPS).unwrap();
+        assert_eq!(r.objective, reference_optimum(&m));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Sparse differential: k ∈ {2, 8, n/4} × n ∈ {256, 1024, 4096}.
 // ---------------------------------------------------------------------

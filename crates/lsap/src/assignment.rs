@@ -213,6 +213,15 @@ mod tests {
     }
 
     #[test]
+    fn inverse_mapping_rejects_out_of_range_and_shared_columns() {
+        let a = Assignment::from_permutation(vec![2, 0, 1]);
+        let e = a.col_to_row(2);
+        assert_eq!(e, Err(LsapError::IndexOutOfBounds { index: 2, bound: 2 }));
+        let e = Assignment::from_row_to_col(vec![Some(1), None, Some(1)]).col_to_row(3);
+        assert_eq!(e, Err(LsapError::DuplicateColumn { col: 1 }));
+    }
+
+    #[test]
     fn truncation_drops_padding_matches() {
         // 3x3 problem padded to 4x4; solver matched row 1 into the padding
         // column 3 and the padding row 3 into column 1.

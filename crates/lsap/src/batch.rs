@@ -380,4 +380,33 @@ mod tests {
         assert_eq!(stats.wall_instances_per_sec(), 2.0);
         assert_eq!(stats.modeled_instances_per_sec(), Some(4000.0));
     }
+
+    #[test]
+    fn verify_all_rejects_a_report_count_mismatch() {
+        let batch = toy_batch();
+        let rep = SequentialBatch::new(Toy).solve_batch(&batch[..2]).unwrap();
+        let err = rep.verify_all(&batch, crate::COST_EPS).unwrap_err();
+        assert!(err.to_string().contains("2 reports for 3"), "{err}");
+    }
+
+    #[test]
+    fn verify_all_names_the_failing_instance() {
+        let batch = toy_batch();
+        let mut rep = SequentialBatch::new(Toy).solve_batch(&batch).unwrap();
+        rep.reports[2].objective += 1.0;
+        let err = rep.verify_all(&batch, crate::COST_EPS).unwrap_err();
+        assert!(err.to_string().contains("batch instance 2"), "{err}");
+    }
+
+    #[test]
+    fn modeled_quotients_need_a_model_and_modeled_time() {
+        let stats = BatchStats {
+            instances: 4,
+            modeled_seconds: Some(0.0),
+            ..Default::default()
+        };
+        assert_eq!(stats.amortized_cycles(), None);
+        assert_eq!(stats.amortized_seconds(), Some(0.0));
+        assert_eq!(stats.modeled_instances_per_sec(), None);
+    }
 }

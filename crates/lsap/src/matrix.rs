@@ -299,6 +299,16 @@ mod tests {
     }
 
     #[test]
+    fn every_zero_sized_constructor_is_an_empty_matrix() {
+        let empty: &[&[f64]] = &[];
+        assert_eq!(CostMatrix::from_rows(empty), Err(LsapError::EmptyMatrix));
+        assert_eq!(CostMatrix::from_rows(&[&[]]), Err(LsapError::EmptyMatrix));
+        let e = CostMatrix::from_fn(3, 0, |_, _| 0.0);
+        assert_eq!(e, Err(LsapError::EmptyMatrix));
+        assert_eq!(CostMatrix::filled(0, 1.0), Err(LsapError::EmptyMatrix));
+    }
+
+    #[test]
     fn nan_rejected_with_position() {
         let err = CostMatrix::from_vec(2, 2, vec![0.0, 1.0, f64::NAN, 3.0]).unwrap_err();
         assert_eq!(err, LsapError::NanCost { row: 1, col: 0 });

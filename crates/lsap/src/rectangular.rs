@@ -102,4 +102,19 @@ mod tests {
         assert_eq!(cost, 2.0);
         assert!(a.is_perfect());
     }
+
+    #[test]
+    fn a_single_row_takes_its_cheapest_column() {
+        let m = CostMatrix::from_rows(&[&[4.0, 2.0, 7.0]]).unwrap();
+        let (a, cost) = solve_rectangular(&m, &mut Brute).unwrap();
+        assert_eq!((a.col_of(0), cost), (Some(1), 2.0));
+    }
+
+    #[test]
+    fn a_single_column_goes_to_its_cheapest_row() {
+        let m = CostMatrix::from_rows(&[&[4.0], &[2.0], &[7.0]]).unwrap();
+        let (a, cost) = solve_rectangular(&m, &mut Brute).unwrap();
+        assert_eq!(a.pairs().collect::<Vec<_>>(), [(1, 0)]);
+        assert_eq!(cost, 2.0);
+    }
 }

@@ -493,4 +493,85 @@ mod tests {
         assert_eq!(s.chain_names(), vec!["first", "second"]);
         assert_eq!(s.name(), "resilient");
     }
+
+    #[test]
+    fn history_is_reset_between_solves() {
+        let m = gradient_matrix(3);
+        let mut s = ResilientSolver::new(Scripted::failing("flaky", 1));
+        s.solve(&m).unwrap();
+        assert_eq!(s.history().len(), 2);
+        s.solve(&m).unwrap();
+        assert_eq!(s.history().len(), 1, "only the latest solve's attempts");
+    }
+
+    #[test]
+    fn fallback_attempts_are_numbered_from_one() {
+        let m = gradient_matrix(3);
+        let mut s = ResilientSolver::new(Scripted::failing("a", u32::MAX))
+            .with_fallback(Scripted::failing("b", 1))
+            .with_policy(RetryPolicy::attempts(3));
+        s.solve(&m).unwrap();
+        let h = s.history();
+        let trail: Vec<_> = h.iter().map(|a| (&*a.solver, a.attempt)).collect();
+        assert_eq!(trail, [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2)]);
+    }
+
+    #[test]
+    fn shape_errors_escalate_to_the_fallback() {
+        let m = gradient_matrix(3);
+        let mut s =
+            ResilientSolver::new(ShapeError).with_fallback(Scripted::failing("fallback", 0));
+        s.solve(&m).unwrap();
+        let solvers: Vec<&str> = s.history().iter().map(|a| &*a.solver).collect();
+        assert_eq!(solvers, ["shape_error", "fallback"], "no retry");
+    }
+
+    struct ShapeError;
+    impl LsapSolver for ShapeError {
+        fn name(&self) -> &'static str {
+            "shape_error"
+        }
+        fn solve(&mut self, _: &CostMatrix) -> Result<SolveReport, LsapError> {
+            Err(LsapError::EmptyMatrix)
+        }
+    }
+
+    #[test]
+    fn backoff_pauses_between_retries_and_grows() {
+        let m = gradient_matrix(3);
+        let policy = RetryPolicy::attempts(3).with_backoff(Duration::from_millis(10), 3.0);
+        let mut s = ResilientSolver::new(Scripted::failing("flaky", 2)).with_policy(policy);
+        let start = std::time::Instant::now();
+        s.solve(&m).unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(10 + 30));
+    }
+
+    #[test]
+    fn the_verification_tolerance_is_configurable() {
+        let m = gradient_matrix(3);
+        // `corrupt` overclaims by 10; the objective check allows
+        // eps * max|c| * n = eps * 4 * 3.
+        let solver = |eps| ResilientSolver::new(Scripted::corrupt("c")).with_eps(eps);
+        assert!(solver(COST_EPS).solve(&m).is_err() && solver(1.0).solve(&m).is_ok());
+    }
+
+    #[test]
+    fn boxed_fallbacks_join_the_chain_in_order() {
+        let s = ResilientSolver::new(Scripted::failing("first", 0))
+            .with_fallback_boxed(Box::new(Scripted::failing("second", 0)))
+            .with_fallback(Scripted::failing("third", 0));
+        assert_eq!(s.chain_names(), ["first", "second", "third"]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_attempts_are_rejected() {
+        RetryPolicy::attempts(0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_shrinking_backoff_is_rejected() {
+        RetryPolicy::default().with_backoff(Duration::from_millis(1), 0.5);
+    }
 }

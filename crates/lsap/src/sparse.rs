@@ -633,4 +633,45 @@ mod tests {
         let viol = violated_entries(&m, &cert, 1e-9);
         assert_eq!(viol, vec![(0, 0), (0, 1)]);
     }
+
+    #[test]
+    fn construction_rejects_empty_shapes_and_short_arrays() {
+        let err = |n, k, cols: Vec<u32>, costs| SparseCost::new(n, k, cols, costs).unwrap_err();
+        assert_eq!(err(0, 1, vec![], vec![]), LsapError::EmptyMatrix);
+        assert_eq!(err(2, 0, vec![], vec![]), LsapError::EmptyMatrix);
+        assert!(matches!(
+            err(2, 1, vec![0, 1], vec![1.0]),
+            LsapError::ShapeMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn cost_of_is_none_off_the_candidate_list() {
+        let sc = SparseCost::new(2, 1, vec![1, 0], vec![4.0, 6.0]).unwrap();
+        assert_eq!((sc.cost_of(0, 1), sc.cost_of(1, 0)), (Some(4.0), Some(6.0)));
+        assert_eq!((sc.cost_of(0, 0), sc.cost_of(1, 1)), (None, None));
+    }
+
+    #[test]
+    fn prohibitive_fill_exceeds_every_assignment_cost() {
+        let sc = SparseCost::new(3, 1, vec![0, 1, 2], vec![-5.0, 2.0, 4.0]).unwrap();
+        // A matching with one fill entry must cost more than any matching
+        // of candidates: fill - 2 * 5 > 3 * 5.
+        assert!(sc.prohibitive_fill() - 2.0 * 5.0 > 3.0 * 5.0);
+    }
+
+    #[test]
+    fn topk_prune_rejects_a_rectangular_matrix() {
+        let m = CostMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+        let err = SparseCost::from_dense_topk(&m, 1).unwrap_err();
+        assert_eq!(err, LsapError::NotSquare { rows: 2, cols: 3 });
+    }
+
+    #[test]
+    fn topk_prune_clamps_k_to_n() {
+        let m = dense(&[&[5.0, 1.0], &[2.0, 9.0]]);
+        let sc = SparseCost::from_dense_topk(&m, 7).unwrap();
+        assert_eq!((sc.k(), sc.nnz()), (2, 4));
+        assert_eq!(sc.to_dense(100.0).unwrap(), m);
+    }
 }

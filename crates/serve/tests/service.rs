@@ -35,6 +35,12 @@ fn inst(n: usize, seed: u64) -> CostMatrix {
     datasets::gaussian_cost_matrix(n, 100, seed)
 }
 
+/// The CPU rung's cost for `m` on the service's device clock.
+fn cpu_cycles(m: &CostMatrix) -> u64 {
+    let jv = cpu_hungarian::JonkerVolgenant::new().solve(m).unwrap();
+    (jv.stats.modeled_seconds.unwrap() * device().clock_hz).ceil() as u64
+}
+
 /// Heavy seeded storm: slack-matrix bit flips dense enough that an IPU
 /// attempt cannot produce a verifiable certificate while armed.
 fn storm(seed: u64) -> FaultPlan {
@@ -232,15 +238,7 @@ fn deadline_budgets_descend_the_ladder_and_never_overshoot_silently() {
     let m_c = inst(N, 12);
     // The CPU rung's cost, measured independently — both for the matrix
     // the service learned its estimate from (m_b) and for the new one.
-    let cpu_cycles = [&m_b, &m_c]
-        .iter()
-        .map(|m| {
-            let mut jv = cpu_hungarian::JonkerVolgenant::new();
-            let secs = jv.solve(m).unwrap().stats.modeled_seconds.unwrap();
-            (secs * device().clock_hz).ceil() as u64
-        })
-        .min()
-        .unwrap();
+    let cpu_cycles = [&m_b, &m_c].iter().map(|m| cpu_cycles(m)).min().unwrap();
     let greedy = greedy_modeled_cycles(N);
     assert!(
         greedy + 2 < cpu_cycles,
@@ -455,11 +453,7 @@ fn greedy_is_the_floor_when_both_exact_rungs_are_benched() {
     // stay below the CPU cost of both matrices.
     let cpu_cycles = [inst(N, 51), m.clone()]
         .iter()
-        .map(|m| {
-            let mut jv = cpu_hungarian::JonkerVolgenant::new();
-            let secs = jv.solve(m).unwrap().stats.modeled_seconds.unwrap();
-            (secs * device().clock_hz).ceil() as u64
-        })
+        .map(cpu_cycles)
         .min()
         .unwrap();
     let greedy = greedy_modeled_cycles(N);
@@ -698,4 +692,74 @@ fn seeded_rung_falls_back_loudly_under_fault_storm() {
     );
     assert_eq!(t.seeded, 0);
     assert_eq!(t.rerouted, 1, "storm answer comes from the CPU rung");
+}
+
+#[test]
+fn ill_formed_requests_are_refused_at_admission_and_never_queued() {
+    let mut svc = service(ServiceConfig::default());
+    let m = CostMatrix::from_vec(2, 3, vec![0.0; 6]).unwrap();
+    let refused = svc.submit_at(0, Request::new("a", m));
+    assert!(matches!(
+        refused,
+        Err(LsapError::NotSquare { rows: 2, cols: 3 })
+    ));
+    assert_eq!(svc.queue_depth(), 0);
+    assert!(svc.metrics().tenants.is_empty(), "nothing counted");
+    svc.run_until_idle();
+    assert!(svc.take_completed().is_empty());
+}
+
+/// With no learned estimate, a deadline cannot skip the device rung: it
+/// runs, and an exact answer landing late is a deadline failure.
+#[test]
+fn an_unlearned_device_rung_runs_and_a_late_answer_fails_its_deadline() {
+    let mut svc = service(ServiceConfig {
+        max_batch: 1,
+        ..ServiceConfig::default()
+    });
+    svc.submit_at(0, Request::new("t", inst(16, 1)).with_budget(1))
+        .unwrap();
+    svc.run_until_idle();
+    let Outcome::Failed(rej) = svc.take_completed().pop().unwrap() else {
+        panic!("a 1-cycle budget cannot be met");
+    };
+    let e = rej.error;
+    assert!(
+        matches!(e, LsapError::DeadlineExceeded { budget_cycles: 1, needed_cycles: c } if c > 1),
+        "{e:?}"
+    );
+    let t = &svc.metrics().tenants["t"];
+    assert_eq!((t.exact, t.rerouted, t.deadline_exceeded), (0, 0, 1));
+    assert_eq!(svc.metrics().pool.misses, 1, "the device rung ran");
+}
+
+/// The exact rungs go device, then CPU, each skipped only by its own
+/// learned estimate: once the device's cost for a shape is known to
+/// exceed a budget, the still-unlearned CPU rung answers within it.
+#[test]
+fn a_learned_device_estimate_past_the_budget_skips_to_the_cpu_rung() {
+    const N: usize = 32;
+    let mut svc = service(ServiceConfig {
+        max_batch: 1,
+        ..ServiceConfig::default()
+    });
+    let (m_a, m_b) = (inst(N, 20), inst(N, 21));
+    let ipu = HunIpu::with_config(device()).solve(&m_a).unwrap();
+    let ipu_cycles = ipu.stats.modeled_cycles.unwrap();
+    let cpu_cycles = cpu_cycles(&m_b);
+    assert!(cpu_cycles < ipu_cycles, "test precondition");
+
+    svc.submit_at(0, Request::new("a", m_a)).unwrap();
+    svc.run_until_idle();
+    let first = svc.take_completed();
+    assert_eq!(first[0].response().unwrap().backend, "hunipu");
+    // Another tenant, so no warm start applies.
+    let req = Request::new("b", m_b.clone()).with_budget(ipu_cycles - 1);
+    svc.submit_at(svc.now() + 1, req).unwrap();
+    svc.run_until_idle();
+    let done = svc.take_completed();
+    let r = done[0].response().expect("the CPU rung fits the budget");
+    assert_eq!(r.backend, "cpu-jv");
+    assert_eq!(r.completion - r.start, cpu_cycles, "no device attempt");
+    assert_sound(r, &m_b);
 }
