@@ -29,7 +29,7 @@ use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use cpu_hungarian::{CpuBatch, JonkerVolgenant};
 use datasets::gaussian_cost_matrix;
 use fastha::{BatchFastHa, FastHa};
-use hunipu::{BatchHunIpu, BatchStrategy, HunIpu};
+use hunipu::{BatchHunIpu, HunIpu};
 use lsap::{BatchLsapSolver, BatchReport, CostMatrix, SequentialBatch};
 use serde::Serialize;
 
@@ -79,7 +79,7 @@ fn main() {
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut rows: Vec<Row> = Vec::new();
 
-    run_hunipu(&args, &batch, n, k, &mut record, &mut entries, &mut rows);
+    run_hunipu(&batch, n, k, &mut record, &mut entries, &mut rows);
     run_fastha(&batch, n, k, &mut record, &mut entries, &mut rows);
     run_cpu(&batch, n, k, &mut record, &mut rows);
 
@@ -110,7 +110,6 @@ struct Row {
 /// IPU: batch streams through one cached program; the sequential baseline
 /// recompiles per solve, so it pays the program load `B` times.
 fn run_hunipu(
-    args: &Args,
     batch: &[CostMatrix],
     n: usize,
     k: u64,
@@ -167,21 +166,6 @@ fn run_hunipu(
         batched: amortized,
         wall_ips: batched.stats.wall_instances_per_sec(),
     });
-
-    // Block-diagonal packing fuses several instances into one bigger
-    // solve; interesting but slower to simulate, so only under --full.
-    if args.full {
-        let mut packer = BatchHunIpu::new().with_strategy(BatchStrategy::Pack { group: 4 });
-        let packed = solve_checked(&mut packer, batch, "hunipu-pack");
-        let amortized = packed.stats.amortized_cycles().expect("non-empty");
-        rows.push(Row {
-            engine: "hunipu(pack4)",
-            metric: "cycles/inst",
-            single,
-            batched: amortized,
-            wall_ips: packed.stats.wall_instances_per_sec(),
-        });
-    }
 }
 
 /// GPU: lockstep batched kernels vs. B independent launch/sync loops.

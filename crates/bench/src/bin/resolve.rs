@@ -6,7 +6,7 @@
 //!
 //! - **warm**: through [`lsap::IncrementalSolver`] over a
 //!   [`hunipu::StreamingHunIpu`] — dual repair on the host, then the
-//!   Step-1-free seeded program on the device, certificate-gated with a
+//!   seeded launch on the device that skips Step 1, certificate-gated with a
 //!   counted cold fallback;
 //! - **cold**: the same matrix through a plain warm engine (full Step 1,
 //!   fresh duals), the cost a non-incremental deployment would pay.
@@ -28,7 +28,7 @@
 //! PATH`). `bench gate --only resolve` checks a fresh recording against
 //! the committed file: any ground-truth mismatch, warm-cycle drift
 //! beyond tolerance, a small-perturbation cell (`k <= n/8`) below the
-//! 2x speedup floor, or the seeded program silently never being taken.
+//! 2x speedup floor, or the seeded launch silently never being taken.
 
 use bench::{write_baseline, Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;

@@ -541,7 +541,7 @@ pub const GATES: &[Gate] = &[
         },
     ),
     // Warm answers equal the ground truth, warm cycles hold, small
-    // perturbations keep the speedup, and the seeded program is still
+    // perturbations keep the speedup, and the seeded launch is still
     // taken wherever it was.
     gate(
         "resolve",

@@ -3,25 +3,14 @@
 //! The static-program constraint (C4) means a compiled solve program is a
 //! function of the tensor shape only — so a batch of same-size instances
 //! can share one compiled engine, paying the (expensive) program load
-//! once instead of per solve. [`BatchHunIpu`] implements two strategies:
-//!
-//! - **Streaming** (the default): one [`WarmEngine`] per instance size,
-//!   compiled by the same route as [`HunIpu::solve`] (so a tiled-route
-//!   shape streams through the tiled program), and every instance run
-//!   as restore → write inputs → run → read results. Because restoring
-//!   the pristine snapshot makes the engine bit-identical to a freshly
-//!   compiled one, every per-instance [`SolveReport`] — assignment,
-//!   duals, cycle statistics — is *exactly* what the single-instance
-//!   [`HunIpu`] would produce for that matrix.
-//! - **Packing** ([`BatchStrategy::Pack`], opt-in): fuses groups of `g`
-//!   same-size instances into one `g·n × g·n` block-diagonal matrix with
-//!   a prohibitive off-block penalty, spreading the group across more of
-//!   the chip's 1472 tiles in a single run. Extraction is validated per
-//!   instance (assignment must stay inside its block and the per-block
-//!   dual certificate must verify); any instance the packed solve cannot
-//!   certify falls back to a solo streamed solve, so packing can change
-//!   throughput but never correctness. Packed per-instance *statistics*
-//!   are amortized shares of the fused run.
+//! once instead of per solve. [`BatchHunIpu`] keeps one [`WarmEngine`]
+//! per instance size, compiled by the same route as [`HunIpu::solve`]
+//! (so a tiled-route shape streams through the tiled program), and runs
+//! every instance as restore → write inputs → run → read results.
+//! Because restoring the pristine snapshot makes the engine bit-identical
+//! to a freshly compiled one, every per-instance [`SolveReport`] —
+//! assignment, duals, cycle statistics — is *exactly* what the
+//! single-instance [`HunIpu`] would produce for that matrix.
 //!
 //! Fault handling: each instance is wrapped in the shared
 //! verify-and-retry loop ([`lsap::solve_instance_verified`]), and every
@@ -41,23 +30,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// How [`BatchHunIpu`] maps instances onto the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchStrategy {
-    /// Stream every instance through one compiled engine per shape
-    /// (restore a pristine snapshot, rebind buffers, run). Per-instance
-    /// results match the single-instance solver bit-for-bit.
-    Stream,
-    /// Fuse up to `group` consecutive same-size instances into one
-    /// block-diagonal solve packed across the tiles, with certificate
-    /// extraction per instance and solo-streamed fallback on any
-    /// instance the packed run cannot certify.
-    Pack {
-        /// Maximum instances fused per device solve (≥ 1).
-        group: usize,
-    },
-}
-
 /// Default per-instance attempt budget under fault injection.
 const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 
@@ -67,7 +39,6 @@ const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 #[derive(Debug, Clone)]
 pub struct BatchHunIpu {
     solver: HunIpu,
-    strategy: BatchStrategy,
     max_attempts: u32,
     verify_eps: f64,
 }
@@ -89,19 +60,9 @@ impl BatchHunIpu {
     pub fn with_solver(solver: HunIpu) -> Self {
         Self {
             solver,
-            strategy: BatchStrategy::Stream,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
             verify_eps: F32_VERIFY_EPS,
         }
-    }
-
-    /// Selects the instance-to-device mapping strategy.
-    pub fn with_strategy(mut self, strategy: BatchStrategy) -> Self {
-        if let BatchStrategy::Pack { group } = strategy {
-            assert!(group >= 1, "pack group must be >= 1");
-        }
-        self.strategy = strategy;
-        self
     }
 
     /// Overrides the per-instance attempt budget (≥ 1); attempts beyond
@@ -122,210 +83,6 @@ impl BatchHunIpu {
     /// The wrapped single-instance solver.
     pub fn solver(&self) -> &HunIpu {
         &self.solver
-    }
-
-    /// Streams one instance through the cached warm engine for its
-    /// shape, compiling (and charging `overhead`) on first use of the
-    /// shape.
-    fn stream_instance(
-        solver: &HunIpu,
-        cache: &mut HashMap<usize, WarmEngine>,
-        overhead: &mut u64,
-        matrix: &CostMatrix,
-        verify_eps: f64,
-        max_attempts: u32,
-    ) -> Result<(SolveReport, u64), LsapError> {
-        let n = solver.validate_size(matrix)?;
-        let cached = warm_for(solver, cache, overhead, n)?;
-        solve_instance_verified(matrix, verify_eps, max_attempts, |_k| {
-            cached.solve(solver, matrix)
-        })
-    }
-
-    fn solve_stream(&mut self, batch: &[CostMatrix]) -> Result<BatchReport, LsapError> {
-        let start = Instant::now();
-        let mut cache: HashMap<usize, WarmEngine> = HashMap::new();
-        let mut overhead = 0u64;
-        let mut retries = 0u64;
-        let mut reports = Vec::with_capacity(batch.len());
-        for matrix in batch {
-            let (report, r) = Self::stream_instance(
-                &self.solver,
-                &mut cache,
-                &mut overhead,
-                matrix,
-                self.verify_eps,
-                self.max_attempts,
-            )?;
-            retries += r;
-            reports.push(report);
-        }
-        Ok(self.finish(batch, reports, overhead, retries, start))
-    }
-
-    fn solve_pack(&mut self, batch: &[CostMatrix], group: usize) -> Result<BatchReport, LsapError> {
-        let start = Instant::now();
-        let mut cache: HashMap<usize, WarmEngine> = HashMap::new();
-        let mut overhead = 0u64;
-        let mut retries = 0u64;
-        let mut reports: Vec<Option<SolveReport>> = vec![None; batch.len()];
-
-        // Chunk consecutive same-size instances (packing across sizes
-        // would need one compiled program per mixed shape — against the
-        // point of reuse).
-        let mut i = 0;
-        while i < batch.len() {
-            let n = self.solver.validate_size(&batch[i])?;
-            let mut j = i + 1;
-            while j < batch.len() && j - i < group && batch[j].is_square() && batch[j].n() == n {
-                j += 1;
-            }
-            let chunk = &batch[i..j];
-            let packed = if chunk.len() >= 2 {
-                self.try_pack_chunk(&mut cache, &mut overhead, chunk, n)
-            } else {
-                None
-            };
-            match packed {
-                Some(chunk_reports) => {
-                    for (k, rep) in chunk_reports.into_iter().enumerate() {
-                        match rep {
-                            Some(r) => reports[i + k] = Some(r),
-                            None => {
-                                // Packed solve could not certify this
-                                // instance: solo fallback, counted as a
-                                // retry.
-                                retries += 1;
-                                let (r, extra) = Self::stream_instance(
-                                    &self.solver,
-                                    &mut cache,
-                                    &mut overhead,
-                                    &batch[i + k],
-                                    self.verify_eps,
-                                    self.max_attempts,
-                                )?;
-                                retries += extra;
-                                reports[i + k] = Some(r);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // Chunk of one, or the packed shape failed to
-                    // compile (e.g. per-tile memory): stream each.
-                    for (k, m) in chunk.iter().enumerate() {
-                        let (r, extra) = Self::stream_instance(
-                            &self.solver,
-                            &mut cache,
-                            &mut overhead,
-                            m,
-                            self.verify_eps,
-                            self.max_attempts,
-                        )?;
-                        retries += extra;
-                        reports[i + k] = Some(r);
-                    }
-                }
-            }
-            i = j;
-        }
-        let reports: Vec<SolveReport> = reports.into_iter().map(Option::unwrap).collect();
-        Ok(self.finish(batch, reports, overhead, retries, start))
-    }
-
-    /// Solves a chunk of `g ≥ 2` same-size instances as one fused
-    /// block-diagonal run. Returns `None` if the fused shape cannot be
-    /// compiled or the fused run itself fails (caller streams the chunk);
-    /// otherwise per-instance slots are `None` exactly where extraction
-    /// or certification failed (caller re-solves those solo).
-    fn try_pack_chunk(
-        &self,
-        cache: &mut HashMap<usize, WarmEngine>,
-        overhead: &mut u64,
-        chunk: &[CostMatrix],
-        n: usize,
-    ) -> Option<Vec<Option<SolveReport>>> {
-        let g = chunk.len();
-        let m = g * n;
-
-        // Off-block penalty: any assignment using one off-block entry
-        // costs at least `penalty + (m-1)·lo`, while staying block
-        // diagonal costs at most `m·hi`; the margin factor absorbs the
-        // device's f32 rounding. Certification below re-checks every
-        // instance regardless.
-        let (lo, hi) = chunk
-            .iter()
-            .map(|c| c.min_max())
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), (l, h)| {
-                (a.min(l), b.max(h))
-            });
-        let span = hi - lo;
-        let penalty = lo + 4.0 * (m as f64 + 1.0) * (span + 1.0);
-
-        let fused = CostMatrix::from_fn(m, m, |r, c| {
-            if r / n == c / n {
-                chunk[r / n].get(r % n, c % n)
-            } else {
-                penalty
-            }
-        })
-        .ok()?;
-
-        let cached = warm_for(&self.solver, cache, overhead, m).ok()?;
-        let fused_report = cached.solve(&self.solver, &fused).ok()?;
-
-        let mut out = Vec::with_capacity(g);
-        for (k, small) in chunk.iter().enumerate() {
-            out.push(self.extract_packed(&fused_report, small, n, k, g));
-        }
-        Some(out)
-    }
-
-    /// Carves instance `k`'s report out of a fused block-diagonal solve;
-    /// `None` if its rows were assigned outside their block or the
-    /// extracted certificate fails verification.
-    fn extract_packed(
-        &self,
-        fused: &SolveReport,
-        small: &CostMatrix,
-        n: usize,
-        k: usize,
-        g: usize,
-    ) -> Option<SolveReport> {
-        let base = k * n;
-        let row_to_col: Vec<Option<usize>> = (0..n)
-            .map(|r| {
-                let c = fused.assignment.col_of(base + r)?;
-                (c >= base && c < base + n).then_some(c - base)
-            })
-            .collect();
-        if row_to_col.iter().any(Option::is_none) {
-            return None;
-        }
-        let assignment = lsap::Assignment::from_row_to_col(row_to_col);
-        let objective = assignment.cost(small).ok()?;
-        let u = fused.certificate.u[base..base + n].to_vec();
-        let v = fused.certificate.v[base..base + n].to_vec();
-        let report = SolveReport {
-            assignment,
-            objective,
-            certificate: lsap::DualCertificate::new(u, v),
-            // Fused-run statistics cannot be attributed per instance;
-            // report even shares (remainder to instance 0) so chunk
-            // totals are preserved.
-            stats: lsap::SolverStats {
-                modeled_seconds: fused.stats.modeled_seconds.map(|s| s / g as f64),
-                modeled_cycles: fused.stats.modeled_cycles.map(|c| share(c, g, k)),
-                wall_seconds: fused.stats.wall_seconds / g as f64,
-                augmentations: share(fused.stats.augmentations, g, k),
-                dual_updates: share(fused.stats.dual_updates, g, k),
-                device_steps: share(fused.stats.device_steps, g, k),
-                profile_events: 0,
-                ..Default::default()
-            },
-        };
-        report.verify(small, self.verify_eps).ok()?;
-        Some(report)
     }
 
     /// Assembles batch-level accounting from finished per-instance
@@ -360,42 +117,39 @@ impl BatchHunIpu {
     }
 }
 
-/// The cached warm engine for shape `n`, compiled (and its program load
-/// charged to `overhead`) on the shape's first use. The cache belongs to
-/// one call of one solver, so `n` alone identifies the program.
-fn warm_for<'c>(
-    solver: &HunIpu,
-    cache: &'c mut HashMap<usize, WarmEngine>,
-    overhead: &mut u64,
-    n: usize,
-) -> Result<&'c mut WarmEngine, LsapError> {
-    match cache.entry(n) {
-        Entry::Occupied(e) => Ok(e.into_mut()),
-        Entry::Vacant(v) => {
-            let warm = solver.warm(n)?;
-            *overhead += warm.program_load_cycles();
-            Ok(v.insert(warm))
-        }
-    }
-}
-
-/// `total / g` with the remainder folded into share 0, so the `g` shares
-/// sum back to `total`.
-fn share(total: u64, g: usize, k: usize) -> u64 {
-    let g = g as u64;
-    total / g + if k == 0 { total % g } else { 0 }
-}
-
 impl BatchLsapSolver for BatchHunIpu {
     fn name(&self) -> &'static str {
         "hunipu-batch"
     }
 
+    /// Streams every instance through the warm engine for its shape,
+    /// compiling it (and charging its program load to the batch's
+    /// overhead) on the shape's first use. The cache belongs to this
+    /// call of this solver, so `n` alone identifies the program.
     fn solve_batch(&mut self, batch: &[CostMatrix]) -> Result<BatchReport, LsapError> {
-        match self.strategy {
-            BatchStrategy::Stream => self.solve_stream(batch),
-            BatchStrategy::Pack { group } => self.solve_pack(batch, group),
+        let start = Instant::now();
+        let mut cache: HashMap<usize, WarmEngine> = HashMap::new();
+        let mut overhead = 0u64;
+        let mut retries = 0u64;
+        let mut reports = Vec::with_capacity(batch.len());
+        for matrix in batch {
+            let n = self.solver.validate_size(matrix)?;
+            let cached = match cache.entry(n) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(v) => {
+                    let warm = self.solver.warm(n)?;
+                    overhead += warm.program_load_cycles();
+                    v.insert(warm)
+                }
+            };
+            let (report, r) =
+                solve_instance_verified(matrix, self.verify_eps, self.max_attempts, |_k| {
+                    cached.solve(&self.solver, matrix)
+                })?;
+            retries += r;
+            reports.push(report);
         }
+        Ok(self.finish(batch, reports, overhead, retries, start))
     }
 }
 
@@ -472,18 +226,107 @@ mod tests {
     }
 
     #[test]
-    fn pack_produces_certified_optima() {
-        let batch = instances(&[5; 6], 19);
-        let mut packed =
-            BatchHunIpu::with_solver(tiny_solver()).with_strategy(BatchStrategy::Pack { group: 3 });
-        let rep = packed.solve_batch(&batch).unwrap();
-        rep.verify_all(&batch, F32_VERIFY_EPS).unwrap();
-
-        let mut truth = cpu_hungarian::JonkerVolgenant::new();
+    fn reports_follow_input_order_across_shapes() {
+        let batch = instances(&[6, 4, 5, 4, 6], 19);
+        let rep = BatchHunIpu::with_solver(tiny_solver())
+            .solve_batch(&batch)
+            .unwrap();
+        assert_eq!(rep.reports.len(), batch.len());
+        let mut solo = tiny_solver();
         for (m, r) in batch.iter().zip(&rep.reports) {
-            let t = truth.solve(m).unwrap();
-            assert!((t.objective - r.objective).abs() < 1e-6 * (1.0 + t.objective.abs()));
+            assert_eq!(r.assignment.rows(), m.n());
+            let s = solo.solve(m).unwrap();
+            assert_eq!(s.assignment, r.assignment);
+            assert_eq!(s.stats.modeled_cycles, r.stats.modeled_cycles);
         }
+    }
+
+    #[test]
+    fn an_armed_fault_plan_reproduces_the_sequential_launches() {
+        // Stragglers slow supersteps down without corrupting data, so no
+        // instance retries and every launch draws the next fault epoch.
+        let plan = ipu_sim::FaultPlan::new(5).with_stragglers(0.3, 4.0);
+        let armed = || tiny_solver().with_fault_plan(plan.clone());
+        let batch = instances(&[6, 6, 6], 23);
+        let rep = BatchHunIpu::with_solver(armed())
+            .solve_batch(&batch)
+            .unwrap();
+        assert_eq!(rep.stats.retries, 0);
+
+        let mut sequential = armed();
+        let mut clean = tiny_solver();
+        let mut slowed = 0;
+        for (m, r) in batch.iter().zip(&rep.reports) {
+            let s = sequential.solve(m).unwrap();
+            assert_eq!(s.assignment, r.assignment);
+            assert_eq!(s.certificate, r.certificate);
+            assert_eq!(s.stats.modeled_cycles, r.stats.modeled_cycles);
+            if clean.solve(m).unwrap().stats.modeled_cycles < r.stats.modeled_cycles {
+                slowed += 1;
+            }
+        }
+        assert!(slowed > 0, "the plan must have been armed");
+    }
+
+    #[test]
+    fn batch_clock_follows_the_device_clock_and_counts_no_retries_when_clean() {
+        let batch = instances(&[5; 3], 29);
+        let batched = BatchHunIpu::with_solver(tiny_solver());
+        let rep = batched.clone().solve_batch(&batch).unwrap();
+        assert_eq!(rep.stats.instances, 3);
+        assert_eq!(rep.stats.retries, 0);
+        let cycles = rep.stats.modeled_cycles.unwrap();
+        assert_eq!(
+            rep.stats.modeled_seconds,
+            Some(batched.solver().config().cycles_to_seconds(cycles))
+        );
+    }
+
+    #[test]
+    fn every_call_compiles_its_own_programs() {
+        // The shape cache lives for one call: a second call on the same
+        // solver pays the same program loads again and reports the same
+        // solves.
+        let batch = instances(&[4, 6, 4], 31);
+        let mut batched = BatchHunIpu::with_solver(tiny_solver());
+        let first = batched.solve_batch(&batch).unwrap();
+        let second = batched.solve_batch(&batch).unwrap();
+        assert_eq!(first.stats.overhead_cycles, second.stats.overhead_cycles);
+        assert_eq!(first.stats.modeled_cycles, second.stats.modeled_cycles);
+        for (a, b) in first.reports.iter().zip(&second.reports) {
+            assert_eq!(a.assignment, b.assignment);
+            assert_eq!(a.certificate, b.certificate);
+        }
+    }
+
+    #[test]
+    fn a_non_square_instance_fails_the_batch_with_a_typed_error() {
+        let mut batch = instances(&[4], 37);
+        batch.push(CostMatrix::from_vec(2, 3, vec![1.0; 6]).unwrap());
+        match BatchHunIpu::with_solver(tiny_solver()).solve_batch(&batch) {
+            Err(LsapError::NotSquare { rows: 2, cols: 3 }) => {}
+            other => panic!("expected NotSquare, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_instance_that_never_certifies_fails_instead_of_returning_unverified() {
+        // A negative tolerance rejects every certificate, however exact.
+        let batch = instances(&[4], 41);
+        let result = BatchHunIpu::with_solver(tiny_solver())
+            .with_max_attempts(2)
+            .with_verify_eps(-1.0)
+            .solve_batch(&batch);
+        assert!(
+            matches!(result, Err(LsapError::VerificationFailed { .. })),
+            "got {result:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one attempt")]
+    fn a_zero_attempt_budget_is_refused() {
+        let _ = BatchHunIpu::with_solver(tiny_solver()).with_max_attempts(0);
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub(crate) struct Ts {
     pub k_row_m: Tensor,
     /// Step 6's Δ, f32.
     pub delta_m: Tensor,
-    // ---- representation-specific state (all `None` in dense mode) ----
+    // ---- representation-specific state (only `seeded` in dense mode) ----
     /// Candidate column ids, i32 `n x k` (sparse mode): `cand[r*k + p]`
     /// is the absolute column of stored entry `p` of row `r`.
     pub cand: Option<Tensor>,
@@ -130,6 +130,10 @@ pub(crate) struct Ts {
     /// Collector flag: the candidate graph admits no perfect matching
     /// (δ = ∞ in sparse Step 6 — a Hall violation from pruning).
     pub infeasible: Option<Tensor>,
+    /// Collector flag (dense mode): the launch uploaded a repaired seed
+    /// in place of the raw costs, so the program skips Step 1. The
+    /// pristine snapshot holds it at 0, so a cold launch runs Step 1.
+    pub seeded: Option<Tensor>,
 }
 
 /// Builds the static HunIPU graph for one problem size on one device.
@@ -253,16 +257,21 @@ impl Builder {
         let delta_m = g.add_replicated("delta_m", DType::F32, 1);
 
         // Representation-specific tensors, created strictly after every
-        // shared tensor so the dense graph stays byte-identical to the
-        // seed (committed cycle baselines depend on it).
+        // shared tensor so the shared tensors keep the same ids and
+        // placement in every storage mode.
         let mut cand = None;
         let mut host_cost = None;
         let mut vm = None;
         let mut rowacc = None;
         let mut delta_ok = None;
         let mut infeasible = None;
+        let mut seeded = None;
         match storage {
-            Storage::Dense => {}
+            Storage::Dense => {
+                let t = g.add_tensor("seeded", DType::I32, 1);
+                g.map_to_tile(t, c)?;
+                seeded = Some(t);
+            }
             Storage::Sparse { k } => {
                 let t = g.add_tensor("cand", DType::I32, n * k);
                 for tile in l.owner_tiles() {
@@ -338,6 +347,7 @@ impl Builder {
             rowacc,
             delta_ok,
             infeasible,
+            seeded,
         };
         Ok(Self {
             g,

@@ -1,11 +1,12 @@
 //! Golden fingerprints of every device program HunIPU compiles: one
-//! small instance each of the seeded re-solve, the sparse k-candidate,
-//! the tiled out-of-core, the 2-chip chip-aware and the A5 one-prime
-//! programs, plus the dense default. A fingerprint holds the objective
-//! bits, the assignment, the dual bits, the device counters, the cycle
-//! totals (supersteps included), the program-load cost, the peak tile
-//! memory and every compute set's executions and compute cycles, so any
-//! change to a program's graph or schedule shows up as a diff.
+//! small instance each of the sparse k-candidate, the tiled out-of-core,
+//! the 2-chip chip-aware and the A5 one-prime programs, plus the dense
+//! default, cold and on a warm engine's seeded launch. A fingerprint
+//! holds the objective bits, the assignment, the dual bits, the device
+//! counters, the cycle totals (supersteps included), the program-load
+//! cost, the peak tile memory and every compute set's executions and
+//! compute cycles, so any change to a program's graph or schedule shows
+//! up as a diff.
 //!
 //! The golden file lives at
 //! `crates/hunipu/tests/golden/program_fingerprints.txt`. After an
@@ -96,8 +97,7 @@ fn fingerprints() -> String {
     let report = warm
         .solve_seeded(&solver, &next, &WarmStart::from_report(&first))
         .unwrap();
-    let seeded = warm.seeded_engine().expect("a seeded solve ran");
-    render(&mut out, "seeded", &report, seeded);
+    render(&mut out, "seeded", &report, warm.engine());
 
     let sc = SparseCost::from_dense_topk(&m, 5).unwrap();
     let (report, engine) = tiny().solve_sparse_with_engine(&sc).unwrap();

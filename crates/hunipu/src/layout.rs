@@ -211,9 +211,9 @@ impl Layout {
     }
 
     /// Chip `chip`'s staging tile: its last tile. The last chip's
-    /// sub-collector coincides with [`collector_tile`]
-    /// (Self::collector_tile), so the root of the reduction tree needs
-    /// no extra hop.
+    /// sub-collector coincides with
+    /// [`collector_tile`](Self::collector_tile), so the root of the
+    /// reduction tree needs no extra hop.
     pub fn sub_collector(&self, chip: usize) -> usize {
         (chip + 1) * self.tiles_per_chip - 1
     }

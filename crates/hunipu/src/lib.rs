@@ -68,7 +68,7 @@ mod streaming;
 mod warm;
 
 pub use ablation::{AblationConfig, DynSlice};
-pub use batch::{BatchHunIpu, BatchStrategy};
+pub use batch::BatchHunIpu;
 pub use layout::{Layout, COL_SEG};
 pub use solver::{HunIpu, LayoutMode, F32_VERIFY_EPS, TILED_BLOCK_COLS, TILED_ZCAP};
 pub use streaming::StreamingHunIpu;

@@ -1,8 +1,9 @@
-//! The [`HunIpu`] solver and the one path all four device programs take
-//! (dense or chip-aware, Step-1-free seeded, sparse k-candidate, tiled):
-//! route a shape to its program, compile it, launch it (faults, upload,
-//! run, infeasibility latch), and read the report back. DESIGN.md §16
-//! maps each request to its program.
+//! The [`HunIpu`] solver and the one path all three device programs take
+//! (dense or chip-aware, sparse k-candidate, tiled): route a shape to its
+//! program, compile it, launch it (faults, upload, run, infeasibility
+//! latch), and read the report back. The dense program serves both cold
+//! and seeded launches: a device flag skips Step 1. DESIGN.md §16 maps
+//! each request to its program.
 
 use crate::ablation::AblationConfig;
 use crate::build::{Builder, Storage, Ts};
@@ -293,20 +294,11 @@ impl HunIpu {
             block_cols: self.tiled_block_cols.clamp(1, n),
             zcap: self.tiled_zcap.clamp(1, n),
         };
-        let (storage, seeded) = match ask {
-            Ask::Cold if self.takes_tiled_path(n) => (tiled, false),
-            Ask::Seeded if self.takes_tiled_path(n) => {
-                return Err(LsapError::Backend {
-                    detail: format!(
-                        "n={n} routes to the tiled program, which has no seeded \
-                         re-solve; solve it cold"
-                    ),
-                })
-            }
-            Ask::Cold => (Storage::Dense, false),
-            Ask::Seeded => (Storage::Dense, true),
-            Ask::Sparse { k } => (Storage::Sparse { k }, false),
-            Ask::Tiled => (tiled, false),
+        let storage = match ask {
+            Ask::Cold if self.takes_tiled_path(n) => tiled,
+            Ask::Cold => Storage::Dense,
+            Ask::Sparse { k } => Storage::Sparse { k },
+            Ask::Tiled => tiled,
         };
         // Only the dense program has a chip-aware layout; sparse and
         // tiled are single-chip flat by construction.
@@ -347,7 +339,6 @@ impl HunIpu {
             storage,
             layout,
             ablation,
-            seeded,
         })
     }
 
@@ -364,7 +355,7 @@ impl HunIpu {
             route.storage,
         )
         .map_err(backend)?;
-        let program = builder.assemble(route.seeded).map_err(backend)?;
+        let program = builder.assemble().map_err(backend)?;
         let Builder { g, t, .. } = builder;
         let mut engine = g.compile(program).map_err(backend)?;
         if let Some(cfg) = &self.profile {
@@ -374,7 +365,6 @@ impl HunIpu {
             engine,
             t,
             storage: route.storage,
-            seeded: route.seeded,
         })
     }
 
@@ -419,8 +409,10 @@ impl HunIpu {
     /// as the real implementation does), or in the host-resident cost
     /// tensor of the tiled program. A seeded re-solve uploads the
     /// host-repaired reduced slack and duals `u, v` instead of the raw
-    /// costs — the state Step 1 would have produced — and Step 2's greedy
-    /// starring rebuilds the matching from there. Sparse input uploads
+    /// costs — the state Step 1 would have produced — and sets the dense
+    /// program's `seeded` flag, so the run skips Step 1 and Step 2's
+    /// greedy starring rebuilds the matching from there; the tiled
+    /// program has no seeded launch and refuses one. Sparse input uploads
     /// the candidate costs and their column ids.
     pub(crate) fn launch(
         &self,
@@ -429,8 +421,18 @@ impl HunIpu {
         start: Instant,
     ) -> Result<SolveReport, LsapError> {
         let (engine, t) = (&mut compiled.engine, &compiled.t);
-        if let (Storage::Tiled { .. }, Input::Dense(matrix)) = (compiled.storage, input) {
-            check_tiled_costs(matrix)?;
+        match (compiled.storage, input) {
+            (Storage::Tiled { .. }, Input::Dense(matrix)) => check_tiled_costs(matrix)?,
+            (Storage::Tiled { .. }, Input::Seeded(matrix, _)) => {
+                return Err(LsapError::Backend {
+                    detail: format!(
+                        "n={} routes to the tiled program, which has no seeded \
+                         re-solve; solve it cold",
+                        matrix.n()
+                    ),
+                })
+            }
+            _ => {}
         }
         // Arm (or disarm) faults per launch: a warm engine reused from a
         // pool may still carry the plan from a previous run, so a solver
@@ -450,6 +452,8 @@ impl HunIpu {
                 write_f32(t.slack, &seed.slack)?;
                 write_f32(t.u, &seed.u)?;
                 write_f32(t.v, &seed.v)?;
+                let flag = t.seeded.expect("dense storage has the seeded flag");
+                engine.write_i32(flag, &[1]).map_err(backend)?;
             }
             Input::Sparse(sc) => {
                 write_f32(t.slack, &f32s(sc.costs_flat()))?;
@@ -476,7 +480,7 @@ impl HunIpu {
                 });
             }
         }
-        extract_report(engine, t, input, compiled.seeded, start)
+        extract_report(engine, t, input, start)
     }
 
     /// Solves a k-candidate sparse instance on the device: only the `k`
@@ -514,7 +518,7 @@ impl HunIpu {
     /// Costs must be integers with magnitude below 2^24: the streamed
     /// slack `c − u − v` is recomputed in f32 on every stream, and integer
     /// arithmetic is what keeps those recomputations exact (the same
-    /// contract [`datasets::f32_exact`] documents for the dense path,
+    /// contract `datasets::f32_exact` documents for the dense path,
     /// hardened here into a precondition because zero-detection drives
     /// the search).
     pub fn solve_tiled(
@@ -548,14 +552,12 @@ impl HunIpu {
 }
 
 /// What a caller asks the device to solve; [`HunIpu::route`] maps it to
-/// a program (DESIGN.md §4 has the table).
+/// a program (DESIGN.md §16 has the table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ask {
     /// A dense matrix, cold: the dense program (flat or chip-aware), or
     /// the tiled one where [`HunIpu::takes_tiled_path`] holds.
     Cold,
-    /// A dense warm-start re-solve: the Step-1-free seeded program.
-    Seeded,
     /// A k-candidate sparse instance.
     Sparse {
         /// Candidate columns stored per row.
@@ -570,7 +572,6 @@ struct Route {
     storage: Storage,
     layout: Layout,
     ablation: AblationConfig,
-    seeded: bool,
 }
 
 /// One compiled device program: the engine, its tensor handles, and the
@@ -579,7 +580,6 @@ pub(crate) struct Compiled {
     pub engine: ipu_sim::Engine,
     t: Ts,
     storage: Storage,
-    seeded: bool,
 }
 
 /// What the host uploads for one run. The read-back takes the objective
@@ -588,7 +588,8 @@ pub(crate) struct Compiled {
 pub(crate) enum Input<'a> {
     /// A dense cost matrix (the dense and tiled programs).
     Dense(&'a CostMatrix),
-    /// A dense matrix with its host-repaired seed (the seeded program).
+    /// A dense matrix with its host-repaired seed (the dense program,
+    /// Step 1 skipped).
     Seeded(&'a CostMatrix, &'a lsap::RepairedSeedF32),
     /// A k-candidate instance (the sparse program).
     Sparse(&'a SparseCost),
@@ -626,7 +627,6 @@ fn extract_report(
     engine: &mut ipu_sim::Engine,
     t: &Ts,
     input: Input<'_>,
-    seeded: bool,
     start: Instant,
 ) -> Result<SolveReport, LsapError> {
     let row_star = engine.read_i32(t.row_star);
@@ -672,7 +672,7 @@ fn extract_report(
         profile_events: engine
             .profile()
             .map_or(0, |p| p.events.len() as u64 + p.dropped),
-        seeded,
+        seeded: matches!(input, Input::Seeded(..)),
         ..Default::default()
     };
     Ok(SolveReport {

@@ -1850,14 +1850,16 @@ impl Builder {
 
     /// Assembles the driver program (§IV): set-up once, then the outer
     /// completion loop around the inner search loop. Dense and sparse
-    /// storage run Step 1, compression, Step 2 and compression again;
-    /// the `seeded` warm-start driver skips Step 1, because the host
-    /// uploads an already-reduced slack with repaired duals
-    /// (`lsap::repair_duals_f32` guarantees a non-negative slack with an
-    /// exact `0.0` per row, the invariant Step 1 establishes). Tiled
-    /// storage replaces Step 1 and compression with the streamed set-up
-    /// sweeps ([`Builder::frag_tiled_setup`]) and has no seeded driver.
-    pub fn assemble(&mut self, seeded: bool) -> Result<Program, GraphError> {
+    /// storage run Step 1, compression, Step 2 and compression again.
+    /// The dense program guards Step 1 with the `seeded` flag: a
+    /// warm-start launch sets it after uploading an already-reduced
+    /// slack with repaired duals (`lsap::repair_duals_f32` guarantees a
+    /// non-negative slack with an exact `0.0` per row, the invariant
+    /// Step 1 establishes), so one program serves cold and seeded
+    /// launches. Tiled storage replaces Step 1 and compression with the
+    /// streamed set-up sweeps ([`Builder::frag_tiled_setup`]) and has no
+    /// seeded launch.
+    pub fn assemble(&mut self) -> Result<Program, GraphError> {
         let mut prog = Vec::new();
         let compress = match self.storage {
             Storage::Tiled { block_cols, zcap } => {
@@ -1865,9 +1867,11 @@ impl Builder {
                 None
             }
             _ => {
-                if !seeded {
-                    prog.push(self.frag_step1()?);
-                }
+                let step1 = self.frag_step1()?;
+                prog.push(match self.t.seeded {
+                    Some(flag) => Program::if_else(flag, Program::seq(Vec::new()), step1),
+                    None => step1,
+                });
                 let compress = self.frag_compress()?;
                 prog.push(compress.clone());
                 Some(compress)

@@ -3,12 +3,12 @@
 //!
 //! [`crate::HunIpu`] itself stays a cheap, clonable *configuration* (the
 //! batch and serving layers rely on that); the state needed for
-//! streaming — a warm compiled engine plus its lazily compiled seeded
-//! companion — lives here. Cold solves through the adapter are routed
-//! through the warm engine's pristine snapshot, so they are bit-identical
-//! to a fresh [`crate::HunIpu::solve`] (assignment, duals, and cycle
-//! statistics), and seeded solves run the Step-1-free re-solve program
-//! with host-repaired duals.
+//! streaming — one warm compiled engine — lives here. Cold solves
+//! through the adapter are routed through the warm engine's pristine
+//! snapshot, so they are bit-identical to a fresh
+//! [`crate::HunIpu::solve`] (assignment, duals, and cycle statistics),
+//! and seeded solves launch the same program with host-repaired duals
+//! and Step 1 skipped.
 
 use crate::{HunIpu, WarmEngine, F32_VERIFY_EPS};
 use lsap::{CostMatrix, LsapError, LsapSolver, SeedSolve, SolveReport, WarmStart};
@@ -18,9 +18,8 @@ use lsap::{CostMatrix, LsapError, LsapSolver, SeedSolve, SolveReport, WarmStart}
 ///
 /// The engine is compiled for the first shape solved and recompiled only
 /// when the shape changes (same policy as the serving layer's pool, pool
-/// size 1). Both the cold and the seeded program restore a pristine
-/// snapshot before every run, so streaming is free of cross-instance
-/// state leaks.
+/// size 1). Cold and seeded launches alike restore the pristine snapshot
+/// before every run, so streaming is free of cross-instance state leaks.
 ///
 /// # Example
 ///

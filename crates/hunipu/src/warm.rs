@@ -9,9 +9,11 @@
 //! makes the engine bit-identical to a freshly compiled one (zeroed
 //! buffers, zeroed cycle statistics), so every solve streamed through a
 //! warm engine produces *exactly* the report a cold single-instance
-//! [`HunIpu::solve`] would — assignment, duals, and cycle statistics. A
-//! dense-route engine also compiles the seeded re-solve program on first
-//! use, kept hot the same way; a tiled-route engine has none.
+//! [`HunIpu::solve`] would — assignment, duals, and cycle statistics.
+//! The same dense program also serves seeded re-solves: the launch sets
+//! a device flag that skips Step 1, and the restore clears it again, so
+//! a shape costs one program load whatever mix of cold and seeded
+//! solves it serves. A tiled-route engine refuses seeded re-solves.
 //!
 //! [`crate::BatchHunIpu`] builds its per-call shape cache out of warm
 //! engines; the `serve` crate's LRU engine pool keeps them alive across
@@ -26,35 +28,14 @@ use std::time::Instant;
 
 /// One compiled solve program kept hot for streaming same-shape
 /// instances. Built by [`HunIpu::warm`]; solve instances through it with
-/// [`WarmEngine::solve`].
+/// [`WarmEngine::solve`] and [`WarmEngine::solve_seeded`].
 pub struct WarmEngine {
-    cold: Hot,
-    /// Warm-start re-solve program (the Step-1-free seeded driver),
-    /// compiled lazily on the first [`WarmEngine::solve_seeded`] so
-    /// cold-only users never pay for it.
-    seeded: Option<Hot>,
-    n: usize,
-}
-
-/// One compiled program and the snapshot taken immediately after
-/// compile: restoring it makes the engine bit-identical to a freshly
-/// compiled one, so every run is as repeatable as a cold solve.
-struct Hot {
     program: Compiled,
+    /// Taken immediately after compile: restoring it makes the engine
+    /// bit-identical to a freshly compiled one, so every run is as
+    /// repeatable as a cold solve.
     pristine: EngineSnapshot,
-}
-
-impl Hot {
-    fn new(program: Compiled) -> Self {
-        let pristine = program.engine.snapshot();
-        Self { program, pristine }
-    }
-
-    /// Restores the pristine snapshot and launches one input.
-    fn run(&mut self, solver: &HunIpu, input: Input<'_>) -> Result<SolveReport, LsapError> {
-        self.program.engine.restore(&self.pristine);
-        solver.launch(&mut self.program, input, Instant::now())
-    }
+    n: usize,
 }
 
 impl WarmEngine {
@@ -67,13 +48,13 @@ impl WarmEngine {
     /// (charged by pools on compile and on re-compile after eviction,
     /// never per solve).
     pub fn program_load_cycles(&self) -> u64 {
-        self.cold.program.engine.program_load_cycles()
+        self.program.engine.program_load_cycles()
     }
 
     /// The underlying engine, for cycle-level inspection (profiling,
     /// exchange statistics) between solves.
     pub fn engine(&self) -> &ipu_sim::Engine {
-        &self.cold.program.engine
+        &self.program.engine
     }
 
     /// Rejects a matrix of another shape than the compiled one.
@@ -86,6 +67,12 @@ impl WarmEngine {
             });
         }
         Ok(())
+    }
+
+    /// Restores the pristine snapshot and launches one input.
+    fn run(&mut self, solver: &HunIpu, input: Input<'_>) -> Result<SolveReport, LsapError> {
+        self.program.engine.restore(&self.pristine);
+        solver.launch(&mut self.program, input, Instant::now())
     }
 
     /// Streams one instance through the warm program: restore the
@@ -102,30 +89,15 @@ impl WarmEngine {
         matrix: &CostMatrix,
     ) -> Result<SolveReport, LsapError> {
         self.check_shape(solver, matrix)?;
-        self.cold.run(solver, Input::Dense(matrix))
+        self.run(solver, Input::Dense(matrix))
     }
 
-    /// Whether the seeded re-solve program has been compiled yet (it is
-    /// built lazily by the first [`WarmEngine::solve_seeded`]).
-    pub fn seeded_ready(&self) -> bool {
-        self.seeded.is_some()
-    }
-
-    /// One-time modeled cost of loading the seeded re-solve program, once
-    /// compiled ([`None`] before the first seeded solve). Pools charge it
-    /// like [`WarmEngine::program_load_cycles`]: once per warm-up, never
-    /// per solve.
-    pub fn seeded_program_load_cycles(&self) -> Option<u64> {
-        self.seeded
-            .as_ref()
-            .map(|s| s.program.engine.program_load_cycles())
-    }
-
-    /// Streams a warm-started re-solve through the seeded program: the
+    /// Streams a warm-started re-solve through the same program: the
     /// previous solve's duals are repaired against `matrix` on the host
     /// ([`lsap::repair_duals_f32`]), the reduced slack and repaired `u, v`
-    /// are uploaded in place of the raw cost matrix, and the device runs
-    /// Steps 2–6 only — Step 1's reductions are skipped entirely.
+    /// are uploaded in place of the raw cost matrix together with the
+    /// program's `seeded` flag, and the device runs Steps 2–6 only —
+    /// Step 1's reductions are skipped entirely.
     ///
     /// The result is a complete [`SolveReport`] with its own
     /// [`lsap::DualCertificate`]; callers gate acceptance on
@@ -145,33 +117,23 @@ impl WarmEngine {
     ) -> Result<SolveReport, LsapError> {
         self.check_shape(solver, matrix)?;
         let seed = lsap::repair_duals_f32(matrix, warm)?;
-        let seeded = match &mut self.seeded {
-            Some(hot) => hot,
-            empty => empty.insert(Hot::new(solver.compile(self.n, Ask::Seeded)?)),
-        };
-        seeded.run(solver, Input::Seeded(matrix, &seed))
-    }
-}
-
-#[cfg(test)]
-impl WarmEngine {
-    /// The seeded program's engine, once a seeded solve compiled it.
-    pub(crate) fn seeded_engine(&self) -> Option<&ipu_sim::Engine> {
-        self.seeded.as_ref().map(|s| &s.program.engine)
+        self.run(solver, Input::Seeded(matrix, &seed))
     }
 }
 
 impl HunIpu {
     /// Compiles the program [`lsap::LsapSolver::solve`] runs for
     /// instance size `n` — dense, chip-aware or tiled, by the same route
-    /// — and returns it as a [`WarmEngine`] ready for streaming. This is
-    /// the expensive step pools amortize: the caller should charge
-    /// [`WarmEngine::program_load_cycles`] to whatever clock it keeps,
-    /// once per warm-up.
+    /// — and returns it as a [`WarmEngine`] ready for streaming cold and
+    /// seeded solves. This is the expensive step pools amortize: the
+    /// caller should charge [`WarmEngine::program_load_cycles`] to
+    /// whatever clock it keeps, once per warm-up.
     pub fn warm(&self, n: usize) -> Result<WarmEngine, LsapError> {
+        let program = self.compile(n, Ask::Cold)?;
+        let pristine = program.engine.snapshot();
         Ok(WarmEngine {
-            cold: Hot::new(self.compile(n, Ask::Cold)?),
-            seeded: None,
+            program,
+            pristine,
             n,
         })
     }
@@ -198,6 +160,47 @@ mod tests {
             assert_eq!(w.stats.modeled_cycles, c.stats.modeled_cycles);
             assert_eq!(w.stats.device_steps, c.stats.device_steps);
         }
+    }
+
+    #[test]
+    fn one_program_serves_cold_and_seeded_launches_and_restores_clean() {
+        let solver = HunIpu::with_config(IpuConfig::tiny(8));
+        let mut warm = solver.warm(10).unwrap();
+        let m = datasets::uniform_cost_matrix(10, 4, 5);
+        let first = warm.solve(&solver, &m).unwrap();
+        let mut next = m.clone();
+        for j in 0..10 {
+            next.set(3, j, next.get(3, j) + (j % 5) as f64);
+        }
+        let seeded = warm
+            .solve_seeded(&solver, &next, &WarmStart::from_report(&first))
+            .unwrap();
+        assert!(seeded.stats.seeded);
+        seeded.verify(&next, crate::F32_VERIFY_EPS).unwrap();
+        // The seeded run used this engine's program and skipped Step 1.
+        let stats = warm.engine().stats();
+        assert_eq!(Some(stats.total_cycles()), seeded.stats.modeled_cycles);
+        let step1: Vec<_> = stats
+            .per_compute_set
+            .iter()
+            .filter(|set| set.name.starts_with("step1."))
+            .collect();
+        assert!(!step1.is_empty() && step1.iter().all(|set| set.executions == 0));
+
+        // Restoring the pristine snapshot clears the seeded flag: the
+        // next cold solve is a fresh engine's cold solve, bit for bit.
+        let again = warm.solve(&solver, &next).unwrap();
+        let (fresh, engine) = solver.solve_with_engine(&next).unwrap();
+        assert!(!again.stats.seeded);
+        assert_eq!(again.assignment, fresh.assignment);
+        assert_eq!(again.objective.to_bits(), fresh.objective.to_bits());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again.certificate.u), bits(&fresh.certificate.u));
+        assert_eq!(bits(&again.certificate.v), bits(&fresh.certificate.v));
+        assert_eq!(again.stats.modeled_cycles, fresh.stats.modeled_cycles);
+        assert_eq!(again.stats.device_steps, fresh.stats.device_steps);
+        assert_eq!(warm.engine().stats(), engine.stats());
+        assert_eq!(warm.program_load_cycles(), engine.program_load_cycles());
     }
 
     #[test]

@@ -194,6 +194,7 @@ proptest! {
     /// Layered priming and the paper's one prime per iteration (A5)
     /// both reach JV's optimum with a valid certificate on every path;
     /// assignments may differ only on ties.
+    #[test]
     fn layered_and_one_prime_priming_match_jv(n in 1usize..=48, seed in 0u64..1_000_000) {
         let m = tie_heavy(n, seed);
         // A warm re-solve target: the same instance with one row redrawn.

@@ -44,16 +44,20 @@ fn seeded_resolve_on_a_tiled_route_is_a_backend_error_without_compiling() {
     let m = datasets::gaussian_cost_matrix(32, 10, 3);
     let solver = forced_tiled();
     let mut warm = solver.warm(32).unwrap();
+    let load = warm.program_load_cycles();
     let first = warm.solve(&solver, &m).unwrap();
     let err = warm
         .solve_seeded(&solver, &m, &WarmStart::from_report(&first))
-        .expect_err("the tiled route has no seeded program");
+        .expect_err("the tiled route has no seeded launch");
     assert!(
         matches!(&err, LsapError::Backend { detail } if detail.contains("tiled")),
         "got {err:?}"
     );
-    assert!(!warm.seeded_ready(), "no seeded program may be compiled");
-    assert_eq!(warm.seeded_program_load_cycles(), None);
+    assert_eq!(
+        warm.program_load_cycles(),
+        load,
+        "still the one tiled program"
+    );
     // The cold program still serves the shape.
     let again = warm.solve(&solver, &m).unwrap();
     assert_same_run(&first, &again, "cold after the refused seed");

@@ -2,7 +2,7 @@
 //! uses.
 //!
 //! Before this module existed the certificate-check/retry loop was
-//! implemented twice — once in [`crate::ResilientSolver::solve`] (chain
+//! implemented twice — once in [`crate::ResilientSolver`]'s `solve` (chain
 //! escalation with per-attempt history) and once in
 //! [`crate::solve_instance_verified`] (per-instance recovery inside batch
 //! engines). The serving layer would have added a third copy. This module

@@ -29,8 +29,8 @@ pub struct TenantMetrics {
     pub retries: u64,
     /// Exact answers served by the warm-started (seeded) re-solve rung:
     /// the tenant's previous duals for this shape were repaired on the
-    /// host and the device ran the Step-1-free program, and the answer's
-    /// certificate verified.
+    /// host, the device ran the shape's program with Step 1 skipped, and
+    /// the answer's certificate verified.
     pub seeded: u64,
     /// Seeded re-solve attempts whose answer failed certificate
     /// verification (stale seed or device fault) and fell back to the

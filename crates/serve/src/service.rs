@@ -186,7 +186,7 @@ pub struct ServiceConfig {
     pub default_budget_cycles: Option<u64>,
     /// Warm-started re-solves: when a tenant submits the same shape
     /// again, repair its previous duals against the new matrix and run
-    /// the Step-1-free seeded program first, certificate-gated with a
+    /// a seeded launch (Step 1 skipped) first, certificate-gated with a
     /// counted fallback to the cold rung. Streams of related instances
     /// (the re-solve workload) get most of their work for free; unrelated
     /// instances still verify or fall back, never silently wrong.
@@ -267,7 +267,8 @@ struct Pending {
     deadline: Option<u64>,
 }
 
-/// The serving layer. See the [module docs](self) for the request path.
+/// The serving layer. The [crate docs](crate) state its contract; the
+/// `service` module's docs walk the request path.
 pub struct AssignmentService {
     cfg: ServiceConfig,
     ipu: HunIpu,
@@ -515,10 +516,12 @@ impl AssignmentService {
 
         // Rung 0: warm-started re-solve. When this tenant has an exact
         // answer for this shape already, its duals are repaired against
-        // the new matrix on the host and the device runs the Step-1-free
-        // seeded program. Certificate-gated like every exact rung; any
-        // failure (stale seed, device fault) drops the seed, counts a
-        // fallback, and descends to the cold rung — never silent.
+        // the new matrix on the host and the device runs the shape's one
+        // program with Step 1 skipped, on the engine the pool already
+        // holds, so the rung pays no program load of its own.
+        // Certificate-gated like every exact rung; any failure (stale
+        // seed, device fault) drops the seed, counts a fallback, and
+        // descends to the cold rung — never silent.
         if self.cfg.warm_start {
             'seeded: {
                 let Some(ws) = self.warm_starts.get(&p.tenant, n) else {
@@ -556,18 +559,11 @@ impl AssignmentService {
                     break 'seeded;
                 };
                 *t_busy += load;
-                let seeded_was_ready = warm.seeded_ready();
                 attempts += 1;
                 let att =
                     policy::checked_attempt(&p.matrix, self.cfg.verify_eps, None, "hunipu", || {
                         warm.solve_seeded(&self.ipu, &p.matrix, &ws)
                     });
-                if !seeded_was_ready {
-                    // The first seeded solve on this engine compiles and
-                    // loads the seeded program — charge it like a pool
-                    // miss, once.
-                    *t_busy += warm.seeded_program_load_cycles().unwrap_or(0);
-                }
                 let cycles = att.modeled_cycles.or(est).unwrap_or(0);
                 *t_busy += cycles;
                 match att.outcome {

@@ -524,12 +524,18 @@ fn same_tenant_same_shape_streams_hit_the_seeded_rung() {
     // back with an explicit count — with no faults armed they must not).
     assert_eq!(t.seeded, 3, "metrics: {t:?}");
     assert_eq!(t.seeded_fallbacks, 0);
-    // The second request pays the one-time seeded program load; from the
-    // third on, the full re-solve (repair + Steps 2-6) must beat the
-    // tenant's cold solve on the device clock.
+    // The seeded re-solves run on the program the cold solve loaded, so
+    // the shape is loaded once and no re-solve pays a load: from the
+    // second request on, the full re-solve (repair + Steps 2-6) costs
+    // less than that one load, let alone the tenant's cold solve.
+    let pool = &svc.metrics().pool;
+    assert_eq!(pool.misses, 1, "pool: {pool:?}");
     assert!(
-        latencies[2] < latencies[0] && latencies[3] < latencies[0],
-        "warm re-solves should be cheaper: {latencies:?}"
+        latencies[1..]
+            .iter()
+            .all(|&l| l < latencies[0] && l < pool.load_cycles_charged),
+        "warm re-solves should be cheaper: {latencies:?}, load {}",
+        pool.load_cycles_charged
     );
 }
 
