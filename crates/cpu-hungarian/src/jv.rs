@@ -10,13 +10,6 @@
 //! accelerations of the same invariant and are not required for
 //! correctness.
 //!
-//! The augmenting core is indifferent to *where* its starting state comes
-//! from: a cold solve starts from zero potentials and an empty matching,
-//! while [`lsap::SeedSolve::solve_seeded`] starts from the previous tick's
-//! repaired duals and surviving matches ([`lsap::repair_duals`]) and only
-//! augments the rows the perturbation freed — `O(k·n^2)` instead of
-//! `O(n^3)` when `k` rows changed.
-//!
 //! Complexity: `O(n^3)` worst case, with excellent constants. This solver
 //! is the workspace's **ground truth**: every other engine is verified
 //! against its objective and against its own dual certificate.
@@ -24,8 +17,7 @@
 use crate::calibration;
 use crate::ops::OpCounter;
 use lsap::{
-    Assignment, CostMatrix, DualCertificate, LsapError, LsapSolver, SeedSolve, SolveReport,
-    SolverStats, WarmStart,
+    Assignment, CostMatrix, DualCertificate, LsapError, LsapSolver, SolveReport, SolverStats,
 };
 use std::time::Instant;
 
@@ -40,37 +32,32 @@ impl JonkerVolgenant {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// The augmenting core, parameterized by its starting state: dual
-    /// potentials `(u0, v0)` (dual-feasible, tight on every `seed`
-    /// match) and the partial matching `seed`. Only rows `seed` leaves
-    /// free are augmented. `ops` should already carry the cost of
-    /// producing the starting state (e.g. the seeded path's repair
-    /// pass), so modeled cycles account for the whole re-solve.
-    fn solve_from(
-        &self,
-        matrix: &CostMatrix,
-        u0: Vec<f64>,
-        v0: Vec<f64>,
-        seed: &Assignment,
-        mut ops: OpCounter,
-        seeded: bool,
-    ) -> Result<SolveReport, LsapError> {
+impl LsapSolver for JonkerVolgenant {
+    fn name(&self) -> &'static str {
+        "jv"
+    }
+
+    fn solve(&mut self, matrix: &CostMatrix) -> Result<SolveReport, LsapError> {
+        if !matrix.is_square() {
+            return Err(LsapError::NotSquare {
+                rows: matrix.rows(),
+                cols: matrix.cols(),
+            });
+        }
         let start = Instant::now();
         let n = matrix.n();
         let c = matrix.as_slice();
 
         const FREE: usize = usize::MAX;
-        let mut u = u0;
+        let mut ops = OpCounter::new();
+        let mut u = vec![0.0_f64; n];
         // Column potentials; index `n` is the virtual root column that
         // anchors the alternating tree of the row being inserted.
         let mut v = vec![0.0_f64; n + 1];
-        v[..n].copy_from_slice(&v0);
         // col_row[j] = row currently matched to column j (FREE if none).
         let mut col_row = vec![FREE; n + 1];
-        for (i, j) in seed.pairs() {
-            col_row[j] = i;
-        }
 
         // Scratch buffers reused across rows (avoids n allocations).
         let mut minv = vec![0.0_f64; n];
@@ -79,9 +66,6 @@ impl JonkerVolgenant {
 
         let mut augmentations = 0u64;
         for i in 0..n {
-            if seed.col_of(i).is_some() {
-                continue;
-            }
             col_row[n] = i;
             let mut j0 = n;
             minv.iter_mut().for_each(|x| *x = f64::INFINITY);
@@ -162,7 +146,6 @@ impl JonkerVolgenant {
             dual_updates: 0,
             device_steps: 0,
             profile_events: 0,
-            seeded,
             ..Default::default()
         };
         Ok(SolveReport {
@@ -174,57 +157,10 @@ impl JonkerVolgenant {
     }
 }
 
-impl LsapSolver for JonkerVolgenant {
-    fn name(&self) -> &'static str {
-        "jv"
-    }
-
-    fn solve(&mut self, matrix: &CostMatrix) -> Result<SolveReport, LsapError> {
-        if !matrix.is_square() {
-            return Err(LsapError::NotSquare {
-                rows: matrix.rows(),
-                cols: matrix.cols(),
-            });
-        }
-        let n = matrix.n();
-        self.solve_from(
-            matrix,
-            vec![0.0; n],
-            vec![0.0; n],
-            &Assignment::unmatched(n),
-            OpCounter::new(),
-            false,
-        )
-    }
-}
-
-impl SeedSolve for JonkerVolgenant {
-    fn solve_seeded(
-        &mut self,
-        matrix: &CostMatrix,
-        warm: &WarmStart,
-    ) -> Result<SolveReport, LsapError> {
-        if !matrix.is_square() {
-            return Err(LsapError::NotSquare {
-                rows: matrix.rows(),
-                cols: matrix.cols(),
-            });
-        }
-        let n = matrix.n();
-        let seed = lsap::repair_duals(matrix, warm)?;
-        // Charge the repair pass (one reduced-cost scan per row plus the
-        // tightness checks) so seeded modeled cycles are honest.
-        let mut ops = OpCounter::new();
-        ops.scan(n * n);
-        ops.update(n);
-        self.solve_from(matrix, seed.u, seed.v, &seed.assignment, ops, true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsap::{DeltaUpdate, IncrementalSolver, COST_EPS};
+    use lsap::COST_EPS;
 
     fn solve(m: &CostMatrix) -> SolveReport {
         let rep = JonkerVolgenant::new().solve(m).unwrap();
@@ -318,83 +254,5 @@ mod tests {
         let m = CostMatrix::from_fn(9, 9, |i, j| ((i * j + 1) % 11) as f64).unwrap();
         let rep = solve(&m);
         assert_eq!(rep.stats.augmentations, 9);
-    }
-
-    /// Integer-valued pseudo-random costs (exactly representable, like
-    /// the paper's integer cost ranges): all dual arithmetic is exact,
-    /// so surviving matches stay *bitwise* tight across ticks.
-    fn pseudo_random(n: usize, seed: u64) -> CostMatrix {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 1000) as f64
-        };
-        CostMatrix::from_fn(n, n, |_, _| next()).unwrap()
-    }
-
-    #[test]
-    fn seeded_resolve_matches_cold_bitwise() {
-        let n = 24;
-        let m = pseudo_random(n, 7);
-        let mut jv = JonkerVolgenant::new();
-        let cold0 = jv.solve(&m).unwrap();
-        cold0.verify(&m, COST_EPS).unwrap();
-        let warm = WarmStart::from_report(&cold0);
-
-        // Perturb 3 rows.
-        let mut m2 = m.clone();
-        for (k, row) in [2usize, 11, 17].iter().enumerate() {
-            let vals: Vec<f64> = pseudo_random(n, 100 + k as u64).row(0).to_vec();
-            m2.row_mut(*row).copy_from_slice(&vals);
-        }
-        let seeded = jv.solve_seeded(&m2, &warm).unwrap();
-        seeded.verify(&m2, COST_EPS).unwrap();
-        assert!(seeded.stats.seeded);
-        let cold = jv.solve(&m2).unwrap();
-        assert_eq!(
-            seeded.objective.to_bits(),
-            cold.objective.to_bits(),
-            "seeded {} vs cold {}",
-            seeded.objective,
-            cold.objective
-        );
-        // The seeded solve augments only the freed rows.
-        assert!(seeded.stats.augmentations <= 3 + 1);
-        // And is modeled cheaper than the cold solve.
-        assert!(seeded.stats.modeled_cycles.unwrap() < cold.stats.modeled_cycles.unwrap());
-    }
-
-    #[test]
-    fn seeded_on_unchanged_matrix_needs_no_augmentation() {
-        let m = pseudo_random(16, 3);
-        let mut jv = JonkerVolgenant::new();
-        let warm = WarmStart::from_report(&jv.solve(&m).unwrap());
-        let seeded = jv.solve_seeded(&m, &warm).unwrap();
-        seeded.verify(&m, COST_EPS).unwrap();
-        assert_eq!(seeded.stats.augmentations, 0);
-    }
-
-    #[test]
-    fn incremental_stream_over_jv() {
-        let n = 12;
-        let m = pseudo_random(n, 9);
-        let mut inc = IncrementalSolver::new(JonkerVolgenant::new(), m);
-        let first = inc.solve_next(&DeltaUpdate::new()).unwrap();
-        assert!(!first.stats.seeded);
-        for tick in 0..5u64 {
-            let mut d = DeltaUpdate::new();
-            let row = (tick as usize * 5) % n;
-            d.set_row(row, pseudo_random(n, 500 + tick).row(0).to_vec());
-            let rep = inc.solve_next(&d).unwrap();
-            assert!(rep.stats.seeded, "tick {tick} fell back");
-            let truth = JonkerVolgenant::new().solve(inc.matrix()).unwrap();
-            assert_eq!(rep.objective.to_bits(), truth.objective.to_bits());
-        }
-        let s = inc.stats();
-        assert_eq!(s.resolves, 6);
-        assert_eq!(s.seeded, 5);
-        assert_eq!(s.fallbacks, 0);
     }
 }

@@ -2,8 +2,7 @@
 
 use gpu_sim::{BufId, GpuConfig, GpuProfileConfig, GpuSim};
 use lsap::{
-    Assignment, CostMatrix, DualCertificate, LsapError, LsapSolver, SeedSolve, SolveReport,
-    SolverStats, WarmStart,
+    Assignment, CostMatrix, DualCertificate, LsapError, LsapSolver, SolveReport, SolverStats,
 };
 use std::time::Instant;
 
@@ -93,27 +92,7 @@ impl FastHa {
             run.gpu.enable_profiling(cfg.clone());
         }
         run.execute();
-        Self::finish(run, matrix, start, false)
-    }
-
-    /// Warm-started solve: skips the Step-1 reduction entirely, uploading
-    /// the host-repaired `f32` slack/duals ([`lsap::repair_duals_f32`])
-    /// and the surviving stars instead, then runs the normal cover /
-    /// prime / augment loop on the residual free rows.
-    pub fn solve_seeded_with_device(
-        &self,
-        matrix: &CostMatrix,
-        warm: &WarmStart,
-    ) -> Result<(SolveReport, GpuSim), LsapError> {
-        Self::validate_shape(matrix)?;
-        let seed = lsap::repair_duals_f32(matrix, warm)?;
-        let start = Instant::now();
-        let mut run = Run::new_seeded(self.config.clone(), matrix, &seed);
-        if let Some(cfg) = &self.profile {
-            run.gpu.enable_profiling(cfg.clone());
-        }
-        run.execute_seeded();
-        Self::finish(run, matrix, start, true)
+        Self::finish(run, matrix, start)
     }
 
     /// Reads back the solution, duals, and stats from a finished run.
@@ -121,7 +100,6 @@ impl FastHa {
         mut run: Run,
         matrix: &CostMatrix,
         start: Instant,
-        seeded: bool,
     ) -> Result<(SolveReport, GpuSim), LsapError> {
         let wall = start.elapsed().as_secs_f64();
 
@@ -147,7 +125,6 @@ impl FastHa {
                 .gpu
                 .profile()
                 .map_or(0, |p| p.events.len() as u64 + p.dropped),
-            seeded,
             ..Default::default()
         };
         Ok((
@@ -169,20 +146,6 @@ impl LsapSolver for FastHa {
 
     fn solve(&mut self, matrix: &CostMatrix) -> Result<SolveReport, LsapError> {
         self.solve_with_device(matrix).map(|(r, _)| r)
-    }
-}
-
-impl SeedSolve for FastHa {
-    fn solve_seeded(
-        &mut self,
-        matrix: &CostMatrix,
-        warm: &WarmStart,
-    ) -> Result<SolveReport, LsapError> {
-        self.solve_seeded_with_device(matrix, warm).map(|(r, _)| r)
-    }
-
-    fn verify_eps(&self) -> f64 {
-        F32_VERIFY_EPS
     }
 }
 
@@ -256,46 +219,12 @@ impl Run {
         }
     }
 
-    /// Seeded construction: in place of the raw cost upload, the device
-    /// receives the host-repaired slack matrix, duals, and surviving
-    /// stars — the state a cold run would have reached after Steps 1–2
-    /// on an instance whose optimum barely moved.
-    fn new_seeded(config: GpuConfig, matrix: &CostMatrix, seed: &lsap::RepairedSeedF32) -> Self {
-        let mut run = Self::new(config, matrix);
-        let n = run.n;
-        run.gpu.upload_f32(run.slack, &seed.slack);
-        run.gpu.upload_f32(run.u, &seed.u);
-        run.gpu.upload_f32(run.v, &seed.v);
-        let mut row_star = vec![-1i32; n];
-        let mut col_star = vec![-1i32; n];
-        for (i, j) in seed.assignment.pairs() {
-            row_star[i] = j as i32;
-            col_star[j] = i as i32;
-        }
-        run.gpu.upload_i32(run.row_star, &row_star);
-        run.gpu.upload_i32(run.col_star, &col_star);
-        run
-    }
-
+    /// Step 1 and Step 2, then the cover / prime / augment / dual-update
+    /// loop until every column is covered.
     fn execute(&mut self) {
         self.step1_reduce();
         self.build_zeros();
         self.step2_initial_star();
-        self.main_loop();
-    }
-
-    /// Seeded execution: no Step-1 reduction (the repaired slack is
-    /// already reduced), and starring only fills in around the uploaded
-    /// surviving stars.
-    fn execute_seeded(&mut self) {
-        self.build_zeros();
-        self.step2_star_free_rows();
-        self.main_loop();
-    }
-
-    /// The cover / prime / augment / dual-update loop shared by cold and
-    /// seeded runs.
-    fn main_loop(&mut self) {
         loop {
             if self.step3_covered_count() == self.n {
                 return;
@@ -387,31 +316,6 @@ impl Run {
                 }
             }
             t.alu(k as u64 + 1);
-        });
-    }
-
-    /// Seeded variant of Step 2: rows that kept their star from the
-    /// previous tick are skipped; only the freed rows race for columns.
-    /// A separate kernel (rather than a branch in `initialStar`) so the
-    /// cold path's kernel stream stays byte-identical.
-    fn step2_star_free_rows(&mut self) {
-        let (n, zeros, zc) = (self.n, self.zeros, self.zero_count);
-        let (row_star, col_star) = (self.row_star, self.col_star);
-        self.gpu.launch("seedStarFree", n, 256, |t| {
-            let r = t.tid();
-            if t.read_i32(row_star, r) >= 0 {
-                return;
-            }
-            let k = t.read_i32(zc, r) as usize;
-            for idx in 0..k {
-                let c = t.read_i32(zeros, r * n + idx);
-                // Claim the column if free.
-                if t.atomic_cas_i32(col_star, c as usize, -1, r as i32) == -1 {
-                    t.write_i32(row_star, r, c);
-                    break;
-                }
-            }
-            t.alu(k as u64 + 2);
         });
     }
 
@@ -702,89 +606,6 @@ mod tests {
         let cycles: u64 = per_kernel.iter().map(|k| k.warp_cycles).sum();
         assert_eq!(launches, gpu.stats().launches);
         assert_eq!(cycles, gpu.stats().warp_cycles);
-    }
-
-    #[test]
-    fn seeded_resolve_matches_cold_and_is_cheaper() {
-        let n = 16;
-        let mut s = 42u64;
-        let m = CostMatrix::from_fn(n, n, |_, _| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 200) as f64
-        })
-        .unwrap();
-        let mut fa = FastHa::new();
-        let cold0 = fa.solve(&m).unwrap();
-        cold0.verify(&m, F32_VERIFY_EPS).unwrap();
-        let warm = WarmStart::from_report(&cold0);
-
-        // Perturb two rows.
-        let mut m2 = m.clone();
-        for (off, row) in [3usize, 9].iter().enumerate() {
-            let mut s = 1000 + off as u64;
-            for j in 0..n {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                m2.set(*row, j, (s % 200) as f64);
-            }
-        }
-        let seeded = fa.solve_seeded(&m2, &warm).unwrap();
-        seeded.verify(&m2, F32_VERIFY_EPS).unwrap();
-        assert!(seeded.stats.seeded);
-        let cold = fa.solve(&m2).unwrap();
-        assert_eq!(
-            seeded.objective.to_bits(),
-            cold.objective.to_bits(),
-            "seeded {} vs cold {}",
-            seeded.objective,
-            cold.objective
-        );
-        assert!(
-            seeded.stats.modeled_cycles.unwrap() < cold.stats.modeled_cycles.unwrap(),
-            "seeded {} !< cold {}",
-            seeded.stats.modeled_cycles.unwrap(),
-            cold.stats.modeled_cycles.unwrap()
-        );
-    }
-
-    #[test]
-    fn seeded_on_unchanged_matrix_skips_all_reductions() {
-        let n = 8;
-        let m = CostMatrix::from_fn(n, n, |i, j| ((i * 5 + j * 11) % 17) as f64).unwrap();
-        let mut fa = FastHa::new();
-        let warm = WarmStart::from_report(&fa.solve(&m).unwrap());
-        let (rep, gpu) = fa.solve_seeded_with_device(&m, &warm).unwrap();
-        rep.verify(&m, F32_VERIFY_EPS).unwrap();
-        assert_eq!(rep.stats.augmentations, 0);
-        assert_eq!(rep.stats.dual_updates, 0);
-        // The Step-1 reduction kernels never launch on the seeded path.
-        for k in &gpu.stats().per_kernel {
-            assert!(
-                k.name != "rowReduce" && k.name != "colReduce",
-                "seeded path launched {}",
-                k.name
-            );
-        }
-    }
-
-    #[test]
-    fn seeded_rejects_bad_shapes() {
-        let m = CostMatrix::filled(8, 1.0).unwrap();
-        let mut fa = FastHa::new();
-        let warm = WarmStart::from_report(&fa.solve(&m).unwrap());
-        let m6 = CostMatrix::filled(6, 1.0).unwrap();
-        assert!(matches!(
-            fa.solve_seeded(&m6, &warm),
-            Err(LsapError::Backend { .. })
-        ));
-        let m16 = CostMatrix::filled(16, 1.0).unwrap();
-        assert!(matches!(
-            fa.solve_seeded(&m16, &warm),
-            Err(LsapError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::{AblationConfig, HunIpu, LayoutMode};
 use ipu_sim::{Engine, IpuConfig};
 use lsap::sparse::SparseCost;
-use lsap::{SolveReport, WarmStart};
+use lsap::{repair_duals_f32, SolveReport, WarmStart};
 use std::fmt::Write;
 use std::path::PathBuf;
 
@@ -94,9 +94,8 @@ fn fingerprints() -> String {
     {
         next.set(i, j, next.get(i, j) + ((i + j * 7) % 11) as f64);
     }
-    let report = warm
-        .solve_seeded(&solver, &next, &WarmStart::from_report(&first))
-        .unwrap();
+    let seed = repair_duals_f32(&next, &WarmStart::from_report(&first)).unwrap();
+    let report = warm.solve_seeded(&solver, &next, &seed).unwrap();
     render(&mut out, "seeded", &report, warm.engine());
 
     let sc = SparseCost::from_dense_topk(&m, 5).unwrap();

@@ -33,6 +33,11 @@
 //! them, Step 6 shifts them), so optimality is verifiable without any
 //! reference solver.
 //!
+//! A [`WarmEngine`] keeps one shape's program hot. Besides cold solves it
+//! runs seeded re-solves ([`WarmEngine::solve_seeded`]): the host uploads
+//! a previous answer's duals, repaired against the new matrix, and the
+//! device skips Step 1. This is the workspace's one seeded re-solve.
+//!
 //! # Example
 //!
 //! ```
@@ -64,14 +69,12 @@ mod fingerprints;
 mod layout;
 mod solver;
 mod steps;
-mod streaming;
 mod warm;
 
 pub use ablation::{AblationConfig, DynSlice};
 pub use batch::BatchHunIpu;
 pub use layout::{Layout, COL_SEG};
 pub use solver::{HunIpu, LayoutMode, F32_VERIFY_EPS, TILED_BLOCK_COLS, TILED_ZCAP};
-pub use streaming::StreamingHunIpu;
 pub use warm::WarmEngine;
 
 /// Default column-segment size (§IV-E footnote: "we empirically find

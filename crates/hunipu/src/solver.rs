@@ -673,7 +673,6 @@ fn extract_report(
             .profile()
             .map_or(0, |p| p.events.len() as u64 + p.dropped),
         seeded: matches!(input, Input::Seeded(..)),
-        ..Default::default()
     };
     Ok(SolveReport {
         assignment,

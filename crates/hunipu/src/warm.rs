@@ -23,7 +23,7 @@
 use crate::solver::{Ask, Compiled, Input};
 use crate::HunIpu;
 use ipu_sim::EngineSnapshot;
-use lsap::{CostMatrix, LsapError, SolveReport, WarmStart};
+use lsap::{CostMatrix, LsapError, RepairedSeedF32, SolveReport};
 use std::time::Instant;
 
 /// One compiled solve program kept hot for streaming same-shape
@@ -93,31 +93,49 @@ impl WarmEngine {
     }
 
     /// Streams a warm-started re-solve through the same program: the
-    /// previous solve's duals are repaired against `matrix` on the host
-    /// ([`lsap::repair_duals_f32`]), the reduced slack and repaired `u, v`
-    /// are uploaded in place of the raw cost matrix together with the
-    /// program's `seeded` flag, and the device runs Steps 2–6 only —
-    /// Step 1's reductions are skipped entirely.
+    /// caller repairs the previous solve's duals against `matrix` on the
+    /// host ([`lsap::repair_duals_f32`]), and the reduced slack and
+    /// repaired `u, v` are uploaded in place of the raw cost matrix
+    /// together with the program's `seeded` flag, so the device runs
+    /// Steps 2–6 only — Step 1's reductions are skipped entirely.
     ///
     /// The result is a complete [`SolveReport`] with its own
-    /// [`lsap::DualCertificate`]; callers gate acceptance on
-    /// [`SolveReport::verify`] exactly as for a cold solve (the
-    /// [`lsap::IncrementalSolver`] does this and falls back to a cold
-    /// solve on failure). `stats.seeded` is set so fallback accounting
-    /// stays observable.
+    /// [`lsap::DualCertificate`] and `stats.seeded` set. This is the one
+    /// seeded re-solve in the workspace; its callers (the `serve` crate's
+    /// seeded rung and `bench resolve`) gate acceptance on
+    /// [`SolveReport::verify`] and fall back to a counted cold solve on
+    /// failure.
     ///
-    /// A shape that routes to the tiled program has no seeded re-solve:
-    /// the call returns [`LsapError::Backend`] without compiling
-    /// anything, and the caller solves cold.
+    /// A seed of another size than the compiled shape is
+    /// [`LsapError::ShapeMismatch`]. A shape that routes to the tiled
+    /// program has no seeded re-solve: the call returns
+    /// [`LsapError::Backend`] without compiling anything, and the caller
+    /// solves cold.
     pub fn solve_seeded(
         &mut self,
         solver: &HunIpu,
         matrix: &CostMatrix,
-        warm: &WarmStart,
+        seed: &RepairedSeedF32,
     ) -> Result<SolveReport, LsapError> {
         self.check_shape(solver, matrix)?;
-        let seed = lsap::repair_duals_f32(matrix, warm)?;
-        self.run(solver, Input::Seeded(matrix, &seed))
+        let n = self.n;
+        if seed.u.len() != n
+            || seed.v.len() != n
+            || seed.slack.len() != n * n
+            || seed.assignment.rows() != n
+        {
+            return Err(LsapError::ShapeMismatch {
+                expected: format!("a seed over {n}x{n} (this warm engine's compiled shape)"),
+                found: format!(
+                    "u: {}, v: {}, slack: {}, assignment rows: {}",
+                    seed.u.len(),
+                    seed.v.len(),
+                    seed.slack.len(),
+                    seed.assignment.rows()
+                ),
+            });
+        }
+        self.run(solver, Input::Seeded(matrix, seed))
     }
 }
 
@@ -172,9 +190,8 @@ mod tests {
         for j in 0..10 {
             next.set(3, j, next.get(3, j) + (j % 5) as f64);
         }
-        let seeded = warm
-            .solve_seeded(&solver, &next, &WarmStart::from_report(&first))
-            .unwrap();
+        let seed = lsap::repair_duals_f32(&next, &lsap::WarmStart::from_report(&first)).unwrap();
+        let seeded = warm.solve_seeded(&solver, &next, &seed).unwrap();
         assert!(seeded.stats.seeded);
         seeded.verify(&next, crate::F32_VERIFY_EPS).unwrap();
         // The seeded run used this engine's program and skipped Step 1.
@@ -201,6 +218,48 @@ mod tests {
         assert_eq!(again.stats.device_steps, fresh.stats.device_steps);
         assert_eq!(warm.engine().stats(), engine.stats());
         assert_eq!(warm.program_load_cycles(), engine.program_load_cycles());
+    }
+
+    /// A seeded launch from `start` (repaired against `m`) certifies and
+    /// reaches the cold solve's objective.
+    fn assert_seeded_reaches_cold(start: &lsap::WarmStart, m: &CostMatrix) {
+        let solver = HunIpu::with_config(IpuConfig::tiny(8));
+        let mut warm = solver.warm(m.n()).unwrap();
+        let seed = lsap::repair_duals_f32(m, start).unwrap();
+        let seeded = warm.solve_seeded(&solver, m, &seed).unwrap();
+        seeded.verify(m, crate::F32_VERIFY_EPS).unwrap();
+        let cold = warm.solve(&solver, m).unwrap();
+        assert_eq!(seeded.objective.to_bits(), cold.objective.to_bits());
+    }
+
+    #[test]
+    fn a_seed_without_a_matching_still_reaches_the_optimum() {
+        // Zero duals and no matching: the repair leaves only the row
+        // reduction, and Steps 2-6 build the whole matching.
+        let n = 10;
+        assert_seeded_reaches_cold(
+            &lsap::WarmStart {
+                u: vec![0.0; n],
+                v: vec![0.0; n],
+                assignment: lsap::Assignment::unmatched(n),
+            },
+            &datasets::gaussian_cost_matrix(n, 100, 8),
+        );
+    }
+
+    #[test]
+    fn a_seed_with_arbitrary_column_potentials_still_certifies() {
+        // Any `v` is feasible after the repair; the stale matching is
+        // kept only where it is still tight.
+        let n = 10;
+        assert_seeded_reaches_cold(
+            &lsap::WarmStart {
+                u: vec![0.0; n],
+                v: (0..n).map(|j| (j % 4) as f64 * 3.0 - 5.0).collect(),
+                assignment: lsap::Assignment::from_permutation((0..n).rev().collect()),
+            },
+            &datasets::uniform_cost_matrix(n, 30, 9),
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use cpu_hungarian::JonkerVolgenant;
 use hunipu::{AblationConfig, DynSlice, HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
-use lsap::{CostMatrix, LsapSolver, SolveReport, WarmStart};
+use lsap::{repair_duals_f32, CostMatrix, LsapSolver, SolveReport, WarmStart};
 use proptest::prelude::*;
 
 fn instance(n: usize, seed: u64) -> CostMatrix {
@@ -149,9 +149,8 @@ fn every_path<'m>(
     let mut tiny = HunIpu::with_config(IpuConfig::tiny(8)).with_ablation(ab);
     let mut warm = tiny.warm(m.rows()).unwrap();
     let first = warm.solve(&tiny, m).unwrap();
-    let seeded = warm
-        .solve_seeded(&tiny, next, &WarmStart::from_report(&first))
-        .unwrap();
+    let seed = repair_duals_f32(next, &WarmStart::from_report(&first)).unwrap();
+    let seeded = warm.solve_seeded(&tiny, next, &seed).unwrap();
     let mut two_chip = HunIpu::with_config(IpuConfig::tiny_multi(2, 6))
         .with_layout_mode(LayoutMode::ChipAware)
         .with_ablation(ab);

@@ -6,7 +6,7 @@
 use hunipu::{BatchHunIpu, HunIpu, LayoutMode};
 use ipu_sim::IpuConfig;
 use lsap::sparse::SparseCost;
-use lsap::{BatchLsapSolver, LsapError, LsapSolver, SolveReport, WarmStart};
+use lsap::{repair_duals_f32, BatchLsapSolver, LsapError, LsapSolver, SolveReport, WarmStart};
 
 fn forced_tiled() -> HunIpu {
     HunIpu::with_config(IpuConfig::tiny(8)).with_layout_mode(LayoutMode::Tiled)
@@ -46,8 +46,9 @@ fn seeded_resolve_on_a_tiled_route_is_a_backend_error_without_compiling() {
     let mut warm = solver.warm(32).unwrap();
     let load = warm.program_load_cycles();
     let first = warm.solve(&solver, &m).unwrap();
+    let seed = repair_duals_f32(&m, &WarmStart::from_report(&first)).unwrap();
     let err = warm
-        .solve_seeded(&solver, &m, &WarmStart::from_report(&first))
+        .solve_seeded(&solver, &m, &seed)
         .expect_err("the tiled route has no seeded launch");
     assert!(
         matches!(&err, LsapError::Backend { detail } if detail.contains("tiled")),

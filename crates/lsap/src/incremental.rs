@@ -1,4 +1,4 @@
-//! Warm-start, incremental, and streaming re-solve.
+//! Warm-start state for seeded re-solves.
 //!
 //! Dynamic workloads (object tracking, ride matching, ad allocation)
 //! re-solve near-identical LSAP instances every tick. A cold solve
@@ -14,168 +14,14 @@
 //!    touched by the perturbation (directly, or through the `u`
 //!    repair) need re-augmenting.
 //!
-//! This module provides the engine-agnostic pieces: [`DeltaUpdate`]
-//! (the patch language), [`WarmStart`] (solution state carried between
-//! ticks), the dual-repair passes ([`repair_duals`] in `f64` for CPU
-//! solvers, [`repair_duals_f32`] in the device `f32` domain for the
-//! simulated IPU/GPU engines), the [`SeedSolve`] trait engines
-//! implement, and [`IncrementalSolver`] — the streaming front end whose
-//! `solve_next(delta)` is **certificate-gated**: every seeded shortcut
-//! is verified via [`SolveReport::verify`], and a failed certificate
-//! falls back to a cold solve. The fallback is never silent — it is
-//! counted in [`ResolveStats`] and stamped on the returned report's
-//! [`crate::SolverStats::resolve_fallbacks`].
+//! This module holds the engine-agnostic pieces: [`WarmStart`] (the
+//! solution state carried between ticks) and [`repair_duals_f32`], the
+//! repair pass in the device `f32` domain. The one engine that launches
+//! a seeded solve is HunIPU, through `WarmEngine::solve_seeded`; its
+//! callers verify the answer's certificate and fall back to a cold
+//! solve, counted, when it fails.
 
-use crate::{Assignment, CostMatrix, LsapError, LsapSolver, SolveReport};
-
-/// A batch of cost-matrix changes between two ticks of a stream.
-///
-/// Three patch granularities compose (applied in insertion order within
-/// each kind: rows, then columns, then entries — later patches win):
-/// whole-row replacement, whole-column replacement, and single entries.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeltaUpdate {
-    rows: Vec<(usize, Vec<f64>)>,
-    cols: Vec<(usize, Vec<f64>)>,
-    entries: Vec<(usize, usize, f64)>,
-}
-
-impl DeltaUpdate {
-    /// An empty delta (applying it is the identity).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces row `row` with `values` (length must equal `cols`).
-    pub fn set_row(&mut self, row: usize, values: Vec<f64>) -> &mut Self {
-        self.rows.push((row, values));
-        self
-    }
-
-    /// Replaces column `col` with `values` (length must equal `rows`).
-    pub fn set_col(&mut self, col: usize, values: Vec<f64>) -> &mut Self {
-        self.cols.push((col, values));
-        self
-    }
-
-    /// Sets the single entry `(row, col)` to `value`.
-    pub fn set_entry(&mut self, row: usize, col: usize, value: f64) -> &mut Self {
-        self.entries.push((row, col, value));
-        self
-    }
-
-    /// `true` when the delta contains no patches.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.cols.is_empty() && self.entries.is_empty()
-    }
-
-    /// Number of patches (rows + cols + entries).
-    pub fn patch_count(&self) -> usize {
-        self.rows.len() + self.cols.len() + self.entries.len()
-    }
-
-    /// Applies the delta to `matrix`, producing the perturbed matrix.
-    ///
-    /// # Errors
-    /// - [`LsapError::IndexOutOfBounds`] for a patch outside the shape,
-    /// - [`LsapError::ShapeMismatch`] for a row/col patch of wrong length,
-    /// - [`LsapError::NanCost`] for a NaN value (costs stay totally
-    ///   ordered).
-    pub fn apply(&self, matrix: &CostMatrix) -> Result<CostMatrix, LsapError> {
-        let (r, c) = (matrix.rows(), matrix.cols());
-        let mut out = matrix.clone();
-        for (row, values) in &self.rows {
-            if *row >= r {
-                return Err(LsapError::IndexOutOfBounds {
-                    index: *row,
-                    bound: r,
-                });
-            }
-            if values.len() != c {
-                return Err(LsapError::ShapeMismatch {
-                    expected: format!("{c} values for a row patch"),
-                    found: format!("{} values for row {row}", values.len()),
-                });
-            }
-            if let Some(col) = values.iter().position(|x| x.is_nan()) {
-                return Err(LsapError::NanCost { row: *row, col });
-            }
-            out.row_mut(*row).copy_from_slice(values);
-        }
-        for (col, values) in &self.cols {
-            if *col >= c {
-                return Err(LsapError::IndexOutOfBounds {
-                    index: *col,
-                    bound: c,
-                });
-            }
-            if values.len() != r {
-                return Err(LsapError::ShapeMismatch {
-                    expected: format!("{r} values for a column patch"),
-                    found: format!("{} values for column {col}", values.len()),
-                });
-            }
-            if let Some(row) = values.iter().position(|x| x.is_nan()) {
-                return Err(LsapError::NanCost { row, col: *col });
-            }
-            for (row, &x) in values.iter().enumerate() {
-                out.set(row, *col, x);
-            }
-        }
-        for &(row, col, value) in &self.entries {
-            if row >= r || col >= c {
-                return Err(LsapError::IndexOutOfBounds {
-                    index: if row >= r { row } else { col },
-                    bound: if row >= r { r } else { c },
-                });
-            }
-            if value.is_nan() {
-                return Err(LsapError::NanCost { row, col });
-            }
-            out.set(row, col, value);
-        }
-        Ok(out)
-    }
-
-    /// Row-touched mask over `rows` rows: `true` where any patch lands.
-    pub fn touched_rows(&self, rows: usize) -> Vec<bool> {
-        let mut mask = vec![false; rows];
-        for (row, _) in &self.rows {
-            if *row < rows {
-                mask[*row] = true;
-            }
-        }
-        for &(row, _, _) in &self.entries {
-            if row < rows {
-                mask[row] = true;
-            }
-        }
-        // A column patch touches every row.
-        if !self.cols.is_empty() {
-            mask.iter_mut().for_each(|m| *m = true);
-        }
-        mask
-    }
-
-    /// Column-touched mask over `cols` columns.
-    pub fn touched_cols(&self, cols: usize) -> Vec<bool> {
-        let mut mask = vec![false; cols];
-        for (col, _) in &self.cols {
-            if *col < cols {
-                mask[*col] = true;
-            }
-        }
-        for &(_, col, _) in &self.entries {
-            if col < cols {
-                mask[col] = true;
-            }
-        }
-        if !self.rows.is_empty() {
-            mask.iter_mut().for_each(|m| *m = true);
-        }
-        mask
-    }
-}
+use crate::{Assignment, CostMatrix, LsapError, SolveReport};
 
 /// Solution state carried from one solve to the next: the dual
 /// potentials and the matching of the previous optimum.
@@ -200,76 +46,9 @@ impl WarmStart {
     }
 }
 
-/// A repaired seed in `f64`: feasible duals for the *new* matrix plus
-/// the surviving (still-tight) part of the previous matching.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairedSeed {
-    /// Repaired row potentials: `u[i] = min_j(c_ij - v_j)`.
-    pub u: Vec<f64>,
-    /// Column potentials, carried over unchanged.
-    pub v: Vec<f64>,
-    /// Previous matches whose reduced cost is still exactly zero
-    /// (bitwise `0.0`) under `(u, v)`; touched edges are dropped.
-    pub assignment: Assignment,
-}
-
-/// Dual repair in `f64` (CPU solvers).
-///
-/// Keeps the previous `v`, recomputes every `u_i` as the row minimum of
-/// the reduced costs — which restores dual feasibility
-/// (`c_ij - u_i - v_j >= 0`) for **arbitrary** perturbations, not just
-/// the declared delta — and keeps a previous match `(i, j)` only when
-/// its reduced cost is exactly `0.0` and its column is not already
-/// claimed by an earlier row. Rows whose costs did not change keep
-/// their old `u_i` and their old (tight) match automatically, so the
-/// number of free rows left to augment is `O(k)` for a `k`-row
-/// perturbation.
-///
-/// # Errors
-/// [`LsapError::ShapeMismatch`] when the warm start's shape does not
-/// match `matrix`.
-pub fn repair_duals(matrix: &CostMatrix, warm: &WarmStart) -> Result<RepairedSeed, LsapError> {
-    let (rows, cols) = (matrix.rows(), matrix.cols());
-    if warm.u.len() != rows || warm.v.len() != cols || warm.assignment.rows() != rows {
-        return Err(LsapError::ShapeMismatch {
-            expected: format!("warm start over {rows}x{cols}"),
-            found: format!(
-                "u: {}, v: {}, assignment rows: {}",
-                warm.u.len(),
-                warm.v.len(),
-                warm.assignment.rows()
-            ),
-        });
-    }
-    let v = warm.v.clone();
-    let mut u = vec![0.0; rows];
-    for (i, ui) in u.iter_mut().enumerate() {
-        let row = matrix.row(i);
-        *ui = row
-            .iter()
-            .zip(&v)
-            .map(|(&c, &vj)| c - vj)
-            .fold(f64::INFINITY, f64::min);
-    }
-    let mut assignment = Assignment::unmatched(rows);
-    let mut col_taken = vec![false; cols];
-    for (i, &ui) in u.iter().enumerate() {
-        if let Some(j) = warm.assignment.col_of(i) {
-            if j < cols && !col_taken[j] {
-                let reduced = (matrix.get(i, j) - v[j]) - ui;
-                if reduced == 0.0 {
-                    assignment.set(i, j);
-                    col_taken[j] = true;
-                }
-            }
-        }
-    }
-    Ok(RepairedSeed { u, v, assignment })
-}
-
 /// A repaired seed in the device `f32` domain: the slack matrix and
-/// potentials the simulated IPU/GPU engines upload in place of their
-/// Step-1 reduction.
+/// potentials a seeded device launch uploads in place of its Step-1
+/// reduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairedSeedF32 {
     /// Repaired row potentials (`f32`).
@@ -284,16 +63,26 @@ pub struct RepairedSeedF32 {
     pub assignment: Assignment,
 }
 
-/// Dual repair in `f32` (device engines).
+/// Dual repair in the device `f32` domain.
 ///
-/// Same scheme as [`repair_duals`], but every operation happens on the
-/// `f32` values the device will actually see, so the invariants the
-/// device programs rely on hold *bitwise*: `slack >= 0.0` everywhere
-/// and `slack == 0.0` at each row's argmin. (A non-negative `f64`
-/// computation truncated to `f32` would not guarantee exact zeros.)
+/// Keeps the previous `v`, recomputes every `u_i` as the row minimum of
+/// the reduced costs — which restores dual feasibility
+/// (`c_ij - u_i - v_j >= 0`) for **arbitrary** perturbations — and keeps
+/// a previous match `(i, j)` only when its slack is exactly `0.0` and
+/// its column is not already claimed by an earlier row. Rows whose costs
+/// did not change keep their old `u_i` and their old (tight) match, so
+/// the number of free rows left to augment is `O(k)` for a `k`-row
+/// perturbation.
+///
+/// Every operation happens on the `f32` values the device will actually
+/// see, so the invariants the device programs rely on hold *bitwise*:
+/// `slack >= 0.0` everywhere and `slack == 0.0` at each row's argmin.
+/// (A non-negative `f64` computation truncated to `f32` would not
+/// guarantee exact zeros.)
 ///
 /// # Errors
-/// [`LsapError::ShapeMismatch`] as for [`repair_duals`].
+/// [`LsapError::ShapeMismatch`] when the warm start's shape does not
+/// match `matrix`.
 pub fn repair_duals_f32(
     matrix: &CostMatrix,
     warm: &WarmStart,
@@ -348,441 +137,66 @@ pub fn repair_duals_f32(
     })
 }
 
-/// A solver that can start from a previous solution's state.
-///
-/// Implementations repair the warm start against the new matrix (via
-/// [`repair_duals`] / [`repair_duals_f32`]) and run only the residual
-/// augmenting work. The contract is the same as [`LsapSolver::solve`]:
-/// the returned report must be optimal and certificate-valid for
-/// `matrix` — seeding is a *speed* hint, never a correctness trade.
-/// Callers ([`IncrementalSolver`]) still verify the certificate and
-/// fall back to a cold solve on failure.
-pub trait SeedSolve: LsapSolver {
-    /// Solves `matrix` starting from `warm`.
-    ///
-    /// # Errors
-    /// Shape/backend errors as for [`LsapSolver::solve`]; a shape
-    /// mismatch between `warm` and `matrix` is
-    /// [`LsapError::ShapeMismatch`].
-    fn solve_seeded(
-        &mut self,
-        matrix: &CostMatrix,
-        warm: &WarmStart,
-    ) -> Result<SolveReport, LsapError>;
-
-    /// Verification tolerance for this engine's reports (`f32` device
-    /// engines need a looser epsilon than the `f64` default).
-    fn verify_eps(&self) -> f64 {
-        crate::COST_EPS
-    }
-}
-
-impl<S: SeedSolve + ?Sized> SeedSolve for Box<S> {
-    fn solve_seeded(
-        &mut self,
-        matrix: &CostMatrix,
-        warm: &WarmStart,
-    ) -> Result<SolveReport, LsapError> {
-        (**self).solve_seeded(matrix, warm)
-    }
-
-    fn verify_eps(&self) -> f64 {
-        (**self).verify_eps()
-    }
-}
-
-/// Counters for a streaming session. All deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResolveStats {
-    /// Total `solve_next` calls answered.
-    pub resolves: u64,
-    /// Answers produced by the seeded path (certificate verified).
-    pub seeded: u64,
-    /// Seeded attempts whose result failed certificate verification
-    /// (or errored) and fell back to a cold solve.
-    pub fallbacks: u64,
-    /// Cold solves executed (first tick + every fallback).
-    pub cold: u64,
-}
-
-/// Host-side streaming state captured by [`IncrementalSolver::snapshot`].
-///
-/// Together with the engine's own pristine-state restore (every warm
-/// device solve starts from an `Engine::snapshot()` taken at compile
-/// time), restoring this snapshot and replaying the same deltas
-/// reproduces bit-identical reports.
-#[derive(Debug, Clone)]
-pub struct StreamSnapshot {
-    matrix: CostMatrix,
-    warm: Option<WarmStart>,
-    stats: ResolveStats,
-}
-
-/// Streaming re-solve front end: feed deltas, get verified reports.
-///
-/// The first [`IncrementalSolver::solve_next`] call is a cold solve
-/// (there is no previous state); every subsequent call tries the
-/// seeded path and **verifies the result's certificate** against the
-/// patched matrix. A failed certificate (or a seeded-path error) falls
-/// back to a cold solve — transparently for the answer, but loudly for
-/// observability: the fallback is counted in [`ResolveStats`] and the
-/// returned report carries `stats.resolve_fallbacks = 1` with
-/// `stats.seeded = false`.
-#[derive(Debug)]
-pub struct IncrementalSolver<S: SeedSolve> {
-    solver: S,
-    matrix: CostMatrix,
-    warm: Option<WarmStart>,
-    stats: ResolveStats,
-}
-
-impl<S: SeedSolve> IncrementalSolver<S> {
-    /// Creates a streaming session over `initial`. No solve happens
-    /// until the first [`IncrementalSolver::solve_next`].
-    pub fn new(solver: S, initial: CostMatrix) -> Self {
-        Self {
-            solver,
-            matrix: initial,
-            warm: None,
-            stats: ResolveStats::default(),
-        }
-    }
-
-    /// The current (post-delta) cost matrix.
-    pub fn matrix(&self) -> &CostMatrix {
-        &self.matrix
-    }
-
-    /// Session counters.
-    pub fn stats(&self) -> ResolveStats {
-        self.stats
-    }
-
-    /// The underlying solver.
-    pub fn solver(&self) -> &S {
-        &self.solver
-    }
-
-    /// Mutable access to the underlying solver.
-    pub fn solver_mut(&mut self) -> &mut S {
-        &mut self.solver
-    }
-
-    /// Discards the warm state so the next tick solves cold. Used when
-    /// the caller knows continuity is broken (e.g. a tenant's stream
-    /// restarted with unrelated content).
-    pub fn invalidate(&mut self) {
-        self.warm = None;
-    }
-
-    /// Applies `delta` to the current matrix and solves it, preferring
-    /// the seeded path when warm state exists.
-    ///
-    /// # Errors
-    /// Delta validation errors, or the cold solver's error when both
-    /// paths fail. A seeded-path failure alone is **not** an error —
-    /// it falls back.
-    pub fn solve_next(&mut self, delta: &DeltaUpdate) -> Result<SolveReport, LsapError> {
-        self.matrix = delta.apply(&self.matrix)?;
-        self.stats.resolves += 1;
-        if let Some(warm) = self.warm.clone() {
-            if let Ok(mut report) = self.solver.solve_seeded(&self.matrix, &warm) {
-                if report
-                    .verify(&self.matrix, self.solver.verify_eps())
-                    .is_ok()
-                {
-                    report.stats.seeded = true;
-                    self.stats.seeded += 1;
-                    self.warm = Some(WarmStart::from_report(&report));
-                    return Ok(report);
-                }
-            }
-            // Seeded path errored or failed its certificate: fall back
-            // to a cold solve, and say so in the counters and report.
-            self.stats.fallbacks += 1;
-        }
-        let fallback = if self.warm.is_some() { 1 } else { 0 };
-        let mut report = self.solver.solve(&self.matrix)?;
-        report
-            .verify(&self.matrix, self.solver.verify_eps())
-            .map_err(|e| LsapError::VerificationFailed {
-                solver: self.solver.name().to_string(),
-                reason: e.to_string(),
-            })?;
-        report.stats.seeded = false;
-        report.stats.resolve_fallbacks = fallback;
-        self.stats.cold += 1;
-        self.warm = Some(WarmStart::from_report(&report));
-        Ok(report)
-    }
-
-    /// Captures the host-side streaming state (matrix, warm start,
-    /// counters). See [`StreamSnapshot`].
-    pub fn snapshot(&self) -> StreamSnapshot {
-        StreamSnapshot {
-            matrix: self.matrix.clone(),
-            warm: self.warm.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a previously captured streaming state. The underlying
-    /// solver is untouched — engines restore their own pristine device
-    /// state at each solve, so replaying the same deltas after a
-    /// restore reproduces bit-identical reports.
-    pub fn restore(&mut self, snapshot: &StreamSnapshot) {
-        self.matrix = snapshot.matrix.clone();
-        self.warm = snapshot.warm.clone();
-        self.stats = snapshot.stats;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DualCertificate, SolverStats};
 
-    fn gradient(n: usize) -> CostMatrix {
-        CostMatrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 11) as f64).unwrap()
-    }
-
-    /// Reference solver for tests: O(n^3) shortest augmenting path in
-    /// f64, plus a genuine seeded mode that augments only free rows.
-    struct RefSolver {
-        /// When set, the seeded path deliberately corrupts its answer
-        /// (models a device whose shortcut went wrong).
-        sabotage_seeded: bool,
-        seeded_calls: u64,
-    }
-
-    impl RefSolver {
-        fn new() -> Self {
-            Self {
-                sabotage_seeded: false,
-                seeded_calls: 0,
+    /// Off-diagonal costs in 1..=11 and a zero diagonal: the identity is
+    /// optimal with `u = v = 0`, so that is a valid warm start.
+    fn zero_diagonal(n: usize) -> CostMatrix {
+        CostMatrix::from_fn(n, n, |i, j| {
+            if i == j {
+                0.0
+            } else {
+                (1 + (i * 7 + j * 3) % 11) as f64
             }
+        })
+        .unwrap()
+    }
+
+    fn identity_optimum(n: usize) -> WarmStart {
+        WarmStart {
+            u: vec![0.0; n],
+            v: vec![0.0; n],
+            assignment: Assignment::identity(n),
         }
-
-        /// Shortest-augmenting-path core (Jonker–Volgenant) that starts
-        /// from a dual-feasible `(u, v)` tight on every `seed` match.
-        fn augment_from(
-            m: &CostMatrix,
-            mut u: Vec<f64>,
-            mut v: Vec<f64>,
-            seed: &Assignment,
-        ) -> SolveReport {
-            const FREE: usize = usize::MAX;
-            let n = m.n();
-            // `p[j]` = row matched to column `j`; slot `n` is the
-            // virtual column holding the row being inserted.
-            let mut p = vec![FREE; n + 1];
-            for (i, j) in seed.pairs() {
-                p[j] = i;
-            }
-            let mut vx = vec![0.0; n + 1];
-            vx[..n].copy_from_slice(&v);
-            for start in 0..n {
-                if seed.col_of(start).is_some() {
-                    continue;
-                }
-                p[n] = start;
-                let mut j0 = n;
-                let mut minv = vec![f64::INFINITY; n + 1];
-                let mut way = vec![n; n + 1];
-                let mut used = vec![false; n + 1];
-                loop {
-                    used[j0] = true;
-                    let i0 = p[j0];
-                    let mut delta = f64::INFINITY;
-                    let mut j1 = n;
-                    for j in 0..n {
-                        if used[j] {
-                            continue;
-                        }
-                        let cur = m.get(i0, j) - u[i0] - vx[j];
-                        if cur < minv[j] {
-                            minv[j] = cur;
-                            way[j] = j0;
-                        }
-                        if minv[j] < delta {
-                            delta = minv[j];
-                            j1 = j;
-                        }
-                    }
-                    for j in 0..=n {
-                        if used[j] {
-                            u[p[j]] += delta;
-                            vx[j] -= delta;
-                        } else {
-                            minv[j] -= delta;
-                        }
-                    }
-                    j0 = j1;
-                    if p[j0] == FREE {
-                        break;
-                    }
-                }
-                loop {
-                    let j1 = way[j0];
-                    p[j0] = p[j1];
-                    j0 = j1;
-                    if j0 == n {
-                        break;
-                    }
-                }
-            }
-            v.copy_from_slice(&vx[..n]);
-            let mut col_of_row = vec![None; n];
-            for (j, &i) in p.iter().take(n).enumerate() {
-                if i != FREE {
-                    col_of_row[i] = Some(j);
-                }
-            }
-            let assignment = Assignment::from_row_to_col(col_of_row);
-            let objective = assignment.cost(m).unwrap();
-            SolveReport {
-                assignment,
-                objective,
-                certificate: DualCertificate::new(u, v),
-                stats: SolverStats::default(),
-            }
-        }
-    }
-
-    impl LsapSolver for RefSolver {
-        fn name(&self) -> &'static str {
-            "ref"
-        }
-
-        fn solve(&mut self, m: &CostMatrix) -> Result<SolveReport, LsapError> {
-            let n = m.n();
-            Ok(Self::augment_from(
-                m,
-                vec![0.0; n],
-                vec![0.0; n],
-                &Assignment::unmatched(n),
-            ))
-        }
-    }
-
-    impl SeedSolve for RefSolver {
-        fn solve_seeded(
-            &mut self,
-            m: &CostMatrix,
-            warm: &WarmStart,
-        ) -> Result<SolveReport, LsapError> {
-            self.seeded_calls += 1;
-            let seed = repair_duals(m, warm)?;
-            let mut report = Self::augment_from(m, seed.u, seed.v, &seed.assignment);
-            if self.sabotage_seeded {
-                report.objective += 1.0;
-            }
-            Ok(report)
-        }
-    }
-
-    #[test]
-    fn empty_delta_is_identity() {
-        let m = gradient(4);
-        let d = DeltaUpdate::new();
-        assert!(d.is_empty());
-        assert_eq!(d.apply(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn delta_apply_patches_in_order() {
-        let m = CostMatrix::filled(3, 1.0).unwrap();
-        let mut d = DeltaUpdate::new();
-        d.set_row(0, vec![5.0, 5.0, 5.0]);
-        d.set_col(0, vec![7.0, 7.0, 7.0]);
-        d.set_entry(0, 0, 9.0);
-        let out = d.apply(&m).unwrap();
-        // Entry beats column beats row at (0,0); column beats row at (0,0)..
-        assert_eq!(out.get(0, 0), 9.0);
-        assert_eq!(out.get(0, 1), 5.0);
-        assert_eq!(out.get(1, 0), 7.0);
-        assert_eq!(out.get(2, 2), 1.0);
-        assert_eq!(d.patch_count(), 3);
-    }
-
-    #[test]
-    fn delta_apply_validates() {
-        let m = CostMatrix::filled(3, 1.0).unwrap();
-        let mut d = DeltaUpdate::new();
-        d.set_row(5, vec![0.0; 3]);
-        assert!(matches!(
-            d.apply(&m),
-            Err(LsapError::IndexOutOfBounds { index: 5, bound: 3 })
-        ));
-        let mut d = DeltaUpdate::new();
-        d.set_row(0, vec![0.0; 2]);
-        assert!(matches!(d.apply(&m), Err(LsapError::ShapeMismatch { .. })));
-        let mut d = DeltaUpdate::new();
-        d.set_entry(1, 1, f64::NAN);
-        assert!(matches!(
-            d.apply(&m),
-            Err(LsapError::NanCost { row: 1, col: 1 })
-        ));
-        let mut d = DeltaUpdate::new();
-        d.set_col(1, vec![0.0, f64::NAN, 0.0]);
-        assert!(matches!(
-            d.apply(&m),
-            Err(LsapError::NanCost { row: 1, col: 1 })
-        ));
-    }
-
-    #[test]
-    fn touched_masks() {
-        let mut d = DeltaUpdate::new();
-        d.set_row(1, vec![0.0; 4]);
-        d.set_entry(3, 2, 1.0);
-        let rows = d.touched_rows(4);
-        assert_eq!(rows, vec![false, true, false, true]);
-        // A row patch touches every column.
-        assert!(d.touched_cols(4).iter().all(|&t| t));
-        let mut d = DeltaUpdate::new();
-        d.set_col(0, vec![0.0; 4]);
-        assert!(d.touched_rows(4).iter().all(|&t| t));
-        assert_eq!(d.touched_cols(4), vec![true, false, false, false]);
     }
 
     #[test]
     fn repair_keeps_untouched_tight_pairs_and_drops_touched() {
-        let m = gradient(6);
-        let mut solver = RefSolver::new();
-        let report = solver.solve(&m).unwrap();
-        report.verify(&m, crate::COST_EPS).unwrap();
-        let warm = WarmStart::from_report(&report);
-
+        let m = zero_diagonal(6);
+        let warm = identity_optimum(6);
         // Bump row 2's *matched* entry so its old match is no longer
         // tight. (A uniform bump of the whole row would be absorbed by
         // the recomputed `u_2` and the match would rightly survive.)
-        let j2 = warm.assignment.col_of(2).unwrap();
-        let mut d = DeltaUpdate::new();
-        d.set_entry(2, j2, m.get(2, j2) + 100.0);
-        let m2 = d.apply(&m).unwrap();
+        let mut m2 = m.clone();
+        m2.set(2, 2, 100.0);
 
-        let seed = repair_duals(&m2, &warm).unwrap();
+        let seed = repair_duals_f32(&m2, &warm).unwrap();
         // Duals stay feasible for the perturbed matrix.
         for (i, j, c) in m2.entries() {
-            assert!(seed.u[i] + seed.v[j] <= c + 1e-9, "infeasible at ({i},{j})");
+            assert!(
+                f64::from(seed.u[i] + seed.v[j]) <= c,
+                "infeasible at ({i},{j})"
+            );
         }
-        // Untouched rows keep their matches; the perturbed row is freed
-        // unless its bumped row happens to stay tight (it does not here).
-        for i in 0..6 {
-            if i == 2 {
-                continue;
-            }
-            assert_eq!(seed.assignment.col_of(i), warm.assignment.col_of(i));
+        for i in (0..6).filter(|&i| i != 2) {
+            assert_eq!(seed.assignment.col_of(i), Some(i));
         }
         assert_eq!(seed.assignment.col_of(2), None);
+        assert_eq!(seed.u[2], m2.row_min(2) as f32);
     }
 
     #[test]
     fn repair_f32_invariants() {
-        let m = gradient(8);
-        let mut solver = RefSolver::new();
-        let warm = WarmStart::from_report(&solver.solve(&m).unwrap());
+        let m = CostMatrix::from_fn(8, 8, |i, j| ((i * 7 + j * 3) % 11) as f64).unwrap();
+        // Any carried `v` works: the repair re-derives `u` from it.
+        let warm = WarmStart {
+            u: vec![0.0; 8],
+            v: (0..8).map(|j| (j % 3) as f64 - 1.0).collect(),
+            assignment: Assignment::from_permutation(vec![3, 1, 4, 0, 5, 2, 7, 6]),
+        };
         let seed = repair_duals_f32(&m, &warm).unwrap();
         let n = m.n();
         for i in 0..n {
@@ -796,106 +210,112 @@ mod tests {
     }
 
     #[test]
-    fn repair_rejects_shape_mismatch() {
-        let m = gradient(4);
+    fn repair_f32_invariants_hold_where_costs_round_in_f32() {
+        // Costs and potentials near 2^25 are not all representable in
+        // f32, so every subtraction rounds; the repair must still leave
+        // non-negative slack with an exact zero per row.
+        let big = 33_554_432.0;
+        let m = CostMatrix::from_fn(6, 6, |i, j| big + ((i * 5 + j * 3) % 7) as f64 + 0.3).unwrap();
         let warm = WarmStart {
-            u: vec![0.0; 3],
-            v: vec![0.0; 4],
-            assignment: Assignment::unmatched(4),
+            u: vec![0.0; 6],
+            v: (0..6).map(|j| 0.1 * j as f64 - 1.7).collect(),
+            assignment: Assignment::identity(6),
         };
-        assert!(matches!(
-            repair_duals(&m, &warm),
-            Err(LsapError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            repair_duals_f32(&m, &warm),
-            Err(LsapError::ShapeMismatch { .. })
-        ));
+        let seed = repair_duals_f32(&m, &warm).unwrap();
+        for row in seed.slack.chunks(6) {
+            assert!(row.iter().all(|&s| s >= 0.0), "negative slack: {row:?}");
+            assert!(row.contains(&0.0), "no exact zero: {row:?}");
+        }
+        for (i, j) in seed.assignment.pairs() {
+            assert_eq!(seed.slack[i * 6 + j], 0.0);
+        }
     }
 
     #[test]
-    fn first_tick_is_cold_then_seeded() {
-        let m = gradient(6);
-        let mut inc = IncrementalSolver::new(RefSolver::new(), m.clone());
-        let r1 = inc.solve_next(&DeltaUpdate::new()).unwrap();
-        assert!(!r1.stats.seeded);
-        assert_eq!(r1.stats.resolve_fallbacks, 0);
-
-        let mut d = DeltaUpdate::new();
-        d.set_entry(0, 0, 50.0);
-        let r2 = inc.solve_next(&d).unwrap();
-        assert!(r2.stats.seeded);
-        // Seeded answer must be the true optimum of the patched matrix.
-        let mut cold = RefSolver::new();
-        let truth = cold.solve(inc.matrix()).unwrap();
-        assert_eq!(r2.objective, truth.objective);
-
-        let s = inc.stats();
-        assert_eq!(s.resolves, 2);
-        assert_eq!(s.cold, 1);
-        assert_eq!(s.seeded, 1);
-        assert_eq!(s.fallbacks, 0);
+    fn repair_rejects_shape_mismatch() {
+        let m = zero_diagonal(4);
+        let short_u = WarmStart {
+            u: vec![0.0; 3],
+            ..identity_optimum(4)
+        };
+        let short_v = WarmStart {
+            v: vec![0.0; 5],
+            ..identity_optimum(4)
+        };
+        let short_matching = WarmStart {
+            assignment: Assignment::identity(3),
+            ..identity_optimum(4)
+        };
+        for warm in [short_u, short_v, short_matching] {
+            assert!(
+                matches!(
+                    repair_duals_f32(&m, &warm),
+                    Err(LsapError::ShapeMismatch { .. })
+                ),
+                "{warm:?}"
+            );
+        }
     }
 
     #[test]
-    fn sabotaged_seeded_path_falls_back_loudly() {
-        let m = gradient(5);
-        let mut inc = IncrementalSolver::new(RefSolver::new(), m);
-        inc.solve_next(&DeltaUpdate::new()).unwrap();
-        inc.solver_mut().sabotage_seeded = true;
-        let mut d = DeltaUpdate::new();
-        d.set_entry(2, 3, 0.5);
-        let r = inc.solve_next(&d).unwrap();
-        // The answer is still correct (cold fallback)...
-        r.verify(inc.matrix(), crate::COST_EPS).unwrap();
-        // ...and the fallback is visible, not silent.
-        assert!(!r.stats.seeded);
-        assert_eq!(r.stats.resolve_fallbacks, 1);
-        let s = inc.stats();
-        assert_eq!(s.fallbacks, 1);
-        assert_eq!(s.cold, 2);
-        assert_eq!(s.seeded, 0);
-        assert_eq!(inc.solver().seeded_calls, 1);
+    fn repair_of_an_unchanged_optimum_keeps_every_match_and_dual() {
+        let m = zero_diagonal(7);
+        let seed = repair_duals_f32(&m, &identity_optimum(7)).unwrap();
+        assert!(seed.assignment.is_perfect());
+        assert_eq!(seed.assignment, Assignment::identity(7));
+        assert_eq!(seed.u, vec![0.0f32; 7]);
+        assert_eq!(seed.v, vec![0.0f32; 7]);
+        let slack: Vec<f32> = m.as_slice().iter().map(|&c| c as f32).collect();
+        assert_eq!(seed.slack, slack);
     }
 
     #[test]
-    fn invalidate_forces_cold() {
-        let m = gradient(4);
-        let mut inc = IncrementalSolver::new(RefSolver::new(), m);
-        inc.solve_next(&DeltaUpdate::new()).unwrap();
-        inc.invalidate();
-        let r = inc.solve_next(&DeltaUpdate::new()).unwrap();
-        assert!(!r.stats.seeded);
-        assert_eq!(r.stats.resolve_fallbacks, 0); // cold by choice, not fallback
-        assert_eq!(inc.stats().cold, 2);
+    fn repair_carries_v_and_takes_u_as_the_reduced_row_minimum() {
+        let m =
+            CostMatrix::from_rows(&[&[4.0, 1.0, 3.0], &[2.0, 0.0, 5.0], &[3.0, 2.0, 2.0]]).unwrap();
+        let warm = WarmStart {
+            u: vec![9.0; 3],
+            v: vec![1.0, -1.0, 0.5],
+            assignment: Assignment::unmatched(3),
+        };
+        let seed = repair_duals_f32(&m, &warm).unwrap();
+        assert_eq!(seed.v, vec![1.0f32, -1.0, 0.5]);
+        // `c_ij - v_j` is [3, 2, 2.5], [1, 1, 4.5] and [2, 3, 1.5] by row.
+        assert_eq!(seed.u, vec![2.0f32, 1.0, 1.5]);
+        assert_eq!(
+            seed.slack,
+            vec![1.0, 0.0, 0.5, 0.0, 0.0, 3.5, 0.5, 1.5, 0.0]
+        );
+        // An unmatched warm start seeds no matches.
+        assert_eq!(seed.assignment.matched_count(), 0);
     }
 
     #[test]
-    fn snapshot_restore_replays_identically() {
-        let m = gradient(6);
-        let mut inc = IncrementalSolver::new(RefSolver::new(), m);
-        inc.solve_next(&DeltaUpdate::new()).unwrap();
-        let snap = inc.snapshot();
-
-        let mut d = DeltaUpdate::new();
-        d.set_entry(1, 1, 42.0);
-        d.set_row(3, vec![9.0, 8.0, 7.0, 6.0, 5.0, 4.0]);
-        let a = inc.solve_next(&d).unwrap();
-
-        inc.restore(&snap);
-        let b = inc.solve_next(&d).unwrap();
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.certificate, b.certificate);
-        assert_eq!(a.stats.seeded, b.stats.seeded);
+    fn repair_gives_a_contested_column_to_the_first_tight_row() {
+        // Rows 0 and 1 both claim column 0 and both are tight there; the
+        // seed must stay a matching, so only row 0 keeps it.
+        let m = CostMatrix::from_rows(&[&[0.0, 5.0], &[0.0, 5.0]]).unwrap();
+        let warm = WarmStart {
+            u: vec![0.0; 2],
+            v: vec![0.0; 2],
+            assignment: Assignment::from_row_to_col(vec![Some(0), Some(0)]),
+        };
+        let seed = repair_duals_f32(&m, &warm).unwrap();
+        assert_eq!(seed.assignment.col_of(0), Some(0));
+        assert_eq!(seed.assignment.col_of(1), None);
     }
 
     #[test]
-    fn delta_errors_propagate() {
-        let m = gradient(3);
-        let mut inc = IncrementalSolver::new(RefSolver::new(), m);
-        let mut d = DeltaUpdate::new();
-        d.set_entry(9, 9, 1.0);
-        assert!(inc.solve_next(&d).is_err());
+    fn warm_start_carries_a_reports_duals_and_matching() {
+        let report = SolveReport {
+            assignment: Assignment::from_permutation(vec![1, 0]),
+            objective: 3.0,
+            certificate: DualCertificate::new(vec![1.0, 2.0], vec![0.0, -0.5]),
+            stats: SolverStats::default(),
+        };
+        let warm = WarmStart::from_report(&report);
+        assert_eq!(warm.u, vec![1.0, 2.0]);
+        assert_eq!(warm.v, vec![0.0, -0.5]);
+        assert_eq!(warm.assignment, report.assignment);
     }
 }

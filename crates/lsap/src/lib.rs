@@ -18,7 +18,10 @@
 //! - [`sparse`] — pruned k-candidate instances ([`SparseCost`]) and the
 //!   certificate-gated repair loop ([`solve_pruned_with_repair`]) that
 //!   keeps pruned solves exactly optimal with respect to the dense
-//!   instance.
+//!   instance,
+//! - [`WarmStart`] and [`repair_duals_f32`] — the previous answer a
+//!   seeded re-solve starts from, repaired against the changed matrix in
+//!   the device's `f32` domain.
 //!
 //! # Example
 //!
@@ -56,10 +59,7 @@ pub use batch::{
 };
 pub use certificate::DualCertificate;
 pub use error::LsapError;
-pub use incremental::{
-    repair_duals, repair_duals_f32, DeltaUpdate, IncrementalSolver, RepairedSeed, RepairedSeedF32,
-    ResolveStats, SeedSolve, StreamSnapshot, WarmStart,
-};
+pub use incremental::{repair_duals_f32, RepairedSeedF32, WarmStart};
 pub use matrix::CostMatrix;
 pub use policy::{checked_attempt, classify, Attempt, RetryClass};
 pub use rectangular::solve_rectangular;

@@ -37,13 +37,6 @@ pub struct SolverStats {
     /// leave it `false`; older records deserialize to `false`.
     #[serde(default)]
     pub seeded: bool,
-    /// Number of seeded re-solve attempts that failed certificate
-    /// verification and fell back to the cold path while producing this
-    /// report (0 for cold/seeded-success solves; older records
-    /// deserialize to 0). The fallback contract is never-silent: a
-    /// report answered by fallback carries the count here.
-    #[serde(default)]
-    pub resolve_fallbacks: u64,
 }
 
 /// The outcome of a successful solve.

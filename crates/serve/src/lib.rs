@@ -25,9 +25,12 @@
 //!   failing under faults is benched for a cooldown, then probed
 //!   half-open; every transition is recorded in the metrics.
 //! - **Graceful degradation, never silent** — the ladder
-//!   exact-IPU → exact-CPU → greedy descends until an answer fits the
-//!   budget; exact answers are LP-certificate-verified, degraded answers
-//!   carry an explicit weak-duality [`Quality::Degraded`] gap bound.
+//!   seeded-IPU → exact-IPU → exact-CPU → greedy descends until an
+//!   answer fits the budget. The seeded rung re-solves from the tenant's
+//!   last exact answer for the shape
+//!   ([`hunipu::WarmEngine::solve_seeded`]). Exact answers are
+//!   LP-certificate-verified, degraded answers carry an explicit
+//!   weak-duality [`Quality::Degraded`] gap bound.
 //!
 //! Everything observable (responses, rejections, metrics, breaker
 //! transitions) is a deterministic function of the submitted workload

@@ -184,13 +184,6 @@ pub struct ServiceConfig {
     /// Deadline budget applied when a request does not set one; `None`
     /// means no deadline.
     pub default_budget_cycles: Option<u64>,
-    /// Warm-started re-solves: when a tenant submits the same shape
-    /// again, repair its previous duals against the new matrix and run
-    /// a seeded launch (Step 1 skipped) first, certificate-gated with a
-    /// counted fallback to the cold rung. Streams of related instances
-    /// (the re-solve workload) get most of their work for free; unrelated
-    /// instances still verify or fall back, never silently wrong.
-    pub warm_start: bool,
 }
 
 impl Default for ServiceConfig {
@@ -205,7 +198,6 @@ impl Default for ServiceConfig {
             max_attempts: 2,
             verify_eps: F32_VERIFY_EPS,
             default_budget_cycles: None,
-            warm_start: true,
         }
     }
 }
@@ -522,69 +514,67 @@ impl AssignmentService {
         // Certificate-gated like every exact rung; any failure (stale
         // seed, device fault) drops the seed, counts a fallback, and
         // descends to the cold rung — never silent.
-        if self.cfg.warm_start {
-            'seeded: {
-                let Some(ws) = self.warm_starts.get(&p.tenant, n) else {
+        'seeded: {
+            let Some(ws) = self.warm_starts.get(&p.tenant, n) else {
+                break 'seeded;
+            };
+            // Repair the duals against the new matrix on the host: the
+            // seeded launch below uploads this seed. Only device work
+            // is modeled, so the repair costs zero cycles. It is also
+            // the usefulness gate: a seed from an unrelated matrix is
+            // still *feasible*, so the seeded solve would succeed, but
+            // the device would rebuild the matching almost from
+            // scratch, slower than a cold solve. Count how much of the
+            // previous matching survives.
+            let Ok(seed) = lsap::repair_duals_f32(&p.matrix, &ws) else {
+                self.warm_starts.remove(&p.tenant, n);
+                break 'seeded;
+            };
+            if seed.assignment.matched_count() * 2 < n {
+                break 'seeded;
+            }
+            let (admit, tr) = self.ipu_breaker.admit(*t_busy);
+            if let Some(tr) = tr {
+                self.metrics.breaker_transitions.push(tr);
+            }
+            if !admit {
+                break 'seeded;
+            }
+            let est = self.estimates.get(&(Rung::IpuSeeded, n)).copied();
+            if let (Some(d), Some(e)) = (p.deadline, est) {
+                if t_busy.saturating_add(e) > d {
                     break 'seeded;
-                };
-                // Host-side usefulness gate (free on the virtual clock):
-                // repair the duals against the new matrix and count how
-                // much of the previous matching survives. A seed from an
-                // unrelated matrix is still *feasible* — the seeded solve
-                // would succeed — but the device would rebuild the
-                // matching almost from scratch, slower than a cold solve.
-                // Only the device work is modeled, so this check costs
-                // zero cycles.
-                let Ok(seed) = lsap::repair_duals_f32(&p.matrix, &ws) else {
+                }
+            }
+            let Ok((warm, load)) = self.pool.checkout(&self.ipu, n) else {
+                break 'seeded;
+            };
+            *t_busy += load;
+            attempts += 1;
+            let att =
+                policy::checked_attempt(&p.matrix, self.cfg.verify_eps, None, "hunipu", || {
+                    warm.solve_seeded(&self.ipu, &p.matrix, &seed)
+                });
+            let cycles = att.modeled_cycles.or(est).unwrap_or(0);
+            *t_busy += cycles;
+            match att.outcome {
+                Ok(report) => {
+                    self.estimates.insert((Rung::IpuSeeded, n), cycles);
+                    if let Some(tr) = self.ipu_breaker.record_success(*t_busy) {
+                        self.metrics.breaker_transitions.push(tr);
+                    }
+                    self.metrics.tenant(&p.tenant).seeded += 1;
+                    self.warm_starts
+                        .put(&p.tenant, n, WarmStart::from_report(&report));
+                    let retries = attempts.saturating_sub(1);
+                    return self.finish_exact(p, start, *t_busy, "hunipu", report, retries);
+                }
+                Err(_) => {
+                    // The seed, not necessarily the device, is suspect:
+                    // drop it and let the cold attempts below exercise
+                    // the breaker.
+                    self.metrics.tenant(&p.tenant).seeded_fallbacks += 1;
                     self.warm_starts.remove(&p.tenant, n);
-                    break 'seeded;
-                };
-                if seed.assignment.matched_count() * 2 < n {
-                    break 'seeded;
-                }
-                let (admit, tr) = self.ipu_breaker.admit(*t_busy);
-                if let Some(tr) = tr {
-                    self.metrics.breaker_transitions.push(tr);
-                }
-                if !admit {
-                    break 'seeded;
-                }
-                let est = self.estimates.get(&(Rung::IpuSeeded, n)).copied();
-                if let (Some(d), Some(e)) = (p.deadline, est) {
-                    if t_busy.saturating_add(e) > d {
-                        break 'seeded;
-                    }
-                }
-                let Ok((warm, load)) = self.pool.checkout(&self.ipu, n) else {
-                    break 'seeded;
-                };
-                *t_busy += load;
-                attempts += 1;
-                let att =
-                    policy::checked_attempt(&p.matrix, self.cfg.verify_eps, None, "hunipu", || {
-                        warm.solve_seeded(&self.ipu, &p.matrix, &ws)
-                    });
-                let cycles = att.modeled_cycles.or(est).unwrap_or(0);
-                *t_busy += cycles;
-                match att.outcome {
-                    Ok(report) => {
-                        self.estimates.insert((Rung::IpuSeeded, n), cycles);
-                        if let Some(tr) = self.ipu_breaker.record_success(*t_busy) {
-                            self.metrics.breaker_transitions.push(tr);
-                        }
-                        self.metrics.tenant(&p.tenant).seeded += 1;
-                        self.warm_starts
-                            .put(&p.tenant, n, WarmStart::from_report(&report));
-                        let retries = attempts.saturating_sub(1);
-                        return self.finish_exact(p, start, *t_busy, "hunipu", report, retries);
-                    }
-                    Err(_) => {
-                        // The seed, not necessarily the device, is suspect:
-                        // drop it and let the cold attempts below exercise
-                        // the breaker.
-                        self.metrics.tenant(&p.tenant).seeded_fallbacks += 1;
-                        self.warm_starts.remove(&p.tenant, n);
-                    }
                 }
             }
         }
@@ -598,12 +588,10 @@ impl AssignmentService {
                 .map(|r| (r, "cpu-jv")),
         };
         if let Some((report, backend)) = exact {
-            if self.cfg.warm_start {
-                // CPU duals (f64) seed the device rung just as well as
-                // device duals: the repair casts them through f32.
-                self.warm_starts
-                    .put(&p.tenant, n, WarmStart::from_report(&report));
-            }
+            // CPU duals (f64) seed the device rung just as well as
+            // device duals: the repair casts them through f32.
+            self.warm_starts
+                .put(&p.tenant, n, WarmStart::from_report(&report));
             let retries = attempts.saturating_sub(1);
             return self.finish_exact(p, start, *t_busy, backend, report, retries);
         }
@@ -816,5 +804,60 @@ impl AssignmentService {
             },
             cycle,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lsap::Assignment;
+
+    fn start(x: f64) -> WarmStart {
+        WarmStart {
+            u: vec![x],
+            v: vec![0.0],
+            assignment: Assignment::identity(1),
+        }
+    }
+
+    #[test]
+    fn warm_cache_is_keyed_by_tenant_and_shape() {
+        let mut cache = WarmCache::default();
+        cache.put("a", 4, start(1.0));
+        cache.put("a", 8, start(2.0));
+        cache.put("b", 4, start(3.0));
+        assert_eq!(cache.get("a", 4), Some(start(1.0)));
+        assert_eq!(cache.get("a", 8), Some(start(2.0)));
+        assert_eq!(cache.get("b", 4), Some(start(3.0)));
+        assert_eq!(cache.get("b", 8), None);
+    }
+
+    #[test]
+    fn warm_cache_put_replaces_and_remove_forgets() {
+        let mut cache = WarmCache::default();
+        cache.put("a", 4, start(1.0));
+        cache.put("a", 4, start(5.0));
+        assert_eq!(cache.entries.len(), 1);
+        assert_eq!(cache.get("a", 4), Some(start(5.0)));
+        cache.remove("a", 4);
+        assert_eq!(cache.get("a", 4), None);
+        cache.remove("a", 4);
+        assert!(cache.entries.is_empty());
+    }
+
+    #[test]
+    fn warm_cache_evicts_the_least_recently_used_beyond_capacity() {
+        let mut cache = WarmCache::default();
+        for n in 0..WARM_CACHE_CAPACITY {
+            cache.put("t", n, start(n as f64));
+        }
+        // Reading shape 0 makes it the most recent, so shape 1 is the
+        // oldest when one more entry arrives.
+        assert!(cache.get("t", 0).is_some());
+        cache.put("t", WARM_CACHE_CAPACITY, start(0.5));
+        assert_eq!(cache.entries.len(), WARM_CACHE_CAPACITY);
+        assert_eq!(cache.get("t", 1), None);
+        assert!(cache.get("t", 0).is_some());
+        assert!(cache.get("t", WARM_CACHE_CAPACITY).is_some());
     }
 }

@@ -623,26 +623,78 @@ fn cpu_answer_seeds_the_device_rung() {
     assert_eq!(t.seeded_fallbacks, 0, "metrics: {t:?}");
 }
 
-/// Disabling warm starts in the config removes the seeded rung entirely.
-#[test]
-fn warm_start_opt_out_never_seeds() {
-    const N: usize = 12;
+/// `m` with row `row` raised by a non-uniform integer bump: close enough
+/// to `m` for its warm start to pass the usefulness gate.
+fn bumped(m: &CostMatrix, row: usize) -> CostMatrix {
+    let mut next = m.clone();
+    for j in 0..m.n() {
+        next.set(row, j, next.get(row, j) + (j % 7) as f64 + 1.0);
+    }
+    next
+}
+
+/// One request per step on a fresh single-request-batch service,
+/// returning each step's `(tenant seeded, tenant fallbacks)` after it.
+fn serve_in_turn(steps: &[(&str, CostMatrix)]) -> Vec<(u64, u64)> {
     let mut svc = service(ServiceConfig {
         queue_capacity: 8,
         max_batch: 1,
         batch_window_cycles: 0,
-        warm_start: false,
         ..ServiceConfig::default()
     });
-    for s in 0..3 {
-        let t = svc.now() + 1;
-        svc.submit_at(t, Request::new("cold-only", inst(N, 70 + s)))
-            .unwrap();
-        svc.run_until_idle();
-    }
-    let t = &svc.metrics().tenants["cold-only"];
-    assert_eq!(t.exact, 3);
-    assert_eq!((t.seeded, t.seeded_fallbacks), (0, 0));
+    steps
+        .iter()
+        .map(|(tenant, m)| {
+            let t = svc.now() + 1;
+            svc.submit_at(t, Request::new(*tenant, m.clone())).unwrap();
+            svc.run_until_idle();
+            let out = svc.take_completed().pop().unwrap();
+            let r = out.response().expect("clean path answers");
+            assert_eq!(r.quality, Quality::Exact);
+            assert_sound(r, m);
+            let t = &svc.metrics().tenants[*tenant];
+            (t.seeded, t.seeded_fallbacks)
+        })
+        .collect()
+}
+
+/// The usefulness gate: a same-shape matrix unrelated to the tenant's
+/// last one keeps too little of the old matching, so the seeded rung is
+/// skipped (not tried and counted as a fallback) and the request solves
+/// cold. A related matrix after it seeds again, from the cold answer.
+#[test]
+fn an_unrelated_matrix_skips_the_seeded_rung_without_a_fallback() {
+    const N: usize = 12;
+    let unrelated = inst(N, 71);
+    let counts = serve_in_turn(&[
+        ("t", inst(N, 70)),
+        ("t", unrelated.clone()),
+        ("t", bumped(&unrelated, 3)),
+    ]);
+    assert_eq!(counts, vec![(0, 0), (0, 0), (1, 0)]);
+}
+
+/// Warm starts are kept per tenant: a near-identical matrix from
+/// another tenant does not ride the first tenant's duals.
+#[test]
+fn warm_starts_are_not_shared_across_tenants() {
+    const N: usize = 12;
+    let m = inst(N, 72);
+    let counts = serve_in_turn(&[("a", m.clone()), ("b", bumped(&m, 2)), ("a", bumped(&m, 5))]);
+    assert_eq!(counts, vec![(0, 0), (0, 0), (1, 0)]);
+}
+
+/// Warm starts are kept per shape: a request of another size solves
+/// cold and leaves the tenant's seed for the first size in place.
+#[test]
+fn warm_starts_are_kept_per_shape() {
+    let m12 = inst(12, 73);
+    let counts = serve_in_turn(&[
+        ("t", m12.clone()),
+        ("t", inst(8, 74)),
+        ("t", bumped(&m12, 4)),
+    ]);
+    assert_eq!(counts, vec![(0, 0), (0, 0), (1, 0)]);
 }
 
 /// A fault storm corrupting the seeded re-solve must surface as counted
