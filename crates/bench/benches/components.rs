@@ -16,7 +16,7 @@ fn ipu_reduce(c: &mut Criterion) {
             let mut g = Graph::new(IpuConfig::tiny(16));
             let t = g.add_tensor("t", DType::F32, len);
             g.map_evenly(t).unwrap();
-            let (_, prog) = reduce_to_scalar(&mut g, "min", t, ReduceOp::Min, 0).unwrap();
+            let (_, prog) = reduce_to_scalar(&mut g, "min", t, ReduceOp::Min, 0, None).unwrap();
             let mut e = g.compile(prog).unwrap();
             let data: Vec<f32> = (0..len).map(|i| (i % 97) as f32).collect();
             e.write_f32(t, &data).unwrap();

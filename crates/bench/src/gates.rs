@@ -779,21 +779,27 @@ fn run_gate(g: &Gate, exe: &Path, drift: bool) -> Result<String, String> {
     record(g.bin, exe, args, &fresh)?;
     let committed = load_baseline(Path::new(g.baseline))?;
     let fresh = load_baseline(&fresh)?;
-    let problems: Vec<String> = if drift {
-        diff_values(&committed, &fresh, g.volatile)
+    let (count, lines) = if drift {
+        let drift = diff_values(&committed, &fresh, g.volatile);
+        (drift.count, drift.report)
     } else {
-        let violations = g.spec.evaluate(&committed, &fresh);
-        violations.iter().map(ToString::to_string).collect()
+        let violations: Vec<String> = g
+            .spec
+            .evaluate(&committed, &fresh)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        (violations.len(), violations)
     };
-    if problems.is_empty() {
+    if count == 0 {
         return Ok(format!("{} holds", g.baseline));
     }
     eprintln!("--- {} against {} ---", g.name, g.baseline);
-    for line in &problems {
+    for line in &lines {
         eprintln!("  {line}");
     }
     let what = if drift { "drifted value" } else { "violation" };
-    Err(format!("{} {what}(s)", problems.len()))
+    Err(format!("{count} {what}(s)"))
 }
 
 /// Runs a gate binary (`bin`, built at `exe`) so that it writes its
@@ -874,26 +880,39 @@ fn artifact_executables(stream: &str) -> Vec<(String, PathBuf)> {
         .collect()
 }
 
-/// Structural diff of two baseline trees: every value that differs,
-/// by JSON path (`entries[3].compute_cycles: 618468 vs 618470`), plus
-/// added and removed keys. Keys in `volatile` are skipped by exact
-/// name at any depth. The report is bounded (empty = no drift).
-pub fn diff_values(committed: &Value, fresh: &Value, volatile: &[&str]) -> Vec<String> {
-    let mut out = Vec::new();
-    diff_into("", committed, fresh, volatile, &mut out);
-    if out.len() > MAX_REPORTED {
-        out.truncate(MAX_REPORTED);
-        out.push("… further diffs suppressed".to_string());
+/// What differs between two baseline trees ([`diff_values`]).
+#[derive(Debug, PartialEq)]
+pub struct Drift {
+    /// Values that differ, added and removed keys included (0 = no
+    /// drift).
+    pub count: usize,
+    /// The first 20 of them by JSON path
+    /// (`entries[3].compute_cycles: 618468 vs 618470`), then, if more
+    /// differ, one note line saying how many were left out.
+    pub report: Vec<String>,
+}
+
+/// Structural diff of two baseline trees: every value that differs, by
+/// JSON path, plus added and removed keys. Keys in `volatile` are
+/// skipped by exact name at any depth. The count is exact; the report
+/// is bounded.
+pub fn diff_values(committed: &Value, fresh: &Value, volatile: &[&str]) -> Drift {
+    let mut report = Vec::new();
+    diff_into("", committed, fresh, volatile, &mut report);
+    let count = report.len();
+    if count > MAX_REPORTED {
+        report.truncate(MAX_REPORTED);
+        report.push(format!(
+            "… {} further diffs suppressed",
+            count - MAX_REPORTED
+        ));
     }
-    out
+    Drift { count, report }
 }
 
 const MAX_REPORTED: usize = 20;
 
 fn diff_into(path: &str, a: &Value, b: &Value, volatile: &[&str], out: &mut Vec<String>) {
-    if out.len() > MAX_REPORTED {
-        return;
-    }
     let join = |k: &str| {
         if path.is_empty() {
             k.to_string()
@@ -1274,7 +1293,7 @@ mod tests {
             assert!(!g.spec.rows(&doc).is_empty(), "{}: no rows", g.name);
             let v = g.spec.evaluate(&doc, &doc);
             assert!(v.is_empty(), "{} fails its own spec: {v:#?}", g.baseline);
-            assert!(diff_values(&doc, &doc, g.volatile).is_empty());
+            assert_eq!(diff_values(&doc, &doc, g.volatile).count, 0);
         }
     }
 
@@ -1288,7 +1307,7 @@ mod tests {
             json(r#"{"entries": [{"n": 1}, {"compute_cycles": 618468.0, "wall_seconds": 0.5}]}"#);
         let fresh =
             json(r#"{"entries": [{"n": 1}, {"compute_cycles": 618470.0, "wall_seconds": 0.9}]}"#);
-        let diffs = diff_values(&committed, &fresh, WALL_KEYS);
+        let diffs = diff_values(&committed, &fresh, WALL_KEYS).report;
         assert_eq!(diffs, ["entries[1].compute_cycles: 618468 vs 618470"]);
     }
 
@@ -1296,7 +1315,7 @@ mod tests {
     fn added_or_removed_keys_and_rows_are_reported() {
         let committed = json(r#"{"entries": [{"cycles": 100, "gone": 1}]}"#);
         let fresh = json(r#"{"entries": [{"cycles": 100, "extra": 2}, {"cycles": 5}]}"#);
-        let diffs = diff_values(&committed, &fresh, WALL_KEYS);
+        let diffs = diff_values(&committed, &fresh, WALL_KEYS).report;
         assert_eq!(
             diffs,
             [
@@ -1312,7 +1331,7 @@ mod tests {
         // "speedup" volatile must not hide a "speedup_floor" change.
         let committed = json(r#"{"speedup_floor": 2.0, "speedup": 6.7}"#);
         let fresh = json(r#"{"speedup_floor": 3.0, "speedup": 9.9}"#);
-        let diffs = diff_values(&committed, &fresh, &["speedup"]);
+        let diffs = diff_values(&committed, &fresh, &["speedup"]).report;
         assert_eq!(diffs, ["speedup_floor: 2 vs 3"]);
     }
 
@@ -1322,8 +1341,32 @@ mod tests {
             let items: Vec<Value> = (0..100).map(|i| Value::U64(i + d as u64)).collect();
             Value::Obj(vec![("c".into(), Value::Arr(items))])
         };
-        let diffs = diff_values(&rows(0), &rows(1), &[]);
+        let diffs = diff_values(&rows(0), &rows(1), &[]).report;
         assert_eq!(diffs.len(), MAX_REPORTED + 1);
         assert!(diffs.last().unwrap().contains("suppressed"));
+    }
+
+    #[test]
+    fn drift_counts_every_value_past_the_report_bound() {
+        // 30 changed values, one added key and one removed key: 32 in
+        // all, of which the report shows 20 and a note for the rest.
+        let list = |d: u64| {
+            let items: Vec<String> = (0..30).map(|i: u64| (i + d).to_string()).collect();
+            items.join(", ")
+        };
+        let committed = json(&format!(r#"{{"c": [{}], "gone": 1}}"#, list(0)));
+        let fresh = json(&format!(r#"{{"c": [{}], "new": 2}}"#, list(1)));
+        let drift = diff_values(&committed, &fresh, &[]);
+        assert_eq!(drift.count, 32);
+        assert_eq!(drift.report.len(), MAX_REPORTED + 1);
+        assert_eq!(drift.report[0], "c[0]: 0 vs 1");
+        assert_eq!(drift.report[MAX_REPORTED], "… 12 further diffs suppressed");
+        // At the bound itself nothing is left out, and no note is added.
+        let drift = diff_values(
+            &Value::Arr((0..20).map(Value::U64).collect()),
+            &Value::Arr((1..21).map(Value::U64).collect()),
+            &[],
+        );
+        assert_eq!((drift.count, drift.report.len()), (20, 20));
     }
 }

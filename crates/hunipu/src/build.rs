@@ -2,6 +2,7 @@
 //! utilities. The per-step compute sets live in [`crate::steps`].
 
 use crate::layout::Layout;
+use ipu_sim::poplib::{self, Finish, ReduceOp};
 use ipu_sim::{
     cost, Access, ComputeSetId, DType, Graph, GraphError, IpuConfig, Program, Tensor, TensorSlice,
     VertexCtx,
@@ -425,32 +426,33 @@ impl Builder {
     }
 
     /// Builds a reduction of a distributed tensor to a scalar on the
-    /// collector tile, picking the flat single-gather structure on
-    /// chip-oblivious layouts (identical graph to the seed — the
-    /// single-chip bit-identity hinge) and the two-level
-    /// gather-through-sub-collectors structure on chip-aware layouts
-    /// where the cross-chip partial traffic outweighs the extra phases
-    /// (see [`Builder::hier_reduce_pays`]).
+    /// collector tile, with `finish` fused into its last vertex. Picks
+    /// the flat single-gather structure on chip-oblivious layouts and
+    /// the two-level gather-through-sub-collectors structure on
+    /// chip-aware layouts where the cross-chip partial traffic outweighs
+    /// the extra phases (see [`Builder::hier_reduce_pays`]).
     pub fn reduce_scalar(
         &mut self,
         name: &str,
         input: Tensor,
-        op: ipu_sim::poplib::ReduceOp,
+        op: ReduceOp,
+        finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
         if self.l.chips > 1 {
             let off_chip = self.off_root_chip_tiles(input);
             if self.hier_reduce_pays(off_chip) {
-                return ipu_sim::poplib::reduce_to_scalar_hier(
+                return poplib::reduce_to_scalar_hier(
                     &mut self.g,
                     name,
                     input,
                     op,
                     &self.l.chip_stages(),
                     self.l.collector_tile,
+                    finish,
                 );
             }
         }
-        ipu_sim::poplib::reduce_to_scalar(&mut self.g, name, input, op, self.l.collector_tile)
+        poplib::reduce_to_scalar(&mut self.g, name, input, op, self.l.collector_tile, finish)
     }
 
     /// Builds a refresh of the replicated `mirror` from a tensor that
@@ -553,13 +555,14 @@ impl Builder {
         // Multithreaded max over the gathered partials (exactly the
         // "slice the element from the temporary tensor in a single tile"
         // step of Fig. 4, using the tile's six threads).
-        let pick = ipu_sim::poplib::reduce_on_tile(
+        let pick = poplib::reduce_on_tile(
             &mut self.g,
             &format!("{name}.pick"),
             gathered,
             out,
-            ipu_sim::poplib::ReduceOp::Max,
+            ReduceOp::Max,
             self.l.collector_tile,
+            None,
         )?;
 
         let gather = Program::exchange(
@@ -607,13 +610,14 @@ impl Builder {
                 .connect(vtx, src.slice(range.clone()), Access::Read)?;
             self.g.connect(vtx, partials.element(i), Access::Write)?;
         }
-        let (out, pick) = ipu_sim::poplib::reduce_partials_hier(
+        let (out, pick) = poplib::reduce_partials_hier(
             &mut self.g,
             &format!("{name}.pick"),
             partials,
-            ipu_sim::poplib::ReduceOp::Max,
+            ReduceOp::Max,
             &self.l.chip_stages(),
             self.l.collector_tile,
+            None,
         )?;
         Ok((out, Program::seq(vec![Program::execute(cs), pick])))
     }

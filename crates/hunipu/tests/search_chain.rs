@@ -1,0 +1,120 @@
+//! The chain the search loop runs on every iteration (Step 4, §IV-F):
+//! which compute sets execute per iteration on the full Mk2, that the
+//! tiled route still reduces its multi-row tiles in two stages, and that
+//! fault-corrupted device indices end a solve with `Ok` or `Err`, never
+//! a panic.
+
+use cpu_hungarian::JonkerVolgenant;
+use hunipu::{HunIpu, LayoutMode, F32_VERIFY_EPS};
+use ipu_sim::{FaultPlan, IpuConfig};
+use lsap::{CostMatrix, LsapSolver};
+
+/// Executions of compute set `name` (0 when the program has none).
+fn executions(engine: &ipu_sim::Engine, name: &str) -> u64 {
+    engine
+        .stats()
+        .per_compute_set
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.executions)
+        .sum()
+}
+
+fn jv(m: &CostMatrix) -> f64 {
+    JonkerVolgenant::default().solve(m).unwrap().objective
+}
+
+#[test]
+fn mk2_search_iterations_classify_in_three_compute_sets() {
+    // One row per tile: every interval of the arg-max keys holds one
+    // element, so the keys are gathered without a partial stage, and the
+    // decode runs inside the reduction's combine vertex.
+    let m = datasets::gaussian_cost_matrix(256, 10, 1);
+    let (report, engine) = HunIpu::new().solve_with_engine(&m).unwrap();
+    report.verify(&m, F32_VERIFY_EPS).unwrap();
+    assert_eq!(report.objective, jv(&m));
+
+    let iterations = executions(&engine, "step4.status");
+    assert!(iterations > 0);
+    let sets = &engine.stats().per_compute_set;
+    assert!(sets.iter().all(|s| s.name != "step4.enc.partial"));
+    assert!(sets.iter().all(|s| s.name != "step4.decode"));
+    // The sets that run once per iteration, and only they: status, then
+    // the threaded final stage of the arg-max.
+    let mut per_iteration: Vec<&str> = sets
+        .iter()
+        .filter(|s| s.name.starts_with("step4.") && s.executions == iterations)
+        .map(|s| s.name.as_str())
+        .collect();
+    per_iteration.sort_unstable();
+    assert_eq!(
+        per_iteration,
+        [
+            "step4.enc.final.chunks",
+            "step4.enc.final.combine",
+            "step4.status"
+        ]
+    );
+    // A prime layer adds two compute sets: five per layer in all.
+    let layers = executions(&engine, "step4.prime_layer");
+    assert!(layers > 0);
+    assert_eq!(executions(&engine, "step4.recover"), layers);
+}
+
+#[test]
+fn tiled_rows_still_reduce_in_two_stages() {
+    // 48 rows on 7 row-owning tiles: several keys per tile, so the
+    // per-tile partial stage still runs, and the answer is JV's optimum.
+    let m = CostMatrix::from_fn(48, 48, |i, j| ((i * 31 + j * 17) % 23) as f64).unwrap();
+    let solver = HunIpu::with_config(IpuConfig::tiny(8)).with_layout_mode(LayoutMode::Tiled);
+    let (report, engine) = solver.solve_tiled(&m).unwrap();
+    report.verify(&m, F32_VERIFY_EPS).unwrap();
+    assert_eq!(report.objective, jv(&m));
+    let iterations = executions(&engine, "step4.status");
+    assert!(iterations > 0);
+    assert_eq!(executions(&engine, "step4.enc.partial"), iterations);
+    assert!(engine
+        .stats()
+        .per_compute_set
+        .iter()
+        .all(|s| s.name != "step4.decode"));
+}
+
+#[test]
+fn fault_corrupted_indices_end_a_solve_without_a_panic() {
+    // Bit flips and exchange corruption can turn a device index (a star
+    // row, a zero column, the green stack's length) into any i32; every
+    // vertex that indexes with one must treat an out-of-range value as
+    // absent. Each solve returns `Ok` or `Err`; none may unwind.
+    let mut panicked = Vec::new();
+    for n in [13, 24] {
+        let m = datasets::gaussian_cost_matrix(n, 100, 5);
+        for seed in 0..400 {
+            let plan = FaultPlan::new(seed)
+                .with_bit_flips(0.01)
+                .with_exchange_corruption(0.005)
+                .after_supersteps(50);
+            let solver = HunIpu::with_config(IpuConfig {
+                max_while_iterations: 20_000,
+                ..IpuConfig::tiny(8)
+            })
+            .with_fault_plan(plan);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                solver.solve_with_engine(&m).map(|_| ())
+            }));
+            if let Err(payload) = outcome {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                panicked.push(format!("n={n} seed={seed}: {msg}"));
+            }
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} panics: {panicked:#?}",
+        panicked.len()
+    );
+}

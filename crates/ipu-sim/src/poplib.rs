@@ -7,18 +7,19 @@
 //! structure is exactly what the hardware demands:
 //!
 //! - scalar reductions: per-interval partial vertices on the data's own
-//!   tiles → a single-phase gather of ≤ `tiles` partials to a collector
-//!   tile → one final vertex (§IV-G notes that a ≤1472-element temporary
-//!   always fits one tile);
+//!   tiles (none when every interval holds one element) → a single-phase
+//!   gather of ≤ `tiles` partials to a collector tile → one final vertex
+//!   (§IV-G notes that a ≤1472-element temporary always fits one tile),
+//!   which can run a caller's [`Finish`] on the result;
 //! - column-wise reductions over a row-distributed matrix: per-tile
 //!   partial vectors combined along a binary tree of exchange+min stages
 //!   (`log2(tiles)` supersteps), then multicast back to every tile.
 
-use crate::codelet::cost;
+use crate::codelet::{cost, Codelet, VertexCtx};
 use crate::error::GraphError;
-use crate::graph::{Access, Graph};
+use crate::graph::{Access, ComputeSetId, Graph};
 use crate::program::Program;
-use crate::tensor::{DType, Tensor};
+use crate::tensor::{DType, Tensor, TensorSlice};
 
 /// Associative reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,97 +91,23 @@ impl ReduceOp {
     }
 }
 
-/// Builds a reduction of an arbitrarily-distributed tensor to a 1-element
-/// tensor on `out_tile`. Returns the output tensor and the program
-/// fragment (two supersteps + one gather exchange).
-pub fn reduce_to_scalar(
-    g: &mut Graph,
-    name: &str,
-    input: Tensor,
-    op: ReduceOp,
-    out_tile: usize,
-) -> Result<(Tensor, Program), GraphError> {
-    let intervals: Vec<(usize, usize, usize)> = g.tensors[input.id].mapping.clone();
-    if intervals.is_empty() {
-        return Err(GraphError::Unmapped {
-            tensor: g.tensors[input.id].name.clone(),
-            element: 0,
-        });
-    }
-    let k = intervals.len();
-    let dtype = input.dtype();
-
-    // Partials: element i on the tile owning interval i.
-    let partials = g.add_tensor(&format!("{name}.partials"), dtype, k);
-    for (i, &(_, _, tile)) in intervals.iter().enumerate() {
-        g.map_slice(partials.element(i), tile)?;
-    }
-    // Gathered partials and the output scalar live on the collector tile.
-    let gathered = g.add_tensor(&format!("{name}.gathered"), dtype, k);
-    g.map_to_tile(gathered, out_tile)?;
-    let out = g.add_tensor(&format!("{name}.out"), dtype, 1);
-    g.map_to_tile(out, out_tile)?;
-
-    let cs_partial = g.add_compute_set(&format!("{name}.partial"));
-    for (i, &(s, e, tile)) in intervals.iter().enumerate() {
-        let v = g.add_vertex(cs_partial, tile, &format!("{name}.partial[{i}]"), {
-            move |ctx| match dtype {
-                DType::F32 => {
-                    let src = ctx.f32(0);
-                    ctx.f32_mut(1)[0] = op.f32_fold(&src);
-                    cost::f32_scan(src.len())
-                }
-                DType::I32 => {
-                    let src = ctx.i32(0);
-                    let acc = src
-                        .iter()
-                        .fold(op.i32_identity(), |a, &b| op.i32_apply(a, b));
-                    ctx.i32_mut(1)[0] = acc;
-                    cost::i32_scan(src.len())
-                }
-            }
-        })?;
-        g.connect(v, input.slice(s..e), Access::Read)?;
-        g.connect(v, partials.element(i), Access::Write)?;
-    }
-
-    // Final stage: reduce the gathered partials on the collector tile,
-    // using all hardware threads when the partial count warrants it (a
-    // single-thread scan would run at 1/6 of the tile's issue rate).
-    let final_prog = reduce_on_tile(g, &format!("{name}.final"), gathered, out, op, out_tile)?;
-
-    // One exchange phase gathers every partial to the collector.
-    let gather = Program::exchange(
-        (0..k)
-            .map(|i| (partials.element(i), gathered.element(i)))
-            .collect(),
-    );
-    let program = Program::seq(vec![Program::execute(cs_partial), gather, final_prog]);
-    Ok((out, program))
+/// Work fused into the vertex that writes a scalar reduction's result
+/// ([`reduce_on_tile`]), on the output tile, so a consumer of the scalar
+/// pays no superstep of its own. The vertex sees the reduced input as
+/// field 0 and the result, already written, as field 1; `fields` are
+/// connected after them, from field 2 on. The codelet returns its own
+/// instruction count, which the vertex adds to the fold's.
+pub struct Finish {
+    /// Extra regions of the final vertex, all on the output tile.
+    pub fields: Vec<(TensorSlice, Access)>,
+    /// The fused work.
+    pub codelet: Box<Codelet>,
 }
 
-/// Reduces a tensor that lives entirely on `tile` into a 1-element `out`
-/// tensor on the same tile. Uses the tile's six threads (per-thread
-/// chunk vertices plus a combine vertex) when the input is long enough
-/// to amortize the extra superstep.
-pub fn reduce_on_tile(
-    g: &mut Graph,
-    name: &str,
-    input: Tensor,
-    out: Tensor,
-    op: ReduceOp,
-    tile: usize,
-) -> Result<Program, GraphError> {
-    let dtype = input.dtype();
-    if out.dtype() != dtype || out.len() != 1 {
-        return Err(GraphError::BadSlice {
-            detail: format!("{name}: output must be a 1-element tensor of the input dtype"),
-        });
-    }
-    let threads = g.config().threads_per_tile;
-    let n = input.len();
-
-    let scalar_reduce = move |ctx: &crate::VertexCtx| match dtype {
+/// The codelet that folds field 0 with `op` into the single element of
+/// field 1 — every stage of the scalar reductions runs it.
+fn fold_codelet(op: ReduceOp, dtype: DType) -> impl Fn(&VertexCtx) -> u64 + Copy + 'static {
+    move |ctx: &VertexCtx| match dtype {
         DType::F32 => {
             let src = ctx.f32(0);
             ctx.f32_mut(1)[0] = op.f32_fold(&src);
@@ -194,14 +121,144 @@ pub fn reduce_on_tile(
             ctx.i32_mut(1)[0] = acc;
             cost::i32_scan(src.len())
         }
+    }
+}
+
+/// The per-interval stage of the scalar reductions: a tensor whose
+/// element `i` holds the fold of `input`'s mapping interval `i`, on that
+/// interval's tile, and the compute set that fills it. When every
+/// interval holds one element, `input` already is that tensor: it is
+/// returned as is, with no compute set (folding one element is the
+/// identity for every [`ReduceOp`], so the result is bit-identical).
+fn interval_partials(
+    g: &mut Graph,
+    name: &str,
+    input: Tensor,
+    op: ReduceOp,
+) -> Result<(Tensor, Option<Program>), GraphError> {
+    let intervals: Vec<(usize, usize, usize)> = g.tensors[input.id].mapping.clone();
+    if intervals.is_empty() {
+        return Err(GraphError::Unmapped {
+            tensor: g.tensors[input.id].name.clone(),
+            element: 0,
+        });
+    }
+    // Intervals are disjoint and non-empty, so as many intervals as
+    // elements means one element each, interval `i` holding element `i`.
+    if intervals.len() == input.len() {
+        return Ok((input, None));
+    }
+    let dtype = input.dtype();
+    let partials = g.add_tensor(&format!("{name}.partials"), dtype, intervals.len());
+    for (i, &(_, _, tile)) in intervals.iter().enumerate() {
+        g.map_slice(partials.element(i), tile)?;
+    }
+    let cs_partial = g.add_compute_set(&format!("{name}.partial"));
+    for (i, &(s, e, tile)) in intervals.iter().enumerate() {
+        let v = g.add_vertex(
+            cs_partial,
+            tile,
+            &format!("{name}.partial[{i}]"),
+            fold_codelet(op, dtype),
+        )?;
+        g.connect(v, input.slice(s..e), Access::Read)?;
+        g.connect(v, partials.element(i), Access::Write)?;
+    }
+    Ok((partials, Some(Program::execute(cs_partial))))
+}
+
+/// Builds a reduction of an arbitrarily-distributed tensor to a 1-element
+/// tensor on `out_tile`, with `finish` fused into its last vertex.
+/// Returns the output tensor and the program fragment: the per-interval
+/// partials (skipped when every interval holds one element), one gather
+/// exchange, and the on-tile final stage.
+pub fn reduce_to_scalar(
+    g: &mut Graph,
+    name: &str,
+    input: Tensor,
+    op: ReduceOp,
+    out_tile: usize,
+    finish: Option<Finish>,
+) -> Result<(Tensor, Program), GraphError> {
+    let (partials, partial_prog) = interval_partials(g, name, input, op)?;
+    let k = partials.len();
+    let dtype = input.dtype();
+
+    // Gathered partials and the output scalar live on the collector tile.
+    let gathered = g.add_tensor(&format!("{name}.gathered"), dtype, k);
+    g.map_to_tile(gathered, out_tile)?;
+    let out = g.add_tensor(&format!("{name}.out"), dtype, 1);
+    g.map_to_tile(out, out_tile)?;
+
+    // Final stage: reduce the gathered partials on the collector tile,
+    // using all hardware threads when the partial count warrants it (a
+    // single-thread scan would run at 1/6 of the tile's issue rate).
+    let final_prog = reduce_on_tile(
+        g,
+        &format!("{name}.final"),
+        gathered,
+        out,
+        op,
+        out_tile,
+        finish,
+    )?;
+
+    // One exchange phase gathers every partial to the collector.
+    let gather = Program::exchange(
+        (0..k)
+            .map(|i| (partials.element(i), gathered.element(i)))
+            .collect(),
+    );
+    let mut program: Vec<Program> = partial_prog.into_iter().collect();
+    program.extend([gather, final_prog]);
+    Ok((out, Program::seq(program)))
+}
+
+/// Reduces a tensor that lives entirely on `tile` into a 1-element `out`
+/// tensor on the same tile, running `finish` in the vertex that writes
+/// `out`. Uses the tile's six threads (per-thread chunk vertices plus a
+/// combine vertex) when the input is long enough to amortize the extra
+/// superstep.
+pub fn reduce_on_tile(
+    g: &mut Graph,
+    name: &str,
+    input: Tensor,
+    out: Tensor,
+    op: ReduceOp,
+    tile: usize,
+    finish: Option<Finish>,
+) -> Result<Program, GraphError> {
+    let dtype = input.dtype();
+    if out.dtype() != dtype || out.len() != 1 {
+        return Err(GraphError::BadSlice {
+            detail: format!("{name}: output must be a 1-element tensor of the input dtype"),
+        });
+    }
+    let threads = g.config().threads_per_tile;
+    let n = input.len();
+    let fold = fold_codelet(op, dtype);
+
+    // The vertex that writes `out` from `src`, with `finish` fused in.
+    let last_vertex = |g: &mut Graph, cs: ComputeSetId, vname: &str, src: TensorSlice| {
+        let (fields, v) = match finish {
+            None => (Vec::new(), g.add_vertex(cs, tile, vname, fold)?),
+            Some(Finish { fields, codelet }) => (
+                fields,
+                g.add_vertex(cs, tile, vname, move |ctx| fold(ctx) + codelet(ctx))?,
+            ),
+        };
+        g.connect(v, src, Access::Read)?;
+        g.connect(v, out.whole(), Access::Write)?;
+        for (slice, access) in fields {
+            g.connect(v, slice, access)?;
+        }
+        Ok::<(), GraphError>(())
     };
 
     // Short inputs: a single vertex is cheaper than an extra superstep.
     if n <= 4 * threads {
         let cs = g.add_compute_set(name);
-        let v = g.add_vertex(cs, tile, name, scalar_reduce)?;
-        g.connect(v, input.whole(), Access::Read)?;
-        g.connect(v, out.whole(), Access::Write)?;
+        last_vertex(g, cs, name, input.whole())?;
         return Ok(Program::execute(cs));
     }
 
@@ -212,20 +269,12 @@ pub fn reduce_on_tile(
     for t in 0..threads {
         let lo = (t * per).min(n);
         let hi = ((t + 1) * per).min(n);
-        let v = g.add_vertex_on_thread(
-            cs_chunks,
-            tile,
-            t,
-            &format!("{name}.chunk{t}"),
-            scalar_reduce,
-        )?;
+        let v = g.add_vertex_on_thread(cs_chunks, tile, t, &format!("{name}.chunk{t}"), fold)?;
         g.connect(v, input.slice(lo..hi), Access::Read)?;
         g.connect(v, part6.element(t), Access::Write)?;
     }
     let cs_comb = g.add_compute_set(&format!("{name}.combine"));
-    let v = g.add_vertex(cs_comb, tile, &format!("{name}.combine"), scalar_reduce)?;
-    g.connect(v, part6.whole(), Access::Read)?;
-    g.connect(v, out.whole(), Access::Write)?;
+    last_vertex(g, cs_comb, &format!("{name}.combine"), part6.whole())?;
     Ok(Program::seq(vec![
         Program::execute(cs_chunks),
         Program::execute(cs_comb),
@@ -382,9 +431,9 @@ fn elements_by_chip(g: &Graph, mapping: &[(usize, usize, usize)]) -> Vec<Vec<(us
 /// bandwidth); one superstep combines each chip's partials; one
 /// exchange moves a single scalar per chip to `out_tile` (the only
 /// phase that touches IPU-Links); a final vertex folds the per-chip
-/// scalars. The flat gather instead lands every partial on `out_tile`,
-/// serializing `(ipus-1)/ipus` of the traffic through that one tile's
-/// link share.
+/// scalars and runs `finish` ([`Finish`]). The flat gather instead
+/// lands every partial on `out_tile`, serializing `(ipus-1)/ipus` of
+/// the traffic through that one tile's link share.
 ///
 /// Combination order is per-chip then chip-ascending rather than the
 /// flat element order — identical results for order-insensitive ops
@@ -397,6 +446,7 @@ pub fn reduce_partials_hier(
     op: ReduceOp,
     stages: ChipStages,
     out_tile: usize,
+    finish: Option<Finish>,
 ) -> Result<(Tensor, Program), GraphError> {
     let mapping: Vec<(usize, usize, usize)> = g.tensors[partials.id].mapping.clone();
     if mapping.is_empty() {
@@ -459,21 +509,7 @@ pub fn reduce_partials_hier(
             cs_chip,
             stages[c],
             &format!("{name}.chipred[{c}]"),
-            move |ctx| match dtype {
-                DType::F32 => {
-                    let src = ctx.f32(0);
-                    ctx.f32_mut(1)[0] = op.f32_fold(&src);
-                    cost::f32_scan(src.len())
-                }
-                DType::I32 => {
-                    let src = ctx.i32(0);
-                    let acc = src
-                        .iter()
-                        .fold(op.i32_identity(), |a, &b| op.i32_apply(a, b));
-                    ctx.i32_mut(1)[0] = acc;
-                    cost::i32_scan(src.len())
-                }
-            },
+            fold_codelet(op, dtype),
         )?;
         let off = offsets[c];
         g.connect(v, chipgath.slice(off..off + by_chip[c].len()), Access::Read)?;
@@ -487,7 +523,15 @@ pub fn reduce_partials_hier(
         .map(|j| (chipout.element(j), rootgath.element(j)))
         .collect();
 
-    let final_prog = reduce_on_tile(g, &format!("{name}.final"), rootgath, out, op, out_tile)?;
+    let final_prog = reduce_on_tile(
+        g,
+        &format!("{name}.final"),
+        rootgath,
+        out,
+        op,
+        out_tile,
+        finish,
+    )?;
     let program = Program::seq(vec![
         Program::exchange(gather_pairs),
         Program::execute(cs_chip),
@@ -498,9 +542,10 @@ pub fn reduce_partials_hier(
 }
 
 /// Hierarchical variant of [`reduce_to_scalar`] for multi-chip devices:
-/// per-interval partials on the data's own tiles, then a two-level
-/// gather through per-chip staging tiles (see [`reduce_partials_hier`]
-/// for the structure and the combination-order caveat).
+/// per-interval partials on the data's own tiles (none when every
+/// interval holds one element), then a two-level gather through per-chip
+/// staging tiles (see [`reduce_partials_hier`] for the structure and the
+/// combination-order caveat), with `finish` fused into the last vertex.
 pub fn reduce_to_scalar_hier(
     g: &mut Graph,
     name: &str,
@@ -508,49 +553,13 @@ pub fn reduce_to_scalar_hier(
     op: ReduceOp,
     stages: ChipStages,
     out_tile: usize,
+    finish: Option<Finish>,
 ) -> Result<(Tensor, Program), GraphError> {
-    let intervals: Vec<(usize, usize, usize)> = g.tensors[input.id].mapping.clone();
-    if intervals.is_empty() {
-        return Err(GraphError::Unmapped {
-            tensor: g.tensors[input.id].name.clone(),
-            element: 0,
-        });
-    }
-    let k = intervals.len();
-    let dtype = input.dtype();
-
-    let partials = g.add_tensor(&format!("{name}.partials"), dtype, k);
-    for (i, &(_, _, tile)) in intervals.iter().enumerate() {
-        g.map_slice(partials.element(i), tile)?;
-    }
-    let cs_partial = g.add_compute_set(&format!("{name}.partial"));
-    for (i, &(s, e, tile)) in intervals.iter().enumerate() {
-        let v = g.add_vertex(cs_partial, tile, &format!("{name}.partial[{i}]"), {
-            move |ctx| match dtype {
-                DType::F32 => {
-                    let src = ctx.f32(0);
-                    ctx.f32_mut(1)[0] = op.f32_fold(&src);
-                    cost::f32_scan(src.len())
-                }
-                DType::I32 => {
-                    let src = ctx.i32(0);
-                    let acc = src
-                        .iter()
-                        .fold(op.i32_identity(), |a, &b| op.i32_apply(a, b));
-                    ctx.i32_mut(1)[0] = acc;
-                    cost::i32_scan(src.len())
-                }
-            }
-        })?;
-        g.connect(v, input.slice(s..e), Access::Read)?;
-        g.connect(v, partials.element(i), Access::Write)?;
-    }
-
-    let (out, gather) = reduce_partials_hier(g, name, partials, op, stages, out_tile)?;
-    Ok((
-        out,
-        Program::seq(vec![Program::execute(cs_partial), gather]),
-    ))
+    let (partials, partial_prog) = interval_partials(g, name, input, op)?;
+    let (out, gather) = reduce_partials_hier(g, name, partials, op, stages, out_tile, finish)?;
+    let mut program: Vec<Program> = partial_prog.into_iter().collect();
+    program.push(gather);
+    Ok((out, Program::seq(program)))
 }
 
 /// Hierarchical variant of [`reduce_columns_mirrored`] for multi-chip
@@ -793,7 +802,7 @@ mod tests {
         let mut g = device(4);
         let t = g.add_tensor("t", DType::F32, 16);
         g.map_evenly(t).unwrap();
-        let (out, prog) = reduce_to_scalar(&mut g, "min", t, ReduceOp::Min, 0).unwrap();
+        let (out, prog) = reduce_to_scalar(&mut g, "min", t, ReduceOp::Min, 0, None).unwrap();
         let mut e = g.compile(prog).unwrap();
         let data: Vec<f32> = (0..16).map(|i| 100.0 - i as f32).collect();
         e.write_f32(t, &data).unwrap();
@@ -809,7 +818,7 @@ mod tests {
         let mut g = device(3);
         let t = g.add_tensor("t", DType::I32, 9);
         g.map_evenly(t).unwrap();
-        let (out, prog) = reduce_to_scalar(&mut g, "sum", t, ReduceOp::Sum, 2).unwrap();
+        let (out, prog) = reduce_to_scalar(&mut g, "sum", t, ReduceOp::Sum, 2, None).unwrap();
         let mut e = g.compile(prog).unwrap();
         e.write_i32(t, &[1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
         e.run().unwrap();
@@ -821,7 +830,7 @@ mod tests {
         let mut g = device(2);
         let t = g.add_tensor("t", DType::I32, 5);
         g.map_to_tile(t, 1).unwrap();
-        let (out, prog) = reduce_to_scalar(&mut g, "max", t, ReduceOp::Max, 0).unwrap();
+        let (out, prog) = reduce_to_scalar(&mut g, "max", t, ReduceOp::Max, 0, None).unwrap();
         let mut e = g.compile(prog).unwrap();
         e.write_i32(t, &[-3, 9, 2, 9, 0]).unwrap();
         e.run().unwrap();
@@ -906,9 +915,9 @@ mod tests {
                     g.map_slice(t.slice(i * 4..(i + 1) * 4), *tile).unwrap();
                 }
                 let (out, prog) = if hier {
-                    reduce_to_scalar_hier(&mut g, "r", t, op, &stages, 7).unwrap()
+                    reduce_to_scalar_hier(&mut g, "r", t, op, &stages, 7, None).unwrap()
                 } else {
-                    reduce_to_scalar(&mut g, "r", t, op, 7).unwrap()
+                    reduce_to_scalar(&mut g, "r", t, op, 7, None).unwrap()
                 };
                 let mut e = g.compile(prog).unwrap();
                 e.write_i32(t, &data).unwrap();
@@ -934,12 +943,140 @@ mod tests {
         let t = g.add_tensor("t", DType::F32, 8);
         g.map_slice(t.slice(0..4), 0).unwrap();
         g.map_slice(t.slice(4..8), 1).unwrap();
-        let (out, prog) = reduce_to_scalar_hier(&mut g, "r", t, ReduceOp::Min, &stages, 3).unwrap();
+        let (out, prog) =
+            reduce_to_scalar_hier(&mut g, "r", t, ReduceOp::Min, &stages, 3, None).unwrap();
         let mut e = g.compile(prog).unwrap();
         e.write_f32(t, &[5.0, 3.0, 8.0, 9.0, 4.0, 2.5, 7.0, 6.0])
             .unwrap();
         e.run().unwrap();
         assert_eq!(e.read_f32(out), vec![2.5]);
+    }
+
+    /// Runs a scalar reduction of `values` (as `dtype`), laid out in
+    /// `chunk`-element intervals round-robin over the data tiles of a
+    /// 2-chip device, flat or hierarchical. Returns the result's bits and
+    /// the names of the compute sets that executed.
+    fn reduce_run(
+        hier: bool,
+        dtype: DType,
+        op: ReduceOp,
+        values: &[f32],
+        chunk: usize,
+    ) -> (u32, Vec<String>) {
+        let config = IpuConfig::tiny_multi(2, 4);
+        let stages = stages_of(&config);
+        let mut g = Graph::new(config);
+        let n = values.len();
+        let t = g.add_tensor("t", dtype, n);
+        for (i, s) in (0..n).step_by(chunk).enumerate() {
+            let tile = [0, 1, 2, 4, 5, 6][i % 6];
+            g.map_slice(t.slice(s..(s + chunk).min(n)), tile).unwrap();
+        }
+        let (out, prog) = if hier {
+            reduce_to_scalar_hier(&mut g, "r", t, op, &stages, 7, None)
+        } else {
+            reduce_to_scalar(&mut g, "r", t, op, 7, None)
+        }
+        .unwrap();
+        let mut e = g.compile(prog).unwrap();
+        let bits = match dtype {
+            DType::F32 => {
+                e.write_f32(t, values).unwrap();
+                e.run().unwrap();
+                e.read_f32(out)[0].to_bits()
+            }
+            DType::I32 => {
+                let ints: Vec<i32> = values.iter().map(|&v| v as i32).collect();
+                e.write_i32(t, &ints).unwrap();
+                e.run().unwrap();
+                e.read_i32(out)[0] as u32
+            }
+        };
+        let ran = e
+            .stats()
+            .per_compute_set
+            .iter()
+            .filter(|s| s.executions > 0)
+            .map(|s| s.name.clone())
+            .collect();
+        (bits, ran)
+    }
+
+    #[test]
+    fn single_element_intervals_skip_the_partial_stage_bit_identically() {
+        let extremes = [
+            3.0,
+            -0.0,
+            f32::INFINITY,
+            7.5,
+            f32::NEG_INFINITY,
+            0.0,
+            -2.25,
+            1e9,
+            4.0,
+            -1e9,
+            0.5,
+            12.0,
+        ];
+        let moderate: Vec<f32> = (0..12).map(|i| ((i * 37) % 101 - 50) as f32).collect();
+        let cases = [
+            (DType::F32, ReduceOp::Max, &extremes[..]),
+            (DType::F32, ReduceOp::Min, &extremes[..]),
+            (DType::I32, ReduceOp::Max, &extremes[..]),
+            (DType::I32, ReduceOp::Min, &extremes[..]),
+            (DType::I32, ReduceOp::Sum, &moderate[..]),
+        ];
+        for hier in [false, true] {
+            for (dtype, op, values) in cases {
+                let (staged, staged_sets) = reduce_run(hier, dtype, op, values, 2);
+                let (direct, direct_sets) = reduce_run(hier, dtype, op, values, 1);
+                let what = format!("{dtype:?} {op:?} hier={hier}");
+                assert_eq!(staged, direct, "{what}");
+                assert!(staged_sets.iter().any(|s| s == "r.partial"), "{what}");
+                assert!(!direct_sets.iter().any(|s| s == "r.partial"), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn finish_runs_in_the_vertex_that_writes_the_result() {
+        // 8 one-element intervals reach a one-vertex final stage, 60 a
+        // threaded one (chunks, then a combine): either way the finish
+        // sees the result and costs no superstep of its own.
+        for n in [8usize, 60] {
+            let run = |with_finish: bool| {
+                let mut g = device(2);
+                let t = g.add_tensor("t", DType::I32, n);
+                for i in 0..n {
+                    g.map_slice(t.element(i), 0).unwrap();
+                }
+                let doubled = g.add_tensor("doubled", DType::I32, 1);
+                g.map_to_tile(doubled, 1).unwrap();
+                let finish = with_finish.then(|| Finish {
+                    fields: vec![(doubled.whole(), Access::Write)],
+                    codelet: Box::new(|ctx| {
+                        ctx.i32_mut(2)[0] = 2 * ctx.i32(1)[0];
+                        cost::scalar(1)
+                    }),
+                });
+                let (out, prog) =
+                    reduce_to_scalar(&mut g, "r", t, ReduceOp::Max, 1, finish).unwrap();
+                let mut e = g.compile(prog).unwrap();
+                let data: Vec<i32> = (0..n as i32).map(|i| (i * 37) % 101 - 50).collect();
+                e.write_i32(t, &data).unwrap();
+                e.run().unwrap();
+                (
+                    e.read_i32(out)[0],
+                    e.read_i32(doubled)[0],
+                    e.stats().supersteps,
+                )
+            };
+            let (max, _, plain_steps) = run(false);
+            let (same, doubled, steps) = run(true);
+            assert_eq!(same, max, "n={n}");
+            assert_eq!(doubled, 2 * max, "n={n}");
+            assert_eq!(steps, plain_steps, "n={n}");
+        }
     }
 
     #[test]
@@ -992,7 +1129,7 @@ mod tests {
         let mut g = Graph::new(config);
         let t = g.add_tensor("t", DType::I32, 4);
         g.map_to_tile(t, 0).unwrap();
-        let err = reduce_to_scalar_hier(&mut g, "r", t, ReduceOp::Max, &[0], 3).unwrap_err();
+        let err = reduce_to_scalar_hier(&mut g, "r", t, ReduceOp::Max, &[0], 3, None).unwrap_err();
         assert!(matches!(err, GraphError::BadSlice { .. }));
     }
 
@@ -1011,7 +1148,7 @@ mod tests {
     fn reduction_of_unmapped_tensor_rejected() {
         let mut g = device(2);
         let t = g.add_tensor("t", DType::F32, 4);
-        let err = reduce_to_scalar(&mut g, "r", t, ReduceOp::Min, 0).unwrap_err();
+        let err = reduce_to_scalar(&mut g, "r", t, ReduceOp::Min, 0, None).unwrap_err();
         assert!(matches!(err, GraphError::Unmapped { .. }));
     }
 

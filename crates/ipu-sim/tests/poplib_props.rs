@@ -42,7 +42,7 @@ proptest! {
         let mut g = Graph::new(IpuConfig::tiny(tiles));
         let t = g.add_tensor("t", DType::I32, data.len());
         g.map_chunks_round_robin(t, chunk, 0, tiles).unwrap();
-        let (out, prog) = reduce_to_scalar(&mut g, "r", t, op, tiles - 1).unwrap();
+        let (out, prog) = reduce_to_scalar(&mut g, "r", t, op, tiles - 1, None).unwrap();
         let mut e = g.compile(prog).unwrap();
         e.write_i32(t, &data).unwrap();
         e.run().unwrap();
