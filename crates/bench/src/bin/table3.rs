@@ -14,9 +14,10 @@
 //!                                                        #   1004^2 eigensolves per cell)
 //! ```
 
-use align::{grampa_similarity, node_correctness, pad_for_pow2_solver, DEFAULT_ETA};
+use align::{node_correctness, pad_for_pow2_solver};
+use bench::alignment::AlignCell;
 use bench::{run_fastha, run_hunipu, Args, ExperimentRecord, Measurement};
-use graphs::{keep_edge_fraction, realworld};
+use graphs::realworld;
 
 fn main() {
     let args = Args::parse();
@@ -32,28 +33,14 @@ fn main() {
     for name in &datasets {
         let g = realworld::by_name(name, args.seed)
             .unwrap_or_else(|| panic!("unknown dataset '{name}' (highschool|voles|multimagna)"));
-        // MultiMagna is evaluated on five noisy variants in the paper;
-        // the proximity datasets sweep the kept-edge percentage.
-        let cells: Vec<(String, f64, u64)> = if name.eq_ignore_ascii_case("multimagna") {
-            (1..=5)
-                .map(|v| (format!("variant{v}"), 0.9, args.seed + v))
-                .collect()
-        } else {
-            [0.80, 0.90, 0.95, 0.99]
-                .iter()
-                .map(|&p| (format!("{:.0}%", p * 100.0), p, args.seed + 100))
-                .collect()
-        };
-
         println!("\n({name}: n={}, m={})", g.n(), g.m());
         println!(
             "{:>10} | {:>12} {:>12} {:>9} {:>9}",
             "edges", "HunIPU", "FastHA", "speedup", "node-acc"
         );
         println!("{}", "-".repeat(60));
-        for (label, keep, noise_seed) in cells {
-            let noisy = keep_edge_fraction(&g, keep, noise_seed);
-            let sim = grampa_similarity(&g, &noisy, DEFAULT_ETA);
+        for cell in AlignCell::all(name, args.seed) {
+            let sim = cell.similarity(&g);
             let cost = sim.similarity_to_cost();
 
             let hun = run_hunipu(&cost);
@@ -85,7 +72,7 @@ fn main() {
             let fs = fast.stats.modeled_seconds.unwrap();
             println!(
                 "{:>10} | {:>10.2}ms {:>10.2}ms {:>8.2}x {:>7.1}/{:.1}%",
-                label,
+                cell.label,
                 hs * 1e3,
                 fs * 1e3,
                 fs / hs,
@@ -97,7 +84,7 @@ fn main() {
                     engine: engine.into(),
                     n: g.n(),
                     k: 0,
-                    label: format!("{name}/{label}"),
+                    label: format!("{name}/{}", cell.label),
                     modeled_seconds: secs,
                     wall_seconds: rep.stats.wall_seconds,
                     objective: rep.objective,

@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod alignment;
 pub mod cli;
 pub mod gates;
 pub mod record;

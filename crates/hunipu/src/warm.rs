@@ -107,10 +107,13 @@ impl WarmEngine {
     /// failure.
     ///
     /// A seed of another size than the compiled shape is
-    /// [`LsapError::ShapeMismatch`]. A shape that routes to the tiled
-    /// program has no seeded re-solve: the call returns
-    /// [`LsapError::Backend`] without compiling anything, and the caller
-    /// solves cold.
+    /// [`LsapError::ShapeMismatch`]. A call these checks refuse
+    /// (`ShapeMismatch`, or [`LsapError::NotSquare`] for the matrix)
+    /// runs nothing and leaves the engine, its stats included, as the
+    /// last launch left it; no launch returns either error. A shape that
+    /// routes to the tiled program has no seeded re-solve: the call
+    /// returns [`LsapError::Backend`] without compiling anything, and
+    /// the caller solves cold.
     pub fn solve_seeded(
         &mut self,
         solver: &HunIpu,
