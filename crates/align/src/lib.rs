@@ -45,8 +45,11 @@ pub fn grampa_similarity(a: &Graph, b: &Graph, eta: f64) -> CostMatrix {
     let (da, db) = (a.adjacency_dense(), b.adjacency_dense());
     let adj_a = DenseMatrix::from_fn(n, n, |i, j| da[i * n + j]);
     let adj_b = DenseMatrix::from_fn(n, n, |i, j| db[i * n + j]);
-    let ea = symmetric_eigen(&adj_a);
-    let eb = symmetric_eigen(&adj_b);
+    let eigen = |adj: &DenseMatrix| {
+        symmetric_eigen(adj)
+            .expect("an undirected graph's adjacency matrix is finite and symmetric")
+    };
+    let (ea, eb) = (eigen(&adj_a), eigen(&adj_b));
 
     // a_i = u_iᵀ 1 and b_j = v_jᵀ 1 (column sums of the eigenvector
     // matrices).

@@ -11,27 +11,25 @@
 //! ([`gpu_sim::GpuSim::host_sync_read_i32_vec`]) steers all `B` host
 //! state machines per round instead of one scalar read per instance.
 //!
-//! Each instance's device state lives in its own slice of the shared
-//! buffers (`slack[i·n²..]`, `row_star[i·n..]`, …) and its threads are
-//! the contiguous tid block `[i·n, (i+1)·n)`. The simulator executes
-//! threads in tid order, so within an instance the relative order of
-//! every atomic race is identical to the solo solver's — assignments,
-//! duals, and step counters come out bit-for-bit equal to running
-//! [`FastHa`] on each matrix alone. Only the *cost* accounting is
-//! shared, which is the entire point: per-instance modeled time is
-//! reported at the batch level as an amortized share.
+//! The kernels are the solo solver's own bodies over the shared device
+//! state of `B` instances: instance `i`'s threads are the contiguous tid
+//! block `[i·n, (i+1)·n)` and its data the `i`-th slice of every buffer.
+//! The simulator executes threads in tid order, so within an instance
+//! the relative order of every atomic race is identical to the solo
+//! solver's — assignments, duals, and step counters come out
+//! bit-for-bit equal to running [`FastHa`] on each matrix alone. Only
+//! the *cost* accounting is shared, which is the entire point:
+//! per-instance modeled time is reported at the batch level as an
+//! amortized share.
 
+use crate::kernels::{Kernels, NOT_FOUND};
 use crate::solver::F32_VERIFY_EPS;
 use crate::FastHa;
-use gpu_sim::{BufId, GpuSim};
+use gpu_sim::{BufId, GpuSim, ThreadCtx};
 use lsap::{
-    Assignment, BatchLsapSolver, BatchReport, BatchStats, CostMatrix, DualCertificate, LsapError,
-    SolveReport, SolverStats,
+    BatchLsapSolver, BatchReport, BatchStats, CostMatrix, LsapError, SolveReport, SolverStats,
 };
 use std::time::Instant;
-
-/// Sentinel for "no uncovered zero found" in the arg-min encoding.
-const NOT_FOUND: i32 = i32::MAX;
 
 // Per-instance phase words steering the lockstep rounds.
 const PH_COVER: i32 = 0;
@@ -75,20 +73,7 @@ impl BatchLsapSolver for BatchFastHa {
     fn solve_batch(&mut self, batch: &[CostMatrix]) -> Result<BatchReport, LsapError> {
         let start = Instant::now();
         for m in batch {
-            if !m.is_square() {
-                return Err(LsapError::NotSquare {
-                    rows: m.rows(),
-                    cols: m.cols(),
-                });
-            }
-            if !m.n().is_power_of_two() {
-                return Err(LsapError::Backend {
-                    detail: format!(
-                        "FastHA only operates on 2^m matrix sizes, got {} (pad first)",
-                        m.n()
-                    ),
-                });
-            }
+            FastHa::validate_shape(m)?;
         }
 
         // Group same-size instances into one lockstep run each,
@@ -106,7 +91,7 @@ impl BatchLsapSolver for BatchFastHa {
         let mut modeled_cycles = 0u64;
         for (n, idxs) in &groups {
             let members: Vec<&CostMatrix> = idxs.iter().map(|&i| &batch[i]).collect();
-            let mut run = LockstepRun::new(self.solver.clone(), *n, &members);
+            let mut run = LockstepRun::new(&self.solver, *n, &members);
             run.execute();
             let group_reports = run.extract(&members)?;
             modeled_seconds += run.gpu.modeled_seconds();
@@ -140,26 +125,9 @@ impl BatchLsapSolver for BatchFastHa {
 /// One lockstep group: `b` instances of size `n` sharing device state.
 struct LockstepRun {
     gpu: GpuSim,
-    n: usize,
+    k: Kernels,
     b: usize,
-    slack: BufId,
-    zeros: BufId,
-    zero_count: BufId,
-    row_star: BufId,
-    col_star: BufId,
-    row_prime: BufId,
-    row_cover: BufId,
-    col_cover: BufId,
-    u: BufId,
-    v: BufId,
-    /// Per-instance control word: the found arg-min in Find rounds, the
-    /// star column in Prime rounds (one vector sync read serves both).
-    found: BufId,
-    /// Per-instance minimum for the Step 6 reduction.
-    minval: BufId,
-    /// Per-instance covered-column counters.
-    cover_count: BufId,
-    /// Per-instance phase words (device copy of `phase`).
+    /// Per-instance phase words (device copy of the host's phases).
     phase_buf: BufId,
     /// Per-instance primed position (r·n + c) for Prime/Augment rounds.
     prime_rc: BufId,
@@ -168,80 +136,74 @@ struct LockstepRun {
     found_host: Vec<i32>,
     augmentations: Vec<u64>,
     dual_updates: Vec<u64>,
-    /// Lockstep rounds executed (per-instance phase steps ≤ rounds).
-    rounds: u64,
 }
 
 impl LockstepRun {
-    fn new(solver: FastHa, n: usize, members: &[&CostMatrix]) -> Self {
+    fn new(solver: &FastHa, n: usize, members: &[&CostMatrix]) -> Self {
         let b = members.len();
         let mut gpu = GpuSim::new(solver.config().clone());
-        let slack = gpu.alloc_f32("slack", b * n * n);
-        let zeros = gpu.alloc_i32("zeros", b * n * n);
-        let zero_count = gpu.alloc_i32("zero_count", b * n);
-        let row_star = gpu.alloc_i32("row_star", b * n);
-        let col_star = gpu.alloc_i32("col_star", b * n);
-        let row_prime = gpu.alloc_i32("row_prime", b * n);
-        let row_cover = gpu.alloc_i32("row_cover", b * n);
-        let col_cover = gpu.alloc_i32("col_cover", b * n);
-        let u = gpu.alloc_f32("u", b * n);
-        let v = gpu.alloc_f32("v", b * n);
-        let found = gpu.alloc_i32("found", b);
-        let minval = gpu.alloc_f32("minval", b);
-        let cover_count = gpu.alloc_i32("cover_count", b);
+        let k = Kernels::new(&mut gpu, n, members);
         let phase_buf = gpu.alloc_i32("phase", b);
         let prime_rc = gpu.alloc_i32("prime_rc", b);
-
-        let data: Vec<f32> = members
-            .iter()
-            .flat_map(|m| m.as_slice().iter().map(|&x| x as f32))
-            .collect();
-        gpu.upload_f32(slack, &data);
-        gpu.fill_i32(row_star, -1);
-        gpu.fill_i32(col_star, -1);
-        gpu.fill_i32(row_prime, -1);
-
         Self {
             gpu,
-            n,
+            k,
             b,
-            slack,
-            zeros,
-            zero_count,
-            row_star,
-            col_star,
-            row_prime,
-            row_cover,
-            col_cover,
-            u,
-            v,
-            found,
-            minval,
-            cover_count,
             phase_buf,
             prime_rc,
             found_host: vec![NOT_FOUND; b],
             augmentations: vec![0; b],
             dual_updates: vec![0; b],
-            rounds: 0,
         }
     }
 
+    /// Launches `lanes` threads per instance, instance `i`'s thread `x`
+    /// at tid `i·lanes + x`. With `mask`, each thread first reads its
+    /// instance's phase word and returns unless it matches.
+    fn launch(
+        &mut self,
+        name: &str,
+        (lanes, block): (usize, usize),
+        mask: Option<i32>,
+        body: impl Fn(Kernels, &mut ThreadCtx, usize, usize),
+    ) {
+        let (k, phase) = (self.k, self.phase_buf);
+        self.gpu.launch(name, self.b * lanes, block, |t| {
+            let (i, x) = (t.tid() / lanes, t.tid() % lanes);
+            if mask.is_some_and(|p| t.read_i32(phase, i) != p) {
+                return;
+            }
+            body(k, t, i, x);
+        });
+    }
+
     fn execute(&mut self) {
-        self.init_reduce_and_star();
-        let mut phase = vec![PH_COVER; self.b];
-        let mut prime_host = vec![-1i32; self.b];
+        let (n, b, prime_rc) = (self.k.n, self.b, self.prime_rc);
+        let rows = (n, 256);
+        // Steps 1–2 run unmasked: every instance reduces, builds zero
+        // lists, and greedily stars in the same four launches.
+        self.launch("rowReduce", rows, None, Kernels::row_reduce);
+        self.launch("colReduce", rows, None, Kernels::col_reduce);
+        self.launch("buildZeros", rows, None, Kernels::build_zeros);
+        self.launch("initialStar", rows, None, Kernels::initial_star);
+        // The single-thread kernels read their primed (r, c) from the
+        // device rather than taking it as an argument.
+        let primed = move |t: &mut ThreadCtx, i: usize| {
+            let enc = t.read_i32(prime_rc, i) as usize;
+            (enc / n, enc % n)
+        };
+
+        let mut phase = vec![PH_COVER; b];
+        let mut prime_host = vec![-1i32; b];
         while phase.iter().any(|&p| p != PH_DONE) {
-            self.rounds += 1;
             self.gpu.upload_i32(self.phase_buf, &phase);
             let active = |p: i32| phase.contains(&p);
 
             if active(PH_COVER) {
                 // Zero the counters of instances being counted; other
                 // slots are dead until their next Cover round.
-                let cc: Vec<i32> = phase.iter().map(|_| 0).collect();
-                self.gpu.upload_i32(self.cover_count, &cc);
-                self.launch_cover_cols();
+                self.gpu.upload_i32(self.k.cover_count, &vec![0; b]);
+                self.launch("coverCols", rows, Some(PH_COVER), Kernels::cover_cols);
             }
             if active(PH_FIND) {
                 for (f, &p) in self.found_host.iter_mut().zip(&phase) {
@@ -249,41 +211,45 @@ impl LockstepRun {
                         *f = NOT_FOUND;
                     }
                 }
-                let found_init = self.found_host.clone();
-                self.gpu.upload_i32(self.found, &found_init);
-                self.launch_find_zero();
+                self.gpu.upload_i32(self.k.found, &self.found_host);
+                self.launch("findZero", rows, Some(PH_FIND), Kernels::find_zero);
             }
             if active(PH_PRIME) || active(PH_AUGMENT) {
-                self.gpu.upload_i32(self.prime_rc, &prime_host);
+                self.gpu.upload_i32(prime_rc, &prime_host);
             }
             if active(PH_PRIME) {
-                self.launch_apply_prime();
+                self.launch("applyPrime", (1, 1), Some(PH_PRIME), |k, t, i, _| {
+                    let (r, c) = primed(t, i);
+                    k.apply_prime(t, i, r, c);
+                });
             }
             if active(PH_AUGMENT) {
-                self.launch_augment();
-                self.launch_clear_covers();
+                self.launch("augmentPath", (1, 1), Some(PH_AUGMENT), |k, t, i, _| {
+                    let (r, c) = primed(t, i);
+                    k.augment_path(t, i, r, c);
+                });
+                self.launch("clearCovers", rows, Some(PH_AUGMENT), Kernels::clear_covers);
             }
             if active(PH_DUAL) {
-                let mv: Vec<f32> = phase.iter().map(|_| f32::INFINITY).collect();
-                self.gpu.upload_f32(self.minval, &mv);
-                self.launch_min_uncovered();
-                self.launch_dual_update();
-                self.launch_build_zeros(true);
+                self.gpu.upload_f32(self.k.minval, &vec![f32::INFINITY; b]);
+                self.launch("minUncovered", rows, Some(PH_DUAL), Kernels::min_uncovered);
+                self.launch("dualUpdate", rows, Some(PH_DUAL), Kernels::dual_update);
+                self.launch("buildZeros", rows, Some(PH_DUAL), Kernels::build_zeros);
             }
 
             // One vector round-trip steers every instance in a
             // read-bearing phase; a second serves the cover counters.
             if active(PH_FIND) || active(PH_PRIME) {
-                self.found_host = self.gpu.host_sync_read_i32_vec(self.found);
+                self.found_host = self.gpu.host_sync_read_i32_vec(self.k.found);
             }
             let covers =
-                active(PH_COVER).then(|| self.gpu.host_sync_read_i32_vec(self.cover_count));
+                active(PH_COVER).then(|| self.gpu.host_sync_read_i32_vec(self.k.cover_count));
 
-            for i in 0..self.b {
+            for i in 0..b {
                 match phase[i] {
                     PH_COVER => {
                         let covered = covers.as_ref().expect("cover read")[i] as usize;
-                        phase[i] = if covered == self.n { PH_DONE } else { PH_FIND };
+                        phase[i] = if covered == n { PH_DONE } else { PH_FIND };
                     }
                     PH_FIND => {
                         let enc = self.found_host[i];
@@ -312,294 +278,33 @@ impl LockstepRun {
         }
     }
 
-    /// Steps 1–2 run unmasked: every instance reduces, builds zero
-    /// lists, and greedily stars in the same four launches.
-    fn init_reduce_and_star(&mut self) {
-        let (n, b, slack, u, v) = (self.n, self.b, self.slack, self.u, self.v);
-        self.gpu.launch("rowReduce", b * n, 256, |t| {
-            let (i, r) = (t.tid() / n, t.tid() % n);
-            let base = i * n * n;
-            let mut m = f32::INFINITY;
-            for j in 0..n {
-                m = m.min(t.read_f32(slack, base + r * n + j));
-            }
-            for j in 0..n {
-                let x = t.read_f32(slack, base + r * n + j);
-                t.write_f32(slack, base + r * n + j, x - m);
-            }
-            t.write_f32(u, i * n + r, m);
-            t.alu(2 * n as u64);
-        });
-        self.gpu.launch("colReduce", b * n, 256, |t| {
-            let (i, c) = (t.tid() / n, t.tid() % n);
-            let base = i * n * n;
-            let mut m = f32::INFINITY;
-            for r in 0..n {
-                m = m.min(t.read_f32(slack, base + r * n + c));
-            }
-            if m != 0.0 {
-                for r in 0..n {
-                    let x = t.read_f32(slack, base + r * n + c);
-                    t.write_f32(slack, base + r * n + c, x - m);
-                }
-            }
-            t.write_f32(v, i * n + c, m);
-            t.alu(2 * n as u64);
-        });
-        self.launch_build_zeros(false);
-        let (zeros, zc) = (self.zeros, self.zero_count);
-        let (row_star, col_star) = (self.row_star, self.col_star);
-        self.gpu.launch("initialStar", b * n, 256, |t| {
-            let (i, r) = (t.tid() / n, t.tid() % n);
-            let k = t.read_i32(zc, i * n + r) as usize;
-            for idx in 0..k {
-                let c = t.read_i32(zeros, i * n * n + r * n + idx);
-                if t.atomic_cas_i32(col_star, i * n + c as usize, -1, r as i32) == -1 {
-                    t.write_i32(row_star, i * n + r, c);
-                    break;
-                }
-            }
-            t.alu(k as u64 + 1);
-        });
-    }
-
-    /// Rebuilds the per-row compacted zero lists; `masked` restricts the
-    /// rebuild to instances in their Dual round.
-    fn launch_build_zeros(&mut self, masked: bool) {
-        let (n, b, slack, zeros, zc) = (self.n, self.b, self.slack, self.zeros, self.zero_count);
-        let phase = self.phase_buf;
-        self.gpu.launch("buildZeros", b * n, 256, |t| {
-            let (i, r) = (t.tid() / n, t.tid() % n);
-            if masked && t.read_i32(phase, i) != PH_DUAL {
-                return;
-            }
-            let mut k = 0usize;
-            for j in 0..n {
-                if t.read_f32(slack, i * n * n + r * n + j) == 0.0 {
-                    t.write_i32(zeros, i * n * n + r * n + k, j as i32);
-                    k += 1;
-                }
-            }
-            t.write_i32(zc, i * n + r, k as i32);
-            t.alu(n as u64);
-        });
-    }
-
-    fn launch_cover_cols(&mut self) {
-        let (n, b) = (self.n, self.b);
-        let (col_star, col_cover, cc, phase) = (
-            self.col_star,
-            self.col_cover,
-            self.cover_count,
-            self.phase_buf,
-        );
-        self.gpu.launch("coverCols", b * n, 256, |t| {
-            let (i, c) = (t.tid() / n, t.tid() % n);
-            if t.read_i32(phase, i) != PH_COVER {
-                return;
-            }
-            let covered = i32::from(t.read_i32(col_star, i * n + c) >= 0);
-            t.write_i32(col_cover, i * n + c, covered);
-            if covered != 0 {
-                t.atomic_add_i32(cc, i, 1);
-            }
-            t.alu(2);
-        });
-    }
-
-    fn launch_find_zero(&mut self) {
-        let (n, b, zeros, zc, slack) = (self.n, self.b, self.zeros, self.zero_count, self.slack);
-        let (row_cover, col_cover, found, phase) =
-            (self.row_cover, self.col_cover, self.found, self.phase_buf);
-        self.gpu.launch("findZero", b * n, 256, |t| {
-            let (i, r) = (t.tid() / n, t.tid() % n);
-            if t.read_i32(phase, i) != PH_FIND {
-                return;
-            }
-            if t.read_i32(row_cover, i * n + r) != 0 {
-                return;
-            }
-            let k = t.read_i32(zc, i * n + r) as usize;
-            for idx in 0..k {
-                let c = t.read_i32(zeros, i * n * n + r * n + idx) as usize;
-                if t.read_i32(col_cover, i * n + c) == 0
-                    && t.read_f32(slack, i * n * n + r * n + c) == 0.0
-                {
-                    // The encoding is within-instance, so races resolve
-                    // exactly as in the solo solver.
-                    t.atomic_min_i32(found, i, (r * n + c) as i32);
-                    break;
-                }
-            }
-            t.alu(k as u64 + 2);
-        });
-    }
-
-    fn launch_apply_prime(&mut self) {
-        let (n, b) = (self.n, self.b);
-        let (row_prime, row_star) = (self.row_prime, self.row_star);
-        let (row_cover, col_cover, found) = (self.row_cover, self.col_cover, self.found);
-        let (phase, prime_rc) = (self.phase_buf, self.prime_rc);
-        self.gpu.launch("applyPrime", b, 1, |t| {
-            let i = t.tid();
-            if t.read_i32(phase, i) != PH_PRIME {
-                return;
-            }
-            let enc = t.read_i32(prime_rc, i) as usize;
-            let (r, c) = (enc / n, enc % n);
-            t.write_i32(row_prime, i * n + r, c as i32);
-            let star = t.read_i32(row_star, i * n + r);
-            if star >= 0 {
-                t.write_i32(row_cover, i * n + r, 1);
-                t.write_i32(col_cover, i * n + star as usize, 0);
-            }
-            t.write_i32(found, i, star);
-            t.alu(3);
-        });
-    }
-
-    fn launch_augment(&mut self) {
-        let (n, b) = (self.n, self.b);
-        let (row_star, col_star, row_prime) = (self.row_star, self.col_star, self.row_prime);
-        let (phase, prime_rc) = (self.phase_buf, self.prime_rc);
-        self.gpu.launch("augmentPath", b, 1, |t| {
-            let i = t.tid();
-            if t.read_i32(phase, i) != PH_AUGMENT {
-                return;
-            }
-            let enc = t.read_i32(prime_rc, i) as usize;
-            let mut r = (enc / n) as i32;
-            let mut c = (enc % n) as i32;
-            loop {
-                let old_star_row = t.read_i32(col_star, i * n + c as usize);
-                t.write_i32(row_star, i * n + r as usize, c);
-                t.write_i32(col_star, i * n + c as usize, r);
-                if old_star_row < 0 {
-                    break;
-                }
-                r = old_star_row;
-                c = t.read_i32(row_prime, i * n + r as usize);
-                t.alu(4);
-            }
-        });
-    }
-
-    fn launch_clear_covers(&mut self) {
-        let (n, b) = (self.n, self.b);
-        let (row_cover, col_cover, row_prime, phase) = (
-            self.row_cover,
-            self.col_cover,
-            self.row_prime,
-            self.phase_buf,
-        );
-        self.gpu.launch("clearCovers", b * n, 256, |t| {
-            let (i, x) = (t.tid() / n, t.tid() % n);
-            if t.read_i32(phase, i) != PH_AUGMENT {
-                return;
-            }
-            t.write_i32(row_cover, i * n + x, 0);
-            t.write_i32(col_cover, i * n + x, 0);
-            t.write_i32(row_prime, i * n + x, -1);
-        });
-    }
-
-    fn launch_min_uncovered(&mut self) {
-        let (n, b, slack) = (self.n, self.b, self.slack);
-        let (row_cover, col_cover, minval, phase) =
-            (self.row_cover, self.col_cover, self.minval, self.phase_buf);
-        self.gpu.launch("minUncovered", b * n, 256, |t| {
-            let (i, r) = (t.tid() / n, t.tid() % n);
-            if t.read_i32(phase, i) != PH_DUAL {
-                return;
-            }
-            if t.read_i32(row_cover, i * n + r) != 0 {
-                return;
-            }
-            let mut m = f32::INFINITY;
-            for j in 0..n {
-                if t.read_i32(col_cover, i * n + j) == 0 {
-                    m = m.min(t.read_f32(slack, i * n * n + r * n + j));
-                }
-            }
-            t.atomic_min_f32(minval, i, m);
-            t.alu(n as u64);
-        });
-    }
-
-    fn launch_dual_update(&mut self) {
-        let (n, b, slack) = (self.n, self.b, self.slack);
-        let (row_cover, col_cover, minval, phase) =
-            (self.row_cover, self.col_cover, self.minval, self.phase_buf);
-        let (u, v) = (self.u, self.v);
-        self.gpu.launch("dualUpdate", b * n, 256, |t| {
-            let (i, r) = (t.tid() / n, t.tid() % n);
-            if t.read_i32(phase, i) != PH_DUAL {
-                return;
-            }
-            let delta = t.read_f32(minval, i);
-            let rc = t.read_i32(row_cover, i * n + r) != 0;
-            for j in 0..n {
-                let cc = t.read_i32(col_cover, i * n + j) != 0;
-                if !rc && !cc {
-                    let x = t.read_f32(slack, i * n * n + r * n + j);
-                    t.write_f32(slack, i * n * n + r * n + j, x - delta);
-                } else if rc && cc {
-                    let x = t.read_f32(slack, i * n * n + r * n + j);
-                    t.write_f32(slack, i * n * n + r * n + j, x + delta);
-                }
-            }
-            if !rc {
-                let x = t.read_f32(u, i * n + r);
-                t.write_f32(u, i * n + r, x + delta);
-            }
-            if t.read_i32(col_cover, i * n + r) != 0 {
-                let x = t.read_f32(v, i * n + r);
-                t.write_f32(v, i * n + r, x - delta);
-            }
-            t.alu(2 * n as u64);
-        });
-    }
-
     /// Carves per-instance reports out of the shared buffers. Shared
     /// device-time accounting is reported as amortized shares; exact
     /// per-instance work (augmentations, dual updates) is exact.
     fn extract(&mut self, members: &[&CostMatrix]) -> Result<Vec<SolveReport>, LsapError> {
-        let n = self.n;
-        let row_star = self.gpu.read_i32(self.row_star);
-        let us = self.gpu.read_f32(self.u);
-        let vs = self.gpu.read_f32(self.v);
+        let read_back = self.k.read_back(&mut self.gpu);
         let modeled = self.gpu.modeled_seconds();
         let cycles = self.gpu.stats().warp_cycles;
         let launches = self.gpu.stats().launches;
         let b = self.b as u64;
-        let mut out = Vec::with_capacity(members.len());
-        for (i, m) in members.iter().enumerate() {
-            let assignment = Assignment::from_row_to_col(
-                row_star[i * n..(i + 1) * n]
-                    .iter()
-                    .map(|&j| (j >= 0).then_some(j as usize))
-                    .collect(),
-            );
-            let objective = assignment.cost(m)?;
-            let u: Vec<f64> = us[i * n..(i + 1) * n].iter().map(|&x| x as f64).collect();
-            let v: Vec<f64> = vs[i * n..(i + 1) * n].iter().map(|&x| x as f64).collect();
-            out.push(SolveReport {
-                assignment,
-                objective,
-                certificate: DualCertificate::new(u, v),
-                stats: SolverStats {
+        let share = |i: usize, total: u64| total / b + if i == 0 { total % b } else { 0 };
+        members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let stats = SolverStats {
                     modeled_seconds: Some(modeled / self.b as f64),
-                    modeled_cycles: Some(cycles / b + if i == 0 { cycles % b } else { 0 }),
+                    modeled_cycles: Some(share(i, cycles)),
                     wall_seconds: 0.0,
                     augmentations: self.augmentations[i],
                     dual_updates: self.dual_updates[i],
-                    device_steps: launches / b + if i == 0 { launches % b } else { 0 },
+                    device_steps: share(i, launches),
                     profile_events: 0,
                     ..Default::default()
-                },
-            });
-        }
-        Ok(out)
+                };
+                read_back.report(i, m, stats)
+            })
+            .collect()
     }
 }
 

@@ -21,6 +21,15 @@
 //! As in the original, only **power-of-two** matrix sizes are supported
 //! (§V-C of the HunIPU paper pads similarity matrices accordingly).
 //!
+//! Each of the eleven kernels is written once, as a per-thread body over
+//! device state sized for `b` instances (`kernels`). Two host drivers
+//! launch them: [`FastHa`] runs one instance (`b = 1`, `n` threads) and
+//! steers with scalar sync reads; [`BatchFastHa`] runs `b` same-size
+//! instances in lockstep (`b·n` threads, each instance masked by its
+//! phase word) and steers all of them with one vector sync read per
+//! round. The two drivers differ only in that steering, which is the
+//! cost the batch bench measures.
+//!
 //! Like every solver in this workspace, FastHA maintains the dual
 //! potentials and returns a verifiable [`lsap::DualCertificate`].
 
@@ -28,6 +37,7 @@
 #![warn(clippy::all)]
 
 mod batch;
+mod kernels;
 mod solver;
 
 pub use batch::BatchFastHa;

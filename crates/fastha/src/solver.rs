@@ -1,16 +1,12 @@
 //! The FastHA solver: Munkres phases as SIMT kernels with host control.
 
-use gpu_sim::{BufId, GpuConfig, GpuProfileConfig, GpuSim};
-use lsap::{
-    Assignment, CostMatrix, DualCertificate, LsapError, LsapSolver, SolveReport, SolverStats,
-};
+use crate::kernels::{Kernels, NOT_FOUND};
+use gpu_sim::{GpuConfig, GpuProfileConfig, GpuSim, ThreadCtx};
+use lsap::{CostMatrix, LsapError, LsapSolver, SolveReport, SolverStats};
 use std::time::Instant;
 
 /// Relative verification tolerance: the device computes in f32.
 pub const F32_VERIFY_EPS: f64 = 1e-5;
-
-/// Sentinel for "no uncovered zero found" in the arg-min encoding.
-const NOT_FOUND: i32 = i32::MAX;
 
 /// The FastHA GPU baseline. See the crate docs for the machine mapping.
 #[derive(Debug, Clone)]
@@ -63,7 +59,7 @@ impl FastHa {
     }
 
     /// Validates the shape contract (square, power-of-two side).
-    fn validate_shape(matrix: &CostMatrix) -> Result<usize, LsapError> {
+    pub(crate) fn validate_shape(matrix: &CostMatrix) -> Result<usize, LsapError> {
         if !matrix.is_square() {
             return Err(LsapError::NotSquare {
                 rows: matrix.rows(),
@@ -85,57 +81,42 @@ impl FastHa {
         &self,
         matrix: &CostMatrix,
     ) -> Result<(SolveReport, GpuSim), LsapError> {
-        Self::validate_shape(matrix)?;
+        let n = Self::validate_shape(matrix)?;
         let start = Instant::now();
-        let mut run = Run::new(self.config.clone(), matrix);
+        let mut gpu = GpuSim::new(self.config.clone());
+        let k = Kernels::new(&mut gpu, n, &[matrix]);
+        let mut run = Run {
+            gpu,
+            k,
+            augmentations: 0,
+            dual_updates: 0,
+        };
         if let Some(cfg) = &self.profile {
             run.gpu.enable_profiling(cfg.clone());
         }
         run.execute();
-        Self::finish(run, matrix, start)
-    }
-
-    /// Reads back the solution, duals, and stats from a finished run.
-    fn finish(
-        mut run: Run,
-        matrix: &CostMatrix,
-        start: Instant,
-    ) -> Result<(SolveReport, GpuSim), LsapError> {
         let wall = start.elapsed().as_secs_f64();
 
-        let row_star = run.gpu.read_i32(run.row_star);
-        let assignment = Assignment::from_row_to_col(
-            row_star
-                .iter()
-                .map(|&j| (j >= 0).then_some(j as usize))
-                .collect(),
-        );
-        let objective = assignment.cost(matrix)?;
-        let u: Vec<f64> = run.gpu.read_f32(run.u).iter().map(|&x| x as f64).collect();
-        let v: Vec<f64> = run.gpu.read_f32(run.v).iter().map(|&x| x as f64).collect();
-
+        let Run {
+            mut gpu,
+            k,
+            augmentations,
+            dual_updates,
+        } = run;
+        let read_back = k.read_back(&mut gpu);
         let stats = SolverStats {
-            modeled_seconds: Some(run.gpu.modeled_seconds()),
-            modeled_cycles: Some(run.gpu.stats().warp_cycles),
+            modeled_seconds: Some(gpu.modeled_seconds()),
+            modeled_cycles: Some(gpu.stats().warp_cycles),
             wall_seconds: wall,
-            augmentations: run.augmentations,
-            dual_updates: run.dual_updates,
-            device_steps: run.gpu.stats().launches,
-            profile_events: run
-                .gpu
+            augmentations,
+            dual_updates,
+            device_steps: gpu.stats().launches,
+            profile_events: gpu
                 .profile()
                 .map_or(0, |p| p.events.len() as u64 + p.dropped),
             ..Default::default()
         };
-        Ok((
-            SolveReport {
-                assignment,
-                objective,
-                certificate: DualCertificate::new(u, v),
-                stats,
-            },
-            run.gpu,
-        ))
+        Ok((read_back.report(0, matrix, stats)?, gpu))
     }
 }
 
@@ -149,84 +130,42 @@ impl LsapSolver for FastHa {
     }
 }
 
-/// One solve's device state and host-side control.
+/// One solve's device and host-side control: the kernels run on
+/// instance 0 alone and the host steers with scalar sync reads.
 struct Run {
     gpu: GpuSim,
-    n: usize,
-    slack: BufId,
-    /// Per-row compacted zero columns (−1 padding), like the original's
-    /// zero bookkeeping.
-    zeros: BufId,
-    zero_count: BufId,
-    row_star: BufId,
-    col_star: BufId,
-    row_prime: BufId,
-    row_cover: BufId,
-    col_cover: BufId,
-    u: BufId,
-    v: BufId,
-    /// Arg-min encoded uncovered zero (row * n + col), or NOT_FOUND.
-    found: BufId,
-    /// Scaled minimum for the Step 6 reduction.
-    minval: BufId,
-    cover_count: BufId,
+    k: Kernels,
     augmentations: u64,
     dual_updates: u64,
 }
 
 impl Run {
-    fn new(config: GpuConfig, matrix: &CostMatrix) -> Self {
-        let n = matrix.n();
-        let mut gpu = GpuSim::new(config);
-        let slack = gpu.alloc_f32("slack", n * n);
-        let zeros = gpu.alloc_i32("zeros", n * n);
-        let zero_count = gpu.alloc_i32("zero_count", n);
-        let row_star = gpu.alloc_i32("row_star", n);
-        let col_star = gpu.alloc_i32("col_star", n);
-        let row_prime = gpu.alloc_i32("row_prime", n);
-        let row_cover = gpu.alloc_i32("row_cover", n);
-        let col_cover = gpu.alloc_i32("col_cover", n);
-        let u = gpu.alloc_f32("u", n);
-        let v = gpu.alloc_f32("v", n);
-        let found = gpu.alloc_i32("found", 1);
-        let minval = gpu.alloc_f32("minval", 1);
-        let cover_count = gpu.alloc_i32("cover_count", 1);
-
-        let data: Vec<f32> = matrix.as_slice().iter().map(|&x| x as f32).collect();
-        gpu.upload_f32(slack, &data);
-        gpu.fill_i32(row_star, -1);
-        gpu.fill_i32(col_star, -1);
-        gpu.fill_i32(row_prime, -1);
-
-        Self {
-            gpu,
-            n,
-            slack,
-            zeros,
-            zero_count,
-            row_star,
-            col_star,
-            row_prime,
-            row_cover,
-            col_cover,
-            u,
-            v,
-            found,
-            minval,
-            cover_count,
-            augmentations: 0,
-            dual_updates: 0,
-        }
+    /// Launches `body` on `threads` threads of instance 0, thread `x`
+    /// taking local index `x`.
+    fn launch(
+        &mut self,
+        name: &str,
+        threads: usize,
+        block: usize,
+        body: impl Fn(Kernels, &mut ThreadCtx, usize, usize),
+    ) {
+        let k = self.k;
+        self.gpu.launch(name, threads, block, |t| {
+            let x = t.tid();
+            body(k, t, 0, x);
+        });
     }
 
     /// Step 1 and Step 2, then the cover / prime / augment / dual-update
     /// loop until every column is covered.
     fn execute(&mut self) {
-        self.step1_reduce();
-        self.build_zeros();
-        self.step2_initial_star();
+        let n = self.k.n;
+        self.launch("rowReduce", n, 256, Kernels::row_reduce);
+        self.launch("colReduce", n, 256, Kernels::col_reduce);
+        self.launch("buildZeros", n, 256, Kernels::build_zeros);
+        self.launch("initialStar", n, 256, Kernels::initial_star);
         loop {
-            if self.step3_covered_count() == self.n {
+            if self.step3_covered_count() == n {
                 return;
             }
             // Steps 4/5/6 until one augmentation succeeds.
@@ -234,8 +173,7 @@ impl Run {
                 match self.step4_find_uncovered_zero() {
                     Some((r, c)) => {
                         // Prime (r, c); host decides on the star.
-                        let star = self.apply_prime(r, c);
-                        if star < 0 {
+                        if self.apply_prime(r, c) < 0 {
                             self.step5_augment(r, c);
                             break;
                         }
@@ -246,225 +184,46 @@ impl Run {
         }
     }
 
-    /// Step 1: row reduction then column reduction (one thread per
-    /// row/column, as in the original's reduction kernels).
-    fn step1_reduce(&mut self) {
-        let (n, slack, u, v) = (self.n, self.slack, self.u, self.v);
-        self.gpu.launch("rowReduce", n, 256, |t| {
-            let r = t.tid();
-            let mut m = f32::INFINITY;
-            for j in 0..n {
-                m = m.min(t.read_f32(slack, r * n + j));
-            }
-            for j in 0..n {
-                let x = t.read_f32(slack, r * n + j);
-                t.write_f32(slack, r * n + j, x - m);
-            }
-            t.write_f32(u, r, m);
-            t.alu(2 * n as u64);
-        });
-        self.gpu.launch("colReduce", n, 256, |t| {
-            let c = t.tid();
-            let mut m = f32::INFINITY;
-            for i in 0..n {
-                m = m.min(t.read_f32(slack, i * n + c));
-            }
-            if m != 0.0 {
-                for i in 0..n {
-                    let x = t.read_f32(slack, i * n + c);
-                    t.write_f32(slack, i * n + c, x - m);
-                }
-            }
-            t.write_f32(v, c, m);
-            t.alu(2 * n as u64);
-        });
-    }
-
-    /// Rebuilds the per-row compacted zero lists (one thread per row —
-    /// rows with different zero densities diverge within their warp).
-    fn build_zeros(&mut self) {
-        let (n, slack, zeros, zc) = (self.n, self.slack, self.zeros, self.zero_count);
-        self.gpu.launch("buildZeros", n, 256, |t| {
-            let r = t.tid();
-            let mut k = 0usize;
-            for j in 0..n {
-                if t.read_f32(slack, r * n + j) == 0.0 {
-                    t.write_i32(zeros, r * n + k, j as i32);
-                    k += 1;
-                }
-            }
-            t.write_i32(zc, r, k as i32);
-            t.alu(n as u64);
-        });
-    }
-
-    /// Step 2: greedy initial starring; rows race for columns with
-    /// atomicCAS, exactly the conflict the original resolves with
-    /// atomics.
-    fn step2_initial_star(&mut self) {
-        let (n, zeros, zc) = (self.n, self.zeros, self.zero_count);
-        let (row_star, col_star) = (self.row_star, self.col_star);
-        self.gpu.launch("initialStar", n, 256, |t| {
-            let r = t.tid();
-            let k = t.read_i32(zc, r) as usize;
-            for idx in 0..k {
-                let c = t.read_i32(zeros, r * n + idx);
-                // Claim the column if free.
-                if t.atomic_cas_i32(col_star, c as usize, -1, r as i32) == -1 {
-                    t.write_i32(row_star, r, c);
-                    break;
-                }
-            }
-            t.alu(k as u64 + 1);
-        });
-    }
-
-    /// Step 3: cover starred columns and count them (atomicAdd), then a
-    /// synchronous host read of the counter.
+    /// Step 3: cover starred columns and count them, then a synchronous
+    /// host read of the counter.
     fn step3_covered_count(&mut self) -> usize {
-        let (n, col_star, col_cover, cc) =
-            (self.n, self.col_star, self.col_cover, self.cover_count);
-        self.gpu.fill_i32(cc, 0);
-        self.gpu.launch("coverCols", n, 256, |t| {
-            let c = t.tid();
-            let covered = i32::from(t.read_i32(col_star, c) >= 0);
-            t.write_i32(col_cover, c, covered);
-            if covered != 0 {
-                t.atomic_add_i32(cc, 0, 1);
-            }
-            t.alu(2);
-        });
-        self.gpu.host_sync_read_i32(cc, 0) as usize
+        self.gpu.fill_i32(self.k.cover_count, 0);
+        self.launch("coverCols", self.k.n, 256, Kernels::cover_cols);
+        self.gpu.host_sync_read_i32(self.k.cover_count, 0) as usize
     }
 
-    /// Step 4: scan the per-row zero lists for an uncovered zero; threads
-    /// race with atomicMin on the encoded position; the host reads the
-    /// winner back.
+    /// Step 4: the host reads back the arg-min uncovered zero.
     fn step4_find_uncovered_zero(&mut self) -> Option<(usize, usize)> {
-        let (n, zeros, zc, slack) = (self.n, self.zeros, self.zero_count, self.slack);
-        let (row_cover, col_cover, found) = (self.row_cover, self.col_cover, self.found);
-        self.gpu.fill_i32(found, NOT_FOUND);
-        self.gpu.launch("findZero", n, 256, |t| {
-            let r = t.tid();
-            if t.read_i32(row_cover, r) != 0 {
-                return;
-            }
-            let k = t.read_i32(zc, r) as usize;
-            for idx in 0..k {
-                let c = t.read_i32(zeros, r * n + idx) as usize;
-                // The list can be stale after dual updates within covered
-                // intersections; validate before claiming.
-                if t.read_i32(col_cover, c) == 0 && t.read_f32(slack, r * n + c) == 0.0 {
-                    t.atomic_min_i32(found, 0, (r * n + c) as i32);
-                    break;
-                }
-            }
-            t.alu(k as u64 + 2);
-        });
-        let enc = self.gpu.host_sync_read_i32(found, 0);
+        let n = self.k.n;
+        self.gpu.fill_i32(self.k.found, NOT_FOUND);
+        self.launch("findZero", n, 256, Kernels::find_zero);
+        let enc = self.gpu.host_sync_read_i32(self.k.found, 0);
         (enc != NOT_FOUND).then(|| ((enc as usize) / n, (enc as usize) % n))
     }
 
-    /// Primes (r, c); if the row has a star, covers the row and uncovers
-    /// the star's column. Returns the star column (−1 if none), which the
-    /// host reads synchronously to steer the loop.
+    /// Primes (r, c), passed as kernel arguments, and returns the star
+    /// column (−1 if none) through a synchronous read.
     fn apply_prime(&mut self, r: usize, c: usize) -> i32 {
-        let (row_prime, row_star) = (self.row_prime, self.row_star);
-        let (row_cover, col_cover, found) = (self.row_cover, self.col_cover, self.found);
-        self.gpu.launch("applyPrime", 1, 1, |t| {
-            t.write_i32(row_prime, r, c as i32);
-            let star = t.read_i32(row_star, r);
-            if star >= 0 {
-                t.write_i32(row_cover, r, 1);
-                t.write_i32(col_cover, star as usize, 0);
-            }
-            // Stash the star so the host's sync read steers the branch.
-            t.write_i32(found, 0, star);
-            t.alu(3);
-        });
-        self.gpu.host_sync_read_i32(found, 0)
+        self.launch("applyPrime", 1, 1, |k, t, i, _| k.apply_prime(t, i, r, c));
+        self.gpu.host_sync_read_i32(self.k.found, 0)
     }
 
-    /// Step 5: augmentation — a single-thread kernel walks the
-    /// alternating prime/star path (the serial phase of the original),
-    /// then a parallel kernel clears covers and primes.
-    fn step5_augment(&mut self, r0: usize, c0: usize) {
-        let n = self.n;
-        let (row_star, col_star, row_prime) = (self.row_star, self.col_star, self.row_prime);
-        self.gpu.launch("augmentPath", 1, 1, |t| {
-            let mut r = r0 as i32;
-            let mut c = c0 as i32;
-            loop {
-                let old_star_row = t.read_i32(col_star, c as usize);
-                t.write_i32(row_star, r as usize, c);
-                t.write_i32(col_star, c as usize, r);
-                if old_star_row < 0 {
-                    break;
-                }
-                r = old_star_row;
-                c = t.read_i32(row_prime, r as usize);
-                t.alu(4);
-            }
-        });
-        let (row_cover, col_cover) = (self.row_cover, self.col_cover);
-        self.gpu.launch("clearCovers", n, 256, |t| {
-            let i = t.tid();
-            t.write_i32(row_cover, i, 0);
-            t.write_i32(col_cover, i, 0);
-            t.write_i32(row_prime, i, -1);
-        });
+    /// Step 5: the single-thread path walk, then a parallel kernel
+    /// clears covers and primes.
+    fn step5_augment(&mut self, r: usize, c: usize) {
+        self.launch("augmentPath", 1, 1, |k, t, i, _| k.augment_path(t, i, r, c));
+        self.launch("clearCovers", self.k.n, 256, Kernels::clear_covers);
         self.augmentations += 1;
     }
 
     /// Step 6: minimum uncovered slack via per-row scans + an atomic min,
-    /// a host read of Δ, the parallel shift (including the duals), and a
-    /// zero-list rebuild.
+    /// the parallel shift (including the duals), and a zero-list rebuild.
     fn step6_dual_update(&mut self) {
-        let (n, slack) = (self.n, self.slack);
-        let (row_cover, col_cover, minval) = (self.row_cover, self.col_cover, self.minval);
-        self.gpu.fill_f32(minval, f32::INFINITY);
-        self.gpu.launch("minUncovered", n, 256, |t| {
-            let r = t.tid();
-            if t.read_i32(row_cover, r) != 0 {
-                return;
-            }
-            let mut m = f32::INFINITY;
-            for j in 0..n {
-                if t.read_i32(col_cover, j) == 0 {
-                    m = m.min(t.read_f32(slack, r * n + j));
-                }
-            }
-            t.atomic_min_f32(minval, 0, m);
-            t.alu(n as u64);
-        });
-        let (u, v) = (self.u, self.v);
-        self.gpu.launch("dualUpdate", n, 256, |t| {
-            let r = t.tid();
-            let delta = t.read_f32(minval, 0);
-            let rc = t.read_i32(row_cover, r) != 0;
-            for j in 0..n {
-                let cc = t.read_i32(col_cover, j) != 0;
-                if !rc && !cc {
-                    let x = t.read_f32(slack, r * n + j);
-                    t.write_f32(slack, r * n + j, x - delta);
-                } else if rc && cc {
-                    let x = t.read_f32(slack, r * n + j);
-                    t.write_f32(slack, r * n + j, x + delta);
-                }
-            }
-            // Dual maintenance: u on this row; v on the r-th column
-            // (each column handled by exactly one thread).
-            if !rc {
-                let x = t.read_f32(u, r);
-                t.write_f32(u, r, x + delta);
-            }
-            if t.read_i32(col_cover, r) != 0 {
-                let x = t.read_f32(v, r);
-                t.write_f32(v, r, x - delta);
-            }
-            t.alu(2 * n as u64);
-        });
-        self.build_zeros();
+        let n = self.k.n;
+        self.gpu.fill_f32(self.k.minval, f32::INFINITY);
+        self.launch("minUncovered", n, 256, Kernels::min_uncovered);
+        self.launch("dualUpdate", n, 256, Kernels::dual_update);
+        self.launch("buildZeros", n, 256, Kernels::build_zeros);
         self.dual_updates += 1;
     }
 }

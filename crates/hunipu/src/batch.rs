@@ -40,7 +40,6 @@ const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 pub struct BatchHunIpu {
     solver: HunIpu,
     max_attempts: u32,
-    verify_eps: f64,
 }
 
 impl Default for BatchHunIpu {
@@ -61,7 +60,6 @@ impl BatchHunIpu {
         Self {
             solver,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
-            verify_eps: F32_VERIFY_EPS,
         }
     }
 
@@ -70,13 +68,6 @@ impl BatchHunIpu {
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
         assert!(attempts >= 1, "need at least one attempt");
         self.max_attempts = attempts;
-        self
-    }
-
-    /// Overrides the certificate-verification tolerance (default
-    /// [`F32_VERIFY_EPS`]).
-    pub fn with_verify_eps(mut self, eps: f64) -> Self {
-        self.verify_eps = eps;
         self
     }
 
@@ -143,7 +134,7 @@ impl BatchLsapSolver for BatchHunIpu {
                 }
             };
             let (report, r) =
-                solve_instance_verified(matrix, self.verify_eps, self.max_attempts, |_k| {
+                solve_instance_verified(matrix, F32_VERIFY_EPS, self.max_attempts, |_k| {
                     cached.solve(&self.solver, matrix)
                 })?;
             retries += r;
@@ -311,11 +302,19 @@ mod tests {
 
     #[test]
     fn an_instance_that_never_certifies_fails_instead_of_returning_unverified() {
-        // A negative tolerance rejects every certificate, however exact.
+        // A bit flip in the slack on every superstep leaves duals that no
+        // longer price the costs, so no attempt certifies. The short
+        // watchdog turns a corrupted loop into an error, not a hang.
+        let config = IpuConfig {
+            max_while_iterations: 20_000,
+            ..IpuConfig::tiny(8)
+        };
+        let plan = ipu_sim::FaultPlan::new(0)
+            .with_bit_flips(1.0)
+            .targeting("slack");
         let batch = instances(&[4], 41);
-        let result = BatchHunIpu::with_solver(tiny_solver())
+        let result = BatchHunIpu::with_solver(HunIpu::with_config(config).with_fault_plan(plan))
             .with_max_attempts(2)
-            .with_verify_eps(-1.0)
             .solve_batch(&batch);
         assert!(
             matches!(result, Err(LsapError::VerificationFailed { .. })),

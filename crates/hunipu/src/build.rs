@@ -415,10 +415,10 @@ impl Builder {
     /// collector's chip — the partial scalars a flat gather would drag
     /// across IPU-Links.
     fn off_root_chip_tiles(&self, input: Tensor) -> usize {
-        let root = self.l.chip_of_tile(self.l.collector_tile);
+        let root = self.g.config().ipu_of(self.l.collector_tile);
         let mut tiles: Vec<usize> = (0..input.len())
             .filter_map(|i| self.g.tile_of(input, i))
-            .filter(|&t| self.l.chip_of_tile(t) != root)
+            .filter(|&t| self.g.config().ipu_of(t) != root)
             .collect();
         tiles.sort_unstable();
         tiles.dedup();
@@ -511,10 +511,10 @@ impl Builder {
             return self.dyn_read_i32_single_tile(name, src, idx_m);
         }
         if self.l.chips > 1 {
-            let root = self.l.chip_of_tile(self.l.collector_tile);
+            let root = self.g.config().ipu_of(self.l.collector_tile);
             let off_chip = intervals
                 .iter()
-                .filter(|(_, t)| self.l.chip_of_tile(*t) != root)
+                .filter(|(_, t)| self.g.config().ipu_of(*t) != root)
                 .count();
             if self.hier_reduce_pays(off_chip) {
                 return self.dyn_read_i32_hier(name, src, idx_m, intervals);

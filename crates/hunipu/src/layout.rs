@@ -199,11 +199,6 @@ impl Layout {
         start..end
     }
 
-    /// The chip hosting `tile`.
-    pub fn chip_of_tile(&self, tile: usize) -> usize {
-        tile / self.tiles_per_chip
-    }
-
     /// The rows block-assigned to chip `chip` (the whole problem when
     /// flat).
     pub fn chip_row_range(&self, chip: usize) -> Range<usize> {
@@ -488,6 +483,7 @@ mod tests {
     fn chip_aware_partitions_rows_per_chip() {
         // n=100 on 4 chips x 8 tiles: 25 rows per chip over 7 workers.
         let l = Layout::chip_aware(100, 6, 32, 4, 8);
+        let device = ipu_sim::IpuConfig::tiny_multi(4, 8);
         assert_eq!(l.chips, 4);
         assert_eq!(l.collector_tile, 31);
         for c in 0..4 {
@@ -504,7 +500,7 @@ mod tests {
                 assert!(!seen[r]);
                 seen[r] = true;
                 assert_eq!(l.tile_of_row(r), t);
-                assert_eq!(l.chip_of_tile(t), r / 25);
+                assert_eq!(device.ipu_of(t), r / 25);
             }
         }
         assert!(seen.into_iter().all(|s| s));
@@ -515,11 +511,12 @@ mod tests {
         // 128 columns / 32 = 4 segments on 2 chips: segments 0-1 on
         // chip 0's owners, 2-3 on chip 1's.
         let l = Layout::chip_aware(128, 6, 32, 2, 8);
+        let device = ipu_sim::IpuConfig::tiny_multi(2, 8);
         assert_eq!(l.n_col_segs(), 4);
-        assert_eq!(l.chip_of_tile(l.col_seg_tile(0)), 0);
-        assert_eq!(l.chip_of_tile(l.col_seg_tile(1)), 0);
-        assert_eq!(l.chip_of_tile(l.col_seg_tile(2)), 1);
-        assert_eq!(l.chip_of_tile(l.col_seg_tile(3)), 1);
+        assert_eq!(device.ipu_of(l.col_seg_tile(0)), 0);
+        assert_eq!(device.ipu_of(l.col_seg_tile(1)), 0);
+        assert_eq!(device.ipu_of(l.col_seg_tile(2)), 1);
+        assert_eq!(device.ipu_of(l.col_seg_tile(3)), 1);
         // Segment owners are always row-owning tiles.
         let owners = l.owner_tiles();
         for s in 0..l.n_col_segs() {

@@ -148,12 +148,6 @@ impl IpuConfig {
         tile / self.tiles_per_ipu
     }
 
-    /// The chip hosting `tile` — alias of [`ipu_of`](Self::ipu_of) for
-    /// program builders that speak in chips.
-    pub fn chip_of_tile(&self, tile: usize) -> usize {
-        self.ipu_of(tile)
-    }
-
     /// The contiguous device-tile range of chip `ipu`
     /// (`ipu * tiles_per_ipu .. (ipu + 1) * tiles_per_ipu`).
     pub fn tiles_of_ipu(&self, ipu: usize) -> std::ops::Range<usize> {
@@ -289,8 +283,7 @@ mod tests {
         assert_eq!(c.tiles_of_ipu(0), 0..4);
         assert_eq!(c.tiles_of_ipu(2), 8..12);
         for tile in 0..c.tiles {
-            assert_eq!(c.chip_of_tile(tile), c.ipu_of(tile));
-            assert!(c.tiles_of_ipu(c.chip_of_tile(tile)).contains(&tile));
+            assert!(c.tiles_of_ipu(c.ipu_of(tile)).contains(&tile));
         }
     }
 

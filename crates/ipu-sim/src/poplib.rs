@@ -416,7 +416,7 @@ pub type ChipStages<'a> = &'a [usize];
 fn elements_by_chip(g: &Graph, mapping: &[(usize, usize, usize)]) -> Vec<Vec<(usize, usize)>> {
     let mut by_chip = vec![Vec::new(); g.config().ipus];
     for (i, &(_, _, tile)) in mapping.iter().enumerate() {
-        by_chip[g.config().chip_of_tile(tile)].push((i, tile));
+        by_chip[g.config().ipu_of(tile)].push((i, tile));
     }
     by_chip
 }

@@ -9,6 +9,49 @@ use crate::DenseMatrix;
 /// guards against input that can never converge.
 const MAX_QL_ITERATIONS: usize = 60;
 
+/// Why [`symmetric_eigen`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EigenError {
+    /// The matrix is not square.
+    NotSquare {
+        /// Row count.
+        rows: usize,
+        /// Column count.
+        cols: usize,
+    },
+    /// The first NaN or infinite entry, in row-major order.
+    NonFinite {
+        /// Its row.
+        row: usize,
+        /// Its column.
+        col: usize,
+    },
+    /// Some `a[i][j]` and `a[j][i]` differ by more than `1e-9`.
+    Asymmetric,
+}
+
+impl std::fmt::Display for EigenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NotSquare { rows, cols } => {
+                write!(
+                    f,
+                    "eigendecomposition needs a square matrix, got {rows}x{cols}"
+                )
+            }
+            Self::NonFinite { row, col } => {
+                write!(
+                    f,
+                    "eigendecomposition needs finite entries, ({row}, {col}) is not"
+                )
+            }
+            Self::Asymmetric => write!(f, "eigendecomposition needs a symmetric matrix"),
+        }
+    }
+}
+
+impl std::error::Error for EigenError {}
+
 /// The result of [`symmetric_eigen`]: `A = V * diag(λ) * Vᵀ` with
 /// orthonormal columns in `V`.
 #[derive(Debug, Clone)]
@@ -61,29 +104,29 @@ impl EigenDecomposition {
 /// rotation streams over contiguous rows. It is transposed once at the
 /// end.
 ///
-/// # Panics
-/// Panics if `a` is not square, has a non-finite entry, or is not
-/// symmetric to `1e-9`.
-pub fn symmetric_eigen(a: &DenseMatrix) -> EigenDecomposition {
-    assert_eq!(
-        a.rows(),
-        a.cols(),
-        "eigendecomposition needs a square matrix"
-    );
-    assert!(
-        a.as_slice().iter().all(|x| x.is_finite()),
-        "eigendecomposition needs finite entries"
-    );
-    assert!(
-        a.is_symmetric(1e-9),
-        "eigendecomposition needs a symmetric matrix"
-    );
-    let n = a.rows();
+/// # Errors
+/// [`EigenError`] if `a` is not square, has a non-finite entry, or is
+/// not symmetric to `1e-9`. The empty matrix decomposes to nothing.
+pub fn symmetric_eigen(a: &DenseMatrix) -> Result<EigenDecomposition, EigenError> {
+    let (rows, cols) = (a.rows(), a.cols());
+    if rows != cols {
+        return Err(EigenError::NotSquare { rows, cols });
+    }
+    if let Some(p) = a.as_slice().iter().position(|x| !x.is_finite()) {
+        return Err(EigenError::NonFinite {
+            row: p / cols,
+            col: p % cols,
+        });
+    }
+    if !a.is_symmetric(1e-9) {
+        return Err(EigenError::Asymmetric);
+    }
+    let n = rows;
     if n == 0 {
-        return EigenDecomposition {
+        return Ok(EigenDecomposition {
             values: Vec::new(),
             vectors: DenseMatrix::zeros(0, 0),
-        };
+        });
     }
     // `w[k]` is row `k` of Vᵀ. `a` is symmetric, so Vᵀ starts as `a`.
     let mut w: Vec<Vec<f64>> = (0..n).map(|i| a.row(i).to_vec()).collect();
@@ -96,7 +139,7 @@ pub fn symmetric_eigen(a: &DenseMatrix) -> EigenDecomposition {
     order.sort_by(|&x, &y| d[x].total_cmp(&d[y]));
     let values = order.iter().map(|&k| d[k]).collect();
     let vectors = DenseMatrix::from_fn(n, n, |i, k| w[order[k]][i]);
-    EigenDecomposition { values, vectors }
+    Ok(EigenDecomposition { values, vectors })
 }
 
 /// `tred2`: Householder reduction of the symmetric matrix held in `w` to
@@ -280,7 +323,7 @@ mod tests {
     use super::*;
 
     fn decompose(a: &DenseMatrix) -> EigenDecomposition {
-        let e = symmetric_eigen(a);
+        let e = symmetric_eigen(a).unwrap();
         // Reconstruction and orthonormality are the decomposition's own
         // proof of correctness.
         let r = e.reconstruct();
@@ -410,26 +453,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "symmetric")]
     fn asymmetric_rejected() {
         let a = DenseMatrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-        symmetric_eigen(&a);
+        assert_eq!(symmetric_eigen(&a).unwrap_err(), EigenError::Asymmetric);
     }
 
     #[test]
-    #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let mut a = DenseMatrix::identity(3);
         a.set(1, 1, f64::NAN);
-        symmetric_eigen(&a);
+        assert_eq!(
+            symmetric_eigen(&a).unwrap_err(),
+            EigenError::NonFinite { row: 1, col: 1 }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "finite")]
     fn infinity_rejected() {
         let mut a = DenseMatrix::identity(3);
         a.set(0, 2, f64::INFINITY);
         a.set(2, 0, f64::INFINITY);
-        symmetric_eigen(&a);
+        assert_eq!(
+            symmetric_eigen(&a).unwrap_err(),
+            EigenError::NonFinite { row: 0, col: 2 }
+        );
+    }
+
+    #[test]
+    fn non_square_rejected() {
+        let a = DenseMatrix::zeros(2, 3);
+        let err = symmetric_eigen(&a).unwrap_err();
+        assert_eq!(err, EigenError::NotSquare { rows: 2, cols: 3 });
+        assert!(err.to_string().contains("2x3"), "{err}");
+    }
+
+    #[test]
+    fn empty_matrix_decomposes_to_nothing() {
+        let e = symmetric_eigen(&DenseMatrix::zeros(0, 0)).unwrap();
+        assert!(e.values.is_empty());
+        assert_eq!(e.vectors.rows(), 0);
     }
 }

@@ -18,5 +18,5 @@
 mod eigen;
 mod matrix;
 
-pub use eigen::{symmetric_eigen, EigenDecomposition};
+pub use eigen::{symmetric_eigen, EigenDecomposition, EigenError};
 pub use matrix::DenseMatrix;

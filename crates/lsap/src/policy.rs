@@ -22,7 +22,7 @@
 //!   exhausted budget only makes the overload worse).
 //!
 //! Callers compose these into their own loops (history recording,
-//! backoff, fallback chains, virtual-clock budgets) but can no longer
+//! fallback chains, virtual-clock budgets) but can no longer
 //! disagree about what "one attempt" or "retryable" means.
 
 use crate::{CostMatrix, LsapError, SolveReport};

@@ -35,12 +35,6 @@ pub struct RetryPolicy {
     /// Attempts per solver before escalating to the next in the chain
     /// (must be ≥ 1).
     pub max_attempts: u32,
-    /// Pause before the first retry (zero by default: modeled-time
-    /// experiments should not sleep the host).
-    pub backoff: Duration,
-    /// Multiplier applied to the pause after each retry (exponential
-    /// backoff).
-    pub backoff_multiplier: f64,
     /// Wall-clock budget per attempt; results arriving later are rejected
     /// as [`LsapError::Timeout`]. `None` disables the deadline.
     pub attempt_deadline: Option<Duration>,
@@ -50,29 +44,19 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            backoff: Duration::ZERO,
-            backoff_multiplier: 2.0,
             attempt_deadline: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` per solver and no backoff/deadline.
+    /// A policy with `max_attempts` per solver and no deadline.
     pub fn attempts(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1);
         Self {
             max_attempts,
             ..Self::default()
         }
-    }
-
-    /// Sets the initial backoff pause.
-    pub fn with_backoff(mut self, backoff: Duration, multiplier: f64) -> Self {
-        assert!(multiplier >= 1.0);
-        self.backoff = backoff;
-        self.backoff_multiplier = multiplier;
-        self
     }
 
     /// Sets the per-attempt deadline.
@@ -154,7 +138,7 @@ impl std::fmt::Debug for ResilientSolver {
 
 impl ResilientSolver {
     /// Wraps a primary solver with the default policy (3 attempts, no
-    /// backoff, no deadline) and the default verification tolerance
+    /// deadline) and the default verification tolerance
     /// [`COST_EPS`].
     pub fn new(primary: impl LsapSolver + 'static) -> Self {
         Self {
@@ -214,7 +198,6 @@ impl LsapSolver for ResilientSolver {
         self.history.clear();
         let policy = &self.policy;
         'chain: for solver in &mut self.chain {
-            let mut pause = policy.backoff;
             for attempt in 1..=policy.max_attempts {
                 let a = policy::checked_attempt(
                     matrix,
@@ -242,10 +225,6 @@ impl LsapSolver for ResilientSolver {
                         RetryClass::Abort => return Err(e),
                         RetryClass::Retry => {}
                     },
-                }
-                if attempt < policy.max_attempts && pause > Duration::ZERO {
-                    std::thread::sleep(pause);
-                    pause = pause.mul_f64(policy.backoff_multiplier);
                 }
             }
         }
@@ -537,16 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_pauses_between_retries_and_grows() {
-        let m = gradient_matrix(3);
-        let policy = RetryPolicy::attempts(3).with_backoff(Duration::from_millis(10), 3.0);
-        let mut s = ResilientSolver::new(Scripted::failing("flaky", 2)).with_policy(policy);
-        let start = std::time::Instant::now();
-        s.solve(&m).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(10 + 30));
-    }
-
-    #[test]
     fn the_verification_tolerance_is_configurable() {
         let m = gradient_matrix(3);
         // `corrupt` overclaims by 10; the objective check allows
@@ -567,11 +536,5 @@ mod tests {
     #[should_panic]
     fn zero_attempts_are_rejected() {
         RetryPolicy::attempts(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn a_shrinking_backoff_is_rejected() {
-        RetryPolicy::default().with_backoff(Duration::from_millis(1), 0.5);
     }
 }
