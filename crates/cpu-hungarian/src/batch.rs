@@ -5,28 +5,18 @@
 //! batch buys here is *wall-clock* throughput: instances are independent,
 //! so [`CpuBatch`] farms them across scoped threads (an explicit count
 //! wins, else one per available core). Results are collected by instance
-//! index, so the output is bit-identical at any thread count.
+//! index, so the output is bit-identical at any thread count. Each
+//! worker runs Jonker–Volgenant, the fastest sequential method.
 
-use crate::{JonkerVolgenant, Munkres};
+use crate::JonkerVolgenant;
 use lsap::{
     BatchLsapSolver, BatchReport, BatchStats, CostMatrix, LsapError, LsapSolver, SolveReport,
 };
 use std::time::Instant;
 
-/// Which sequential solver each worker runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CpuAlgo {
-    /// Kuhn–Munkres (the algorithm HunIPU parallelizes).
-    Munkres,
-    /// Jonker–Volgenant (the fastest sequential method; the default).
-    #[default]
-    JonkerVolgenant,
-}
-
 /// Batched CPU solver: independent instances farmed across host threads.
 #[derive(Debug, Clone, Default)]
 pub struct CpuBatch {
-    algo: CpuAlgo,
     /// Worker threads; 0 = one per available core.
     threads: usize,
 }
@@ -35,12 +25,6 @@ impl CpuBatch {
     /// A batch solver running Jonker–Volgenant with auto-sized workers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the per-instance algorithm.
-    pub fn with_algo(mut self, algo: CpuAlgo) -> Self {
-        self.algo = algo;
-        self
     }
 
     /// Overrides the worker-thread count (0 = one per available core).
@@ -59,30 +43,22 @@ impl CpuBatch {
         };
         requested.clamp(1, 256)
     }
-
-    fn solve_one(algo: CpuAlgo, matrix: &CostMatrix) -> Result<SolveReport, LsapError> {
-        match algo {
-            CpuAlgo::Munkres => Munkres::new().solve(matrix),
-            CpuAlgo::JonkerVolgenant => JonkerVolgenant::new().solve(matrix),
-        }
-    }
 }
 
 impl BatchLsapSolver for CpuBatch {
     fn name(&self) -> &'static str {
-        match self.algo {
-            CpuAlgo::Munkres => "cpu-batch-munkres",
-            CpuAlgo::JonkerVolgenant => "cpu-batch-jv",
-        }
+        "cpu-batch-jv"
     }
 
     fn solve_batch(&mut self, batch: &[CostMatrix]) -> Result<BatchReport, LsapError> {
         let start = Instant::now();
         let workers = self.resolved_threads().min(batch.len().max(1));
-        let algo = self.algo;
 
         let results: Vec<Result<SolveReport, LsapError>> = if workers <= 1 {
-            batch.iter().map(|m| Self::solve_one(algo, m)).collect()
+            batch
+                .iter()
+                .map(|m| JonkerVolgenant::new().solve(m))
+                .collect()
         } else {
             // Contiguous chunks, one worker per chunk; each worker owns
             // its output slice, so collection order is by index and the
@@ -94,7 +70,7 @@ impl BatchLsapSolver for CpuBatch {
                 for (inputs, outputs) in batch.chunks(chunk).zip(results.chunks_mut(chunk)) {
                     scope.spawn(move || {
                         for (m, slot) in inputs.iter().zip(outputs.iter_mut()) {
-                            *slot = Some(Self::solve_one(algo, m));
+                            *slot = Some(JonkerVolgenant::new().solve(m));
                         }
                     });
                 }
@@ -159,20 +135,6 @@ mod tests {
                 assert_eq!(s.objective.to_bits(), r.objective.to_bits());
                 assert_eq!(s.assignment, r.assignment);
             }
-        }
-    }
-
-    #[test]
-    fn munkres_variant_agrees_with_jv_objectives() {
-        let batch: Vec<CostMatrix> = (0..5).map(|i| pseudo_matrix(16, 100 + i)).collect();
-        let mk = CpuBatch::new()
-            .with_algo(CpuAlgo::Munkres)
-            .with_threads(2)
-            .solve_batch(&batch)
-            .unwrap();
-        mk.verify_all(&batch, lsap::COST_EPS).unwrap();
-        for (m, r) in batch.iter().zip(&mk.reports) {
-            assert!((r.objective - crate::ground_truth_objective(m)).abs() < 1e-9);
         }
     }
 

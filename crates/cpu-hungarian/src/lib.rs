@@ -32,7 +32,7 @@ pub mod munkres;
 pub mod ops;
 
 pub use auction::Auction;
-pub use batch::{CpuAlgo, CpuBatch};
+pub use batch::CpuBatch;
 pub use jv::JonkerVolgenant;
 pub use munkres::{Munkres, ZeroSearch};
 pub use ops::OpCounter;

@@ -48,11 +48,6 @@ impl FastHa {
         self
     }
 
-    /// The armed profiler configuration, if any.
-    pub fn profile_config(&self) -> Option<&GpuProfileConfig> {
-        self.profile.as_ref()
-    }
-
     /// The device configuration this solver targets.
     pub fn config(&self) -> &GpuConfig {
         &self.config

@@ -70,11 +70,6 @@ impl GpuSim {
         self.profiler = Some(GpuProfiler::new(config));
     }
 
-    /// Removes the installed profiler, returning its recordings.
-    pub fn disable_profiling(&mut self) -> Option<GpuProfiler> {
-        self.profiler.take()
-    }
-
     /// The installed profiler's recordings so far, if any.
     pub fn profile(&self) -> Option<&GpuProfiler> {
         self.profiler.as_ref()

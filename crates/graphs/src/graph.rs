@@ -56,11 +56,6 @@ impl Graph {
         &self.edges
     }
 
-    /// Neighbors of `v`, sorted.
-    pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.adj[v]
-    }
-
     /// Degree of `v`.
     pub fn degree(&self, v: usize) -> usize {
         self.adj[v].len()

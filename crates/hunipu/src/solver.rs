@@ -174,11 +174,6 @@ impl HunIpu {
         self
     }
 
-    /// The armed profiler configuration, if any.
-    pub fn profile_config(&self) -> Option<&ProfileConfig> {
-        self.profile.as_ref()
-    }
-
     /// Overrides the [`LayoutMode`] (default [`LayoutMode::Auto`]) — used
     /// by differential tests and the multi-IPU bench to pin the
     /// chip-oblivious baseline.

@@ -408,14 +408,16 @@ impl Builder {
         let cs_prop = self.g.add_compute_set("step2.propose");
         for row in 0..n {
             let tile = l.tile_of_row(row);
-            let row_i = row;
             let v = self.g.add_vertex(cs_prop, tile, "propose", move |ctx| {
                 let pass = ctx.i32(0)[0] as usize;
                 let star = ctx.i32(1)[0];
-                let sorted = ctx.i32(2);
-                let p = if star == -1 { sorted[pass] } else { -1 };
+                // A fault-corrupted pass past the row reads as no proposal.
+                let p = if star == -1 {
+                    ctx.i32(2).get(pass).copied().unwrap_or(-1)
+                } else {
+                    -1
+                };
                 ctx.i32_mut(3)[0] = p;
-                let _ = row_i;
                 cost::scalar(4)
             })?;
             self.g.connect(v, t_pass_m.whole(), Access::Read)?;

@@ -86,6 +86,23 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
     // row, a zero column, the green stack's length) into any i32; every
     // vertex that indexes with one must treat an out-of-range value as
     // absent. Each solve returns `Ok` or `Err`; none may unwind.
+    let solve = |m: &CostMatrix, plan: FaultPlan| {
+        let solver = HunIpu::with_config(IpuConfig {
+            max_while_iterations: 20_000,
+            ..IpuConfig::tiny(8)
+        })
+        .with_fault_plan(plan);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solver.solve_with_engine(m).map(|_| ())
+        }));
+        outcome.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    };
     let mut panicked = Vec::new();
     for n in [13, 24] {
         let m = datasets::gaussian_cost_matrix(n, 100, 5);
@@ -94,23 +111,18 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
                 .with_bit_flips(0.01)
                 .with_exchange_corruption(0.005)
                 .after_supersteps(50);
-            let solver = HunIpu::with_config(IpuConfig {
-                max_while_iterations: 20_000,
-                ..IpuConfig::tiny(8)
-            })
-            .with_fault_plan(plan);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                solver.solve_with_engine(&m).map(|_| ())
-            }));
-            if let Err(payload) = outcome {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
+            if let Some(msg) = solve(&m, plan) {
                 panicked.push(format!("n={n} seed={seed}: {msg}"));
             }
         }
+    }
+    // A flip on every superstep in each tensor whose name holds a `u`
+    // (the duals, the zero counts and statuses) reads Step 2's sorted row
+    // one past its end.
+    let m = datasets::gaussian_cost_matrix(4, 100, 41);
+    let plan = FaultPlan::new(1).with_bit_flips(1.0).targeting("u");
+    if let Some(msg) = solve(&m, plan) {
+        panicked.push(format!("n=4 every-superstep flips in u: {msg}"));
     }
     assert!(
         panicked.is_empty(),

@@ -56,11 +56,6 @@ impl<'s> VertexCtx<'s> {
         Self { fields }
     }
 
-    /// Number of connected fields.
-    pub fn n_fields(&self) -> usize {
-        self.fields.len()
-    }
-
     /// Read-only view of f32 field `i` (also accepts a writable field).
     pub fn f32(&self, i: usize) -> Ref<'_, [f32]> {
         Ref::map(self.fields[i].borrow(), |b| match *b {

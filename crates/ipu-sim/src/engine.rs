@@ -1234,11 +1234,6 @@ impl Engine {
         ));
     }
 
-    /// Removes the installed profiler, returning its recordings.
-    pub fn disable_profiling(&mut self) -> Option<Profiler> {
-        self.st.profiler.take()
-    }
-
     /// The installed profiler's recordings so far, if any.
     pub fn profile(&self) -> Option<&Profiler> {
         self.st.profiler.as_ref()
@@ -1309,8 +1304,9 @@ impl Engine {
     }
 
     /// Reinstates a checkpoint taken with [`Engine::snapshot`] on this
-    /// engine: tensor contents and cycle accounting rewind; the fault RNG
-    /// keeps advancing (see [`EngineSnapshot`]).
+    /// engine: tensor contents and cycle accounting rewind, and the
+    /// partial loads of a superstep that a panicking codelet cut short are
+    /// dropped; the fault RNG keeps advancing (see [`EngineSnapshot`]).
     ///
     /// # Panics
     /// Panics if the snapshot came from an engine with a different tensor
@@ -1329,6 +1325,11 @@ impl Engine {
             }
         }
         self.st.stats.clone_from(&snapshot.stats);
+        // Every nonzero `thread_load` slot was pushed to `touched_slots`.
+        for &slot in &self.st.touched_slots {
+            self.st.thread_load[slot as usize] = 0;
+        }
+        self.st.touched_slots.clear();
         // The element-wise clone keeps allocations in place for same-graph
         // snapshots, but rebuild the raw views regardless — this is the
         // only point (besides construction) where they may be refreshed.
@@ -1925,6 +1926,43 @@ mod tests {
             assert_eq!(e.read_f32(x), vec![1.0; 8]);
             e.run().unwrap();
             assert_eq!(e.read_f32(x), after_first, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn restore_after_a_codelet_panic_reruns_like_a_fresh_engine() {
+        // Tile 0 loads its thread, then tile 1's vertex panics while
+        // `armed` is set, mid-superstep.
+        let build = || {
+            let mut g = Graph::new(IpuConfig::tiny(2));
+            let armed = g.add_tensor("armed", DType::I32, 1);
+            g.map_to_tile(armed, 1).unwrap();
+            let cs = g.add_compute_set("boom");
+            g.add_vertex(cs, 0, "load", |_| 100).unwrap();
+            let v = g
+                .add_vertex(cs, 1, "trap", |ctx| {
+                    assert_eq!(ctx.i32(0)[0], 0, "codelet exploded");
+                    1
+                })
+                .unwrap();
+            g.connect(v, armed.whole(), Access::Read).unwrap();
+            (g, armed, cs)
+        };
+        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
+            let (g, _, cs) = build();
+            let mut fresh = g.compile(Program::execute(cs)).unwrap();
+            fresh.set_exec_mode(mode);
+            fresh.run().unwrap();
+
+            let (g, armed, cs) = build();
+            let mut e = g.compile(Program::execute(cs)).unwrap();
+            e.set_exec_mode(mode);
+            let snap = e.snapshot();
+            e.write_i32(armed, &[1]).unwrap();
+            assert!(catch_unwind(AssertUnwindSafe(|| e.run())).is_err());
+            e.restore(&snap);
+            e.run().unwrap();
+            assert_eq!(e.stats(), fresh.stats(), "{mode:?}");
         }
     }
 

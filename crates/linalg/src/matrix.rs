@@ -62,12 +62,6 @@ impl DenseMatrix {
         self.data[i * self.cols + j] = v;
     }
 
-    /// In-place add to an entry.
-    #[inline]
-    pub fn add_to(&mut self, i: usize, j: usize, v: f64) {
-        self.data[i * self.cols + j] += v;
-    }
-
     /// Row as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]

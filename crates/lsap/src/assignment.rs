@@ -55,11 +55,6 @@ impl Assignment {
         self.row_to_col[row] = Some(col);
     }
 
-    /// Unmatches `row`.
-    pub fn unset(&mut self, row: usize) {
-        self.row_to_col[row] = None;
-    }
-
     /// Number of matched rows.
     pub fn matched_count(&self) -> usize {
         self.row_to_col.iter().filter(|c| c.is_some()).count()
@@ -239,8 +234,6 @@ mod tests {
         assert_eq!(a.matched_count(), 0);
         a.set(0, 1);
         assert_eq!(a.col_of(0), Some(1));
-        a.unset(0);
-        assert_eq!(a.col_of(0), None);
     }
 
     #[test]

@@ -179,8 +179,6 @@ pub struct ServiceConfig {
     pub breaker_cooldown_cycles: u64,
     /// IPU attempts per request before descending the ladder.
     pub max_attempts: u32,
-    /// Certificate-verification tolerance for device answers.
-    pub verify_eps: f64,
     /// Deadline budget applied when a request does not set one; `None`
     /// means no deadline.
     pub default_budget_cycles: Option<u64>,
@@ -196,7 +194,6 @@ impl Default for ServiceConfig {
             breaker_threshold: 3,
             breaker_cooldown_cycles: 5_000_000,
             max_attempts: 2,
-            verify_eps: F32_VERIFY_EPS,
             default_budget_cycles: None,
         }
     }
@@ -551,10 +548,9 @@ impl AssignmentService {
             };
             *t_busy += load;
             attempts += 1;
-            let att =
-                policy::checked_attempt(&p.matrix, self.cfg.verify_eps, None, "hunipu", || {
-                    warm.solve_seeded(&self.ipu, &p.matrix, &seed)
-                });
+            let att = policy::checked_attempt(&p.matrix, F32_VERIFY_EPS, None, "hunipu", || {
+                warm.solve_seeded(&self.ipu, &p.matrix, &seed)
+            });
             let cycles = att.modeled_cycles.or(est).unwrap_or(0);
             *t_busy += cycles;
             match att.outcome {
@@ -671,10 +667,9 @@ impl AssignmentService {
             if k > 0 {
                 self.metrics.tenant(&p.tenant).retries += 1;
             }
-            let att =
-                policy::checked_attempt(&p.matrix, self.cfg.verify_eps, None, "hunipu", || {
-                    warm.solve(&self.ipu, &p.matrix)
-                });
+            let att = policy::checked_attempt(&p.matrix, F32_VERIFY_EPS, None, "hunipu", || {
+                warm.solve(&self.ipu, &p.matrix)
+            });
             // Fault-killed runs report no cycle count; charge the learned
             // estimate so failures are not modeled as free.
             let cycles = att
