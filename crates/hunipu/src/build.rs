@@ -497,18 +497,20 @@ impl Builder {
     /// interval owner probes in parallel, a ≤-tiles temporary is reduced
     /// on the collector) or the rejected whole-tensor single-tile copy.
     /// On chip-aware layouts the ≤-tiles temporary is reduced through
-    /// the per-chip sub-collectors instead of one flat gather.
-    /// Returns the 1-element output tensor (on the collector) and the
-    /// program fragment.
+    /// the per-chip sub-collectors instead of one flat gather. `finish`
+    /// runs in the vertex that writes the result, on the collector
+    /// ([`Finish`]). Returns the 1-element output tensor (on the
+    /// collector) and the program fragment.
     pub fn dyn_read_i32(
         &mut self,
         name: &str,
         src: Tensor,
         idx_m: Tensor,
         intervals: &[(Range<usize>, usize)],
+        finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
         if self.ab.dyn_slice == crate::ablation::DynSlice::SingleTileGather {
-            return self.dyn_read_i32_single_tile(name, src, idx_m);
+            return self.dyn_read_i32_single_tile(name, src, idx_m, finish);
         }
         if self.l.chips > 1 {
             let root = self.g.config().ipu_of(self.l.collector_tile);
@@ -517,7 +519,7 @@ impl Builder {
                 .filter(|(_, t)| self.g.config().ipu_of(*t) != root)
                 .count();
             if self.hier_reduce_pays(off_chip) {
-                return self.dyn_read_i32_hier(name, src, idx_m, intervals);
+                return self.dyn_read_i32_hier(name, src, idx_m, intervals, finish);
             }
         }
         let k = intervals.len();
@@ -562,7 +564,7 @@ impl Builder {
             out,
             ReduceOp::Max,
             self.l.collector_tile,
-            None,
+            finish,
         )?;
 
         let gather = Program::exchange(
@@ -583,6 +585,7 @@ impl Builder {
         src: Tensor,
         idx_m: Tensor,
         intervals: &[(Range<usize>, usize)],
+        finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
         let k = intervals.len();
         let partials = self.g.add_tensor(&format!("{name}.part"), DType::I32, k);
@@ -617,18 +620,22 @@ impl Builder {
             ReduceOp::Max,
             &self.l.chip_stages(),
             self.l.collector_tile,
-            None,
+            finish,
         )?;
         Ok((out, Program::seq(vec![Program::execute(cs), pick])))
     }
 
     /// The rejected dynamic-slice alternative (§IV-G): ship the whole
-    /// tensor to the collector for every read, then index locally.
+    /// tensor to the collector for every read, then index locally. The
+    /// index vertex runs `finish` with the shipped tensor as field 0 and
+    /// the result as field 1, as [`Finish`] specifies; the index comes
+    /// after `finish`'s fields.
     fn dyn_read_i32_single_tile(
         &mut self,
         name: &str,
         src: Tensor,
         idx_m: Tensor,
+        finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
         let scratch = self
             .g
@@ -637,21 +644,29 @@ impl Builder {
         let out = self.g.add_tensor(&format!("{name}.out"), DType::I32, 1);
         self.g.map_to_tile(out, self.l.collector_tile)?;
         let cs = self.g.add_compute_set(&format!("{name}.index"));
-        let vtx =
-            self.g
-                .add_vertex(cs, self.l.collector_tile, &format!("{name}.index"), |ctx| {
-                    let idx = ctx.i32(0)[0] as usize;
-                    let data = ctx.i32(1);
-                    ctx.i32_mut(2)[0] = if idx < data.len() {
-                        data[idx]
-                    } else {
-                        i32::MIN
-                    };
-                    cost::scalar(5)
-                })?;
-        self.g.connect(vtx, idx_m.whole(), Access::Read)?;
+        let (fields, then): (Vec<(TensorSlice, Access)>, Option<Box<ipu_sim::Codelet>>) =
+            match finish {
+                Some(Finish { fields, codelet }) => (fields, Some(codelet)),
+                None => (Vec::new(), None),
+            };
+        let idx_field = 2 + fields.len();
+        let vtx = self.g.add_vertex(
+            cs,
+            self.l.collector_tile,
+            &format!("{name}.index"),
+            move |ctx| {
+                let idx = ctx.i32(idx_field)[0] as usize;
+                let picked = ctx.i32(0).get(idx).copied().unwrap_or(i32::MIN);
+                ctx.i32_mut(1)[0] = picked;
+                cost::scalar(5) + then.as_ref().map_or(0, |f| f(ctx))
+            },
+        )?;
         self.g.connect(vtx, scratch.whole(), Access::Read)?;
         self.g.connect(vtx, out.whole(), Access::Write)?;
+        for (slice, access) in fields {
+            self.g.connect(vtx, slice, access)?;
+        }
+        self.g.connect(vtx, idx_m.whole(), Access::Read)?;
         Ok((
             out,
             Program::seq(vec![

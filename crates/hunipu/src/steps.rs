@@ -3,7 +3,9 @@
 
 use crate::build::{Builder, Storage};
 use ipu_sim::kernels;
-use ipu_sim::poplib::{reduce_columns_mirrored, reduce_columns_mirrored_hier, Finish, ReduceOp};
+use ipu_sim::poplib::{
+    self, reduce_columns_mirrored, reduce_columns_mirrored_hier, Finish, ReduceOp,
+};
 use ipu_sim::{cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, TensorSlice};
 
 /// Bits of the row index inside the Step 4 arg-max encoding; supports
@@ -285,62 +287,30 @@ impl Builder {
             let tile = l.tile_of_row(row);
             for s in 0..th {
                 let col0 = l.seg_cols(s).start as i32;
-                let v = match t_cand {
-                    None => self
-                        .g
-                        .add_vertex_on_thread(cs, tile, s, "compress", move |ctx| {
-                            let slack = ctx.f32(0);
-                            let mut comp = ctx.i32_mut(1);
-                            // Branchless compaction: store the candidate
-                            // unconditionally, advance the cursor only on
-                            // a zero. A non-zero's store lands at the same
-                            // cursor and is overwritten by the next
-                            // candidate (or the -1 fill), so the result is
-                            // identical to the branchy loop — without the
-                            // data-dependent branch that dominates this,
-                            // the hottest codelet of the whole solve.
-                            let comp = &mut comp[..slack.len()];
-                            let mut k = 0;
-                            for (off, &x) in slack.iter().enumerate() {
-                                comp[k] = col0 + off as i32;
-                                k += (x == 0.0) as usize;
-                            }
-                            for c in comp[k..].iter_mut() {
-                                *c = -1;
-                            }
-                            ctx.i32_mut(2)[0] = k as i32;
-                            cost::f32_scan(slack.len()) + cost::i32_update(slack.len())
-                        })?,
-                    Some(_) => {
-                        self.g
-                            .add_vertex_on_thread(cs, tile, s, "compress", move |ctx| {
-                                let slack = ctx.f32(0);
-                                let cand = ctx.i32(1);
-                                let mut comp = ctx.i32_mut(2);
-                                let comp = &mut comp[..slack.len()];
-                                let mut k = 0;
-                                for (off, &x) in slack.iter().enumerate() {
-                                    comp[k] = cand[off];
-                                    k += (x == 0.0) as usize;
-                                }
-                                for c in comp[k..].iter_mut() {
-                                    *c = -1;
-                                }
-                                ctx.i32_mut(3)[0] = k as i32;
-                                cost::f32_scan(slack.len()) + cost::i32_update(slack.len())
-                            })?
-                    }
-                };
+                let sparse = t_cand.is_some();
+                let v = self
+                    .g
+                    .add_vertex_on_thread(cs, tile, s, "compress", move |ctx| {
+                        let slack = ctx.f32(0);
+                        let (mut comp, mut zc) = (ctx.i32_mut(1), ctx.i32_mut(2));
+                        if sparse {
+                            let cand = ctx.i32(3);
+                            compact_zeros(&slack, &mut comp, &mut zc[0], |off| cand[off]);
+                        } else {
+                            compact_zeros(&slack, &mut comp, &mut zc[0], |off| col0 + off as i32);
+                        }
+                        cost::f32_scan(slack.len()) + cost::i32_update(slack.len())
+                    })?;
+                let seg = l.row_seg_range(row, s);
                 self.g
-                    .connect(v, t_slack.slice(l.row_seg_range(row, s)), Access::Read)?;
-                if let Some(cand) = t_cand {
-                    self.g
-                        .connect(v, cand.slice(l.row_seg_range(row, s)), Access::Read)?;
-                }
+                    .connect(v, t_slack.slice(seg.clone()), Access::Read)?;
                 self.g
-                    .connect(v, t_comp.slice(l.row_seg_range(row, s)), Access::Write)?;
+                    .connect(v, t_comp.slice(seg.clone()), Access::Write)?;
                 self.g
                     .connect(v, t_zc.slice(row * th + s..row * th + s + 1), Access::Write)?;
+                if let Some(cand) = t_cand {
+                    self.g.connect(v, cand.slice(seg), Access::Read)?;
+                }
             }
         }
         Ok(Program::execute(cs))
@@ -518,7 +488,8 @@ impl Builder {
     }
 
     /// Step 3 (§IV-E): cover every column holding a star, count covered
-    /// columns, set `not_done = covered < n`.
+    /// columns, and set `not_done = covered < n` in the count's last
+    /// vertex.
     pub fn frag_step3(&mut self) -> Result<Program, GraphError> {
         let l = self.l.clone();
         let n = l.n;
@@ -539,46 +510,30 @@ impl Builder {
                 .connect(v, t_cstar.slice(cols.clone()), Access::Read)?;
             self.g.connect(v, t_ccov.slice(cols), Access::Write)?;
         }
-        let (covered, red_prog) =
-            self.reduce_scalar("step3.covered", t_ccov, ReduceOp::Sum, None)?;
-        let cs_nd = self.g.add_compute_set("step3.notdone");
-        match self.t.infeasible {
+        let notdone = match self.t.infeasible {
             // Sparse/tiled: a latched infeasibility (non-finite δ) must
             // stop the outer loop too — step 3 would otherwise see the
             // incomplete matching and restart the search forever.
-            Some(t_inf) => self.collector_vertex(
-                cs_nd,
-                "notdone",
-                vec![
-                    (covered.whole(), Access::Read),
-                    (t_inf.whole(), Access::Read),
-                    (t_nd.whole(), Access::Write),
-                ],
-                move |ctx| {
-                    let incomplete = (ctx.i32(0)[0] as usize) < n;
-                    let latched = ctx.i32(1)[0] != 0;
+            Some(t_inf) => Finish {
+                fields: vec![(t_nd.whole(), Access::Write), (t_inf.whole(), Access::Read)],
+                codelet: Box::new(move |ctx| {
+                    let incomplete = (ctx.i32(1)[0] as usize) < n;
+                    let latched = ctx.i32(3)[0] != 0;
                     ctx.i32_mut(2)[0] = i32::from(incomplete && !latched);
                     cost::scalar(3)
-                },
-            )?,
-            None => self.collector_vertex(
-                cs_nd,
-                "notdone",
-                vec![
-                    (covered.whole(), Access::Read),
-                    (t_nd.whole(), Access::Write),
-                ],
-                move |ctx| {
-                    ctx.i32_mut(1)[0] = i32::from((ctx.i32(0)[0] as usize) < n);
+                }),
+            },
+            None => Finish {
+                fields: vec![(t_nd.whole(), Access::Write)],
+                codelet: Box::new(move |ctx| {
+                    ctx.i32_mut(2)[0] = i32::from((ctx.i32(1)[0] as usize) < n);
                     cost::scalar(2)
-                },
-            )?,
-        }
-        Ok(Program::seq(vec![
-            Program::execute(cs_cover),
-            red_prog,
-            Program::execute(cs_nd),
-        ]))
+                }),
+            },
+        };
+        let (_, red_prog) =
+            self.reduce_scalar("step3.covered", t_ccov, ReduceOp::Sum, Some(notdone))?;
+        Ok(Program::seq(vec![Program::execute(cs_cover), red_prog]))
     }
 
     /// The Step 4/5/6 search loop (§IV-F to §IV-H): while `searching`,
@@ -588,9 +543,7 @@ impl Builder {
     /// lists and streams the cost blocks ([`Builder::frag_tiled_scan`])
     /// only when no list holds an uncovered zero, then classifies again:
     /// the stream finds zeros an overflowed list lost, and Step 6's δ.
-    /// `compress` is the re-compression pass Step 6 re-runs over stored
-    /// slack (`None` when tiled).
-    fn frag_search_loop(&mut self, compress: Option<&Program>) -> Result<Program, GraphError> {
+    fn frag_search_loop(&mut self) -> Result<Program, GraphError> {
         // --- cover-mirror refresh ---
         // One broadcast straight from the distributed cover vector. On
         // multi-chip layouts this spreads the per-replica link traffic
@@ -660,6 +613,7 @@ impl Builder {
             self.t.row_zero_col,
             self.t.sel_row_m,
             &row_intervals,
+            None,
         )?;
         let get_sel_col = Program::seq(vec![
             Program::broadcast(t_sel_row.whole(), self.t.sel_row_m.whole()),
@@ -669,7 +623,7 @@ impl Builder {
 
         let prime = self.frag_prime(&get_sel_col, &row_intervals)?;
         let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
-        let step6 = self.frag_step6(compress)?;
+        let step6 = self.frag_step6()?;
 
         body.push(Program::if_else(
             t_st1,
@@ -900,6 +854,7 @@ impl Builder {
             self.t.row_star,
             self.t.sel_row_m,
             row_intervals,
+            None,
         )?;
 
         let (t_selr_m, t_selc_m) = (self.t.sel_row_m, self.t.sel_col_m);
@@ -994,25 +949,30 @@ impl Builder {
         )?;
 
         // One walk hop: k = col_star[cur_col]; if k >= 0 then
-        // j' = row_prime[k], push (k, j'), cur_col = j'.
+        // j' = row_prime[k], push (k, j'), cur_col = j'. The read of k
+        // also sets `walking`.
         let col_intervals = self.col_seg_intervals();
-        let (k_out, read_k) =
-            self.dyn_read_i32("step5.colstar", t.col_star, t.cur_col_m, &col_intervals)?;
-        let cs_check = self.g.add_compute_set("step5.check");
-        self.collector_vertex(
-            cs_check,
-            "check",
-            vec![
-                (k_out.whole(), Access::Read),
-                (t_walking.whole(), Access::Write),
-            ],
-            |ctx| {
-                ctx.i32_mut(1)[0] = i32::from(ctx.i32(0)[0] >= 0);
+        let check = Finish {
+            fields: vec![(t_walking.whole(), Access::Write)],
+            codelet: Box::new(|ctx| {
+                ctx.i32_mut(2)[0] = i32::from(ctx.i32(1)[0] >= 0);
                 cost::scalar(2)
-            },
+            }),
+        };
+        let (k_out, read_k) = self.dyn_read_i32(
+            "step5.colstar",
+            t.col_star,
+            t.cur_col_m,
+            &col_intervals,
+            Some(check),
         )?;
-        let (rp_out, read_rp) =
-            self.dyn_read_i32("step5.rowprime", t.row_prime, t.k_row_m, row_intervals)?;
+        let (rp_out, read_rp) = self.dyn_read_i32(
+            "step5.rowprime",
+            t.row_prime,
+            t.k_row_m,
+            row_intervals,
+            None,
+        )?;
         let cs_push = self.g.add_compute_set("step5.push");
         self.collector_vertex(
             cs_push,
@@ -1044,7 +1004,6 @@ impl Builder {
         let hop = Program::seq(vec![
             Program::broadcast(t_curcol.whole(), t.cur_col_m.whole()),
             read_k,
-            Program::execute(cs_check),
             Program::if_true(
                 t_walking,
                 Program::seq(vec![
@@ -1064,14 +1023,14 @@ impl Builder {
         for (range, tile) in row_intervals {
             let (s0, s1) = (range.start as i32, range.end as i32);
             let v = self.g.add_vertex(cs_fr, *tile, "flip_rows", move |ctx| {
-                let len = ctx.i32(2)[0] as usize;
+                // Hops past the stack (a fault-corrupted length) are
+                // absent, and cost nothing.
+                let len = (ctx.i32(2)[0] as usize).min(ctx.i32(0).len());
                 {
                     let rows = ctx.i32(0);
                     let cols = ctx.i32(1);
                     let mut star = ctx.i32_mut(3);
-                    // Hops past the stack (a fault-corrupted length)
-                    // are absent.
-                    for tpos in 0..len.min(rows.len()) {
+                    for tpos in 0..len {
                         let r = rows[tpos];
                         if r >= s0 && r < s1 {
                             star[(r - s0) as usize] = cols[tpos];
@@ -1100,11 +1059,11 @@ impl Builder {
             let cols_r = l.col_seg_cols(seg);
             let (c0, c1) = (cols_r.start as i32, cols_r.end as i32);
             let v = self.g.add_vertex(cs_fc, tile, "flip_cols", move |ctx| {
-                let len = ctx.i32(2)[0] as usize;
                 let rows = ctx.i32(0);
                 let cols = ctx.i32(1);
+                let len = (ctx.i32(2)[0] as usize).min(cols.len());
                 let mut star = ctx.i32_mut(3);
-                for tpos in 0..len.min(cols.len()) {
+                for tpos in 0..len {
                     let c = cols[tpos];
                     if c >= c0 && c < c1 {
                         star[(c - c0) as usize] = rows[tpos];
@@ -1151,20 +1110,28 @@ impl Builder {
     }
 
     /// Step 6 (§IV-H): find the minimum uncovered slack δ, broadcast it,
-    /// shift the stored slack and the dual potentials
-    /// ([`Builder::step6_update`]), and re-compress. Dense and sparse
-    /// runs take δ from per-thread segment minima; tiled runs have no
-    /// stored slack, so δ is the minimum over the streamed scan's
+    /// and shift and re-compress the stored slack and shift the dual
+    /// potentials ([`Builder::step6_update`]). Dense and sparse runs take
+    /// δ from per-thread segment minima, which each tile's supervisor
+    /// folds; tiled runs have no stored slack, so δ is the minimum over
+    /// the streamed scan's
     /// per-row accumulators, and the zero lists follow the shift without
     /// another stream ([`Builder::step6_lists`]). Sparse and tiled runs
     /// guard δ before anything moves ([`Builder::step6_guard`]).
-    fn frag_step6(&mut self, compress: Option<&Program>) -> Result<Program, GraphError> {
+    fn frag_step6(&mut self) -> Result<Program, GraphError> {
         let mut prog = Vec::new();
         let minima = match self.storage {
             Storage::Tiled { .. } => self.t.rowacc.expect("tiled storage has rowacc"),
             _ => {
-                prog.push(Program::execute(self.step6_segmin()?));
-                self.t.seg_min
+                let cs_min = self.step6_segmin()?;
+                prog.push(Program::execute(cs_min));
+                poplib::supervised_partials(
+                    &mut self.g,
+                    cs_min,
+                    "step6.delta",
+                    self.t.seg_min,
+                    ReduceOp::Min,
+                )?
             }
         };
         let (delta, red_prog) = self.reduce_scalar("step6.delta", minima, ReduceOp::Min, None)?;
@@ -1179,13 +1146,6 @@ impl Builder {
             Program::broadcast(delta.whole(), self.t.delta_m.whole()),
             Program::execute(cs_upd),
         ];
-        if let Some(compress) = compress {
-            update.push(if self.ab.compression {
-                compress.clone()
-            } else {
-                Program::seq(vec![])
-            });
-        }
         if let Storage::Tiled { zcap, .. } = self.storage {
             update.push(Program::execute(self.step6_lists(zcap)?));
         }
@@ -1201,7 +1161,8 @@ impl Builder {
     }
 
     /// Step 6's uncovered minimum per (row, thread segment) over stored
-    /// entries — sparse masks each entry's column through `cand` — while
+    /// entries — sparse masks each entry's column through `cand`, out of
+    /// range meaning no entry — while
     /// the collector counts the dual update.
     fn step6_segmin(&mut self) -> Result<ComputeSetId, GraphError> {
         let l = self.l.clone();
@@ -1225,7 +1186,7 @@ impl Builder {
                                     let ccm = ctx.i32(3);
                                     let mut m = f32::INFINITY;
                                     for (p, &x) in slack.iter().enumerate() {
-                                        if ccm[cand[p] as usize] == 0 {
+                                        if ccm.get(cand[p] as usize) == Some(&0) {
                                             m = m.min(x);
                                         }
                                     }
@@ -1325,7 +1286,9 @@ impl Builder {
     /// Step 6's shift by δ: stored slack (dense, sparse) grows on
     /// covered-row × covered-column entries and shrinks on uncovered ×
     /// uncovered ones; `u += δ` on uncovered rows and `v −= δ` on covered
-    /// columns keep the LP-duality certificate in step.
+    /// columns keep the LP-duality certificate in step. Each slack vertex
+    /// re-compresses its segment in the same pass (not under ablation
+    /// A2); a sparse entry with an out-of-range column is left as is.
     fn step6_update(&mut self) -> Result<ComputeSetId, GraphError> {
         let l = self.l.clone();
         let (n, th) = (l.n, l.threads);
@@ -1335,55 +1298,67 @@ impl Builder {
             Storage::Tiled { .. } => 0,
             _ => th,
         };
+        let compact = self.ab.compression;
         let cs_upd = self.g.add_compute_set("step6.update");
         for row in 0..n {
             let tile = l.tile_of_row(row);
             for s in 0..slack_segs {
                 let c0 = l.seg_cols(s).start;
-                let v = match t.cand {
-                    Some(_) => {
-                        self.g
-                            .add_vertex_on_thread(cs_upd, tile, s, "update", move |ctx| {
-                                let delta = ctx.f32(0)[0];
-                                let covered = ctx.i32(1)[0] != 0;
-                                let ccm = ctx.i32(2);
-                                let cand = ctx.i32(3);
-                                let mut slack = ctx.f32_mut(4);
+                // Sparse storage connects `cand` after the compaction fields.
+                let cand_field = t.cand.map(|_| if compact { 6 } else { 4 });
+                let v = self
+                    .g
+                    .add_vertex_on_thread(cs_upd, tile, s, "update", move |ctx| {
+                        let delta = ctx.f32(0)[0];
+                        let covered = ctx.i32(1)[0] != 0;
+                        let ccm = ctx.i32(2);
+                        let mut slack = ctx.f32_mut(3);
+                        let cand = cand_field.map(|f| ctx.i32(f));
+                        match &cand {
+                            Some(cand) => {
                                 for (p, x) in slack.iter_mut().enumerate() {
-                                    let col_covered = ccm[cand[p] as usize] != 0;
-                                    if covered && col_covered {
-                                        *x += delta;
-                                    } else if !covered && !col_covered {
-                                        *x -= delta;
+                                    match ccm.get(cand[p] as usize).map(|&c| c != 0) {
+                                        Some(true) if covered => *x += delta,
+                                        Some(false) if !covered => *x -= delta,
+                                        _ => {}
                                     }
                                 }
-                                cost::f32_update(slack.len())
-                            })?
-                    }
-                    None => self
-                        .g
-                        .add_vertex_on_thread(cs_upd, tile, s, "update", move |ctx| {
-                            let delta = ctx.f32(0)[0];
-                            let covered = ctx.i32(1)[0] != 0;
-                            let ccm = ctx.i32(2);
-                            let mut slack = ctx.f32_mut(3);
-                            if covered {
-                                kernels::add_where_nonzero(&mut slack, &ccm[c0..], delta);
-                            } else {
-                                kernels::sub_where_zero(&mut slack, &ccm[c0..], delta);
                             }
-                            cost::f32_update(slack.len())
-                        })?,
-                };
+                            None if covered => {
+                                kernels::add_where_nonzero(&mut slack, &ccm[c0..], delta)
+                            }
+                            None => kernels::sub_where_zero(&mut slack, &ccm[c0..], delta),
+                        }
+                        if !compact {
+                            return cost::f32_update(slack.len());
+                        }
+                        let (mut comp, mut zc) = (ctx.i32_mut(4), ctx.i32_mut(5));
+                        match &cand {
+                            Some(cand) => compact_zeros(&slack, &mut comp, &mut zc[0], |p| cand[p]),
+                            None => {
+                                compact_zeros(&slack, &mut comp, &mut zc[0], |p| (c0 + p) as i32)
+                            }
+                        }
+                        cost::f32_update(slack.len()) + cost::i32_update(slack.len())
+                    })?;
+                let seg = l.row_seg_range(row, s);
                 self.g.connect(v, t.delta_m.whole(), Access::Read)?;
                 self.g.connect(v, t.row_cover.element(row), Access::Read)?;
                 self.g.connect(v, t.ccm.whole(), Access::Read)?;
-                if let Some(cand) = t.cand {
-                    self.g
-                        .connect(v, cand.slice(l.row_seg_range(row, s)), Access::Read)?;
-                }
                 self.g
-                    .connect(v, t.slack.slice(l.row_seg_range(row, s)), Access::ReadWrite)?;
+                    .connect(v, t.slack.slice(seg.clone()), Access::ReadWrite)?;
+                if compact {
+                    self.g
+                        .connect(v, t.compress.slice(seg.clone()), Access::Write)?;
+                    self.g.connect(
+                        v,
+                        t.zero_count.slice(row * th + s..row * th + s + 1),
+                        Access::Write,
+                    )?;
+                }
+                if let Some(cand) = t.cand {
+                    self.g.connect(v, cand.slice(seg), Access::Read)?;
+                }
             }
             // Dual potential u: one scalar vertex per row.
             let v = self.g.add_vertex(cs_upd, tile, "u_update", |ctx| {
@@ -1926,9 +1901,9 @@ impl Builder {
             }
         };
         prog.push(self.frag_step2()?);
-        prog.extend(compress.clone());
+        prog.extend(compress);
         let step3 = self.frag_step3()?;
-        let search = self.frag_search_loop(compress.as_ref())?;
+        let search = self.frag_search_loop()?;
 
         let t_searching = self.t.searching;
         let cs_begin = self.g.add_compute_set("begin_search");
@@ -1962,6 +1937,28 @@ fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
         0
     };
     (status, ((status + 1) << ENC_SHIFT) | (ENC_MASK - row))
+}
+
+/// Compacts the zero positions of one slack segment to the front of
+/// `comp` (−1 padding, §IV-B) and counts them into `count`; `col` maps a
+/// position in the segment to its column id.
+///
+/// Branchless: the candidate is stored unconditionally and the cursor
+/// advances only on a zero. A non-zero's store lands at the same cursor
+/// and is overwritten by the next candidate (or the −1 fill), so the
+/// result is identical to the branchy loop — without the data-dependent
+/// branch that dominates this, the hottest codelet of the whole solve.
+fn compact_zeros(slack: &[f32], comp: &mut [i32], count: &mut i32, col: impl Fn(usize) -> i32) {
+    let comp = &mut comp[..slack.len()];
+    let mut k = 0;
+    for (off, &x) in slack.iter().enumerate() {
+        comp[k] = col(off);
+        k += (x == 0.0) as usize;
+    }
+    for c in comp[k..].iter_mut() {
+        *c = -1;
+    }
+    *count = k as i32;
 }
 
 /// How many columns the streamed scan recorded behind a tiled zero list

@@ -25,10 +25,11 @@ fn jv(m: &CostMatrix) -> f64 {
 }
 
 #[test]
-fn mk2_search_iterations_classify_in_three_compute_sets() {
+fn mk2_search_iterations_classify_in_two_compute_sets() {
     // One row per tile: every interval of the arg-max keys holds one
     // element, so the keys are gathered without a partial stage, and the
-    // decode runs inside the reduction's combine vertex.
+    // decode runs inside the supervisor that joins the collector's
+    // per-thread chunks of the arg-max, in one superstep.
     let m = datasets::gaussian_cost_matrix(256, 10, 1);
     let (report, engine) = HunIpu::new().solve_with_engine(&m).unwrap();
     report.verify(&m, F32_VERIFY_EPS).unwrap();
@@ -40,22 +41,15 @@ fn mk2_search_iterations_classify_in_three_compute_sets() {
     assert!(sets.iter().all(|s| s.name != "step4.enc.partial"));
     assert!(sets.iter().all(|s| s.name != "step4.decode"));
     // The sets that run once per iteration, and only they: status, then
-    // the threaded final stage of the arg-max.
+    // the one-superstep final stage of the arg-max.
     let mut per_iteration: Vec<&str> = sets
         .iter()
         .filter(|s| s.name.starts_with("step4.") && s.executions == iterations)
         .map(|s| s.name.as_str())
         .collect();
     per_iteration.sort_unstable();
-    assert_eq!(
-        per_iteration,
-        [
-            "step4.enc.final.chunks",
-            "step4.enc.final.combine",
-            "step4.status"
-        ]
-    );
-    // A prime layer adds two compute sets: five per layer in all.
+    assert_eq!(per_iteration, ["step4.enc.final", "step4.status"]);
+    // A prime layer adds two compute sets: four per layer in all.
     let layers = executions(&engine, "step4.prime_layer");
     assert!(layers > 0);
     assert_eq!(executions(&engine, "step4.recover"), layers);
@@ -83,9 +77,10 @@ fn tiled_rows_still_reduce_in_two_stages() {
 #[test]
 fn fault_corrupted_indices_end_a_solve_without_a_panic() {
     // Bit flips and exchange corruption can turn a device index (a star
-    // row, a zero column, the green stack's length) into any i32; every
-    // vertex that indexes with one must treat an out-of-range value as
-    // absent. Each solve returns `Ok` or `Err`; none may unwind.
+    // row, a zero column, a compressed slot, the green stack's length)
+    // into any i32; every vertex that indexes with one must treat an
+    // out-of-range value as absent. Each solve returns `Ok` or `Err`;
+    // none may unwind.
     let solve = |m: &CostMatrix, plan: FaultPlan| {
         let solver = HunIpu::with_config(IpuConfig {
             max_while_iterations: 20_000,
@@ -103,27 +98,52 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
                 .unwrap_or_default()
         })
     };
-    let mut panicked = Vec::new();
-    for n in [13, 24] {
-        let m = datasets::gaussian_cost_matrix(n, 100, 5);
-        for seed in 0..400 {
-            let plan = FaultPlan::new(seed)
-                .with_bit_flips(0.01)
-                .with_exchange_corruption(0.005)
-                .after_supersteps(50);
-            if let Some(msg) = solve(&m, plan) {
-                panicked.push(format!("n={n} seed={seed}: {msg}"));
-            }
-        }
-    }
-    // A flip on every superstep in each tensor whose name holds a `u`
-    // (the duals, the zero counts and statuses) reads Step 2's sorted row
-    // one past its end.
-    let m = datasets::gaussian_cost_matrix(4, 100, 41);
-    let plan = FaultPlan::new(1).with_bit_flips(1.0).targeting("u");
-    if let Some(msg) = solve(&m, plan) {
-        panicked.push(format!("n=4 every-superstep flips in u: {msg}"));
-    }
+    // 800 seeded fault plans on two sizes, plus a flip on every
+    // superstep in each tensor whose name holds a `u` (the duals, the
+    // zero counts and statuses), which once read Step 2's sorted row one
+    // past its end.
+    let mut cases: Vec<(usize, FaultPlan)> = [13, 24]
+        .into_iter()
+        .flat_map(|n| {
+            (0..400).map(move |seed| {
+                let plan = FaultPlan::new(seed)
+                    .with_bit_flips(0.01)
+                    .with_exchange_corruption(0.005)
+                    .after_supersteps(50);
+                (n, plan)
+            })
+        })
+        .collect();
+    cases.push((4, FaultPlan::new(1).with_bit_flips(1.0).targeting("u")));
+    let matrix = |n: usize| match n {
+        4 => datasets::gaussian_cost_matrix(4, 100, 41),
+        _ => datasets::gaussian_cost_matrix(n, 100, 5),
+    };
+    // Every case builds its own solver and engine, so the cases spread
+    // over one scoped thread per available core, interleaved.
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let mut panicked: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let cases = &cases;
+                scope.spawn(move || {
+                    let mut found = Vec::new();
+                    for (n, plan) in cases.iter().skip(t).step_by(threads) {
+                        let what = format!("n={n} seed={}", plan.seed);
+                        if let Some(msg) = solve(&matrix(*n), plan.clone()) {
+                            found.push(format!("{what}: {msg}"));
+                        }
+                    }
+                    found
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a case thread ended in a panic"))
+            .collect()
+    });
+    panicked.sort();
     assert!(
         panicked.is_empty(),
         "{} panics: {panicked:#?}",

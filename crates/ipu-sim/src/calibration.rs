@@ -13,8 +13,10 @@
 //!   therefore runs at 1/6 of the clock when alone and the tile reaches
 //!   full throughput only when all six threads carry balanced work. The
 //!   compute charge of a superstep on one tile is
-//!   `6 * max_thread(thread_instructions)`; the chip-wide charge is the
-//!   max over tiles (stragglers stall the BSP step, challenge C3).
+//!   `6 * max_thread(thread_instructions)`, plus, on a tile whose
+//!   supervisor vertex joins the workers, `6 * supervisor_instructions +
+//!   SUPERVISOR_JOIN_CYCLES`; the chip-wide charge is the max over tiles
+//!   (stragglers stall the BSP step, challenge C3).
 //! - **Two floats at a time.** The paper repeatedly exploits 64-bit loads
 //!   ("we retrieve and update from the tile's memory two floats at once",
 //!   §IV-C, §IV-H); [`crate::cost`] helpers charge `n/2` instructions per
@@ -30,6 +32,9 @@
 //!   exchange phase and executing the pre-compiled exchange sequence.
 //! - **Control ~50 cycles** — `RepeatWhileTrue` evaluates a device scalar
 //!   between supersteps.
+//! - **Supervisor join 12 cycles** — a tile's supervisor thread folding
+//!   its workers' results inside the superstep
+//!   ([`SUPERVISOR_JOIN_CYCLES`]).
 //!
 //! None of these constants is tuned per-benchmark: Table II / Figure 5 /
 //! Table III shapes are produced by the *same* model.
@@ -81,6 +86,26 @@ pub const CONTROL_CYCLES: u64 = 50;
 /// ~0.16 B/cycle/tile — ~25x slower than the 4 B/cycle on-chip fabric,
 /// which is why multi-IPU layouts keep hot state chip-local.
 pub const INTER_IPU_BYTES_PER_CYCLE: f64 = 0.16;
+
+/// Tile-local join of a supervisor vertex with its tile's workers,
+/// cycles ([`crate::Graph::add_supervisor`]).
+///
+/// Jia et al. (arXiv:1912.03413) describe the tile's thread model: a
+/// supervisor thread hands work to the worker contexts and waits for
+/// them, and the core issues its contexts round-robin, one instruction
+/// per cycle — so a context alone issues once per six cycles, the
+/// lone-thread rate the compute charge already uses. They measure no
+/// tile-local join, so the constant is derived from that model rather
+/// than read off a figure. After the last worker exits, the supervisor
+/// sees it at its next issue slot, at most one rotation (6 cycles)
+/// later, and its join instruction retires one rotation after that:
+/// 2 × 6 = 12 cycles. No signal leaves the tile, so the join sits well
+/// below the 35 ns (46-cycle) floor Jia et al. measure for the smallest
+/// chip-internal sync zone ([`SYNC_CYCLES_INTERNAL_MIN`]) and an order
+/// below the chip-wide [`SYNC_CYCLES`] a separate superstep pays. The
+/// supervisor's own instructions are charged on top, at the lone-thread
+/// rate.
+pub const SUPERVISOR_JOIN_CYCLES: u64 = 12;
 
 /// Fixed per-vertex dispatch overhead, instructions.
 ///
@@ -154,6 +179,14 @@ mod tests {
         assert!((ns(SYNC_CYCLES_INTERNAL_MIN) - 35.0).abs() < 1.0);
         assert!(ns(SYNC_CYCLES) >= 35.0 && ns(SYNC_CYCLES) <= 150.0);
         const { assert!(SYNC_CYCLES_INTERNAL_MIN < SYNC_CYCLES) };
+    }
+
+    #[test]
+    fn supervisor_join_is_two_barrel_rotations_below_any_sync() {
+        // One rotation to observe the last worker's exit, one to retire
+        // the join; both far below the cheapest measured sync zone.
+        const { assert!(SUPERVISOR_JOIN_CYCLES == 2 * 6) };
+        const { assert!(SUPERVISOR_JOIN_CYCLES < SYNC_CYCLES_INTERNAL_MIN) };
     }
 
     #[test]

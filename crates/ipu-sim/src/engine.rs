@@ -14,7 +14,7 @@ use crate::exec::{self, ExecNode};
 use crate::fault::{FaultPlan, FaultState};
 use crate::graph::{Graph, VertexInfo};
 use crate::plan::{self, CopySeg, ExecPlan, PlanOp, PlanVertex};
-use crate::profile::{ProfileConfig, ProfileReport, Profiler, BROADCAST_TILE, HOST_TILE};
+use crate::profile::{ProfileConfig, ProfileReport, Profiler, TileLoad, BROADCAST_TILE, HOST_TILE};
 use crate::program::Program;
 use crate::stats::{CycleStats, StepBreakdown};
 use crate::tensor::{DType, Tensor, TensorSlice};
@@ -175,6 +175,9 @@ struct RunState {
     /// Scratch: (tile, thread) slots touched in the current superstep —
     /// lets the hot path avoid sweeping all 8832 slots per superstep.
     touched_slots: Vec<u32>,
+    /// Scratch: `(tile, instructions)` of each supervisor vertex run in
+    /// the current superstep (at most one per tile).
+    sup_loads: Vec<(u32, u64)>,
     /// Memoized exchange cost per lowered copy node, indexed by the dense
     /// `cost_id` assigned in `exec::lower` (the mapping is static, so two
     /// executions of one node always move the same bytes).
@@ -440,6 +443,15 @@ impl ExecCtx<'_> {
             }
             self.st.thread_load[slot] += instructions;
         }
+        // Supervisors run after every worker, so they see their tile's
+        // worker outputs.
+        self.st.sup_loads.clear();
+        for &vid in &self.sh.graph.compute_sets[cs].supervisors {
+            let v = &self.sh.graph.vertices[vid];
+            // SAFETY: as above.
+            let instructions = unsafe { exec_vertex(v, self.raw) };
+            self.st.sup_loads.push((v.tile as u32, instructions));
+        }
         finish_superstep(self.sh, self.raw, self.st, cs);
     }
 
@@ -500,14 +512,23 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
     // slots, so a tile finishes after `tpt * max_thread(instructions)`
     // cycles; the superstep lasts as long as the slowest tile (C3).
     // The chip-wide max over tiles equals `tpt *` the max over all
-    // touched slots.
+    // touched slots, raised by any tile whose supervisor phase
+    // (`supervisor_phase`) runs longer.
+    let sup_worst = st
+        .sup_loads
+        .iter()
+        .map(|&(tile, load)| {
+            tpt as u64 * tile_worker_max(&st.thread_load, tile, tpt) + supervisor_phase(load, tpt)
+        })
+        .max()
+        .unwrap_or(0);
     if st.profiler.is_none() && st.faults.is_none() {
         let mut worst = 0u64;
         for &slot in &st.touched_slots {
             worst = worst.max(st.thread_load[slot as usize]);
             st.thread_load[slot as usize] = 0;
         }
-        let superstep = worst * tpt as u64;
+        let superstep = (worst * tpt as u64).max(sup_worst);
         st.stats.compute_cycles += superstep;
         st.stats.sync_cycles += sh.graph.config.sync_cycles;
         st.stats.supersteps += 1;
@@ -518,11 +539,12 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
     }
 
     // Profiling first, while loads are still live: per-tile barrel
-    // cost and thread occupancy. `touched_slots` arrives in vertex
-    // order; sort it so the detail groups each tile's slots together.
-    let tile_detail: Option<Vec<(u32, u64, u32)>> = st.profiler.is_some().then(|| {
+    // cost (supervisor phase included) and thread occupancy.
+    // `touched_slots` arrives in vertex order; sort it so the detail
+    // groups each tile's slots together.
+    let tile_detail: Option<Vec<TileLoad>> = st.profiler.is_some().then(|| {
         st.touched_slots.sort_unstable();
-        let mut detail: Vec<(u32, u64, u32)> = Vec::new();
+        let mut detail: Vec<TileLoad> = Vec::new();
         let mut prev_slot = u32::MAX;
         for &slot in &st.touched_slots {
             if slot == prev_slot {
@@ -532,15 +554,38 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
             let tile = slot / tpt as u32;
             let load = st.thread_load[slot as usize];
             match detail.last_mut() {
-                Some(d) if d.0 == tile => {
-                    d.1 = d.1.max(load);
-                    d.2 += 1;
+                Some(d) if d.tile == tile => {
+                    d.cycles = d.cycles.max(load);
+                    d.threads += 1;
                 }
-                _ => detail.push((tile, load, 1)),
+                _ => detail.push(TileLoad {
+                    tile,
+                    cycles: load,
+                    threads: 1,
+                    supervisor: 0,
+                }),
             }
         }
         for d in &mut detail {
-            d.1 *= tpt as u64;
+            d.cycles *= tpt as u64;
+        }
+        for &(tile, load) in &st.sup_loads {
+            let phase = supervisor_phase(load, tpt);
+            match detail.binary_search_by_key(&tile, |d| d.tile) {
+                Ok(i) => {
+                    detail[i].cycles += phase;
+                    detail[i].supervisor = phase;
+                }
+                Err(i) => detail.insert(
+                    i,
+                    TileLoad {
+                        tile,
+                        cycles: phase,
+                        threads: 0,
+                        supervisor: phase,
+                    },
+                ),
+            }
         }
         detail
     });
@@ -550,7 +595,7 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
         worst = worst.max(st.thread_load[slot as usize]);
         st.thread_load[slot as usize] = 0;
     }
-    let superstep = worst * tpt as u64;
+    let superstep = (worst * tpt as u64).max(sup_worst);
     st.stats.compute_cycles += superstep;
     st.stats.sync_cycles += sh.graph.config.sync_cycles;
     st.stats.supersteps += 1;
@@ -573,6 +618,19 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
             p.record_fault("bit_flip", injected.bit_flips);
         }
     }
+}
+
+/// The largest worker-thread load on `tile` in the current superstep.
+fn tile_worker_max(thread_load: &[u64], tile: u32, tpt: usize) -> u64 {
+    let lo = tile as usize * tpt;
+    thread_load[lo..lo + tpt].iter().copied().max().unwrap_or(0)
+}
+
+/// Cycles a supervisor adds to its tile after the workers: its
+/// `instructions` at the lone-thread issue rate, plus the tile-local
+/// join ([`calibration::SUPERVISOR_JOIN_CYCLES`]).
+fn supervisor_phase(instructions: u64, tpt: usize) -> u64 {
+    tpt as u64 * instructions + calibration::SUPERVISOR_JOIN_CYCLES
 }
 
 /// Fault hook run after each superstep: straggler inflation and SRAM
@@ -1020,6 +1078,12 @@ impl PlanExec<'_> {
             }
             self.st.thread_load[si] += load;
         }
+        self.st.sup_loads.clear();
+        for pv in &plan.supervisors[cs] {
+            // SAFETY: as above; supervisors run after every worker.
+            let load = unsafe { exec_plan_vertex(&self.sh.graph, pv, &self.cells) };
+            self.st.sup_loads.push((pv.slot, load));
+        }
         finish_superstep(self.sh, self.raw, self.st, cs);
     }
 
@@ -1080,6 +1144,8 @@ impl Engine {
             .iter()
             .map(|v| match v.thread {
                 Some(t) => t,
+                // A supervisor takes no worker slot.
+                None if v.supervisor => 0,
                 None => {
                     let c = counters.entry((v.cs, v.tile)).or_insert(0);
                     let t = *c % tpt;
@@ -1128,6 +1194,7 @@ impl Engine {
                 stats,
                 thread_load,
                 touched_slots: Vec::new(),
+                sup_loads: Vec::new(),
                 copy_cost: vec![None; cost_slots],
                 scratch_f32: Vec::new(),
                 scratch_i32: Vec::new(),
@@ -1330,6 +1397,7 @@ impl Engine {
             self.st.thread_load[slot as usize] = 0;
         }
         self.st.touched_slots.clear();
+        self.st.sup_loads.clear();
         // The element-wise clone keeps allocations in place for same-graph
         // snapshots, but rebuild the raw views regardless — this is the
         // only point (besides construction) where they may be refreshed.
@@ -1931,24 +1999,36 @@ mod tests {
 
     #[test]
     fn restore_after_a_codelet_panic_reruns_like_a_fresh_engine() {
-        // Tile 0 loads its thread, then tile 1's vertex panics while
-        // `armed` is set, mid-superstep.
-        let build = || {
+        // Tile 0 loads its thread and its supervisor, then tile 1's
+        // vertex — a worker, or a supervisor after a loaded worker —
+        // panics while `armed` is set, mid-superstep.
+        let build = |trap_is_supervisor: bool| {
             let mut g = Graph::new(IpuConfig::tiny(2));
             let armed = g.add_tensor("armed", DType::I32, 1);
             g.map_to_tile(armed, 1).unwrap();
             let cs = g.add_compute_set("boom");
             g.add_vertex(cs, 0, "load", |_| 100).unwrap();
-            let v = g
-                .add_vertex(cs, 1, "trap", |ctx| {
-                    assert_eq!(ctx.i32(0)[0], 0, "codelet exploded");
-                    1
-                })
-                .unwrap();
+            g.add_supervisor(cs, 0, "fold", |_| 20).unwrap();
+            let trap = |ctx: &VertexCtx| {
+                assert_eq!(ctx.i32(0)[0], 0, "codelet exploded");
+                1
+            };
+            let v = if trap_is_supervisor {
+                g.add_vertex(cs, 1, "load", |_| 50).unwrap();
+                g.add_supervisor(cs, 1, "trap", trap).unwrap()
+            } else {
+                g.add_vertex(cs, 1, "trap", trap).unwrap()
+            };
             g.connect(v, armed.whole(), Access::Read).unwrap();
             (g, armed, cs)
         };
-        for mode in [ExecMode::Interpreted, ExecMode::Plan] {
+        for (mode, trap_is_supervisor) in [
+            (ExecMode::Interpreted, false),
+            (ExecMode::Plan, false),
+            (ExecMode::Interpreted, true),
+            (ExecMode::Plan, true),
+        ] {
+            let build = || build(trap_is_supervisor);
             let (g, _, cs) = build();
             let mut fresh = g.compile(Program::execute(cs)).unwrap();
             fresh.set_exec_mode(mode);
@@ -1962,12 +2042,107 @@ mod tests {
             assert!(catch_unwind(AssertUnwindSafe(|| e.run())).is_err());
             e.restore(&snap);
             e.run().unwrap();
-            assert_eq!(e.stats(), fresh.stats(), "{mode:?}");
+            assert_eq!(e.stats(), fresh.stats(), "{mode:?} {trap_is_supervisor}");
         }
     }
 
+    /// Tile 0: two workers write `x[0]` and `x[1]` (loads 30 and 50),
+    /// and a supervisor (load 7) sums them into `y`. Tile 1: one worker
+    /// of load `tile1`.
+    fn supervised_graph(tile1: u64) -> (Graph, Tensor, Tensor, ComputeSetId) {
+        let mut g = Graph::new(IpuConfig::tiny(2));
+        let x = g.add_tensor("x", DType::F32, 2);
+        let y = g.add_tensor("y", DType::F32, 1);
+        g.map_to_tile(x, 0).unwrap();
+        g.map_to_tile(y, 0).unwrap();
+        let cs = g.add_compute_set("join");
+        for (i, load) in [(0usize, 30u64), (1, 50)] {
+            let v = g
+                .add_vertex_on_thread(cs, 0, i, "part", move |ctx| {
+                    ctx.f32_mut(0)[0] = (i + 1) as f32;
+                    load
+                })
+                .unwrap();
+            g.connect(v, x.element(i), Access::Write).unwrap();
+        }
+        let sup = g
+            .add_supervisor(cs, 0, "sum", |ctx| {
+                ctx.f32_mut(1)[0] = ctx.f32(0).iter().sum();
+                7
+            })
+            .unwrap();
+        g.connect(sup, x.whole(), Access::Read).unwrap();
+        g.connect(sup, y.whole(), Access::Write).unwrap();
+        g.add_vertex(cs, 1, "other", move |_| tile1).unwrap();
+        (g, x, y, cs)
+    }
+
+    #[test]
+    fn supervisor_charge_is_max_worker_plus_lone_supervisor_plus_join() {
+        let tile0 = 6 * (50 + VERTEX_OVERHEAD)
+            + 6 * (7 + VERTEX_OVERHEAD)
+            + calibration::SUPERVISOR_JOIN_CYCLES;
+        // A light tile 1 leaves tile 0's supervised cost as the chip
+        // charge; a heavy one (6 · 90 = 540 > 474) sets it instead.
+        for (tile1, chip) in [(5, tile0), (80, 6 * (80 + VERTEX_OVERHEAD))] {
+            for mode in [ExecMode::Interpreted, ExecMode::Plan] {
+                let (g, _, y, cs) = supervised_graph(tile1);
+                let mut e = g.compile(Program::execute(cs)).unwrap();
+                e.set_exec_mode(mode);
+                e.enable_profiling(ProfileConfig::default());
+                e.run().unwrap();
+                assert_eq!(
+                    e.read_f32(y),
+                    vec![3.0],
+                    "{mode:?}: supervisor reads workers"
+                );
+                let s = e.stats();
+                assert_eq!(s.compute_cycles, chip, "{mode:?} tile1={tile1}");
+                assert_eq!(s.supersteps, 1);
+                assert_eq!(s.sync_cycles, e.config().sync_cycles);
+                let p = e.profile().unwrap();
+                assert_eq!(p.compute_cycles, chip);
+                assert_eq!(p.tile_compute[0], tile0, "{mode:?}");
+                let crate::ProfileEvent::Superstep(ss) = &p.events[0] else {
+                    panic!("expected a superstep event");
+                };
+                assert_eq!(ss.tiles[0].cycles, tile0);
+                assert_eq!(ss.tiles[0].threads_used, 2);
+                assert_eq!(
+                    ss.tiles[0].supervisor_cycles,
+                    6 * (7 + VERTEX_OVERHEAD) + calibration::SUPERVISOR_JOIN_CYCLES
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compile_rejects_every_other_dependency_on_a_supervisor() {
+        let race = |g: Graph, cs: ComputeSetId, case: &str| {
+            let err = g.compile(Program::execute(cs)).unwrap_err();
+            assert!(
+                matches!(err, GraphError::ComputeSetRace { .. }),
+                "{case}: {err:?}"
+            );
+        };
+        // A supervisor reading a worker output mapped to another tile.
+        let (mut g, x, _, cs) = supervised_graph(5);
+        let v = g.add_supervisor(cs, 1, "remote", |_| 1).unwrap();
+        g.connect(v, x.whole(), Access::Read).unwrap();
+        race(g, cs, "remote read");
+        // Two supervisors on one tile in one compute set.
+        let (mut g, _, _, cs) = supervised_graph(5);
+        g.add_supervisor(cs, 0, "second", |_| 1).unwrap();
+        race(g, cs, "two supervisors");
+        // A worker reading the supervisor's output.
+        let (mut g, _, y, cs) = supervised_graph(5);
+        let v = g.add_vertex_on_thread(cs, 0, 2, "late", |_| 1).unwrap();
+        g.connect(v, y.whole(), Access::Read).unwrap();
+        race(g, cs, "worker reads supervisor");
+    }
+
     /// A program touching every profiled path: uneven compute, a
-    /// cross-tile copy, and a repeat.
+    /// supervisor, a cross-tile copy, and a repeat.
     fn profiled_program(tiles: usize, verts_per_tile: usize) -> (Graph, Tensor, Program) {
         let (mut g, x) = {
             let (g, x) = sharded_increment_graph(tiles, verts_per_tile);
@@ -1975,6 +2150,24 @@ mod tests {
         };
         let y = g.add_tensor("y", DType::F32, verts_per_tile);
         g.map_to_tile(y, tiles - 1).unwrap();
+        // The last tile's supervisor folds its workers' outputs, long
+        // enough to set the superstep's duration.
+        let last = tiles - 1;
+        let z = g.add_tensor("z", DType::F32, 1);
+        g.map_to_tile(z, last).unwrap();
+        let sup = g
+            .add_supervisor(ComputeSetId(0), last, "fold", |ctx| {
+                ctx.f32_mut(1)[0] = ctx.f32(0).iter().sum();
+                40
+            })
+            .unwrap();
+        g.connect(
+            sup,
+            x.slice(last * verts_per_tile..tiles * verts_per_tile),
+            Access::Read,
+        )
+        .unwrap();
+        g.connect(sup, z.whole(), Access::Write).unwrap();
         let program = Program::repeat(
             3,
             Program::seq(vec![

@@ -124,6 +124,9 @@ pub(crate) struct VertexInfo {
     /// Explicit hardware thread, or `None` for round-robin assignment at
     /// compile time.
     pub(crate) thread: Option<usize>,
+    /// A supervisor vertex ([`Graph::add_supervisor`]) runs after its
+    /// tile's workers in the same superstep and may read their outputs.
+    pub(crate) supervisor: bool,
     pub(crate) name: String,
     pub(crate) codelet: Box<dyn Fn(&VertexCtx) -> u64>,
     pub(crate) fields: Vec<(TensorSlice, Access)>,
@@ -131,7 +134,11 @@ pub(crate) struct VertexInfo {
 
 pub(crate) struct ComputeSetInfo {
     pub(crate) name: String,
+    /// Worker vertices, in insertion order.
     pub(crate) vertices: Vec<usize>,
+    /// Supervisor vertices, at most one per tile; each runs after every
+    /// worker of the compute set.
+    pub(crate) supervisors: Vec<usize>,
 }
 
 /// The static computation graph.
@@ -329,6 +336,7 @@ impl Graph {
         self.compute_sets.push(ComputeSetInfo {
             name: name.to_string(),
             vertices: Vec::new(),
+            supervisors: Vec::new(),
         });
         ComputeSetId(id)
     }
@@ -342,7 +350,7 @@ impl Graph {
         name: &str,
         codelet: impl Fn(&VertexCtx) -> u64 + 'static,
     ) -> Result<VertexId, GraphError> {
-        self.add_vertex_inner(cs, tile, None, name, Box::new(codelet))
+        self.add_vertex_inner(cs, tile, None, false, name, Box::new(codelet))
     }
 
     /// Adds a vertex pinned to a specific hardware thread of `tile` —
@@ -364,7 +372,31 @@ impl Graph {
                 ),
             });
         }
-        self.add_vertex_inner(cs, tile, Some(thread), name, Box::new(codelet))
+        self.add_vertex_inner(cs, tile, Some(thread), false, name, Box::new(codelet))
+    }
+
+    /// Adds the **supervisor vertex** of `tile` to `cs`: it runs after
+    /// every worker vertex of `cs` on that tile, inside the same superstep,
+    /// and may read what those workers wrote — the IPU's supervisor
+    /// thread joining its six workers (Jia et al., arXiv:1912.03413). This
+    /// is how a tile folds its workers' partial results without paying a
+    /// chip-wide sync.
+    ///
+    /// The tile is charged `threads_per_tile * max(worker) +
+    /// threads_per_tile * supervisor + SUPERVISOR_JOIN_CYCLES` (see
+    /// [`crate::calibration::SUPERVISOR_JOIN_CYCLES`]): the supervisor
+    /// issues alone, at the lone-thread rate. [`Graph::compile`] accepts
+    /// one supervisor per tile per compute set, and no dependency inside
+    /// a compute set other than a supervisor reading its own tile's
+    /// worker outputs.
+    pub fn add_supervisor(
+        &mut self,
+        cs: ComputeSetId,
+        tile: usize,
+        name: &str,
+        codelet: impl Fn(&VertexCtx) -> u64 + 'static,
+    ) -> Result<VertexId, GraphError> {
+        self.add_vertex_inner(cs, tile, None, true, name, Box::new(codelet))
     }
 
     fn add_vertex_inner(
@@ -372,6 +404,7 @@ impl Graph {
         cs: ComputeSetId,
         tile: usize,
         thread: Option<usize>,
+        supervisor: bool,
         name: &str,
         codelet: Box<dyn Fn(&VertexCtx) -> u64>,
     ) -> Result<VertexId, GraphError> {
@@ -391,11 +424,17 @@ impl Graph {
             cs: cs.0,
             tile,
             thread,
+            supervisor,
             name: name.to_string(),
             codelet,
             fields: Vec::new(),
         });
-        self.compute_sets[cs.0].vertices.push(id);
+        let set = &mut self.compute_sets[cs.0];
+        if supervisor {
+            set.supervisors.push(id);
+        } else {
+            set.vertices.push(id);
+        }
         Ok(VertexId(id))
     }
 
@@ -430,9 +469,12 @@ impl Graph {
     ///    cross-chip traffic rather than fail;
     /// 2. every tensor is fully mapped, exactly once per element;
     /// 3. no tile's mapped bytes exceed its SRAM budget (C2);
-    /// 4. every vertex field lies wholly on the vertex's tile (C1/C2);
-    /// 5. within each compute set, no write overlaps any other field of
-    ///    any vertex — races are impossible (C1);
+    /// 4. within each compute set, no write overlaps any other field of
+    ///    any vertex — races are impossible (C1) — except that a tile's
+    ///    supervisor ([`Graph::add_supervisor`]) may read what its own
+    ///    tile's workers write; a tile has at most one supervisor per
+    ///    compute set;
+    /// 5. every vertex field lies wholly on the vertex's tile (C1/C2);
     /// 6. the program references valid compute sets, copy endpoints have
     ///    matching dtype/length, and `RepeatWhileTrue` predicates are
     ///    single-element i32 tensors.
@@ -442,8 +484,8 @@ impl Graph {
             .map_err(|detail| GraphError::Invalid { detail })?;
         self.validate_mappings()?;
         self.validate_memory()?;
-        self.validate_locality()?;
         self.validate_races()?;
+        self.validate_locality()?;
         self.validate_program(&program)?;
         Ok(Engine::new(self, program))
     }
@@ -547,10 +589,35 @@ impl Graph {
         // included — a vertex aliasing its own write region through a
         // second field would still be undefined behaviour on real
         // hardware's 64-bit load/store pairs, and in this simulator).
+        //
+        // The one allowed dependency: a supervisor reading what a worker
+        // on its own tile writes (the supervisor runs after the workers).
+        // A supervisor reading another tile's worker output, a worker
+        // reading a supervisor's output, and a second supervisor on one
+        // tile are races.
+        let joins = |a: usize, a_excl: bool, b: usize, b_excl: bool| {
+            let (va, vb) = (&self.vertices[a], &self.vertices[b]);
+            va.supervisor && !a_excl && !vb.supervisor && b_excl && va.tile == vb.tile
+        };
         for (cs_idx, cs) in self.compute_sets.iter().enumerate() {
+            let mut sup_tiles: Vec<usize> = cs
+                .supervisors
+                .iter()
+                .map(|&v| self.vertices[v].tile)
+                .collect();
+            sup_tiles.sort_unstable();
+            if let Some(w) = sup_tiles.windows(2).find(|w| w[0] == w[1]) {
+                return Err(GraphError::ComputeSetRace {
+                    detail: format!(
+                        "in compute set '{}': two supervisors on tile {}; a tile has one \
+                         supervisor thread",
+                        cs.name, w[0]
+                    ),
+                });
+            }
             // (tensor, start, end, vertex, field_idx, exclusive)
             let mut regions: Vec<(usize, usize, usize, usize, usize, bool)> = Vec::new();
-            for &vid in &cs.vertices {
+            for &vid in cs.vertices.iter().chain(&cs.supervisors) {
                 let v = &self.vertices[vid];
                 for (f_idx, (slice, access)) in v.fields.iter().enumerate() {
                     // Replicated tensors are read-only for vertices (checked
@@ -582,7 +649,7 @@ impl Graph {
                         break;
                     }
                     debug_assert!(s1 < e0 && s0 < e1);
-                    if x0 || x1 {
+                    if (x0 || x1) && !joins(v0, x0, v1, x1) && !joins(v1, x1, v0, x0) {
                         let name = &self.compute_sets[cs_idx].name;
                         return Err(GraphError::ComputeSetRace {
                             detail: format!(

@@ -14,7 +14,9 @@
 //! - **No atomics, no shared memory (C1).** Within a compute set, two
 //!   vertices may never write overlapping regions, nor may one read what
 //!   another writes; violations are build-time errors (this mirrors
-//!   Poplar's data-integrity rule for compute sets).
+//!   Poplar's data-integrity rule for compute sets). The one exception is
+//!   a tile's supervisor vertex ([`Graph::add_supervisor`]), which runs
+//!   after its own tile's workers and may read what they wrote.
 //! - **BSP execution (C3).** A program is a static tree of compute sets,
 //!   exchanges, and loops. Each executed compute set is a superstep: its
 //!   modeled duration is the *maximum* over tiles (stragglers stall the

@@ -117,7 +117,8 @@ impl PlanField {
 pub(crate) struct PlanVertex {
     /// Index into `graph.vertices` (for the codelet closure).
     pub(crate) vid: u32,
-    /// `tile * threads_per_tile + thread` — the load-accounting slot.
+    /// `tile * threads_per_tile + thread` — the load-accounting slot —
+    /// for a worker; the tile for a supervisor.
     pub(crate) slot: u32,
     /// First field in the field arena (`ExecPlan::fields`).
     pub(crate) field_start: u32,
@@ -202,6 +203,9 @@ pub(crate) struct ExecPlan {
     /// Each compute set's vertices in program order (parallel to
     /// `graph.compute_sets`).
     pub(crate) steps: Vec<Vec<PlanVertex>>,
+    /// Each compute set's supervisor vertices (parallel to `steps`), run
+    /// after its workers.
+    pub(crate) supervisors: Vec<Vec<PlanVertex>>,
     /// Compute-set id of every `Execute` occurrence, in flattened program
     /// order; [`PlanOp::Run`] indexes a contiguous range of this.
     pub(crate) step_seq: Vec<u32>,
@@ -234,13 +238,16 @@ impl ExecPlan {
     }
 }
 
+/// Plan vertices per compute set, parallel to `graph.compute_sets`.
+type PerComputeSet = Vec<Vec<PlanVertex>>;
+
 /// Resolves every vertex's fields into the arena and each compute set
-/// into its list of plan vertices.
+/// into its lists of worker and supervisor plan vertices.
 fn build_steps(
     graph: &Graph,
     vertex_thread: &[usize],
     raw: &RawBufs,
-) -> (Vec<PlanField>, Vec<Vec<PlanVertex>>) {
+) -> (Vec<PlanField>, PerComputeSet, PerComputeSet) {
     let tpt = graph.config.threads_per_tile;
     let mut fields = Vec::new();
     let mut vert_fields = Vec::with_capacity(graph.vertices.len());
@@ -251,25 +258,30 @@ fn build_steps(
         }
         vert_fields.push((start, v.fields.len() as u32));
     }
+    let plan_vertex = |vid: usize| {
+        let v = &graph.vertices[vid];
+        PlanVertex {
+            vid: vid as u32,
+            slot: if v.supervisor {
+                v.tile as u32
+            } else {
+                (v.tile * tpt + vertex_thread[vid]) as u32
+            },
+            field_start: vert_fields[vid].0,
+            field_count: vert_fields[vid].1,
+        }
+    };
     let steps = graph
         .compute_sets
         .iter()
-        .map(|cs| {
-            cs.vertices
-                .iter()
-                .map(|&vid| {
-                    let v = &graph.vertices[vid];
-                    PlanVertex {
-                        vid: vid as u32,
-                        slot: (v.tile * tpt + vertex_thread[vid]) as u32,
-                        field_start: vert_fields[vid].0,
-                        field_count: vert_fields[vid].1,
-                    }
-                })
-                .collect()
-        })
+        .map(|cs| cs.vertices.iter().map(|&vid| plan_vertex(vid)).collect())
         .collect();
-    (fields, steps)
+    let supervisors = graph
+        .compute_sets
+        .iter()
+        .map(|cs| cs.supervisors.iter().map(|&vid| plan_vertex(vid)).collect())
+        .collect();
+    (fields, steps, supervisors)
 }
 
 fn seg_overlaps(src: &TensorSlice, dst: &TensorSlice) -> bool {
@@ -482,7 +494,7 @@ pub(crate) fn build(
     vertex_thread: &[usize],
     raw: &RawBufs,
 ) -> ExecPlan {
-    let (fields, steps) = build_steps(graph, vertex_thread, raw);
+    let (fields, steps, supervisors) = build_steps(graph, vertex_thread, raw);
     let mut b = Builder {
         graph,
         ops: Vec::new(),
@@ -499,6 +511,7 @@ pub(crate) fn build(
         copies: b.copies,
         fields,
         steps,
+        supervisors,
         step_seq: b.step_seq,
         contexts: b.contexts,
         n_slots: b.n_slots as usize,

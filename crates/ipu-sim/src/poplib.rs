@@ -8,9 +8,10 @@
 //!
 //! - scalar reductions: per-interval partial vertices on the data's own
 //!   tiles (none when every interval holds one element) → a single-phase
-//!   gather of ≤ `tiles` partials to a collector tile → one final vertex
-//!   (§IV-G notes that a ≤1472-element temporary always fits one tile),
-//!   which can run a caller's [`Finish`] on the result;
+//!   gather of ≤ `tiles` partials to a collector tile → one final
+//!   superstep there (§IV-G notes that a ≤1472-element temporary always
+//!   fits one tile): six per-thread chunk folds joined by the tile's
+//!   supervisor vertex, which can run a caller's [`Finish`] on the result;
 //! - column-wise reductions over a row-distributed matrix: per-tile
 //!   partial vectors combined along a binary tree of exchange+min stages
 //!   (`log2(tiles)` supersteps), then multicast back to every tile.
@@ -92,11 +93,12 @@ impl ReduceOp {
 }
 
 /// Work fused into the vertex that writes a scalar reduction's result
-/// ([`reduce_on_tile`]), on the output tile, so a consumer of the scalar
-/// pays no superstep of its own. The vertex sees the reduced input as
-/// field 0 and the result, already written, as field 1; `fields` are
-/// connected after them, from field 2 on. The codelet returns its own
-/// instruction count, which the vertex adds to the fold's.
+/// (the supervisor of [`reduce_on_tile`]), on the output tile, so a
+/// consumer of the scalar pays no superstep of its own. The vertex sees
+/// the values it folds (the per-thread partials) as field 0 and the
+/// result, already written, as field 1; `fields` are connected after
+/// them, from field 2 on. The codelet returns its own instruction count,
+/// which the vertex adds to the fold's.
 pub struct Finish {
     /// Extra regions of the final vertex, all on the output tile.
     pub fields: Vec<(TensorSlice, Access)>,
@@ -126,15 +128,18 @@ fn fold_codelet(op: ReduceOp, dtype: DType) -> impl Fn(&VertexCtx) -> u64 + Copy
 
 /// The per-interval stage of the scalar reductions: a tensor whose
 /// element `i` holds the fold of `input`'s mapping interval `i`, on that
-/// interval's tile, and the compute set that fills it. When every
-/// interval holds one element, `input` already is that tensor: it is
-/// returned as is, with no compute set (folding one element is the
-/// identity for every [`ReduceOp`], so the result is bit-identical).
+/// interval's tile. By default the folds are worker vertices of a new
+/// compute set, returned as a program; when every interval holds one
+/// element, `input` already is that tensor and is returned as is, with
+/// no compute set (folding one element is the identity for every
+/// [`ReduceOp`], so the result is bit-identical). With `fused`, the folds
+/// are supervisors of that compute set instead ([`supervised_partials`]).
 fn interval_partials(
     g: &mut Graph,
     name: &str,
     input: Tensor,
     op: ReduceOp,
+    fused: Option<ComputeSetId>,
 ) -> Result<(Tensor, Option<Program>), GraphError> {
     let intervals: Vec<(usize, usize, usize)> = g.tensors[input.id].mapping.clone();
     if intervals.is_empty() {
@@ -145,26 +150,38 @@ fn interval_partials(
     }
     // Intervals are disjoint and non-empty, so as many intervals as
     // elements means one element each, interval `i` holding element `i`.
-    if intervals.len() == input.len() {
+    if fused.is_none() && intervals.len() == input.len() {
         return Ok((input, None));
     }
     let dtype = input.dtype();
     let partials = g.add_tensor(&format!("{name}.partials"), dtype, intervals.len());
-    for (i, &(_, _, tile)) in intervals.iter().enumerate() {
-        g.map_slice(partials.element(i), tile)?;
-    }
-    let cs_partial = g.add_compute_set(&format!("{name}.partial"));
+    let cs = fused.unwrap_or_else(|| g.add_compute_set(&format!("{name}.partial")));
     for (i, &(s, e, tile)) in intervals.iter().enumerate() {
-        let v = g.add_vertex(
-            cs_partial,
-            tile,
-            &format!("{name}.partial[{i}]"),
-            fold_codelet(op, dtype),
-        )?;
+        g.map_slice(partials.element(i), tile)?;
+        let vname = format!("{name}.partial[{i}]");
+        let v = match fused {
+            Some(_) => g.add_supervisor(cs, tile, &vname, fold_codelet(op, dtype))?,
+            None => g.add_vertex(cs, tile, &vname, fold_codelet(op, dtype))?,
+        };
         g.connect(v, input.slice(s..e), Access::Read)?;
         g.connect(v, partials.element(i), Access::Write)?;
     }
-    Ok((partials, Some(Program::execute(cs_partial))))
+    Ok((partials, fused.is_none().then(|| Program::execute(cs))))
+}
+
+/// The per-interval stage of a scalar reduction, as supervisors
+/// ([`Graph::add_supervisor`]) of the compute set `cs` that writes
+/// `input`, one per interval, so it costs no superstep of its own. Pass
+/// the returned partials to [`reduce_to_scalar`], which then skips its
+/// partial stage. `input` needs one interval per tile.
+pub fn supervised_partials(
+    g: &mut Graph,
+    cs: ComputeSetId,
+    name: &str,
+    input: Tensor,
+    op: ReduceOp,
+) -> Result<Tensor, GraphError> {
+    Ok(interval_partials(g, name, input, op, Some(cs))?.0)
 }
 
 /// Builds a reduction of an arbitrarily-distributed tensor to a 1-element
@@ -180,7 +197,7 @@ pub fn reduce_to_scalar(
     out_tile: usize,
     finish: Option<Finish>,
 ) -> Result<(Tensor, Program), GraphError> {
-    let (partials, partial_prog) = interval_partials(g, name, input, op)?;
+    let (partials, partial_prog) = interval_partials(g, name, input, op, None)?;
     let k = partials.len();
     let dtype = input.dtype();
 
@@ -215,10 +232,10 @@ pub fn reduce_to_scalar(
 }
 
 /// Reduces a tensor that lives entirely on `tile` into a 1-element `out`
-/// tensor on the same tile, running `finish` in the vertex that writes
-/// `out`. Uses the tile's six threads (per-thread chunk vertices plus a
-/// combine vertex) when the input is long enough to amortize the extra
-/// superstep.
+/// tensor on the same tile, in one superstep: one worker vertex per
+/// hardware thread folds a chunk of the input, and the tile's supervisor
+/// ([`Graph::add_supervisor`]) folds their partials into `out` and runs
+/// `finish`.
 pub fn reduce_on_tile(
     g: &mut Graph,
     name: &str,
@@ -236,49 +253,30 @@ pub fn reduce_on_tile(
     }
     let threads = g.config().threads_per_tile;
     let n = input.len();
-    let fold = fold_codelet(op, dtype);
-
-    // The vertex that writes `out` from `src`, with `finish` fused in.
-    let last_vertex = |g: &mut Graph, cs: ComputeSetId, vname: &str, src: TensorSlice| {
-        let (fields, v) = match finish {
-            None => (Vec::new(), g.add_vertex(cs, tile, vname, fold)?),
-            Some(Finish { fields, codelet }) => (
-                fields,
-                g.add_vertex(cs, tile, vname, move |ctx| fold(ctx) + codelet(ctx))?,
-            ),
-        };
-        g.connect(v, src, Access::Read)?;
-        g.connect(v, out.whole(), Access::Write)?;
-        for (slice, access) in fields {
-            g.connect(v, slice, access)?;
-        }
-        Ok::<(), GraphError>(())
-    };
-
-    // Short inputs: a single vertex is cheaper than an extra superstep.
-    if n <= 4 * threads {
-        let cs = g.add_compute_set(name);
-        last_vertex(g, cs, name, input.whole())?;
-        return Ok(Program::execute(cs));
-    }
-
-    let part6 = g.add_tensor(&format!("{name}.part6"), dtype, threads);
-    g.map_to_tile(part6, tile)?;
-    let cs_chunks = g.add_compute_set(&format!("{name}.chunks"));
     let per = n.div_ceil(threads);
+    let fold = fold_codelet(op, dtype);
+    let cs = g.add_compute_set(name);
+    let parts = g.add_tensor(&format!("{name}.parts"), dtype, threads);
+    g.map_to_tile(parts, tile)?;
     for t in 0..threads {
-        let lo = (t * per).min(n);
-        let hi = ((t + 1) * per).min(n);
-        let v = g.add_vertex_on_thread(cs_chunks, tile, t, &format!("{name}.chunk{t}"), fold)?;
-        g.connect(v, input.slice(lo..hi), Access::Read)?;
-        g.connect(v, part6.element(t), Access::Write)?;
+        let chunk = input.slice((t * per).min(n)..((t + 1) * per).min(n));
+        let v = g.add_vertex_on_thread(cs, tile, t, &format!("{name}.chunk{t}"), fold)?;
+        g.connect(v, chunk, Access::Read)?;
+        g.connect(v, parts.element(t), Access::Write)?;
     }
-    let cs_comb = g.add_compute_set(&format!("{name}.combine"));
-    last_vertex(g, cs_comb, &format!("{name}.combine"), part6.whole())?;
-    Ok(Program::seq(vec![
-        Program::execute(cs_chunks),
-        Program::execute(cs_comb),
-    ]))
+    let (fields, v) = match finish {
+        None => (Vec::new(), g.add_supervisor(cs, tile, name, fold)?),
+        Some(Finish { fields, codelet }) => (
+            fields,
+            g.add_supervisor(cs, tile, name, move |ctx| fold(ctx) + codelet(ctx))?,
+        ),
+    };
+    g.connect(v, parts.whole(), Access::Read)?;
+    g.connect(v, out.whole(), Access::Write)?;
+    for (slice, access) in fields {
+        g.connect(v, slice, access)?;
+    }
+    Ok(Program::execute(cs))
 }
 
 /// Builds a column-wise reduction over a row-major `rows x cols` matrix
@@ -555,7 +553,7 @@ pub fn reduce_to_scalar_hier(
     out_tile: usize,
     finish: Option<Finish>,
 ) -> Result<(Tensor, Program), GraphError> {
-    let (partials, partial_prog) = interval_partials(g, name, input, op)?;
+    let (partials, partial_prog) = interval_partials(g, name, input, op, None)?;
     let (out, gather) = reduce_partials_hier(g, name, partials, op, stages, out_tile, finish)?;
     let mut program: Vec<Program> = partial_prog.into_iter().collect();
     program.push(gather);
@@ -1000,6 +998,102 @@ mod tests {
             .map(|s| s.name.clone())
             .collect();
         (bits, ran)
+    }
+
+    /// `reduce_on_tile` as it was built before supervisor vertices: the
+    /// per-thread chunk folds in one superstep, their combine in a
+    /// second.
+    fn two_stage_on_tile(g: &mut Graph, input: Tensor, out: Tensor, op: ReduceOp) -> Program {
+        let dtype = input.dtype();
+        let (n, threads) = (input.len(), g.config().threads_per_tile);
+        let per = n.div_ceil(threads);
+        let part6 = g.add_tensor("part6", dtype, threads);
+        g.map_to_tile(part6, 0).unwrap();
+        let chunks = g.add_compute_set("chunks");
+        for t in 0..threads {
+            let v = g
+                .add_vertex_on_thread(chunks, 0, t, "chunk", fold_codelet(op, dtype))
+                .unwrap();
+            g.connect(
+                v,
+                input.slice((t * per).min(n)..((t + 1) * per).min(n)),
+                Access::Read,
+            )
+            .unwrap();
+            g.connect(v, part6.element(t), Access::Write).unwrap();
+        }
+        let combine = g.add_compute_set("combine");
+        let v = g
+            .add_vertex(combine, 0, "combine", fold_codelet(op, dtype))
+            .unwrap();
+        g.connect(v, part6.whole(), Access::Read).unwrap();
+        g.connect(v, out.whole(), Access::Write).unwrap();
+        Program::seq(vec![Program::execute(chunks), Program::execute(combine)])
+    }
+
+    #[test]
+    fn one_superstep_on_tile_reduce_matches_the_two_stage_one_bit_for_bit() {
+        // Mixed signs, signed zeros, infinities and magnitudes far apart,
+        // so a reordered f32 sum would round differently.
+        let pool = [
+            3.0,
+            -0.0,
+            1e9,
+            -2.25,
+            f32::INFINITY,
+            0.1,
+            -1e9,
+            7.5,
+            f32::NEG_INFINITY,
+            0.0,
+            1e-3,
+            -12.0,
+        ];
+        for n in [1, 2, 5, 6, 7, 13, 24, 25, 100] {
+            for dtype in [DType::F32, DType::I32] {
+                for op in [ReduceOp::Min, ReduceOp::Max, ReduceOp::Sum] {
+                    let values: Vec<f32> = (0..n)
+                        .map(|i| match (dtype, op) {
+                            // Infinities make an f32 sum NaN; keep them
+                            // for the order-insensitive operators.
+                            (DType::F32, ReduceOp::Sum) => pool[(i * 7) % 12].clamp(-1e9, 1e9),
+                            _ => pool[(i * 7) % 12].clamp(-1e6, 1e6),
+                        })
+                        .collect();
+                    let run = |one: bool| {
+                        let mut g = device(1);
+                        let t = g.add_tensor("t", dtype, n);
+                        let out = g.add_tensor("out", dtype, 1);
+                        g.map_to_tile(t, 0).unwrap();
+                        g.map_to_tile(out, 0).unwrap();
+                        let prog = if one {
+                            reduce_on_tile(&mut g, "r", t, out, op, 0, None).unwrap()
+                        } else {
+                            two_stage_on_tile(&mut g, t, out, op)
+                        };
+                        let mut e = g.compile(prog).unwrap();
+                        let bits = match dtype {
+                            DType::F32 => {
+                                e.write_f32(t, &values).unwrap();
+                                e.run().unwrap();
+                                e.read_f32(out)[0].to_bits()
+                            }
+                            DType::I32 => {
+                                let ints: Vec<i32> = values.iter().map(|&v| v as i32).collect();
+                                e.write_i32(t, &ints).unwrap();
+                                e.run().unwrap();
+                                e.read_i32(out)[0] as u32
+                            }
+                        };
+                        (bits, e.stats().supersteps)
+                    };
+                    let (one, one_steps) = run(true);
+                    let (two, two_steps) = run(false);
+                    assert_eq!(one, two, "n={n} {dtype:?} {op:?}");
+                    assert_eq!((one_steps, two_steps), (1, 2));
+                }
+            }
+        }
     }
 
     #[test]

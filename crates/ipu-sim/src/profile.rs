@@ -42,6 +42,18 @@ pub const BROADCAST_TILE: u32 = u32::MAX;
 /// whichever side of the pair the host sits).
 pub const HOST_TILE: u32 = u32::MAX - 1;
 
+/// One tile's share of a superstep, as the engine hands it to
+/// [`Profiler::record_superstep`]: its barrel cost (`cycles`, the
+/// supervisor phase included), the worker threads that ran, and the
+/// supervisor phase alone (0 without a supervisor).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileLoad {
+    pub(crate) tile: u32,
+    pub(crate) cycles: u64,
+    pub(crate) threads: u32,
+    pub(crate) supervisor: u64,
+}
+
 /// Trace lane (`tid`) carrying the chip-level timeline.
 const CHIP_TID: u64 = 0;
 /// Trace lanes `TILE_TID_BASE + tile` carry sampled per-tile detail.
@@ -93,10 +105,16 @@ pub struct TileSample {
     /// Tile id.
     pub tile: u32,
     /// This tile's barrel cost for the superstep
-    /// (`threads_per_tile * max` instruction load over its threads).
+    /// (`threads_per_tile * max` instruction load over its threads,
+    /// plus the supervisor phase).
     pub cycles: u64,
     /// Hardware threads that ran at least one vertex.
     pub threads_used: u32,
+    /// The tile's supervisor phase, already included in `cycles`: its
+    /// supervisor vertex's instructions at the lone-thread rate plus the
+    /// tile-local join ([`crate::calibration::SUPERVISOR_JOIN_CYCLES`]);
+    /// 0 when the tile ran no supervisor.
+    pub supervisor_cycles: u64,
     /// Cycles this tile idled at the BSP barrier: superstep duration
     /// minus its own cost.
     pub sync_wait: u64,
@@ -337,21 +355,20 @@ impl Profiler {
         self.events.push_back(ev);
     }
 
-    /// Records one superstep. `per_tile` is `(tile, cycles,
-    /// threads_used)` ascending by tile, covering every active tile;
-    /// `straggler_extra` stretches the superstep (and is attributed to
-    /// the slowest tile).
+    /// Records one superstep. `per_tile` is ascending by tile and covers
+    /// every active tile; `straggler_extra` stretches the superstep (and
+    /// is attributed to the slowest tile).
     pub(crate) fn record_superstep(
         &mut self,
         cs: usize,
-        per_tile: &[(u32, u64, u32)],
+        per_tile: &[TileLoad],
         sync_cycles: u64,
         straggler_extra: u64,
     ) {
-        debug_assert!(per_tile.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(per_tile.windows(2).all(|w| w[0].tile < w[1].tile));
         let mut worst = 0u64;
         let mut slowest = 0u32;
-        for &(tile, cycles, _) in per_tile {
+        for &TileLoad { tile, cycles, .. } in per_tile {
             if cycles > worst {
                 worst = cycles;
                 slowest = tile;
@@ -363,7 +380,13 @@ impl Profiler {
         self.compute_cycles += duration;
         self.sync_cycles += sync_cycles;
         self.tile_supersteps += per_tile.len() as u64;
-        for &(tile, cycles, threads) in per_tile {
+        for &TileLoad {
+            tile,
+            cycles,
+            threads,
+            ..
+        } in per_tile
+        {
             let own = if tile == slowest {
                 cycles + straggler_extra
             } else {
@@ -381,17 +404,18 @@ impl Profiler {
         let stride = self.config.tile_sample.max(1);
         let tiles = per_tile
             .iter()
-            .filter(|&&(tile, _, _)| tile % stride as u32 == 0 || tile == slowest)
-            .map(|&(tile, cycles, threads)| {
-                let own = if tile == slowest {
-                    cycles + straggler_extra
+            .filter(|d| d.tile % stride as u32 == 0 || d.tile == slowest)
+            .map(|d| {
+                let own = if d.tile == slowest {
+                    d.cycles + straggler_extra
                 } else {
-                    cycles
+                    d.cycles
                 };
                 TileSample {
-                    tile,
+                    tile: d.tile,
                     cycles: own,
-                    threads_used: threads,
+                    threads_used: d.threads,
+                    supervisor_cycles: d.supervisor,
                     sync_wait: duration - own,
                 }
             })
@@ -590,6 +614,7 @@ impl Profiler {
                         CHIP_TID,
                     ));
                     for ts in &s.tiles {
+                        let lane = TILE_TID_BASE + ts.tile as u64;
                         t.push(
                             TraceEvent::complete(
                                 cs_name(s.cs),
@@ -597,11 +622,26 @@ impl Profiler {
                                 us(s.start_cycle),
                                 us(ts.cycles),
                                 pid,
-                                TILE_TID_BASE + ts.tile as u64,
+                                lane,
                             )
                             .arg("threads_used", ts.threads_used)
                             .arg("sync_wait_cycles", ts.sync_wait),
                         );
+                        // The supervisor phase closes the tile's slice:
+                        // its instructions, then the tile-local join.
+                        if ts.supervisor_cycles > 0 {
+                            t.push(
+                                TraceEvent::complete(
+                                    "supervisor",
+                                    "tile",
+                                    us(s.start_cycle + ts.cycles - ts.supervisor_cycles),
+                                    us(ts.supervisor_cycles),
+                                    pid,
+                                    lane,
+                                )
+                                .arg("cycles", ts.supervisor_cycles),
+                            );
+                        }
                     }
                 }
                 ProfileEvent::Exchange(e) => {
@@ -660,6 +700,19 @@ impl Profiler {
 mod tests {
     use super::*;
 
+    /// Worker-only tile loads from `(tile, cycles, threads)`.
+    fn tl(loads: &[(u32, u64, u32)]) -> Vec<TileLoad> {
+        loads
+            .iter()
+            .map(|&(tile, cycles, threads)| TileLoad {
+                tile,
+                cycles,
+                threads,
+                supervisor: 0,
+            })
+            .collect()
+    }
+
     fn profiler() -> Profiler {
         Profiler::new(ProfileConfig::default(), 4, 6, 1, 4)
     }
@@ -667,8 +720,8 @@ mod tests {
     #[test]
     fn superstep_accounting() {
         let mut p = profiler();
-        p.record_superstep(0, &[(0, 12, 2), (2, 30, 1)], 5, 0);
-        p.record_superstep(1, &[(1, 6, 1)], 5, 4);
+        p.record_superstep(0, &tl(&[(0, 12, 2), (2, 30, 1)]), 5, 0);
+        p.record_superstep(1, &tl(&[(1, 6, 1)]), 5, 4);
         assert_eq!(p.supersteps, 2);
         assert_eq!(p.compute_cycles, 30 + 10);
         assert_eq!(p.sync_cycles, 10);
@@ -684,7 +737,7 @@ mod tests {
     #[test]
     fn straggler_extra_attributed_to_slowest() {
         let mut p = profiler();
-        p.record_superstep(0, &[(0, 10, 1), (1, 20, 1)], 3, 7);
+        p.record_superstep(0, &tl(&[(0, 10, 1), (1, 20, 1)]), 3, 7);
         assert_eq!(p.compute_cycles, 27);
         assert_eq!(p.tile_compute[1], 27);
         assert_eq!(p.tile_sync_wait[1], 0);
@@ -711,7 +764,7 @@ mod tests {
             1,
             8,
         );
-        p.record_superstep(0, &[(1, 5, 1), (3, 50, 1), (4, 2, 1)], 1, 0);
+        p.record_superstep(0, &tl(&[(1, 5, 1), (3, 50, 1), (4, 2, 1)]), 1, 0);
         match &p.events[0] {
             ProfileEvent::Superstep(s) => {
                 // tile 4 matches the stride, tile 3 is the slowest.
@@ -738,7 +791,7 @@ mod tests {
             2,
         );
         for i in 0..5 {
-            p.record_superstep(0, &[(0, i + 1, 1)], 1, 0);
+            p.record_superstep(0, &tl(&[(0, i + 1, 1)]), 1, 0);
         }
         assert_eq!(p.events.len(), 2);
         assert_eq!(p.dropped, 3);
@@ -784,7 +837,7 @@ mod tests {
     #[test]
     fn multi_chip_trace_names_lanes_by_chip() {
         let mut p = Profiler::new(ProfileConfig::default(), 4, 6, 2, 2);
-        p.record_superstep(0, &[(1, 10, 1), (2, 40, 2)], 2, 0);
+        p.record_superstep(0, &tl(&[(1, 10, 1), (2, 40, 2)]), 2, 0);
         p.record_exchange(7, 2, 12, &[(1, 2, 12)]);
         let json = p
             .chrome_trace(1, "ipu-sim", 1.0e6, &["step".to_string()])
@@ -797,7 +850,7 @@ mod tests {
         // Single-chip traces keep the original lane names and omit the
         // cross-chip annotation entirely.
         let mut p1 = profiler();
-        p1.record_superstep(0, &[(1, 10, 1), (2, 40, 2)], 2, 0);
+        p1.record_superstep(0, &tl(&[(1, 10, 1), (2, 40, 2)]), 2, 0);
         p1.record_exchange(7, 2, 12, &[(1, 2, 12)]);
         let json = p1
             .chrome_trace(1, "ipu-sim", 1.0e6, &["step".to_string()])
@@ -810,7 +863,7 @@ mod tests {
     #[test]
     fn report_orders_stragglers_and_reconciles() {
         let mut p = profiler();
-        p.record_superstep(0, &[(0, 10, 1), (1, 40, 2), (3, 40, 2)], 2, 0);
+        p.record_superstep(0, &tl(&[(0, 10, 1), (1, 40, 2), (3, 40, 2)]), 2, 0);
         p.record_exchange(7, 2, 12, &[(1, 3, 12)]);
         let r = p.report();
         assert_eq!(r.compute_cycles, p.compute_cycles);
@@ -833,10 +886,10 @@ mod tests {
     #[test]
     fn chrome_trace_validates_and_is_monotone() {
         let mut p = profiler();
-        p.record_superstep(0, &[(0, 10, 1), (1, 40, 2)], 2, 0);
+        p.record_superstep(0, &tl(&[(0, 10, 1), (1, 40, 2)]), 2, 0);
         p.record_exchange(7, 2, 12, &[(1, 0, 12)]);
         p.record_control(3, "while", true);
-        p.record_superstep(0, &[(0, 10, 1)], 2, 0);
+        p.record_superstep(0, &tl(&[(0, 10, 1)]), 2, 0);
         p.record_control(3, "while", false);
         p.record_fault("bit_flip", 1);
         let trace = p.chrome_trace(1, "ipu-sim", 1.0e6, &["step".to_string()]);
