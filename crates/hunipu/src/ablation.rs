@@ -45,7 +45,8 @@ pub struct AblationConfig {
     /// Prime every row whose status is 0 in one Step 4 pass, building
     /// the alternating tree a layer at a time. When off, Step 4 primes
     /// the arg-max row only, as the paper does (§IV-F): one dynamic read
-    /// of its zero column and of its star per prime.
+    /// of its zero column per prime (its star's column needs no uncover
+    /// write, since Step 4 derives column covers).
     pub layered_priming: bool,
 }
 

@@ -98,10 +98,13 @@ pub(crate) struct Ts {
     pub ctr_aug: Tensor,
     pub ctr_dual: Tensor,
     // ---- replicated mirrors (each tile holds a read-only copy) ----
-    /// Column-cover mirror, refreshed before every Step 4/6 superstep.
+    /// Column-cover mirror, refreshed before every dual update and
+    /// tiled block stream.
     pub ccm: Tensor,
-    /// Scratch mirrors `n` i32 (proposals / col_star / green rows+cols —
-    /// reused at disjoint program points to respect tile SRAM, C2).
+    /// Scratch mirrors `n` i32, reused at disjoint program points to
+    /// respect tile SRAM (C2): Step 2's proposals and column stars,
+    /// Step 4's row covers (`ma`) and column stars (`mb`), Step 5's green
+    /// rows and columns.
     pub ma: Tensor,
     pub mb: Tensor,
     /// Scalar mirrors.
@@ -109,7 +112,6 @@ pub(crate) struct Ts {
     pub pass_m: Tensor,
     pub sel_row_m: Tensor,
     pub sel_col_m: Tensor,
-    pub star_col_m: Tensor,
     pub cur_col_m: Tensor,
     pub k_row_m: Tensor,
     /// Step 6's Δ, f32.
@@ -252,7 +254,6 @@ impl Builder {
         let pass_m = g.add_replicated("pass_m", DType::I32, 1);
         let sel_row_m = g.add_replicated("sel_row_m", DType::I32, 1);
         let sel_col_m = g.add_replicated("sel_col_m", DType::I32, 1);
-        let star_col_m = g.add_replicated("star_col_m", DType::I32, 1);
         let cur_col_m = g.add_replicated("cur_col_m", DType::I32, 1);
         let k_row_m = g.add_replicated("k_row_m", DType::I32, 1);
         let delta_m = g.add_replicated("delta_m", DType::F32, 1);
@@ -338,7 +339,6 @@ impl Builder {
             pass_m,
             sel_row_m,
             sel_col_m,
-            star_col_m,
             cur_col_m,
             k_row_m,
             delta_m,
@@ -394,6 +394,33 @@ impl Builder {
             .map(|(r, _)| (src.slice(r.clone()), dst.slice(r.clone())))
             .collect();
         Ok((dst, Program::exchange(pairs)))
+    }
+
+    /// Builds a refresh of the replicated `mirror` from the distributed
+    /// `src` (laid out per `intervals`): one broadcast straight from the
+    /// owning tiles, which on multi-chip layouts spreads the per-replica
+    /// link traffic across every owning tile's chip. A one-chip layout on
+    /// a multi-IPU device (`LayoutMode::Flat`, and the sparse and tiled
+    /// programs, which are flat by construction) gathers `src` to the
+    /// collector as `name` and broadcasts from there instead. That is the
+    /// chip-oblivious reference the chip-aware layout is measured
+    /// against, so the chip-aware cut includes this broadcast (DESIGN.md
+    /// §15 gives its share).
+    pub fn refresh_mirror(
+        &mut self,
+        name: &str,
+        src: Tensor,
+        mirror: Tensor,
+        intervals: &[(Range<usize>, usize)],
+    ) -> Result<Program, GraphError> {
+        if self.l.chips == 1 && self.g.config().ipus > 1 {
+            let (gathered, gather) = self.gather_to_collector(name, src, intervals)?;
+            return Ok(Program::seq(vec![
+                gather,
+                Program::broadcast(gathered.whole(), mirror.whole()),
+            ]));
+        }
+        Ok(Program::broadcast(src.whole(), mirror.whole()))
     }
 
     /// Whether a two-level reduction pays for itself when `off_chip`

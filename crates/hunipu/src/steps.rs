@@ -6,7 +6,9 @@ use ipu_sim::kernels;
 use ipu_sim::poplib::{
     self, reduce_columns_mirrored, reduce_columns_mirrored_hier, Finish, ReduceOp,
 };
-use ipu_sim::{cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, TensorSlice};
+use ipu_sim::{
+    cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, TensorSlice, VertexCtx,
+};
 
 /// Bits of the row index inside the Step 4 arg-max encoding; supports
 /// n < 2^24 (the paper's largest instance is 2^13).
@@ -536,35 +538,27 @@ impl Builder {
         Ok(Program::seq(vec![Program::execute(cs_cover), red_prog]))
     }
 
-    /// The Step 4/5/6 search loop (§IV-F to §IV-H): while `searching`,
-    /// refresh the cover mirror, classify rows (−1/0/1), arg-max reduce,
-    /// and dispatch to augmentation (1), priming (0), or the slack update
-    /// (−1). Tiled storage classifies rows from their resident zero
-    /// lists and streams the cost blocks ([`Builder::frag_tiled_scan`])
-    /// only when no list holds an uncovered zero, then classifies again:
-    /// the stream finds zeros an overflowed list lost, and Step 6's δ.
+    /// The Step 4/5/6 search loop (§IV-F to §IV-H). On entry it seeds the
+    /// two mirrors that Step 4 derives column covers from (`ma`: row
+    /// covers, `mb`: column stars; see [`uncovered_zero`]). Then, while
+    /// `searching`, it classifies rows (−1/0/1), arg-max reduces, and
+    /// dispatches to augmentation (1), the end of a prime layer (0), or
+    /// the slack update (−1), which first re-derives `col_cover` and its
+    /// mirror ([`Builder::frag_col_covers`]). Tiled storage classifies
+    /// rows from their resident zero lists and streams the cost blocks
+    /// ([`Builder::frag_tiled_scan`]) only when no list holds an
+    /// uncovered zero, then classifies again: the stream finds zeros an
+    /// overflowed list lost, and Step 6's δ.
     fn frag_search_loop(&mut self) -> Result<Program, GraphError> {
-        // --- cover-mirror refresh ---
-        // One broadcast straight from the distributed cover vector. On
-        // multi-chip layouts this spreads the per-replica link traffic
-        // across every owning tile's chip. A one-chip layout on a
-        // multi-IPU device (`LayoutMode::Flat`, and the sparse and tiled
-        // programs, which are flat by construction) gathers to the
-        // collector and broadcasts from it instead. That is the
-        // chip-oblivious reference the chip-aware layout is measured
-        // against, so the chip-aware cut includes this broadcast
-        // (DESIGN.md §15 gives its share).
-        let refresh_ccm = if self.l.chips == 1 && self.g.config().ipus > 1 {
-            let col_intervals = self.col_seg_intervals();
-            let (ccg, gather_cc) =
-                self.gather_to_collector("loop.ccg", self.t.col_cover, &col_intervals)?;
-            Program::seq(vec![
-                gather_cc,
-                Program::broadcast(ccg.whole(), self.t.ccm.whole()),
-            ])
-        } else {
-            Program::broadcast(self.t.col_cover.whole(), self.t.ccm.whole())
-        };
+        let row_intervals = self.row_block_intervals(1);
+        let col_intervals = self.col_seg_intervals();
+        // Column stars change only in the augmentation that ends a
+        // search, so `mb` is seeded once per search; `ma` is seeded here
+        // and refreshed after every prime.
+        let refresh_ma =
+            self.refresh_mirror("loop.rcg", self.t.row_cover, self.t.ma, &row_intervals)?;
+        let seed_mb =
+            self.refresh_mirror("loop.csg", self.t.col_star, self.t.mb, &col_intervals)?;
         let cs_status = self.frag_row_status()?;
 
         // Arg-max over the row keys, decoded into the status flags and
@@ -588,13 +582,19 @@ impl Builder {
         let (_, enc_prog) =
             self.reduce_scalar("step4.enc", self.t.enc, ReduceOp::Max, Some(decode))?;
         let classify = [Program::execute(cs_status), enc_prog];
-        let mut body = vec![refresh_ccm];
-        body.extend(classify.clone());
+        let mut body = classify.to_vec();
+        let col_covers = self.frag_col_covers(&col_intervals)?;
+        let tiled = matches!(self.storage, Storage::Tiled { .. });
         if let Storage::Tiled { block_cols, zcap } = self.storage {
-            // Every list came up empty: stream against the current duals
-            // (through the column-potential mirror), then classify again.
+            // Every list came up empty: stream against the current covers
+            // and duals (through the column-potential mirror), then
+            // classify again. Covers do not change before a Step 6 that
+            // follows, so it needs no refresh of its own.
             let t_vm = self.t.vm.expect("tiled storage has v_m");
-            let mut fallback = vec![Program::broadcast(self.t.v.whole(), t_vm.whole())];
+            let mut fallback = vec![
+                col_covers.clone(),
+                Program::broadcast(self.t.v.whole(), t_vm.whole()),
+            ];
             fallback.extend(self.frag_tiled_scan(block_cols, zcap)?);
             fallback.extend(classify);
             let none = Program::seq(vec![]);
@@ -607,7 +607,6 @@ impl Builder {
 
         // Shared fragment: resolve the selected row's uncovered-zero
         // column via a dynamic read, and mirror it.
-        let row_intervals = self.row_block_intervals(1);
         let (rzc_out, read_rzc) = self.dyn_read_i32(
             "step4.selcol",
             self.t.row_zero_col,
@@ -621,16 +620,35 @@ impl Builder {
             Program::broadcast(rzc_out.whole(), self.t.sel_col_m.whole()),
         ]);
 
-        let prime = self.frag_prime(&get_sel_col, &row_intervals)?;
+        // Priming (status 0). Layered priming (the default) primes a
+        // whole tree layer per pass: every row of status 0 already primed
+        // its zero and covered itself in `step4.status`, so the pass only
+        // refreshes `ma`. Primes of one pass sit in distinct rows, and a
+        // prime's column was uncovered when the pass started, so its
+        // star's row was primed in an earlier pass: Step 5's walk visits
+        // strictly earlier passes and terminates. A pass that augments
+        // or updates the duals instead primes only rows that were
+        // uncovered when it started, which no walk visits and Step 5
+        // clears. Ablation A5 keeps the paper's one prime per iteration.
+        let prime = if self.ab.layered_priming {
+            refresh_ma.clone()
+        } else {
+            self.frag_prime_one(&get_sel_col, &row_intervals, &refresh_ma)?
+        };
         let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
-        let step6 = self.frag_step6()?;
+        let mut step6 = if tiled { Vec::new() } else { vec![col_covers] };
+        step6.push(self.frag_step6()?);
 
         body.push(Program::if_else(
             t_st1,
             augment,
-            Program::if_else(t_st0, prime, step6),
+            Program::if_else(t_st0, prime, Program::seq(step6)),
         ));
-        Ok(Program::while_true(self.t.searching, Program::seq(body)))
+        Ok(Program::seq(vec![
+            refresh_ma,
+            seed_mb,
+            Program::while_true(self.t.searching, Program::seq(body)),
+        ]))
     }
 
     /// Step 4's row status (§IV-F): every row publishes its state
@@ -638,174 +656,139 @@ impl Builder {
     /// arg-max key. Dense and sparse rows scan their compressed zeros,
     /// ascending per segment (ablation A2: the raw slack row); tiled rows
     /// take the minimum uncovered column of their zero list, which Step 2
-    /// sorted descending and Step 6 appends to.
+    /// sorted descending and Step 6 appends to. A zero's column cover is
+    /// derived from the `ma` and `mb` mirrors ([`uncovered_zero`]), two
+    /// lookups per zero examined. With layered priming, a row of status 0
+    /// also primes its zero and covers itself ([`publish_status`]), so a
+    /// prime layer needs no compute set of its own.
     fn frag_row_status(&mut self) -> Result<ComputeSetId, GraphError> {
         let l = self.l.clone();
         let th = l.threads;
-        let (t_comp, t_rcov, t_rstar) = (self.t.compress, self.t.row_cover, self.t.row_star);
-        let (t_zs, t_rzc, t_enc, t_ccm) = (
-            self.t.zero_status,
-            self.t.row_zero_col,
-            self.t.enc,
-            self.t.ccm,
-        );
-        let (t_slack, t_zc) = (self.t.slack, self.t.zero_count);
+        let t = self.t.clone();
+        let tiled = matches!(self.storage, Storage::Tiled { .. });
+        let compressed = self.ab.compression;
+        // The row's zeros sit from field 7 on; the prime, when the vertex
+        // primes, right after them.
+        let prime_field = self.ab.layered_priming.then_some(if tiled { 9 } else { 8 });
         let cs_status = self.g.add_compute_set("step4.status");
         for row in 0..l.n {
             let tile = l.tile_of_row(row);
             let row_i = row as i32;
-            let v = if let Storage::Tiled { .. } = self.storage {
-                let v = self.g.add_vertex(cs_status, tile, "status", move |ctx| {
-                    let covered = ctx.i32(0)[0] != 0;
-                    let star = ctx.i32(1)[0];
-                    let len = if covered { 0 } else { ctx.i32(3)[0] as usize };
-                    let ccm = ctx.i32(4);
-                    let zcol = ctx.i32(2)[..len]
+            let v = if tiled {
+                self.g.add_vertex(cs_status, tile, "status", move |ctx| {
+                    let (ma, mb, list) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
+                    // A length past the list (a fault-corrupted count)
+                    // reads as the whole list.
+                    let len = if ctx.i32(0)[0] != 0 {
+                        0
+                    } else {
+                        (ctx.i32(8)[0] as usize).min(list.len())
+                    };
+                    let zcol = list[..len]
                         .iter()
                         .copied()
-                        .filter(|&c| ccm.get(c as usize) == Some(&0))
+                        .filter(|&c| uncovered_zero(c, &ma, &mb))
                         .min()
                         .unwrap_or(-1);
-                    let (status, enc) = row_status(zcol, star, row_i);
-                    ctx.i32_mut(5)[0] = status;
-                    ctx.i32_mut(6)[0] = zcol;
-                    ctx.i32_mut(7)[0] = enc;
-                    cost::i32_scan(len) + cost::scalar(6)
-                })?;
-                self.g.connect(v, t_rcov.element(row), Access::Read)?;
-                self.g.connect(v, t_rstar.element(row), Access::Read)?;
-                self.g
-                    .connect(v, t_comp.slice(l.row_range(row)), Access::Read)?;
-                self.g.connect(v, t_zc.element(row * th), Access::Read)?;
-                v
-            } else if self.ab.compression {
+                    cost::i32_scan(len)
+                        + cost::scalar(2 * len)
+                        + publish_status(ctx, zcol, row_i, prime_field)
+                })?
+            } else if compressed {
                 let seg_bounds: Vec<(usize, usize)> = (0..th)
                     .map(|s| {
                         let c = l.seg_cols(s);
                         (c.start, c.end)
                     })
                     .collect();
-                let v = self.g.add_vertex(cs_status, tile, "status", move |ctx| {
-                    let covered = ctx.i32(0)[0] != 0;
-                    let star = ctx.i32(1)[0];
-                    let comp = ctx.i32(2);
-                    let ccm = ctx.i32(3);
-                    let mut scanned = 0u64;
+                self.g.add_vertex(cs_status, tile, "status", move |ctx| {
+                    let (mut scanned, mut looked) = (0, 0);
                     let mut zcol = -1;
-                    if !covered {
+                    if ctx.i32(0)[0] == 0 {
+                        let (ma, mb, comp) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
                         'outer: for &(s0, s1) in &seg_bounds {
-                            for k in s0..s1 {
+                            for &c in &comp[s0..s1] {
                                 scanned += 1;
-                                let c = comp[k];
                                 if c < 0 {
                                     break; // compacted: no more zeros in seg
                                 }
-                                // A column out of range (a fault-corrupted
-                                // entry) is no zero.
-                                if ccm.get(c as usize) == Some(&0) {
+                                looked += 1;
+                                if uncovered_zero(c, &ma, &mb) {
                                     zcol = c;
                                     break 'outer;
                                 }
                             }
                         }
                     }
-                    let (status, enc) = row_status(zcol, star, row_i);
-                    ctx.i32_mut(4)[0] = status;
-                    ctx.i32_mut(5)[0] = zcol;
-                    ctx.i32_mut(6)[0] = enc;
-                    cost::i32_scan(scanned as usize) + cost::scalar(6)
-                })?;
-                self.g.connect(v, t_rcov.element(row), Access::Read)?;
-                self.g.connect(v, t_rstar.element(row), Access::Read)?;
-                self.g
-                    .connect(v, t_comp.slice(l.row_range(row)), Access::Read)?;
-                v
+                    cost::i32_scan(scanned)
+                        + cost::scalar(2 * looked)
+                        + publish_status(ctx, zcol, row_i, prime_field)
+                })?
             } else {
                 // Ablation A2: no compression — scan the raw slack row.
-                let v = self
-                    .g
+                self.g
                     .add_vertex(cs_status, tile, "status_raw", move |ctx| {
-                        let covered = ctx.i32(0)[0] != 0;
-                        let star = ctx.i32(1)[0];
-                        let slack = ctx.f32(2);
-                        let ccm = ctx.i32(3);
+                        let slack = ctx.f32(7);
+                        let mut looked = 0;
                         let mut zcol = -1;
-                        if !covered {
+                        if ctx.i32(0)[0] == 0 {
+                            let (ma, mb) = (ctx.i32(2), ctx.i32(3));
                             for (c, &x) in slack.iter().enumerate() {
-                                if x == 0.0 && ccm[c] == 0 {
-                                    zcol = c as i32;
-                                    break;
+                                if x == 0.0 {
+                                    looked += 1;
+                                    if uncovered_zero(c as i32, &ma, &mb) {
+                                        zcol = c as i32;
+                                        break;
+                                    }
                                 }
                             }
                         }
-                        let (status, enc) = row_status(zcol, star, row_i);
-                        ctx.i32_mut(4)[0] = status;
-                        ctx.i32_mut(5)[0] = zcol;
-                        ctx.i32_mut(6)[0] = enc;
-                        cost::f32_scan(slack.len()) + cost::scalar(6)
-                    })?;
-                self.g.connect(v, t_rcov.element(row), Access::Read)?;
-                self.g.connect(v, t_rstar.element(row), Access::Read)?;
-                self.g
-                    .connect(v, t_slack.slice(l.row_range(row)), Access::Read)?;
-                v
+                        cost::f32_scan(slack.len())
+                            + cost::scalar(2 * looked)
+                            + publish_status(ctx, zcol, row_i, prime_field)
+                    })?
             };
-            self.g.connect(v, t_ccm.whole(), Access::Read)?;
-            self.g.connect(v, t_zs.element(row), Access::Write)?;
-            self.g.connect(v, t_rzc.element(row), Access::Write)?;
-            self.g.connect(v, t_enc.element(row), Access::Write)?;
+            let cover_access = match prime_field {
+                Some(_) => Access::ReadWrite,
+                None => Access::Read,
+            };
+            self.g.connect(v, t.row_cover.element(row), cover_access)?;
+            self.g.connect(v, t.row_star.element(row), Access::Read)?;
+            self.g.connect(v, t.ma.whole(), Access::Read)?;
+            self.g.connect(v, t.mb.whole(), Access::Read)?;
+            self.g
+                .connect(v, t.zero_status.element(row), Access::Write)?;
+            self.g
+                .connect(v, t.row_zero_col.element(row), Access::Write)?;
+            self.g.connect(v, t.enc.element(row), Access::Write)?;
+            if tiled || compressed {
+                self.g
+                    .connect(v, t.compress.slice(l.row_range(row)), Access::Read)?;
+            } else {
+                self.g
+                    .connect(v, t.slack.slice(l.row_range(row)), Access::Read)?;
+            }
+            if tiled {
+                self.g
+                    .connect(v, t.zero_count.element(row * th), Access::Read)?;
+            }
+            if prime_field.is_some() {
+                self.g.connect(v, t.row_prime.element(row), Access::Write)?;
+            }
         }
         Ok(cs_status)
     }
 
-    /// Step 4's priming action (status 0), one tree layer per pass:
-    /// every row whose status is 0 primes its uncovered zero and covers
-    /// itself, with no dynamic reads. Column covers are then re-derived
-    /// from the search-loop invariant "a column is covered iff it holds
-    /// a star whose row is uncovered", reading `row_cover` through the
-    /// `ma` mirror (idle during Step 4). Three supersteps per layer.
-    ///
-    /// Primes of one pass sit in distinct rows, and a prime's column was
-    /// uncovered when the pass started, so its star's row was primed in
-    /// an earlier pass: Step 5's walk visits strictly earlier passes and
-    /// terminates. Ablation A5 (`layered_priming: false`) keeps the
-    /// paper's one prime per iteration ([`Builder::frag_prime_one`]).
-    fn frag_prime(
+    /// Re-derives every column cover from the search-loop invariant ("a
+    /// column is covered iff it holds a star whose row is uncovered",
+    /// [`col_covered`]), reading the row covers through the `ma` mirror,
+    /// and refreshes the `ccm` mirror from the result. Step 4 derives
+    /// covers on its own, so only Step 6's dual update and the tiled
+    /// block scan need this: once per dual update or stream.
+    fn frag_col_covers(
         &mut self,
-        get_sel_col: &Program,
-        row_intervals: &[(std::ops::Range<usize>, usize)],
+        col_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
-        if !self.ab.layered_priming {
-            return self.frag_prime_one(get_sel_col, row_intervals);
-        }
-        let (t_zs, t_rzc) = (self.t.zero_status, self.t.row_zero_col);
-        let (t_prime, t_rcov) = (self.t.row_prime, self.t.row_cover);
-        let cs_prime = self.g.add_compute_set("step4.prime_layer");
-        for (tile, t, rows) in self.tile_thread_chunks() {
-            let v = self
-                .g
-                .add_vertex_on_thread(cs_prime, tile, t, "prime_layer", |ctx| {
-                    let status = ctx.i32(0);
-                    let zcol = ctx.i32(1);
-                    let mut prime = ctx.i32_mut(2);
-                    let mut cov = ctx.i32_mut(3);
-                    let mut primed = 0;
-                    for (r, &s) in status.iter().enumerate() {
-                        if s == 0 {
-                            prime[r] = zcol[r];
-                            cov[r] = 1;
-                            primed += 1;
-                        }
-                    }
-                    cost::i32_scan(status.len()) + cost::scalar(2 * primed)
-                })?;
-            self.g.connect(v, t_zs.slice(rows.clone()), Access::Read)?;
-            self.g.connect(v, t_rzc.slice(rows.clone()), Access::Read)?;
-            self.g
-                .connect(v, t_prime.slice(rows.clone()), Access::ReadWrite)?;
-            self.g.connect(v, t_rcov.slice(rows), Access::ReadWrite)?;
-        }
-
         let (t_ma, t_cstar, t_ccov) = (self.t.ma, self.t.col_star, self.t.col_cover);
         let cs_recover = self.g.add_compute_set("step4.recover");
         for (tile, t, cols) in self.col_thread_chunks() {
@@ -816,13 +799,7 @@ impl Builder {
                     let rcov = ctx.i32(1);
                     let mut cov = ctx.i32_mut(2);
                     for (c, &s) in cov.iter_mut().zip(stars.iter()) {
-                        // A star row out of range (a fault-corrupted
-                        // index) counts as no star.
-                        let uncovered_star = usize::try_from(s)
-                            .ok()
-                            .and_then(|s| rcov.get(s))
-                            .is_some_and(|&r| r == 0);
-                        *c = i32::from(uncovered_star);
+                        *c = i32::from(col_covered(s, &rcov));
                     }
                     cost::i32_scan(stars.len()) + cost::i32_update(stars.len())
                 })?;
@@ -831,32 +808,22 @@ impl Builder {
             self.g.connect(v, t_ma.whole(), Access::Read)?;
             self.g.connect(v, t_ccov.slice(cols), Access::Write)?;
         }
-
-        Ok(Program::seq(vec![
-            Program::execute(cs_prime),
-            Program::broadcast(t_rcov.whole(), t_ma.whole()),
-            Program::execute(cs_recover),
-        ]))
+        let refresh = self.refresh_mirror("loop.ccg", t_ccov, self.t.ccm, col_intervals)?;
+        Ok(Program::seq(vec![Program::execute(cs_recover), refresh]))
     }
 
     /// The paper's priming action (§IV-F, ablation A5): prime the arg-max
-    /// row's zero, cover its row, uncover its star's column. All writes
-    /// at runtime-computed indices use the partition-and-distribute
-    /// pattern (§IV-G).
+    /// row's zero and cover its row, writing at the runtime-computed row
+    /// with the partition-and-distribute pattern (§IV-G), then refresh
+    /// the `ma` mirror. Uncovering the star's column needs no write:
+    /// Step 4 derives it from the mirrors, and Step 6 re-derives
+    /// `col_cover`.
     fn frag_prime_one(
         &mut self,
         get_sel_col: &Program,
         row_intervals: &[(std::ops::Range<usize>, usize)],
+        refresh_ma: &Program,
     ) -> Result<Program, GraphError> {
-        let l = self.l.clone();
-        let (star_out, read_star) = self.dyn_read_i32(
-            "prime.star",
-            self.t.row_star,
-            self.t.sel_row_m,
-            row_intervals,
-            None,
-        )?;
-
         let (t_selr_m, t_selc_m) = (self.t.sel_row_m, self.t.sel_col_m);
         let (t_prime, t_rcov) = (self.t.row_prime, self.t.row_cover);
         let cs_prime = self.g.add_compute_set("step4.prime");
@@ -879,29 +846,10 @@ impl Builder {
                 .connect(v, t_rcov.slice(range.clone()), Access::ReadWrite)?;
         }
 
-        let (t_star_m, t_ccov) = (self.t.star_col_m, self.t.col_cover);
-        let cs_uncover = self.g.add_compute_set("step4.uncover");
-        for seg in 0..l.n_col_segs() {
-            let tile = l.col_seg_tile(seg);
-            let cols = l.col_seg_cols(seg);
-            let (c0, c1) = (cols.start, cols.end);
-            let v = self.g.add_vertex(cs_uncover, tile, "uncover", move |ctx| {
-                let j = ctx.i32(0)[0] as usize;
-                if j >= c0 && j < c1 {
-                    ctx.i32_mut(1)[j - c0] = 0;
-                }
-                cost::scalar(4)
-            })?;
-            self.g.connect(v, t_star_m.whole(), Access::Read)?;
-            self.g.connect(v, t_ccov.slice(cols), Access::ReadWrite)?;
-        }
-
         Ok(Program::seq(vec![
             get_sel_col.clone(),
-            read_star,
-            Program::broadcast(star_out.whole(), self.t.star_col_m.whole()),
             Program::execute(cs_prime),
-            Program::execute(cs_uncover),
+            refresh_ma.clone(),
         ]))
     }
 
@@ -1939,6 +1887,50 @@ fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
     (status, ((status + 1) << ENC_SHIFT) | (ENC_MASK - row))
 }
 
+/// The tail of every `step4.status` vertex: classifies the row from its
+/// first uncovered zero column `zcol` and its star (field 1), writes the
+/// status, the column and the arg-max key (fields 4–6), and with
+/// `prime_field` set primes a row of status 0 (`row_prime` =
+/// `zcol` in that field, `row_cover` = 1 in field 0). Returns the
+/// instructions spent.
+fn publish_status(ctx: &VertexCtx, zcol: i32, row: i32, prime_field: Option<usize>) -> u64 {
+    let (status, enc) = row_status(zcol, ctx.i32(1)[0], row);
+    ctx.i32_mut(4)[0] = status;
+    ctx.i32_mut(5)[0] = zcol;
+    ctx.i32_mut(6)[0] = enc;
+    match prime_field {
+        Some(f) if status == 0 => {
+            ctx.i32_mut(f)[0] = zcol;
+            ctx.i32_mut(0)[0] = 1;
+            cost::scalar(8)
+        }
+        _ => cost::scalar(6),
+    }
+}
+
+/// Whether a column whose star sits in row `star` is covered, by the
+/// search-loop invariant: a column is covered iff it holds a star whose
+/// row is uncovered. `row_cover` holds the row covers. A star row out of
+/// range (−1, or a fault-corrupted index) counts as no star.
+fn col_covered(star: i32, row_cover: &[i32]) -> bool {
+    usize::try_from(star)
+        .ok()
+        .and_then(|r| row_cover.get(r))
+        .is_some_and(|&covered| covered == 0)
+}
+
+/// Whether a zero in column `col` is uncovered, with the cover derived
+/// from the row-cover mirror `ma` and the column-star mirror `mb`
+/// ([`col_covered`]) — the value `step4.recover` would write to
+/// `col_cover`. A column out of range (a fault-corrupted entry) holds no
+/// zero.
+fn uncovered_zero(col: i32, ma: &[i32], mb: &[i32]) -> bool {
+    usize::try_from(col)
+        .ok()
+        .and_then(|c| mb.get(c))
+        .is_some_and(|&star| !col_covered(star, ma))
+}
+
 /// Compacts the zero positions of one slack segment to the front of
 /// `comp` (−1 padding, §IV-B) and counts them into `count`; `col` maps a
 /// position in the segment to its column id.
@@ -1965,4 +1957,77 @@ fn compact_zeros(slack: &[f32], comp: &mut [i32], count: &mut i32, col: impl Fn(
 /// of length `len` (−1 ends the record when it does not fill the list).
 fn recorded(list: &[i32], len: usize) -> usize {
     list[len..].iter().take_while(|&&c| c >= 0).count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{col_covered, uncovered_zero};
+
+    #[test]
+    fn derived_covers_read_out_of_range_indices_as_absent() {
+        // Rows 0 and 2 are covered (primed); row 1 is not.
+        let ma = [1, 0, 1];
+        // Column stars: row 1, row 0, none, and two corrupted rows.
+        let mb = [1, 0, -1, 3, i32::MIN];
+        // A star in an uncovered row covers its column.
+        assert!(col_covered(1, &ma));
+        assert!(!uncovered_zero(0, &ma, &mb));
+        // A star in a covered row leaves it uncovered.
+        assert!(!col_covered(0, &ma));
+        assert!(uncovered_zero(1, &ma, &mb));
+        // No star, or a star row out of range, is no star: uncovered.
+        for star in [-1, 3, 7, i32::MAX, i32::MIN] {
+            assert!(!col_covered(star, &ma), "star {star}");
+        }
+        assert!(uncovered_zero(2, &ma, &mb));
+        assert!(uncovered_zero(3, &ma, &mb));
+        assert!(uncovered_zero(4, &ma, &mb));
+        // A column out of range holds no zero.
+        for col in [-1, 5, 6, i32::MAX, i32::MIN] {
+            assert!(!uncovered_zero(col, &ma, &mb), "column {col}");
+        }
+    }
+
+    #[test]
+    fn derived_covers_match_the_recovered_cover_vector() {
+        // What the status scan read before covers were derived: a zero in
+        // column `c` is uncovered iff `ccm.get(c) == Some(&0)`, with `ccm`
+        // the broadcast of the `col_cover` that `step4.recover` wrote.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: i32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as i32
+        };
+        for n in [1usize, 2, 5, 13, 32] {
+            for _ in 0..200 {
+                let ma: Vec<i32> = (0..n).map(|_| next(2)).collect();
+                // Mostly valid star rows, some −1, some corrupted.
+                let mb: Vec<i32> = (0..n)
+                    .map(|_| match next(8) {
+                        0 => -1,
+                        1 => n as i32 + next(4),
+                        2 => -2 - next(1000),
+                        _ => next(n as i32),
+                    })
+                    .collect();
+                // `step4.recover`'s body, reading `row_cover` from `ma`.
+                let ccm: Vec<i32> = mb
+                    .iter()
+                    .map(|&s| {
+                        let uncovered_star = usize::try_from(s)
+                            .ok()
+                            .and_then(|s| ma.get(s))
+                            .is_some_and(|&r| r == 0);
+                        i32::from(uncovered_star)
+                    })
+                    .collect();
+                for col in (-3..n as i32 + 3).chain([i32::MIN, i32::MAX]) {
+                    let before = ccm.get(col as usize) == Some(&0);
+                    assert_eq!(uncovered_zero(col, &ma, &mb), before, "n={n} col={col}");
+                }
+            }
+        }
+    }
 }

@@ -1,12 +1,13 @@
 //! The chain the search loop runs on every iteration (Step 4, §IV-F):
-//! which compute sets execute per iteration on the full Mk2, that the
+//! which compute sets execute per iteration on the full Mk2, that a
+//! prime layer costs 2 supersteps and 2 exchanges there, that the
 //! tiled route still reduces its multi-row tiles in two stages, and that
 //! fault-corrupted device indices end a solve with `Ok` or `Err`, never
 //! a panic.
 
 use cpu_hungarian::JonkerVolgenant;
 use hunipu::{HunIpu, LayoutMode, F32_VERIFY_EPS};
-use ipu_sim::{FaultPlan, IpuConfig};
+use ipu_sim::{FaultPlan, IpuConfig, ProfileConfig, ProfileEvent};
 use lsap::{CostMatrix, LsapSolver};
 
 /// Executions of compute set `name` (0 when the program has none).
@@ -31,7 +32,17 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
     // decode runs inside the supervisor that joins the collector's
     // per-thread chunks of the arg-max, in one superstep.
     let m = datasets::gaussian_cost_matrix(256, 10, 1);
-    let (report, engine) = HunIpu::new().solve_with_engine(&m).unwrap();
+    // Tile 0 and each superstep's slowest tile keep their detail; the
+    // timeline itself is complete.
+    let profile = ProfileConfig {
+        tile_sample: usize::MAX,
+        max_events: usize::MAX,
+        ..ProfileConfig::default()
+    };
+    let (report, engine) = HunIpu::new()
+        .with_profiling(profile)
+        .solve_with_engine(&m)
+        .unwrap();
     report.verify(&m, F32_VERIFY_EPS).unwrap();
     assert_eq!(report.objective, jv(&m));
 
@@ -49,10 +60,44 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
         .collect();
     per_iteration.sort_unstable();
     assert_eq!(per_iteration, ["step4.enc.final", "step4.status"]);
-    // A prime layer adds two compute sets: four per layer in all.
-    let layers = executions(&engine, "step4.prime_layer");
+    // Status primes its own row, so a prime layer has no compute set;
+    // column covers are re-derived once per dual update.
+    assert!(sets.iter().all(|s| s.name != "step4.prime_layer"));
+    let dual_updates = report.stats.dual_updates;
+    assert_eq!(executions(&engine, "step6.segmin"), dual_updates);
+    assert_eq!(executions(&engine, "step4.recover"), dual_updates);
+
+    // Split the timeline at every status superstep: an iteration runs
+    // from its status to the next one. A prime layer's is status, the
+    // key gather, the arg-max's final stage and the row-cover refresh:
+    // 2 supersteps and 2 exchanges. Augmenting and dual-update
+    // iterations run more.
+    let status = sets.iter().position(|s| s.name == "step4.status").unwrap() as u32;
+    let mut spans: Vec<(u64, u64)> = Vec::new();
+    for event in &engine.profile().unwrap().events {
+        match event {
+            ProfileEvent::Superstep(s) if s.cs == status => spans.push((1, 0)),
+            ProfileEvent::Superstep(_) => {
+                if let Some(span) = spans.last_mut() {
+                    span.0 += 1;
+                }
+            }
+            ProfileEvent::Exchange(_) => {
+                if let Some(span) = spans.last_mut() {
+                    span.1 += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(spans.len() as u64, iterations);
+    let layers = iterations - report.stats.augmentations - dual_updates;
     assert!(layers > 0);
-    assert_eq!(executions(&engine, "step4.recover"), layers);
+    let two_and_two = spans.iter().filter(|&&span| span == (2, 2)).count() as u64;
+    assert_eq!(two_and_two, layers);
+    assert!(spans
+        .iter()
+        .all(|&(supersteps, exchanges)| supersteps >= 2 && exchanges >= 2));
 }
 
 #[test]

@@ -11,11 +11,13 @@
 //!   gather of ≤ `tiles` partials to a collector tile → one final
 //!   superstep there (§IV-G notes that a ≤1472-element temporary always
 //!   fits one tile): six per-thread chunk folds joined by the tile's
-//!   supervisor vertex, which can run a caller's [`Finish`] on the result;
+//!   supervisor vertex, or one vertex where the model prices that lower
+//!   (a few partials), which can run a caller's [`Finish`] on the result;
 //! - column-wise reductions over a row-distributed matrix: per-tile
 //!   partial vectors combined along a binary tree of exchange+min stages
 //!   (`log2(tiles)` supersteps), then multicast back to every tile.
 
+use crate::calibration;
 use crate::codelet::{cost, Codelet, VertexCtx};
 use crate::error::GraphError;
 use crate::graph::{Access, ComputeSetId, Graph};
@@ -93,12 +95,13 @@ impl ReduceOp {
 }
 
 /// Work fused into the vertex that writes a scalar reduction's result
-/// (the supervisor of [`reduce_on_tile`]), on the output tile, so a
+/// (the last vertex of [`reduce_on_tile`]), on the output tile, so a
 /// consumer of the scalar pays no superstep of its own. The vertex sees
-/// the values it folds (the per-thread partials) as field 0 and the
-/// result, already written, as field 1; `fields` are connected after
-/// them, from field 2 on. The codelet returns its own instruction count,
-/// which the vertex adds to the fold's.
+/// the values it folds (the per-thread partials, or the whole input when
+/// one vertex folds a short one) as field 0 and the result, already
+/// written, as field 1; `fields` are connected after them, from field 2
+/// on. The codelet returns its own instruction count, which the vertex
+/// adds to the fold's.
 pub struct Finish {
     /// Extra regions of the final vertex, all on the output tile.
     pub fields: Vec<(TensorSlice, Access)>,
@@ -235,7 +238,11 @@ pub fn reduce_to_scalar(
 /// tensor on the same tile, in one superstep: one worker vertex per
 /// hardware thread folds a chunk of the input, and the tile's supervisor
 /// ([`Graph::add_supervisor`]) folds their partials into `out` and runs
-/// `finish`.
+/// `finish`. An input short enough that one vertex folding it all is
+/// priced below the workers, the supervisor and the join
+/// ([`calibration::SUPERVISOR_JOIN_CYCLES`]) gets that one vertex, with
+/// `finish` fused into it. An f32 `Sum` always keeps the chunked order,
+/// since float addition is not reassociation-safe.
 pub fn reduce_on_tile(
     g: &mut Graph,
     name: &str,
@@ -253,30 +260,54 @@ pub fn reduce_on_tile(
     }
     let threads = g.config().threads_per_tile;
     let n = input.len();
-    let per = n.div_ceil(threads);
     let fold = fold_codelet(op, dtype);
-    let cs = g.add_compute_set(name);
-    let parts = g.add_tensor(&format!("{name}.parts"), dtype, threads);
-    g.map_to_tile(parts, tile)?;
-    for t in 0..threads {
-        let chunk = input.slice((t * per).min(n)..((t + 1) * per).min(n));
-        let v = g.add_vertex_on_thread(cs, tile, t, &format!("{name}.chunk{t}"), fold)?;
-        g.connect(v, chunk, Access::Read)?;
-        g.connect(v, parts.element(t), Access::Write)?;
-    }
-    let (fields, v) = match finish {
-        None => (Vec::new(), g.add_supervisor(cs, tile, name, fold)?),
-        Some(Finish { fields, codelet }) => (
-            fields,
-            g.add_supervisor(cs, tile, name, move |ctx| fold(ctx) + codelet(ctx))?,
-        ),
+    let (fields, then) = match finish {
+        Some(Finish { fields, codelet }) => (fields, Some(codelet)),
+        None => (Vec::new(), None),
     };
-    g.connect(v, parts.whole(), Access::Read)?;
+    let last = move |ctx: &VertexCtx| fold(ctx) + then.as_ref().map_or(0, |f| f(ctx));
+    let cs = g.add_compute_set(name);
+    let (folded, v) = if op_order_free(op, dtype) && one_vertex_is_cheaper(dtype, n, threads) {
+        (input, g.add_vertex(cs, tile, name, last)?)
+    } else {
+        let per = n.div_ceil(threads);
+        let parts = g.add_tensor(&format!("{name}.parts"), dtype, threads);
+        g.map_to_tile(parts, tile)?;
+        for t in 0..threads {
+            let chunk = input.slice((t * per).min(n)..((t + 1) * per).min(n));
+            let v = g.add_vertex_on_thread(cs, tile, t, &format!("{name}.chunk{t}"), fold)?;
+            g.connect(v, chunk, Access::Read)?;
+            g.connect(v, parts.element(t), Access::Write)?;
+        }
+        (parts, g.add_supervisor(cs, tile, name, last)?)
+    };
+    g.connect(v, folded.whole(), Access::Read)?;
     g.connect(v, out.whole(), Access::Write)?;
     for (slice, access) in fields {
         g.connect(v, slice, access)?;
     }
     Ok(Program::execute(cs))
+}
+
+/// Whether folding with `op` in any grouping gives the same bits: true
+/// for `Min` and `Max`, and for the i32 `Sum` short of saturation; an
+/// f32 `Sum` rounds differently when regrouped.
+fn op_order_free(op: ReduceOp, dtype: DType) -> bool {
+    op != ReduceOp::Sum || dtype == DType::I32
+}
+
+/// Whether one vertex folding all `n` elements of an on-tile reduction
+/// costs fewer modeled cycles than `threads` chunk workers followed by
+/// the supervisor's fold of their partials and the join. A fused
+/// [`Finish`] costs the same either way, at the lone-thread rate.
+fn one_vertex_is_cheaper(dtype: DType, n: usize, threads: usize) -> bool {
+    let scan = |len: usize| match dtype {
+        DType::F32 => cost::f32_scan(len),
+        DType::I32 => cost::i32_scan(len),
+    };
+    let vertex = |len: usize| threads as u64 * (scan(len) + calibration::VERTEX_OVERHEAD);
+    let split = vertex(n.div_ceil(threads)) + vertex(threads) + calibration::SUPERVISOR_JOIN_CYCLES;
+    vertex(n) < split
 }
 
 /// Builds a column-wise reduction over a row-major `rows x cols` matrix
@@ -1094,6 +1125,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn short_on_tile_reductions_take_one_vertex_where_it_is_cheaper() {
+        use crate::calibration::{SUPERVISOR_JOIN_CYCLES as JOIN, VERTEX_OVERHEAD as OH};
+        let cycles = |dtype: DType, op: ReduceOp, n: usize| {
+            let mut g = device(1);
+            let t = g.add_tensor("t", dtype, n);
+            let out = g.add_tensor("out", dtype, 1);
+            g.map_to_tile(t, 0).unwrap();
+            g.map_to_tile(out, 0).unwrap();
+            let prog = reduce_on_tile(&mut g, "r", t, out, op, 0, None).unwrap();
+            let mut e = g.compile(prog).unwrap();
+            e.run().unwrap();
+            assert_eq!(e.stats().supersteps, 1);
+            e.stats().compute_cycles
+        };
+        // Six threads: one vertex folds all n at the lone-thread rate;
+        // the split pays the widest chunk, the supervisor's fold of six
+        // partials and the join.
+        let one = |n: u64| 6 * (n + OH);
+        let split = |n: u64| 6 * (n.div_ceil(6) + OH) + 6 * (6 + OH) + JOIN;
+        // 8 column segments (a dynamic read's pick): 108 cycles, not 180.
+        assert_eq!(cycles(DType::I32, ReduceOp::Max, 8), one(8));
+        assert_eq!((one(8), split(8)), (108, 180));
+        // 256 row keys (the arg-max's final stage) keep the split.
+        assert_eq!(cycles(DType::I32, ReduceOp::Max, 256), split(256));
+        // The build picks the cheaper structure at every length.
+        for n in 1..=40u64 {
+            let best = one(n).min(split(n));
+            assert_eq!(cycles(DType::I32, ReduceOp::Min, n as usize), best, "n={n}");
+            assert_eq!(cycles(DType::I32, ReduceOp::Sum, n as usize), best, "n={n}");
+        }
+        // An f32 sum keeps the chunked order however short it is.
+        let f32_split = 6 * (1 + OH) + 6 * (3 + OH) + JOIN;
+        assert_eq!(cycles(DType::F32, ReduceOp::Sum, 8), f32_split);
     }
 
     #[test]
