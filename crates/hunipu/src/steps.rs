@@ -677,12 +677,10 @@ impl Builder {
             let v = if tiled {
                 self.g.add_vertex(cs_status, tile, "status", move |ctx| {
                     let (ma, mb, list) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
-                    // A length past the list (a fault-corrupted count)
-                    // reads as the whole list.
                     let len = if ctx.i32(0)[0] != 0 {
                         0
                     } else {
-                        (ctx.i32(8)[0] as usize).min(list.len())
+                        list_len(ctx.i32(8)[0], list.len())
                     };
                     let zcol = list[..len]
                         .iter()
@@ -1362,12 +1360,13 @@ impl Builder {
                     let mut touched = 0;
                     for r in 0..rows_here {
                         let list = &mut comp[r * zcap..(r + 1) * zcap];
-                        let len = zc[r * th] as usize;
+                        let len = list_len(zc[r * th], zcap);
                         zc[r * th] = if rcov[r] != 0 {
                             touched += len;
                             let mut kept = 0;
                             for p in 0..len {
-                                if ccm[list[p] as usize] == 0 {
+                                let col = usize::try_from(list[p]).ok();
+                                if col.and_then(|c| ccm.get(c)) == Some(&0) {
                                     list[kept] = list[p];
                                     kept += 1;
                                 }
@@ -1669,7 +1668,7 @@ impl Builder {
                         let mut comp = ctx.i32_mut(3);
                         let mut zc = ctx.i32_mut(4);
                         for r in 0..rows_here {
-                            let mut cnt = zc[r * th] as usize;
+                            let mut cnt = list_len(zc[r * th], zcap);
                             for j in 0..bc {
                                 if cnt >= zcap {
                                     break;
@@ -1758,7 +1757,7 @@ impl Builder {
                                 continue;
                             }
                             let list = &mut comp[r * zcap..(r + 1) * zcap];
-                            let mut len = zc[r * th] as usize;
+                            let mut len = list_len(zc[r * th], zcap);
                             let (mut m, mut k) = if first {
                                 (f32::INFINITY, 0)
                             } else {
@@ -1951,6 +1950,13 @@ fn compact_zeros(slack: &[f32], comp: &mut [i32], count: &mut i32, col: impl Fn(
         *c = -1;
     }
     *count = k as i32;
+}
+
+/// A tiled zero list's length, read from its `zero_count` slot and
+/// clamped to the list's `zcap` entries: a fault-corrupted count reads
+/// as an empty (negative) or full (too large) list.
+fn list_len(count: i32, zcap: usize) -> usize {
+    usize::try_from(count).map_or(0, |len| len.min(zcap))
 }
 
 /// How many columns the streamed scan recorded behind a tiled zero list

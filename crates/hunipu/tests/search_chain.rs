@@ -126,14 +126,19 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
     // into any i32; every vertex that indexes with one must treat an
     // out-of-range value as absent. Each solve returns `Ok` or `Err`;
     // none may unwind.
-    let solve = |m: &CostMatrix, plan: FaultPlan| {
+    let solve = |m: &CostMatrix, plan: FaultPlan, tiled: bool| {
         let solver = HunIpu::with_config(IpuConfig {
             max_while_iterations: 20_000,
             ..IpuConfig::tiny(8)
         })
         .with_fault_plan(plan);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solver.solve_with_engine(m).map(|_| ())
+            let solved = if tiled {
+                solver.solve_tiled(m)
+            } else {
+                solver.solve_with_engine(m)
+            };
+            solved.map(|_| ())
         }));
         outcome.err().map(|payload| {
             payload
@@ -146,8 +151,9 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
     // 800 seeded fault plans on two sizes, plus a flip on every
     // superstep in each tensor whose name holds a `u` (the duals, the
     // zero counts and statuses), which once read Step 2's sorted row one
-    // past its end.
-    let mut cases: Vec<(usize, FaultPlan)> = [13, 24]
+    // past its end. On the tiled route, 200 plans flip the zero lists'
+    // lengths, which once indexed a list past its `zcap` entries.
+    let mut cases: Vec<(usize, FaultPlan, bool)> = [13, 24]
         .into_iter()
         .flat_map(|n| {
             (0..400).map(move |seed| {
@@ -155,11 +161,22 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
                     .with_bit_flips(0.01)
                     .with_exchange_corruption(0.005)
                     .after_supersteps(50);
-                (n, plan)
+                (n, plan, false)
             })
         })
         .collect();
-    cases.push((4, FaultPlan::new(1).with_bit_flips(1.0).targeting("u")));
+    cases.push((
+        4,
+        FaultPlan::new(1).with_bit_flips(1.0).targeting("u"),
+        false,
+    ));
+    cases.extend((0..200).map(|seed| {
+        let plan = FaultPlan::new(seed)
+            .with_bit_flips(0.05)
+            .targeting("zero_count")
+            .after_supersteps(20);
+        (24, plan, true)
+    }));
     let matrix = |n: usize| match n {
         4 => datasets::gaussian_cost_matrix(4, 100, 41),
         _ => datasets::gaussian_cost_matrix(n, 100, 5),
@@ -173,9 +190,9 @@ fn fault_corrupted_indices_end_a_solve_without_a_panic() {
                 let cases = &cases;
                 scope.spawn(move || {
                     let mut found = Vec::new();
-                    for (n, plan) in cases.iter().skip(t).step_by(threads) {
-                        let what = format!("n={n} seed={}", plan.seed);
-                        if let Some(msg) = solve(&matrix(*n), plan.clone()) {
+                    for (n, plan, tiled) in cases.iter().skip(t).step_by(threads) {
+                        let what = format!("n={n} seed={} tiled={tiled}", plan.seed);
+                        if let Some(msg) = solve(&matrix(*n), plan.clone(), *tiled) {
                             found.push(format!("{what}: {msg}"));
                         }
                     }

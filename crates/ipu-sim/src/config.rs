@@ -2,21 +2,24 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which host execution strategy an engine uses for compiled programs.
+/// How an engine runs the leaves of a compiled program.
 ///
-/// Both strategies honor the same contract: buffers, [`crate::CycleStats`],
-/// [`crate::FaultStats`], and profiles are bit-identical between them —
-/// the mode affects **host wall-clock only**.
+/// One walker runs the lowered program tree and all of its control flow
+/// in both modes; the mode chooses only how a compute set's vertices get
+/// their fields and how an exchange moves its bytes. Both honor the same
+/// contract: buffers, [`crate::CycleStats`], [`crate::FaultStats`], and
+/// profiles are bit-identical between them — the mode affects **host
+/// wall-clock only**. It is fixed when the graph is compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecMode {
-    /// Pre-resolved straight-line execution plan: monomorphized vertex
-    /// tables, pre-sliced buffer views, flattened exchange copy lists
-    /// (the fast path, and the default).
+    /// Leaves run from the pre-resolved execution plan: vertex fields
+    /// from a cell arena built once per run, exchanges as merged direct
+    /// copies (the fast path, and the default).
     #[default]
     Plan,
-    /// Walk the lowered program tree and re-derive vertex state each
-    /// superstep (the reference path the plan is differentially tested
-    /// against).
+    /// Each vertex rebuilds its fields from the graph, and each copy pair
+    /// is staged through scratch (the reference the plan is
+    /// differentially tested against).
     Interpreted,
 }
 
@@ -214,9 +217,9 @@ impl IpuConfig {
         usize::MAX
     }
 
-    /// The execution mode an engine built from this config will start
-    /// in: [`exec_mode`](Self::exec_mode). The benchmark's provenance
-    /// record is its only caller.
+    /// The execution mode an engine built from this config runs in:
+    /// [`exec_mode`](Self::exec_mode). The benchmark's provenance record
+    /// is its only caller.
     pub fn resolved_exec_mode(&self) -> ExecMode {
         self.exec_mode
     }

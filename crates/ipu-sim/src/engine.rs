@@ -1,6 +1,8 @@
-//! The execution engine: interprets a compiled program against tensor
+//! The execution engine: walks a compiled program against tensor
 //! buffers, enforcing BSP semantics and charging the cycle model.
 //!
+//! One walker (`ExecCtx`) owns all control flow in both [`ExecMode`]s;
+//! the mode chooses only how a leaf (a compute set or an exchange) runs.
 //! Every superstep executes on the calling thread, one vertex at a time.
 //! Per-slot instruction loads are u64 sums and the superstep cost is a
 //! max-reduction over them, so the modeled cost does not depend on the
@@ -13,7 +15,7 @@ use crate::error::GraphError;
 use crate::exec::{self, ExecNode};
 use crate::fault::{FaultPlan, FaultState};
 use crate::graph::{Graph, VertexInfo};
-use crate::plan::{self, CopySeg, ExecPlan, PlanOp, PlanVertex};
+use crate::plan::{self, CopySeg, ExecPlan, PlanCopy, PlanVertex};
 use crate::profile::{ProfileConfig, ProfileReport, Profiler, TileLoad, BROADCAST_TILE, HOST_TILE};
 use crate::program::Program;
 use crate::stats::{CycleStats, StepBreakdown};
@@ -158,15 +160,7 @@ impl RawBufs {
     }
 }
 
-/// The engine's static half: read-only during a run, borrowed alongside
-/// the mutable [`RunState`].
-struct Shared {
-    graph: Graph,
-    /// Round-robin-resolved hardware thread of each vertex.
-    vertex_thread: Vec<usize>,
-}
-
-/// The mutable run state, kept separate from [`Shared`] so accounting
+/// The mutable run state, kept separate from the graph so accounting
 /// can be updated while the graph is borrowed.
 struct RunState {
     stats: CycleStats,
@@ -178,10 +172,6 @@ struct RunState {
     /// Scratch: `(tile, instructions)` of each supervisor vertex run in
     /// the current superstep (at most one per tile).
     sup_loads: Vec<(u32, u64)>,
-    /// Memoized exchange cost per lowered copy node, indexed by the dense
-    /// `cost_id` assigned in `exec::lower` (the mapping is static, so two
-    /// executions of one node always move the same bytes).
-    copy_cost: Vec<Option<u64>>,
     /// Reused staging buffers for exchanges (copies go through staging,
     /// mirroring the real hardware's send/receive and keeping the
     /// semantics simple when source and destination share a tensor).
@@ -206,15 +196,13 @@ struct InjectedFaults {
 /// (mapping, memory, locality, race-freedom) has been validated, so
 /// `run` can only fail on divergence of `RepeatWhileTrue`.
 pub struct Engine {
-    sh: Shared,
+    graph: Graph,
     buffers: Vec<Buffer>,
     raw: RawBufs,
     program: ExecNode,
-    /// The straight-line lowering of `program`, built once at compile
-    /// (see `plan.rs`); the default execution path.
+    /// The pre-resolved leaves of `program`, built once at compile (see
+    /// `plan.rs`).
     plan: ExecPlan,
-    /// Execution path for subsequent runs.
-    exec_mode: ExecMode,
     st: RunState,
     /// Modeled one-time cost of loading this program onto the device,
     /// fixed at compile time (see [`Engine::program_load_cycles`]).
@@ -227,9 +215,9 @@ pub struct Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("tensors", &self.sh.graph.tensors.len())
-            .field("compute_sets", &self.sh.graph.compute_sets.len())
-            .field("vertices", &self.sh.graph.vertices.len())
+            .field("tensors", &self.graph.tensors.len())
+            .field("compute_sets", &self.graph.compute_sets.len())
+            .field("vertices", &self.graph.vertices.len())
             .field("stats", &self.st.stats)
             .finish_non_exhaustive()
     }
@@ -304,12 +292,21 @@ unsafe fn exec_plan_vertex(graph: &Graph, pv: &PlanVertex, cells: &[RefCell<Fiel
     (graph.vertices[pv.vid as usize].codelet)(&ctx) + VERTEX_OVERHEAD
 }
 
-/// Per-run execution context: disjoint borrows of the engine's static and
-/// mutable halves.
+/// Per-run execution context: the one walker over the lowered program
+/// tree, with disjoint borrows of the engine's static and mutable
+/// halves. It owns all control flow — `Seq`, `Repeat`, `If` and `While`
+/// with its watchdog and forced-divergence draw — in both [`ExecMode`]s;
+/// the mode chooses only how a leaf runs (see
+/// [`ExecCtx::exec_compute_set`] and [`ExecCtx::exec_copy`]).
 struct ExecCtx<'a> {
-    sh: &'a Shared,
+    graph: &'a Graph,
     raw: &'a RawBufs,
     st: &'a mut RunState,
+    plan: &'a ExecPlan,
+    mode: ExecMode,
+    /// The cell arena in [`ExecMode::Plan`], built once per run and
+    /// reused by every superstep; empty in [`ExecMode::Interpreted`].
+    cells: Vec<RefCell<FieldBuf>>,
     max_while_iterations: u64,
 }
 
@@ -326,27 +323,8 @@ impl ExecCtx<'_> {
                 self.exec_compute_set(*cs);
                 Ok(())
             }
-            ExecNode::Copy {
-                src,
-                dst,
-                reps,
-                cost_id,
-            } => {
-                self.move_data(src, dst, *reps);
-                let pair = [(*src, *dst)];
-                self.charge_exchange(*cost_id, &pair);
-                self.inject_exchange_fault(std::slice::from_ref(dst));
-                Ok(())
-            }
-            ExecNode::Exchange { pairs, cost_id } => {
-                for (src, dst) in pairs {
-                    self.move_data(src, dst, 1);
-                }
-                self.charge_exchange(*cost_id, pairs);
-                if self.st.faults.is_some() {
-                    let dsts: Vec<TensorSlice> = pairs.iter().map(|&(_, dst)| dst).collect();
-                    self.inject_exchange_fault(&dsts);
-                }
+            ExecNode::Copy { cost_id, .. } | ExecNode::Exchange { cost_id, .. } => {
+                self.exec_copy(*cost_id);
                 Ok(())
             }
             ExecNode::Repeat { count, body } => {
@@ -360,154 +338,160 @@ impl ExecCtx<'_> {
                 then_body,
                 else_body,
             } => {
-                let cc = self.sh.graph.config.control_cycles;
-                self.st.stats.control_cycles += cc;
-                let taken = self.read_flag(predicate) != 0;
-                if let Some(p) = self.st.profiler.as_mut() {
-                    p.record_control(cc, "if", taken);
-                }
-                if taken {
+                if self.control("if", predicate) {
                     self.exec(then_body)
                 } else {
                     self.exec(else_body)
                 }
             }
             ExecNode::While { predicate, body } => {
-                // Fault: the loop is declared non-convergent up front. The
-                // watchdog would fire after `max_while_iterations` wasted
-                // iterations; model that terminal state directly instead of
-                // simulating millions of no-progress supersteps.
+                // Fault: the loop is declared non-convergent up front,
+                // drawn once per loop entry. The watchdog would fire after
+                // `max_while_iterations` wasted iterations; model that
+                // terminal state directly instead of simulating millions
+                // of no-progress supersteps.
                 if let Some(fs) = self.st.faults.as_mut() {
                     if fs.plan.diverge_rate > 0.0
                         && fs.armed(self.st.stats.supersteps)
                         && fs.draw() < fs.plan.diverge_rate
                     {
                         self.st.stats.faults.forced_divergences += 1;
-                        let cc = self.sh.graph.config.control_cycles;
+                        let cc = self.graph.config.control_cycles;
                         self.st.stats.control_cycles += cc;
                         if let Some(p) = self.st.profiler.as_mut() {
                             p.record_control(cc, "while", true);
                             p.record_fault("forced_divergence", 1);
                         }
-                        return Err(GraphError::Divergence {
-                            limit: self.max_while_iterations,
-                            context: self.loop_context(body),
-                        });
+                        return Err(self.divergence(body));
                     }
                 }
                 let mut iterations = 0u64;
-                loop {
-                    let cc = self.sh.graph.config.control_cycles;
-                    self.st.stats.control_cycles += cc;
-                    let taken = self.read_flag(predicate) != 0;
-                    if let Some(p) = self.st.profiler.as_mut() {
-                        p.record_control(cc, "while", taken);
-                    }
-                    if !taken {
-                        return Ok(());
-                    }
+                while self.control("while", predicate) {
                     iterations += 1;
                     if iterations > self.max_while_iterations {
-                        return Err(GraphError::Divergence {
-                            limit: self.max_while_iterations,
-                            context: self.loop_context(body),
-                        });
+                        return Err(self.divergence(body));
                     }
                     self.exec(body)?;
                 }
+                Ok(())
             }
         }
     }
 
-    /// Reads a device control scalar (predicate dtype/shape validated at
-    /// compile).
-    fn read_flag(&self, predicate: &Tensor) -> i32 {
-        // SAFETY: a 1-element i32 tensor, and no vertex views are alive
-        // between supersteps.
-        unsafe { self.raw.i32(predicate.id, 0, 1)[0] }
+    /// One control decision: charges the control cycles, reads the
+    /// device predicate and records the decision in the profiler.
+    fn control(&mut self, kind: &'static str, predicate: &Tensor) -> bool {
+        let cc = self.graph.config.control_cycles;
+        self.st.stats.control_cycles += cc;
+        // SAFETY: a 1-element i32 tensor (validated at compile), and no
+        // vertex views are alive between supersteps.
+        let taken = unsafe { self.raw.i32(predicate.id, 0, 1)[0] } != 0;
+        if let Some(p) = self.st.profiler.as_mut() {
+            p.record_control(cc, kind, taken);
+        }
+        taken
     }
 
-    /// Executes one compute set as a BSP superstep.
-    fn exec_compute_set(&mut self, cs: usize) {
-        let tpt = self.sh.graph.config.threads_per_tile;
-        debug_assert!(self.st.thread_load.iter().all(|&x| x == 0));
-        self.st.touched_slots.clear();
-        for &vid in &self.sh.graph.compute_sets[cs].vertices {
-            let v = &self.sh.graph.vertices[vid];
-            // SAFETY: see `exec_vertex`; vertices run one at a time and
-            // no other views are alive.
-            let instructions = unsafe { exec_vertex(v, self.raw) };
-            let slot = v.tile * tpt + self.sh.vertex_thread[vid];
-            if self.st.thread_load[slot] == 0 {
-                self.st.touched_slots.push(slot as u32);
-            }
-            self.st.thread_load[slot] += instructions;
-        }
-        // Supervisors run after every worker, so they see their tile's
-        // worker outputs.
-        self.st.sup_loads.clear();
-        for &vid in &self.sh.graph.compute_sets[cs].supervisors {
-            let v = &self.sh.graph.vertices[vid];
-            // SAFETY: as above.
-            let instructions = unsafe { exec_vertex(v, self.raw) };
-            self.st.sup_loads.push((v.tile as u32, instructions));
-        }
-        finish_superstep(self.sh, self.raw, self.st, cs);
-    }
-
-    /// Diagnostic label for a diverging loop: the name of the first
-    /// compute set executed in its body.
-    fn loop_context(&self, body: &ExecNode) -> String {
-        match body.first_compute_set() {
-            Some(cs) => self.sh.graph.compute_sets[cs].name.clone(),
+    /// The watchdog's error for a diverging loop, labelled with the name
+    /// of the first compute set executed in its body.
+    fn divergence(&self, body: &ExecNode) -> GraphError {
+        let context = match body.first_compute_set() {
+            Some(cs) => self.graph.compute_sets[cs].name.clone(),
             None => "<empty loop body>".to_string(),
-        }
-    }
-
-    fn inject_exchange_fault(&mut self, dsts: &[TensorSlice]) {
-        inject_exchange_fault(self.raw, self.st, dsts);
-    }
-
-    fn move_data(&mut self, src: &TensorSlice, dst: &TensorSlice, reps: usize) {
-        move_data(self.raw, self.st, src, dst, reps);
-    }
-
-    /// Charges one exchange phase covering all `pairs`, memoized by the
-    /// node's compile-time `cost_id` (the mapping is static, so the cost
-    /// of a lowered node never changes).
-    fn charge_exchange(&mut self, cost_id: u32, pairs: &[(TensorSlice, TensorSlice)]) {
-        let cost = match self.st.copy_cost[cost_id as usize] {
-            Some(c) => c,
-            None => {
-                let c = exchange_cost(&self.sh.graph, pairs);
-                self.st.copy_cost[cost_id as usize] = Some(c);
-                c
-            }
         };
-        let bytes: u64 = pairs.iter().map(|(_, dst)| dst.bytes() as u64).sum();
-        self.st.stats.exchange_cycles += cost;
-        self.st.stats.sync_cycles += self.sh.graph.config.sync_cycles;
-        self.st.stats.exchanges += 1;
-        self.st.stats.exchange_bytes += bytes;
-        if let Some(profiler) = self.st.profiler.as_mut() {
-            let pair_bytes = exchange_pair_bytes(&self.sh.graph, pairs);
-            let sync = self.sh.graph.config.sync_cycles;
-            profiler.record_exchange(cost, sync, bytes, &pair_bytes);
+        GraphError::Divergence {
+            limit: self.max_while_iterations,
+            context,
         }
+    }
+
+    /// Executes one compute set as a BSP superstep. The field source is
+    /// the only difference between the modes; the branch sits outside
+    /// the vertex loop.
+    fn exec_compute_set(&mut self, cs: usize) {
+        let (graph, raw, cells) = (self.graph, self.raw, &self.cells);
+        let (workers, supervisors) = (&self.plan.steps[cs], &self.plan.supervisors[cs]);
+        // SAFETY (both closures): see `exec_plan_vertex` and
+        // `exec_vertex`; vertices run one at a time and no other views
+        // are alive. `cells` was built from the plan's current field
+        // pointers at the start of this run.
+        match self.mode {
+            ExecMode::Plan => run_vertices(self.st, workers, supervisors, |pv| unsafe {
+                exec_plan_vertex(graph, pv, cells)
+            }),
+            ExecMode::Interpreted => run_vertices(self.st, workers, supervisors, |pv| unsafe {
+                exec_vertex(&graph.vertices[pv.vid as usize], raw)
+            }),
+        }
+        finish_superstep(graph, raw, self.st, cs);
+    }
+
+    /// Executes one exchange phase: `Plan` runs the merged copy list
+    /// directly, `Interpreted` stages each original pair through scratch.
+    fn exec_copy(&mut self, cost_id: u32) {
+        let copy = &self.plan.copies[cost_id as usize];
+        match self.mode {
+            ExecMode::Plan => {
+                for seg in &copy.exec_segs {
+                    if seg.staged {
+                        move_data(self.raw, self.st, seg);
+                    } else {
+                        // SAFETY: the plan proved source and destination
+                        // disjoint for unstaged segments; no vertex views
+                        // are alive between supersteps.
+                        unsafe { direct_copy(self.raw, seg) };
+                    }
+                }
+            }
+            ExecMode::Interpreted => {
+                for seg in &copy.segs {
+                    move_data(self.raw, self.st, seg);
+                }
+            }
+        }
+        finish_exchange(self.graph, self.raw, self.st, copy);
     }
 }
 
-/// The shared superstep epilogue: converts the merged per-slot loads in
+/// Runs one compute set's workers, then its supervisors, merging their
+/// loads into `st.thread_load`/`st.touched_slots` and `st.sup_loads` for
+/// [`finish_superstep`]. `run` executes one vertex and returns the thread
+/// instructions to charge.
+fn run_vertices(
+    st: &mut RunState,
+    workers: &[PlanVertex],
+    supervisors: &[PlanVertex],
+    run: impl Fn(&PlanVertex) -> u64,
+) {
+    debug_assert!(st.thread_load.iter().all(|&x| x == 0));
+    st.touched_slots.clear();
+    for pv in workers {
+        let load = run(pv);
+        let si = pv.slot as usize;
+        if st.thread_load[si] == 0 {
+            st.touched_slots.push(pv.slot);
+        }
+        st.thread_load[si] += load;
+    }
+    // Supervisors run after every worker, so they see their tile's
+    // worker outputs.
+    st.sup_loads.clear();
+    for pv in supervisors {
+        st.sup_loads.push((pv.slot, run(pv)));
+    }
+}
+
+/// The superstep epilogue: converts the merged per-slot loads in
 /// `st.thread_load`/`st.touched_slots` into the modeled superstep cost,
-/// updates statistics, and runs the fault/profiler hooks. Both execution
-/// paths (interpreted and plan) funnel through here — one epilogue is the
-/// easiest bit-identity proof there is.
+/// updates statistics, and runs the fault/profiler hooks. Both modes
+/// funnel through here — one epilogue is the easiest bit-identity proof
+/// there is.
 ///
 /// When neither a profiler nor faults are installed, the lean fast path
 /// skips every recording branch: the hot loop pays for instrumentation
 /// only when instrumentation is on.
-fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
-    let tpt = sh.graph.config.threads_per_tile;
+fn finish_superstep(graph: &Graph, raw: &RawBufs, st: &mut RunState, cs: usize) {
+    let tpt = graph.config.threads_per_tile;
     // Tile cost: the barrel scheduler rotates over all `tpt` thread
     // slots, so a tile finishes after `tpt * max_thread(instructions)`
     // cycles; the superstep lasts as long as the slowest tile (C3).
@@ -530,7 +514,7 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
         }
         let superstep = (worst * tpt as u64).max(sup_worst);
         st.stats.compute_cycles += superstep;
-        st.stats.sync_cycles += sh.graph.config.sync_cycles;
+        st.stats.sync_cycles += graph.config.sync_cycles;
         st.stats.supersteps += 1;
         let b = &mut st.stats.per_compute_set[cs];
         b.executions += 1;
@@ -597,7 +581,7 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
     }
     let superstep = (worst * tpt as u64).max(sup_worst);
     st.stats.compute_cycles += superstep;
-    st.stats.sync_cycles += sh.graph.config.sync_cycles;
+    st.stats.sync_cycles += graph.config.sync_cycles;
     st.stats.supersteps += 1;
     let b = &mut st.stats.per_compute_set[cs];
     b.executions += 1;
@@ -608,7 +592,7 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
         InjectedFaults::default()
     };
     if let Some(detail) = tile_detail {
-        let sync = sh.graph.config.sync_cycles;
+        let sync = graph.config.sync_cycles;
         let p = st.profiler.as_mut().expect("profiler checked above");
         p.record_superstep(cs, &detail, sync, injected.straggler_extra);
         if injected.straggler_extra > 0 {
@@ -618,6 +602,22 @@ fn finish_superstep(sh: &Shared, raw: &RawBufs, st: &mut RunState, cs: usize) {
             p.record_fault("bit_flip", injected.bit_flips);
         }
     }
+}
+
+/// The exchange epilogue: charges one exchange phase's precomputed cost
+/// and bytes, then runs the profiler and fault hooks. Both modes funnel
+/// through here, as they do through [`finish_superstep`].
+fn finish_exchange(graph: &Graph, raw: &RawBufs, st: &mut RunState, copy: &PlanCopy) {
+    let sync = graph.config.sync_cycles;
+    st.stats.exchange_cycles += copy.cost;
+    st.stats.sync_cycles += sync;
+    st.stats.exchanges += 1;
+    st.stats.exchange_bytes += copy.bytes;
+    if let Some(p) = st.profiler.as_mut() {
+        let pair_bytes = exchange_pair_bytes(graph, &copy.segs);
+        p.record_exchange(copy.cost, sync, copy.bytes, &pair_bytes);
+    }
+    inject_exchange_fault(raw, st, &copy.segs);
 }
 
 /// The largest worker-thread load on `tile` in the current superstep.
@@ -676,19 +676,19 @@ fn inject_superstep_faults(
 }
 
 /// Fault hook run after each exchange phase: corrupts one delivered
-/// element of one destination slice.
-fn inject_exchange_fault(raw: &RawBufs, st: &mut RunState, dsts: &[TensorSlice]) {
+/// element of one copy's destination slice.
+fn inject_exchange_fault(raw: &RawBufs, st: &mut RunState, segs: &[CopySeg]) {
     let Some(fs) = st.faults.as_mut() else {
         return;
     };
     if fs.plan.exchange_rate == 0.0
-        || dsts.is_empty()
+        || segs.is_empty()
         || !fs.armed(st.stats.supersteps)
         || fs.draw() >= fs.plan.exchange_rate
     {
         return;
     }
-    let slice = dsts[fs.draw_index(dsts.len())];
+    let slice = segs[fs.draw_index(segs.len())].dst;
     if slice.is_empty() {
         return;
     }
@@ -707,7 +707,8 @@ fn inject_exchange_fault(raw: &RawBufs, st: &mut RunState, dsts: &[TensorSlice])
 /// (1 for plain copies), staged through the run-state scratch buffers
 /// (which also handles broadcast replication and source/destination
 /// sharing a tensor).
-fn move_data(raw: &RawBufs, st: &mut RunState, src: &TensorSlice, dst: &TensorSlice, reps: usize) {
+fn move_data(raw: &RawBufs, st: &mut RunState, seg: &CopySeg) {
+    let (src, dst, reps) = (&seg.src, &seg.dst, seg.reps as usize);
     match src.tensor.dtype {
         DType::F32 => {
             let tmp = &mut st.scratch_f32;
@@ -740,7 +741,7 @@ fn move_data(raw: &RawBufs, st: &mut RunState, src: &TensorSlice, dst: &TensorSl
 }
 
 /// Direct (unstaged) execution of one flattened copy segment:
-/// `memcpy`-style, no scratch round-trip. Only used when the builder
+/// `memcpy`-style, no scratch round-trip. Only used when the plan
 /// proved source and destination disjoint (every overlapping shape except
 /// same-tensor broadcast was rejected at compile; that one case stays on
 /// the staged path).
@@ -859,18 +860,15 @@ pub(crate) fn exchange_cost(graph: &Graph, pairs: &[(TensorSlice, TensorSlice)])
 /// Attributes one exchange phase's delivered bytes to `(src_tile,
 /// dst_tile)` pairs for the profiler's heatmap.
 ///
-/// The returned bytes sum to **exactly** what `charge_exchange` adds to
+/// The returned bytes sum to **exactly** what [`finish_exchange`] adds to
 /// `CycleStats::exchange_bytes` (`Σ dst.bytes()` over pairs) — the
 /// profiler's accounting invariant. A replicated destination (broadcast
 /// refresh) is attributed per source segment against
 /// [`BROADCAST_TILE`]; a `Copy` with `dst.len() == reps * src.len()`
 /// maps destination element `d` to source element `d % src.len()`.
-fn exchange_pair_bytes(
-    graph: &Graph,
-    pairs: &[(TensorSlice, TensorSlice)],
-) -> Vec<(u32, u32, u64)> {
+fn exchange_pair_bytes(graph: &Graph, segs: &[CopySeg]) -> Vec<(u32, u32, u64)> {
     let mut acc: std::collections::BTreeMap<(u32, u32), u64> = std::collections::BTreeMap::new();
-    for (src, dst) in pairs {
+    for CopySeg { src, dst, .. } in segs {
         if src.is_empty() || dst.is_empty() {
             continue;
         }
@@ -933,198 +931,6 @@ fn exchange_pair_bytes(
     acc.into_iter().map(|((s, d), b)| (s, d, b)).collect()
 }
 
-/// Per-run execution context for the lowered plan path: an instruction
-/// pointer over [`PlanOp`]s, runtime counter slots for loops, and a
-/// reusable cell arena so executing a vertex allocates nothing.
-///
-/// Shares `RunState`, [`finish_superstep`], and the fault hooks with the
-/// interpreter, which is what keeps the two paths bit-identical.
-struct PlanExec<'a> {
-    sh: &'a Shared,
-    raw: &'a RawBufs,
-    st: &'a mut RunState,
-    plan: &'a ExecPlan,
-    /// Runtime slots: repeat counters and while watchdogs.
-    counters: Vec<u64>,
-    /// Pre-built cell arena, reused by every superstep of the run.
-    cells: Vec<RefCell<FieldBuf>>,
-    max_while_iterations: u64,
-}
-
-impl PlanExec<'_> {
-    fn exec(&mut self) -> Result<(), GraphError> {
-        let plan = self.plan;
-        let mut ip = 0usize;
-        while let Some(op) = plan.ops.get(ip) {
-            match op {
-                PlanOp::Run { first, count } => {
-                    for seq in *first..*first + *count {
-                        self.exec_step(seq as usize);
-                    }
-                    ip += 1;
-                }
-                PlanOp::Copy(id) => {
-                    self.exec_copy(*id as usize);
-                    ip += 1;
-                }
-                PlanOp::LoopInit { slot, count, exit } => {
-                    if *count == 0 {
-                        ip = *exit as usize;
-                    } else {
-                        self.counters[*slot as usize] = *count;
-                        ip += 1;
-                    }
-                }
-                PlanOp::LoopBack { slot, target } => {
-                    let c = &mut self.counters[*slot as usize];
-                    *c -= 1;
-                    if *c > 0 {
-                        ip = *target as usize;
-                    } else {
-                        ip += 1;
-                    }
-                }
-                PlanOp::WhileEnter { iters, context } => {
-                    // Fault: the loop is declared non-convergent up front
-                    // — drawn ONCE per loop entry, exactly as the
-                    // interpreter draws it, so the fault RNG streams stay
-                    // aligned across execution modes.
-                    if let Some(fs) = self.st.faults.as_mut() {
-                        if fs.plan.diverge_rate > 0.0
-                            && fs.armed(self.st.stats.supersteps)
-                            && fs.draw() < fs.plan.diverge_rate
-                        {
-                            self.st.stats.faults.forced_divergences += 1;
-                            let cc = self.sh.graph.config.control_cycles;
-                            self.st.stats.control_cycles += cc;
-                            if let Some(p) = self.st.profiler.as_mut() {
-                                p.record_control(cc, "while", true);
-                                p.record_fault("forced_divergence", 1);
-                            }
-                            return Err(GraphError::Divergence {
-                                limit: self.max_while_iterations,
-                                context: plan.contexts[*context as usize].clone(),
-                            });
-                        }
-                    }
-                    self.counters[*iters as usize] = 0;
-                    ip += 1;
-                }
-                PlanOp::WhileHead {
-                    predicate,
-                    exit,
-                    iters,
-                    context,
-                } => {
-                    let cc = self.sh.graph.config.control_cycles;
-                    self.st.stats.control_cycles += cc;
-                    // SAFETY: a 1-element i32 tensor, and no vertex views
-                    // are alive between supersteps.
-                    let taken = unsafe { self.raw.i32(predicate.id, 0, 1)[0] } != 0;
-                    if let Some(p) = self.st.profiler.as_mut() {
-                        p.record_control(cc, "while", taken);
-                    }
-                    if !taken {
-                        ip = *exit as usize;
-                        continue;
-                    }
-                    let c = &mut self.counters[*iters as usize];
-                    *c += 1;
-                    if *c > self.max_while_iterations {
-                        return Err(GraphError::Divergence {
-                            limit: self.max_while_iterations,
-                            context: plan.contexts[*context as usize].clone(),
-                        });
-                    }
-                    ip += 1;
-                }
-                PlanOp::Jump(target) => ip = *target as usize,
-                PlanOp::IfHead {
-                    predicate,
-                    else_target,
-                } => {
-                    let cc = self.sh.graph.config.control_cycles;
-                    self.st.stats.control_cycles += cc;
-                    // SAFETY: as `WhileHead`.
-                    let taken = unsafe { self.raw.i32(predicate.id, 0, 1)[0] } != 0;
-                    if let Some(p) = self.st.profiler.as_mut() {
-                        p.record_control(cc, "if", taken);
-                    }
-                    if taken {
-                        ip += 1;
-                    } else {
-                        ip = *else_target as usize;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one superstep (step `seq` of the flattened sequence),
-    /// mirroring the interpreter's `exec_compute_set`.
-    fn exec_step(&mut self, seq: usize) {
-        let plan = self.plan;
-        let cs = plan.step_seq[seq] as usize;
-        debug_assert!(self.st.thread_load.iter().all(|&x| x == 0));
-        self.st.touched_slots.clear();
-        for pv in &plan.steps[cs] {
-            // SAFETY: see `exec_plan_vertex`; vertices run one at a time
-            // and no other views are alive.
-            let load = unsafe { exec_plan_vertex(&self.sh.graph, pv, &self.cells) };
-            let si = pv.slot as usize;
-            if self.st.thread_load[si] == 0 {
-                self.st.touched_slots.push(pv.slot);
-            }
-            self.st.thread_load[si] += load;
-        }
-        self.st.sup_loads.clear();
-        for pv in &plan.supervisors[cs] {
-            // SAFETY: as above; supervisors run after every worker.
-            let load = unsafe { exec_plan_vertex(&self.sh.graph, pv, &self.cells) };
-            self.st.sup_loads.push((pv.slot, load));
-        }
-        finish_superstep(self.sh, self.raw, self.st, cs);
-    }
-
-    /// Executes one flattened exchange phase: run the copy list, charge
-    /// the precomputed cost, then the profiler/fault hooks — in the
-    /// interpreter's order.
-    fn exec_copy(&mut self, id: usize) {
-        let plan = self.plan;
-        let copy = &plan.copies[id];
-        for seg in &copy.exec_segs {
-            if seg.staged {
-                move_data(self.raw, self.st, &seg.src, &seg.dst, seg.reps as usize);
-            } else {
-                // SAFETY: the builder proved source and destination
-                // disjoint for unstaged segments; no vertex views are
-                // alive between supersteps.
-                unsafe { direct_copy(self.raw, seg) };
-            }
-        }
-        self.st.stats.exchange_cycles += copy.cost;
-        self.st.stats.sync_cycles += self.sh.graph.config.sync_cycles;
-        self.st.stats.exchanges += 1;
-        self.st.stats.exchange_bytes += copy.bytes;
-        if let Some(p) = self.st.profiler.as_mut() {
-            let pairs: Vec<(TensorSlice, TensorSlice)> =
-                copy.segs.iter().map(|s| (s.src, s.dst)).collect();
-            let pair_bytes = exchange_pair_bytes(&self.sh.graph, &pairs);
-            p.record_exchange(
-                copy.cost,
-                self.sh.graph.config.sync_cycles,
-                copy.bytes,
-                &pair_bytes,
-            );
-        }
-        if self.st.faults.is_some() {
-            let dsts: Vec<TensorSlice> = copy.segs.iter().map(|s| s.dst).collect();
-            inject_exchange_fault(self.raw, self.st, &dsts);
-        }
-    }
-}
-
 impl Engine {
     pub(crate) fn new(graph: Graph, program: Program) -> Self {
         let mut buffers: Vec<Buffer> = graph
@@ -1167,7 +973,7 @@ impl Engine {
         };
         let thread_load = vec![0u64; graph.config.tiles * tpt];
         let max_while_iterations = graph.config.max_while_iterations;
-        let (program, cost_slots) = exec::lower(&program);
+        let (program, n_copies) = exec::lower(&program);
         // Modeled program-image size: codelet descriptors + edge tables
         // per vertex, variable descriptors per tensor, and the lowered
         // control/exchange tree. Streamed over host I/O on top of the
@@ -1178,24 +984,18 @@ impl Engine {
             + program.node_count() * calibration::IMAGE_BYTES_PER_NODE;
         let program_load_cycles = graph.config.program_load_base_cycles
             + (image_bytes as f64 / graph.config.host_io_bytes_per_cycle).ceil() as u64;
-        let exec_mode = graph.config.exec_mode;
-        let plan = plan::build(&graph, &program, &vertex_thread, &raw);
+        let plan = plan::build(&graph, &program, n_copies, &vertex_thread, &raw);
         Self {
-            sh: Shared {
-                graph,
-                vertex_thread,
-            },
+            graph,
             buffers,
             raw,
             program,
             plan,
-            exec_mode,
             st: RunState {
                 stats,
                 thread_load,
                 touched_slots: Vec::new(),
                 sup_loads: Vec::new(),
-                copy_cost: vec![None; cost_slots],
                 scratch_f32: Vec::new(),
                 scratch_i32: Vec::new(),
                 faults: None,
@@ -1221,8 +1021,7 @@ impl Engine {
 
     /// [`Engine::program_load_cycles`] converted at the device clock.
     pub fn program_load_seconds(&self) -> f64 {
-        self.sh
-            .graph
+        self.graph
             .config
             .cycles_to_seconds(self.program_load_cycles)
     }
@@ -1238,7 +1037,7 @@ impl Engine {
     /// Out-of-core layouts are judged by this number: it is what must
     /// stay bounded while `n` grows.
     pub fn peak_tile_bytes(&self) -> usize {
-        let graph = &self.sh.graph;
+        let graph = &self.graph;
         let mut per_tile = vec![0u64; graph.config.tiles];
         for info in &graph.tensors {
             if info.host {
@@ -1261,27 +1060,14 @@ impl Engine {
 
     /// Modeled device seconds for everything run so far.
     pub fn modeled_seconds(&self) -> f64 {
-        self.sh
-            .graph
+        self.graph
             .config
             .cycles_to_seconds(self.st.stats.total_cycles())
     }
 
     /// The device configuration.
     pub fn config(&self) -> &crate::IpuConfig {
-        &self.sh.graph.config
-    }
-
-    /// The execution path for subsequent runs.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Overrides the execution path for subsequent runs. Buffers,
-    /// statistics, faults, and profiles are bit-identical across modes —
-    /// the choice affects host wall-clock only.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
+        &self.graph.config
     }
 
     /// Installs a profiler: subsequent execution records a per-superstep
@@ -1291,7 +1077,7 @@ impl Engine {
     /// With no profiler installed the engine takes none of the recording
     /// paths — `CycleStats` and solve results are identical either way.
     pub fn enable_profiling(&mut self, config: ProfileConfig) {
-        let c = &self.sh.graph.config;
+        let c = &self.graph.config;
         self.st.profiler = Some(Profiler::new(
             config,
             c.tiles,
@@ -1318,13 +1104,12 @@ impl Engine {
     pub fn chrome_trace(&self, pid: u64, process: &str) -> Option<trace::ChromeTrace> {
         let p = self.st.profiler.as_ref()?;
         let names: Vec<String> = self
-            .sh
             .graph
             .compute_sets
             .iter()
             .map(|cs| cs.name.clone())
             .collect();
-        Some(p.chrome_trace(pid, process, self.sh.graph.config.clock_hz, &names))
+        Some(p.chrome_trace(pid, process, self.graph.config.clock_hz, &names))
     }
 
     /// Installs a fault plan: subsequent execution draws from the plan's
@@ -1332,7 +1117,6 @@ impl Engine {
     /// previously installed plan and resets its RNG stream.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         let flip_targets = self
-            .sh
             .graph
             .tensors
             .iter()
@@ -1476,41 +1260,28 @@ impl Engine {
 
     /// Runs the compiled program once.
     ///
-    /// Execution takes the pre-resolved plan path by default (see
-    /// [`ExecMode`] and `plan.rs`); `ExecMode::Interpreted` walks the
-    /// lowered tree instead. Results are bit-identical across modes.
+    /// One walker runs the lowered program tree in either [`ExecMode`]
+    /// (fixed by [`crate::IpuConfig::exec_mode`] at compile): `Plan`, the
+    /// default, runs its leaves from the pre-resolved plan (`plan.rs`);
+    /// `Interpreted` re-derives each vertex's fields and stages every
+    /// copy. Results are bit-identical across modes.
     ///
     /// # Errors
     /// [`GraphError::Divergence`] if a `RepeatWhileTrue` exceeds
     /// [`Engine::max_while_iterations`].
     pub fn run(&mut self) -> Result<(), GraphError> {
-        match self.exec_mode {
-            ExecMode::Interpreted => self.run_interpreted(),
-            ExecMode::Plan => self.run_plan(),
-        }
-    }
-
-    /// Runs via the straight-line execution plan (the default path).
-    fn run_plan(&mut self) -> Result<(), GraphError> {
-        PlanExec {
-            sh: &self.sh,
+        let mode = self.graph.config.exec_mode;
+        let cells = match mode {
+            ExecMode::Plan => self.plan.cell_arena(),
+            ExecMode::Interpreted => Vec::new(),
+        };
+        ExecCtx {
+            graph: &self.graph,
             raw: &self.raw,
             st: &mut self.st,
             plan: &self.plan,
-            counters: vec![0; self.plan.n_slots],
-            cells: self.plan.cell_arena(),
-            max_while_iterations: self.max_while_iterations,
-        }
-        .exec()
-    }
-
-    /// Runs via the tree-walking interpreter (the reference path the
-    /// differential tests compare the plan against).
-    fn run_interpreted(&mut self) -> Result<(), GraphError> {
-        ExecCtx {
-            sh: &self.sh,
-            raw: &self.raw,
-            st: &mut self.st,
+            mode,
+            cells,
             max_while_iterations: self.max_while_iterations,
         }
         .exec(&self.program)
@@ -1790,23 +1561,73 @@ mod tests {
         assert_eq!(e.read_f32(d), vec![7.5; 4]);
     }
 
-    #[test]
-    fn repeat_runs_body_n_times() {
+    const MODES: [ExecMode; 2] = [ExecMode::Interpreted, ExecMode::Plan];
+
+    /// Compiles `g` to run `program` in `mode`.
+    fn compile_in(mode: ExecMode, mut g: Graph, program: Program) -> Engine {
+        g.config.exec_mode = mode;
+        g.compile(program).unwrap()
+    }
+
+    /// One tile holding a counter `x` and a predicate `flag`; compute set
+    /// `inc` adds one to `x`, `dec` subtracts one.
+    fn counter_graph() -> (Graph, Tensor, Tensor, ComputeSetId, ComputeSetId) {
         let mut g = Graph::new(IpuConfig::tiny(1));
         let x = g.add_tensor("x", DType::I32, 1);
+        let flag = g.add_tensor("flag", DType::I32, 1);
         g.map_to_tile(x, 0).unwrap();
-        let cs = g.add_compute_set("inc");
-        let v = g
-            .add_vertex(cs, 0, "inc", |ctx| {
-                ctx.i32_mut(0)[0] += 1;
-                1
-            })
-            .unwrap();
-        g.connect(v, x.whole(), Access::ReadWrite).unwrap();
-        let mut e = g.compile(Program::repeat(5, Program::execute(cs))).unwrap();
-        e.run().unwrap();
-        assert_eq!(e.read_i32(x), vec![5]);
-        assert_eq!(e.stats().supersteps, 5);
+        g.map_to_tile(flag, 0).unwrap();
+        let mut step = |name: &str, by: i32| {
+            let cs = g.add_compute_set(name);
+            let v = g
+                .add_vertex(cs, 0, name, move |ctx| {
+                    ctx.i32_mut(0)[0] += by;
+                    1
+                })
+                .unwrap();
+            g.connect(v, x.whole(), Access::ReadWrite).unwrap();
+            cs
+        };
+        let (inc, dec) = (step("inc", 1), step("dec", -1));
+        (g, x, flag, inc, dec)
+    }
+
+    #[test]
+    fn repeat_runs_body_n_times() {
+        for mode in MODES {
+            let (g, x, _, inc, _) = counter_graph();
+            let mut e = compile_in(mode, g, Program::repeat(5, Program::execute(inc)));
+            e.run().unwrap();
+            assert_eq!(e.read_i32(x), vec![5]);
+            assert_eq!(e.stats().supersteps, 5);
+
+            // One control decision per iteration, and only the taken
+            // branch runs.
+            let (g, x, flag, inc, dec) = counter_graph();
+            let branch = Program::if_else(flag, Program::execute(inc), Program::execute(dec));
+            let mut e = compile_in(mode, g, Program::repeat(3, branch));
+            e.write_i32(flag, &[1]).unwrap();
+            e.run().unwrap();
+            assert_eq!(e.read_i32(x), vec![3], "{mode:?}");
+            let s = e.stats();
+            assert_eq!(s.control_cycles, 3 * e.config().control_cycles);
+            assert_eq!(s.supersteps, 3);
+            assert_eq!(s.per_compute_set[inc.0].executions, 3);
+            assert_eq!(s.per_compute_set[dec.0].executions, 0);
+
+            // A zero-count loop runs nothing: no superstep, exchange or
+            // control decision.
+            let (g, x, flag, inc, dec) = counter_graph();
+            let body = Program::seq(vec![
+                Program::if_else(flag, Program::execute(inc), Program::execute(dec)),
+                Program::copy(x.whole(), flag.whole()),
+            ]);
+            let mut e = compile_in(mode, g, Program::repeat(0, body));
+            e.run().unwrap();
+            assert_eq!(e.read_i32(x), vec![0], "{mode:?}");
+            assert_eq!(e.stats().total_cycles(), 0);
+            assert_eq!((e.stats().supersteps, e.stats().exchanges), (0, 0));
+        }
     }
 
     #[test]
@@ -1834,7 +1655,8 @@ mod tests {
         e.write_i32(flag, &[1]).unwrap();
         e.run().unwrap();
         assert_eq!(e.read_i32(count), vec![7]);
-        assert!(e.stats().control_cycles > 0);
+        // Seven iterations, each after a taken check, plus the exit check.
+        assert_eq!(e.stats().control_cycles, 8 * e.config().control_cycles);
     }
 
     #[test]
@@ -1877,6 +1699,41 @@ mod tests {
             other => panic!("expected Divergence, got {other:?}"),
         }
         assert!(err.to_string().contains("spin_step"));
+    }
+
+    #[test]
+    fn forced_divergence_draws_once_at_an_armed_while_entry_and_names_the_loop() {
+        for mode in MODES {
+            // The first loop is entered before any superstep, so the plan
+            // is not armed yet: no draw, and it exits on its first check.
+            // The second loop is entered armed: one draw, and it diverges.
+            let (g, x, flag, inc, dec) = counter_graph();
+            let program = Program::seq(vec![
+                Program::while_true(flag, Program::execute(inc)),
+                Program::execute(inc),
+                Program::while_true(flag, Program::execute(dec)),
+            ]);
+            let mut e = compile_in(mode, g, program);
+            let plan = FaultPlan::new(3)
+                .with_forced_divergence(1.0)
+                .after_supersteps(1);
+            e.set_fault_plan(plan.clone());
+            match e.run() {
+                Err(GraphError::Divergence { context, .. }) => assert_eq!(context, "dec"),
+                other => panic!("{mode:?}: expected Divergence, got {other:?}"),
+            }
+            assert_eq!(e.read_i32(x), vec![1]);
+            let s = e.stats();
+            assert_eq!(s.faults.forced_divergences, 1);
+            assert_eq!(s.supersteps, 1);
+            // The first loop's exit check and the diverged entry.
+            assert_eq!(s.control_cycles, 2 * e.config().control_cycles);
+            // The fault stream advanced by exactly one draw.
+            let mut fresh = FaultState::new(plan, Vec::new());
+            fresh.draw();
+            let live = e.st.faults.as_mut().unwrap();
+            assert_eq!(live.draw().to_bits(), fresh.draw().to_bits(), "{mode:?}");
+        }
     }
 
     #[test]
@@ -1964,8 +1821,7 @@ mod tests {
                 })
                 .unwrap();
             }
-            let mut e = g.compile(Program::execute(cs)).unwrap();
-            e.set_exec_mode(mode);
+            let mut e = compile_in(mode, g, Program::execute(cs));
             let err = catch_unwind(AssertUnwindSafe(|| e.run())).unwrap_err();
             let msg = err
                 .downcast_ref::<&str>()
@@ -1984,8 +1840,7 @@ mod tests {
     fn restore_rebuilds_raw_views() {
         for mode in [ExecMode::Interpreted, ExecMode::Plan] {
             let (g, x) = sharded_increment_graph(2, 4);
-            let mut e = g.compile(Program::execute(ComputeSetId(0))).unwrap();
-            e.set_exec_mode(mode);
+            let mut e = compile_in(mode, g, Program::execute(ComputeSetId(0)));
             e.write_f32(x, &[1.0; 8]).unwrap();
             let snap = e.snapshot();
             e.run().unwrap();
@@ -2030,13 +1885,11 @@ mod tests {
         ] {
             let build = || build(trap_is_supervisor);
             let (g, _, cs) = build();
-            let mut fresh = g.compile(Program::execute(cs)).unwrap();
-            fresh.set_exec_mode(mode);
+            let mut fresh = compile_in(mode, g, Program::execute(cs));
             fresh.run().unwrap();
 
             let (g, armed, cs) = build();
-            let mut e = g.compile(Program::execute(cs)).unwrap();
-            e.set_exec_mode(mode);
+            let mut e = compile_in(mode, g, Program::execute(cs));
             let snap = e.snapshot();
             e.write_i32(armed, &[1]).unwrap();
             assert!(catch_unwind(AssertUnwindSafe(|| e.run())).is_err());
@@ -2087,8 +1940,7 @@ mod tests {
         for (tile1, chip) in [(5, tile0), (80, 6 * (80 + VERTEX_OVERHEAD))] {
             for mode in [ExecMode::Interpreted, ExecMode::Plan] {
                 let (g, _, y, cs) = supervised_graph(tile1);
-                let mut e = g.compile(Program::execute(cs)).unwrap();
-                e.set_exec_mode(mode);
+                let mut e = compile_in(mode, g, Program::execute(cs));
                 e.enable_profiling(ProfileConfig::default());
                 e.run().unwrap();
                 assert_eq!(

@@ -3,17 +3,18 @@
 //! [`crate::Program`] is the user-facing, declarative tree; at compile time
 //! the engine lowers it into an [`ExecNode`] tree where every exchange-like
 //! node (copy, broadcast, exchange) carries a dense `cost_id` assigned in
-//! lowering order. The exchange-cost memo then becomes a plain
-//! `Vec<Option<u64>>` lookup instead of a `HashMap` keyed by the full
-//! endpoint vector — the mapping is static, so two executions of the same
-//! node always move the same bytes.
+//! depth-first lowering order. The `cost_id` indexes the node's copy list
+//! in the execution plan, with its cost and bytes precomputed — the
+//! mapping is static, so two executions of the same node always move the
+//! same bytes. The engine's one walker runs this tree in both execution
+//! modes.
 
 use crate::program::Program;
 use crate::tensor::{Tensor, TensorSlice};
 
 /// A lowered program node. Mirrors [`Program`] with two changes: broadcasts
 /// are folded into [`ExecNode::Copy`] with a precomputed repetition count,
-/// and every exchange-like node carries its memo slot.
+/// and every exchange-like node carries the index of its copy list.
 pub(crate) enum ExecNode {
     /// Run sub-programs in order.
     Seq(Vec<ExecNode>),
@@ -49,7 +50,7 @@ pub(crate) enum ExecNode {
 }
 
 /// Lowers a validated [`Program`] tree, returning the root node and the
-/// number of distinct exchange-like nodes (the size of the cost memo).
+/// number of distinct exchange-like nodes (the number of copy lists).
 pub(crate) fn lower(program: &Program) -> (ExecNode, usize) {
     let mut next_cost_id = 0u32;
     let root = lower_node(program, &mut next_cost_id);

@@ -811,7 +811,6 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost;
 
     fn tiny_graph() -> Graph {
         Graph::new(IpuConfig::tiny(4))
@@ -1090,10 +1089,5 @@ mod tests {
             }
             g
         }
-    }
-
-    #[allow(dead_code)]
-    fn cost_module_is_reachable() -> u64 {
-        cost::f32_scan(4)
     }
 }

@@ -30,11 +30,13 @@
 //! hardware threads per tile, 624 KiB SRAM per tile, 1.325 GHz clock (see
 //! [`calibration`] for every constant and its rationale).
 //!
-//! The host executes every superstep on the calling thread. Two paths
-//! run a compiled program — the lowered straight-line plan (the default)
-//! and the tree-walking interpreter it is differentially tested against
-//! (see [`ExecMode`]) — and buffers, cycle statistics, fault behaviour
-//! and profiles are bit-identical between them.
+//! The host executes every superstep on the calling thread. One walker
+//! runs a compiled program's control flow; [`ExecMode`] chooses only how
+//! its leaves run — from the pre-resolved plan (the default) or by
+//! re-deriving each vertex's fields and staging each copy (the reference
+//! the plan is differentially tested against) — and buffers, cycle
+//! statistics, fault behaviour and profiles are bit-identical between
+//! them.
 //!
 //! # Quick example
 //!

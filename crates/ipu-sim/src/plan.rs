@@ -1,37 +1,32 @@
-//! Pre-resolved execution plans: the straight-line lowering of a compiled
-//! program.
+//! Pre-resolved leaves of a compiled program.
 //!
-//! The interpreted engine (`ExecCtx` in `engine.rs`) walks the
-//! [`ExecNode`] tree every run, re-deriving per-vertex field views from
-//! `RawBufs` each superstep and exchange costs as it goes. For large
-//! instances that interpretive overhead — enum dispatch per node, a `Vec`
-//! of field views allocated per vertex per superstep, cost memo lookups
-//! per exchange — dominates the host wall-clock. This module flattens the whole program once, at
-//! [`crate::Graph::compile`], into:
+//! The engine runs every program the same way: one walker (`ExecCtx` in
+//! `engine.rs`) descends the lowered [`ExecNode`] tree and owns all
+//! control flow. This module resolves, once at [`crate::Graph::compile`],
+//! what the walker's two kinds of leaf need:
 //!
-//! - a flat op list ([`PlanOp`]) executed with an instruction pointer —
-//!   loops become `LoopInit`/`LoopBack` over runtime counter slots,
-//!   while-loops become `WhileEnter`/`WhileHead`/`Jump`, and maximal
-//!   runs of consecutive compute sets become a single [`PlanOp::Run`];
-//! - per-vertex field views resolved to raw pointers once ([`PlanField`]),
-//!   so executing a vertex is "wrap pointers, call closure" with zero
-//!   allocation;
-//! - exchange programs flattened to static copy lists ([`PlanCopy`]) with
-//!   the modeled cost and byte count precomputed at build time, executed
-//!   as direct `memcpy`-style copies (per-pair overlap was rejected at
-//!   compile, so staging through scratch is needed only for the one
-//!   overlap-capable case: a broadcast within one tensor).
+//! - per-vertex field views resolved to raw pointers ([`PlanField`]) and
+//!   each compute set's vertex lists ([`PlanVertex`]), so that in
+//!   [`crate::ExecMode::Plan`] executing a vertex is "slice the cell
+//!   arena, call the closure" with zero allocation;
+//! - each exchange-like node as a static copy list ([`PlanCopy`]), indexed
+//!   by the node's `cost_id`, with the modeled cost and byte count
+//!   precomputed (the mapping is static, so they never change between
+//!   executions). In `Plan` mode the merged `exec_segs` run as direct
+//!   `memcpy`-style copies; per-pair overlap was rejected at compile, so
+//!   staging through scratch is needed only for a broadcast within one
+//!   tensor.
 //!
-//! The plan executor itself lives in `engine.rs` (it shares `RunState`,
-//! the fault hooks, and the profiler epilogue with the interpreter — one
-//! epilogue, bit-identical results); this module owns the data layout and
-//! the builder.
+//! [`crate::ExecMode::Interpreted`] walks the same vertex lists and copy
+//! lists, but rebuilds each vertex's fields from its `VertexInfo` and
+//! stages every copy pair through scratch — the reference the plan's
+//! leaves are differentially tested against.
 
 use crate::codelet::FieldBuf;
 use crate::engine::{exchange_cost, RawBufs};
 use crate::exec::ExecNode;
 use crate::graph::Graph;
-use crate::tensor::{Tensor, TensorSlice};
+use crate::tensor::TensorSlice;
 
 /// Dtype + access of one pre-resolved field view.
 #[derive(Clone, Copy)]
@@ -159,44 +154,10 @@ pub(crate) struct PlanCopy {
     pub(crate) bytes: u64,
 }
 
-/// One instruction of the flattened program.
-pub(crate) enum PlanOp {
-    /// Execute `count` consecutive supersteps
-    /// (`step_seq[first..first + count]`).
-    Run { first: u32, count: u32 },
-    /// Execute one exchange phase (index into [`ExecPlan::copies`]).
-    Copy(u32),
-    /// Enter a counted loop: set counter `slot` to `count`, or jump to
-    /// `exit` when `count == 0`.
-    LoopInit { slot: u32, count: u64, exit: u32 },
-    /// Bottom of a counted loop: decrement counter `slot`, jump to
-    /// `target` while nonzero.
-    LoopBack { slot: u32, target: u32 },
-    /// Entry of a device-predicated loop: the forced-divergence fault
-    /// check (drawn **once** per loop entry, preserving the interpreter's
-    /// RNG draw order) and the iteration-counter reset.
-    WhileEnter { iters: u32, context: u32 },
-    /// Top-of-iteration check of a device-predicated loop: charge control
-    /// cycles, read the predicate, jump to `exit` when clear, and trip
-    /// the divergence watchdog via counter `iters`.
-    WhileHead {
-        predicate: Tensor,
-        exit: u32,
-        iters: u32,
-        context: u32,
-    },
-    /// Unconditional jump.
-    Jump(u32),
-    /// Device-predicated branch: charge control cycles, read the
-    /// predicate, fall through when set, jump to `else_target` when
-    /// clear.
-    IfHead { predicate: Tensor, else_target: u32 },
-}
-
-/// A compiled program lowered to straight-line form. Built once at
-/// [`crate::Graph::compile`]; executed by `PlanExec` in `engine.rs`.
+/// The pre-resolved leaves of a compiled program. Built once at
+/// [`crate::Graph::compile`]; read by the walker in `engine.rs`.
 pub(crate) struct ExecPlan {
-    pub(crate) ops: Vec<PlanOp>,
+    /// Each exchange-like node's copy list, indexed by its `cost_id`.
     pub(crate) copies: Vec<PlanCopy>,
     /// Field-view arena, indexed by [`PlanVertex::field_start`].
     fields: Vec<PlanField>,
@@ -206,13 +167,6 @@ pub(crate) struct ExecPlan {
     /// Each compute set's supervisor vertices (parallel to `steps`), run
     /// after its workers.
     pub(crate) supervisors: Vec<Vec<PlanVertex>>,
-    /// Compute-set id of every `Execute` occurrence, in flattened program
-    /// order; [`PlanOp::Run`] indexes a contiguous range of this.
-    pub(crate) step_seq: Vec<u32>,
-    /// Divergence-diagnostic labels, indexed by `WhileEnter`/`WhileHead`.
-    pub(crate) contexts: Vec<String>,
-    /// Runtime counter slots needed (loop counters + while watchdogs).
-    pub(crate) n_slots: usize,
 }
 
 impl ExecPlan {
@@ -328,192 +282,84 @@ fn merge_exec_segs(segs: &[CopySeg]) -> Vec<CopySeg> {
     out
 }
 
-/// Diagnostic label for a diverging loop: the name of the first compute
-/// set executed in its body.
-fn loop_context(graph: &Graph, body: &ExecNode) -> String {
-    match body.first_compute_set() {
-        Some(cs) => graph.compute_sets[cs].name.clone(),
-        None => "<empty loop body>".to_string(),
+fn copy_seg(src: TensorSlice, dst: TensorSlice, reps: usize) -> CopySeg {
+    CopySeg {
+        src,
+        dst,
+        reps: reps as u32,
+        staged: seg_overlaps(&src, &dst),
     }
 }
 
-struct Builder<'g> {
-    graph: &'g Graph,
-    ops: Vec<PlanOp>,
-    copies: Vec<PlanCopy>,
-    step_seq: Vec<u32>,
-    contexts: Vec<String>,
-    n_slots: u32,
-    /// Accumulating run of consecutive `Execute`s: (first, count).
-    pending: Option<(u32, u32)>,
+/// Appends the copy list of the exchange-like node numbered `cost_id`,
+/// with its modeled cost and byte count.
+fn push_copy(graph: &Graph, cost_id: u32, segs: Vec<CopySeg>, copies: &mut Vec<PlanCopy>) {
+    assert_eq!(
+        cost_id as usize,
+        copies.len(),
+        "cost ids follow lowering order"
+    );
+    let pairs: Vec<(TensorSlice, TensorSlice)> = segs.iter().map(|s| (s.src, s.dst)).collect();
+    copies.push(PlanCopy {
+        exec_segs: merge_exec_segs(&segs),
+        segs,
+        cost: exchange_cost(graph, &pairs),
+        bytes: pairs.iter().map(|(_, dst)| dst.bytes() as u64).sum(),
+    });
 }
 
-impl Builder<'_> {
-    fn alloc_slot(&mut self) -> u32 {
-        let s = self.n_slots;
-        self.n_slots += 1;
-        s
-    }
-
-    /// Terminates the pending run, if any. Called before every non-
-    /// `Execute` op so runs never cross a control-flow or exchange
-    /// boundary.
-    fn flush(&mut self) {
-        if let Some((first, count)) = self.pending.take() {
-            self.ops.push(PlanOp::Run { first, count });
+/// Appends the copy list of every exchange-like node under `node` in
+/// depth-first order, the order in which `exec::lower` assigned their
+/// `cost_id`s, so that `copies[cost_id]` is that node's list.
+fn push_copies(graph: &Graph, node: &ExecNode, copies: &mut Vec<PlanCopy>) {
+    match node {
+        ExecNode::Seq(items) => {
+            for p in items {
+                push_copies(graph, p, copies);
+            }
         }
-    }
-
-    fn push_copy(&mut self, segs: Vec<CopySeg>, pairs: &[(TensorSlice, TensorSlice)]) {
-        let cost = exchange_cost(self.graph, pairs);
-        let bytes: u64 = pairs.iter().map(|(_, dst)| dst.bytes() as u64).sum();
-        let exec_segs = merge_exec_segs(&segs);
-        let id = self.copies.len() as u32;
-        self.copies.push(PlanCopy {
-            segs,
-            exec_segs,
-            cost,
-            bytes,
-        });
-        self.ops.push(PlanOp::Copy(id));
-    }
-
-    fn emit(&mut self, node: &ExecNode) {
-        match node {
-            ExecNode::Seq(items) => {
-                for p in items {
-                    self.emit(p);
-                }
-            }
-            ExecNode::Execute(cs) => {
-                let idx = self.step_seq.len() as u32;
-                self.step_seq.push(*cs as u32);
-                match &mut self.pending {
-                    Some((_, count)) => *count += 1,
-                    None => self.pending = Some((idx, 1)),
-                }
-            }
-            ExecNode::Copy { src, dst, reps, .. } => {
-                self.flush();
-                let segs = vec![CopySeg {
-                    src: *src,
-                    dst: *dst,
-                    reps: *reps as u32,
-                    staged: seg_overlaps(src, dst),
-                }];
-                self.push_copy(segs, &[(*src, *dst)]);
-            }
-            ExecNode::Exchange { pairs, .. } => {
-                self.flush();
-                let segs = pairs
-                    .iter()
-                    .map(|&(src, dst)| CopySeg {
-                        src,
-                        dst,
-                        reps: 1,
-                        staged: seg_overlaps(&src, &dst),
-                    })
-                    .collect();
-                self.push_copy(segs, pairs);
-            }
-            ExecNode::Repeat { count, body } => {
-                self.flush();
-                let slot = self.alloc_slot();
-                let init_at = self.ops.len();
-                self.ops.push(PlanOp::LoopInit {
-                    slot,
-                    count: *count,
-                    exit: 0,
-                });
-                let head = self.ops.len() as u32;
-                self.emit(body);
-                self.flush();
-                self.ops.push(PlanOp::LoopBack { slot, target: head });
-                let exit = self.ops.len() as u32;
-                if let PlanOp::LoopInit { exit: e, .. } = &mut self.ops[init_at] {
-                    *e = exit;
-                }
-            }
-            ExecNode::While { predicate, body } => {
-                self.flush();
-                let iters = self.alloc_slot();
-                let context = self.contexts.len() as u32;
-                self.contexts.push(loop_context(self.graph, body));
-                self.ops.push(PlanOp::WhileEnter { iters, context });
-                let head = self.ops.len() as u32;
-                let head_at = self.ops.len();
-                self.ops.push(PlanOp::WhileHead {
-                    predicate: *predicate,
-                    exit: 0,
-                    iters,
-                    context,
-                });
-                self.emit(body);
-                self.flush();
-                self.ops.push(PlanOp::Jump(head));
-                let exit = self.ops.len() as u32;
-                if let PlanOp::WhileHead { exit: e, .. } = &mut self.ops[head_at] {
-                    *e = exit;
-                }
-            }
-            ExecNode::If {
-                predicate,
-                then_body,
-                else_body,
-            } => {
-                self.flush();
-                let if_at = self.ops.len();
-                self.ops.push(PlanOp::IfHead {
-                    predicate: *predicate,
-                    else_target: 0,
-                });
-                self.emit(then_body);
-                self.flush();
-                let jump_at = self.ops.len();
-                self.ops.push(PlanOp::Jump(0));
-                let else_target = self.ops.len() as u32;
-                self.emit(else_body);
-                self.flush();
-                let end = self.ops.len() as u32;
-                if let PlanOp::IfHead { else_target: t, .. } = &mut self.ops[if_at] {
-                    *t = else_target;
-                }
-                if let PlanOp::Jump(t) = &mut self.ops[jump_at] {
-                    *t = end;
-                }
-            }
+        ExecNode::Execute(_) => {}
+        ExecNode::Copy {
+            src,
+            dst,
+            reps,
+            cost_id,
+        } => push_copy(graph, *cost_id, vec![copy_seg(*src, *dst, *reps)], copies),
+        ExecNode::Exchange { pairs, cost_id } => {
+            let segs = pairs.iter().map(|&(s, d)| copy_seg(s, d, 1)).collect();
+            push_copy(graph, *cost_id, segs, copies);
+        }
+        ExecNode::Repeat { body, .. } | ExecNode::While { body, .. } => {
+            push_copies(graph, body, copies);
+        }
+        ExecNode::If {
+            then_body,
+            else_body,
+            ..
+        } => {
+            push_copies(graph, then_body, copies);
+            push_copies(graph, else_body, copies);
         }
     }
 }
 
-/// Lowers the lowered program tree one step further: to the straight-line
-/// [`ExecPlan`]. Built once per engine at compile.
+/// Resolves the leaves of the lowered program tree `root`, which holds
+/// `n_copies` exchange-like nodes. Built once per engine at compile.
 pub(crate) fn build(
     graph: &Graph,
     root: &ExecNode,
+    n_copies: usize,
     vertex_thread: &[usize],
     raw: &RawBufs,
 ) -> ExecPlan {
     let (fields, steps, supervisors) = build_steps(graph, vertex_thread, raw);
-    let mut b = Builder {
-        graph,
-        ops: Vec::new(),
-        copies: Vec::new(),
-        step_seq: Vec::new(),
-        contexts: Vec::new(),
-        n_slots: 0,
-        pending: None,
-    };
-    b.emit(root);
-    b.flush();
+    let mut copies = Vec::with_capacity(n_copies);
+    push_copies(graph, root, &mut copies);
+    assert_eq!(copies.len(), n_copies, "one copy list per cost id");
     ExecPlan {
-        ops: b.ops,
-        copies: b.copies,
+        copies,
         fields,
         steps,
         supervisors,
-        step_seq: b.step_seq,
-        contexts: b.contexts,
-        n_slots: b.n_slots as usize,
     }
 }

@@ -259,11 +259,16 @@ fn faulty_batch_matches_sequential_retry_loop_interpreted_vs_plan() {
 /// A raw graph exercising every program node the plan lowers: a
 /// data-dependent `While` around a wide compute set, a counted `Repeat`,
 /// an `Exchange`, and an `If` — compared at the buffer-bits level.
-fn control_flow_graph() -> (Graph, Tensor, Tensor, Tensor, ComputeSetId, ComputeSetId) {
+fn control_flow_graph(
+    mode: ExecMode,
+) -> (Graph, Tensor, Tensor, Tensor, ComputeSetId, ComputeSetId) {
     let tiles = 5;
     let per = 30;
     let n = tiles * per;
-    let mut g = Graph::new(IpuConfig::tiny(tiles));
+    let mut g = Graph::new(IpuConfig {
+        exec_mode: mode,
+        ..IpuConfig::tiny(tiles)
+    });
     let x = g.add_tensor("x", DType::F32, n);
     for t in 0..tiles {
         g.map_slice(x.slice(t * per..(t + 1) * per), t).unwrap();
@@ -298,7 +303,7 @@ fn control_flow_graph() -> (Graph, Tensor, Tensor, Tensor, ComputeSetId, Compute
 #[test]
 fn control_flow_buffers_are_bit_identical_interpreted_vs_plan() {
     let run = |mode: ExecMode| {
-        let (g, x, flag, mirror, inc, dec) = control_flow_graph();
+        let (g, x, flag, mirror, inc, dec) = control_flow_graph(mode);
         let per = mirror.len();
         let program = Program::seq(vec![
             Program::while_true(
@@ -311,7 +316,6 @@ fn control_flow_buffers_are_bit_identical_interpreted_vs_plan() {
             Program::if_else(flag, Program::execute(dec), Program::execute(inc)),
         ]);
         let mut e = g.compile(program).unwrap();
-        e.set_exec_mode(mode);
         e.write_f32(x, &vec![0.5; x.len()]).unwrap();
         e.write_i32(flag, &[6]).unwrap();
         e.run().unwrap();
@@ -344,7 +348,10 @@ proptest! {
     ) {
         let run = |mode: ExecMode| {
             let n = tiles * per;
-            let mut g = Graph::new(IpuConfig::tiny(tiles));
+            let mut g = Graph::new(IpuConfig {
+                exec_mode: mode,
+                ..IpuConfig::tiny(tiles)
+            });
             let x = g.add_tensor("x", DType::F32, n);
             for t in 0..tiles {
                 g.map_slice(x.slice(t * per..(t + 1) * per), t).unwrap();
@@ -363,7 +370,6 @@ proptest! {
             let mut e = g
                 .compile(Program::repeat(repeats, Program::execute(cs)))
                 .unwrap();
-            e.set_exec_mode(mode);
             let init: Vec<f32> = (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect();
             e.write_f32(x, &init).unwrap();
             e.run().unwrap();
