@@ -59,7 +59,9 @@ pub(crate) struct Ts {
     pub row_total: Tensor,
     // ---- per-row state (on the row's tile) ----
     pub row_star: Tensor,
-    pub row_cover: Tensor,
+    /// Each row's primed column, −1 when unprimed. A row is covered iff
+    /// it holds a prime: every prime covers its row and Step 5 clears
+    /// both, so no separate row-cover vector is kept.
     pub row_prime: Tensor,
     /// Row state −1/0/1 of §IV-F.
     pub zero_status: Tensor,
@@ -90,10 +92,6 @@ pub(crate) struct Ts {
     pub pass_lt: Tensor,
     /// Selected row of Step 4's arg-max (decode output).
     pub sel_row: Tensor,
-    /// Current column of the Step 5 walk.
-    pub cur_col: Tensor,
-    /// Walk-continuation flag.
-    pub walking: Tensor,
     /// Device-side counters: augmentations and dual (slack) updates.
     pub ctr_aug: Tensor,
     pub ctr_dual: Tensor,
@@ -103,7 +101,8 @@ pub(crate) struct Ts {
     pub ccm: Tensor,
     /// Scratch mirrors `n` i32, reused at disjoint program points to
     /// respect tile SRAM (C2): Step 2's proposals and column stars,
-    /// Step 4's row covers (`ma`) and column stars (`mb`), Step 5's green
+    /// the search loop's row primes (`ma`) and column stars (`mb`), which
+    /// Step 4 derives covers from and Step 5 walks, and Step 5's green
     /// rows and columns.
     pub ma: Tensor,
     pub mb: Tensor,
@@ -112,8 +111,6 @@ pub(crate) struct Ts {
     pub pass_m: Tensor,
     pub sel_row_m: Tensor,
     pub sel_col_m: Tensor,
-    pub cur_col_m: Tensor,
-    pub k_row_m: Tensor,
     /// Step 6's Δ, f32.
     pub delta_m: Tensor,
     // ---- representation-specific state (only `seeded` in dense mode) ----
@@ -186,7 +183,6 @@ impl Builder {
         let seg_min = g.add_tensor("seg_min", DType::F32, n * th);
         let row_total = g.add_tensor("row_total", DType::I32, n);
         let row_star = g.add_tensor("row_star", DType::I32, n);
-        let row_cover = g.add_tensor("row_cover", DType::I32, n);
         let row_prime = g.add_tensor("row_prime", DType::I32, n);
         let zero_status = g.add_tensor("zero_status", DType::I32, n);
         let row_zero_col = g.add_tensor("row_zero_col", DType::I32, n);
@@ -200,7 +196,6 @@ impl Builder {
             (seg_min, th),
             (row_total, 1),
             (row_star, 1),
-            (row_cover, 1),
             (row_prime, 1),
             (zero_status, 1),
             (row_zero_col, 1),
@@ -235,13 +230,11 @@ impl Builder {
         let pass = g.add_tensor("pass", DType::I32, 1);
         let pass_lt = g.add_tensor("pass_lt", DType::I32, 1);
         let sel_row = g.add_tensor("sel_row", DType::I32, 1);
-        let cur_col = g.add_tensor("cur_col", DType::I32, 1);
-        let walking = g.add_tensor("walking", DType::I32, 1);
         let ctr_aug = g.add_tensor("ctr_aug", DType::I32, 1);
         let ctr_dual = g.add_tensor("ctr_dual", DType::I32, 1);
         for tensor in [
             green_rows, green_cols, green_len, not_done, searching, st1, st0, pass, pass_lt,
-            sel_row, cur_col, walking, ctr_aug, ctr_dual,
+            sel_row, ctr_aug, ctr_dual,
         ] {
             g.map_to_tile(tensor, c)?;
         }
@@ -254,8 +247,6 @@ impl Builder {
         let pass_m = g.add_replicated("pass_m", DType::I32, 1);
         let sel_row_m = g.add_replicated("sel_row_m", DType::I32, 1);
         let sel_col_m = g.add_replicated("sel_col_m", DType::I32, 1);
-        let cur_col_m = g.add_replicated("cur_col_m", DType::I32, 1);
-        let k_row_m = g.add_replicated("k_row_m", DType::I32, 1);
         let delta_m = g.add_replicated("delta_m", DType::F32, 1);
 
         // Representation-specific tensors, created strictly after every
@@ -308,7 +299,6 @@ impl Builder {
             seg_min,
             row_total,
             row_star,
-            row_cover,
             row_prime,
             zero_status,
             row_zero_col,
@@ -328,8 +318,6 @@ impl Builder {
             pass,
             pass_lt,
             sel_row,
-            cur_col,
-            walking,
             ctr_aug,
             ctr_dual,
             ccm,
@@ -339,8 +327,6 @@ impl Builder {
             pass_m,
             sel_row_m,
             sel_col_m,
-            cur_col_m,
-            k_row_m,
             delta_m,
             cand,
             host_cost,
@@ -524,21 +510,49 @@ impl Builder {
     /// interval owner probes in parallel, a ≤-tiles temporary is reduced
     /// on the collector) or the rejected whole-tensor single-tile copy.
     /// On chip-aware layouts the ≤-tiles temporary is reduced through
-    /// the per-chip sub-collectors instead of one flat gather. `finish`
-    /// runs in the vertex that writes the result, on the collector
-    /// ([`Finish`]). Returns the 1-element output tensor (on the
-    /// collector) and the program fragment.
+    /// the per-chip sub-collectors instead of one flat gather, so only
+    /// one scalar per chip crosses an IPU-Link. Returns the 1-element
+    /// output tensor (on the collector) and the program fragment.
     pub fn dyn_read_i32(
         &mut self,
         name: &str,
         src: Tensor,
         idx_m: Tensor,
         intervals: &[(Range<usize>, usize)],
-        finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
         if self.ab.dyn_slice == crate::ablation::DynSlice::SingleTileGather {
-            return self.dyn_read_i32_single_tile(name, src, idx_m, finish);
+            return self.dyn_read_i32_single_tile(name, src, idx_m);
         }
+        let k = intervals.len();
+        let partials = self.g.add_tensor(&format!("{name}.part"), DType::I32, k);
+        for (i, (_, tile)) in intervals.iter().enumerate() {
+            self.g.map_slice(partials.element(i), *tile)?;
+        }
+        // Each interval owner probes its own range; non-owners emit
+        // `i32::MIN`, so the max over the partials is the element.
+        let cs = self.g.add_compute_set(&format!("{name}.probe"));
+        for (i, (range, tile)) in intervals.iter().enumerate() {
+            let (start, end) = (range.start, range.end);
+            let vtx = self
+                .g
+                .add_vertex(cs, *tile, &format!("{name}.probe[{i}]"), move |ctx| {
+                    let idx = ctx.i32(0)[0] as usize;
+                    let seg = ctx.i32(1);
+                    let out = if idx >= start && idx < end {
+                        seg[idx - start]
+                    } else {
+                        i32::MIN
+                    };
+                    ctx.i32_mut(2)[0] = out;
+                    cost::scalar(6)
+                })?;
+            self.g.connect(vtx, idx_m.whole(), Access::Read)?;
+            self.g
+                .connect(vtx, src.slice(range.clone()), Access::Read)?;
+            self.g.connect(vtx, partials.element(i), Access::Write)?;
+        }
+        let probe = Program::execute(cs);
+        let pick_name = format!("{name}.pick");
         if self.l.chips > 1 {
             let root = self.g.config().ipu_of(self.l.collector_tile);
             let off_chip = intervals
@@ -546,123 +560,49 @@ impl Builder {
                 .filter(|(_, t)| self.g.config().ipu_of(*t) != root)
                 .count();
             if self.hier_reduce_pays(off_chip) {
-                return self.dyn_read_i32_hier(name, src, idx_m, intervals, finish);
+                let (out, pick) = poplib::reduce_partials_hier(
+                    &mut self.g,
+                    &pick_name,
+                    partials,
+                    ReduceOp::Max,
+                    &self.l.chip_stages(),
+                    self.l.collector_tile,
+                    None,
+                )?;
+                return Ok((out, Program::seq(vec![probe, pick])));
             }
-        }
-        let k = intervals.len();
-        let partials = self.g.add_tensor(&format!("{name}.part"), DType::I32, k);
-        for (i, (_, tile)) in intervals.iter().enumerate() {
-            self.g.map_slice(partials.element(i), *tile)?;
         }
         let gathered = self.g.add_tensor(&format!("{name}.gath"), DType::I32, k);
         self.g.map_to_tile(gathered, self.l.collector_tile)?;
         let out = self.g.add_tensor(&format!("{name}.out"), DType::I32, 1);
         self.g.map_to_tile(out, self.l.collector_tile)?;
-
-        let cs = self.g.add_compute_set(&format!("{name}.probe"));
-        for (i, (range, tile)) in intervals.iter().enumerate() {
-            let (start, end) = (range.start, range.end);
-            let vtx = self
-                .g
-                .add_vertex(cs, *tile, &format!("{name}.probe[{i}]"), move |ctx| {
-                    let idx = ctx.i32(0)[0] as usize;
-                    let seg = ctx.i32(1);
-                    let out = if idx >= start && idx < end {
-                        seg[idx - start]
-                    } else {
-                        i32::MIN
-                    };
-                    ctx.i32_mut(2)[0] = out;
-                    cost::scalar(6)
-                })?;
-            self.g.connect(vtx, idx_m.whole(), Access::Read)?;
-            self.g
-                .connect(vtx, src.slice(range.clone()), Access::Read)?;
-            self.g.connect(vtx, partials.element(i), Access::Write)?;
-        }
-
         // Multithreaded max over the gathered partials (exactly the
         // "slice the element from the temporary tensor in a single tile"
         // step of Fig. 4, using the tile's six threads).
         let pick = poplib::reduce_on_tile(
             &mut self.g,
-            &format!("{name}.pick"),
+            &pick_name,
             gathered,
             out,
             ReduceOp::Max,
             self.l.collector_tile,
-            finish,
+            None,
         )?;
-
         let gather = Program::exchange(
             (0..k)
                 .map(|i| (partials.element(i), gathered.element(i)))
                 .collect(),
         );
-        Ok((out, Program::seq(vec![Program::execute(cs), gather, pick])))
-    }
-
-    /// Chip-aware dynamic read: the same per-owner probe vertices as the
-    /// flat path (non-owners emit `i32::MIN`), but the max over the
-    /// partials travels through the per-chip sub-collectors so only one
-    /// scalar per chip crosses an IPU-Link.
-    fn dyn_read_i32_hier(
-        &mut self,
-        name: &str,
-        src: Tensor,
-        idx_m: Tensor,
-        intervals: &[(Range<usize>, usize)],
-        finish: Option<Finish>,
-    ) -> Result<(Tensor, Program), GraphError> {
-        let k = intervals.len();
-        let partials = self.g.add_tensor(&format!("{name}.part"), DType::I32, k);
-        for (i, (_, tile)) in intervals.iter().enumerate() {
-            self.g.map_slice(partials.element(i), *tile)?;
-        }
-        let cs = self.g.add_compute_set(&format!("{name}.probe"));
-        for (i, (range, tile)) in intervals.iter().enumerate() {
-            let (start, end) = (range.start, range.end);
-            let vtx = self
-                .g
-                .add_vertex(cs, *tile, &format!("{name}.probe[{i}]"), move |ctx| {
-                    let idx = ctx.i32(0)[0] as usize;
-                    let seg = ctx.i32(1);
-                    let out = if idx >= start && idx < end {
-                        seg[idx - start]
-                    } else {
-                        i32::MIN
-                    };
-                    ctx.i32_mut(2)[0] = out;
-                    cost::scalar(6)
-                })?;
-            self.g.connect(vtx, idx_m.whole(), Access::Read)?;
-            self.g
-                .connect(vtx, src.slice(range.clone()), Access::Read)?;
-            self.g.connect(vtx, partials.element(i), Access::Write)?;
-        }
-        let (out, pick) = poplib::reduce_partials_hier(
-            &mut self.g,
-            &format!("{name}.pick"),
-            partials,
-            ReduceOp::Max,
-            &self.l.chip_stages(),
-            self.l.collector_tile,
-            finish,
-        )?;
-        Ok((out, Program::seq(vec![Program::execute(cs), pick])))
+        Ok((out, Program::seq(vec![probe, gather, pick])))
     }
 
     /// The rejected dynamic-slice alternative (§IV-G): ship the whole
-    /// tensor to the collector for every read, then index locally. The
-    /// index vertex runs `finish` with the shipped tensor as field 0 and
-    /// the result as field 1, as [`Finish`] specifies; the index comes
-    /// after `finish`'s fields.
+    /// tensor to the collector for every read, then index locally.
     fn dyn_read_i32_single_tile(
         &mut self,
         name: &str,
         src: Tensor,
         idx_m: Tensor,
-        finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
         let scratch = self
             .g
@@ -671,29 +611,20 @@ impl Builder {
         let out = self.g.add_tensor(&format!("{name}.out"), DType::I32, 1);
         self.g.map_to_tile(out, self.l.collector_tile)?;
         let cs = self.g.add_compute_set(&format!("{name}.index"));
-        let (fields, then): (Vec<(TensorSlice, Access)>, Option<Box<ipu_sim::Codelet>>) =
-            match finish {
-                Some(Finish { fields, codelet }) => (fields, Some(codelet)),
-                None => (Vec::new(), None),
-            };
-        let idx_field = 2 + fields.len();
-        let vtx = self.g.add_vertex(
+        self.collector_vertex(
             cs,
-            self.l.collector_tile,
             &format!("{name}.index"),
-            move |ctx| {
-                let idx = ctx.i32(idx_field)[0] as usize;
-                let picked = ctx.i32(0).get(idx).copied().unwrap_or(i32::MIN);
-                ctx.i32_mut(1)[0] = picked;
-                cost::scalar(5) + then.as_ref().map_or(0, |f| f(ctx))
+            vec![
+                (scratch.whole(), Access::Read),
+                (out.whole(), Access::Write),
+                (idx_m.whole(), Access::Read),
+            ],
+            |ctx| {
+                let idx = ctx.i32(2)[0] as usize;
+                ctx.i32_mut(1)[0] = ctx.i32(0).get(idx).copied().unwrap_or(i32::MIN);
+                cost::scalar(5)
             },
         )?;
-        self.g.connect(vtx, scratch.whole(), Access::Read)?;
-        self.g.connect(vtx, out.whole(), Access::Write)?;
-        for (slice, access) in fields {
-            self.g.connect(vtx, slice, access)?;
-        }
-        self.g.connect(vtx, idx_m.whole(), Access::Read)?;
         Ok((
             out,
             Program::seq(vec![
@@ -704,7 +635,7 @@ impl Builder {
     }
 
     /// Adds one vertex on the collector tile — the home of scalar control
-    /// state (decode, flag updates, green-stack pushes).
+    /// state (decode, flag updates, the green-stack walk).
     pub fn collector_vertex(
         &mut self,
         cs: ComputeSetId,

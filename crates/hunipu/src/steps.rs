@@ -539,8 +539,9 @@ impl Builder {
     }
 
     /// The Step 4/5/6 search loop (§IV-F to §IV-H). On entry it seeds the
-    /// two mirrors that Step 4 derives column covers from (`ma`: row
-    /// covers, `mb`: column stars; see [`uncovered_zero`]). Then, while
+    /// two mirrors that Step 4 derives column covers from and Step 5
+    /// walks (`ma`: row primes, `mb`: column stars; see
+    /// [`uncovered_zero`] and [`walk_green_stack`]). Then, while
     /// `searching`, it classifies rows (−1/0/1), arg-max reduces, and
     /// dispatches to augmentation (1), the end of a prime layer (0), or
     /// the slack update (−1), which first re-derives `col_cover` and its
@@ -556,7 +557,7 @@ impl Builder {
         // search, so `mb` is seeded once per search; `ma` is seeded here
         // and refreshed after every prime.
         let refresh_ma =
-            self.refresh_mirror("loop.rcg", self.t.row_cover, self.t.ma, &row_intervals)?;
+            self.refresh_mirror("loop.rcg", self.t.row_prime, self.t.ma, &row_intervals)?;
         let seed_mb =
             self.refresh_mirror("loop.csg", self.t.col_star, self.t.mb, &col_intervals)?;
         let cs_status = self.frag_row_status()?;
@@ -606,23 +607,21 @@ impl Builder {
         }
 
         // Shared fragment: resolve the selected row's uncovered-zero
-        // column via a dynamic read, and mirror it.
+        // column via a dynamic read, onto the collector.
         let (rzc_out, read_rzc) = self.dyn_read_i32(
             "step4.selcol",
             self.t.row_zero_col,
             self.t.sel_row_m,
             &row_intervals,
-            None,
         )?;
         let get_sel_col = Program::seq(vec![
             Program::broadcast(t_sel_row.whole(), self.t.sel_row_m.whole()),
             read_rzc,
-            Program::broadcast(rzc_out.whole(), self.t.sel_col_m.whole()),
         ]);
 
         // Priming (status 0). Layered priming (the default) primes a
         // whole tree layer per pass: every row of status 0 already primed
-        // its zero and covered itself in `step4.status`, so the pass only
+        // its zero, which covers it, in `step4.status`, so the pass only
         // refreshes `ma`. Primes of one pass sit in distinct rows, and a
         // prime's column was uncovered when the pass started, so its
         // star's row was primed in an earlier pass: Step 5's walk visits
@@ -633,7 +632,7 @@ impl Builder {
         let prime = if self.ab.layered_priming {
             refresh_ma.clone()
         } else {
-            self.frag_prime_one(&get_sel_col, &row_intervals, &refresh_ma)?
+            self.frag_prime_one(&get_sel_col, rzc_out, &row_intervals, &refresh_ma)?
         };
         let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
         let mut step6 = if tiled { Vec::new() } else { vec![col_covers] };
@@ -658,18 +657,17 @@ impl Builder {
     /// take the minimum uncovered column of their zero list, which Step 2
     /// sorted descending and Step 6 appends to. A zero's column cover is
     /// derived from the `ma` and `mb` mirrors ([`uncovered_zero`]), two
-    /// lookups per zero examined. With layered priming, a row of status 0
-    /// also primes its zero and covers itself ([`publish_status`]), so a
-    /// prime layer needs no compute set of its own.
+    /// lookups per zero examined. A row holding a prime is covered and
+    /// scans nothing. With layered priming, a row of status 0 also primes
+    /// its zero, which covers it ([`publish_status`]), so a prime layer
+    /// needs no compute set of its own.
     fn frag_row_status(&mut self) -> Result<ComputeSetId, GraphError> {
         let l = self.l.clone();
         let th = l.threads;
         let t = self.t.clone();
         let tiled = matches!(self.storage, Storage::Tiled { .. });
         let compressed = self.ab.compression;
-        // The row's zeros sit from field 7 on; the prime, when the vertex
-        // primes, right after them.
-        let prime_field = self.ab.layered_priming.then_some(if tiled { 9 } else { 8 });
+        let primes = self.ab.layered_priming;
         let cs_status = self.g.add_compute_set("step4.status");
         for row in 0..l.n {
             let tile = l.tile_of_row(row);
@@ -677,7 +675,7 @@ impl Builder {
             let v = if tiled {
                 self.g.add_vertex(cs_status, tile, "status", move |ctx| {
                     let (ma, mb, list) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
-                    let len = if ctx.i32(0)[0] != 0 {
+                    let len = if ctx.i32(0)[0] >= 0 {
                         0
                     } else {
                         list_len(ctx.i32(8)[0], list.len())
@@ -690,7 +688,7 @@ impl Builder {
                         .unwrap_or(-1);
                     cost::i32_scan(len)
                         + cost::scalar(2 * len)
-                        + publish_status(ctx, zcol, row_i, prime_field)
+                        + publish_status(ctx, zcol, row_i, primes)
                 })?
             } else if compressed {
                 let seg_bounds: Vec<(usize, usize)> = (0..th)
@@ -702,7 +700,7 @@ impl Builder {
                 self.g.add_vertex(cs_status, tile, "status", move |ctx| {
                     let (mut scanned, mut looked) = (0, 0);
                     let mut zcol = -1;
-                    if ctx.i32(0)[0] == 0 {
+                    if ctx.i32(0)[0] < 0 {
                         let (ma, mb, comp) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
                         'outer: for &(s0, s1) in &seg_bounds {
                             for &c in &comp[s0..s1] {
@@ -720,7 +718,7 @@ impl Builder {
                     }
                     cost::i32_scan(scanned)
                         + cost::scalar(2 * looked)
-                        + publish_status(ctx, zcol, row_i, prime_field)
+                        + publish_status(ctx, zcol, row_i, primes)
                 })?
             } else {
                 // Ablation A2: no compression — scan the raw slack row.
@@ -729,7 +727,7 @@ impl Builder {
                         let slack = ctx.f32(7);
                         let mut looked = 0;
                         let mut zcol = -1;
-                        if ctx.i32(0)[0] == 0 {
+                        if ctx.i32(0)[0] < 0 {
                             let (ma, mb) = (ctx.i32(2), ctx.i32(3));
                             for (c, &x) in slack.iter().enumerate() {
                                 if x == 0.0 {
@@ -743,14 +741,15 @@ impl Builder {
                         }
                         cost::f32_scan(slack.len())
                             + cost::scalar(2 * looked)
-                            + publish_status(ctx, zcol, row_i, prime_field)
+                            + publish_status(ctx, zcol, row_i, primes)
                     })?
             };
-            let cover_access = match prime_field {
-                Some(_) => Access::ReadWrite,
-                None => Access::Read,
+            let prime_access = if primes {
+                Access::ReadWrite
+            } else {
+                Access::Read
             };
-            self.g.connect(v, t.row_cover.element(row), cover_access)?;
+            self.g.connect(v, t.row_prime.element(row), prime_access)?;
             self.g.connect(v, t.row_star.element(row), Access::Read)?;
             self.g.connect(v, t.ma.whole(), Access::Read)?;
             self.g.connect(v, t.mb.whole(), Access::Read)?;
@@ -770,16 +769,13 @@ impl Builder {
                 self.g
                     .connect(v, t.zero_count.element(row * th), Access::Read)?;
             }
-            if prime_field.is_some() {
-                self.g.connect(v, t.row_prime.element(row), Access::Write)?;
-            }
         }
         Ok(cs_status)
     }
 
     /// Re-derives every column cover from the search-loop invariant ("a
     /// column is covered iff it holds a star whose row is uncovered",
-    /// [`col_covered`]), reading the row covers through the `ma` mirror,
+    /// [`col_covered`]), reading the row primes through the `ma` mirror,
     /// and refreshes the `ccm` mirror from the result. Step 4 derives
     /// covers on its own, so only Step 6's dual update and the tiled
     /// block scan need this: once per dual update or stream.
@@ -794,10 +790,10 @@ impl Builder {
                 .g
                 .add_vertex_on_thread(cs_recover, tile, t, "recover", |ctx| {
                     let stars = ctx.i32(0);
-                    let rcov = ctx.i32(1);
+                    let primes = ctx.i32(1);
                     let mut cov = ctx.i32_mut(2);
                     for (c, &s) in cov.iter_mut().zip(stars.iter()) {
-                        *c = i32::from(col_covered(s, &rcov));
+                        *c = i32::from(col_covered(s, &primes));
                     }
                     cost::i32_scan(stars.len()) + cost::i32_update(stars.len())
                 })?;
@@ -810,29 +806,29 @@ impl Builder {
         Ok(Program::seq(vec![Program::execute(cs_recover), refresh]))
     }
 
-    /// The paper's priming action (§IV-F, ablation A5): prime the arg-max
-    /// row's zero and cover its row, writing at the runtime-computed row
-    /// with the partition-and-distribute pattern (§IV-G), then refresh
-    /// the `ma` mirror. Uncovering the star's column needs no write:
+    /// The paper's priming action (§IV-F, ablation A5): mirror the arg-max
+    /// row's zero column and prime that zero, which covers the row,
+    /// writing at the runtime-computed row with the
+    /// partition-and-distribute pattern (§IV-G), then refresh the `ma`
+    /// mirror. Uncovering the star's column needs no write:
     /// Step 4 derives it from the mirrors, and Step 6 re-derives
     /// `col_cover`.
     fn frag_prime_one(
         &mut self,
         get_sel_col: &Program,
+        rzc_out: Tensor,
         row_intervals: &[(std::ops::Range<usize>, usize)],
         refresh_ma: &Program,
     ) -> Result<Program, GraphError> {
         let (t_selr_m, t_selc_m) = (self.t.sel_row_m, self.t.sel_col_m);
-        let (t_prime, t_rcov) = (self.t.row_prime, self.t.row_cover);
+        let t_prime = self.t.row_prime;
         let cs_prime = self.g.add_compute_set("step4.prime");
         for (range, tile) in row_intervals {
             let (s0, s1) = (range.start, range.end);
             let v = self.g.add_vertex(cs_prime, *tile, "prime", move |ctx| {
                 let r = ctx.i32(0)[0] as usize;
                 if r >= s0 && r < s1 {
-                    let j = ctx.i32(1)[0];
-                    ctx.i32_mut(2)[r - s0] = j;
-                    ctx.i32_mut(3)[r - s0] = 1;
+                    ctx.i32_mut(2)[r - s0] = ctx.i32(1)[0];
                 }
                 cost::scalar(5)
             })?;
@@ -840,131 +836,71 @@ impl Builder {
             self.g.connect(v, t_selc_m.whole(), Access::Read)?;
             self.g
                 .connect(v, t_prime.slice(range.clone()), Access::ReadWrite)?;
-            self.g
-                .connect(v, t_rcov.slice(range.clone()), Access::ReadWrite)?;
         }
 
         Ok(Program::seq(vec![
             get_sel_col.clone(),
+            Program::broadcast(rzc_out.whole(), t_selc_m.whole()),
             Program::execute(cs_prime),
             refresh_ma.clone(),
         ]))
     }
 
     /// Step 5 (§IV-G, Fig. 3): walk the alternating path from the
-    /// selected prime, recording hops on the green stack; then flip the
-    /// stars in parallel, clear primes and covers, and end the search.
+    /// selected prime on the collector, recording hops on the green
+    /// stack; then flip the stars in parallel, clear the primes (and so
+    /// the row covers) and end the search. The walk reads the star and
+    /// prime of each hop from the `mb` and `ma` mirrors the collector
+    /// already holds ([`walk_green_stack`]), so it is one superstep
+    /// however long the path, where the paper reads both through
+    /// partition-and-distribute dynamic slices per hop.
     fn frag_augment(
         &mut self,
         get_sel_col: &Program,
-        rzc_out: ipu_sim::Tensor,
+        rzc_out: Tensor,
         row_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
         let l = self.l.clone();
         let t = self.t.clone();
         let (t_grows, t_gcols, t_glen) = (t.green_rows, t.green_cols, t.green_len);
-        let (t_selrow, t_curcol, t_walking) = (t.sel_row, t.cur_col, t.walking);
-        let t_ctr = t.ctr_aug;
 
-        // Initialize the walk: push the starting prime.
-        let cs_init = self.g.add_compute_set("step5.init");
+        // `ma` holds every prime the walk can reach: a layered pass's own
+        // speculative primes sit in rows that were uncovered when it
+        // started, which no walk visits (`frag_search_loop`).
+        let cs_walk = self.g.add_compute_set("step5.walk");
         self.collector_vertex(
-            cs_init,
-            "walkinit",
+            cs_walk,
+            "walk",
             vec![
-                (t_selrow.whole(), Access::Read),
+                (t.sel_row.whole(), Access::Read),
                 (rzc_out.whole(), Access::Read),
+                (t.ma.whole(), Access::Read),
+                (t.mb.whole(), Access::Read),
                 (t_grows.whole(), Access::Write),
                 (t_gcols.whole(), Access::Write),
                 (t_glen.whole(), Access::Write),
-                (t_curcol.whole(), Access::Write),
-                (t_walking.whole(), Access::Write),
-                (t_ctr.whole(), Access::ReadWrite),
+                (t.ctr_aug.whole(), Access::ReadWrite),
             ],
             |ctx| {
-                let r = ctx.i32(0)[0];
-                let c = ctx.i32(1)[0];
-                ctx.i32_mut(2)[0] = r;
-                ctx.i32_mut(3)[0] = c;
-                ctx.i32_mut(4)[0] = 1;
-                ctx.i32_mut(5)[0] = c;
-                ctx.i32_mut(6)[0] = 1;
+                let len = walk_green_stack(
+                    ctx.i32(0)[0],
+                    ctx.i32(1)[0],
+                    &ctx.i32(2),
+                    &ctx.i32(3),
+                    &mut ctx.i32_mut(4),
+                    &mut ctx.i32_mut(5),
+                );
+                ctx.i32_mut(6)[0] = len as i32;
                 ctx.i32_mut(7)[0] += 1;
-                cost::scalar(8)
+                // The first push and the counters, then per hop two
+                // mirror loads, their range checks and two pushes.
+                cost::scalar(8 + 6 * len.saturating_sub(1))
             },
         )?;
-
-        // One walk hop: k = col_star[cur_col]; if k >= 0 then
-        // j' = row_prime[k], push (k, j'), cur_col = j'. The read of k
-        // also sets `walking`.
-        let col_intervals = self.col_seg_intervals();
-        let check = Finish {
-            fields: vec![(t_walking.whole(), Access::Write)],
-            codelet: Box::new(|ctx| {
-                ctx.i32_mut(2)[0] = i32::from(ctx.i32(1)[0] >= 0);
-                cost::scalar(2)
-            }),
-        };
-        let (k_out, read_k) = self.dyn_read_i32(
-            "step5.colstar",
-            t.col_star,
-            t.cur_col_m,
-            &col_intervals,
-            Some(check),
-        )?;
-        let (rp_out, read_rp) = self.dyn_read_i32(
-            "step5.rowprime",
-            t.row_prime,
-            t.k_row_m,
-            row_intervals,
-            None,
-        )?;
-        let cs_push = self.g.add_compute_set("step5.push");
-        self.collector_vertex(
-            cs_push,
-            "push",
-            vec![
-                (k_out.whole(), Access::Read),
-                (rp_out.whole(), Access::Read),
-                (t_grows.whole(), Access::ReadWrite),
-                (t_gcols.whole(), Access::ReadWrite),
-                (t_glen.whole(), Access::ReadWrite),
-                (t_curcol.whole(), Access::Write),
-            ],
-            |ctx| {
-                let k = ctx.i32(0)[0];
-                let j = ctx.i32(1)[0];
-                let mut len = ctx.i32_mut(4);
-                let at = len[0] as usize;
-                // A stack length out of range (a fault-corrupted value)
-                // pushes nothing.
-                if at < ctx.i32(2).len() {
-                    ctx.i32_mut(2)[at] = k;
-                    ctx.i32_mut(3)[at] = j;
-                }
-                len[0] += 1;
-                ctx.i32_mut(5)[0] = j;
-                cost::scalar(8)
-            },
-        )?;
-        let hop = Program::seq(vec![
-            Program::broadcast(t_curcol.whole(), t.cur_col_m.whole()),
-            read_k,
-            Program::if_true(
-                t_walking,
-                Program::seq(vec![
-                    Program::broadcast(k_out.whole(), t.k_row_m.whole()),
-                    read_rp,
-                    Program::execute(cs_push),
-                ]),
-            ),
-        ]);
-        let walk = Program::while_true(t_walking, hop);
 
         // Flip in parallel from the mirrored green stack.
         let (t_ma, t_mb, t_lenm) = (t.ma, t.mb, t.len_m);
-        let (t_rstar, t_rprime, t_rcov, t_cstar) =
-            (t.row_star, t.row_prime, t.row_cover, t.col_star);
+        let (t_rstar, t_rprime, t_cstar) = (t.row_star, t.row_prime, t.col_star);
         let cs_fr = self.g.add_compute_set("step5.flip_rows");
         for (range, tile) in row_intervals {
             let (s0, s1) = (range.start as i32, range.end as i32);
@@ -985,9 +921,7 @@ impl Builder {
                 }
                 let mut prime = ctx.i32_mut(4);
                 prime.iter_mut().for_each(|x| *x = -1);
-                let mut cov = ctx.i32_mut(5);
-                cov.iter_mut().for_each(|x| *x = 0);
-                cost::i32_scan(len) + cost::i32_update(prime.len() + cov.len())
+                cost::i32_scan(len) + cost::i32_update(prime.len())
             })?;
             self.g.connect(v, t_ma.whole(), Access::Read)?;
             self.g.connect(v, t_mb.whole(), Access::Read)?;
@@ -996,8 +930,6 @@ impl Builder {
                 .connect(v, t_rstar.slice(range.clone()), Access::ReadWrite)?;
             self.g
                 .connect(v, t_rprime.slice(range.clone()), Access::Write)?;
-            self.g
-                .connect(v, t_rcov.slice(range.clone()), Access::Write)?;
         }
         let cs_fc = self.g.add_compute_set("step5.flip_cols");
         for seg in 0..l.n_col_segs() {
@@ -1044,8 +976,7 @@ impl Builder {
         let gcols_bc = self.broadcast_from_collector("step5.gcols", t_gcols, t_mb)?;
         Ok(Program::seq(vec![
             get_sel_col.clone(),
-            Program::execute(cs_init),
-            walk,
+            Program::execute(cs_walk),
             grows_bc,
             gcols_bc,
             Program::broadcast(t_glen.whole(), t_lenm.whole()),
@@ -1123,7 +1054,7 @@ impl Builder {
                     Some(_) => {
                         self.g
                             .add_vertex_on_thread(cs_min, tile, s, "segmin", move |ctx| {
-                                let covered = ctx.i32(0)[0] != 0;
+                                let covered = ctx.i32(0)[0] >= 0;
                                 let out = if covered {
                                     f32::INFINITY
                                 } else {
@@ -1145,7 +1076,7 @@ impl Builder {
                     None => self
                         .g
                         .add_vertex_on_thread(cs_min, tile, s, "segmin", move |ctx| {
-                            let covered = ctx.i32(0)[0] != 0;
+                            let covered = ctx.i32(0)[0] >= 0;
                             let out = if covered {
                                 f32::INFINITY
                             } else {
@@ -1157,7 +1088,7 @@ impl Builder {
                             cost::f32_scan(ctx.f32(1).len()) + cost::scalar(2)
                         })?,
                 };
-                self.g.connect(v, t.row_cover.element(row), Access::Read)?;
+                self.g.connect(v, t.row_prime.element(row), Access::Read)?;
                 self.g
                     .connect(v, t.slack.slice(l.row_seg_range(row, s)), Access::Read)?;
                 if let Some(cand) = t.cand {
@@ -1256,7 +1187,7 @@ impl Builder {
                     .g
                     .add_vertex_on_thread(cs_upd, tile, s, "update", move |ctx| {
                         let delta = ctx.f32(0)[0];
-                        let covered = ctx.i32(1)[0] != 0;
+                        let covered = ctx.i32(1)[0] >= 0;
                         let ccm = ctx.i32(2);
                         let mut slack = ctx.f32_mut(3);
                         let cand = cand_field.map(|f| ctx.i32(f));
@@ -1289,7 +1220,7 @@ impl Builder {
                     })?;
                 let seg = l.row_seg_range(row, s);
                 self.g.connect(v, t.delta_m.whole(), Access::Read)?;
-                self.g.connect(v, t.row_cover.element(row), Access::Read)?;
+                self.g.connect(v, t.row_prime.element(row), Access::Read)?;
                 self.g.connect(v, t.ccm.whole(), Access::Read)?;
                 self.g
                     .connect(v, t.slack.slice(seg.clone()), Access::ReadWrite)?;
@@ -1308,13 +1239,13 @@ impl Builder {
             }
             // Dual potential u: one scalar vertex per row.
             let v = self.g.add_vertex(cs_upd, tile, "u_update", |ctx| {
-                if ctx.i32(1)[0] == 0 {
+                if ctx.i32(1)[0] < 0 {
                     ctx.f32_mut(2)[0] += ctx.f32(0)[0];
                 }
                 cost::scalar(3)
             })?;
             self.g.connect(v, t.delta_m.whole(), Access::Read)?;
-            self.g.connect(v, t.row_cover.element(row), Access::Read)?;
+            self.g.connect(v, t.row_prime.element(row), Access::Read)?;
             self.g.connect(v, t.u.element(row), Access::ReadWrite)?;
         }
         for seg in 0..l.n_col_segs() {
@@ -1352,7 +1283,7 @@ impl Builder {
                 .g
                 .add_vertex_on_thread(cs, tile, thread, "lists", move |ctx| {
                     let delta = ctx.f32(0)[0];
-                    let rcov = ctx.i32(1);
+                    let primes = ctx.i32(1);
                     let ccm = ctx.i32(2);
                     let acc = ctx.f32(3);
                     let mut comp = ctx.i32_mut(4);
@@ -1361,7 +1292,7 @@ impl Builder {
                     for r in 0..rows_here {
                         let list = &mut comp[r * zcap..(r + 1) * zcap];
                         let len = list_len(zc[r * th], zcap);
-                        zc[r * th] = if rcov[r] != 0 {
+                        zc[r * th] = if primes[r] >= 0 {
                             touched += len;
                             let mut kept = 0;
                             for p in 0..len {
@@ -1384,7 +1315,7 @@ impl Builder {
                 })?;
             self.g.connect(v, t.delta_m.whole(), Access::Read)?;
             self.g
-                .connect(v, t.row_cover.slice(chunk.clone()), Access::Read)?;
+                .connect(v, t.row_prime.slice(chunk.clone()), Access::Read)?;
             self.g.connect(v, t.ccm.whole(), Access::Read)?;
             self.g
                 .connect(v, t_acc.slice(chunk.clone()), Access::Read)?;
@@ -1720,7 +1651,7 @@ impl Builder {
     fn frag_tiled_scan(&mut self, bw: usize, zcap: usize) -> Result<Vec<Program>, GraphError> {
         let th = self.l.threads;
         let (t_slack, t_u, t_ccm) = (self.t.slack, self.t.u, self.t.ccm);
-        let (t_vm, t_rcov) = (self.t.vm.expect("tiled storage has v_m"), self.t.row_cover);
+        let (t_vm, t_prime) = (self.t.vm.expect("tiled storage has v_m"), self.t.row_prime);
         let t_acc = self.t.rowacc.expect("tiled storage has rowacc");
         let chunks = self.tile_thread_chunks();
         let blocks = self.block_ranges(bw);
@@ -1740,7 +1671,7 @@ impl Builder {
                 let v = self
                     .g
                     .add_vertex_on_thread(cs, *tile, *t, "scan", move |ctx| {
-                        let rcov = ctx.i32(0);
+                        let primes = ctx.i32(0);
                         let work = ctx.f32(1);
                         let u = ctx.f32(2);
                         let vm = ctx.f32(3);
@@ -1750,7 +1681,7 @@ impl Builder {
                         let mut acc = ctx.f32_mut(7);
                         let mut scanned = 0usize;
                         for r in 0..rows_here {
-                            if rcov[r] != 0 {
+                            if primes[r] >= 0 {
                                 if first {
                                     acc[r] = f32::INFINITY;
                                 }
@@ -1797,7 +1728,7 @@ impl Builder {
                         cost::f32_scan(scanned) + cost::scalar(2 * rows_here)
                     })?;
                 self.g
-                    .connect(v, t_rcov.slice(chunk.clone()), Access::Read)?;
+                    .connect(v, t_prime.slice(chunk.clone()), Access::Read)?;
                 self.g.connect(
                     v,
                     t_slack.slice(chunk.start * bw..chunk.end * bw),
@@ -1889,37 +1820,35 @@ fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
 /// The tail of every `step4.status` vertex: classifies the row from its
 /// first uncovered zero column `zcol` and its star (field 1), writes the
 /// status, the column and the arg-max key (fields 4–6), and with
-/// `prime_field` set primes a row of status 0 (`row_prime` =
-/// `zcol` in that field, `row_cover` = 1 in field 0). Returns the
-/// instructions spent.
-fn publish_status(ctx: &VertexCtx, zcol: i32, row: i32, prime_field: Option<usize>) -> u64 {
+/// `primes` set primes a row of status 0 (`row_prime` = `zcol` in field
+/// 0, which also covers the row). Returns the instructions spent.
+fn publish_status(ctx: &VertexCtx, zcol: i32, row: i32, primes: bool) -> u64 {
     let (status, enc) = row_status(zcol, ctx.i32(1)[0], row);
     ctx.i32_mut(4)[0] = status;
     ctx.i32_mut(5)[0] = zcol;
     ctx.i32_mut(6)[0] = enc;
-    match prime_field {
-        Some(f) if status == 0 => {
-            ctx.i32_mut(f)[0] = zcol;
-            ctx.i32_mut(0)[0] = 1;
-            cost::scalar(8)
-        }
-        _ => cost::scalar(6),
+    if primes && status == 0 {
+        ctx.i32_mut(0)[0] = zcol;
+        cost::scalar(8)
+    } else {
+        cost::scalar(6)
     }
 }
 
 /// Whether a column whose star sits in row `star` is covered, by the
 /// search-loop invariant: a column is covered iff it holds a star whose
-/// row is uncovered. `row_cover` holds the row covers. A star row out of
-/// range (−1, or a fault-corrupted index) counts as no star.
-fn col_covered(star: i32, row_cover: &[i32]) -> bool {
+/// row is uncovered, that is, holds no prime. `row_prime` holds each
+/// row's prime (−1: none). A star row out of range (−1, or a
+/// fault-corrupted index) counts as no star.
+fn col_covered(star: i32, row_prime: &[i32]) -> bool {
     usize::try_from(star)
         .ok()
-        .and_then(|r| row_cover.get(r))
-        .is_some_and(|&covered| covered == 0)
+        .and_then(|r| row_prime.get(r))
+        .is_some_and(|&prime| prime < 0)
 }
 
 /// Whether a zero in column `col` is uncovered, with the cover derived
-/// from the row-cover mirror `ma` and the column-star mirror `mb`
+/// from the row-prime mirror `ma` and the column-star mirror `mb`
 /// ([`col_covered`]) — the value `step4.recover` would write to
 /// `col_cover`. A column out of range (a fault-corrupted entry) holds no
 /// zero.
@@ -1928,6 +1857,41 @@ fn uncovered_zero(col: i32, ma: &[i32], mb: &[i32]) -> bool {
         .ok()
         .and_then(|c| mb.get(c))
         .is_some_and(|&star| !col_covered(star, ma))
+}
+
+/// Step 5's walk (§IV-G, Fig. 3) over the collector's mirrors: pushes
+/// the prime at (`row`, `col`) onto the green stack (`rows`, `cols`),
+/// then repeatedly the star in the last prime's column, `k = mb[col]`,
+/// with the prime in the star's row, `ma[k]`, until a column holds no
+/// star (`k < 0`). The walk also ends at the stack's capacity and at a
+/// star row or prime column out of range, which only a fault-corrupted
+/// mirror holds, so no input loops or indexes out of bounds. Returns
+/// the stack's length.
+fn walk_green_stack(
+    row: i32,
+    col: i32,
+    ma: &[i32],
+    mb: &[i32],
+    rows: &mut [i32],
+    cols: &mut [i32],
+) -> usize {
+    let entry = |xs: &[i32], i: i32| usize::try_from(i).ok().and_then(|i| xs.get(i)).copied();
+    let capacity = rows.len().min(cols.len());
+    let (mut k, mut j) = (row, col);
+    let mut len = 0;
+    while len < capacity {
+        rows[len] = k;
+        cols[len] = j;
+        len += 1;
+        let Some(star) = entry(mb, j).filter(|&star| star >= 0) else {
+            break;
+        };
+        let Some(prime) = entry(ma, star).filter(|&prime| entry(mb, prime).is_some()) else {
+            break;
+        };
+        (k, j) = (star, prime);
+    }
+    len
 }
 
 /// Compacts the zero positions of one slack segment to the front of
@@ -1967,12 +1931,75 @@ fn recorded(list: &[i32], len: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{col_covered, uncovered_zero};
+    use super::{col_covered, uncovered_zero, walk_green_stack};
+
+    /// Runs the walk from (`row`, `col`) on a stack of `capacity` hops and
+    /// returns the pushed (row, column) pairs.
+    fn walk(row: i32, col: i32, ma: &[i32], mb: &[i32], capacity: usize) -> Vec<(i32, i32)> {
+        let (mut rows, mut cols) = (vec![i32::MIN; capacity], vec![i32::MIN; capacity]);
+        let len = walk_green_stack(row, col, ma, mb, &mut rows, &mut cols);
+        rows.into_iter().zip(cols).take(len).collect()
+    }
+
+    #[test]
+    fn walk_follows_the_alternating_path_of_fig3() {
+        // Fig. 3's shape on 4 × 4: the uncovered zero (3, 1) starts the
+        // path; column 1's star sits in row 0, primed at column 2;
+        // column 2's star in row 2, primed at column 0; column 0 holds no
+        // star. Row 1's star, in column 3, is off the path.
+        let ma = [2, -1, 0, -1];
+        let mb = [-1, 0, 2, 1];
+        assert_eq!(walk(3, 1, &ma, &mb, 4), [(3, 1), (0, 2), (2, 0)]);
+        // A start in a column without a star is a one-hop path.
+        assert_eq!(walk(3, 0, &ma, &mb, 4), [(3, 0)]);
+    }
+
+    #[test]
+    fn corrupted_mirror_cycles_end_at_the_stack_capacity() {
+        // Column 0's star is row 1, primed at column 1, whose star is row
+        // 0, primed at column 0: the walk would cycle forever.
+        let ma = [0, 1, -1];
+        let mb = [1, 0, -1];
+        for capacity in [1, 2, 3, 7] {
+            let hops = walk(2, 0, &ma, &mb, capacity);
+            assert_eq!(hops.len(), capacity);
+            assert_eq!(hops[0], (2, 0));
+            assert!(hops[1..].iter().all(|&hop| hop == (1, 1) || hop == (0, 0)));
+        }
+        // A zero-capacity stack pushes nothing.
+        assert!(walk(2, 0, &ma, &mb, 0).is_empty());
+    }
+
+    #[test]
+    fn out_of_range_stars_and_primes_end_the_walk() {
+        let ma = [1, -1];
+        for star in [2, 9, i32::MAX] {
+            // Column 0's star row is past the mirror: no hop is pushed.
+            assert_eq!(walk(1, 0, &ma, &[star, -1], 4), [(1, 0)], "star {star}");
+        }
+        for star in [-1, -2, i32::MIN] {
+            // Any negative star ends the path.
+            assert_eq!(walk(1, 0, &ma, &[star, -1], 4), [(1, 0)], "star {star}");
+        }
+        for prime in [-1, 2, i32::MAX, i32::MIN] {
+            // Column 0's star row 0 holds a prime out of range.
+            assert_eq!(
+                walk(1, 0, &[prime, -1], &[0, -1], 4),
+                [(1, 0)],
+                "prime {prime}"
+            );
+        }
+        // A start column out of range pushes only the start.
+        for col in [-1, 2, i32::MIN] {
+            assert_eq!(walk(1, col, &ma, &[0, -1], 4), [(1, col)], "col {col}");
+        }
+    }
 
     #[test]
     fn derived_covers_read_out_of_range_indices_as_absent() {
-        // Rows 0 and 2 are covered (primed); row 1 is not.
-        let ma = [1, 0, 1];
+        // Rows 0 and 2 are covered (primed at columns 3 and 0); row 1 is
+        // not.
+        let ma = [3, -1, 0];
         // Column stars: row 1, row 0, none, and two corrupted rows.
         let mb = [1, 0, -1, 3, i32::MIN];
         // A star in an uncovered row covers its column.
@@ -1998,7 +2025,9 @@ mod tests {
     fn derived_covers_match_the_recovered_cover_vector() {
         // What the status scan read before covers were derived: a zero in
         // column `c` is uncovered iff `ccm.get(c) == Some(&0)`, with `ccm`
-        // the broadcast of the `col_cover` that `step4.recover` wrote.
+        // the broadcast of the `col_cover` that `step4.recover` wrote from
+        // a row-cover vector. Every prime covers its row, so the covers
+        // are `prime >= 0` over the prime mirror `ma`.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = |bound: i32| {
             state ^= state << 13;
@@ -2008,7 +2037,16 @@ mod tests {
         };
         for n in [1usize, 2, 5, 13, 32] {
             for _ in 0..200 {
-                let ma: Vec<i32> = (0..n).map(|_| next(2)).collect();
+                // Mostly unprimed rows and primes in range, some corrupted.
+                let ma: Vec<i32> = (0..n)
+                    .map(|_| match next(8) {
+                        0..=3 => -1,
+                        4 => -2 - next(1000),
+                        5 => n as i32 + next(4),
+                        _ => next(n as i32),
+                    })
+                    .collect();
+                let row_cover: Vec<i32> = ma.iter().map(|&p| i32::from(p >= 0)).collect();
                 // Mostly valid star rows, some −1, some corrupted.
                 let mb: Vec<i32> = (0..n)
                     .map(|_| match next(8) {
@@ -2018,13 +2056,13 @@ mod tests {
                         _ => next(n as i32),
                     })
                     .collect();
-                // `step4.recover`'s body, reading `row_cover` from `ma`.
+                // `step4.recover`'s body over the row covers.
                 let ccm: Vec<i32> = mb
                     .iter()
                     .map(|&s| {
                         let uncovered_star = usize::try_from(s)
                             .ok()
-                            .and_then(|s| ma.get(s))
+                            .and_then(|s| row_cover.get(s))
                             .is_some_and(|&r| r == 0);
                         i32::from(uncovered_star)
                     })

@@ -1,6 +1,7 @@
 //! The chain the search loop runs on every iteration (Step 4, §IV-F):
 //! which compute sets execute per iteration on the full Mk2, that a
-//! prime layer costs 2 supersteps and 2 exchanges there, that the
+//! prime layer costs 2 supersteps and 2 exchanges there, that Step 5
+//! walks each augmenting path in one collector superstep, that the
 //! tiled route still reduces its multi-row tiles in two stages, and that
 //! fault-corrupted device indices end a solve with `Ok` or `Err`, never
 //! a panic.
@@ -66,6 +67,19 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
     let dual_updates = report.stats.dual_updates;
     assert_eq!(executions(&engine, "step6.segmin"), dual_updates);
     assert_eq!(executions(&engine, "step4.recover"), dual_updates);
+    // Step 5 walks each augmenting path in one collector vertex, over
+    // the mirrors, with no dynamic read per hop.
+    assert!(report.stats.augmentations > 0);
+    assert_eq!(
+        executions(&engine, "step5.walk"),
+        report.stats.augmentations
+    );
+    for gone in ["step5.colstar", "step5.rowprime", "step5.push"] {
+        assert!(
+            sets.iter().all(|s| !s.name.starts_with(gone)),
+            "{gone} still exists"
+        );
+    }
 
     // Split the timeline at every status superstep: an iteration runs
     // from its status to the next one. A prime layer's is status, the
