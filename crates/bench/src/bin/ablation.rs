@@ -1,20 +1,19 @@
 //! Ablation benches for the design choices DESIGN.md calls out
-//! (§IV-A/B/E/F/G of the paper).
+//! (§IV-A/B/E/F of the paper).
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation -- compression
 //! cargo run --release -p bench --bin ablation -- segment
-//! cargo run --release -p bench --bin ablation -- dynslice
 //! cargo run --release -p bench --bin ablation -- decomposition
 //! cargo run --release -p bench --bin ablation -- priming
 //! cargo run --release -p bench --bin ablation -- priming-table3  # A5 on Table III 99 %
-//! cargo run --release -p bench --bin ablation              # the first five
+//! cargo run --release -p bench --bin ablation              # the first four
 //! ```
 
 use bench::alignment::AlignCell;
 use bench::{Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;
-use hunipu::{ablation::two_d_exchange_bytes_per_scan, AblationConfig, DynSlice, HunIpu};
+use hunipu::{ablation::two_d_exchange_bytes_per_scan, AblationConfig, HunIpu};
 use lsap::CostMatrix;
 
 /// Modeled seconds, exchange bytes, objective and supersteps of one
@@ -59,15 +58,9 @@ fn priming(m: &CostMatrix, n: usize, k: u64, label: &str, record: &mut Experimen
 fn main() {
     let args = Args::parse();
     let which: Vec<String> = if args.positional.is_empty() {
-        [
-            "compression",
-            "segment",
-            "dynslice",
-            "decomposition",
-            "priming",
-        ]
-        .map(String::from)
-        .to_vec()
+        ["compression", "segment", "decomposition", "priming"]
+            .map(String::from)
+            .to_vec()
     } else {
         args.positional.clone()
     };
@@ -120,32 +113,6 @@ fn main() {
                         n,
                         k,
                         label: format!("segment/{seg}"),
-                        modeled_seconds: secs,
-                        wall_seconds: 0.0,
-                        objective: obj as f64,
-                        extrapolated: false,
-                        device_steps: 0,
-                        profile_events: 0,
-                    });
-                }
-            }
-            "dynslice" => {
-                println!("\nA4 — dynamic-slice strategy (§IV-G), n={n}, k={k}:");
-                for (label, strat) in [
-                    ("partition+distribute", DynSlice::PartitionDistribute),
-                    ("single-tile gather", DynSlice::SingleTileGather),
-                ] {
-                    let ab = AblationConfig {
-                        dyn_slice: strat,
-                        ..Default::default()
-                    };
-                    let (secs, bytes, obj, _) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
-                    println!("  {label:<22} {:.2}ms (exchange {bytes} B)", secs * 1e3);
-                    record.push(Measurement {
-                        engine: "hunipu".into(),
-                        n,
-                        k,
-                        label: format!("dynslice/{label}"),
                         modeled_seconds: secs,
                         wall_seconds: 0.0,
                         objective: obj as f64,

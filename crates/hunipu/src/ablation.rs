@@ -10,27 +10,15 @@
 //!   direct slack-row scan (and skips the per-update re-compression).
 //! - **A3 — column-segment size (§IV-E).** Swept via
 //!   [`crate::HunIpu::with_col_seg`].
-//! - **A4 — dynamic-slice strategy (§IV-G).** Partition-and-distribute
-//!   (Fig. 4) versus shipping the whole tensor to one tile per read.
+//! - **A4 — dynamic-slice strategy (§IV-G)**, retired: Step 4's arg-max
+//!   key carries the selected column and Step 5 walks the collector's
+//!   mirrors, so the program makes no read at a runtime index for a
+//!   strategy to serve.
 //! - **A5 — priming granularity (§IV-F).** [`AblationConfig::layered_priming`]
 //!   switches Step 4 between priming every primable row in one pass
 //!   (the default) and the paper's one prime per search iteration.
 
 use serde::{Deserialize, Serialize};
-
-/// Strategy for reading a tensor element at a runtime-computed index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DynSlice {
-    /// The paper's partition-and-distribute scheme (Fig. 4): every
-    /// interval owner probes in parallel; a ≤-tiles-long temporary is
-    /// reduced on one tile.
-    #[default]
-    PartitionDistribute,
-    /// The rejected alternative: copy the whole tensor to the collector
-    /// tile for every read — simple, but the exchange moves `n` elements
-    /// instead of `tiles`.
-    SingleTileGather,
-}
 
 /// Toggles for the design choices HunIPU is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,13 +28,11 @@ pub struct AblationConfig {
     /// re-compression (Step 2's one-time initial matching still uses
     /// compression in both settings, isolating the loop effect).
     pub compression: bool,
-    /// Dynamic-slice strategy (§IV-G).
-    pub dyn_slice: DynSlice,
     /// Prime every row whose status is 0 in one Step 4 pass, building
     /// the alternating tree a layer at a time. When off, Step 4 primes
-    /// the arg-max row only, as the paper does (§IV-F): one dynamic read
-    /// of its zero column per prime (its star's column needs no uncover
-    /// write, since Step 4 derives column covers).
+    /// the arg-max row only, as the paper does (§IV-F): one broadcast of
+    /// the decoded row and zero column per prime (its star's column needs
+    /// no uncover write, since Step 4 derives column covers).
     pub layered_priming: bool,
 }
 
@@ -54,7 +40,6 @@ impl Default for AblationConfig {
     fn default() -> Self {
         Self {
             compression: true,
-            dyn_slice: DynSlice::PartitionDistribute,
             layered_priming: true,
         }
     }
@@ -82,12 +67,10 @@ mod tests {
 
     #[test]
     fn default_is_the_paper_design() {
-        // Compression and partition-and-distribute reads are the paper's
-        // choices; layered priming is not — A5 turns it off to recover
-        // the paper's one-prime Step 4.
+        // Compression is the paper's choice; layered priming is not — A5
+        // turns it off to recover the paper's one-prime Step 4.
         let c = AblationConfig::default();
         assert!(c.compression);
-        assert_eq!(c.dyn_slice, DynSlice::PartitionDistribute);
         assert!(c.layered_priming);
     }
 

@@ -4,7 +4,7 @@
 use crate::layout::Layout;
 use ipu_sim::poplib::{self, Finish, ReduceOp};
 use ipu_sim::{
-    cost, Access, ComputeSetId, DType, Graph, GraphError, IpuConfig, Program, Tensor, TensorSlice,
+    Access, ComputeSetId, DType, Graph, GraphError, IpuConfig, Program, Tensor, TensorSlice,
     VertexCtx,
 };
 use std::ops::Range;
@@ -38,7 +38,7 @@ pub(crate) enum Storage {
 /// All device state of one HunIPU instance.
 ///
 /// Naming follows the paper: `slack` and the compressed matrix (§IV-B),
-/// star/prime/cover state (§II-A), `zero_status` (§IV-F), the green
+/// star/prime/cover state (§II-A), the arg-max keys (§IV-F), the green
 /// stack (§IV-G), and the dual potentials `u`, `v` that Step 1 and Step 6
 /// maintain implicitly (tracked explicitly here so every solve returns an
 /// LP-duality certificate).
@@ -63,11 +63,8 @@ pub(crate) struct Ts {
     /// it holds a prime: every prime covers its row and Step 5 clears
     /// both, so no separate row-cover vector is kept.
     pub row_prime: Tensor,
-    /// Row state −1/0/1 of §IV-F.
-    pub zero_status: Tensor,
-    /// First uncovered-zero column of each row (valid when status ≥ 0).
-    pub row_zero_col: Tensor,
-    /// Encoded (status, row) keys for the arg-max reduction.
+    /// Step 4's arg-max keys: each row's state −1/0/1 (§IV-F), the row
+    /// and its first uncovered-zero column, packed into one i32.
     pub enc: Tensor,
     /// Row potentials (dual certificate), f32 `n`.
     pub u: Tensor,
@@ -90,11 +87,15 @@ pub(crate) struct Ts {
     pub st0: Tensor,
     pub pass: Tensor,
     pub pass_lt: Tensor,
-    /// Selected row of Step 4's arg-max (decode output).
-    pub sel_row: Tensor,
+    /// Selected row and column of Step 4's arg-max (decode output).
+    pub sel: Tensor,
     /// Device-side counters: augmentations and dual (slack) updates.
     pub ctr_aug: Tensor,
     pub ctr_dual: Tensor,
+    /// Latched when Step 6's δ is not finite: no uncovered row holds an
+    /// entry in an uncovered column. On a sparse prune that is a Hall
+    /// violation; on square dense costs only corrupted state gets there.
+    pub infeasible: Tensor,
     // ---- replicated mirrors (each tile holds a read-only copy) ----
     /// Column-cover mirror, refreshed before every dual update and
     /// tiled block stream.
@@ -109,8 +110,8 @@ pub(crate) struct Ts {
     /// Scalar mirrors.
     pub len_m: Tensor,
     pub pass_m: Tensor,
-    pub sel_row_m: Tensor,
-    pub sel_col_m: Tensor,
+    /// Mirror of `sel`, which A5's one-prime Step 4 writes from.
+    pub sel_m: Tensor,
     /// Step 6's Δ, f32.
     pub delta_m: Tensor,
     // ---- representation-specific state (only `seeded` in dense mode) ----
@@ -125,11 +126,9 @@ pub(crate) struct Ts {
     pub vm: Option<Tensor>,
     /// Per-row uncovered minima, f32 `n` (tiled Step 6 accumulator).
     pub rowacc: Option<Tensor>,
-    /// Collector flag: Step 6's δ was finite, so the dual update may run.
+    /// Collector flag (sparse and tiled): Step 6's δ was finite, so the
+    /// dual update may run.
     pub delta_ok: Option<Tensor>,
-    /// Collector flag: the candidate graph admits no perfect matching
-    /// (δ = ∞ in sparse Step 6 — a Hall violation from pruning).
-    pub infeasible: Option<Tensor>,
     /// Collector flag (dense mode): the launch uploaded a repaired seed
     /// in place of the raw costs, so the program skips Step 1. The
     /// pristine snapshot holds it at 0, so a cold launch runs Step 1.
@@ -184,8 +183,6 @@ impl Builder {
         let row_total = g.add_tensor("row_total", DType::I32, n);
         let row_star = g.add_tensor("row_star", DType::I32, n);
         let row_prime = g.add_tensor("row_prime", DType::I32, n);
-        let zero_status = g.add_tensor("zero_status", DType::I32, n);
-        let row_zero_col = g.add_tensor("row_zero_col", DType::I32, n);
         let enc = g.add_tensor("enc", DType::I32, n);
         let u = g.add_tensor("u", DType::F32, n);
         let prop = g.add_tensor("prop", DType::I32, n);
@@ -197,8 +194,6 @@ impl Builder {
             (row_total, 1),
             (row_star, 1),
             (row_prime, 1),
-            (zero_status, 1),
-            (row_zero_col, 1),
             (enc, 1),
             (u, 1),
             (prop, 1),
@@ -229,12 +224,13 @@ impl Builder {
         let st0 = g.add_tensor("st0", DType::I32, 1);
         let pass = g.add_tensor("pass", DType::I32, 1);
         let pass_lt = g.add_tensor("pass_lt", DType::I32, 1);
-        let sel_row = g.add_tensor("sel_row", DType::I32, 1);
+        let sel = g.add_tensor("sel", DType::I32, 2);
         let ctr_aug = g.add_tensor("ctr_aug", DType::I32, 1);
         let ctr_dual = g.add_tensor("ctr_dual", DType::I32, 1);
+        let infeasible = g.add_tensor("infeasible", DType::I32, 1);
         for tensor in [
-            green_rows, green_cols, green_len, not_done, searching, st1, st0, pass, pass_lt,
-            sel_row, ctr_aug, ctr_dual,
+            green_rows, green_cols, green_len, not_done, searching, st1, st0, pass, pass_lt, sel,
+            ctr_aug, ctr_dual, infeasible,
         ] {
             g.map_to_tile(tensor, c)?;
         }
@@ -245,8 +241,7 @@ impl Builder {
         let mb = g.add_replicated("mirror_b", DType::I32, n);
         let len_m = g.add_replicated("len_m", DType::I32, 1);
         let pass_m = g.add_replicated("pass_m", DType::I32, 1);
-        let sel_row_m = g.add_replicated("sel_row_m", DType::I32, 1);
-        let sel_col_m = g.add_replicated("sel_col_m", DType::I32, 1);
+        let sel_m = g.add_replicated("sel_m", DType::I32, 2);
         let delta_m = g.add_replicated("delta_m", DType::F32, 1);
 
         // Representation-specific tensors, created strictly after every
@@ -257,7 +252,6 @@ impl Builder {
         let mut vm = None;
         let mut rowacc = None;
         let mut delta_ok = None;
-        let mut infeasible = None;
         let mut seeded = None;
         match storage {
             Storage::Dense => {
@@ -285,11 +279,8 @@ impl Builder {
         }
         if storage != Storage::Dense {
             let ok = g.add_tensor("delta_ok", DType::I32, 1);
-            let inf = g.add_tensor("infeasible", DType::I32, 1);
             g.map_to_tile(ok, c)?;
-            g.map_to_tile(inf, c)?;
             delta_ok = Some(ok);
-            infeasible = Some(inf);
         }
 
         let t = Ts {
@@ -300,8 +291,6 @@ impl Builder {
             row_total,
             row_star,
             row_prime,
-            zero_status,
-            row_zero_col,
             enc,
             u,
             prop,
@@ -317,23 +306,22 @@ impl Builder {
             st0,
             pass,
             pass_lt,
-            sel_row,
+            sel,
             ctr_aug,
             ctr_dual,
+            infeasible,
             ccm,
             ma,
             mb,
             len_m,
             pass_m,
-            sel_row_m,
-            sel_col_m,
+            sel_m,
             delta_m,
             cand,
             host_cost,
             vm,
             rowacc,
             delta_ok,
-            infeasible,
             seeded,
         };
         Ok(Self {
@@ -502,136 +490,6 @@ impl Builder {
             Program::exchange(pairs),
             Program::broadcast(stage.whole(), mirror.whole()),
         ]))
-    }
-
-    /// Builds a **dynamic read**: reads `src[idx]` where `idx` arrives in
-    /// the replicated scalar `idx_m`, using the strategy selected by the
-    /// ablation config — partition-and-distribute (§IV-G, Fig. 4: every
-    /// interval owner probes in parallel, a ≤-tiles temporary is reduced
-    /// on the collector) or the rejected whole-tensor single-tile copy.
-    /// On chip-aware layouts the ≤-tiles temporary is reduced through
-    /// the per-chip sub-collectors instead of one flat gather, so only
-    /// one scalar per chip crosses an IPU-Link. Returns the 1-element
-    /// output tensor (on the collector) and the program fragment.
-    pub fn dyn_read_i32(
-        &mut self,
-        name: &str,
-        src: Tensor,
-        idx_m: Tensor,
-        intervals: &[(Range<usize>, usize)],
-    ) -> Result<(Tensor, Program), GraphError> {
-        if self.ab.dyn_slice == crate::ablation::DynSlice::SingleTileGather {
-            return self.dyn_read_i32_single_tile(name, src, idx_m);
-        }
-        let k = intervals.len();
-        let partials = self.g.add_tensor(&format!("{name}.part"), DType::I32, k);
-        for (i, (_, tile)) in intervals.iter().enumerate() {
-            self.g.map_slice(partials.element(i), *tile)?;
-        }
-        // Each interval owner probes its own range; non-owners emit
-        // `i32::MIN`, so the max over the partials is the element.
-        let cs = self.g.add_compute_set(&format!("{name}.probe"));
-        for (i, (range, tile)) in intervals.iter().enumerate() {
-            let (start, end) = (range.start, range.end);
-            let vtx = self
-                .g
-                .add_vertex(cs, *tile, &format!("{name}.probe[{i}]"), move |ctx| {
-                    let idx = ctx.i32(0)[0] as usize;
-                    let seg = ctx.i32(1);
-                    let out = if idx >= start && idx < end {
-                        seg[idx - start]
-                    } else {
-                        i32::MIN
-                    };
-                    ctx.i32_mut(2)[0] = out;
-                    cost::scalar(6)
-                })?;
-            self.g.connect(vtx, idx_m.whole(), Access::Read)?;
-            self.g
-                .connect(vtx, src.slice(range.clone()), Access::Read)?;
-            self.g.connect(vtx, partials.element(i), Access::Write)?;
-        }
-        let probe = Program::execute(cs);
-        let pick_name = format!("{name}.pick");
-        if self.l.chips > 1 {
-            let root = self.g.config().ipu_of(self.l.collector_tile);
-            let off_chip = intervals
-                .iter()
-                .filter(|(_, t)| self.g.config().ipu_of(*t) != root)
-                .count();
-            if self.hier_reduce_pays(off_chip) {
-                let (out, pick) = poplib::reduce_partials_hier(
-                    &mut self.g,
-                    &pick_name,
-                    partials,
-                    ReduceOp::Max,
-                    &self.l.chip_stages(),
-                    self.l.collector_tile,
-                    None,
-                )?;
-                return Ok((out, Program::seq(vec![probe, pick])));
-            }
-        }
-        let gathered = self.g.add_tensor(&format!("{name}.gath"), DType::I32, k);
-        self.g.map_to_tile(gathered, self.l.collector_tile)?;
-        let out = self.g.add_tensor(&format!("{name}.out"), DType::I32, 1);
-        self.g.map_to_tile(out, self.l.collector_tile)?;
-        // Multithreaded max over the gathered partials (exactly the
-        // "slice the element from the temporary tensor in a single tile"
-        // step of Fig. 4, using the tile's six threads).
-        let pick = poplib::reduce_on_tile(
-            &mut self.g,
-            &pick_name,
-            gathered,
-            out,
-            ReduceOp::Max,
-            self.l.collector_tile,
-            None,
-        )?;
-        let gather = Program::exchange(
-            (0..k)
-                .map(|i| (partials.element(i), gathered.element(i)))
-                .collect(),
-        );
-        Ok((out, Program::seq(vec![probe, gather, pick])))
-    }
-
-    /// The rejected dynamic-slice alternative (§IV-G): ship the whole
-    /// tensor to the collector for every read, then index locally.
-    fn dyn_read_i32_single_tile(
-        &mut self,
-        name: &str,
-        src: Tensor,
-        idx_m: Tensor,
-    ) -> Result<(Tensor, Program), GraphError> {
-        let scratch = self
-            .g
-            .add_tensor(&format!("{name}.shipped"), DType::I32, src.len());
-        self.g.map_to_tile(scratch, self.l.collector_tile)?;
-        let out = self.g.add_tensor(&format!("{name}.out"), DType::I32, 1);
-        self.g.map_to_tile(out, self.l.collector_tile)?;
-        let cs = self.g.add_compute_set(&format!("{name}.index"));
-        self.collector_vertex(
-            cs,
-            &format!("{name}.index"),
-            vec![
-                (scratch.whole(), Access::Read),
-                (out.whole(), Access::Write),
-                (idx_m.whole(), Access::Read),
-            ],
-            |ctx| {
-                let idx = ctx.i32(2)[0] as usize;
-                ctx.i32_mut(1)[0] = ctx.i32(0).get(idx).copied().unwrap_or(i32::MIN);
-                cost::scalar(5)
-            },
-        )?;
-        Ok((
-            out,
-            Program::seq(vec![
-                Program::copy(src.whole(), scratch.whole()),
-                Program::execute(cs),
-            ]),
-        ))
     }
 
     /// Adds one vertex on the collector tile — the home of scalar control

@@ -14,12 +14,14 @@
 //!    32-element segments distributed over tiles; a sum reduction decides
 //!    termination.
 //! 4. **Alternating-path search** (§IV-F): each row scans only its
-//!    compressed zeros and publishes a −1/0/1 state; an arg-max reduction
-//!    selects the action.
-//! 5. **Path augmentation** (§IV-G): the alternating path is recorded in
-//!    the `green_column` stack, with every runtime-index access built as
-//!    a partition-and-distribute dynamic slice (Fig. 4); the flip then
-//!    runs in parallel on all tiles.
+//!    compressed zeros and publishes one key packing its −1/0/1 state,
+//!    the row and its zero column; an arg-max reduction selects the
+//!    action and delivers the row and column to the collector.
+//! 5. **Path augmentation** (§IV-G): the collector walks the alternating
+//!    path into the `green_column` stack over its own mirrors of the
+//!    stars and primes, so no step reads at a runtime index (the paper
+//!    builds those reads as partition-and-distribute dynamic slices,
+//!    Fig. 4); the flip then runs in parallel on all tiles.
 //! 6. **Slack update** (§IV-H): per-thread segment minima, a global min
 //!    reduction, a broadcast of Δ, the parallel shift, and re-compression.
 //!
@@ -71,7 +73,7 @@ mod solver;
 mod steps;
 mod warm;
 
-pub use ablation::{AblationConfig, DynSlice};
+pub use ablation::AblationConfig;
 pub use batch::BatchHunIpu;
 pub use layout::{Layout, COL_SEG};
 pub use solver::{HunIpu, LayoutMode, F32_VERIFY_EPS, TILED_BLOCK_COLS, TILED_ZCAP};

@@ -8,6 +8,7 @@
 use crate::ablation::AblationConfig;
 use crate::build::{Builder, Storage, Ts};
 use crate::layout::Layout;
+use crate::steps::ENC_MAX_N;
 use ipu_sim::{FaultPlan, IpuConfig, ProfileConfig};
 use lsap::sparse::SparseCost;
 use lsap::{
@@ -269,9 +270,11 @@ impl HunIpu {
         if n == 0 {
             return Err(LsapError::EmptyMatrix);
         }
-        if n >= (1 << 24) {
+        if n > ENC_MAX_N {
             return Err(LsapError::Backend {
-                detail: format!("instance size {n} exceeds the 2^24 arg-max encoding limit"),
+                detail: format!(
+                    "instance size {n} exceeds the arg-max key's limit of {ENC_MAX_N} rows"
+                ),
             });
         }
         for (param, value) in [
@@ -463,17 +466,15 @@ impl HunIpu {
         }
 
         engine.run().map_err(backend)?;
-        if let Some(latch) = t.infeasible {
-            if engine.read_i32(latch)[0] != 0 {
-                return Err(match compiled.storage {
-                    Storage::Sparse { k } => LsapError::SparseInfeasible { k },
-                    _ => LsapError::Backend {
-                        detail: "tiled solve latched a non-finite δ on a square dense \
-                                 instance; memory corruption suspected"
-                            .into(),
-                    },
-                });
-            }
+        if engine.read_i32(t.infeasible)[0] != 0 {
+            return Err(match compiled.storage {
+                Storage::Sparse { k } => LsapError::SparseInfeasible { k },
+                _ => LsapError::Backend {
+                    detail: "the solve latched a non-finite δ on a square dense \
+                             instance; memory corruption suspected"
+                        .into(),
+                },
+            });
         }
         extract_report(engine, t, input, start)
     }
@@ -713,5 +714,33 @@ impl LsapSolver for HunIpu {
 
     fn solve(&mut self, matrix: &CostMatrix) -> Result<SolveReport, LsapError> {
         self.solve_with_engine(matrix).map(|(report, _)| report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Ask, HunIpu, ENC_MAX_N};
+    use ipu_sim::IpuConfig;
+    use lsap::sparse::SparseCost;
+    use lsap::LsapError;
+
+    #[test]
+    fn route_rejects_shapes_past_the_arg_max_key() {
+        assert_eq!(ENC_MAX_N, 16_384);
+        let solver = HunIpu::with_config(IpuConfig::tiny(8));
+        // One candidate per row, the identity: a valid instance a row
+        // past the limit, built without an n × n matrix.
+        let n = ENC_MAX_N + 1;
+        let sc = SparseCost::new(n, 1, (0..n as u32).collect(), vec![0.0; n]).unwrap();
+        match solver.solve_sparse(&sc) {
+            Err(LsapError::Backend { detail }) => {
+                assert!(
+                    detail.contains("16385") && detail.contains("16384"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected the size limit, got {other:?}"),
+        }
+        assert!(solver.route(ENC_MAX_N, Ask::Sparse { k: 1 }).is_ok());
     }
 }

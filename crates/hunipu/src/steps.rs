@@ -10,10 +10,14 @@ use ipu_sim::{
     cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, TensorSlice, VertexCtx,
 };
 
-/// Bits of the row index inside the Step 4 arg-max encoding; supports
-/// n < 2^24 (the paper's largest instance is 2^13).
-const ENC_SHIFT: u32 = 24;
+/// Bits of each of the row and the column inside the Step 4 arg-max
+/// key ([`row_status`]); the key holds n ≤ 2^14 = 16,384, twice the
+/// paper's largest instance (2^13). [`crate::HunIpu`] rejects larger
+/// shapes before building.
+const ENC_SHIFT: u32 = 14;
 const ENC_MASK: i32 = (1 << ENC_SHIFT) - 1;
+/// The largest `n` the arg-max key encodes.
+pub(crate) const ENC_MAX_N: usize = 1 << ENC_SHIFT;
 
 impl Builder {
     /// Step 1 (§IV-C): subtract row minima then column minima from the
@@ -512,26 +516,18 @@ impl Builder {
                 .connect(v, t_cstar.slice(cols.clone()), Access::Read)?;
             self.g.connect(v, t_ccov.slice(cols), Access::Write)?;
         }
-        let notdone = match self.t.infeasible {
-            // Sparse/tiled: a latched infeasibility (non-finite δ) must
-            // stop the outer loop too — step 3 would otherwise see the
-            // incomplete matching and restart the search forever.
-            Some(t_inf) => Finish {
-                fields: vec![(t_nd.whole(), Access::Write), (t_inf.whole(), Access::Read)],
-                codelet: Box::new(move |ctx| {
-                    let incomplete = (ctx.i32(1)[0] as usize) < n;
-                    let latched = ctx.i32(3)[0] != 0;
-                    ctx.i32_mut(2)[0] = i32::from(incomplete && !latched);
-                    cost::scalar(3)
-                }),
-            },
-            None => Finish {
-                fields: vec![(t_nd.whole(), Access::Write)],
-                codelet: Box::new(move |ctx| {
-                    ctx.i32_mut(2)[0] = i32::from((ctx.i32(1)[0] as usize) < n);
-                    cost::scalar(2)
-                }),
-            },
+        // A latched non-finite δ must stop the outer loop too: Step 3
+        // would otherwise see the incomplete matching and restart the
+        // search forever.
+        let t_inf = self.t.infeasible;
+        let notdone = Finish {
+            fields: vec![(t_nd.whole(), Access::Write), (t_inf.whole(), Access::Read)],
+            codelet: Box::new(move |ctx| {
+                let incomplete = (ctx.i32(1)[0] as usize) < n;
+                let latched = ctx.i32(3)[0] != 0;
+                ctx.i32_mut(2)[0] = i32::from(incomplete && !latched);
+                cost::scalar(3)
+            }),
         };
         let (_, red_prog) =
             self.reduce_scalar("step3.covered", t_ccov, ReduceOp::Sum, Some(notdone))?;
@@ -563,21 +559,22 @@ impl Builder {
         let cs_status = self.frag_row_status()?;
 
         // Arg-max over the row keys, decoded into the status flags and
-        // the selected row by the reduction's last vertex.
-        let (t_st1, t_st0, t_sel_row) = (self.t.st1, self.t.st0, self.t.sel_row);
+        // the selected row and column by the reduction's last vertex.
+        let (t_st1, t_st0, t_sel) = (self.t.st1, self.t.st0, self.t.sel);
         let decode = Finish {
             fields: vec![
                 (t_st1.whole(), Access::Write),
                 (t_st0.whole(), Access::Write),
-                (t_sel_row.whole(), Access::Write),
+                (t_sel.whole(), Access::Write),
             ],
             codelet: Box::new(|ctx| {
-                let e = ctx.i32(1)[0];
-                let status = (e >> ENC_SHIFT) - 1;
+                let (status, row, col) = decode_key(ctx.i32(1)[0]);
                 ctx.i32_mut(2)[0] = i32::from(status == 1);
                 ctx.i32_mut(3)[0] = i32::from(status == 0);
-                ctx.i32_mut(4)[0] = ENC_MASK - (e & ENC_MASK);
-                cost::scalar(5)
+                let mut sel = ctx.i32_mut(4);
+                sel[0] = row;
+                sel[1] = col;
+                cost::scalar(6)
             }),
         };
         let (_, enc_prog) =
@@ -606,19 +603,6 @@ impl Builder {
             ));
         }
 
-        // Shared fragment: resolve the selected row's uncovered-zero
-        // column via a dynamic read, onto the collector.
-        let (rzc_out, read_rzc) = self.dyn_read_i32(
-            "step4.selcol",
-            self.t.row_zero_col,
-            self.t.sel_row_m,
-            &row_intervals,
-        )?;
-        let get_sel_col = Program::seq(vec![
-            Program::broadcast(t_sel_row.whole(), self.t.sel_row_m.whole()),
-            read_rzc,
-        ]);
-
         // Priming (status 0). Layered priming (the default) primes a
         // whole tree layer per pass: every row of status 0 already primed
         // its zero, which covers it, in `step4.status`, so the pass only
@@ -632,9 +616,9 @@ impl Builder {
         let prime = if self.ab.layered_priming {
             refresh_ma.clone()
         } else {
-            self.frag_prime_one(&get_sel_col, rzc_out, &row_intervals, &refresh_ma)?
+            self.frag_prime_one(&row_intervals, &refresh_ma)?
         };
-        let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
+        let augment = self.frag_augment(&row_intervals)?;
         let mut step6 = if tiled { Vec::new() } else { vec![col_covers] };
         step6.push(self.frag_step6()?);
 
@@ -650,12 +634,12 @@ impl Builder {
         ]))
     }
 
-    /// Step 4's row status (§IV-F): every row publishes its state
-    /// ([`row_status`]), its lowest uncovered zero column, and the
-    /// arg-max key. Dense and sparse rows scan their compressed zeros,
-    /// ascending per segment (ablation A2: the raw slack row); tiled rows
-    /// take the minimum uncovered column of their zero list, which Step 2
-    /// sorted descending and Step 6 appends to. A zero's column cover is
+    /// Step 4's row status (§IV-F): every row publishes its arg-max key
+    /// ([`row_status`]), which packs its state, the row and its lowest
+    /// uncovered zero column. Dense and sparse rows scan their compressed
+    /// zeros, ascending per segment (ablation A2: the raw slack row);
+    /// tiled rows take the minimum uncovered column of their zero list,
+    /// which Step 2 sorted descending and Step 6 appends to. A zero's column cover is
     /// derived from the `ma` and `mb` mirrors ([`uncovered_zero`]), two
     /// lookups per zero examined. A row holding a prime is covered and
     /// scans nothing. With layered priming, a row of status 0 also primes
@@ -674,11 +658,11 @@ impl Builder {
             let row_i = row as i32;
             let v = if tiled {
                 self.g.add_vertex(cs_status, tile, "status", move |ctx| {
-                    let (ma, mb, list) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
+                    let (ma, mb, list) = (ctx.i32(2), ctx.i32(3), ctx.i32(5));
                     let len = if ctx.i32(0)[0] >= 0 {
                         0
                     } else {
-                        list_len(ctx.i32(8)[0], list.len())
+                        list_len(ctx.i32(6)[0], list.len())
                     };
                     let zcol = list[..len]
                         .iter()
@@ -701,7 +685,7 @@ impl Builder {
                     let (mut scanned, mut looked) = (0, 0);
                     let mut zcol = -1;
                     if ctx.i32(0)[0] < 0 {
-                        let (ma, mb, comp) = (ctx.i32(2), ctx.i32(3), ctx.i32(7));
+                        let (ma, mb, comp) = (ctx.i32(2), ctx.i32(3), ctx.i32(5));
                         'outer: for &(s0, s1) in &seg_bounds {
                             for &c in &comp[s0..s1] {
                                 scanned += 1;
@@ -724,7 +708,7 @@ impl Builder {
                 // Ablation A2: no compression — scan the raw slack row.
                 self.g
                     .add_vertex(cs_status, tile, "status_raw", move |ctx| {
-                        let slack = ctx.f32(7);
+                        let slack = ctx.f32(5);
                         let mut looked = 0;
                         let mut zcol = -1;
                         if ctx.i32(0)[0] < 0 {
@@ -753,10 +737,6 @@ impl Builder {
             self.g.connect(v, t.row_star.element(row), Access::Read)?;
             self.g.connect(v, t.ma.whole(), Access::Read)?;
             self.g.connect(v, t.mb.whole(), Access::Read)?;
-            self.g
-                .connect(v, t.zero_status.element(row), Access::Write)?;
-            self.g
-                .connect(v, t.row_zero_col.element(row), Access::Write)?;
             self.g.connect(v, t.enc.element(row), Access::Write)?;
             if tiled || compressed {
                 self.g
@@ -807,7 +787,7 @@ impl Builder {
     }
 
     /// The paper's priming action (§IV-F, ablation A5): mirror the arg-max
-    /// row's zero column and prime that zero, which covers the row,
+    /// row and its zero column and prime that zero, which covers the row,
     /// writing at the runtime-computed row with the
     /// partition-and-distribute pattern (§IV-G), then refresh the `ma`
     /// mirror. Uncovering the star's column needs no write:
@@ -815,49 +795,45 @@ impl Builder {
     /// `col_cover`.
     fn frag_prime_one(
         &mut self,
-        get_sel_col: &Program,
-        rzc_out: Tensor,
         row_intervals: &[(std::ops::Range<usize>, usize)],
         refresh_ma: &Program,
     ) -> Result<Program, GraphError> {
-        let (t_selr_m, t_selc_m) = (self.t.sel_row_m, self.t.sel_col_m);
+        let (t_sel, t_sel_m) = (self.t.sel, self.t.sel_m);
         let t_prime = self.t.row_prime;
         let cs_prime = self.g.add_compute_set("step4.prime");
         for (range, tile) in row_intervals {
             let (s0, s1) = (range.start, range.end);
             let v = self.g.add_vertex(cs_prime, *tile, "prime", move |ctx| {
-                let r = ctx.i32(0)[0] as usize;
+                let sel = ctx.i32(0);
+                let r = sel[0] as usize;
                 if r >= s0 && r < s1 {
-                    ctx.i32_mut(2)[r - s0] = ctx.i32(1)[0];
+                    ctx.i32_mut(1)[r - s0] = sel[1];
                 }
                 cost::scalar(5)
             })?;
-            self.g.connect(v, t_selr_m.whole(), Access::Read)?;
-            self.g.connect(v, t_selc_m.whole(), Access::Read)?;
+            self.g.connect(v, t_sel_m.whole(), Access::Read)?;
             self.g
                 .connect(v, t_prime.slice(range.clone()), Access::ReadWrite)?;
         }
 
         Ok(Program::seq(vec![
-            get_sel_col.clone(),
-            Program::broadcast(rzc_out.whole(), t_selc_m.whole()),
+            Program::broadcast(t_sel.whole(), t_sel_m.whole()),
             Program::execute(cs_prime),
             refresh_ma.clone(),
         ]))
     }
 
-    /// Step 5 (§IV-G, Fig. 3): walk the alternating path from the
-    /// selected prime on the collector, recording hops on the green
-    /// stack; then flip the stars in parallel, clear the primes (and so
-    /// the row covers) and end the search. The walk reads the star and
-    /// prime of each hop from the `mb` and `ma` mirrors the collector
-    /// already holds ([`walk_green_stack`]), so it is one superstep
-    /// however long the path, where the paper reads both through
-    /// partition-and-distribute dynamic slices per hop.
+    /// Step 5 (§IV-G, Fig. 3): walk the alternating path on the
+    /// collector from the prime at the row and column the arg-max
+    /// decoded into `sel`, recording hops on the green stack; then flip
+    /// the stars in parallel, clear the primes (and so the row covers)
+    /// and end the search. The walk reads the star and prime of each hop
+    /// from the `mb` and `ma` mirrors the collector already holds
+    /// ([`walk_green_stack`]), so it is one superstep however long the
+    /// path, where the paper reads both through partition-and-distribute
+    /// dynamic slices per hop.
     fn frag_augment(
         &mut self,
-        get_sel_col: &Program,
-        rzc_out: Tensor,
         row_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
         let l = self.l.clone();
@@ -872,8 +848,7 @@ impl Builder {
             cs_walk,
             "walk",
             vec![
-                (t.sel_row.whole(), Access::Read),
-                (rzc_out.whole(), Access::Read),
+                (t.sel.whole(), Access::Read),
                 (t.ma.whole(), Access::Read),
                 (t.mb.whole(), Access::Read),
                 (t_grows.whole(), Access::Write),
@@ -882,16 +857,17 @@ impl Builder {
                 (t.ctr_aug.whole(), Access::ReadWrite),
             ],
             |ctx| {
+                let sel = ctx.i32(0);
                 let len = walk_green_stack(
-                    ctx.i32(0)[0],
-                    ctx.i32(1)[0],
+                    sel[0],
+                    sel[1],
+                    &ctx.i32(1),
                     &ctx.i32(2),
-                    &ctx.i32(3),
+                    &mut ctx.i32_mut(3),
                     &mut ctx.i32_mut(4),
-                    &mut ctx.i32_mut(5),
                 );
-                ctx.i32_mut(6)[0] = len as i32;
-                ctx.i32_mut(7)[0] += 1;
+                ctx.i32_mut(5)[0] = len as i32;
+                ctx.i32_mut(6)[0] += 1;
                 // The first push and the counters, then per hop two
                 // mirror loads, their range checks and two pushes.
                 cost::scalar(8 + 6 * len.saturating_sub(1))
@@ -975,7 +951,6 @@ impl Builder {
         let grows_bc = self.broadcast_from_collector("step5.grows", t_grows, t_ma)?;
         let gcols_bc = self.broadcast_from_collector("step5.gcols", t_gcols, t_mb)?;
         Ok(Program::seq(vec![
-            get_sel_col.clone(),
             Program::execute(cs_walk),
             grows_bc,
             gcols_bc,
@@ -993,8 +968,9 @@ impl Builder {
     /// folds; tiled runs have no stored slack, so δ is the minimum over
     /// the streamed scan's
     /// per-row accumulators, and the zero lists follow the shift without
-    /// another stream ([`Builder::step6_lists`]). Sparse and tiled runs
-    /// guard δ before anything moves ([`Builder::step6_guard`]).
+    /// another stream ([`Builder::step6_lists`]). The δ reduction's last
+    /// vertex guards δ ([`Builder::step6_guard`]); sparse and tiled runs
+    /// skip the update on a non-finite δ.
     fn frag_step6(&mut self) -> Result<Program, GraphError> {
         let mut prog = Vec::new();
         let minima = match self.storage {
@@ -1011,12 +987,10 @@ impl Builder {
                 )?
             }
         };
-        let (delta, red_prog) = self.reduce_scalar("step6.delta", minima, ReduceOp::Min, None)?;
+        let guard = self.step6_guard();
+        let (delta, red_prog) =
+            self.reduce_scalar("step6.delta", minima, ReduceOp::Min, Some(guard))?;
         prog.push(red_prog);
-        let guard = match self.storage {
-            Storage::Dense => None,
-            _ => Some(self.step6_guard(delta)?),
-        };
         let cs_upd = self.step6_update()?;
 
         let mut update = vec![
@@ -1026,13 +1000,9 @@ impl Builder {
         if let Storage::Tiled { zcap, .. } = self.storage {
             update.push(Program::execute(self.step6_lists(zcap)?));
         }
-        match guard {
+        match self.t.delta_ok {
             None => prog.extend(update),
-            Some(cs_guard) => {
-                let t_ok = self.t.delta_ok.expect("guarded storage has delta_ok");
-                prog.push(Program::execute(cs_guard));
-                prog.push(Program::if_true(t_ok, Program::seq(update)));
-            }
+            Some(t_ok) => prog.push(Program::if_true(t_ok, Program::seq(update))),
         }
         Ok(Program::seq(prog))
     }
@@ -1115,49 +1085,50 @@ impl Builder {
         Ok(cs_min)
     }
 
-    /// Step 6's δ-guard (sparse and tiled storage). A finite δ lets the
-    /// update run. An infinite δ means no uncovered row holds an entry in
-    /// an uncovered column — on a sparse prune, a violation of Hall's
-    /// condition — so the guard latches `infeasible` and ends the search
-    /// and outer loops, letting the host re-admit columns instead of the
-    /// device diverging. Tiled runs have no segment-minimum pass, so the
-    /// guard counts their dual updates too.
-    fn step6_guard(&mut self, delta: Tensor) -> Result<ComputeSetId, GraphError> {
-        let t = self.t.clone();
+    /// Step 6's δ-guard, fused into the δ reduction's last vertex. An
+    /// infinite δ means no uncovered row holds an entry in an uncovered
+    /// column: on a sparse prune, a violation of Hall's condition; on
+    /// square dense costs, corrupted state. The guard latches
+    /// `infeasible` and ends the search and outer loops, letting the host
+    /// re-admit columns or retry instead of the device dual-updating by
+    /// ∞ until the watchdog. Sparse and tiled runs also record whether δ
+    /// is finite in `delta_ok`, which gates their update; a dense run
+    /// still shifts by the non-finite δ once, on its way out. Tiled runs
+    /// have no segment-minimum pass, so the guard counts their dual
+    /// updates too.
+    fn step6_guard(&self) -> Finish {
+        let t = &self.t;
         let count = matches!(self.storage, Storage::Tiled { .. });
+        let gates = t.delta_ok.is_some();
         let mut fields = vec![
-            (delta.whole(), Access::Read),
-            (
-                t.delta_ok.expect("guarded storage has delta_ok").whole(),
-                Access::Write,
-            ),
-            (
-                t.infeasible
-                    .expect("guarded storage has infeasible")
-                    .whole(),
-                Access::ReadWrite,
-            ),
+            (t.infeasible.whole(), Access::ReadWrite),
             (t.searching.whole(), Access::ReadWrite),
             (t.not_done.whole(), Access::ReadWrite),
         ];
+        fields.extend(t.delta_ok.map(|ok| (ok.whole(), Access::Write)));
         if count {
             fields.push((t.ctr_dual.whole(), Access::ReadWrite));
         }
-        let cs_guard = self.g.add_compute_set("step6.guard");
-        self.collector_vertex(cs_guard, "guard", fields, move |ctx| {
-            let finite = ctx.f32(0)[0].is_finite();
-            ctx.i32_mut(1)[0] = i32::from(finite);
-            if !finite {
-                ctx.i32_mut(2)[0] = 1;
-                ctx.i32_mut(3)[0] = 0;
-                ctx.i32_mut(4)[0] = 0;
-            }
-            if count {
-                ctx.i32_mut(5)[0] += 1;
-            }
-            cost::scalar(5 + usize::from(count))
-        })?;
-        Ok(cs_guard)
+        Finish {
+            fields,
+            codelet: Box::new(move |ctx| {
+                let finite = ctx.f32(1)[0].is_finite();
+                if !finite {
+                    ctx.i32_mut(2)[0] = 1;
+                    ctx.i32_mut(3)[0] = 0;
+                    ctx.i32_mut(4)[0] = 0;
+                }
+                if gates {
+                    ctx.i32_mut(5)[0] = i32::from(finite);
+                }
+                if count {
+                    ctx.i32_mut(6)[0] += 1;
+                }
+                // The test, then one store per flag written.
+                let stores = 3 * usize::from(!finite) + usize::from(gates) + usize::from(count);
+                cost::scalar(1 + stores)
+            }),
+        }
     }
 
     /// Step 6's shift by δ: stored slack (dense, sparse) grows on
@@ -1804,8 +1775,11 @@ impl Builder {
 
 /// A row's Step 4 state (§IV-F) — 1: an uncovered zero and no star
 /// (augment); 0: an uncovered zero and a star (prime); −1: no uncovered
-/// zero — and its arg-max key, which ranks status first, then the lowest
-/// row.
+/// zero — and its arg-max key `(status + 1, 2^14 − 1 − row, zcol)`, one
+/// [`ENC_SHIFT`]-bit field each (`zcol` = 0 for status −1). The key
+/// ranks status first, then the lowest row; rows are distinct, so the
+/// column never breaks a tie, and the arg-max carries it to the
+/// collector ([`decode_key`]).
 fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
     let status = if zcol < 0 {
         -1
@@ -1814,24 +1788,33 @@ fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
     } else {
         0
     };
-    (status, ((status + 1) << ENC_SHIFT) | (ENC_MASK - row))
+    let key = ((status + 1) << (2 * ENC_SHIFT)) | ((ENC_MASK - row) << ENC_SHIFT) | zcol.max(0);
+    (status, key)
+}
+
+/// Unpacks an arg-max key of [`row_status`] into (status, row, column).
+fn decode_key(key: i32) -> (i32, i32, i32) {
+    (
+        (key >> (2 * ENC_SHIFT)) - 1,
+        ENC_MASK - ((key >> ENC_SHIFT) & ENC_MASK),
+        key & ENC_MASK,
+    )
 }
 
 /// The tail of every `step4.status` vertex: classifies the row from its
 /// first uncovered zero column `zcol` and its star (field 1), writes the
-/// status, the column and the arg-max key (fields 4–6), and with
-/// `primes` set primes a row of status 0 (`row_prime` = `zcol` in field
-/// 0, which also covers the row). Returns the instructions spent.
+/// arg-max key (field 4), and with `primes` set primes a row of status 0
+/// (`row_prime` = `zcol` in field 0, which also covers the row). Returns
+/// the instructions spent: three to classify and pack the key, one store
+/// of the key, and one store of the prime.
 fn publish_status(ctx: &VertexCtx, zcol: i32, row: i32, primes: bool) -> u64 {
-    let (status, enc) = row_status(zcol, ctx.i32(1)[0], row);
-    ctx.i32_mut(4)[0] = status;
-    ctx.i32_mut(5)[0] = zcol;
-    ctx.i32_mut(6)[0] = enc;
+    let (status, key) = row_status(zcol, ctx.i32(1)[0], row);
+    ctx.i32_mut(4)[0] = key;
     if primes && status == 0 {
         ctx.i32_mut(0)[0] = zcol;
-        cost::scalar(8)
+        cost::scalar(5)
     } else {
-        cost::scalar(6)
+        cost::scalar(4)
     }
 }
 
@@ -1931,7 +1914,7 @@ fn recorded(list: &[i32], len: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{col_covered, uncovered_zero, walk_green_stack};
+    use super::{col_covered, decode_key, row_status, uncovered_zero, walk_green_stack, ENC_MAX_N};
 
     /// Runs the walk from (`row`, `col`) on a stack of `capacity` hops and
     /// returns the pushed (row, column) pairs.
@@ -1939,6 +1922,39 @@ mod tests {
         let (mut rows, mut cols) = (vec![i32::MIN; capacity], vec![i32::MIN; capacity]);
         let len = walk_green_stack(row, col, ma, mb, &mut rows, &mut cols);
         rows.into_iter().zip(cols).take(len).collect()
+    }
+
+    #[test]
+    fn arg_max_keys_round_trip_and_rank_status_then_the_lowest_row() {
+        let last = ENC_MAX_N as i32 - 1;
+        // (zero column, star) classifying a row as −1, 0 and 1.
+        let states = [(-1, 5), (0, 5), (0, -1)];
+        let mut keys = Vec::new();
+        for (expect, &(zcol, star)) in (-1..=1).zip(&states) {
+            for row in [0, last] {
+                for col in [0, last] {
+                    let zcol = if zcol < 0 { -1 } else { col };
+                    let (status, key) = row_status(zcol, star, row);
+                    assert_eq!(status, expect);
+                    assert!(key >= 0);
+                    // Status −1 carries column 0.
+                    assert_eq!(decode_key(key), (status, row, zcol.max(0)));
+                    keys.push((key, status, row));
+                }
+            }
+        }
+        // The maximum ranks augment > prime > none, then the lower row,
+        // whatever the columns.
+        for &(a, status_a, row_a) in &keys {
+            for &(b, status_b, row_b) in &keys {
+                if status_a != status_b {
+                    assert_eq!(a > b, status_a > status_b);
+                } else if row_a != row_b {
+                    assert_eq!(a > b, row_a < row_b);
+                }
+            }
+        }
+        assert_eq!(keys.iter().max().map(|k| (k.1, k.2)), Some((1, 0)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! a valid certificate.
 
 use cpu_hungarian::JonkerVolgenant;
-use hunipu::{AblationConfig, DynSlice, HunIpu, LayoutMode, F32_VERIFY_EPS};
+use hunipu::{AblationConfig, HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
 use lsap::{repair_duals_f32, CostMatrix, LsapSolver, SolveReport, WarmStart};
 use proptest::prelude::*;
@@ -43,22 +43,6 @@ fn no_compression_matches_default() {
 }
 
 #[test]
-fn single_tile_dynslice_matches_default() {
-    for seed in 0..6 {
-        let m = instance(11, seed);
-        let base = objective_with(&m, AblationConfig::default());
-        let single = objective_with(
-            &m,
-            AblationConfig {
-                dyn_slice: DynSlice::SingleTileGather,
-                ..Default::default()
-            },
-        );
-        assert_eq!(base, single, "seed {seed}");
-    }
-}
-
-#[test]
 fn both_ablations_together_match_default() {
     let m = instance(10, 99);
     let base = objective_with(&m, AblationConfig::default());
@@ -66,8 +50,7 @@ fn both_ablations_together_match_default() {
         &m,
         AblationConfig {
             compression: false,
-            dyn_slice: DynSlice::SingleTileGather,
-            ..Default::default()
+            layered_priming: false,
         },
     );
     assert_eq!(base, both);
@@ -99,25 +82,6 @@ fn compression_reduces_modeled_step4_cost() {
     assert!(
         cycles_off > cycles_on,
         "raw scans ({cycles_off}) must cost more than compressed ({cycles_on})"
-    );
-}
-
-#[test]
-fn single_tile_dynslice_moves_more_bytes() {
-    let m = instance(24, 3);
-    let run = |dyn_slice: DynSlice| {
-        let solver = HunIpu::with_config(IpuConfig::tiny(8)).with_ablation(AblationConfig {
-            dyn_slice,
-            ..Default::default()
-        });
-        let (_, engine) = solver.solve_with_engine(&m).unwrap();
-        engine.stats().exchange_bytes
-    };
-    let pd = run(DynSlice::PartitionDistribute);
-    let st = run(DynSlice::SingleTileGather);
-    assert!(
-        st > pd,
-        "single-tile shipping ({st} B) must exceed partition-and-distribute ({pd} B)"
     );
 }
 

@@ -1,14 +1,16 @@
 //! The chain the search loop runs on every iteration (Step 4, §IV-F):
 //! which compute sets execute per iteration on the full Mk2, that a
 //! prime layer costs 2 supersteps and 2 exchanges there, that Step 5
-//! walks each augmenting path in one collector superstep, that the
-//! tiled route still reduces its multi-row tiles in two stages, and that
-//! fault-corrupted device indices end a solve with `Ok` or `Err`, never
-//! a panic.
+//! walks each augmenting path in one collector superstep, that no
+//! program reads Step 4's selected column back at a runtime index, that
+//! the tiled route still reduces its multi-row tiles in two stages, that
+//! a non-finite dense δ ends the solve, and that fault-corrupted device
+//! indices end a solve with `Ok` or `Err`, never a panic.
 
 use cpu_hungarian::JonkerVolgenant;
-use hunipu::{HunIpu, LayoutMode, F32_VERIFY_EPS};
+use hunipu::{AblationConfig, HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::{FaultPlan, IpuConfig, ProfileConfig, ProfileEvent};
+use lsap::sparse::SparseCost;
 use lsap::{CostMatrix, LsapSolver};
 
 /// Executions of compute set `name` (0 when the program has none).
@@ -115,6 +117,45 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
 }
 
 #[test]
+fn every_program_takes_the_selected_column_from_the_arg_max() {
+    // The arg-max key carries the selected row's zero column, so no
+    // program reads it back; Step 5 still walks once per augmentation.
+    let m = datasets::gaussian_cost_matrix(24, 10, 2);
+    let tiny = || HunIpu::with_config(IpuConfig::tiny(8));
+    let sc = SparseCost::from_dense_topk(&m, 8).unwrap();
+    let one_prime = AblationConfig {
+        layered_priming: false,
+        ..Default::default()
+    };
+    let runs = [
+        ("dense", tiny().solve_with_engine(&m)),
+        ("sparse", tiny().solve_sparse_with_engine(&sc)),
+        ("tiled", tiny().solve_tiled(&m)),
+        (
+            "2-chip chip-aware",
+            HunIpu::with_config(IpuConfig::tiny_multi(2, 6))
+                .with_layout_mode(LayoutMode::ChipAware)
+                .solve_with_engine(&m),
+        ),
+        ("A5", tiny().with_ablation(one_prime).solve_with_engine(&m)),
+    ];
+    for (program, run) in runs {
+        let (report, engine) = run.unwrap();
+        let sets = &engine.stats().per_compute_set;
+        assert!(
+            sets.iter().all(|s| !s.name.starts_with("step4.selcol")),
+            "{program} still reads the selected column"
+        );
+        assert!(report.stats.augmentations > 0, "{program}");
+        assert_eq!(
+            executions(&engine, "step5.walk"),
+            report.stats.augmentations,
+            "{program}"
+        );
+    }
+}
+
+#[test]
 fn tiled_rows_still_reduce_in_two_stages() {
     // 48 rows on 7 row-owning tiles: several keys per tile, so the
     // per-tile partial stage still runs, and the answer is JV's optimum.
@@ -131,6 +172,30 @@ fn tiled_rows_still_reduce_in_two_stages() {
         .per_compute_set
         .iter()
         .all(|s| s.name != "step4.decode"));
+}
+
+#[test]
+fn a_non_finite_dense_delta_ends_the_solve() {
+    // Bit flips in `col_star` can leave no uncovered row with an entry in
+    // an uncovered column, so Step 6's δ is ∞ on square dense costs. The
+    // δ reduction latches it and ends the solve with an error, where the
+    // dense program once dual-updated by ∞ until the watchdog. This seed
+    // reaches the latch; a program change that shifts the fault stream
+    // may need another.
+    let m = datasets::gaussian_cost_matrix(24, 100, 5);
+    let plan = FaultPlan::new(6)
+        .with_bit_flips(0.02)
+        .targeting("col_star")
+        .after_supersteps(20);
+    let solver = HunIpu::with_config(IpuConfig {
+        max_while_iterations: 2_000,
+        ..IpuConfig::tiny(8)
+    })
+    .with_fault_plan(plan);
+    let Err(err) = solver.solve_with_engine(&m) else {
+        panic!("the corrupted solve succeeded");
+    };
+    assert!(err.to_string().contains("non-finite δ"), "{err}");
 }
 
 #[test]

@@ -1147,7 +1147,7 @@ mod tests {
         // partials and the join.
         let one = |n: u64| 6 * (n + OH);
         let split = |n: u64| 6 * (n.div_ceil(6) + OH) + 6 * (6 + OH) + JOIN;
-        // 8 column segments (a dynamic read's pick): 108 cycles, not 180.
+        // 8 column-segment partials: 108 cycles, not 180.
         assert_eq!(cycles(DType::I32, ReduceOp::Max, 8), one(8));
         assert_eq!((one(8), split(8)), (108, 180));
         // 256 row keys (the arg-max's final stage) keep the split.
