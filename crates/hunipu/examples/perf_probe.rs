@@ -1,17 +1,21 @@
 //! Per-solve modeled-cost probe on the paper's Fig. 5 data
-//! (`datasets::gaussian_cost_matrix(n, 10, seed)`, full Mk2).
+//! (`datasets::gaussian_cost_matrix(n, 10, seed)`, full Mk2), or on the
+//! planted searching instances of the tiled route.
 //!
 //! ```text
-//! cargo run --release -p hunipu --example perf_probe -- [N] [SEEDS] [layered|a5]
+//! cargo run --release -p hunipu --example perf_probe -- [N] [SEEDS] [layered|a5|tiled]
 //! ```
 //!
 //! Solves seeds `1..=SEEDS` (defaults: n = 256, 1 seed, layered priming;
-//! `a5` selects the paper's one prime per iteration, ablation A5) and
+//! `a5` selects the paper's one prime per iteration, ablation A5; `tiled`
+//! block-streams `datasets::planted(n, 0.06, seed)` on `IpuConfig::tiny(8)`,
+//! the repository benchmark's `tiled_1024` instances at n = 1,024) and
 //! prints, per solve, the modeled cycles by class, the supersteps and
 //! exchanges, the executions and compute cycles of every compute set that
 //! ran, and a digest of the assignment and the duals. Two builds answer
 //! identically on a seed iff their digests match.
 use hunipu::{AblationConfig, HunIpu};
+use ipu_sim::IpuConfig;
 use lsap::SolveReport;
 
 /// FNV-1a over the assignment's columns and the duals' bit patterns.
@@ -28,23 +32,27 @@ fn digest(report: &SolveReport) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: perf_probe [N] [SEEDS] [layered|a5]";
+    let usage = "usage: perf_probe [N] [SEEDS] [layered|a5|tiled]";
     let n: usize = args.first().map_or(Ok(256), |a| a.parse()).expect(usage);
     let seeds: u64 = args.get(1).map_or(Ok(1), |a| a.parse()).expect(usage);
-    let layered_priming = match args.get(2).map(String::as_str) {
-        None | Some("layered") => true,
-        Some("a5") => false,
-        Some(_) => panic!("{usage}"),
+    let mode = args.get(2).map_or("layered", String::as_str);
+    let solver = match mode {
+        "layered" => HunIpu::new(),
+        "a5" => HunIpu::new().with_ablation(AblationConfig {
+            layered_priming: false,
+            ..AblationConfig::default()
+        }),
+        "tiled" => HunIpu::with_config(IpuConfig::tiny(8)),
+        _ => panic!("{usage}"),
     };
-    let solver = HunIpu::new().with_ablation(AblationConfig {
-        layered_priming,
-        ..AblationConfig::default()
-    });
-    let mode = if layered_priming { "layered" } else { "a5" };
     let mut total = 0u64;
     for seed in 1..=seeds {
-        let m = datasets::gaussian_cost_matrix(n, 10, seed);
-        let (report, engine) = solver.solve_with_engine(&m).expect("solve");
+        let (report, engine) = if mode == "tiled" {
+            solver.solve_tiled(&datasets::planted(n, 0.06, seed))
+        } else {
+            solver.solve_with_engine(&datasets::gaussian_cost_matrix(n, 10, seed))
+        }
+        .expect("solve");
         let st = engine.stats();
         total += st.total_cycles();
         println!(

@@ -63,8 +63,10 @@ pub(crate) struct Ts {
     /// it holds a prime: every prime covers its row and Step 5 clears
     /// both, so no separate row-cover vector is kept.
     pub row_prime: Tensor,
-    /// Step 4's arg-max keys: each row's state −1/0/1 (§IV-F), the row
-    /// and its first uncovered-zero column, packed into one i32.
+    /// Step 4's arg-max keys: each row's class (§IV-F), the row and its
+    /// first uncovered-zero column or, on a covered row, its prime, packed
+    /// into one i32. Broadcast into `ma` every pass, they are also the
+    /// search loop's row-prime mirror.
     pub enc: Tensor,
     /// Row potentials (dual certificate), f32 `n`.
     pub u: Tensor,
@@ -89,12 +91,18 @@ pub(crate) struct Ts {
     pub pass_lt: Tensor,
     /// Selected row and column of Step 4's arg-max (decode output).
     pub sel: Tensor,
+    /// Step 4 classifications of the running search, which the decode
+    /// counts against the search's bound.
+    pub iterations: Tensor,
     /// Device-side counters: augmentations and dual (slack) updates.
     pub ctr_aug: Tensor,
     pub ctr_dual: Tensor,
-    /// Latched when Step 6's δ is not finite: no uncovered row holds an
-    /// entry in an uncovered column. On a sparse prune that is a Hall
-    /// violation; on square dense costs only corrupted state gets there.
+    /// Latched when Step 6's δ is not finite (`LATCH_DELTA`): no
+    /// uncovered row holds an entry in an uncovered column. On a sparse
+    /// prune that is a Hall violation; on square dense costs only
+    /// corrupted state gets there. Also latched when a search outruns
+    /// its bound (`LATCH_BOUND`) or walks a path the mirrors cannot hold
+    /// (`LATCH_WALK`), which only corrupted state does.
     pub infeasible: Tensor,
     // ---- replicated mirrors (each tile holds a read-only copy) ----
     /// Column-cover mirror, refreshed before every dual update and
@@ -102,9 +110,9 @@ pub(crate) struct Ts {
     pub ccm: Tensor,
     /// Scratch mirrors `n` i32, reused at disjoint program points to
     /// respect tile SRAM (C2): Step 2's proposals and column stars,
-    /// the search loop's row primes (`ma`) and column stars (`mb`), which
-    /// Step 4 derives covers from and Step 5 walks, and Step 5's green
-    /// rows and columns.
+    /// the search loop's arg-max keys (`ma`, which record the row
+    /// primes) and column stars (`mb`), which Step 4 derives covers from
+    /// and Step 5 walks, and Step 5's green rows and columns.
     pub ma: Tensor,
     pub mb: Tensor,
     /// Scalar mirrors.
@@ -225,12 +233,13 @@ impl Builder {
         let pass = g.add_tensor("pass", DType::I32, 1);
         let pass_lt = g.add_tensor("pass_lt", DType::I32, 1);
         let sel = g.add_tensor("sel", DType::I32, 2);
+        let iterations = g.add_tensor("iterations", DType::I32, 1);
         let ctr_aug = g.add_tensor("ctr_aug", DType::I32, 1);
         let ctr_dual = g.add_tensor("ctr_dual", DType::I32, 1);
         let infeasible = g.add_tensor("infeasible", DType::I32, 1);
         for tensor in [
             green_rows, green_cols, green_len, not_done, searching, st1, st0, pass, pass_lt, sel,
-            ctr_aug, ctr_dual, infeasible,
+            iterations, ctr_aug, ctr_dual, infeasible,
         ] {
             g.map_to_tile(tensor, c)?;
         }
@@ -307,6 +316,7 @@ impl Builder {
             pass,
             pass_lt,
             sel,
+            iterations,
             ctr_aug,
             ctr_dual,
             infeasible,

@@ -14,9 +14,12 @@
 //!    32-element segments distributed over tiles; a sum reduction decides
 //!    termination.
 //! 4. **Alternating-path search** (§IV-F): each row scans only its
-//!    compressed zeros and publishes one key packing its −1/0/1 state,
-//!    the row and its zero column; an arg-max reduction selects the
-//!    action and delivers the row and column to the collector.
+//!    compressed zeros and publishes one key packing its state, the row
+//!    and its zero column (a covered row: its prime's column). One
+//!    broadcast puts the keys on every tile, where they are the
+//!    row-prime mirror the next scan derives column covers from, and the
+//!    collector's arg-max over its copy selects the action, the row and
+//!    the column.
 //! 5. **Path augmentation** (§IV-G): the collector walks the alternating
 //!    path into the `green_column` stack over its own mirrors of the
 //!    stars and primes, so no step reads at a runtime index (the paper

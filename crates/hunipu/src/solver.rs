@@ -8,7 +8,7 @@
 use crate::ablation::AblationConfig;
 use crate::build::{Builder, Storage, Ts};
 use crate::layout::Layout;
-use crate::steps::ENC_MAX_N;
+use crate::steps::{ENC_MAX_N, LATCH_BOUND, LATCH_DELTA};
 use ipu_sim::{FaultPlan, IpuConfig, ProfileConfig};
 use lsap::sparse::SparseCost;
 use lsap::{
@@ -466,17 +466,16 @@ impl HunIpu {
         }
 
         engine.run().map_err(backend)?;
-        if engine.read_i32(t.infeasible)[0] != 0 {
-            return Err(match compiled.storage {
-                Storage::Sparse { k } => LsapError::SparseInfeasible { k },
-                _ => LsapError::Backend {
-                    detail: "the solve latched a non-finite δ on a square dense \
-                             instance; memory corruption suspected"
-                        .into(),
-                },
-            });
-        }
-        extract_report(engine, t, input, start)
+        let latched = match (engine.read_i32(t.infeasible)[0], compiled.storage) {
+            (0, _) => return extract_report(engine, t, input, start),
+            (LATCH_DELTA, Storage::Sparse { k }) => return Err(LsapError::SparseInfeasible { k }),
+            (LATCH_DELTA, _) => "latched a non-finite δ on a square dense instance",
+            (LATCH_BOUND, _) => "ran a search past its 2n + 2 classifications",
+            _ => "walked a Step 5 path the matching cannot hold",
+        };
+        Err(LsapError::Backend {
+            detail: format!("the solve {latched}; memory corruption suspected"),
+        })
     }
 
     /// Solves a k-candidate sparse instance on the device: only the `k`

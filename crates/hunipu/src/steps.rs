@@ -11,7 +11,7 @@ use ipu_sim::{
 };
 
 /// Bits of each of the row and the column inside the Step 4 arg-max
-/// key ([`row_status`]); the key holds n ≤ 2^14 = 16,384, twice the
+/// key ([`row_key`]); the key holds n ≤ 2^14 = 16,384, twice the
 /// paper's largest instance (2^13). [`crate::HunIpu`] rejects larger
 /// shapes before building.
 const ENC_SHIFT: u32 = 14;
@@ -516,9 +516,9 @@ impl Builder {
                 .connect(v, t_cstar.slice(cols.clone()), Access::Read)?;
             self.g.connect(v, t_ccov.slice(cols), Access::Write)?;
         }
-        // A latched non-finite δ must stop the outer loop too: Step 3
-        // would otherwise see the incomplete matching and restart the
-        // search forever.
+        // A latched non-finite δ or corrupted search must stop the outer
+        // loop too: Step 3 would otherwise see the incomplete matching
+        // and restart the search forever.
         let t_inf = self.t.infeasible;
         let notdone = Finish {
             fields: vec![(t_nd.whole(), Access::Write), (t_inf.whole(), Access::Read)],
@@ -534,55 +534,85 @@ impl Builder {
         Ok(Program::seq(vec![Program::execute(cs_cover), red_prog]))
     }
 
-    /// The Step 4/5/6 search loop (§IV-F to §IV-H). On entry it seeds the
-    /// two mirrors that Step 4 derives column covers from and Step 5
-    /// walks (`ma`: row primes, `mb`: column stars; see
-    /// [`uncovered_zero`] and [`walk_green_stack`]). Then, while
-    /// `searching`, it classifies rows (−1/0/1), arg-max reduces, and
-    /// dispatches to augmentation (1), the end of a prime layer (0), or
-    /// the slack update (−1), which first re-derives `col_cover` and its
-    /// mirror ([`Builder::frag_col_covers`]). Tiled storage classifies
-    /// rows from their resident zero lists and streams the cost blocks
-    /// ([`Builder::frag_tiled_scan`]) only when no list holds an
-    /// uncovered zero, then classifies again: the stream finds zeros an
-    /// overflowed list lost, and Step 6's δ.
+    /// The Step 4/5/6 search loop (§IV-F to §IV-H). On entry it seeds
+    /// the column-star mirror `mb`, which Step 4 derives column covers
+    /// from and Step 5 walks (see [`uncovered_zero`] and
+    /// [`walk_green_stack`]). Then, while `searching`, it classifies rows
+    /// into arg-max keys ([`row_key`]) and broadcasts the keys into
+    /// `ma`, where they are the row-prime mirror ([`key_prime`]) for
+    /// every reader of the next pass; the collector arg-max reduces its
+    /// own replica and dispatches to augmentation, the end of a prime
+    /// layer, or the slack update, which first re-derives `col_cover`
+    /// and its mirror ([`Builder::frag_col_covers`]). Tiled storage
+    /// classifies rows from their resident zero lists and streams the
+    /// cost blocks ([`Builder::frag_tiled_scan`]) only when no list holds
+    /// an uncovered zero, then classifies again: the stream finds zeros
+    /// an overflowed list lost, and Step 6's δ.
     fn frag_search_loop(&mut self) -> Result<Program, GraphError> {
         let row_intervals = self.row_block_intervals(1);
         let col_intervals = self.col_seg_intervals();
         // Column stars change only in the augmentation that ends a
-        // search, so `mb` is seeded once per search; `ma` is seeded here
-        // and refreshed after every prime.
-        let refresh_ma =
-            self.refresh_mirror("loop.rcg", self.t.row_prime, self.t.ma, &row_intervals)?;
+        // search, so `mb` is seeded once per search; the keys refresh
+        // `ma` on every classification.
+        let refresh_keys =
+            self.refresh_mirror("step4.keys", self.t.enc, self.t.ma, &row_intervals)?;
         let seed_mb =
             self.refresh_mirror("loop.csg", self.t.col_star, self.t.mb, &col_intervals)?;
         let cs_status = self.frag_row_status()?;
 
-        // Arg-max over the row keys, decoded into the status flags and
-        // the selected row and column by the reduction's last vertex.
-        let (t_st1, t_st0, t_sel) = (self.t.st1, self.t.st0, self.t.sel);
+        // Arg-max over the collector's replica of the keys, decoded into
+        // the branch flags and the selected row and column by the
+        // reduction's last vertex, which also counts the search's
+        // classifications: past the bound of [`search_bound`] (twice it
+        // on tiled storage, which may classify twice per iteration) the
+        // search is corrupted, and the decode latches `infeasible` and
+        // ends it.
+        let t = self.t.clone();
+        let tiled = matches!(self.storage, Storage::Tiled { .. });
+        let bound = search_bound(self.l.n) * if tiled { 2 } else { 1 };
         let decode = Finish {
             fields: vec![
-                (t_st1.whole(), Access::Write),
-                (t_st0.whole(), Access::Write),
-                (t_sel.whole(), Access::Write),
+                (t.st1.whole(), Access::Write),
+                (t.st0.whole(), Access::Write),
+                (t.sel.whole(), Access::Write),
+                (t.iterations.whole(), Access::ReadWrite),
+                (t.infeasible.whole(), Access::ReadWrite),
+                (t.searching.whole(), Access::ReadWrite),
             ],
-            codelet: Box::new(|ctx| {
-                let (status, row, col) = decode_key(ctx.i32(1)[0]);
-                ctx.i32_mut(2)[0] = i32::from(status == 1);
-                ctx.i32_mut(3)[0] = i32::from(status == 0);
-                let mut sel = ctx.i32_mut(4);
-                sel[0] = row;
-                sel[1] = col;
-                cost::scalar(6)
+            codelet: Box::new(move |ctx| {
+                let (class, row, col) = decode_key(ctx.i32(1)[0]);
+                ctx.i32_mut(2)[0] = i32::from(class == KEY_AUGMENT);
+                ctx.i32_mut(3)[0] = i32::from(class == KEY_PRIME);
+                {
+                    let mut sel = ctx.i32_mut(4);
+                    sel[0] = row;
+                    sel[1] = col;
+                }
+                let mut count = ctx.i32_mut(5);
+                count[0] = count[0].saturating_add(1);
+                if count[0] > bound {
+                    ctx.i32_mut(6)[0] = LATCH_BOUND;
+                    ctx.i32_mut(7)[0] = 0;
+                }
+                // Decode and four stores, then the count's increment,
+                // store and test.
+                cost::scalar(8)
             }),
         };
-        let (_, enc_prog) =
-            self.reduce_scalar("step4.enc", self.t.enc, ReduceOp::Max, Some(decode))?;
-        let classify = [Program::execute(cs_status), enc_prog];
+        let keys_out = self.g.add_tensor("step4.enc.out", DType::I32, 1);
+        self.g.map_to_tile(keys_out, self.l.collector_tile)?;
+        let argmax = poplib::reduce_on_tile(
+            &mut self.g,
+            "step4.enc.final",
+            t.ma,
+            keys_out,
+            ReduceOp::Max,
+            self.l.collector_tile,
+            Some(decode),
+        )?;
+        let classify = [Program::execute(cs_status), refresh_keys.clone(), argmax];
         let mut body = classify.to_vec();
         let col_covers = self.frag_col_covers(&col_intervals)?;
-        let tiled = matches!(self.storage, Storage::Tiled { .. });
         if let Storage::Tiled { block_cols, zcap } = self.storage {
             // Every list came up empty: stream against the current covers
             // and duals (through the column-potential mirror), then
@@ -597,54 +627,56 @@ impl Builder {
             fallback.extend(classify);
             let none = Program::seq(vec![]);
             body.push(Program::if_else(
-                t_st1,
+                t.st1,
                 none.clone(),
-                Program::if_else(t_st0, none, Program::seq(fallback)),
+                Program::if_else(t.st0, none, Program::seq(fallback)),
             ));
         }
 
         // Priming (status 0). Layered priming (the default) primes a
         // whole tree layer per pass: every row of status 0 already primed
-        // its zero, which covers it, in `step4.status`, so the pass only
-        // refreshes `ma`. Primes of one pass sit in distinct rows, and a
-        // prime's column was uncovered when the pass started, so its
-        // star's row was primed in an earlier pass: Step 5's walk visits
-        // strictly earlier passes and terminates. A pass that augments
-        // or updates the duals instead primes only rows that were
-        // uncovered when it started, which no walk visits and Step 5
-        // clears. Ablation A5 keeps the paper's one prime per iteration.
+        // its zero, which covers it, in `step4.status`, and its key,
+        // already in `ma`, says so, so the pass has nothing left to do.
+        // Primes of one pass sit in distinct rows, and a prime's column
+        // was uncovered when the pass started, so its star's row was
+        // primed in an earlier pass: Step 5's walk visits strictly
+        // earlier passes and terminates. A pass that augments or updates
+        // the duals instead primes only rows that were uncovered when it
+        // started, which no walk visits and Step 5 clears. Ablation A5
+        // keeps the paper's one prime per iteration.
         let prime = if self.ab.layered_priming {
-            refresh_ma.clone()
+            Program::seq(Vec::new())
         } else {
-            self.frag_prime_one(&row_intervals, &refresh_ma)?
+            self.frag_prime_one(&row_intervals, &refresh_keys)?
         };
         let augment = self.frag_augment(&row_intervals)?;
         let mut step6 = if tiled { Vec::new() } else { vec![col_covers] };
         step6.push(self.frag_step6()?);
 
         body.push(Program::if_else(
-            t_st1,
+            t.st1,
             augment,
-            Program::if_else(t_st0, prime, Program::seq(step6)),
+            Program::if_else(t.st0, prime, Program::seq(step6)),
         ));
         Ok(Program::seq(vec![
-            refresh_ma,
             seed_mb,
             Program::while_true(self.t.searching, Program::seq(body)),
         ]))
     }
 
     /// Step 4's row status (§IV-F): every row publishes its arg-max key
-    /// ([`row_status`]), which packs its state, the row and its lowest
-    /// uncovered zero column. Dense and sparse rows scan their compressed
-    /// zeros, ascending per segment (ablation A2: the raw slack row);
-    /// tiled rows take the minimum uncovered column of their zero list,
-    /// which Step 2 sorted descending and Step 6 appends to. A zero's column cover is
-    /// derived from the `ma` and `mb` mirrors ([`uncovered_zero`]), two
-    /// lookups per zero examined. A row holding a prime is covered and
-    /// scans nothing. With layered priming, a row of status 0 also primes
-    /// its zero, which covers it ([`publish_status`]), so a prime layer
-    /// needs no compute set of its own.
+    /// ([`row_key`]), which packs its class, the row and a column: its
+    /// lowest uncovered zero column, or the prime of a covered row.
+    /// Dense and sparse rows scan their compressed zeros, ascending per
+    /// segment (ablation A2: the raw slack row); tiled rows take the
+    /// minimum uncovered column of their zero list, which Step 2 sorted
+    /// descending and Step 6 appends to. A zero's column cover is
+    /// derived from the previous pass's keys in `ma` and the column stars
+    /// in `mb` ([`uncovered_zero`]), two lookups per zero examined. A row
+    /// holding a prime is covered and scans nothing. With layered
+    /// priming, a row of status 0 also primes its zero, which covers it
+    /// ([`publish_status`]), so a prime layer needs no compute set of its
+    /// own.
     fn frag_row_status(&mut self) -> Result<ComputeSetId, GraphError> {
         let l = self.l.clone();
         let th = l.threads;
@@ -667,7 +699,7 @@ impl Builder {
                     let zcol = list[..len]
                         .iter()
                         .copied()
-                        .filter(|&c| uncovered_zero(c, &ma, &mb))
+                        .filter(|&c| uncovered_zero(c, &ma, &mb, primes))
                         .min()
                         .unwrap_or(-1);
                     cost::i32_scan(len)
@@ -693,7 +725,7 @@ impl Builder {
                                     break; // compacted: no more zeros in seg
                                 }
                                 looked += 1;
-                                if uncovered_zero(c, &ma, &mb) {
+                                if uncovered_zero(c, &ma, &mb, primes) {
                                     zcol = c;
                                     break 'outer;
                                 }
@@ -716,7 +748,7 @@ impl Builder {
                             for (c, &x) in slack.iter().enumerate() {
                                 if x == 0.0 {
                                     looked += 1;
-                                    if uncovered_zero(c as i32, &ma, &mb) {
+                                    if uncovered_zero(c as i32, &ma, &mb, primes) {
                                         zcol = c as i32;
                                         break;
                                     }
@@ -755,7 +787,7 @@ impl Builder {
 
     /// Re-derives every column cover from the search-loop invariant ("a
     /// column is covered iff it holds a star whose row is uncovered",
-    /// [`col_covered`]), reading the row primes through the `ma` mirror,
+    /// [`col_covered`]), reading the row primes from the keys in `ma`,
     /// and refreshes the `ccm` mirror from the result. Step 4 derives
     /// covers on its own, so only Step 6's dual update and the tiled
     /// block scan need this: once per dual update or stream.
@@ -764,16 +796,17 @@ impl Builder {
         col_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
         let (t_ma, t_cstar, t_ccov) = (self.t.ma, self.t.col_star, self.t.col_cover);
+        let layered = self.ab.layered_priming;
         let cs_recover = self.g.add_compute_set("step4.recover");
         for (tile, t, cols) in self.col_thread_chunks() {
             let v = self
                 .g
-                .add_vertex_on_thread(cs_recover, tile, t, "recover", |ctx| {
+                .add_vertex_on_thread(cs_recover, tile, t, "recover", move |ctx| {
                     let stars = ctx.i32(0);
-                    let primes = ctx.i32(1);
+                    let keys = ctx.i32(1);
                     let mut cov = ctx.i32_mut(2);
                     for (c, &s) in cov.iter_mut().zip(stars.iter()) {
-                        *c = i32::from(col_covered(s, &primes));
+                        *c = i32::from(col_covered(s, &keys, layered));
                     }
                     cost::i32_scan(stars.len()) + cost::i32_update(stars.len())
                 })?;
@@ -789,17 +822,19 @@ impl Builder {
     /// The paper's priming action (§IV-F, ablation A5): mirror the arg-max
     /// row and its zero column and prime that zero, which covers the row,
     /// writing at the runtime-computed row with the
-    /// partition-and-distribute pattern (§IV-G), then refresh the `ma`
-    /// mirror. Uncovering the star's column needs no write:
+    /// partition-and-distribute pattern (§IV-G). A5's status does not
+    /// prime, so a prime-class key is no prime there ([`key_prime`]): the
+    /// primed row's key is rewritten to the covered class and the keys
+    /// are broadcast again. Uncovering the star's column needs no write:
     /// Step 4 derives it from the mirrors, and Step 6 re-derives
     /// `col_cover`.
     fn frag_prime_one(
         &mut self,
         row_intervals: &[(std::ops::Range<usize>, usize)],
-        refresh_ma: &Program,
+        refresh_keys: &Program,
     ) -> Result<Program, GraphError> {
         let (t_sel, t_sel_m) = (self.t.sel, self.t.sel_m);
-        let t_prime = self.t.row_prime;
+        let (t_prime, t_enc) = (self.t.row_prime, self.t.enc);
         let cs_prime = self.g.add_compute_set("step4.prime");
         for (range, tile) in row_intervals {
             let (s0, s1) = (range.start, range.end);
@@ -808,18 +843,21 @@ impl Builder {
                 let r = sel[0] as usize;
                 if r >= s0 && r < s1 {
                     ctx.i32_mut(1)[r - s0] = sel[1];
+                    ctx.i32_mut(2)[r - s0] = row_key(sel[1], -1, -1, sel[0]);
                 }
-                cost::scalar(5)
+                cost::scalar(6)
             })?;
             self.g.connect(v, t_sel_m.whole(), Access::Read)?;
             self.g
                 .connect(v, t_prime.slice(range.clone()), Access::ReadWrite)?;
+            self.g
+                .connect(v, t_enc.slice(range.clone()), Access::ReadWrite)?;
         }
 
         Ok(Program::seq(vec![
             Program::broadcast(t_sel.whole(), t_sel_m.whole()),
             Program::execute(cs_prime),
-            refresh_ma.clone(),
+            refresh_keys.clone(),
         ]))
     }
 
@@ -831,7 +869,9 @@ impl Builder {
     /// from the `mb` and `ma` mirrors the collector already holds
     /// ([`walk_green_stack`]), so it is one superstep however long the
     /// path, where the paper reads both through partition-and-distribute
-    /// dynamic slices per hop.
+    /// dynamic slices per hop. A path the mirrors cannot hold (a star row
+    /// without a prime, or a row met twice) latches `infeasible`, and
+    /// Step 3 then ends the solve.
     fn frag_augment(
         &mut self,
         row_intervals: &[(std::ops::Range<usize>, usize)],
@@ -840,9 +880,10 @@ impl Builder {
         let t = self.t.clone();
         let (t_grows, t_gcols, t_glen) = (t.green_rows, t.green_cols, t.green_len);
 
-        // `ma` holds every prime the walk can reach: a layered pass's own
-        // speculative primes sit in rows that were uncovered when it
-        // started, which no walk visits (`frag_search_loop`).
+        // The keys in `ma` hold every prime the walk can reach: a layered
+        // pass's own speculative primes sit in rows that were uncovered
+        // when it started, which no walk visits (`frag_search_loop`).
+        let layered = self.ab.layered_priming;
         let cs_walk = self.g.add_compute_set("step5.walk");
         self.collector_vertex(
             cs_walk,
@@ -855,22 +896,27 @@ impl Builder {
                 (t_gcols.whole(), Access::Write),
                 (t_glen.whole(), Access::Write),
                 (t.ctr_aug.whole(), Access::ReadWrite),
+                (t.infeasible.whole(), Access::ReadWrite),
             ],
-            |ctx| {
+            move |ctx| {
                 let sel = ctx.i32(0);
-                let len = walk_green_stack(
-                    sel[0],
-                    sel[1],
+                let (len, consistent) = walk_green_stack(
+                    (sel[0], sel[1]),
                     &ctx.i32(1),
                     &ctx.i32(2),
+                    layered,
                     &mut ctx.i32_mut(3),
                     &mut ctx.i32_mut(4),
                 );
                 ctx.i32_mut(5)[0] = len as i32;
                 ctx.i32_mut(6)[0] += 1;
+                if !consistent {
+                    ctx.i32_mut(7)[0] = LATCH_WALK;
+                }
                 // The first push and the counters, then per hop two
-                // mirror loads, their range checks and two pushes.
-                cost::scalar(8 + 6 * len.saturating_sub(1))
+                // mirror loads, the key's decode, the range checks and
+                // two pushes.
+                cost::scalar(8 + 7 * len.saturating_sub(1) + usize::from(!consistent))
             },
         )?;
 
@@ -1114,7 +1160,7 @@ impl Builder {
             codelet: Box::new(move |ctx| {
                 let finite = ctx.f32(1)[0].is_finite();
                 if !finite {
-                    ctx.i32_mut(2)[0] = 1;
+                    ctx.i32_mut(2)[0] = LATCH_DELTA;
                     ctx.i32_mut(3)[0] = 0;
                     ctx.i32_mut(4)[0] = 0;
                 }
@@ -1752,17 +1798,25 @@ impl Builder {
         prog.push(self.frag_step2()?);
         prog.extend(compress);
         let step3 = self.frag_step3()?;
+        // `ma` needs no seed before a search: the first starts with Step
+        // 2's proposals there (column ids or −1), every later one with
+        // Step 5's green rows (row ids), and all of them decode as
+        // unprimed ([`key_prime`]), which is what `row_prime` holds.
         let search = self.frag_search_loop()?;
 
-        let t_searching = self.t.searching;
+        let (t_searching, t_iterations) = (self.t.searching, self.t.iterations);
         let cs_begin = self.g.add_compute_set("begin_search");
         self.collector_vertex(
             cs_begin,
             "begin",
-            vec![(t_searching.whole(), Access::Write)],
+            vec![
+                (t_searching.whole(), Access::Write),
+                (t_iterations.whole(), Access::Write),
+            ],
             |ctx| {
                 ctx.i32_mut(0)[0] = 1;
-                cost::scalar(1)
+                ctx.i32_mut(1)[0] = 0;
+                cost::scalar(2)
             },
         )?;
 
@@ -1773,44 +1827,89 @@ impl Builder {
     }
 }
 
-/// A row's Step 4 state (§IV-F) — 1: an uncovered zero and no star
-/// (augment); 0: an uncovered zero and a star (prime); −1: no uncovered
-/// zero — and its arg-max key `(status + 1, 2^14 − 1 − row, zcol)`, one
-/// [`ENC_SHIFT`]-bit field each (`zcol` = 0 for status −1). The key
-/// ranks status first, then the lowest row; rows are distinct, so the
-/// column never breaks a tie, and the arg-max carries it to the
-/// collector ([`decode_key`]).
-fn row_status(zcol: i32, star: i32, row: i32) -> (i32, i32) {
-    let status = if zcol < 0 {
-        -1
-    } else if star == -1 {
-        1
-    } else {
-        0
-    };
-    let key = ((status + 1) << (2 * ENC_SHIFT)) | ((ENC_MASK - row) << ENC_SHIFT) | zcol.max(0);
-    (status, key)
+/// The classes of a Step 4 arg-max key ([`row_key`]), in rank order: an
+/// uncovered row with an uncovered zero and no star (augment), one with
+/// an uncovered zero and a star (prime), a row that holds a prime from
+/// an earlier pass (covered), and an uncovered row with no uncovered
+/// zero (none).
+const KEY_NONE: i32 = 0;
+const KEY_COVERED: i32 = 1;
+const KEY_PRIME: i32 = 2;
+const KEY_AUGMENT: i32 = 3;
+
+/// Values of the `infeasible` latch: Step 6's δ was not finite, the
+/// search ran past [`search_bound`], or Step 5 walked a path the mirrors
+/// cannot hold. Each ends the solve with an error.
+pub(crate) const LATCH_DELTA: i32 = 1;
+pub(crate) const LATCH_BOUND: i32 = 2;
+const LATCH_WALK: i32 = 3;
+
+/// The most Step 4 classifications one search may take before the
+/// decode calls it corrupted: `2n + 2`. A search runs at most `2n`
+/// (DESIGN.md §15): every prime layer primes a new starred row, so
+/// there are at most `n − 1` of them, every dual update is followed by
+/// a prime layer or the augmentation, and the augmentation ends the
+/// search.
+fn search_bound(n: usize) -> i32 {
+    2 * n as i32 + 2
 }
 
-/// Unpacks an arg-max key of [`row_status`] into (status, row, column).
+/// A row's Step 4 arg-max key (§IV-F): `class << 28 | (2^14 − 1 − row)
+/// << 14 | col`, one [`ENC_SHIFT`]-bit field each. A row holding
+/// `prime` ≥ 0 is covered and carries its prime column; otherwise its
+/// lowest uncovered zero column `zcol` (−1: none) and its `star` (−1:
+/// none) classify it, and it carries `zcol` (0 for class none). The key
+/// ranks the class first, then the lowest row; rows are distinct, so the
+/// column never breaks a tie, and the arg-max carries it to the
+/// collector ([`decode_key`]).
+fn row_key(prime: i32, zcol: i32, star: i32, row: i32) -> i32 {
+    let (class, col) = if prime >= 0 {
+        (KEY_COVERED, prime)
+    } else if zcol < 0 {
+        (KEY_NONE, 0)
+    } else if star == -1 {
+        (KEY_AUGMENT, zcol)
+    } else {
+        (KEY_PRIME, zcol)
+    };
+    (class << (2 * ENC_SHIFT)) | ((ENC_MASK - row) << ENC_SHIFT) | col.min(ENC_MASK)
+}
+
+/// Unpacks an arg-max key of [`row_key`] into (class, row, column).
 fn decode_key(key: i32) -> (i32, i32, i32) {
     (
-        (key >> (2 * ENC_SHIFT)) - 1,
+        key >> (2 * ENC_SHIFT),
         ENC_MASK - ((key >> ENC_SHIFT) & ENC_MASK),
         key & ENC_MASK,
     )
 }
 
-/// The tail of every `step4.status` vertex: classifies the row from its
-/// first uncovered zero column `zcol` and its star (field 1), writes the
-/// arg-max key (field 4), and with `primes` set primes a row of status 0
-/// (`row_prime` = `zcol` in field 0, which also covers the row). Returns
-/// the instructions spent: three to classify and pack the key, one store
-/// of the key, and one store of the prime.
+/// The prime column that the key of a row records, or −1 when the row
+/// holds no prime: covered rows hold one, and under layered priming so
+/// does a row of class prime, which primed itself in the vertex that
+/// wrote the key ([`publish_status`]). A5's status does not prime
+/// (`layered` false), so there a prime-class key is no prime. Any key
+/// below the covered class — −1 and every row or column id in
+/// [0, 2^14) among them — decodes as unprimed.
+fn key_prime(key: i32, layered: bool) -> i32 {
+    let (class, _, col) = decode_key(key);
+    if class == KEY_COVERED || (layered && class == KEY_PRIME) {
+        col
+    } else {
+        -1
+    }
+}
+
+/// The tail of every `step4.status` vertex: keys the row from its prime
+/// (field 0), its first uncovered zero column `zcol` and its star (field
+/// 1), writes the key (field 4), and with `primes` set primes a row of
+/// the prime class (`row_prime` = `zcol` in field 0, which also covers
+/// the row). Returns the instructions spent: three to classify and pack
+/// the key, one store of the key, and one store of the prime.
 fn publish_status(ctx: &VertexCtx, zcol: i32, row: i32, primes: bool) -> u64 {
-    let (status, key) = row_status(zcol, ctx.i32(1)[0], row);
+    let key = row_key(ctx.i32(0)[0], zcol, ctx.i32(1)[0], row);
     ctx.i32_mut(4)[0] = key;
-    if primes && status == 0 {
+    if primes && decode_key(key).0 == KEY_PRIME {
         ctx.i32_mut(0)[0] = zcol;
         cost::scalar(5)
     } else {
@@ -1820,61 +1919,69 @@ fn publish_status(ctx: &VertexCtx, zcol: i32, row: i32, primes: bool) -> u64 {
 
 /// Whether a column whose star sits in row `star` is covered, by the
 /// search-loop invariant: a column is covered iff it holds a star whose
-/// row is uncovered, that is, holds no prime. `row_prime` holds each
-/// row's prime (−1: none). A star row out of range (−1, or a
+/// row is uncovered, that is, holds no prime. `keys` holds each row's
+/// arg-max key ([`key_prime`]). A star row out of range (−1, or a
 /// fault-corrupted index) counts as no star.
-fn col_covered(star: i32, row_prime: &[i32]) -> bool {
+fn col_covered(star: i32, keys: &[i32], layered: bool) -> bool {
     usize::try_from(star)
         .ok()
-        .and_then(|r| row_prime.get(r))
-        .is_some_and(|&prime| prime < 0)
+        .and_then(|r| keys.get(r))
+        .is_some_and(|&key| key_prime(key, layered) < 0)
 }
 
 /// Whether a zero in column `col` is uncovered, with the cover derived
-/// from the row-prime mirror `ma` and the column-star mirror `mb`
+/// from the keys mirror `ma` and the column-star mirror `mb`
 /// ([`col_covered`]) — the value `step4.recover` would write to
 /// `col_cover`. A column out of range (a fault-corrupted entry) holds no
 /// zero.
-fn uncovered_zero(col: i32, ma: &[i32], mb: &[i32]) -> bool {
+fn uncovered_zero(col: i32, ma: &[i32], mb: &[i32], layered: bool) -> bool {
     usize::try_from(col)
         .ok()
         .and_then(|c| mb.get(c))
-        .is_some_and(|&star| !col_covered(star, ma))
+        .is_some_and(|&star| !col_covered(star, ma, layered))
 }
 
 /// Step 5's walk (§IV-G, Fig. 3) over the collector's mirrors: pushes
-/// the prime at (`row`, `col`) onto the green stack (`rows`, `cols`),
-/// then repeatedly the star in the last prime's column, `k = mb[col]`,
-/// with the prime in the star's row, `ma[k]`, until a column holds no
-/// star (`k < 0`). The walk also ends at the stack's capacity and at a
-/// star row or prime column out of range, which only a fault-corrupted
-/// mirror holds, so no input loops or indexes out of bounds. Returns
-/// the stack's length.
+/// the prime at `start` = (row, column) onto the green stack (`rows`,
+/// `cols`), then repeatedly the star in the last prime's column, `k =
+/// mb[col]`, with the prime its key in `keys` records for row `k`
+/// ([`key_prime`]), until a column holds no star (`k < 0`). Returns the
+/// stack's length and whether the mirrors held the path: a star row
+/// without a prime in range, a column out of range, or a path longer
+/// than the stack (which, on an `n`-entry stack, meets some row twice)
+/// ends the walk as inconsistent. Only fault-corrupted mirrors get
+/// there, and no input loops or indexes out of bounds.
 fn walk_green_stack(
-    row: i32,
-    col: i32,
-    ma: &[i32],
+    start: (i32, i32),
+    keys: &[i32],
     mb: &[i32],
+    layered: bool,
     rows: &mut [i32],
     cols: &mut [i32],
-) -> usize {
+) -> (usize, bool) {
     let entry = |xs: &[i32], i: i32| usize::try_from(i).ok().and_then(|i| xs.get(i)).copied();
     let capacity = rows.len().min(cols.len());
-    let (mut k, mut j) = (row, col);
+    let (mut k, mut j) = start;
     let mut len = 0;
-    while len < capacity {
+    loop {
+        if len == capacity {
+            return (len, false);
+        }
         rows[len] = k;
         cols[len] = j;
         len += 1;
-        let Some(star) = entry(mb, j).filter(|&star| star >= 0) else {
-            break;
+        let Some(star) = entry(mb, j) else {
+            return (len, false);
         };
-        let Some(prime) = entry(ma, star).filter(|&prime| entry(mb, prime).is_some()) else {
-            break;
-        };
+        if star < 0 {
+            return (len, true);
+        }
+        let prime = entry(keys, star).map_or(-1, |key| key_prime(key, layered));
+        if entry(mb, prime).is_none() {
+            return (len, false);
+        }
         (k, j) = (star, prime);
     }
-    len
 }
 
 /// Compacts the zero positions of one slack segment to the front of
@@ -1914,47 +2021,78 @@ fn recorded(list: &[i32], len: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{col_covered, decode_key, row_status, uncovered_zero, walk_green_stack, ENC_MAX_N};
+    use super::{
+        col_covered, decode_key, key_prime, row_key, uncovered_zero, walk_green_stack, ENC_MAX_N,
+        KEY_AUGMENT, KEY_COVERED, KEY_NONE, KEY_PRIME,
+    };
+    use proptest::prelude::*;
 
     /// Runs the walk from (`row`, `col`) on a stack of `capacity` hops and
-    /// returns the pushed (row, column) pairs.
-    fn walk(row: i32, col: i32, ma: &[i32], mb: &[i32], capacity: usize) -> Vec<(i32, i32)> {
+    /// returns the pushed (row, column) pairs and whether the mirrors
+    /// held the path.
+    fn walk(
+        start: (i32, i32),
+        primes: &[i32],
+        mb: &[i32],
+        capacity: usize,
+    ) -> (Vec<(i32, i32)>, bool) {
         let (mut rows, mut cols) = (vec![i32::MIN; capacity], vec![i32::MIN; capacity]);
-        let len = walk_green_stack(row, col, ma, mb, &mut rows, &mut cols);
-        rows.into_iter().zip(cols).take(len).collect()
+        let (len, consistent) =
+            walk_green_stack(start, &keys_of(primes), mb, true, &mut rows, &mut cols);
+        (rows.into_iter().zip(cols).take(len).collect(), consistent)
+    }
+
+    /// The keys of rows holding `primes` (−1: none, with no zero to
+    /// offer), as `step4.status` writes them.
+    fn keys_of(primes: &[i32]) -> Vec<i32> {
+        (0..primes.len() as i32)
+            .map(|r| row_key(primes[r as usize], -1, 0, r))
+            .collect()
     }
 
     #[test]
     fn arg_max_keys_round_trip_and_rank_status_then_the_lowest_row() {
         let last = ENC_MAX_N as i32 - 1;
-        // (zero column, star) classifying a row as −1, 0 and 1.
-        let states = [(-1, 5), (0, 5), (0, -1)];
+        // (prime, zero column, star) keying a row into each class.
+        let states = [
+            (KEY_NONE, (-1, -1, 5)),
+            (KEY_COVERED, (0, -1, 5)),
+            (KEY_PRIME, (-1, 0, 5)),
+            (KEY_AUGMENT, (-1, 0, -1)),
+        ];
         let mut keys = Vec::new();
-        for (expect, &(zcol, star)) in (-1..=1).zip(&states) {
+        for &(expect, (prime, zcol, star)) in &states {
             for row in [0, last] {
                 for col in [0, last] {
-                    let zcol = if zcol < 0 { -1 } else { col };
-                    let (status, key) = row_status(zcol, star, row);
-                    assert_eq!(status, expect);
+                    let (prime, zcol) = match expect {
+                        KEY_NONE => (prime, zcol),
+                        KEY_COVERED => (col, zcol),
+                        _ => (prime, col),
+                    };
+                    let key = row_key(prime, zcol, star, row);
                     assert!(key >= 0);
-                    // Status −1 carries column 0.
-                    assert_eq!(decode_key(key), (status, row, zcol.max(0)));
-                    keys.push((key, status, row));
+                    // Class none carries column 0, a covered row its prime.
+                    let carried = if expect == KEY_NONE { 0 } else { col };
+                    assert_eq!(decode_key(key), (expect, row, carried));
+                    keys.push((key, expect, row));
                 }
             }
         }
-        // The maximum ranks augment > prime > none, then the lower row,
-        // whatever the columns.
-        for &(a, status_a, row_a) in &keys {
-            for &(b, status_b, row_b) in &keys {
-                if status_a != status_b {
-                    assert_eq!(a > b, status_a > status_b);
+        // The maximum ranks augment > prime > covered > none, then the
+        // lower row, whatever the columns.
+        for &(a, class_a, row_a) in &keys {
+            for &(b, class_b, row_b) in &keys {
+                if class_a != class_b {
+                    assert_eq!(a > b, class_a > class_b);
                 } else if row_a != row_b {
                     assert_eq!(a > b, row_a < row_b);
                 }
             }
         }
-        assert_eq!(keys.iter().max().map(|k| (k.1, k.2)), Some((1, 0)));
+        assert_eq!(
+            keys.iter().max().map(|k| (k.1, k.2)),
+            Some((KEY_AUGMENT, 0))
+        );
     }
 
     #[test]
@@ -1963,130 +2101,119 @@ mod tests {
         // path; column 1's star sits in row 0, primed at column 2;
         // column 2's star in row 2, primed at column 0; column 0 holds no
         // star. Row 1's star, in column 3, is off the path.
-        let ma = [2, -1, 0, -1];
+        let primes = [2, -1, 0, -1];
         let mb = [-1, 0, 2, 1];
-        assert_eq!(walk(3, 1, &ma, &mb, 4), [(3, 1), (0, 2), (2, 0)]);
+        let path = (vec![(3, 1), (0, 2), (2, 0)], true);
+        assert_eq!(walk((3, 1), &primes, &mb, 4), path);
         // A start in a column without a star is a one-hop path.
-        assert_eq!(walk(3, 0, &ma, &mb, 4), [(3, 0)]);
+        assert_eq!(walk((3, 0), &primes, &mb, 4), (vec![(3, 0)], true));
+        // A layered pass's speculative primes are prime-class keys; the
+        // walk reads them as primes under layered priming only.
+        let mut keys = keys_of(&primes);
+        keys[0] = row_key(-1, 2, 1, 0);
+        let (mut rows, mut cols) = ([0; 4], [0; 4]);
+        assert_eq!(
+            walk_green_stack((3, 1), &keys, &mb, true, &mut rows, &mut cols),
+            (3, true)
+        );
+        assert_eq!(
+            walk_green_stack((3, 1), &keys, &mb, false, &mut rows, &mut cols),
+            (1, false)
+        );
     }
 
     #[test]
     fn corrupted_mirror_cycles_end_at_the_stack_capacity() {
         // Column 0's star is row 1, primed at column 1, whose star is row
         // 0, primed at column 0: the walk would cycle forever.
-        let ma = [0, 1, -1];
+        let primes = [0, 1, -1];
         let mb = [1, 0, -1];
         for capacity in [1, 2, 3, 7] {
-            let hops = walk(2, 0, &ma, &mb, capacity);
+            let (hops, consistent) = walk((2, 0), &primes, &mb, capacity);
+            assert!(!consistent);
             assert_eq!(hops.len(), capacity);
             assert_eq!(hops[0], (2, 0));
             assert!(hops[1..].iter().all(|&hop| hop == (1, 1) || hop == (0, 0)));
         }
-        // A zero-capacity stack pushes nothing.
-        assert!(walk(2, 0, &ma, &mb, 0).is_empty());
+        // A zero-capacity stack holds no path.
+        assert_eq!(walk((2, 0), &primes, &mb, 0), (vec![], false));
+        // A path back to its unprimed start row meets a star row without
+        // a prime.
+        assert_eq!(walk((1, 0), &[1, -1], &[1, 0], 4), (vec![(1, 0)], false));
     }
 
     #[test]
     fn out_of_range_stars_and_primes_end_the_walk() {
-        let ma = [1, -1];
+        let primes = [1, -1];
         for star in [2, 9, i32::MAX] {
             // Column 0's star row is past the mirror: no hop is pushed.
-            assert_eq!(walk(1, 0, &ma, &[star, -1], 4), [(1, 0)], "star {star}");
+            let walked = walk((1, 0), &primes, &[star, -1], 4);
+            assert_eq!(walked, (vec![(1, 0)], false), "star {star}");
         }
         for star in [-1, -2, i32::MIN] {
             // Any negative star ends the path.
-            assert_eq!(walk(1, 0, &ma, &[star, -1], 4), [(1, 0)], "star {star}");
+            let walked = walk((1, 0), &primes, &[star, -1], 4);
+            assert_eq!(walked, (vec![(1, 0)], true), "star {star}");
         }
-        for prime in [-1, 2, i32::MAX, i32::MIN] {
-            // Column 0's star row 0 holds a prime out of range.
-            assert_eq!(
-                walk(1, 0, &[prime, -1], &[0, -1], 4),
-                [(1, 0)],
-                "prime {prime}"
-            );
+        for prime in [-1, 2, ENC_MAX_N as i32 - 1] {
+            // Column 0's star row 0 holds no prime, or one out of range.
+            let walked = walk((1, 0), &[prime, -1], &[0, -1], 4);
+            assert_eq!(walked, (vec![(1, 0)], false), "prime {prime}");
         }
         // A start column out of range pushes only the start.
         for col in [-1, 2, i32::MIN] {
-            assert_eq!(walk(1, col, &ma, &[0, -1], 4), [(1, col)], "col {col}");
+            let walked = walk((1, col), &primes, &[0, -1], 4);
+            assert_eq!(walked, (vec![(1, col)], false), "col {col}");
         }
     }
 
-    #[test]
-    fn derived_covers_read_out_of_range_indices_as_absent() {
-        // Rows 0 and 2 are covered (primed at columns 3 and 0); row 1 is
-        // not.
-        let ma = [3, -1, 0];
-        // Column stars: row 1, row 0, none, and two corrupted rows.
-        let mb = [1, 0, -1, 3, i32::MIN];
-        // A star in an uncovered row covers its column.
-        assert!(col_covered(1, &ma));
-        assert!(!uncovered_zero(0, &ma, &mb));
-        // A star in a covered row leaves it uncovered.
-        assert!(!col_covered(0, &ma));
-        assert!(uncovered_zero(1, &ma, &mb));
-        // No star, or a star row out of range, is no star: uncovered.
-        for star in [-1, 3, 7, i32::MAX, i32::MIN] {
-            assert!(!col_covered(star, &ma), "star {star}");
-        }
-        assert!(uncovered_zero(2, &ma, &mb));
-        assert!(uncovered_zero(3, &ma, &mb));
-        assert!(uncovered_zero(4, &ma, &mb));
-        // A column out of range holds no zero.
-        for col in [-1, 5, 6, i32::MAX, i32::MIN] {
-            assert!(!uncovered_zero(col, &ma, &mb), "column {col}");
-        }
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn derived_covers_match_the_recovered_cover_vector() {
-        // What the status scan read before covers were derived: a zero in
-        // column `c` is uncovered iff `ccm.get(c) == Some(&0)`, with `ccm`
-        // the broadcast of the `col_cover` that `step4.recover` wrote from
-        // a row-cover vector. Every prime covers its row, so the covers
-        // are `prime >= 0` over the prime mirror `ma`.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = |bound: i32| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % bound as u64) as i32
-        };
-        for n in [1usize, 2, 5, 13, 32] {
-            for _ in 0..200 {
-                // Mostly unprimed rows and primes in range, some corrupted.
-                let ma: Vec<i32> = (0..n)
-                    .map(|_| match next(8) {
-                        0..=3 => -1,
-                        4 => -2 - next(1000),
-                        5 => n as i32 + next(4),
-                        _ => next(n as i32),
-                    })
-                    .collect();
-                let row_cover: Vec<i32> = ma.iter().map(|&p| i32::from(p >= 0)).collect();
-                // Mostly valid star rows, some −1, some corrupted.
-                let mb: Vec<i32> = (0..n)
-                    .map(|_| match next(8) {
-                        0 => -1,
-                        1 => n as i32 + next(4),
-                        2 => -2 - next(1000),
-                        _ => next(n as i32),
-                    })
-                    .collect();
-                // `step4.recover`'s body over the row covers.
-                let ccm: Vec<i32> = mb
-                    .iter()
-                    .map(|&s| {
-                        let uncovered_star = usize::try_from(s)
-                            .ok()
-                            .and_then(|s| row_cover.get(s))
-                            .is_some_and(|&r| r == 0);
-                        i32::from(uncovered_star)
-                    })
-                    .collect();
-                for col in (-3..n as i32 + 3).chain([i32::MIN, i32::MAX]) {
-                    let before = ccm.get(col as usize) == Some(&0);
-                    assert_eq!(uncovered_zero(col, &ma, &mb), before, "n={n} col={col}");
+        /// Whatever the row primes, decoding the keys the status pass
+        /// writes gives exactly the primes after the pass, in both
+        /// priming modes, and the derived covers are those of the primes.
+        /// Step 2's proposals and Step 5's green rows, which `ma` holds
+        /// when a search starts, decode as no prime.
+        #[test]
+        fn keys_decode_to_exactly_the_row_primes(
+            primes in proptest::collection::vec(-3i32..24, 1..24),
+            zcols in proptest::collection::vec(-1i32..24, 24),
+            stars in proptest::collection::vec(-2i32..26, 24),
+            ids in proptest::collection::vec(-1i32..ENC_MAX_N as i32, 16),
+            layered in 0u8..2,
+        ) {
+            let layered = layered == 1;
+            let n = primes.len();
+            let (mut after, mut keys) = (primes.clone(), Vec::new());
+            for r in 0..n {
+                // Negative primes other than −1 are corrupted: the row is
+                // uncovered, as every reader tests `prime >= 0`.
+                let (prime, zcol) = (primes[r].max(-1), zcols[r].min(n as i32 - 1));
+                after[r] = prime;
+                let key = row_key(prime, zcol, stars[r], r as i32);
+                // `publish_status`: a layered status-0 row primes itself.
+                if layered && decode_key(key).0 == KEY_PRIME {
+                    after[r] = zcol;
                 }
+                keys.push(key);
+            }
+            let decoded: Vec<i32> = keys.iter().map(|&k| key_prime(k, layered)).collect();
+            prop_assert_eq!(&decoded, &after);
+            for col in (-2..n as i32 + 2).chain([i32::MIN, i32::MAX]) {
+                let star = usize::try_from(col).ok().and_then(|c| stars.get(c).filter(|_| c < n));
+                let mb = &stars[..n];
+                let covered = star
+                    .and_then(|&s| usize::try_from(s).ok())
+                    .and_then(|s| after.get(s))
+                    .is_some_and(|&p| p < 0);
+                prop_assert_eq!(uncovered_zero(col, &keys, mb, layered), star.is_some() && !covered);
+                if let Some(&s) = star {
+                    prop_assert_eq!(col_covered(s, &keys, layered), covered);
+                }
+            }
+            for &id in &ids {
+                prop_assert_eq!(key_prime(id, layered), -1, "id {}", id);
             }
         }
     }

@@ -1,11 +1,12 @@
 //! The chain the search loop runs on every iteration (Step 4, §IV-F):
 //! which compute sets execute per iteration on the full Mk2, that a
-//! prime layer costs 2 supersteps and 2 exchanges there, that Step 5
+//! prime layer costs 2 supersteps and 1 exchange there, that Step 5
 //! walks each augmenting path in one collector superstep, that no
 //! program reads Step 4's selected column back at a runtime index, that
-//! the tiled route still reduces its multi-row tiles in two stages, that
-//! a non-finite dense δ ends the solve, and that fault-corrupted device
-//! indices end a solve with `Ok` or `Err`, never a panic.
+//! the tiled route's multi-row tiles need no partial stage for the
+//! arg-max, that a non-finite dense δ ends the solve, and that
+//! fault-corrupted device indices end a solve with `Ok` or `Err`, never
+//! a panic.
 
 use cpu_hungarian::JonkerVolgenant;
 use hunipu::{AblationConfig, HunIpu, LayoutMode, F32_VERIFY_EPS};
@@ -30,10 +31,10 @@ fn jv(m: &CostMatrix) -> f64 {
 
 #[test]
 fn mk2_search_iterations_classify_in_two_compute_sets() {
-    // One row per tile: every interval of the arg-max keys holds one
-    // element, so the keys are gathered without a partial stage, and the
-    // decode runs inside the supervisor that joins the collector's
-    // per-thread chunks of the arg-max, in one superstep.
+    // The keys are broadcast into every tile's row-prime mirror, and the
+    // collector reduces its own replica: the decode runs inside the
+    // supervisor that joins the collector's per-thread chunks of the
+    // arg-max, in one superstep, with no partial stage and no gather.
     let m = datasets::gaussian_cost_matrix(256, 10, 1);
     // Tile 0 and each superstep's slowest tile keep their detail; the
     // timeline itself is complete.
@@ -54,6 +55,7 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
     let sets = &engine.stats().per_compute_set;
     assert!(sets.iter().all(|s| s.name != "step4.enc.partial"));
     assert!(sets.iter().all(|s| s.name != "step4.decode"));
+    assert_eq!(executions(&engine, "step4.prime"), 0);
     // The sets that run once per iteration, and only they: status, then
     // the one-superstep final stage of the arg-max.
     let mut per_iteration: Vec<&str> = sets
@@ -85,9 +87,8 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
 
     // Split the timeline at every status superstep: an iteration runs
     // from its status to the next one. A prime layer's is status, the
-    // key gather, the arg-max's final stage and the row-cover refresh:
-    // 2 supersteps and 2 exchanges. Augmenting and dual-update
-    // iterations run more.
+    // key broadcast and the arg-max's final stage: 2 supersteps and 1
+    // exchange. Augmenting and dual-update iterations run more.
     let status = sets.iter().position(|s| s.name == "step4.status").unwrap() as u32;
     let mut spans: Vec<(u64, u64)> = Vec::new();
     for event in &engine.profile().unwrap().events {
@@ -109,11 +110,11 @@ fn mk2_search_iterations_classify_in_two_compute_sets() {
     assert_eq!(spans.len() as u64, iterations);
     let layers = iterations - report.stats.augmentations - dual_updates;
     assert!(layers > 0);
-    let two_and_two = spans.iter().filter(|&&span| span == (2, 2)).count() as u64;
-    assert_eq!(two_and_two, layers);
+    let two_and_one = spans.iter().filter(|&&span| span == (2, 1)).count() as u64;
+    assert_eq!(two_and_one, layers);
     assert!(spans
         .iter()
-        .all(|&(supersteps, exchanges)| supersteps >= 2 && exchanges >= 2));
+        .all(|&(supersteps, exchanges)| supersteps >= 2 && exchanges >= 1));
 }
 
 #[test]
@@ -156,9 +157,11 @@ fn every_program_takes_the_selected_column_from_the_arg_max() {
 }
 
 #[test]
-fn tiled_rows_still_reduce_in_two_stages() {
-    // 48 rows on 7 row-owning tiles: several keys per tile, so the
-    // per-tile partial stage still runs, and the answer is JV's optimum.
+fn tiled_rows_reduce_on_the_collector_replica() {
+    // 48 rows on 7 row-owning tiles: several keys per tile, which the
+    // arg-max once folded in a per-tile partial stage. The collector now
+    // reduces its replica of the broadcast keys, so no partial stage
+    // runs, and the answer is JV's optimum.
     let m = CostMatrix::from_fn(48, 48, |i, j| ((i * 31 + j * 17) % 23) as f64).unwrap();
     let solver = HunIpu::with_config(IpuConfig::tiny(8)).with_layout_mode(LayoutMode::Tiled);
     let (report, engine) = solver.solve_tiled(&m).unwrap();
@@ -166,7 +169,9 @@ fn tiled_rows_still_reduce_in_two_stages() {
     assert_eq!(report.objective, jv(&m));
     let iterations = executions(&engine, "step4.status");
     assert!(iterations > 0);
-    assert_eq!(executions(&engine, "step4.enc.partial"), iterations);
+    assert!(iterations > 0);
+    assert_eq!(executions(&engine, "step4.enc.final"), iterations);
+    assert_eq!(executions(&engine, "step4.enc.partial"), 0);
     assert!(engine
         .stats()
         .per_compute_set
@@ -176,25 +181,31 @@ fn tiled_rows_still_reduce_in_two_stages() {
 
 #[test]
 fn a_non_finite_dense_delta_ends_the_solve() {
-    // Bit flips in `col_star` can leave no uncovered row with an entry in
-    // an uncovered column, so Step 6's δ is ∞ on square dense costs. The
+    // Bit flips in `row_star` give unmatched rows a star, so they prime
+    // instead of augmenting until no uncovered row holds an entry in an
+    // uncovered column, and Step 6's δ is ∞ on square dense costs. The
     // δ reduction latches it and ends the solve with an error, where the
-    // dense program once dual-updated by ∞ until the watchdog. This seed
-    // reaches the latch; a program change that shifts the fault stream
-    // may need another.
+    // dense program once dual-updated by ∞ until the watchdog. (Flips in
+    // `col_star` now end the search sooner, at the walk's check or the
+    // search bound.) The test takes the first fault seed in 0..64 that
+    // reaches the latch, so a program change that shifts the fault
+    // stream needs no new seed.
     let m = datasets::gaussian_cost_matrix(24, 100, 5);
-    let plan = FaultPlan::new(6)
-        .with_bit_flips(0.02)
-        .targeting("col_star")
-        .after_supersteps(20);
-    let solver = HunIpu::with_config(IpuConfig {
-        max_while_iterations: 2_000,
-        ..IpuConfig::tiny(8)
-    })
-    .with_fault_plan(plan);
-    let Err(err) = solver.solve_with_engine(&m) else {
-        panic!("the corrupted solve succeeded");
+    let solve = |seed| {
+        let plan = FaultPlan::new(seed)
+            .with_bit_flips(0.02)
+            .targeting("row_star")
+            .after_supersteps(20);
+        HunIpu::with_config(IpuConfig {
+            max_while_iterations: 2_000,
+            ..IpuConfig::tiny(8)
+        })
+        .with_fault_plan(plan)
+        .solve_with_engine(&m)
     };
+    let err = (0..64)
+        .find_map(|seed| solve(seed).err().filter(|e| e.to_string().contains("δ")))
+        .expect("no fault seed in 0..64 reaches the δ latch");
     assert!(err.to_string().contains("non-finite δ"), "{err}");
 }
 

@@ -45,7 +45,7 @@ fn cpu_cycles(m: &CostMatrix) -> u64 {
 /// attempt cannot produce a verifiable certificate while armed.
 fn storm(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
-        .with_bit_flips(0.2)
+        .with_bit_flips(0.5)
         .targeting("slack")
         .after_supersteps(10)
 }
