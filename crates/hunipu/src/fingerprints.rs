@@ -1,7 +1,9 @@
 //! Golden fingerprints of every device program HunIPU compiles: one
 //! small instance each of the sparse k-candidate, the tiled out-of-core,
 //! the 2-chip chip-aware and the A5 one-prime programs, plus the dense
-//! default, cold and on a warm engine's seeded launch. A fingerprint
+//! default, cold and on a warm engine's seeded launch, and a 2-chip
+//! chip-aware shape large enough that its scalar reductions take two
+//! levels. A fingerprint
 //! holds the objective bits, the assignment, the dual bits, the device
 //! counters, the cycle totals (supersteps included), the program-load
 //! cost, the peak tile memory and every compute set's executions and
@@ -119,6 +121,14 @@ fn fingerprints() -> String {
         .solve_with_engine(&m)
         .unwrap();
     render(&mut out, "one_prime", &report, &engine);
+
+    // 23 owner tiles per chip: enough off-chip partials that the scalar
+    // reductions fan in through the chips' staging tiles.
+    let (report, engine) = HunIpu::with_config(IpuConfig::tiny_multi(2, 24))
+        .with_layout_mode(LayoutMode::ChipAware)
+        .solve_with_engine(&datasets::gaussian_cost_matrix(46, 10, 3))
+        .unwrap();
+    render(&mut out, "chip_aware_two_level", &report, &engine);
     out
 }
 
