@@ -407,41 +407,10 @@ impl Builder {
         Ok(Program::broadcast(src.whole(), mirror.whole()))
     }
 
-    /// Whether a two-level reduction pays for itself when `off_chip`
-    /// partial scalars live off the collector's chip: the flat gather
-    /// serializes `4·off_chip` bytes through the collector's IPU-Link,
-    /// while the hierarchy spends two extra supersteps (one exchange
-    /// phase plus one compute set). Both sides are static per shape, so
-    /// the structure choice is deterministic at build time — tiny
-    /// multi-chip configs keep the flat gather, Mk2-scale ones go
-    /// hierarchical.
-    fn hier_reduce_pays(&self, off_chip: usize) -> bool {
-        let c = self.g.config();
-        let saved = off_chip as f64 * 4.0 / c.inter_ipu_bytes_per_cycle;
-        let overhead = 2.0 * (c.sync_cycles + c.exchange_setup_cycles) as f64;
-        saved > overhead
-    }
-
-    /// Number of distinct tiles holding `input` elements outside the
-    /// collector's chip — the partial scalars a flat gather would drag
-    /// across IPU-Links.
-    fn off_root_chip_tiles(&self, input: Tensor) -> usize {
-        let root = self.g.config().ipu_of(self.l.collector_tile);
-        let mut tiles: Vec<usize> = (0..input.len())
-            .filter_map(|i| self.g.tile_of(input, i))
-            .filter(|&t| self.g.config().ipu_of(t) != root)
-            .collect();
-        tiles.sort_unstable();
-        tiles.dedup();
-        tiles.len()
-    }
-
     /// Builds a reduction of a distributed tensor to a scalar on the
-    /// collector tile, with `finish` fused into its last vertex. Picks
-    /// the flat single-gather structure on chip-oblivious layouts and
-    /// the two-level gather-through-sub-collectors structure on
-    /// chip-aware layouts where the cross-chip partial traffic outweighs
-    /// the extra phases (see [`Builder::hier_reduce_pays`]).
+    /// collector tile, with `finish` fused into its last vertex, fanning
+    /// in through the layout's chips where poplib's cost rule says it
+    /// pays ([`poplib::reduce_to_scalar`]).
     pub fn reduce_scalar(
         &mut self,
         name: &str,
@@ -449,21 +418,15 @@ impl Builder {
         op: ReduceOp,
         finish: Option<Finish>,
     ) -> Result<(Tensor, Program), GraphError> {
-        if self.l.chips > 1 {
-            let off_chip = self.off_root_chip_tiles(input);
-            if self.hier_reduce_pays(off_chip) {
-                return poplib::reduce_to_scalar_hier(
-                    &mut self.g,
-                    name,
-                    input,
-                    op,
-                    &self.l.chip_stages(),
-                    self.l.collector_tile,
-                    finish,
-                );
-            }
-        }
-        poplib::reduce_to_scalar(&mut self.g, name, input, op, self.l.collector_tile, finish)
+        poplib::reduce_to_scalar(
+            &mut self.g,
+            name,
+            input,
+            op,
+            self.l.groups(),
+            self.l.collector_tile,
+            finish,
+        )
     }
 
     /// Builds a refresh of the replicated `mirror` from a tensor that
@@ -481,19 +444,21 @@ impl Builder {
         src: Tensor,
         mirror: Tensor,
     ) -> Result<Program, GraphError> {
-        if self.l.chips == 1 {
+        let (groups, tiles) = (self.l.groups(), self.g.config().tiles);
+        let chips = groups.count(tiles);
+        if chips == 1 {
             return Ok(Program::broadcast(src.whole(), mirror.whole()));
         }
         let n = src.len();
         let stage = self.g.add_tensor(&format!("{name}.stage"), src.dtype(), n);
-        let mut pairs = Vec::with_capacity(self.l.chips);
-        for c in 0..self.l.chips {
-            let chunk = c * n / self.l.chips..(c + 1) * n / self.l.chips;
+        let mut pairs = Vec::with_capacity(chips);
+        for c in 0..chips {
+            let chunk = c * n / chips..(c + 1) * n / chips;
             if chunk.is_empty() {
                 continue;
             }
             self.g
-                .map_slice(stage.slice(chunk.clone()), self.l.sub_collector(c))?;
+                .map_slice(stage.slice(chunk.clone()), groups.stage(c, tiles))?;
             pairs.push((src.slice(chunk.clone()), stage.slice(chunk)));
         }
         Ok(Program::seq(vec![

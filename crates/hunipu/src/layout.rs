@@ -21,6 +21,8 @@
 //!   stays the device's last tile (the last chip's sub-collector), so
 //!   single-chip layouts are bit-identical to the flat ones.
 
+use ipu_sim::poplib::TileGroups;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 
 /// Default column-segment size for per-column state (§IV-E footnote).
@@ -205,18 +207,13 @@ impl Layout {
         self.chip_rows[chip].clone()
     }
 
-    /// Chip `chip`'s staging tile: its last tile. The last chip's
-    /// sub-collector coincides with
-    /// [`collector_tile`](Self::collector_tile), so the root of the
+    /// The layout's chips as the tile groups its reductions fan in
+    /// through, each staged through its last tile, the chip's
+    /// sub-collector: one group when flat. The last chip's sub-collector
+    /// is [`collector_tile`](Self::collector_tile), so the root of a
     /// reduction tree needs no extra hop.
-    pub fn sub_collector(&self, chip: usize) -> usize {
-        (chip + 1) * self.tiles_per_chip - 1
-    }
-
-    /// All sub-collectors in chip order — the `stages` argument the
-    /// hierarchical poplib builders expect.
-    pub fn chip_stages(&self) -> Vec<usize> {
-        (0..self.chips).map(|c| self.sub_collector(c)).collect()
+    pub fn groups(&self) -> TileGroups {
+        NonZeroUsize::new(self.tiles_per_chip).map_or(TileGroups::ONE, TileGroups::blocks)
     }
 
     /// Row-owning tiles in row order. Contiguous `0..used_tiles` when
@@ -235,7 +232,7 @@ impl Layout {
     }
 
     /// Index of `tile`'s block in an owner-ranked mirror tensor (the
-    /// `reduce_columns_mirrored*` builders emit one `n`-sized block per
+    /// `reduce_columns_mirrored` builder emits one `n`-sized block per
     /// row-owning tile, in owner order). Equal to the tile id itself on
     /// flat layouts, where owner tiles are contiguous from 0; chip-aware
     /// layouts skip the per-chip sub-collector tiles, so the rank runs
@@ -486,13 +483,13 @@ mod tests {
         let device = ipu_sim::IpuConfig::tiny_multi(4, 8);
         assert_eq!(l.chips, 4);
         assert_eq!(l.collector_tile, 31);
+        assert_eq!(l.groups().count(32), 4);
         for c in 0..4 {
             assert_eq!(l.chip_row_range(c), c * 25..(c + 1) * 25);
-            assert_eq!(l.sub_collector(c), c * 8 + 7);
+            assert_eq!(l.groups().stage(c, 32), c * 8 + 7);
             // Sub-collectors own no rows.
-            assert!(l.rows_of_tile(l.sub_collector(c)).is_empty());
+            assert!(l.rows_of_tile(c * 8 + 7).is_empty());
         }
-        assert_eq!(l.chip_stages(), vec![7, 15, 23, 31]);
         // Every row is owned exactly once, by a tile on its own chip.
         let mut seen = vec![false; 100];
         for t in l.owner_tiles() {

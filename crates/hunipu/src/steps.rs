@@ -3,9 +3,7 @@
 
 use crate::build::{Builder, Storage};
 use ipu_sim::kernels;
-use ipu_sim::poplib::{
-    self, reduce_columns_mirrored, reduce_columns_mirrored_hier, Finish, ReduceOp,
-};
+use ipu_sim::poplib::{self, reduce_columns_mirrored, Finish, ReduceOp};
 use ipu_sim::{
     cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, TensorSlice, VertexCtx,
 };
@@ -87,25 +85,20 @@ impl Builder {
         // Sparse storage scatters its candidate entries into per-owner
         // column vectors first (a stored entry's position no longer *is*
         // its column); dense reduces the slack matrix directly.
-        // Min is order-exact, so the hierarchical variant (per-chip trees,
-        // one link crossing) produces bit-identical minima on multi-chip
-        // configs while the flat path stays byte-for-byte unchanged.
+        // Min is order-exact, so combining per chip on chip-aware layouts
+        // (one link crossing) gives the same minima as the flat tree.
         if let Storage::Sparse { k } = self.storage {
             return self.frag_step1_sparse_tail(cs_seg, cs_comb, cs_sub, k);
         }
-        let (colmirror, col_prog) = if l.chips > 1 {
-            reduce_columns_mirrored_hier(
-                &mut self.g,
-                "step1.colmin",
-                t_slack,
-                n,
-                n,
-                ReduceOp::Min,
-                &l.chip_stages(),
-            )?
-        } else {
-            reduce_columns_mirrored(&mut self.g, "step1.colmin", t_slack, n, n, ReduceOp::Min)?
-        };
+        let (colmirror, col_prog) = reduce_columns_mirrored(
+            &mut self.g,
+            "step1.colmin",
+            t_slack,
+            n,
+            n,
+            ReduceOp::Min,
+            l.groups(),
+        )?;
 
         // 1e: subtract the column minima; 1f: initialize v from them.
         let cs_csub = self.g.add_compute_set("step1.colsub");
@@ -201,6 +194,7 @@ impl Builder {
             owners.len(),
             n,
             ReduceOp::Min,
+            self.l.groups(),
         )?;
 
         // 1e: subtract each stored entry's column minimum via `cand`.
@@ -1571,6 +1565,7 @@ impl Builder {
             owners.len(),
             n,
             ReduceOp::Min,
+            self.l.groups(),
         )?;
         prog.push(col_prog);
 
