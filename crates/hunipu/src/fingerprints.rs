@@ -1,6 +1,7 @@
 //! Golden fingerprints of every device program HunIPU compiles: one
 //! small instance each of the sparse k-candidate, the tiled out-of-core,
-//! the 2-chip chip-aware and the A5 one-prime programs, plus the dense
+//! the 2-chip chip-aware, the same 2-chip device under the flat layout
+//! and the A5 one-prime programs, plus the dense
 //! default, cold and on a warm engine's seeded launch, and a 2-chip
 //! chip-aware shape large enough that its scalar reductions take two
 //! levels. A fingerprint
@@ -112,6 +113,15 @@ fn fingerprints() -> String {
         .solve_with_engine(&m)
         .unwrap();
     render(&mut out, "chip_aware", &report, &engine);
+
+    // The same device and instance with a one-chip layout: the
+    // chip-oblivious reference, which refreshes mirrors through the
+    // collector.
+    let (report, engine) = HunIpu::with_config(IpuConfig::tiny_multi(2, 6))
+        .with_layout_mode(LayoutMode::Flat)
+        .solve_with_engine(&m)
+        .unwrap();
+    render(&mut out, "flat_multi_chip", &report, &engine);
 
     let (report, engine) = tiny()
         .with_ablation(AblationConfig {
