@@ -38,7 +38,7 @@ fn priming(m: &CostMatrix, n: usize, k: u64, label: &str, record: &mut Experimen
             layered_priming,
             ..Default::default()
         };
-        let (secs, _, obj, steps) = solve(m, ab, hunipu::COL_SEG_DEFAULT);
+        let (secs, _, obj, steps) = solve(m, ab, hunipu::COL_SEG);
         println!("  {mode:<18} {:.2}ms ({steps} supersteps)", secs * 1e3);
         record.push(Measurement {
             engine: "hunipu".into(),
@@ -87,7 +87,7 @@ fn main() {
                         compression,
                         ..Default::default()
                     };
-                    let (secs, bytes, obj, _) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
+                    let (secs, bytes, obj, _) = solve(&m, ab, hunipu::COL_SEG);
                     println!("  {label:<18} {:.2}ms (exchange {bytes} B)", secs * 1e3);
                     record.push(Measurement {
                         engine: "hunipu".into(),

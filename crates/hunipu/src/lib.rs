@@ -81,7 +81,3 @@ pub use batch::BatchHunIpu;
 pub use layout::{Layout, COL_SEG};
 pub use solver::{HunIpu, LayoutMode, F32_VERIFY_EPS, TILED_BLOCK_COLS, TILED_ZCAP};
 pub use warm::WarmEngine;
-
-/// Default column-segment size (§IV-E footnote: "we empirically find
-/// that 32 works well regardless of the data and the architecture").
-pub const COL_SEG_DEFAULT: usize = 32;

@@ -99,7 +99,7 @@ impl HunIpu {
     pub fn new() -> Self {
         Self {
             config: IpuConfig::mk2(),
-            col_seg: crate::COL_SEG_DEFAULT,
+            col_seg: crate::COL_SEG,
             ablation: Default::default(),
             fault_plan: None,
             fault_epoch: Cell::new(0),
@@ -300,11 +300,11 @@ impl HunIpu {
         };
         // Only the dense program has a chip-aware layout; sparse and
         // tiled are single-chip flat by construction.
-        let hierarchical = storage == Storage::Dense && self.hierarchical();
-        let tiles = if hierarchical {
-            self.config.tiles_per_ipu
+        let c = &self.config;
+        let (chips, tiles) = if storage == Storage::Dense && self.hierarchical() {
+            (c.ipus, c.tiles_per_ipu)
         } else {
-            self.config.tiles
+            (1, c.tiles)
         };
         if tiles < 2 {
             return Err(LsapError::Backend {
@@ -314,12 +314,7 @@ impl HunIpu {
                 ),
             });
         }
-        let (c, threads) = (&self.config, self.config.threads_per_tile);
-        let layout = if hierarchical {
-            Layout::chip_aware(n, threads, self.col_seg, c.ipus, c.tiles_per_ipu)
-        } else {
-            Layout::with_col_seg(n, c.tiles, threads, self.col_seg)
-        };
+        let layout = Layout::new(n, c.threads_per_tile, self.col_seg, chips, tiles);
         let (layout, ablation) = match storage {
             Storage::Dense => (layout, self.ablation),
             // The position-indexed sparse status scan requires the

@@ -4,11 +4,11 @@
 //! proves it. Building (not running) the graph is cheap enough for a
 //! test; actually solving n = 8192 is the `--full` benchmark grid.
 
-use hunipu::Layout;
+use hunipu::{Layout, COL_SEG};
 
 #[test]
 fn mk2_layout_numbers_at_8192() {
-    let l = Layout::new(8192, 1472, 6);
+    let l = Layout::new(8192, 6, COL_SEG, 1, 1472);
     // 6 rows per worker tile; slack block = 6 * 8192 * 4 B = 192 KiB,
     // same for the compressed matrix; both plus mirrors fit 624 KiB.
     assert_eq!(l.rows_per_tile, 6);
