@@ -363,33 +363,18 @@ impl Builder {
             .collect()
     }
 
-    /// Builds a gather of `src` (distributed per `intervals`) into a new
-    /// same-length tensor on the collector tile — one exchange phase.
-    pub fn gather_to_collector(
-        &mut self,
-        name: &str,
-        src: Tensor,
-        intervals: &[(Range<usize>, usize)],
-    ) -> Result<(Tensor, Program), GraphError> {
-        let dst = self.g.add_tensor(name, src.dtype(), src.len());
-        self.g.map_to_tile(dst, self.l.collector_tile)?;
-        let pairs = intervals
-            .iter()
-            .map(|(r, _)| (src.slice(r.clone()), dst.slice(r.clone())))
-            .collect();
-        Ok((dst, Program::exchange(pairs)))
-    }
-
     /// Builds a refresh of the replicated `mirror` from the distributed
     /// `src` (laid out per `intervals`): one broadcast straight from the
     /// owning tiles, which on multi-chip layouts spreads the per-replica
-    /// link traffic across every owning tile's chip. A one-chip layout on
-    /// a multi-IPU device (`LayoutMode::Flat`, and the sparse and tiled
-    /// programs, which are flat by construction) gathers `src` to the
-    /// collector as `name` and broadcasts from there instead. That is the
-    /// chip-oblivious reference the chip-aware layout is measured
-    /// against, so the chip-aware cut includes this broadcast (DESIGN.md
-    /// §15 gives its share).
+    /// link traffic across every owning tile's chip. Every mirror of
+    /// distributed state is refreshed here: Step 2's proposals and column
+    /// stars, and the search loop's keys, column stars and column covers.
+    /// A one-chip layout on a multi-IPU device (`LayoutMode::Flat`, and
+    /// the sparse and tiled programs, which are flat by construction)
+    /// instead gathers `src` into a collector tensor named `name` and
+    /// broadcasts from there. That is the chip-oblivious reference the
+    /// chip-aware layout is measured against, so the chip-aware cut
+    /// includes this detour (DESIGN.md §15 gives its share).
     pub fn refresh_mirror(
         &mut self,
         name: &str,
@@ -398,9 +383,14 @@ impl Builder {
         intervals: &[(Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
         if self.l.chips == 1 && self.g.config().ipus > 1 {
-            let (gathered, gather) = self.gather_to_collector(name, src, intervals)?;
+            let gathered = self.g.add_tensor(name, src.dtype(), src.len());
+            self.g.map_to_tile(gathered, self.l.collector_tile)?;
+            let pairs = intervals
+                .iter()
+                .map(|(r, _)| (src.slice(r.clone()), gathered.slice(r.clone())))
+                .collect();
             return Ok(Program::seq(vec![
-                gather,
+                Program::exchange(pairs),
                 Program::broadcast(gathered.whole(), mirror.whole()),
             ]));
         }

@@ -396,16 +396,11 @@ impl Builder {
                 .connect(v, t_comp.slice(l.row_range(row)), Access::Read)?;
             self.g.connect(v, t_prop.element(row), Access::Write)?;
         }
-        // Multi-chip: broadcast straight from the distributed proposal
-        // vector so the replica traffic is sourced from every owner tile
-        // instead of serializing on the collector's IPU-Links. Single-chip
-        // keeps the seed's gather-then-broadcast byte-for-byte.
+        // Deciders read every proposal and confirmers every column star,
+        // so both reach every tile as mirrors, refreshed like the search
+        // loop's: one broadcast from their owners (`refresh_mirror`).
         let row_intervals = self.row_block_intervals(1);
-        let (prop_g, gather_prop) = if self.l.chips > 1 {
-            (t_prop, Program::seq(vec![]))
-        } else {
-            self.gather_to_collector("step2.propg", t_prop, &row_intervals)?
-        };
+        let refresh_prop = self.refresh_mirror("step2.propg", t_prop, t_ma, &row_intervals)?;
 
         let cs_decide = self.g.add_compute_set("step2.decide");
         for seg in 0..l.n_col_segs() {
@@ -426,11 +421,7 @@ impl Builder {
             self.g.connect(v, t_cstar.slice(cols), Access::ReadWrite)?;
         }
         let col_intervals = self.col_seg_intervals();
-        let (cstar_g, gather_cstar) = if self.l.chips > 1 {
-            (t_cstar, Program::seq(vec![]))
-        } else {
-            self.gather_to_collector("step2.cstarg", t_cstar, &col_intervals)?
-        };
+        let refresh_cstar = self.refresh_mirror("step2.cstarg", t_cstar, t_mb, &col_intervals)?;
 
         let cs_confirm = self.g.add_compute_set("step2.confirm");
         for row in 0..n {
@@ -469,11 +460,9 @@ impl Builder {
         let pass_body = Program::seq(vec![
             Program::broadcast(t_pass.whole(), t_pass_m.whole()),
             Program::execute(cs_prop),
-            gather_prop,
-            Program::broadcast(prop_g.whole(), t_ma.whole()),
+            refresh_prop,
             Program::execute(cs_decide),
-            gather_cstar,
-            Program::broadcast(cstar_g.whole(), t_mb.whole()),
+            refresh_cstar,
             Program::execute(cs_confirm),
             Program::execute(cs_adv),
         ]);
